@@ -27,7 +27,6 @@ from mdqs.composite import (
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
-    CostTier,
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
@@ -76,11 +75,7 @@ from mdqs.scoring import (
     StructurePolicy,
     normalize_batch,
     score_agreement,
-    score_alignment,
     score_all,
-    score_cost_prior,
-    score_model_prior,
-    score_semantic,
     score_structure,
     structure_features,
 )

@@ -208,9 +208,6 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     base = resolve_weights(config, None)
-    preset = args.preset or config.preset
-    if preset != "paper":
-        raise UsageError(f"unknown preset {preset!r}")
     variants = preset_variants(config.variant_names)
     result = _ingest(args, config)
     rows = ablation_grid(result.samples, variants, base=base)

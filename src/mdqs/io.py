@@ -12,7 +12,9 @@ and a manifest.json that is merged on write with entries sorted by path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,16 +22,16 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from mdqs.audit import AblationRow, AuditBlock, AuditReport, CalibrationResult
+from mdqs.audit import GATE_CHOICES, AblationRow, AuditBlock, AuditReport, CalibrationResult
 from mdqs.composite import PAPER_PRESET
 from mdqs.errors import (
     MissingColumn,
     MissingReferenceText,
     SchemaError,
+    SimConfigError,
 )
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
-    CostTier,
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
@@ -42,22 +44,14 @@ from mdqs.model import (
     parse_dimension,
 )
 from mdqs.poq import (
-    AdaptiveTrust,
+    ATTACKS,
+    DEFENSES,
+    SIGNALS,
     AttackStrategy,
-    Camouflage,
-    Collude,
-    CompositeSignal,
-    ConsensusBaseline,
-    Deflate,
     DefenseConfig,
-    Inflate,
-    Mean,
     Median,
     QualitySignal,
-    RandomNoise,
     SimConfig,
-    SingleEvaluator,
-    TrimmedMean,
     attack_label,
     defense_label,
     signal_label,
@@ -90,20 +84,87 @@ _KNOWN_RECORD_FIELDS = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# record <-> sample
+# value readers
+#
+# Every untrusted value, in a record or in the run config, passes through one
+# of these. Each raises SchemaError naming where the value sits, such as
+# "evaluator_scores.judge" or "sim.attacks[1].delta".
 
 
-def _require_str(obj: Mapping, key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
-        raise SchemaError(f"field {key!r} must be a string, got {type(value).__name__}")
+def _number(value, where: str) -> float:
+    """A finite number from a record or a config; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{where} must be finite, got {number!r}")
+    return number
+
+
+def _section(raw, where: str, keys: Sequence[str] | None = None) -> dict:
+    """A map ({} when absent); with `keys`, any other key is an error."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be a map")
+    unknown = set(raw) - set(keys) if keys is not None else ()
+    if unknown:
+        raise SchemaError(f"unknown {where} key(s): {', '.join(sorted(map(str, unknown)))}")
+    return raw
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where} must be an integer, got {type(value).__name__}")
     return value
 
 
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where} must be a number, got {type(value).__name__}")
-    return float(value)
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where} must be true or false, got {type(value).__name__}")
+    return value
+
+
+def _one_of(*choices: str):
+    """A reader that accepts only the given strings."""
+
+    def read(value, where: str) -> str:
+        if _text(value, where) not in choices:
+            raise SchemaError(f"{where} must be one of {', '.join(choices)}; got {value!r}")
+        return value
+
+    return read
+
+
+def _opt(section: Mapping, key: str, read, where: str, default=None):
+    """section[key] passed through `read`; `default` when absent or null."""
+    value = section.get(key)
+    return default if value is None else read(value, f"{where}.{key}" if where else key)
+
+
+def _dimension_map(raw, where: str, read=_number) -> dict:
+    """A {dimension name: value} map keyed by DimensionId."""
+    out = {}
+    for name, value in _section(raw, where).items():
+        try:
+            dim = parse_dimension(str(name))
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
+        out[dim] = read(value, f"{where}.{name}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# record <-> sample
 
 
 def from_record(obj: object) -> LoggedSample:
@@ -113,57 +174,23 @@ def from_record(obj: object) -> LoggedSample:
     schema = obj.get("schema", RECORD_SCHEMA)
     if schema != RECORD_SCHEMA:
         raise SchemaError(f"unsupported record schema {schema!r}")
-    sample_id = _require_str(obj, "sample_id")
-    task = TaskFamily(_require_str(obj, "task"))
-    producer_id = _require_str(obj, "producer_id")
-    query = _require_str(obj, "query")
-    output = _require_str(obj, "output")
-
-    scores_raw = obj.get("evaluator_scores", {})
-    if not isinstance(scores_raw, dict):
-        raise SchemaError("field 'evaluator_scores' must be an object")
-    evaluator_scores = {
-        str(k): _as_number(v, f"evaluator_scores.{k}") for k, v in scores_raw.items()
-    }
-
-    reference_score = None
-    if obj.get("gt") is not None:
-        reference_score = _as_number(obj["gt"], "gt")
-
-    reference_text = obj.get("reference_text")
-    if reference_text is not None and not isinstance(reference_text, str):
-        raise SchemaError("field 'reference_text' must be a string")
-
-    dims = None
-    dims_raw = obj.get("dims")
-    if dims_raw is not None:
-        if not isinstance(dims_raw, dict):
-            raise SchemaError("field 'dims' must be an object")
-        parsed = {}
-        for name, value in dims_raw.items():
-            try:
-                dim = parse_dimension(str(name))
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
-            parsed[dim] = _as_number(value, f"dims.{name}")
-        if parsed:
-            try:
-                dims = DimensionVector(parsed)
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
-
-    extra = {k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS}
+    try:
+        task = TaskFamily(_text(obj.get("task"), "task"))
+    except ValueError as exc:
+        raise SchemaError(f"task: {exc}") from None
+    scores = _section(obj.get("evaluator_scores"), "evaluator_scores")
+    dims = _dimension_map(obj.get("dims"), "dims")
     return LoggedSample(
-        sample_id=sample_id,
+        sample_id=_text(obj.get("sample_id"), "sample_id"),
         task=task,
-        producer_id=producer_id,
-        query=query,
-        output=output,
-        evaluator_scores=evaluator_scores,
-        reference_score=reference_score,
-        reference_text=reference_text,
-        dimension_scores=dims,
-        extra=extra,
+        producer_id=_text(obj.get("producer_id"), "producer_id"),
+        query=_text(obj.get("query"), "query"),
+        output=_text(obj.get("output"), "output"),
+        evaluator_scores={str(k): _number(v, f"evaluator_scores.{k}") for k, v in scores.items()},
+        reference_score=_opt(obj, "gt", _number, ""),
+        reference_text=_opt(obj, "reference_text", _text, ""),
+        dimension_scores=DimensionVector(dims) if dims else None,
+        extra={k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS},
     )
 
 
@@ -214,14 +241,13 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     """
     samples: list[LoggedSample] = []
     issues: list[IngestIssue] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded per line, so one bad byte costs one line
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                samples.append(from_record(obj))
-            except (json.JSONDecodeError, SchemaError) as exc:
+                samples.append(from_record(json.loads(line.decode("utf-8"))))
+            except (UnicodeDecodeError, json.JSONDecodeError, SchemaError) as exc:
                 if strict:
                     raise SchemaError(f"{path}:{line_no}: {exc}") from None
                 issues.append(IngestIssue(line_no=line_no, message=str(exc)))
@@ -239,9 +265,6 @@ def write_jsonl(path: str | Path, samples: Sequence[LoggedSample]) -> None:
 
 # ---------------------------------------------------------------------------
 # run configuration
-
-
-_TIERS = {t.value: t for t in CostTier}
 
 
 @dataclass(frozen=True)
@@ -333,384 +356,186 @@ class RunConfig:
     sim: SimGridSpec | None = None
 
 
-_KNOWN_CONFIG_KEYS = frozenset(
-    {
-        "schema",
-        "input",
-        "out",
-        "seed",
-        "weights",
-        "structure",
-        "providers",
-        "priors",
-        "normalization",
-        "audit",
-        "synthetic",
-        "sim",
-    }
+# In a config section, a key set to null means its default. In an entry built
+# from a dataclass (structure, attacks, defenses, signals) null is accepted
+# only by a field that takes None.
+
+_TOP_KEYS = (
+    "schema",
+    "input",
+    "out",
+    "seed",
+    "weights",
+    "structure",
+    "providers",
+    "priors",
+    "normalization",
+    "audit",
+    "synthetic",
+    "sim",
 )
 
 
-def _config_float(section: Mapping, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}.{key} must be a number")
-    return float(value)
+def _column(value, where: str) -> str:
+    name = _text(value, where).partition("column:")[2]
+    if not value.startswith("column:") or not name:
+        raise SchemaError(f"{where} must be 'column:<name>'")
+    return name
 
 
-def _config_int(section: Mapping, key: str, default: int, where: str) -> int:
-    value = section.get(key, default)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}.{key} must be an integer")
-    return value
+# field annotation -> reader, for entries built from a dataclass's fields
+_FIELD_READERS = {
+    "int": _integer,
+    "float": _number,
+    "str": _text,
+    "float | None": lambda value, where: None if value is None else _number(value, where),
+}
+# the config keys that differ from the field they set
+_FIELD_KEYS = {"target_producer": "target", "evaluator_id": "id"}
 
 
-def _parse_weights(value) -> tuple[str | None, dict[DimensionId, float] | None]:
-    if value is None:
-        return None, None
-    if isinstance(value, str):
-        return value, None
-    if isinstance(value, dict):
-        inline = {}
-        for name, w in value.items():
-            try:
-                dim = parse_dimension(str(name))
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
-            inline[dim] = _as_number(w, f"weights.{name}")
-        return None, inline
-    raise SchemaError("weights must be a variant name or a {dimension: weight} map")
-
-
-def _parse_structure(section) -> StructurePolicy:
-    if section is None:
-        return StructurePolicy()
-    if not isinstance(section, dict):
-        raise SchemaError("structure section must be a map")
-    allowed = {
-        "min_tokens",
-        "max_tokens",
-        "length_weight",
-        "repetition_weight",
-        "format_weight",
-        "degeneration_weight",
-        "repetition_ngram",
-        "degeneration_ngram",
-        "degeneration_min_count",
-    }
-    unknown = set(section) - allowed
-    if unknown:
-        raise SchemaError(f"unknown structure option(s): {', '.join(sorted(unknown))}")
+def _from_fields(cls, raw, where: str, extra_keys: Sequence[str] = ()):
+    """Build dataclass `cls` from a config map keyed by its field names."""
+    fields = {_FIELD_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    entry = _section(raw, where, (*fields, *extra_keys))
+    kwargs = {}
+    for key, f in fields.items():
+        if key in entry:
+            kwargs[f.name] = _FIELD_READERS[f.type](entry[key], f"{where}.{key}")
+        elif f.default is dataclasses.MISSING:
+            raise SchemaError(f"{where} needs '{key}'")
     try:
-        return StructurePolicy(**section)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad structure section: {exc}") from None
+        return cls(**kwargs)
+    except (ValueError, SimConfigError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
-def _parse_priors(section) -> tuple[PriorTable | None, PriorTable | None]:
-    if section is None:
-        return None, None
-    if not isinstance(section, dict):
-        raise SchemaError("priors section must be a map")
-    unknown = set(section) - {"model_rating", "cost_efficiency"}
-    if unknown:
-        raise SchemaError(f"unknown priors key(s): {', '.join(sorted(unknown))}")
-
-    def table(key: str) -> PriorTable | None:
-        entry = section.get(key)
-        if entry is None:
-            return None
-        if not isinstance(entry, dict):
-            raise SchemaError(f"priors.{key} must be a {{producer: rating}} map")
-        return PriorTable(key, {str(k): _as_number(v, f"priors.{key}.{k}") for k, v in entry.items()})
-
-    return table("model_rating"), table("cost_efficiency")
+def _strategy(registry: Mapping[str, type], raw, where: str):
+    """One attack, defense or signal entry: {type: <registry key>, <fields>...}."""
+    if not isinstance(raw, dict) or "type" not in raw:
+        raise SchemaError(f"{where} must be a map with a 'type' key")
+    kind = raw["type"]
+    if not isinstance(kind, str) or kind not in registry:
+        raise SchemaError(f"{where}.type must be one of {', '.join(registry)}; got {kind!r}")
+    return _from_fields(registry[kind], raw, where, extra_keys=("type",))
 
 
-def _parse_providers(section) -> tuple[str, str | None]:
-    if section is None:
-        return "builtin", None
-    if not isinstance(section, dict):
-        raise SchemaError("providers section must be a map")
-    unknown = set(section) - {"semantic", "alignment"}
-    if unknown:
-        raise SchemaError(f"unknown providers key(s): {', '.join(sorted(unknown))}")
-    semantic = section.get("semantic", "builtin") or "builtin"
-    if not isinstance(semantic, str) or (
-        semantic != "builtin" and not semantic.startswith("column:")
-    ):
-        raise SchemaError("providers.semantic must be 'builtin' or 'column:<name>'")
-    alignment = section.get("alignment")
-    alignment_column = None
-    if alignment is not None:
-        if not isinstance(alignment, str) or not alignment.startswith("column:"):
-            raise SchemaError("providers.alignment must be 'column:<name>'")
-        alignment_column = alignment.split(":", 1)[1]
-        if not alignment_column:
-            raise SchemaError("providers.alignment column name is empty")
-    return semantic, alignment_column
+def parse_attack(entry, where: str = "attack") -> AttackStrategy | None:
+    return None if entry in (None, "none", {"type": "none"}) else _strategy(ATTACKS, entry, where)
 
 
-def _parse_normalization(section) -> tuple[str, str | None]:
-    if section is None:
-        return "batch", None
-    if not isinstance(section, dict):
-        raise SchemaError("normalization section must be a map")
-    mode = section.get("mode", "batch")
-    if mode not in ("batch", "frozen"):
-        raise SchemaError("normalization.mode must be 'batch' or 'frozen'")
-    stats = section.get("stats")
-    if mode == "frozen" and not isinstance(stats, str):
-        raise SchemaError("normalization.stats must point to a stats JSON file")
-    return mode, stats
+def parse_defense(entry, where: str = "defense") -> DefenseConfig:
+    return _strategy(DEFENSES, {"type": entry} if isinstance(entry, str) else entry, where)
 
 
-def _parse_audit(section) -> tuple[str, float, bool, str, tuple[str, ...] | None]:
-    gate, threshold, per_task, preset, variants = "pearson", 0.0, False, "paper", None
-    if section is None:
-        return gate, threshold, per_task, preset, variants
-    if not isinstance(section, dict):
-        raise SchemaError("audit section must be a map")
-    unknown = set(section) - {"gate", "threshold", "per_task", "preset", "variants"}
-    if unknown:
-        raise SchemaError(f"unknown audit key(s): {', '.join(sorted(unknown))}")
-    gate = section.get("gate", gate)
-    threshold = _config_float(section, "threshold", threshold, "audit")
-    per_task = bool(section.get("per_task", per_task))
-    preset = section.get("preset", preset)
-    variants_raw = section.get("variants")
-    if variants_raw is not None:
-        if not isinstance(variants_raw, list):
-            raise SchemaError("audit.variants must be a list of variant names")
-        variants = tuple(str(v) for v in variants_raw)
-    return gate, threshold, per_task, preset, variants
+def parse_signal(entry, where: str = "signal") -> QualitySignal:
+    return _strategy(SIGNALS, entry, where)
 
 
-def _parse_synthetic(section, default_seed: int | None) -> SyntheticSpec | None:
-    if section is None:
+def _weights(value) -> tuple[str | None, dict[DimensionId, float] | None]:
+    if value is None or isinstance(value, str):
+        return value, None
+    if not isinstance(value, dict):
+        raise SchemaError("weights must be a variant name or a {dimension: weight} map")
+    return None, _dimension_map(value, "weights")
+
+
+def _prior_table(priors: Mapping, key: str) -> PriorTable | None:
+    if priors.get(key) is None:
         return None
-    if not isinstance(section, dict):
-        raise SchemaError("synthetic section must be a map")
-    allowed = {
-        "n",
-        "qa_fraction",
-        "correlations",
-        "evaluators",
-        "producers",
-        "producers_per_query",
-        "seed",
-    }
-    unknown = set(section) - allowed
-    if unknown:
-        raise SchemaError(f"unknown synthetic key(s): {', '.join(sorted(unknown))}")
-    n = _config_int(section, "n", 0, "synthetic")
-    correlations_raw = section.get("correlations") or {}
-    if not isinstance(correlations_raw, dict):
-        raise SchemaError("synthetic.correlations must be a map")
+    table = _section(priors[key], f"priors.{key}")
+    return PriorTable(key, {str(k): _number(v, f"priors.{key}.{k}") for k, v in table.items()})
 
-    def dim_map(entry, where: str) -> dict[DimensionId, float]:
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where} must be a {{dimension: rho}} map")
-        out = {}
-        for name, rho in entry.items():
-            try:
-                dim = parse_dimension(str(name))
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
-            out[dim] = _as_number(rho, f"{where}.{name}")
-        return out
 
+def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
+    if raw is None:
+        return None
+    section = _section(
+        raw,
+        "synthetic",
+        ("n", "qa_fraction", "correlations", "evaluators", "producers", "producers_per_query",
+         "seed"),
+    )
+    correlations = _section(section.get("correlations"), "synthetic.correlations")
     # flat {dimension: rho} applies to both standard tasks
-    if correlations_raw and all(not isinstance(v, dict) for v in correlations_raw.values()):
-        shared = dim_map(correlations_raw, "synthetic.correlations")
-        correlations = {"qa": shared, "summarization": dict(shared)}
+    if correlations and all(not isinstance(v, dict) for v in correlations.values()):
+        shared = _dimension_map(correlations, "synthetic.correlations")
+        by_task = {"qa": shared, "summarization": dict(shared)}
     else:
-        correlations = {
-            str(task): dim_map(entry, f"synthetic.correlations.{task}")
-            for task, entry in correlations_raw.items()
+        by_task = {
+            str(task): _dimension_map(entry, f"synthetic.correlations.{task}")
+            for task, entry in correlations.items()
         }
-
-    evaluators_raw = section.get("evaluators") or {}
-    if not isinstance(evaluators_raw, dict):
-        raise SchemaError("synthetic.evaluators must be a {evaluator: noise_sd} map")
     noise = {
-        str(k): _as_number(v, f"synthetic.evaluators.{k}") for k, v in evaluators_raw.items()
+        str(k): _number(v, f"synthetic.evaluators.{k}")
+        for k, v in _section(section.get("evaluators"), "synthetic.evaluators").items()
     }
-
     producers = section.get("producers") or ("model-a", "model-b", "model-c")
     if not isinstance(producers, (list, tuple)):
         raise SchemaError("synthetic.producers must be a list")
-    seed = section.get("seed", default_seed)
     return SyntheticSpec(
-        n=n,
-        correlations=correlations,
+        n=_opt(section, "n", _integer, "synthetic", 0),
+        correlations=by_task,
         evaluator_noise=noise,
-        qa_fraction=_config_float(section, "qa_fraction", 0.5, "synthetic"),
-        producers=tuple(str(p) for p in producers),
-        producers_per_query=_config_int(section, "producers_per_query", 1, "synthetic"),
-        rng_seed=int(seed) if seed is not None else 0,
+        qa_fraction=_opt(section, "qa_fraction", _number, "synthetic", 0.5),
+        producers=tuple(_text(p, f"synthetic.producers[{i}]") for i, p in enumerate(producers)),
+        producers_per_query=_opt(section, "producers_per_query", _integer, "synthetic", 1),
+        rng_seed=_opt(section, "seed", _integer, "synthetic", default_seed or 0),
     )
 
 
-def parse_attack(entry) -> AttackStrategy | None:
-    if entry is None or entry == "none" or entry == {"type": "none"}:
-        return None
-    if not isinstance(entry, dict) or "type" not in entry:
-        raise SchemaError("attack entries must be maps with a 'type' key")
-    kind = entry["type"]
+_tier = _one_of("low", "medium", "high")  # accepted for old configs, then ignored
+
+
+def _evaluator(raw, where: str) -> EvaluatorProfile:
+    entry = _section(raw, where, ("id", "cost", "tier"))
+    if "tier" in entry:
+        _tier(entry["tier"], f"{where}.tier")
+    if "id" not in entry:
+        raise SchemaError(f"{where} needs an 'id'")
     try:
-        if kind == "inflate":
-            return Inflate(delta=_as_number(entry.get("delta", 0.2), "attack.delta"))
-        if kind == "deflate":
-            return Deflate(delta=_as_number(entry.get("delta", 0.2), "attack.delta"))
-        if kind == "random_noise":
-            return RandomNoise()
-        if kind == "collude":
-            return Collude(
-                target_producer=str(entry.get("target", "")),
-                delta=_as_number(entry.get("delta", 0.2), "attack.delta"),
-            )
-        if kind == "camouflage":
-            return Camouflage(
-                honest_rounds=int(entry.get("honest_rounds", 0)),
-                then_delta=_as_number(entry.get("then_delta", 0.2), "attack.then_delta"),
-            )
-    except ValueError as exc:
-        raise SchemaError(f"bad attack spec: {exc}") from None
-    raise SchemaError(f"unknown attack type {kind!r}")
-
-
-def parse_defense(entry) -> DefenseConfig:
-    if isinstance(entry, str):
-        entry = {"type": entry}
-    if not isinstance(entry, dict) or "type" not in entry:
-        raise SchemaError("defense entries must be maps with a 'type' key")
-    kind = entry["type"]
-    try:
-        if kind == "mean":
-            return Mean()
-        if kind == "median":
-            return Median()
-        if kind == "trimmed_mean":
-            return TrimmedMean(
-                trim_fraction=_as_number(entry.get("trim_fraction", 0.2), "defense.trim_fraction")
-            )
-        if kind == "adaptive_trust":
-            floor = entry.get("floor")
-            return AdaptiveTrust(
-                learning_rate=_as_number(
-                    entry.get("learning_rate", 1.0), "defense.learning_rate"
-                ),
-                floor=None if floor is None else _as_number(floor, "defense.floor"),
-            )
-    except ValueError as exc:
-        raise SchemaError(f"bad defense spec: {exc}") from None
-    raise SchemaError(f"unknown defense type {kind!r}")
-
-
-def parse_signal(entry) -> QualitySignal:
-    if not isinstance(entry, dict) or "type" not in entry:
-        raise SchemaError("signal entries must be maps with a 'type' key")
-    kind = entry["type"]
-    try:
-        if kind == "evaluator":
-            return SingleEvaluator(evaluator_id=str(entry["id"]))
-        if kind == "baseline":
-            return ConsensusBaseline(stat=str(entry.get("stat", "median")))
-        if kind == "composite":
-            return CompositeSignal(variant=str(entry.get("variant", "default")))
-    except KeyError as exc:
-        raise SchemaError(f"signal spec missing key {exc}") from None
-    except ValueError as exc:
-        raise SchemaError(f"bad signal spec: {exc}") from None
-    raise SchemaError(f"unknown signal type {kind!r}")
-
-
-def _parse_sim(section) -> SimGridSpec | None:
-    if section is None:
-        return None
-    if not isinstance(section, dict):
-        raise SchemaError("sim section must be a map")
-    allowed = {
-        "mode",
-        "rounds",
-        "reward_budget",
-        "budget",
-        "honest_noise_sd",
-        "beta_concentration",
-        "evaluators",
-        "producers",
-        "attacks",
-        "ratios",
-        "defenses",
-        "signals",
-    }
-    unknown = set(section) - allowed
-    if unknown:
-        raise SchemaError(f"unknown sim key(s): {', '.join(sorted(unknown))}")
-
-    evaluators_raw = section.get("evaluators") or []
-    if not isinstance(evaluators_raw, list):
-        raise SchemaError("sim.evaluators must be a list")
-    profiles = []
-    for i, entry in enumerate(evaluators_raw):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise SchemaError(f"sim.evaluators[{i}] must be a map with an 'id'")
-        tier = entry.get("tier", "medium")
-        if tier not in _TIERS:
-            raise SchemaError(f"sim.evaluators[{i}].tier must be one of {sorted(_TIERS)}")
-        profiles.append(
-            EvaluatorProfile(
-                evaluator_id=str(entry["id"]),
-                cost=_as_number(entry.get("cost", 1.0), f"sim.evaluators[{i}].cost"),
-                cost_tier=_TIERS[tier],
-            )
+        return EvaluatorProfile(
+            evaluator_id=_text(entry["id"], f"{where}.id"),
+            cost=_opt(entry, "cost", _number, where, 1.0),
         )
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
-    producers_raw = section.get("producers")
-    producers = None
-    if producers_raw is not None:
-        if not isinstance(producers_raw, dict):
-            raise SchemaError("sim.producers must be a {producer: mean_quality} map")
+
+def _sim(raw) -> SimGridSpec | None:
+    if raw is None:
+        return None
+    section = _section(raw, "sim", [f.name for f in dataclasses.fields(SimGridSpec)])
+    evaluators = section.get("evaluators") or []
+    if not isinstance(evaluators, list):
+        raise SchemaError("sim.evaluators must be a list")
+    producers = section.get("producers")
+    if producers is not None:
         producers = {
-            str(k): _as_number(v, f"sim.producers.{k}") for k, v in producers_raw.items()
+            str(k): _number(v, f"sim.producers.{k}")
+            for k, v in _section(producers, "sim.producers").items()
         }
 
-    attacks_raw = section.get("attacks", [None])
-    if not isinstance(attacks_raw, list) or not attacks_raw:
-        raise SchemaError("sim.attacks must be a non-empty list")
-    ratios_raw = section.get("ratios", [0.0])
-    if not isinstance(ratios_raw, list) or not ratios_raw:
-        raise SchemaError("sim.ratios must be a non-empty list")
-    defenses_raw = section.get("defenses", [{"type": "median"}])
-    if not isinstance(defenses_raw, list) or not defenses_raw:
-        raise SchemaError("sim.defenses must be a non-empty list")
-    signals_raw = section.get("signals")
-    if signals_raw is None:
-        signals: tuple[QualitySignal | None, ...] = (None,)
-    else:
-        if not isinstance(signals_raw, list) or not signals_raw:
-            raise SchemaError("sim.signals must be a non-empty list")
-        signals = tuple(parse_signal(s) for s in signals_raw)
+    def each(key: str, parse, default: list) -> tuple:
+        entries = section.get(key)
+        entries = default if entries is None else entries
+        if not isinstance(entries, list) or not entries:
+            raise SchemaError(f"sim.{key} must be a non-empty list")
+        return tuple(parse(e, f"sim.{key}[{i}]") for i, e in enumerate(entries))
 
-    budget = section.get("budget")
     return SimGridSpec(
-        mode=str(section.get("mode", "synthetic")),
-        rounds=_config_int(section, "rounds", 200, "sim"),
-        reward_budget=_config_float(section, "reward_budget", 1.0, "sim"),
-        budget=None if budget is None else _as_number(budget, "sim.budget"),
-        honest_noise_sd=_config_float(section, "honest_noise_sd", 0.0, "sim"),
-        beta_concentration=_config_float(section, "beta_concentration", 10.0, "sim"),
-        evaluators=tuple(profiles),
+        mode=_opt(section, "mode", _text, "sim", "synthetic"),
+        rounds=_opt(section, "rounds", _integer, "sim", 200),
+        reward_budget=_opt(section, "reward_budget", _number, "sim", 1.0),
+        budget=_opt(section, "budget", _number, "sim"),
+        honest_noise_sd=_opt(section, "honest_noise_sd", _number, "sim", 0.0),
+        beta_concentration=_opt(section, "beta_concentration", _number, "sim", 10.0),
+        evaluators=tuple(_evaluator(e, f"sim.evaluators[{i}]") for i, e in enumerate(evaluators)),
         producers=producers,
-        attacks=tuple(parse_attack(a) for a in attacks_raw),
-        ratios=tuple(_as_number(r, "sim.ratios[]") for r in ratios_raw),
-        defenses=tuple(parse_defense(d) for d in defenses_raw),
-        signals=signals,
+        attacks=each("attacks", parse_attack, [None]),
+        ratios=each("ratios", _number, [0.0]),
+        defenses=each("defenses", parse_defense, ["median"]),
+        signals=(None,) if section.get("signals") is None else each("signals", parse_signal, []),
     )
 
 
@@ -718,49 +543,60 @@ def load_config(path: str | Path | None) -> RunConfig:
     """Load and validate one YAML run config; None gives all defaults."""
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise SchemaError("run config must be a YAML map")
-    unknown = set(raw) - _KNOWN_CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise SchemaError(f"cannot load config {path}: {exc}") from None
+    raw = _section(raw, "run config", _TOP_KEYS)
     schema = raw.get("schema", 1)
     if schema != 1:
         raise SchemaError(f"unsupported config schema {schema!r}")
+    seed = _opt(raw, "seed", _integer, "")
+    weights_name, weights_inline = _weights(raw.get("weights"))
 
-    seed = raw.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise SchemaError("seed must be an integer")
+    providers = _section(raw.get("providers"), "providers", ("semantic", "alignment"))
+    semantic = _opt(providers, "semantic", _text, "providers", "builtin")
+    if semantic != "builtin":
+        semantic = "column:" + _column(semantic, "providers.semantic")
 
-    weights_name, weights_inline = _parse_weights(raw.get("weights"))
-    semantic_spec, alignment_column = _parse_providers(raw.get("providers"))
-    model_priors, cost_priors = _parse_priors(raw.get("priors"))
-    normalization_mode, stats_path = _parse_normalization(raw.get("normalization"))
-    gate, threshold, per_task, preset, variants = _parse_audit(raw.get("audit"))
+    priors = _section(raw.get("priors"), "priors", ("model_rating", "cost_efficiency"))
+
+    normalization = _section(raw.get("normalization"), "normalization", ("mode", "stats"))
+    mode = _opt(normalization, "mode", _one_of("batch", "frozen"), "normalization", "batch")
+    stats = _opt(normalization, "stats", _text, "normalization")
+    if mode == "frozen" and stats is None:
+        raise SchemaError("normalization.stats must point to a stats JSON file")
+
+    audit_keys = ("gate", "threshold", "per_task", "preset", "variants")
+    audit_section = _section(raw.get("audit"), "audit", audit_keys)
+    variants = audit_section.get("variants")
+    if variants is not None:
+        if not isinstance(variants, list):
+            raise SchemaError("audit.variants must be a list of variant names")
+        variant = _one_of(*(name for name, _ in PAPER_PRESET))
+        variants = tuple(variant(v, f"audit.variants[{i}]") for i, v in enumerate(variants))
 
     return RunConfig(
-        input_path=raw.get("input"),
-        out_dir=raw.get("out"),
+        input_path=_opt(raw, "input", _text, ""),
+        out_dir=_opt(raw, "out", _text, ""),
         seed=seed,
         weights_name=weights_name,
         weights_inline=weights_inline,
-        structure=_parse_structure(raw.get("structure")),
-        semantic_spec=semantic_spec,
-        alignment_column=alignment_column,
-        model_priors=model_priors,
-        cost_priors=cost_priors,
-        normalization_mode=normalization_mode,
-        normalization_stats_path=stats_path,
-        gate=gate,
-        threshold=threshold,
-        per_task=per_task,
-        preset=preset,
+        structure=_from_fields(StructurePolicy, raw.get("structure"), "structure"),
+        semantic_spec=semantic,
+        alignment_column=_opt(providers, "alignment", _column, "providers"),
+        model_priors=_prior_table(priors, "model_rating"),
+        cost_priors=_prior_table(priors, "cost_efficiency"),
+        normalization_mode=mode,
+        normalization_stats_path=stats,
+        gate=_opt(audit_section, "gate", _one_of(*GATE_CHOICES), "audit", "pearson"),
+        threshold=_opt(audit_section, "threshold", _number, "audit", 0.0),
+        per_task=_opt(audit_section, "per_task", _flag, "audit", False),
+        preset=_opt(audit_section, "preset", _one_of("paper"), "audit", "paper"),
         variant_names=variants,
-        synthetic=_parse_synthetic(raw.get("synthetic"), seed),
-        sim=_parse_sim(raw.get("sim")),
+        synthetic=_synthetic(raw.get("synthetic"), seed),
+        sim=_sim(raw.get("sim")),
     )
 
 
@@ -780,24 +616,19 @@ def resolve_weights(config: RunConfig, override_name: str | None = None) -> Weig
     return make_variant(DEFAULT_WEIGHTS, known[name])
 
 
+def _min_max(pair, where: str) -> tuple[float, float]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise SchemaError(f"{where} must be a [min, max] pair")
+    return _number(pair[0], f"{where}[0]"), _number(pair[1], f"{where}[1]")
+
+
 def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise SchemaError("normalization stats file must be a JSON object")
-    stats = {}
-    for name, pair in raw.items():
-        try:
-            dim = parse_dimension(str(name))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SchemaError(f"stats for {name!r} must be a [min, max] pair")
-        stats[dim] = (
-            _as_number(pair[0], f"stats.{name}[0]"),
-            _as_number(pair[1], f"stats.{name}[1]"),
-        )
-    return stats
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SchemaError(f"cannot load normalization stats {path}: {exc}") from None
+    return _dimension_map(raw, "stats", _min_max)
 
 
 def build_scoring_config(
@@ -806,12 +637,8 @@ def build_scoring_config(
     if config.semantic_spec == "builtin":
         semantic = CharNgramSemanticProvider()
     else:
-        semantic = ColumnProvider(config.semantic_spec.split(":", 1)[1], CostTier.MEDIUM)
-    alignment = (
-        ColumnProvider(config.alignment_column, CostTier.HIGH)
-        if config.alignment_column
-        else None
-    )
+        semantic = ColumnProvider(config.semantic_spec.split(":", 1)[1])
+    alignment = ColumnProvider(config.alignment_column) if config.alignment_column else None
     frozen = None
     if config.normalization_mode == "frozen":
         frozen = load_frozen_stats(config.normalization_stats_path)

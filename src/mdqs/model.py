@@ -63,10 +63,6 @@ class TaskFamily:
             raise ValueError("task label must be non-empty")
         object.__setattr__(self, "label", self.label.strip().lower())
 
-    @classmethod
-    def parse(cls, label: str) -> "TaskFamily":
-        return cls(label)
-
     @property
     def is_qa(self) -> bool:
         return self.label == "qa"
@@ -78,12 +74,6 @@ class TaskFamily:
 
 TaskFamily.QA = TaskFamily("qa")
 TaskFamily.SUMMARIZATION = TaskFamily("summarization")
-
-
-class CostTier(Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
 
 
 @dataclass(frozen=True)
@@ -207,7 +197,6 @@ class EvaluatorProfile:
 
     evaluator_id: str
     cost: float = 1.0
-    cost_tier: CostTier = CostTier.MEDIUM
     behavior: "EvaluatorBehavior | None" = None
 
     def __post_init__(self):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -48,41 +48,69 @@ def _clip01(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # behaviors
+#
+# Each strategy family (attacks, defenses, quality signals) is a set of
+# frozen dataclasses. A class carries its config `type` name, its label for
+# config ids and reports, and its behavior; the family's registry maps the
+# `type` name to the class. mdqs.io builds an entry from the class's fields.
 
 
 @dataclass(frozen=True)
 class Inflate:
     """Always report delta above the observed quality."""
 
-    delta: float
+    type: ClassVar[str] = "inflate"
+    delta: float = 0.2
 
     def __post_init__(self):
         if not math.isfinite(self.delta) or self.delta < 0:
             raise ValueError("delta must be finite and >= 0")
+
+    def label(self) -> str:
+        return f"inflate({self.delta:g})"
+
+    def emit(self, quality, round_index, rng, producer_id) -> float:
+        return _clip01(quality + self.delta)
 
 
 @dataclass(frozen=True)
 class Deflate:
     """Always report delta below the observed quality."""
 
-    delta: float
+    type: ClassVar[str] = "deflate"
+    delta: float = 0.2
 
     def __post_init__(self):
         if not math.isfinite(self.delta) or self.delta < 0:
             raise ValueError("delta must be finite and >= 0")
+
+    def label(self) -> str:
+        return f"deflate({self.delta:g})"
+
+    def emit(self, quality, round_index, rng, producer_id) -> float:
+        return _clip01(quality - self.delta)
 
 
 @dataclass(frozen=True)
 class RandomNoise:
     """Ignore quality entirely; emit uniform noise on [0, 1]."""
 
+    type: ClassVar[str] = "random_noise"
+
+    def label(self) -> str:
+        return "random_noise"
+
+    def emit(self, quality, round_index, rng, producer_id) -> float:
+        return float(rng.uniform(0.0, 1.0))
+
 
 @dataclass(frozen=True)
 class Collude:
     """Boost one producer, depress everyone else."""
 
+    type: ClassVar[str] = "collude"
     target_producer: str
-    delta: float
+    delta: float = 0.2
 
     def __post_init__(self):
         if not self.target_producer:
@@ -90,13 +118,22 @@ class Collude:
         if not math.isfinite(self.delta) or self.delta < 0:
             raise ValueError("delta must be finite and >= 0")
 
+    def label(self) -> str:
+        return f"collude({self.target_producer},{self.delta:g})"
+
+    def emit(self, quality, round_index, rng, producer_id) -> float:
+        if producer_id is not None and producer_id == self.target_producer:
+            return _clip01(quality + self.delta)
+        return _clip01(quality - self.delta)
+
 
 @dataclass(frozen=True)
 class Camouflage:
     """Behave honestly for a while, then inflate."""
 
-    honest_rounds: int
-    then_delta: float
+    type: ClassVar[str] = "camouflage"
+    honest_rounds: int = 0
+    then_delta: float = 0.2
 
     def __post_init__(self):
         if self.honest_rounds < 0:
@@ -104,8 +141,19 @@ class Camouflage:
         if not math.isfinite(self.then_delta) or self.then_delta < 0:
             raise ValueError("then_delta must be finite and >= 0")
 
+    def label(self) -> str:
+        return f"camouflage({self.honest_rounds},{self.then_delta:g})"
+
+    def emit(self, quality, round_index, rng, producer_id) -> float:
+        if round_index < self.honest_rounds:
+            return quality
+        return _clip01(quality + self.then_delta)
+
 
 AttackStrategy = Union[Inflate, Deflate, RandomNoise, Collude, Camouflage]
+ATTACKS: dict[str, type] = {
+    c.type: c for c in (Inflate, Deflate, RandomNoise, Collude, Camouflage)
+}
 
 
 @dataclass(frozen=True)
@@ -116,29 +164,25 @@ class Honest:
         if not math.isfinite(self.noise_sd) or self.noise_sd < 0:
             raise ValueError("noise_sd must be finite and >= 0")
 
+    def emit(self, quality, round_index, rng, producer_id) -> float:
+        if self.noise_sd == 0.0:  # draws nothing, so the RNG stream stays put
+            return quality
+        return _clip01(quality + rng.normal(0.0, self.noise_sd))
+
 
 @dataclass(frozen=True)
 class Malicious:
     strategy: AttackStrategy
+
+    def emit(self, quality, round_index, rng, producer_id) -> float:
+        return self.strategy.emit(quality, round_index, rng, producer_id)
 
 
 EvaluatorBehavior = Union[Honest, Malicious]
 
 
 def attack_label(attack: AttackStrategy | None) -> str:
-    if attack is None:
-        return "none"
-    if isinstance(attack, Inflate):
-        return f"inflate({attack.delta:g})"
-    if isinstance(attack, Deflate):
-        return f"deflate({attack.delta:g})"
-    if isinstance(attack, RandomNoise):
-        return "random_noise"
-    if isinstance(attack, Collude):
-        return f"collude({attack.target_producer},{attack.delta:g})"
-    if isinstance(attack, Camouflage):
-        return f"camouflage({attack.honest_rounds},{attack.then_delta:g})"
-    raise ValueError(f"unknown attack {attack!r}")
+    return "none" if attack is None else attack.label()
 
 
 def evaluator_emit(
@@ -155,52 +199,72 @@ def evaluator_emit(
     """
     if not (0.0 <= quality <= 1.0):
         raise ValueError(f"quality must be in [0, 1], got {quality!r}")
-    if isinstance(behavior, Honest):
-        if behavior.noise_sd == 0.0:
-            return quality
-        return _clip01(quality + rng.normal(0.0, behavior.noise_sd))
-    strategy = behavior.strategy
-    if isinstance(strategy, Inflate):
-        return _clip01(quality + strategy.delta)
-    if isinstance(strategy, Deflate):
-        return _clip01(quality - strategy.delta)
-    if isinstance(strategy, RandomNoise):
-        return float(rng.uniform(0.0, 1.0))
-    if isinstance(strategy, Collude):
-        if producer_id is not None and producer_id == strategy.target_producer:
-            return _clip01(quality + strategy.delta)
-        return _clip01(quality - strategy.delta)
-    if isinstance(strategy, Camouflage):
-        if round_index < strategy.honest_rounds:
-            return quality
-        return _clip01(quality + strategy.then_delta)
-    raise ValueError(f"unknown behavior {behavior!r}")
+    return behavior.emit(quality, round_index, rng, producer_id)
 
 
 # ---------------------------------------------------------------------------
 # defenses
 
 
+TrustStep = Callable[[Mapping[str, float], Mapping[str, float]], dict[str, float]]
+
+
+class _FixedTrust:
+    """Defenses under which trust never moves."""
+
+    def trust_step(self, n_evaluators: int, config_id: str) -> TrustStep | None:
+        return None
+
+
 @dataclass(frozen=True)
-class Mean:
+class Mean(_FixedTrust):
     """Trust-weighted mean; no robustness, the baseline to beat."""
 
+    type: ClassVar[str] = "mean"
+
+    def label(self) -> str:
+        return "mean"
+
+    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
+        return _weighted_mean(scores, trust)
+
 
 @dataclass(frozen=True)
-class Median:
+class Median(_FixedTrust):
     """Trust-weighted median: smallest value whose cumulative trust
     reaches half. Immune while attackers hold under half the trust."""
 
+    type: ClassVar[str] = "median"
+
+    def label(self) -> str:
+        return "median"
+
+    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
+        return weighted_median(scores, trust)
+
 
 @dataclass(frozen=True)
-class TrimmedMean:
+class TrimmedMean(_FixedTrust):
     """Drop the floor(f*n) lowest and highest emissions, then average."""
 
+    type: ClassVar[str] = "trimmed_mean"
     trim_fraction: float = 0.2
 
     def __post_init__(self):
         if not (0.0 <= self.trim_fraction < 0.5):
             raise ValueError("trim_fraction must be in [0, 0.5)")
+
+    def label(self) -> str:
+        return f"trimmed_mean({self.trim_fraction:g})"
+
+    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
+        k = int(self.trim_fraction * len(scores))
+        ordered = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
+        kept = ordered[k : len(ordered) - k] if k else ordered
+        if not kept:
+            raise EmptyAfterTrim(len(scores), k)
+        weights = _renormalized({e: trust.get(e, 0.0) for e, _ in kept})
+        return math.fsum(weights[e] * v for e, v in kept)
 
 
 @dataclass(frozen=True)
@@ -211,6 +275,7 @@ class AdaptiveTrust:
     evaluators from being frozen out forever.
     """
 
+    type: ClassVar[str] = "adaptive_trust"
     learning_rate: float = 1.0
     floor: float | None = None
 
@@ -220,20 +285,34 @@ class AdaptiveTrust:
         if self.floor is not None and (not math.isfinite(self.floor) or self.floor < 0):
             raise ValueError("floor must be finite and >= 0")
 
+    def label(self) -> str:
+        return f"adaptive_trust(lr={self.learning_rate:g})"
+
+    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
+        return _weighted_mean(scores, trust)
+
+    def trust_step(self, n_evaluators: int, config_id: str) -> TrustStep:
+        """Per-output update: downdate each emitter by its distance from the
+        trust-weighted median, never below the floor."""
+        n = n_evaluators
+        floor = self.floor if self.floor is not None else 0.01 / n
+        if floor > 1.0 / n:
+            raise SimConfigError(f"{config_id}: trust floor {floor} exceeds 1/{n}")
+        learning_rate = self.learning_rate
+
+        def step(trust: Mapping[str, float], scores: Mapping[str, float]) -> dict[str, float]:
+            reference = weighted_median(scores, trust)
+            return update_trust(trust, scores, reference, learning_rate, floor)
+
+        return step
+
 
 DefenseConfig = Union[Mean, Median, TrimmedMean, AdaptiveTrust]
+DEFENSES: dict[str, type] = {c.type: c for c in (Mean, Median, TrimmedMean, AdaptiveTrust)}
 
 
 def defense_label(defense: DefenseConfig) -> str:
-    if isinstance(defense, Mean):
-        return "mean"
-    if isinstance(defense, Median):
-        return "median"
-    if isinstance(defense, TrimmedMean):
-        return f"trimmed_mean({defense.trim_fraction:g})"
-    if isinstance(defense, AdaptiveTrust):
-        return f"adaptive_trust(lr={defense.learning_rate:g})"
-    raise ValueError(f"unknown defense {defense!r}")
+    return defense.label()
 
 
 def _renormalized(weights: Mapping[str, float]) -> dict[str, float]:
@@ -262,6 +341,11 @@ def weighted_median(scores: Mapping[str, float], trust: Mapping[str, float]) -> 
     return ordered[-1][1]  # fp slack; cumulative should have reached 1.0
 
 
+def _weighted_mean(scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
+    weights = _renormalized({e: trust.get(e, 0.0) for e in scores})
+    return math.fsum(weights[e] * v for e, v in scores.items())
+
+
 def aggregate(
     scores: Mapping[str, float],
     trust: Mapping[str, float],
@@ -270,20 +354,7 @@ def aggregate(
     """Collapse one output's emissions into a consensus score."""
     if not scores:
         raise ValueError("cannot aggregate zero scores")
-    if isinstance(defense, Median):
-        return weighted_median(scores, trust)
-    if isinstance(defense, TrimmedMean):
-        k = int(defense.trim_fraction * len(scores))
-        ordered = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
-        kept = ordered[k : len(ordered) - k] if k else ordered
-        if not kept:
-            raise EmptyAfterTrim(len(scores), k)
-        weights = _renormalized({e: trust.get(e, 0.0) for e, _ in kept})
-        return math.fsum(weights[e] * v for e, v in kept)
-    if isinstance(defense, (Mean, AdaptiveTrust)):
-        weights = _renormalized({e: trust.get(e, 0.0) for e in scores})
-        return math.fsum(weights[e] * v for e, v in scores.items())
-    raise ValueError(f"unknown defense {defense!r}")
+    return defense.aggregate(scores, trust)
 
 
 def update_trust(
@@ -371,36 +442,83 @@ def allocate_rewards(
 
 @dataclass(frozen=True)
 class SingleEvaluator:
+    """One logged evaluator column, min-max normalized over the dataset."""
+
+    type: ClassVar[str] = "evaluator"
     evaluator_id: str
+
+    def label(self) -> str:
+        return f"evaluator:{self.evaluator_id}"
+
+    def values(
+        self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
+    ) -> dict[str, float]:
+        normalized = normalize_evaluator_scores(dataset)
+        values = {}
+        for s in dataset:
+            z = normalized[s.sample_id].get(self.evaluator_id)
+            if z is None:
+                raise MissingColumn(self.evaluator_id, s.sample_id)
+            values[s.sample_id] = z
+        return values
 
 
 @dataclass(frozen=True)
 class ConsensusBaseline:
+    """Mean or median of the normalized evaluator columns."""
+
+    type: ClassVar[str] = "baseline"
     stat: str = "median"
 
     def __post_init__(self):
         if self.stat not in ("mean", "median"):
             raise ValueError("stat must be 'mean' or 'median'")
 
+    def label(self) -> str:
+        return f"baseline:{self.stat}"
+
+    def values(
+        self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
+    ) -> dict[str, float]:
+        from mdqs.audit import consensus_baselines  # local import, avoids a cycle
+
+        baselines = consensus_baselines(dataset)
+        return {sid: stats[self.stat] for sid, stats in baselines.items()}
+
 
 @dataclass(frozen=True)
 class CompositeSignal:
+    """The composite under one of the paper preset's weight variants."""
+
+    type: ClassVar[str] = "composite"
     variant: str = "default"
+
+    def __post_init__(self):
+        known = dict(PAPER_PRESET)
+        if self.variant not in known:
+            raise SimConfigError(
+                f"unknown composite variant {self.variant!r} (known: {', '.join(known)})"
+            )
+
+    def label(self) -> str:
+        return f"composite:{self.variant}"
+
+    def values(
+        self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
+    ) -> dict[str, float]:
+        weights = make_variant(base_weights, dict(PAPER_PRESET)[self.variant])
+        scores = compose_batch(dataset, weights)
+        return {s.sample_id: v for s, v in zip(dataset, scores)}
 
 
 QualitySignal = Union[SingleEvaluator, ConsensusBaseline, CompositeSignal]
+SIGNALS: dict[str, type] = {
+    c.type: c for c in (SingleEvaluator, ConsensusBaseline, CompositeSignal)
+}
 
 
 def signal_label(signal: QualitySignal | None) -> str:
-    if signal is None:
-        return "oracle"
-    if isinstance(signal, SingleEvaluator):
-        return f"evaluator:{signal.evaluator_id}"
-    if isinstance(signal, ConsensusBaseline):
-        return f"baseline:{signal.stat}"
-    if isinstance(signal, CompositeSignal):
-        return f"composite:{signal.variant}"
-    raise ValueError(f"unknown signal {signal!r}")
+    return "oracle" if signal is None else signal.label()
 
 
 # ---------------------------------------------------------------------------
@@ -480,38 +598,6 @@ class SimConfig:
         return behaviors
 
 
-def _replay_signal_values(
-    dataset: Sequence[LoggedSample],
-    signal: QualitySignal,
-    base_weights: WeightConfig,
-) -> dict[str, float]:
-    if isinstance(signal, SingleEvaluator):
-        normalized = normalize_evaluator_scores(dataset)
-        values = {}
-        for s in dataset:
-            z = normalized[s.sample_id].get(signal.evaluator_id)
-            if z is None:
-                raise MissingColumn(signal.evaluator_id, s.sample_id)
-            values[s.sample_id] = z
-        return values
-    if isinstance(signal, ConsensusBaseline):
-        from mdqs.audit import consensus_baselines  # local import, avoids a cycle
-
-        baselines = consensus_baselines(dataset)
-        return {sid: stats[signal.stat] for sid, stats in baselines.items()}
-    if isinstance(signal, CompositeSignal):
-        known = dict(PAPER_PRESET)
-        if signal.variant not in known:
-            raise SimConfigError(
-                f"unknown composite variant {signal.variant!r} "
-                f"(known: {', '.join(known)})"
-            )
-        weights = make_variant(base_weights, known[signal.variant])
-        scores = compose_batch(dataset, weights)
-        return {s.sample_id: v for s, v in zip(dataset, scores)}
-    raise SimConfigError(f"replay mode needs a quality signal, got {signal!r}")
-
-
 def run_single(
     config: SimConfig,
     dataset: Sequence[LoggedSample] | None = None,
@@ -523,17 +609,7 @@ def run_single(
     behaviors = config.resolve_behaviors()
     attacker_ids = frozenset(e for e, b in behaviors.items() if isinstance(b, Malicious))
 
-    if isinstance(config.defense, AdaptiveTrust):
-        floor = config.defense.floor if config.defense.floor is not None else 0.01 / n
-        if floor > 1.0 / n:
-            raise SimConfigError(
-                f"{config.config_id}: trust floor {floor} exceeds 1/{n}"
-            )
-        learning_rate = config.defense.learning_rate
-        adaptive = True
-    else:
-        floor, learning_rate, adaptive = 0.0, 0.0, False
-
+    trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
     trust: dict[str, float] = {p.evaluator_id: 1.0 / n for p in profiles}
     budget = config.budget if config.budget is not None else math.inf
     rng = rng_for(config.rng_seed, config.config_id)
@@ -550,7 +626,7 @@ def run_single(
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
-        signal_values = _replay_signal_values(dataset, config.quality_signal, base_weights)
+        signal_values = config.quality_signal.values(dataset, base_weights)
         referenced = [s for s in dataset if s.reference_score is not None]
         ref_norm: dict[str, float] = {}
         if referenced:
@@ -595,9 +671,8 @@ def run_single(
                 consensus_scores[f"{contest_key}:{producer}"] = consensus
                 contest[contest_key][producer] = consensus
                 errors.append(abs(consensus - quality))
-                if adaptive:
-                    reference = weighted_median(scores, trust)
-                    trust = update_trust(trust, scores, reference, learning_rate, floor)
+                if trust_step is not None:
+                    trust = trust_step(trust, scores)
         else:
             group = rounds_plan[round_index % len(rounds_plan)]
             contest_key = group[0].query
@@ -615,9 +690,8 @@ def run_single(
                 contest[contest_key][sample.producer_id] = consensus
                 if sample.sample_id in ref_norm:
                     errors.append(abs(consensus - ref_norm[sample.sample_id]))
-                if adaptive:
-                    reference = weighted_median(scores, trust)
-                    trust = update_trust(trust, scores, reference, learning_rate, floor)
+                if trust_step is not None:
+                    trust = trust_step(trust, scores)
 
         for producer, share in allocate_rewards(contest, config.reward_budget).items():
             rewards[producer] = rewards.get(producer, 0.0) + share

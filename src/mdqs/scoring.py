@@ -30,7 +30,6 @@ from mdqs.errors import (
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
-    CostTier,
     DimensionId,
     DimensionVector,
     LoggedSample,
@@ -74,16 +73,6 @@ class PriorTable:
         if hi == lo:
             return 0.5
         return (rating - lo) / (hi - lo)
-
-
-def score_model_prior(sample: LoggedSample, priors: PriorTable) -> float:
-    """Producer-strength prior from a rating table."""
-    return priors.normalized(sample.producer_id)
-
-
-def score_cost_prior(sample: LoggedSample, priors: PriorTable) -> float:
-    """Cost-efficiency prior; same table mechanics, efficiency ratings."""
-    return priors.normalized(sample.producer_id)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +180,6 @@ def score_structure(text: str, policy: StructurePolicy | None = None) -> float:
 class ScoreProvider:
     """Something that can produce one raw score for a sample."""
 
-    provider_id: str = "provider"
-    cost_tier: CostTier = CostTier.MEDIUM
-
     def provide(self, sample: LoggedSample) -> float:
         raise NotImplementedError
 
@@ -206,13 +192,10 @@ class CharNgramSemanticProvider(ScoreProvider):
     cheap offline stand-in for an embedding similarity service.
     """
 
-    cost_tier = CostTier.MEDIUM
-
     def __init__(self, ngram: int = 3):
         if ngram < 1:
             raise ValueError("ngram must be >= 1")
         self.ngram = ngram
-        self.provider_id = f"char{ngram}gram_cosine"
 
     @staticmethod
     def _normalize_text(text: str) -> str:
@@ -239,14 +222,16 @@ class CharNgramSemanticProvider(ScoreProvider):
 
 
 class ColumnProvider(ScoreProvider):
-    """Reads a pre-logged score column (evaluator_scores first, then extra)."""
+    """Reads a pre-logged score column (evaluator_scores first, then extra).
 
-    def __init__(self, column: str, cost_tier: CostTier = CostTier.HIGH):
+    There is no builtin alignment judge, so the alignment dimension only
+    exists when the dataset carries such a column.
+    """
+
+    def __init__(self, column: str):
         if not column:
             raise ValueError("column name must be non-empty")
         self.column = column
-        self.cost_tier = cost_tier
-        self.provider_id = f"column:{column}"
 
     def provide(self, sample: LoggedSample) -> float:
         if sample.evaluator_scores and self.column in sample.evaluator_scores:
@@ -255,22 +240,6 @@ class ColumnProvider(ScoreProvider):
         if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MissingColumn(self.column, sample.sample_id)
         return float(value)
-
-
-def score_semantic(sample: LoggedSample, provider: ScoreProvider | None = None) -> float:
-    """Semantic fidelity via the given provider (builtin n-gram by default)."""
-    provider = provider or CharNgramSemanticProvider()
-    return provider.provide(sample)
-
-
-def score_alignment(sample: LoggedSample, provider: ScoreProvider) -> float:
-    """Instruction-alignment score, read from logs via a column provider.
-
-    There is no builtin alignment judge; this dimension only exists when
-    the dataset carries one. Its reliability is task-sensitive, which the
-    per-task audit blocks make visible.
-    """
-    return provider.provide(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +337,21 @@ def _raw_column(
     if dim is DimensionId.MODEL_PRIOR:
         if config.model_priors is None:
             raise EmptyPriorTable("model prior table not configured")
-        return [score_model_prior(s, config.model_priors) for s in samples]
+        return [config.model_priors.normalized(s.producer_id) for s in samples]
     if dim is DimensionId.COST_PRIOR:
         if config.cost_priors is None:
             raise EmptyPriorTable("cost-efficiency prior table not configured")
-        return [score_cost_prior(s, config.cost_priors) for s in samples]
+        return [config.cost_priors.normalized(s.producer_id) for s in samples]
     if dim is DimensionId.STRUCTURE:
         return [score_structure(s.output, config.structure) for s in samples]
     if dim is DimensionId.SEMANTIC:
-        return [score_semantic(s, config.semantic_provider) for s in samples]
+        return [config.semantic_provider.provide(s) for s in samples]
     if dim is DimensionId.ALIGNMENT:
         if config.alignment_provider is None:
             raise SchemaError(
                 "alignment weight is active but no alignment column is configured"
             )
-        return [score_alignment(s, config.alignment_provider) for s in samples]
+        return [config.alignment_provider.provide(s) for s in samples]
     if dim is DimensionId.AGREEMENT:
         normalized = normalize_evaluator_scores(samples)
         return [

@@ -1,12 +1,14 @@
 """End-to-end command line behavior, run in process through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, scored_sample
 from mdqs.cli import main
-from mdqs.io import ingest, to_record, write_jsonl
+from mdqs.errors import SchemaError
+from mdqs.io import ingest, load_config, to_record, write_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +120,65 @@ def test_validate_counts_malformed_lines(tmp_path):
     assert main(["validate", "--input", str(data), "--out", str(out)]) == 1
     issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").strip().split("\n")
     assert len(issues) == 1
+
+
+SIM = "sim:\n  evaluators: [{id: e1}]\n  producers: {a: 0.5}\n"
+
+
+BAD_CONFIGS = [
+    (SIM + "  attacks: [{type: inflate, delt: 0.5}]\n", "delt"),
+    (SIM + "  signals: [{type: composite, varient: calibrated}]\n", "varient"),
+    (SIM + "  defenses: [{type: median, trim_fraction: 0.2}]\n", "trim_fraction"),
+    ("sim:\n  evaluators: [{id: e1, costt: 2}]\n", "costt"),
+    ("sim:\n  evaluators: [{id: e1, tier: ultra}]\n", "tier"),
+    ("audit: {per_task: 'false'}\n", "per_task"),
+    ("audit: {gate: pearsn}\n", "gate"),
+    ("audit: {variants: [defualt]}\n", "variants"),
+    ("audit: {preset: giant}\n", "preset"),
+    (SIM + "  signals: [{type: composite, variant: mystery}]\n", "variant"),
+    ("audit: {threshold: .nan}\n", "threshold"),
+    (SIM + "  attacks: [{type: camouflage, honest_rounds: 2.7}]\n", "honest_rounds"),
+    ("synthetic: {n: 5, seed: abc}\n", "seed"),
+    ("sim:\n  evaluators: [{id: e1, cost: .nan}]\n", "cost"),
+    ("input: 3\n", "input"),
+    ("out: [a]\n", "out"),
+    ("structure: {min_tokens: 2.5}\n", "min_tokens"),
+    ("normalization: {mode: batch, stat: s.json}\n", "stat"),
+    ("providers: {semantic: 'column:'}\n", "semantic"),
+    ("schema: [1\n", "config"),
+]
+
+
+@pytest.mark.parametrize("text, key", BAD_CONFIGS, ids=[key for _, key in BAD_CONFIGS])
+def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, text, key):
+    config = tmp_path / "bad.yaml"
+    config.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError, match=key):
+        load_config(config)
+    assert main(["validate", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"task": "  "},
+        {"evaluator_scores": {"sts_paraphrase": float("nan")}},
+        {"gt": float("inf")},
+    ],
+)
+def test_bad_record_value_lands_in_ingest_errors(tmp_path, bad):
+    lines = (Path(FIXTURES) / "replay_200.jsonl").read_text(encoding="utf-8").splitlines()[:20]
+    lines[5] = json.dumps(json.loads(lines[5]) | bad)  # writes NaN and Infinity literals
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = f"{FIXTURES}/replay_config.yaml"
+    for command in ("score", "audit"):
+        out = tmp_path / command
+        code = main([command, "--config", config, "--input", str(data), "--out", str(out)])
+        assert code in (0, 1)
+        issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["line"] for line in issues] == [6]
 
 
 # ------------------------------------------------------------------ synth

@@ -39,6 +39,9 @@ from mdqs.model import (
     validate_dataset,
 )
 from mdqs.poq import (
+    ATTACKS,
+    DEFENSES,
+    SIGNALS,
     AdaptiveTrust,
     Collude,
     Inflate,
@@ -48,7 +51,10 @@ from mdqs.poq import (
     SimConfig,
     SingleEvaluator,
     TrimmedMean,
+    attack_label,
+    defense_label,
     run_single,
+    signal_label,
 )
 from mdqs.scoring import CharNgramSemanticProvider, ColumnProvider
 
@@ -127,21 +133,32 @@ def test_from_record_schema_errors():
         from_record(full_record() | {"reference_text": 4})
     with pytest.raises(SchemaError):
         from_record(full_record() | {"gt": "high"})
+    for bad in (
+        {"task": "  "},
+        {"evaluator_scores": {"j": float("nan")}},
+        {"gt": float("inf")},
+        {"gt": 10**400},
+        {"dims": {"semantic": float("-inf")}},
+        {"dims": [0.5]},
+    ):
+        with pytest.raises(SchemaError):
+            from_record(full_record() | bad)
 
 
 def test_ingest_collects_issues(tmp_path):
     path = tmp_path / "data.jsonl"
     lines = [
-        json.dumps(full_record()),
-        "",
-        "{broken json",
-        json.dumps({"sample_id": "x"}),  # missing required fields
-        json.dumps(full_record() | {"sample_id": "s9"}),
+        json.dumps(full_record()).encode(),
+        b"",
+        b"{broken json",
+        json.dumps({"sample_id": "x"}).encode(),  # missing required fields
+        b'{"sample_id": "\xff"}',  # not UTF-8
+        json.dumps(full_record() | {"sample_id": "s9"}).encode(),
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(b"\n".join(lines) + b"\n")
     result = ingest(path)
     assert [s.sample_id for s in result.samples] == ["s1", "s9"]
-    assert [i.line_no for i in result.issues] == [3, 4]
+    assert [i.line_no for i in result.issues] == [3, 4, 5]
 
 
 def test_ingest_strict_raises_with_location(tmp_path):
@@ -368,6 +385,31 @@ def test_frozen_normalization_requires_stats(tmp_path):
         load_config(path)
 
 
+# README and benchmark forms, with the config-id fragment each must keep
+ATTACK_FORMS = [
+    ({"type": "none"}, "none"),
+    ({"type": "inflate", "delta": 0.3}, "inflate_0.3"),
+    ({"type": "deflate", "delta": 0.3}, "deflate_0.3"),
+    ({"type": "random_noise"}, "random_noise"),
+    ({"type": "collude", "target": "model-a", "delta": 0.3}, "collude_model-a_0.3"),
+    ({"type": "camouflage", "honest_rounds": 20, "then_delta": 0.3}, "camouflage_20_0.3"),
+    ({"type": "inflate"}, "inflate_0.2"),
+    ({"type": "camouflage"}, "camouflage_0_0.2"),
+]
+DEFENSE_FORMS = [
+    ("median", "median"),
+    ({"type": "mean"}, "mean"),
+    ({"type": "median"}, "median"),
+    ({"type": "trimmed_mean", "trim_fraction": 0.2}, "trimmed_mean_0.2"),
+    ({"type": "adaptive_trust", "learning_rate": 1.0}, "adaptive_trust_lr_1"),
+]
+SIGNAL_FORMS = [
+    ({"type": "composite", "variant": "default"}, "composite_default"),
+    ({"type": "baseline", "stat": "median"}, "baseline_median"),
+    ({"type": "evaluator", "id": "sts_paraphrase"}, "evaluator_sts_paraphrase"),
+]
+
+
 def test_parse_attack_forms():
     assert parse_attack(None) is None
     assert parse_attack("none") is None
@@ -375,12 +417,22 @@ def test_parse_attack_forms():
     assert parse_attack({"type": "inflate", "delta": 0.4}) == Inflate(0.4)
     assert parse_attack({"type": "random_noise"}) == RandomNoise()
     assert parse_attack({"type": "collude", "target": "p", "delta": 0.1}) == Collude("p", 0.1)
-    with pytest.raises(SchemaError):
-        parse_attack({"type": "jam"})
-    with pytest.raises(SchemaError):
-        parse_attack({"type": "inflate", "delta": -1})
-    with pytest.raises(SchemaError):
-        parse_attack("inflate")
+    parsed = [parse_attack(entry) for entry, _ in ATTACK_FORMS]
+    assert [sanitize_label(attack_label(a)) for a in parsed] == [f for _, f in ATTACK_FORMS]
+    assert {type(a) for a in parsed if a is not None} == set(ATTACKS.values())
+    for bad in (
+        {"type": "jam"},
+        {"type": "inflate", "delta": -1},
+        "inflate",
+        {"type": "inflate", "delt": 0.5},
+        {"type": "inflate", "delta": None},
+        {"type": "collude", "target_producer": "p"},
+        {"type": "collude", "delta": 0.1},
+        {"type": "camouflage", "honest_rounds": 2.7},
+        {"type": ["inflate"]},
+    ):
+        with pytest.raises(SchemaError):
+            parse_attack(bad)
 
 
 def test_parse_defense_forms():
@@ -388,20 +440,37 @@ def test_parse_defense_forms():
     assert parse_defense({"type": "median"}) == Median()
     assert parse_defense({"type": "adaptive_trust", "learning_rate": 2.0}) == AdaptiveTrust(2.0)
     assert parse_defense({"type": "adaptive_trust", "floor": 0.02}) == AdaptiveTrust(1.0, 0.02)
-    with pytest.raises(SchemaError):
-        parse_defense({"type": "firewall"})
-    with pytest.raises(SchemaError):
-        parse_defense({"type": "trimmed_mean", "trim_fraction": 0.7})
+    assert parse_defense({"type": "adaptive_trust", "floor": None}) == AdaptiveTrust()
+    parsed = [parse_defense(entry) for entry, _ in DEFENSE_FORMS]
+    assert [sanitize_label(defense_label(d)) for d in parsed] == [f for _, f in DEFENSE_FORMS]
+    assert {type(d) for d in parsed} == set(DEFENSES.values())
+    for bad in (
+        {"type": "firewall"},
+        {"type": "trimmed_mean", "trim_fraction": 0.7},
+        {"type": "median", "trim_fraction": 0.2},
+        {"type": "adaptive_trust", "floor": float("nan")},
+    ):
+        with pytest.raises(SchemaError):
+            parse_defense(bad)
 
 
 def test_parse_signal_forms():
     assert parse_signal({"type": "evaluator", "id": "e3"}) == SingleEvaluator("e3")
     assert parse_signal({"type": "baseline"}).stat == "median"
     assert parse_signal({"type": "composite", "variant": "calibrated"}).variant == "calibrated"
-    with pytest.raises(SchemaError):
-        parse_signal({"type": "oracle"})
-    with pytest.raises(SchemaError):
-        parse_signal({"type": "evaluator"})
+    parsed = [parse_signal(entry) for entry, _ in SIGNAL_FORMS]
+    assert [sanitize_label(signal_label(s)) for s in parsed] == [f for _, f in SIGNAL_FORMS]
+    assert {type(s) for s in parsed} == set(SIGNALS.values())
+    for bad in (
+        {"type": "oracle"},
+        {"type": "evaluator"},
+        {"type": "composite", "varient": "calibrated"},
+        {"type": "composite", "variant": "mystery"},
+        {"type": "baseline", "stat": "mode"},
+        {"type": "evaluator", "id": 3},
+    ):
+        with pytest.raises(SchemaError):
+            parse_signal(bad)
 
 
 def test_resolve_weights_precedence():

@@ -1,6 +1,7 @@
 """Consensus simulation: behaviors, defenses, trust, rewards, run loop."""
 
 import math
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -16,17 +17,23 @@ from mdqs.model import (
     TaskFamily,
 )
 from mdqs.poq import (
+    ATTACKS,
+    DEFENSES,
+    SIGNALS,
     AdaptiveTrust,
+    AttackStrategy,
     Camouflage,
     Collude,
     CompositeSignal,
     ConsensusBaseline,
     Deflate,
+    DefenseConfig,
     Honest,
     Inflate,
     Malicious,
     Mean,
     Median,
+    QualitySignal,
     RandomNoise,
     SimConfig,
     SingleEvaluator,
@@ -120,6 +127,8 @@ def test_attack_labels():
     assert attack_label(RandomNoise()) == "random_noise"
     assert attack_label(Collude("p-b", 0.3)) == "collude(p-b,0.3)"
     assert attack_label(Camouflage(50, 0.4)) == "camouflage(50,0.4)"
+    assert set(ATTACKS.values()) == set(get_args(AttackStrategy))
+    assert all(ATTACKS[c.type] is c for c in get_args(AttackStrategy))
 
 
 # -------------------------------------------------------------- defenses
@@ -137,6 +146,8 @@ def test_defense_validation_and_labels():
     assert defense_label(Median()) == "median"
     assert defense_label(TrimmedMean(0.2)) == "trimmed_mean(0.2)"
     assert defense_label(AdaptiveTrust()) == "adaptive_trust(lr=1)"
+    assert set(DEFENSES.values()) == set(get_args(DefenseConfig))
+    assert all(DEFENSES[c.type] is c for c in get_args(DefenseConfig))
 
 
 def test_weighted_median_uniform_trust():
@@ -574,6 +585,8 @@ def test_signal_labels():
     assert signal_label(SingleEvaluator("e7")) == "evaluator:e7"
     assert signal_label(ConsensusBaseline("mean")) == "baseline:mean"
     assert signal_label(CompositeSignal("calibrated")) == "composite:calibrated"
+    assert set(SIGNALS.values()) == set(get_args(QualitySignal))
+    assert all(SIGNALS[c.type] is c for c in get_args(QualitySignal))
     with pytest.raises(ValueError):
         ConsensusBaseline("mode")
 
