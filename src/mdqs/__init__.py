@@ -16,6 +16,7 @@ from mdqs.audit import (
     audit,
     calibrate,
     consensus_baselines,
+    with_composites,
 )
 from mdqs.composite import (
     PAPER_PRESET,

@@ -3,8 +3,10 @@
 The audit answers one question per signal: does it rank outputs the way the
 trusted reference does? Signals covered: each dimension column, each raw
 evaluator column, the mean/median consensus baselines, and any composite
-variants handed in. Everything is reported overall and per task family,
-because a dimension can help on one task and hurt on another.
+variants. Everything is reported overall and per task family, because a
+dimension can help on one task and hurt on another. A run audits once:
+calibrate and calibrate_per_task read their gate statistics from audit's
+report, and with_composites then appends the composite rows to it.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ def _block(
     label: str,
     samples: list[LoggedSample],
     normalized: dict[str, dict[str, float]],
-    composites: Sequence[tuple[str, WeightConfig]],
 ) -> AuditBlock:
     rows: list[CorrelationRow] = []
 
@@ -135,26 +136,12 @@ def _block(
             pairs.append((agg, s.reference_score))
         rows.append(_correlation_row("baseline", stat, pairs))
 
-    for name, weights in composites:
-        scorable = [
-            s
-            for s in samples
-            if s.dimension_scores is not None
-            and weights.dimensions() <= s.dimension_scores.keys()
-        ]
-        pairs = list(
-            zip(compose_batch(scorable, weights), (s.reference_score for s in scorable))
-        )
-        rows.append(_correlation_row("composite", name, pairs))
-
     return AuditBlock(label=label, rows=tuple(rows))
 
 
-def audit(
-    samples: Sequence[LoggedSample],
-    composites: Mapping[str, WeightConfig] | None = None,
-) -> AuditReport:
-    """Correlate every signal with the reference, overall and per task.
+def audit(samples: Sequence[LoggedSample]) -> AuditReport:
+    """Correlate every dimension, evaluator and baseline with the reference,
+    overall and per task.
 
     Only samples carrying a reference score participate. Evaluator columns
     are normalized over the full sample set first; min-max is affine per
@@ -168,27 +155,48 @@ def audit(
             f"audit needs >= 2 samples with a reference score, got {len(referenced)}"
         )
     normalized = normalize_evaluator_scores(all_samples)
-    composite_list = list((composites or {}).items())
 
-    overall = _block("overall", referenced, normalized, composite_list)
+    overall = _block("overall", referenced, normalized)
 
-    task_order: list[str] = []
-    for preferred in ("qa", "summarization"):
-        if any(s.task.label == preferred for s in referenced):
-            task_order.append(preferred)
-    for s in referenced:
-        if s.task.label not in task_order:
-            task_order.append(s.task.label)
+    # qa, then summarization, then other tasks in order of first appearance
+    first_seen = dict.fromkeys(s.task.label for s in referenced)
+    task_order = sorted(first_seen, key=lambda t: {"qa": 0, "summarization": 1}.get(t, 2))
     by_task = {
-        label: _block(
-            label,
-            [s for s in referenced if s.task.label == label],
-            normalized,
-            composite_list,
-        )
+        label: _block(label, [s for s in referenced if s.task.label == label], normalized)
         for label in task_order
     }
     return AuditReport(overall=overall, by_task=by_task, n_referenced=len(referenced))
+
+
+def with_composites(
+    report: AuditReport,
+    samples: Sequence[LoggedSample],
+    composites: Mapping[str, WeightConfig],
+) -> AuditReport:
+    """`report`, audit(samples)'s result, with one composite row per weight
+    config appended to every block. A row covers the block's referenced
+    samples whose dimension scores include every weighted dimension."""
+    referenced = [s for s in samples if s.reference_score is not None]
+
+    def extend(block: AuditBlock, subset: list[LoggedSample]) -> AuditBlock:
+        rows = list(block.rows)
+        for name, weights in composites.items():
+            scorable = [
+                s
+                for s in subset
+                if s.dimension_scores is not None
+                and weights.dimensions() <= s.dimension_scores.keys()
+            ]
+            refs = [s.reference_score for s in scorable]
+            pairs = list(zip(compose_batch(scorable, weights), refs))
+            rows.append(_correlation_row("composite", name, pairs))
+        return AuditBlock(label=block.label, rows=tuple(rows))
+
+    by_task = {
+        label: extend(block, [s for s in referenced if s.task.label == label])
+        for label, block in report.by_task.items()
+    }
+    return AuditReport(extend(report.overall, referenced), by_task, report.n_referenced)
 
 
 @dataclass(frozen=True)
@@ -256,17 +264,11 @@ def _gate_stats(
     stats: dict[DimensionId, float | None] = {}
     for dim in dims:
         if gate == "taskwise_min":
-            per_task: list[float] = []
-            undefined = False
-            for block in report.by_task.values():
-                row = block.row("dimension", dim.value)
-                if row is None or row.n < 2:
-                    continue
-                if row.pearson is None:
-                    undefined = True
-                    break
-                per_task.append(row.pearson)
-            stats[dim] = None if (undefined or not per_task) else min(per_task)
+            # the lowest per-task pearson over tasks with >= 2 scored samples;
+            # undefined when any of those is undefined
+            rows = [block.row("dimension", dim.value) for block in report.by_task.values()]
+            per_task = [r.pearson for r in rows if r is not None and r.n >= 2]
+            stats[dim] = None if not per_task or None in per_task else min(per_task)
             continue
         row = report.overall.row("dimension", dim.value)
         if row is None:
@@ -277,6 +279,7 @@ def _gate_stats(
 
 
 def calibrate(
+    report: AuditReport,
     samples: Sequence[LoggedSample],
     base: WeightConfig = DEFAULT_WEIGHTS,
     threshold: float = 0.0,
@@ -284,13 +287,12 @@ def calibrate(
 ) -> CalibrationResult:
     """Drop dimensions whose gate statistic misses the threshold, renormalize.
 
-    A dimension with an undefined (zero variance) statistic is removed too:
+    Gate statistics come from `report`, audit(samples)'s result. A dimension with an undefined (zero variance) statistic is removed too:
     it carries no ranking signal, and scoring it as 0 would let it slip
     past a negative threshold unnoticed.
     """
     if gate not in GATE_CHOICES:
         raise ValueError(f"gate must be one of {GATE_CHOICES}, got {gate!r}")
-    report = audit(samples)
     dims = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
     stats = _gate_stats(report, dims, gate)
     removed = frozenset(
@@ -340,18 +342,26 @@ def dimension_means_by_producer(
 
 
 def calibrate_per_task(
+    report: AuditReport,
     samples: Sequence[LoggedSample],
     base: WeightConfig = DEFAULT_WEIGHTS,
     threshold: float = 0.0,
     gate: str = "pearson",
 ) -> dict[str, CalibrationResult]:
-    """Independent calibration within each task family."""
+    """Independent calibration within each task family, in order of first
+    appearance; each task's gate statistics come from its block of `report`,
+    audit(samples)'s result, as if that task were the whole dataset."""
+    referenced = [s for s in samples if s.reference_score is not None]
+    labels = list(dict.fromkeys(s.task.label for s in referenced))
     out: dict[str, CalibrationResult] = {}
-    labels: list[str] = []
-    for s in samples:
-        if s.reference_score is not None and s.task.label not in labels:
-            labels.append(s.task.label)
     for label in labels:
-        subset = [s for s in samples if s.task.label == label]
-        out[label] = calibrate(subset, base=base, threshold=threshold, gate=gate)
+        subset = [s for s in referenced if s.task.label == label]
+        if len(subset) < 2:
+            raise TooFewReferencedSamples(
+                f"task {label!r}: calibration needs >= 2 samples with a reference score, "
+                f"got {len(subset)}"
+            )
+        block = report.by_task[label]
+        task_report = AuditReport(block, {label: block}, len(subset))
+        out[label] = calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)
     return out

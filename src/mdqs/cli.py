@@ -25,6 +25,7 @@ from mdqs.audit import (
     calibrate,
     calibrate_per_task,
     dimension_means_by_producer,
+    with_composites,
 )
 from mdqs.composite import preset_variants
 from mdqs.errors import MdqsError, UsageError
@@ -41,7 +42,7 @@ from mdqs.io import (
 )
 from mdqs.model import validate_dataset
 from mdqs.poq import run_experiment
-from mdqs.scoring import column_stats, score_all
+from mdqs.scoring import score_all
 from mdqs.synth import (
     DEFAULT_CORRELATIONS,
     DEFAULT_EVALUATOR_NOISE,
@@ -175,8 +176,7 @@ def cmd_score(args) -> int:
     scoring = build_scoring_config(config, weights)
     result = _ingest(args, config)
     check_required_columns(result.samples, scoring)
-    scored = score_all(result.samples, scoring)
-    stats = column_stats(result.samples, scoring)
+    scored, stats = score_all(result.samples, scoring)
     emit_reports(
         out,
         scored_samples=scored,
@@ -195,7 +195,7 @@ def cmd_audit(args) -> int:
     out = _out_dir(args, config)
     weights = resolve_weights(config, args.weights)
     result = _ingest(args, config)
-    report = audit(result.samples, composites={weights.name: weights})
+    report = with_composites(audit(result.samples), result.samples, {weights.name: weights})
     emit_reports(out, audit_report=report, ingest_issues=result.issues)
     print(
         f"audit: {report.n_referenced} referenced sample(s), "
@@ -224,9 +224,10 @@ def cmd_calibrate(args) -> int:
     gate = args.gate or config.gate
     per_task = args.per_task or config.per_task
     result = _ingest(args, config)
-    cal = calibrate(result.samples, base=base, threshold=threshold, gate=gate)
+    report = audit(result.samples)
+    cal = calibrate(report, result.samples, base=base, threshold=threshold, gate=gate)
     by_task = (
-        calibrate_per_task(result.samples, base=base, threshold=threshold, gate=gate)
+        calibrate_per_task(report, result.samples, base=base, threshold=threshold, gate=gate)
         if per_task
         else None
     )
@@ -286,17 +287,16 @@ def cmd_report(args) -> int:
     scoring = build_scoring_config(config, base)
     result = _ingest(args, config)
     check_required_columns(result.samples, scoring)
-    scored = score_all(result.samples, scoring)
-    stats = column_stats(result.samples, scoring)
+    scored, stats = score_all(result.samples, scoring)
 
-    cal = calibrate(scored, base=base, threshold=config.threshold, gate=config.gate)
+    report = audit(scored)
+    cal = calibrate(report, scored, base=base, threshold=config.threshold, gate=config.gate)
     by_task = (
-        calibrate_per_task(scored, base=base, threshold=config.threshold, gate=config.gate)
+        calibrate_per_task(report, scored, base=base, threshold=config.threshold, gate=config.gate)
         if config.per_task
         else None
     )
-    composites = {base.name: base, "calibrated": cal.calibrated}
-    report = audit(scored, composites=composites)
+    report = with_composites(report, scored, {base.name: base, "calibrated": cal.calibrated})
     rows = ablation_grid(scored, preset_variants(config.variant_names), base=base)
 
     sim_results = None

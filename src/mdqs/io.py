@@ -151,6 +151,12 @@ def _opt(section: Mapping, key: str, read, where: str, default=None):
     return default if value is None else read(value, f"{where}.{key}" if where else key)
 
 
+def _unit(value, where: str) -> float:
+    if not 0.0 <= _number(value, where) <= 1.0:
+        raise SchemaError(f"{where} must be in [0, 1], got {value!r}")
+    return float(value)
+
+
 def _dimension_map(raw, where: str, read=_number) -> dict:
     """A {dimension name: value} map keyed by DimensionId."""
     out = {}
@@ -179,7 +185,7 @@ def from_record(obj: object) -> LoggedSample:
     except ValueError as exc:
         raise SchemaError(f"task: {exc}") from None
     scores = _section(obj.get("evaluator_scores"), "evaluator_scores")
-    dims = _dimension_map(obj.get("dims"), "dims")
+    dims = _dimension_map(obj.get("dims"), "dims", _unit)
     return LoggedSample(
         sample_id=_text(obj.get("sample_id"), "sample_id"),
         task=task,
@@ -350,7 +356,6 @@ class RunConfig:
     gate: str = "pearson"
     threshold: float = 0.0
     per_task: bool = False
-    preset: str = "paper"
     variant_names: tuple[str, ...] | None = None
     synthetic: SyntheticSpec | None = None
     sim: SimGridSpec | None = None
@@ -570,6 +575,7 @@ def load_config(path: str | Path | None) -> RunConfig:
 
     audit_keys = ("gate", "threshold", "per_task", "preset", "variants")
     audit_section = _section(raw.get("audit"), "audit", audit_keys)
+    _opt(audit_section, "preset", _one_of("paper"), "audit")  # the only preset; accepted, ignored
     variants = audit_section.get("variants")
     if variants is not None:
         if not isinstance(variants, list):
@@ -593,7 +599,6 @@ def load_config(path: str | Path | None) -> RunConfig:
         gate=_opt(audit_section, "gate", _one_of(*GATE_CHOICES), "audit", "pearson"),
         threshold=_opt(audit_section, "threshold", _number, "audit", 0.0),
         per_task=_opt(audit_section, "per_task", _flag, "audit", False),
-        preset=_opt(audit_section, "preset", _one_of("paper"), "audit", "paper"),
         variant_names=variants,
         synthetic=_synthetic(raw.get("synthetic"), seed),
         sim=_sim(raw.get("sim")),
@@ -693,7 +698,7 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return _csv_safe(str(value))
 
 
 def _csv_safe(text: str) -> str:
@@ -702,14 +707,10 @@ def _csv_safe(text: str) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a CSV with no quoting; text cells are flattened by _csv_safe."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    for row in rows:
-        cells = [_cell(v) for v in row]
-        for c in cells:
-            if "," in c or '"' in c or "\n" in c:
-                raise ValueError(f"cell needs quoting, refusing for determinism: {c!r}")
-        lines.append(",".join(cells))
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -951,8 +952,8 @@ def emit_reports(
         add("calibration.json", "calibration")
 
     if sim_results is not None:
-        # labels and messages may contain commas; the CSV carries flattened
-        # forms and the per-config JSON keeps the exact ones
+        # the CSV carries flattened labels and messages; the per-config JSON
+        # keeps the exact ones
         rows = []
         for config, result in sim_results:
             ok = not isinstance(result, SimError)
@@ -967,7 +968,7 @@ def emit_reports(
                     result.consensus_error if ok else None,
                     result.skipped_rounds if ok else None,
                     _top_producer(result),
-                    None if ok else _csv_safe(result.message),
+                    None if ok else result.message,
                 )
             )
         write_csv(

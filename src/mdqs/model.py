@@ -246,10 +246,6 @@ def _check_sample(sample: LoggedSample) -> list[ValidationIssue]:
             bad(f"evaluator_scores.{name}", f"non-finite score {score!r}")
     if sample.reference_score is not None and not math.isfinite(sample.reference_score):
         bad("reference_score", f"non-finite value {sample.reference_score!r}")
-    if sample.dimension_scores is not None:
-        for dim, v in sample.dimension_scores.as_dict().items():
-            if not (0.0 <= v <= 1.0):
-                bad(f"dims.{dim.value}", f"out of [0, 1]: {v!r}")
     return issues
 
 

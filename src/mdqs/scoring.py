@@ -1,9 +1,10 @@
 """Per-dimension scorers and batch normalization.
 
-Each scorer returns a raw real number; score_all turns raw columns into
-normalized [0, 1] columns with per-batch min-max (or frozen stats) and
-attaches a DimensionVector to every sample. The scorers stay usable on
-their own for debugging single samples.
+Each scorer returns a raw real number; score_all builds each active raw
+column once, normalizes it to [0, 1] with per-batch min-max (or frozen
+stats), attaches a DimensionVector to every sample, and returns each raw
+column's (min, max) too. The scorers stay usable on their own for debugging
+single samples.
 
 Conventions that matter:
   - tokenization is whitespace split, nothing smarter;
@@ -365,22 +366,26 @@ def _raw_column(
 
 def score_all(
     samples: Sequence[LoggedSample], config: ScoringConfig | None = None
-) -> list[LoggedSample]:
+) -> tuple[list[LoggedSample], dict[DimensionId, tuple[float, float]]]:
     """Score every active dimension over the batch and attach the vectors.
 
     Raw columns are computed per dimension, then normalized per batch
     (or against frozen stats when configured). Existing dimension scores
     are replaced, so re-scoring is idempotent. Scorer errors carry the
-    offending sample_id and abort the pass.
+    offending sample_id and abort the pass. Returns the scored samples and
+    each active dimension's raw (min, max), which can be fed back in as
+    frozen_stats.
     """
     config = config or ScoringConfig()
     samples = list(samples)
     if not samples:
-        return []
+        return [], {}
     active = [d for d in CANONICAL_DIMENSIONS if d in config.weights.dimensions()]
     columns: dict[DimensionId, list[float]] = {}
+    raw_ranges: dict[DimensionId, tuple[float, float]] = {}
     for dim in active:
         raw = _raw_column(dim, samples, config)
+        raw_ranges[dim] = (min(raw), max(raw))
         if config.frozen_stats is not None and dim in config.frozen_stats:
             lo, hi = config.frozen_stats[dim]
             columns[dim] = normalize_with_stats(raw, lo, hi)
@@ -390,21 +395,4 @@ def score_all(
     for i, sample in enumerate(samples):
         vector = DimensionVector({dim: columns[dim][i] for dim in active})
         scored.append(sample.with_dimensions(vector))
-    return scored
-
-
-def column_stats(
-    samples: Sequence[LoggedSample], config: ScoringConfig | None = None
-) -> dict[DimensionId, tuple[float, float]]:
-    """Raw (min, max) per active dimension; feed back in as frozen_stats."""
-    config = config or ScoringConfig()
-    samples = list(samples)
-    stats: dict[DimensionId, tuple[float, float]] = {}
-    if not samples:
-        return stats
-    for dim in CANONICAL_DIMENSIONS:
-        if dim not in config.weights.dimensions():
-            continue
-        raw = _raw_column(dim, samples, config)
-        stats[dim] = (min(raw), max(raw))
-    return stats
+    return scored, raw_ranges

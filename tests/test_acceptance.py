@@ -195,7 +195,7 @@ def test_criterion_3_planted_sign_structure_recovered():
             for dim, rho in planted.items():
                 row = block.row("dimension", dim.value)
                 assert row.spearman == pytest.approx(rho, abs=0.05), (task, dim)
-        result = calibrate(samples, threshold=0.0)
+        result = calibrate(report, samples, threshold=0.0)
         assert result.removed == frozenset(
             {DimensionId.ALIGNMENT, DimensionId.AGREEMENT}
         )

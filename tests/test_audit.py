@@ -14,6 +14,7 @@ from mdqs.audit import (
     calibrate_per_task,
     consensus_baselines,
     dimension_means_by_producer,
+    with_composites,
 )
 from mdqs.composite import PAPER_PRESET, VariantSpec, make_variant
 from mdqs.errors import (
@@ -148,11 +149,13 @@ def test_audit_skips_unreferenced_samples():
 
 def test_audit_composite_rows():
     samples = planted_batch()
-    report = audit(samples, composites={"default": DEFAULT_WEIGHTS})
+    report = with_composites(audit(samples), samples, {"default": DEFAULT_WEIGHTS})
     row = report.overall.row("composite", "default")
     assert row is not None
     assert row.n == len(samples)
     assert row.pearson is not None
+    for block in (report.overall, *report.by_task.values()):
+        assert block.rows[-1] == block.row("composite", "default")
 
 
 def test_audit_ignores_dimensions_nobody_scored():
@@ -206,7 +209,8 @@ def test_ablation_needs_references():
 # ------------------------------------------------------------ calibrate
 
 def test_calibrate_removes_negative_dimensions():
-    result = calibrate(planted_batch(), threshold=0.0)
+    samples = planted_batch()
+    result = calibrate(audit(samples), samples, threshold=0.0)
     assert result.removed == frozenset({DimensionId.ALIGNMENT, DimensionId.AGREEMENT})
     assert result.removed_names == ("alignment", "agreement")
     assert result.calibrated.dimensions() == frozenset(
@@ -220,12 +224,14 @@ def test_calibrate_removes_negative_dimensions():
 
 
 def test_calibrate_improves_composite_on_planted_data():
-    result = calibrate(planted_batch(), threshold=0.0)
+    samples = planted_batch()
+    result = calibrate(audit(samples), samples, threshold=0.0)
     assert result.after[0] > result.before[0]
 
 
 def test_calibrate_gate_stats_recorded():
-    result = calibrate(planted_batch(), threshold=0.0, gate="pearson")
+    samples = planted_batch()
+    result = calibrate(audit(samples), samples, threshold=0.0, gate="pearson")
     assert result.gate == "pearson"
     assert result.threshold == 0.0
     assert result.gate_stats[DimensionId.SEMANTIC] == 1.0
@@ -235,7 +241,7 @@ def test_calibrate_gate_stats_recorded():
 def test_calibrate_threshold_is_strict_less_than():
     # semantic sits exactly at pearson 1.0; threshold 1.0 must keep it
     samples = planted_batch()
-    result = calibrate(samples, threshold=1.0)
+    result = calibrate(audit(samples), samples, threshold=1.0)
     assert DimensionId.SEMANTIC not in result.removed
     assert DimensionId.STRUCTURE in result.removed
 
@@ -250,24 +256,27 @@ def test_calibrate_undefined_stat_removed():
         for i in range(10)
     ]
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    result = calibrate(samples, base=base, threshold=-1.0)
+    result = calibrate(audit(samples), samples, base=base, threshold=-1.0)
     assert DimensionId.STRUCTURE in result.removed
     assert DimensionId.SEMANTIC not in result.removed
 
 
 def test_calibrate_all_removed_raises():
+    samples = planted_batch()
     with pytest.raises(AllDimensionsRemoved):
-        calibrate(planted_batch(), threshold=2.0)
+        calibrate(audit(samples), samples, threshold=2.0)
 
 
 def test_calibrate_rejects_unknown_gate():
     assert GATE_CHOICES == ("pearson", "spearman", "taskwise_min")
+    samples = planted_batch()
     with pytest.raises(ValueError):
-        calibrate(planted_batch(), gate="kendall")
+        calibrate(audit(samples), samples, gate="kendall")
 
 
 def test_calibrate_spearman_gate():
-    result = calibrate(planted_batch(), threshold=0.0, gate="spearman")
+    samples = planted_batch()
+    result = calibrate(audit(samples), samples, threshold=0.0, gate="spearman")
     assert result.removed == frozenset({DimensionId.ALIGNMENT, DimensionId.AGREEMENT})
 
 
@@ -283,17 +292,17 @@ def test_calibrate_taskwise_min_gate():
         dims = {"semantic": g, "structure": structure}
         samples.append(scored_sample(i, task=task, gt=g, dims=dims))
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    overall = calibrate(samples, base=base, threshold=0.0, gate="pearson")
+    overall = calibrate(audit(samples), samples, base=base, threshold=0.0, gate="pearson")
     assert DimensionId.STRUCTURE not in overall.removed
-    taskwise = calibrate(samples, base=base, threshold=0.0, gate="taskwise_min")
+    taskwise = calibrate(audit(samples), samples, base=base, threshold=0.0, gate="taskwise_min")
     assert DimensionId.STRUCTURE in taskwise.removed
     assert taskwise.gate_stats[DimensionId.STRUCTURE] == -1.0
 
 
 def test_calibrate_idempotent_on_calibrated_weights():
     samples = planted_batch()
-    first = calibrate(samples, threshold=0.0)
-    second = calibrate(samples, base=first.calibrated, threshold=0.0)
+    first = calibrate(audit(samples), samples, threshold=0.0)
+    second = calibrate(audit(samples), samples, base=first.calibrated, threshold=0.0)
     assert second.removed == frozenset()
     assert second.calibrated.weights == pytest.approx(first.calibrated.weights)
 
@@ -308,7 +317,7 @@ def test_calibrate_per_task_splits_independently():
         dims = {"semantic": g, "structure": structure}
         samples.append(scored_sample(i, task=task, gt=g, dims=dims))
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    per_task = calibrate_per_task(samples, base=base, threshold=0.0)
+    per_task = calibrate_per_task(audit(samples), samples, base=base, threshold=0.0)
     assert set(per_task) == {"qa", "summarization"}
     assert DimensionId.STRUCTURE not in per_task["qa"].removed
     assert DimensionId.STRUCTURE in per_task["summarization"].removed

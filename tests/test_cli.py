@@ -1,14 +1,19 @@
 """End-to-end command line behavior, run in process through main()."""
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
+import yaml
 
+import mdqs.cli
+import mdqs.scoring
 from conftest import FIXTURES, scored_sample
 from mdqs.cli import main
 from mdqs.errors import SchemaError
 from mdqs.io import ingest, load_config, to_record, write_jsonl
+from mdqs.model import CANONICAL_DIMENSIONS
 
 
 @pytest.fixture(autouse=True)
@@ -165,6 +170,7 @@ def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, text, key):
         {"task": "  "},
         {"evaluator_scores": {"sts_paraphrase": float("nan")}},
         {"gt": float("inf")},
+        {"dims": {"semantic": 7.5}},
     ],
 )
 def test_bad_record_value_lands_in_ingest_errors(tmp_path, bad):
@@ -323,6 +329,14 @@ def test_calibrate_cli_removes_planted_negatives(tmp_path, capsys):
     assert cal["after"]["pearson"] >= cal["before"]["pearson"]
 
 
+def test_calibrate_per_task_needs_two_referenced_samples_per_task(tmp_path, capsys):
+    data = planted_path(tmp_path, n=3)  # qa, summarization, qa
+    out = tmp_path / "r"
+    assert main(["calibrate", "--per-task", "--input", str(data), "--out", str(out)]) == 1
+    assert "needs >= 2 samples with a reference score, got 1" in capsys.readouterr().err
+    assert not (out / "calibration.json").exists()
+
+
 def test_calibrate_cli_flags(tmp_path):
     data = planted_path(tmp_path)
     out = tmp_path / "r"
@@ -444,3 +458,55 @@ def test_report_full_pipeline(tmp_path):
     ) == 0
     for f in manifest["files"]:
         assert (out / f["path"]).read_bytes() == (again / f["path"]).read_bytes(), f["path"]
+
+
+def _per_task_replay_config(tmp_path) -> str:
+    config = yaml.safe_load(Path(FIXTURES, "replay_config.yaml").read_text(encoding="utf-8"))
+    config["audit"]["per_task"] = True
+    path = tmp_path / "per_task.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return str(path)
+
+
+def test_report_audits_once_and_builds_each_raw_column_once(tmp_path, monkeypatch):
+    # the package exports the function `audit`, which hides the module of that name
+    audit_module = importlib.import_module("mdqs.audit")
+    audits, columns = [], []
+    real_audit, real_column = audit_module.audit, mdqs.scoring._raw_column
+
+    def counted_audit(*args, **kwargs):
+        audits.append(1)
+        return real_audit(*args, **kwargs)
+
+    def counted_column(dim, *args, **kwargs):
+        columns.append(dim)
+        return real_column(dim, *args, **kwargs)
+
+    monkeypatch.setattr(mdqs.cli, "audit", counted_audit)
+    monkeypatch.setattr(audit_module, "audit", counted_audit)
+    monkeypatch.setattr(mdqs.scoring, "_raw_column", counted_column)
+    argv = [
+        "report",
+        "--config", _per_task_replay_config(tmp_path),
+        "--input", f"{FIXTURES}/replay_200.jsonl",
+        "--out", str(tmp_path / "r"),
+    ]
+    assert main(argv) == 0
+    assert len(audits) == 1
+    assert columns == list(CANONICAL_DIMENSIONS)
+
+
+def test_report_flattens_a_comma_in_a_label(tmp_path):
+    raw = Path(FIXTURES, "replay_200.jsonl").read_text(encoding="utf-8")
+    data = tmp_path / "data.jsonl"
+    data.write_text(raw.replace('"model-a"', '"model,a"'), encoding="utf-8")
+    out = tmp_path / "r"
+    argv = ["report", "--config", _per_task_replay_config(tmp_path), "--input", str(data)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    means = (out / "dimension_means_by_producer.csv").read_text(encoding="utf-8")
+    assert "\nmodel;a,semantic," in means
+    assert all(line.count(",") == 3 for line in means.splitlines())
+    assert {s.producer_id for s in ingest(out / "scored.jsonl").samples} >= {"model,a"}
+    sim = json.loads((out / "sim_none-r0.25-median-composite_default.json").read_text())
+    assert "model,a" in sim["rewards"]

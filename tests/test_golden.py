@@ -1,12 +1,18 @@
 """Report bytes pinned by sha256.
 
-Three runs through the CLI, each into its own directory:
+Runs through the CLI, each into its own directory:
 
   replay         score, audit, calibrate, simulate on the replay fixture
                  (the criterion-8 pipeline);
   strategy_grid  score, then simulate every attack x defense x signal in
                  replay mode (72 cells);
-  synthetic_grid simulate every attack x defense in synthetic mode.
+  synthetic_grid simulate every attack x defense in synthetic mode;
+  report-<gate>[-reversed]
+                 the full report with per-task calibration under each gate,
+                 on the fixture in its own order and with its lines reversed
+                 (so summarization comes first);
+  calibrate-<gate>[-reversed]
+                 per-task calibration of that report's scored.jsonl.
 
 Every file each run leaves, manifest.json included, must match
 fixtures/golden_digests.txt byte for byte. A change that alters report bytes
@@ -20,14 +26,42 @@ import hashlib
 import sys
 from pathlib import Path
 
+import yaml
+
 FIXTURES = Path(__file__).parent / "fixtures"
 DIGESTS = FIXTURES / "golden_digests.txt"
 RAW = str(FIXTURES / "replay_200.jsonl")
 
 
-def _commands(case: str, out: Path) -> list[list[str]]:
+def _per_task_config(root: Path, gate: str) -> str:
+    """replay_config.yaml with per-task calibration under `gate`."""
+    config = yaml.safe_load((FIXTURES / "replay_config.yaml").read_text(encoding="utf-8"))
+    config["audit"] = {"gate": gate, "threshold": 0.0, "per_task": True}
+    path = root / f"per_task_{gate}.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    return str(path)
+
+
+def _reversed_fixture(root: Path) -> str:
+    lines = Path(RAW).read_text(encoding="utf-8").splitlines(keepends=True)
+    path = root / "replay_200_reversed.jsonl"
+    path.write_text("".join(reversed(lines)), encoding="utf-8")
+    return str(path)
+
+
+def _commands(case: str, root: Path) -> list[list[str]]:
+    out = root / case
     scored = str(out / "scored.jsonl")
     common = ["--out", str(out)]
+    command, _, variant = case.partition("-")
+    if command in ("report", "calibrate"):
+        gate, _, order = variant.partition("-")
+        config = ["--config", _per_task_config(root, gate)]
+        if command == "report":
+            raw = _reversed_fixture(root) if order else RAW
+            return [["report", *config, "--input", raw, *common]]
+        report_scored = str(root / f"report-{variant}" / "scored.jsonl")
+        return [["calibrate", *config, "--input", report_scored, *common]]
     if case == "replay":
         config = ["--config", str(FIXTURES / "replay_config.yaml")]
         return [
@@ -45,7 +79,16 @@ def _commands(case: str, out: Path) -> list[list[str]]:
     return [["simulate", "--config", str(FIXTURES / "synthetic_grid.yaml"), *common]]
 
 
-CASES = ("replay", "strategy_grid", "synthetic_grid")
+GATES = ("pearson", "spearman", "taskwise_min")
+PER_TASK = tuple(f"{gate}{order}" for gate in GATES for order in ("", "-reversed"))
+# each calibrate case reads the scored.jsonl of the report case before it
+CASES = (
+    "replay",
+    "strategy_grid",
+    "synthetic_grid",
+    *(f"report-{variant}" for variant in PER_TASK),
+    *(f"calibrate-{variant}" for variant in PER_TASK),
+)
 
 
 def run_cases(root: Path) -> dict[str, str]:
@@ -55,7 +98,7 @@ def run_cases(root: Path) -> dict[str, str]:
     digests = {}
     for case in CASES:
         out = root / case
-        for argv in _commands(case, out):
+        for argv in _commands(case, root):
             assert main(argv) == 0, argv
         for path in sorted(out.iterdir()):
             digests[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()

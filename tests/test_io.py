@@ -5,7 +5,13 @@ import json
 import pytest
 
 from conftest import make_sample, scored_sample
-from mdqs.audit import audit, calibrate, dimension_means_by_producer, ablation_grid
+from mdqs.audit import (
+    ablation_grid,
+    audit,
+    calibrate,
+    dimension_means_by_producer,
+    with_composites,
+)
 from mdqs.composite import PAPER_PRESET
 from mdqs.errors import MissingColumn, MissingReferenceText, SchemaError
 from mdqs.io import (
@@ -340,11 +346,14 @@ def test_load_config_full(tmp_path):
     assert cfg.sim.signals == (None,)
 
 
-def test_load_config_defaults_and_none():
+def test_load_config_defaults_and_none(tmp_path):
     cfg = load_config(None)
     assert cfg == RunConfig()
     assert cfg.normalization_mode == "batch"
-    assert cfg.preset == "paper"
+    # "paper" is the only preset: accepted for old configs, then ignored
+    path = tmp_path / "run.yaml"
+    path.write_text("audit: {preset: paper}\n", encoding="utf-8")
+    assert load_config(path) == RunConfig()
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -543,8 +552,9 @@ def test_write_csv_format(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c"], [("x", 0.25, None), ("y", 2, 0.1)])
     assert path.read_text(encoding="utf-8") == "a,b,c\nx,0.25,\ny,2,0.1\n"
-    with pytest.raises(ValueError):
-        write_csv(path, ["a"], [("needs,quoting",)])
+    # the dialect has no quoting, so text cells are flattened
+    write_csv(path, ["a", "b"], [('needs,"quoting"\nhere', 3)])
+    assert path.read_text(encoding="utf-8") == "a,b\nneeds;'quoting' here,3\n"
 
 
 def test_write_json_format(tmp_path):
@@ -588,9 +598,10 @@ def report_inputs():
         samples.append(
             scored_sample(i, task="qa" if i % 2 == 0 else "summarization", gt=g, dims=dims)
         )
-    report = audit(samples, composites={"default": DEFAULT_WEIGHTS})
+    report = audit(samples)
+    calibration = calibrate(report, samples, threshold=0.0)
+    report = with_composites(report, samples, {"default": DEFAULT_WEIGHTS})
     grid_rows = ablation_grid(samples, PAPER_PRESET)
-    calibration = calibrate(samples, threshold=0.0)
     sim_config = SimConfig(
         config_id="none-r0-median",
         evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(3)),

@@ -21,7 +21,6 @@ from mdqs.scoring import (
     PriorTable,
     ScoringConfig,
     StructurePolicy,
-    column_stats,
     normalize_batch,
     normalize_evaluator_scores,
     normalize_with_stats,
@@ -278,7 +277,7 @@ def _batch(n=6):
 
 
 def test_score_all_full_pipeline():
-    scored = score_all(_batch(), _full_config())
+    scored, _ = score_all(_batch(), _full_config())
     for s in scored:
         vec = s.dimension_scores
         assert vec.keys() == frozenset(CANONICAL_DIMENSIONS)
@@ -287,7 +286,7 @@ def test_score_all_full_pipeline():
 
 
 def test_score_all_normalizes_each_dimension_over_batch():
-    scored = score_all(_batch(), _full_config())
+    scored, _ = score_all(_batch(), _full_config())
     for d in CANONICAL_DIMENSIONS:
         col = [s.dimension_scores[d] for s in scored]
         if max(col) != min(col):
@@ -296,28 +295,27 @@ def test_score_all_normalizes_each_dimension_over_batch():
 
 
 def test_score_all_idempotent():
-    once = score_all(_batch(), _full_config())
-    twice = score_all(once, _full_config())
+    once, _ = score_all(_batch(), _full_config())
+    twice, _ = score_all(once, _full_config())
     for a, b in zip(once, twice):
         for d in CANONICAL_DIMENSIONS:
             assert a.dimension_scores[d] == b.dimension_scores[d]
 
 
 def test_score_all_empty_batch():
-    assert score_all([], _full_config()) == []
+    assert score_all([], _full_config()) == ([], {})
 
 
 def test_score_all_frozen_stats_round_trip():
-    scored = score_all(_batch(), _full_config())
-    stats = column_stats(_batch(), _full_config())
-    frozen = score_all(_batch(), _full_config(frozen_stats=stats))
+    scored, stats = score_all(_batch(), _full_config())
+    frozen, _ = score_all(_batch(), _full_config(frozen_stats=stats))
     for a, b in zip(scored, frozen):
         for d in CANONICAL_DIMENSIONS:
             assert a.dimension_scores[d] == pytest.approx(b.dimension_scores[d], abs=1e-12)
 
 
 def test_score_all_frozen_stats_clip_new_data():
-    stats = column_stats(_batch(), _full_config())
+    _, stats = score_all(_batch(), _full_config())
     # a sample far outside the frozen windows still lands in [0, 1]
     outlier = make_sample(
         sample_id="big",
@@ -326,7 +324,7 @@ def test_score_all_frozen_stats_clip_new_data():
         reference_text="word0 word1",
         evaluator_scores={"judge": 50.0, "peer": -10.0},
     )
-    scored = score_all(_batch() + [outlier], _full_config(frozen_stats=stats))
+    scored, _ = score_all(_batch() + [outlier], _full_config(frozen_stats=stats))
     vec = scored[-1].dimension_scores
     for d in CANONICAL_DIMENSIONS:
         assert 0.0 <= vec[d] <= 1.0
@@ -334,9 +332,10 @@ def test_score_all_frozen_stats_clip_new_data():
 
 def test_score_all_inactive_dimensions_skipped():
     cfg = ScoringConfig(weights=WeightConfig("structure_only", {DimensionId.STRUCTURE: 1.0}))
-    scored = score_all(_batch(), cfg)
+    scored, raw_ranges = score_all(_batch(), cfg)
     for s in scored:
         assert s.dimension_scores.keys() == frozenset({DimensionId.STRUCTURE})
+    assert raw_ranges.keys() == {DimensionId.STRUCTURE}
 
 
 def test_score_all_missing_prior_table_raises():
@@ -349,8 +348,8 @@ def test_score_all_alignment_without_provider_raises():
         score_all(_batch(), _full_config(alignment_provider=None))
 
 
-def test_column_stats_reports_raw_extremes():
-    stats = column_stats(_batch(), _full_config())
+def test_score_all_reports_raw_extremes():
+    _, stats = score_all(_batch(), _full_config())
     assert set(stats) == set(CANONICAL_DIMENSIONS)
     for lo, hi in stats.values():
         assert lo <= hi
