@@ -15,6 +15,7 @@ from mdqs.audit import (
     ablation_grid,
     audit,
     calibrate,
+    calibrate_per_task,
     consensus_baselines,
     with_composites,
 )

@@ -9,7 +9,9 @@ their score spread. Two modes share the loop:
       round; evaluators observe that latent value.
   replay: rounds walk a logged dataset's query groups (cycling); evaluators
       observe the configured quality signal for each sample, and consensus
-      error is measured against the normalized reference score.
+      error is measured against the normalized reference score. A run
+      computes the query groups, the normalized references and each distinct
+      signal's values once; every cell of the grid shares them.
 
 Everything is driven by one Generator derived from (rng_seed, config_id),
 so a (config, seed) pair replays bit-identically.
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, ClassVar, Mapping, Sequence, Union
 
 import numpy as np
@@ -581,7 +585,8 @@ class SimConfig:
         object.__setattr__(self, "evaluators", tuple(self.evaluators))
 
     def attacker_count(self) -> int:
-        return int(self.attack_ratio * len(self.evaluators))
+        # floor of the decimal ratio times n: int(0.58 * 50) would give 28
+        return int(Fraction(repr(float(self.attack_ratio))) * len(self.evaluators))
 
     def resolve_behaviors(self) -> dict[str, EvaluatorBehavior]:
         behaviors: dict[str, EvaluatorBehavior] = {}
@@ -598,12 +603,53 @@ class SimConfig:
         return behaviors
 
 
+class _Replay:
+    """A replay dataset's inputs to the round loop, shared by every cell of
+    one run. Each is built on first use, in the order a cell reads them, so
+    a cell raises the same first error as it would when run alone."""
+
+    def __init__(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig):
+        self.samples = list(dataset)
+        self.base_weights = base_weights
+        self._signal_values: dict[QualitySignal, dict[str, float]] = {}
+
+    def signal_values(self, signal: QualitySignal) -> dict[str, float]:
+        """The signal's value per sample id; a failure is not stored, so
+        every cell that asks again raises it again."""
+        if signal not in self._signal_values:
+            self._signal_values[signal] = signal.values(self.samples, self.base_weights)
+        return self._signal_values[signal]
+
+    @cached_property
+    def ref_norm(self) -> dict[str, float]:
+        referenced = [s for s in self.samples if s.reference_score is not None]
+        normalized_refs = normalize_batch([s.reference_score for s in referenced])
+        return {s.sample_id: z for s, z in zip(referenced, normalized_refs)}
+
+    @cached_property
+    def groups(self) -> list[list[LoggedSample]]:
+        """The samples of each query, in order of first appearance."""
+        by_query: dict[str, list[LoggedSample]] = {}
+        for s in self.samples:
+            by_query.setdefault(s.query, []).append(s)
+        return list(by_query.values())
+
+
 def run_single(
     config: SimConfig,
     dataset: Sequence[LoggedSample] | None = None,
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> SimOutcome:
-    """Run one config to completion. Deterministic in (config, seed)."""
+    """Run one config to completion. Deterministic in (config, seed).
+
+    In replay mode this builds the signal values, normalized references
+    and query groups for this one cell; run_experiment builds them once
+    for its whole grid."""
+    replay = None if dataset is None else _Replay(dataset, base_weights)
+    return _run_cell(config, replay)
+
+
+def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     n = len(config.evaluators)
     profiles = list(config.evaluators)
     behaviors = config.resolve_behaviors()
@@ -614,32 +660,20 @@ def run_single(
     budget = config.budget if config.budget is not None else math.inf
     rng = rng_for(config.rng_seed, config.config_id)
 
-    if dataset is None:
+    if replay is None:
         if not config.producers:
             raise SimConfigError(
                 f"{config.config_id}: synthetic mode needs producer mean qualities"
             )
         rounds_plan = None
     else:
-        dataset = list(dataset)
-        if not dataset:
+        if not replay.samples:
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
-        signal_values = config.quality_signal.values(dataset, base_weights)
-        referenced = [s for s in dataset if s.reference_score is not None]
-        ref_norm: dict[str, float] = {}
-        if referenced:
-            normalized_refs = normalize_batch([s.reference_score for s in referenced])
-            ref_norm = {s.sample_id: z for s, z in zip(referenced, normalized_refs)}
-        groups: list[list[LoggedSample]] = []
-        by_query: dict[str, int] = {}
-        for s in dataset:
-            if s.query not in by_query:
-                by_query[s.query] = len(groups)
-                groups.append([])
-            groups[by_query[s.query]].append(s)
-        rounds_plan = groups
+        signal_values = replay.signal_values(config.quality_signal)
+        ref_norm = replay.ref_norm
+        rounds_plan = replay.groups
 
     consensus_scores: dict[str, float] = {}
     rewards: dict[str, float] = {}
@@ -714,14 +748,18 @@ def run_experiment(
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> list[SimOutcome | SimError]:
     """Run every config; a failing config becomes a SimError entry instead
-    of aborting the rest of the grid."""
+    of aborting the rest of the grid.
+
+    In replay mode the signal values (once per distinct signal), normalized
+    references and query groups are computed once and shared by every cell."""
     ids = [c.config_id for c in grid]
     if len(set(ids)) != len(ids):
         raise SimConfigError("grid has duplicate config_ids")
+    replay = None if dataset is None else _Replay(dataset, base_weights)
     results: list[SimOutcome | SimError] = []
     for config in grid:
         try:
-            results.append(run_single(config, dataset=dataset, base_weights=base_weights))
+            results.append(_run_cell(config, replay))
         except MdqsError as exc:
             results.append(
                 SimError(

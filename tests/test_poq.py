@@ -1,6 +1,7 @@
 """Consensus simulation: behaviors, defenses, trust, rewards, run loop."""
 
 import math
+import sys
 from typing import get_args
 
 import numpy as np
@@ -352,17 +353,26 @@ def test_sim_config_validation():
         SimConfig(config_id="c", evaluators=dup, defense=Median(), rounds=5)
 
 
-def test_attacker_count_truncates():
+@pytest.mark.parametrize(
+    "n, ratio, expected",
+    [
+        (5, 0.5, 2),
+        # 0.58 * 50 and 0.29 * 100 fall just below 29 in binary floating point
+        (50, 0.58, 29),
+        (100, 0.29, 29),
+    ],
+)
+def test_attacker_count_truncates(n, ratio, expected):
     cfg = SimConfig(
         config_id="c",
-        evaluators=profiles(5),
+        evaluators=profiles(n),
         defense=Median(),
         rounds=1,
         attack=Inflate(0.1),
-        attack_ratio=0.5,
+        attack_ratio=ratio,
         producers={"p": 0.5},
     )
-    assert cfg.attacker_count() == 2
+    assert cfg.attacker_count() == expected
 
 
 def test_resolve_behaviors_attack_takes_listed_order():
@@ -594,13 +604,70 @@ def test_signal_labels():
 # ------------------------------------------------------------ experiment
 
 def test_run_experiment_records_failures_and_continues():
-    good = replay_config(config_id="good")
-    bad = replay_config(config_id="bad", quality_signal=SingleEvaluator("missing"))
-    results = run_experiment([good, bad], dataset=replay_dataset())
-    assert isinstance(results[0], SimOutcome)
-    assert isinstance(results[1], SimError)
-    assert results[1].error_type == "MissingColumn"
-    assert "missing" in results[1].message
+    # The cells share one run's signal values, references and query groups;
+    # each must still match the same cell run on its own.
+    missing = SingleEvaluator("missing")
+    grid = [
+        replay_config(config_id="composite", quality_signal=CompositeSignal("default")),
+        replay_config(config_id="bad-1", quality_signal=missing),
+        replay_config(config_id="baseline", quality_signal=ConsensusBaseline("median")),
+        replay_config(config_id="judge", quality_signal=SingleEvaluator("j")),
+        replay_config(config_id="bad-2", quality_signal=missing, defense=AdaptiveTrust()),
+        replay_config(
+            config_id="composite-adaptive",
+            quality_signal=CompositeSignal("default"),
+            defense=AdaptiveTrust(),
+            attack=Inflate(0.3),
+            attack_ratio=0.34,
+            honest_noise_sd=0.05,
+        ),
+        replay_config(
+            config_id="judge-adaptive", defense=AdaptiveTrust(), honest_noise_sd=0.05
+        ),
+    ]
+    results = run_experiment(grid, dataset=replay_dataset())
+    assert [r.config_id for r in results] == [c.config_id for c in grid]
+    for config, result in zip(grid, results):
+        if config.quality_signal == missing:
+            with pytest.raises(MissingColumn) as alone:
+                run_single(config, dataset=replay_dataset())
+            assert isinstance(result, SimError)
+            assert result.error_type == "MissingColumn"
+            assert result.message == str(alone.value)
+            assert "missing" in result.message
+        else:
+            assert isinstance(result, SimOutcome)
+            assert result == run_single(config, dataset=replay_dataset())
+
+
+def test_run_experiment_computes_each_signal_once(monkeypatch):
+    import mdqs.poq
+
+    audit_module = sys.modules["mdqs.audit"]  # mdqs.audit names the function
+    calls = {"compose_batch": 0, "consensus_baselines": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(mdqs.poq, "compose_batch")
+    counted(audit_module, "consensus_baselines")
+    composite = [
+        replay_config(config_id=f"c{i}", quality_signal=CompositeSignal("default"))
+        for i in range(3)
+    ]
+    baseline = [
+        replay_config(config_id=f"b{i}", quality_signal=ConsensusBaseline("median"))
+        for i in range(2)
+    ]
+    results = run_experiment(composite + baseline, dataset=replay_dataset())
+    assert all(isinstance(r, SimOutcome) for r in results)
+    assert calls == {"compose_batch": 1, "consensus_baselines": 1}
 
 
 def test_run_experiment_rejects_duplicate_ids():
