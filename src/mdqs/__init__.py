@@ -51,7 +51,6 @@ from mdqs.poq import (
     Deflate,
     Honest,
     Inflate,
-    Malicious,
     Mean,
     Median,
     RandomNoise,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import traceback
@@ -42,7 +43,8 @@ from mdqs.io import (
 )
 from mdqs.model import validate_dataset
 from mdqs.poq import run_experiment
-from mdqs.scoring import score_all
+from mdqs.rng import SEED_LIMIT
+from mdqs.scoring import missing_inputs, score_all
 from mdqs.synth import (
     DEFAULT_CORRELATIONS,
     DEFAULT_EVALUATOR_NOISE,
@@ -63,7 +65,9 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
     if with_input:
         parser.add_argument("--input", help="JSONL dataset (overrides config)")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
+    parser.add_argument(
+        "--seed", type=lambda text: _seed(text, "--seed"), help="master RNG seed, in [0, 2**64)"
+    )
     parser.add_argument(
         "--strict", action="store_true", help="treat the first malformed line as fatal"
     )
@@ -122,15 +126,22 @@ def build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
+def _seed(text: str, where: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise UsageError(f"{where} must be an integer, got {text!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise UsageError(f"{where} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _resolve_seed(args, config: RunConfig) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("MDQS_SEED")
     if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"MDQS_SEED must be an integer, got {env!r}") from None
+        return _seed(env, "MDQS_SEED")
     if config.seed is not None:
         return config.seed
     return 0
@@ -159,8 +170,12 @@ def _ingest(args, config: RunConfig) -> IngestResult:
 def cmd_validate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
+    missing = None
+    if args.config:  # also check what scoring under this config needs
+        scoring = build_scoring_config(config, resolve_weights(config, None))
+        missing = functools.partial(missing_inputs, config=scoring)
     result = _ingest(args, config)
-    report = validate_dataset(result.samples)
+    report = validate_dataset(result.samples, missing)
     emit_reports(out, validation=report, ingest_issues=result.issues)
     print(
         f"validate: {report.valid_count} valid, {report.invalid_count} invalid, "

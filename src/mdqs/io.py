@@ -24,12 +24,7 @@ import yaml
 
 from mdqs.audit import GATE_CHOICES, AblationRow, AuditBlock, AuditReport, CalibrationResult
 from mdqs.composite import PAPER_PRESET
-from mdqs.errors import (
-    MissingColumn,
-    MissingReferenceText,
-    SchemaError,
-    SimConfigError,
-)
+from mdqs.errors import SchemaError, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DimensionId,
@@ -56,12 +51,14 @@ from mdqs.poq import (
     defense_label,
     signal_label,
 )
+from mdqs.rng import SEED_LIMIT
 from mdqs.scoring import (
     CharNgramSemanticProvider,
     ColumnProvider,
     PriorTable,
     ScoringConfig,
     StructurePolicy,
+    missing_inputs,
 )
 from mdqs.synth import SyntheticSpec
 
@@ -120,6 +117,13 @@ def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where} must be an integer, got {type(value).__name__}")
     return value
+
+
+def _seed(value, where: str) -> int:
+    seed = _integer(value, where)
+    if not 0 <= seed < SEED_LIMIT:
+        raise SchemaError(f"{where} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _text(value, where: str) -> str:
@@ -242,17 +246,25 @@ class IngestResult:
 def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     """Read a JSONL dataset.
 
-    Malformed lines are collected as issues and skipped; with strict=True
-    the first one aborts the read instead.
+    Malformed lines, and a line repeating an earlier line's sample_id, are
+    collected as issues and skipped; with strict=True the first one aborts
+    the read instead.
     """
     samples: list[LoggedSample] = []
     issues: list[IngestIssue] = []
+    first_line: dict[str, int] = {}  # sample_id -> line it was first read on
     with open(path, "rb") as fh:  # decoded per line, so one bad byte costs one line
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                samples.append(from_record(json.loads(line.decode("utf-8"))))
+                sample = from_record(json.loads(line.decode("utf-8")))
+                first = first_line.setdefault(sample.sample_id, line_no)
+                if first != line_no:
+                    raise SchemaError(
+                        f"duplicate sample_id {sample.sample_id!r} (first on line {first})"
+                    )
+                samples.append(sample)
             except (UnicodeDecodeError, json.JSONDecodeError, SchemaError) as exc:
                 if strict:
                     raise SchemaError(f"{path}:{line_no}: {exc}") from None
@@ -347,7 +359,7 @@ class RunConfig:
     weights_name: str | None = None
     weights_inline: Mapping[DimensionId, float] | None = None
     structure: StructurePolicy = field(default_factory=StructurePolicy)
-    semantic_spec: str = "builtin"
+    semantic_column: str | None = None  # None: the built-in semantic scorer
     alignment_column: str | None = None
     model_priors: PriorTable | None = None
     cost_priors: PriorTable | None = None
@@ -386,6 +398,10 @@ def _column(value, where: str) -> str:
     if not value.startswith("column:") or not name:
         raise SchemaError(f"{where} must be 'column:<name>'")
     return name
+
+
+def _semantic_column(value, where: str) -> str | None:
+    return None if value == "builtin" else _column(value, where)
 
 
 # field annotation -> reader, for entries built from a dataclass's fields
@@ -442,7 +458,19 @@ def _weights(value) -> tuple[str | None, dict[DimensionId, float] | None]:
         return value, None
     if not isinstance(value, dict):
         raise SchemaError("weights must be a variant name or a {dimension: weight} map")
-    return None, _dimension_map(value, "weights")
+    weights = _dimension_map(value, "weights", _weight)
+    try:
+        WeightConfig("custom", weights)
+    except (ValueError, OverflowError) as exc:  # an empty map, a zero or huge sum
+        raise SchemaError(f"weights: {exc}") from None
+    return None, weights
+
+
+def _weight(value, where: str) -> float:
+    weight = _number(value, where)
+    if weight < 0:
+        raise SchemaError(f"{where} must be >= 0, got {value!r}")
+    return weight
 
 
 def _prior_table(priors: Mapping, key: str) -> PriorTable | None:
@@ -467,10 +495,11 @@ def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
         shared = _dimension_map(correlations, "synthetic.correlations")
         by_task = {"qa": shared, "summarization": dict(shared)}
     else:
-        by_task = {
-            str(task): _dimension_map(entry, f"synthetic.correlations.{task}")
-            for task, entry in correlations.items()
-        }
+        by_task = {}
+        for task, entry in correlations.items():
+            if not str(task).strip():
+                raise SchemaError("synthetic.correlations: task label must be non-empty")
+            by_task[str(task)] = _dimension_map(entry, f"synthetic.correlations.{task}")
     noise = {
         str(k): _number(v, f"synthetic.evaluators.{k}")
         for k, v in _section(section.get("evaluators"), "synthetic.evaluators").items()
@@ -485,7 +514,7 @@ def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
         qa_fraction=_opt(section, "qa_fraction", _number, "synthetic", 0.5),
         producers=tuple(_text(p, f"synthetic.producers[{i}]") for i, p in enumerate(producers)),
         producers_per_query=_opt(section, "producers_per_query", _integer, "synthetic", 1),
-        rng_seed=_opt(section, "seed", _integer, "synthetic", default_seed or 0),
+        rng_seed=_opt(section, "seed", _seed, "synthetic", default_seed or 0),
     )
 
 
@@ -557,14 +586,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     schema = raw.get("schema", 1)
     if schema != 1:
         raise SchemaError(f"unsupported config schema {schema!r}")
-    seed = _opt(raw, "seed", _integer, "")
+    seed = _opt(raw, "seed", _seed, "")
     weights_name, weights_inline = _weights(raw.get("weights"))
 
     providers = _section(raw.get("providers"), "providers", ("semantic", "alignment"))
-    semantic = _opt(providers, "semantic", _text, "providers", "builtin")
-    if semantic != "builtin":
-        semantic = "column:" + _column(semantic, "providers.semantic")
-
     priors = _section(raw.get("priors"), "priors", ("model_rating", "cost_efficiency"))
 
     normalization = _section(raw.get("normalization"), "normalization", ("mode", "stats"))
@@ -590,7 +615,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         weights_name=weights_name,
         weights_inline=weights_inline,
         structure=_from_fields(StructurePolicy, raw.get("structure"), "structure"),
-        semantic_spec=semantic,
+        semantic_column=_opt(providers, "semantic", _semantic_column, "providers"),
         alignment_column=_opt(providers, "alignment", _column, "providers"),
         model_priors=_prior_table(priors, "model_rating"),
         cost_priors=_prior_table(priors, "cost_efficiency"),
@@ -639,10 +664,10 @@ def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]
 def build_scoring_config(
     config: RunConfig, weights: WeightConfig
 ) -> ScoringConfig:
-    if config.semantic_spec == "builtin":
+    if config.semantic_column is None:
         semantic = CharNgramSemanticProvider()
     else:
-        semantic = ColumnProvider(config.semantic_spec.split(":", 1)[1])
+        semantic = ColumnProvider(config.semantic_column)
     alignment = ColumnProvider(config.alignment_column) if config.alignment_column else None
     frozen = None
     if config.normalization_mode == "frozen":
@@ -659,28 +684,10 @@ def build_scoring_config(
 
 
 def check_required_columns(samples: Sequence[LoggedSample], scoring: ScoringConfig) -> None:
-    """Fail fast, before any scoring work, if a referenced input is absent."""
-    active = scoring.weights.dimensions()
+    """Fail fast, before any scoring work, on the first input a sample lacks."""
     for sample in samples:
-        if DimensionId.SEMANTIC in active and isinstance(
-            scoring.semantic_provider, CharNgramSemanticProvider
-        ):
-            if sample.reference_text is None:
-                raise MissingReferenceText(sample.sample_id)
-        if DimensionId.SEMANTIC in active and isinstance(scoring.semantic_provider, ColumnProvider):
-            _probe_column(sample, scoring.semantic_provider.column)
-        if DimensionId.ALIGNMENT in active and isinstance(
-            scoring.alignment_provider, ColumnProvider
-        ):
-            _probe_column(sample, scoring.alignment_provider.column)
-
-
-def _probe_column(sample: LoggedSample, column: str) -> None:
-    if column in sample.evaluator_scores:
-        return
-    value = sample.extra.get(column)
-    if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MissingColumn(column, sample.sample_id)
+        for _, error in missing_inputs(sample, scoring):
+            raise error
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
-
-if TYPE_CHECKING:  # behaviors live in mdqs.poq; avoid a runtime import cycle
-    from mdqs.poq import EvaluatorBehavior
+from typing import Callable, Iterable, Mapping
 
 
 class DimensionId(Enum):
@@ -192,12 +189,11 @@ class LoggedSample:
 
 @dataclass(frozen=True)
 class EvaluatorProfile:
-    """A consensus participant: identity, query cost, and (in simulation)
-    its behavior. behavior None means honest and noiseless."""
+    """A consensus participant: identity and query cost. Its behavior in a
+    simulation comes from the cell's attack (mdqs.poq.SimConfig)."""
 
     evaluator_id: str
     cost: float = 1.0
-    behavior: "EvaluatorBehavior | None" = None
 
     def __post_init__(self):
         if not self.evaluator_id:
@@ -249,11 +245,15 @@ def _check_sample(sample: LoggedSample) -> list[ValidationIssue]:
     return issues
 
 
-def validate_dataset(samples: Iterable[LoggedSample]) -> ValidationReport:
+def validate_dataset(
+    samples: Iterable[LoggedSample],
+    missing: Callable[[LoggedSample], Iterable[tuple[str, Exception]]] | None = None,
+) -> ValidationReport:
     """Check structural invariants over a whole dataset.
 
     Flags duplicate sample ids, non-finite scores, and empty identity
-    fields. Every violation is reported, not just the first.
+    fields, plus each (field, error) that `missing` lists for a sample.
+    Every violation is reported, not just the first.
     """
     issues: list[ValidationIssue] = []
     seen: set[str] = set()
@@ -261,6 +261,11 @@ def validate_dataset(samples: Iterable[LoggedSample]) -> ValidationReport:
     invalid = 0
     for sample in samples:
         sample_issues = _check_sample(sample)
+        if missing is not None:
+            sample_issues.extend(
+                ValidationIssue(sample.sample_id, fieldname, str(error))
+                for fieldname, error in missing(sample)
+            )
         if sample.sample_id in seen:
             sample_issues.append(
                 ValidationIssue(

@@ -3,10 +3,13 @@
 Each round, a budgeted subset of evaluators scores every output, a defense
 aggregates the emissions into one consensus score, trust optionally adapts,
 and the round's reward budget is split across producers in proportion to
-their score spread. Two modes share the loop:
+their score spread. The first floor(attack_ratio * n) evaluators behave
+as the cell's attack strategy itself; the rest are Honest. One round loop
+serves both modes, which differ only in the outputs a round scores:
 
   synthetic: per-producer latent quality drawn from a Beta distribution each
-      round; evaluators observe that latent value.
+      round; evaluators observe that latent value, and the error is measured
+      against it.
   replay: rounds walk a logged dataset's query groups (cycling); evaluators
       observe the configured quality signal for each sample, and consensus
       error is measured against the normalized reference score. A run
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -174,15 +177,7 @@ class Honest:
         return _clip01(quality + rng.normal(0.0, self.noise_sd))
 
 
-@dataclass(frozen=True)
-class Malicious:
-    strategy: AttackStrategy
-
-    def emit(self, quality, round_index, rng, producer_id) -> float:
-        return self.strategy.emit(quality, round_index, rng, producer_id)
-
-
-EvaluatorBehavior = Union[Honest, Malicious]
+EvaluatorBehavior = Union[Honest, AttackStrategy]
 
 
 def attack_label(attack: AttackStrategy | None) -> str:
@@ -534,8 +529,8 @@ class SimConfig:
     """One cell of a simulation grid.
 
     With attack set, the first floor(attack_ratio * n) evaluators in listed
-    order turn malicious; the rest are honest with honest_noise_sd. With
-    attack None, profile behaviors apply as given.
+    order run the attack; every other evaluator is honest with
+    honest_noise_sd.
     """
 
     config_id: str
@@ -585,22 +580,21 @@ class SimConfig:
         object.__setattr__(self, "evaluators", tuple(self.evaluators))
 
     def attacker_count(self) -> int:
+        """How many evaluators run the attack; 0 without one."""
+        if self.attack is None:
+            return 0
         # floor of the decimal ratio times n: int(0.58 * 50) would give 28
         return int(Fraction(repr(float(self.attack_ratio))) * len(self.evaluators))
 
     def resolve_behaviors(self) -> dict[str, EvaluatorBehavior]:
-        behaviors: dict[str, EvaluatorBehavior] = {}
-        if self.attack is not None:
-            k = self.attacker_count()
-            for i, p in enumerate(self.evaluators):
-                if i < k:
-                    behaviors[p.evaluator_id] = Malicious(self.attack)
-                else:
-                    behaviors[p.evaluator_id] = Honest(self.honest_noise_sd)
-            return behaviors
-        for p in self.evaluators:
-            behaviors[p.evaluator_id] = p.behavior or Honest(self.honest_noise_sd)
-        return behaviors
+        """Evaluator id -> behavior: the attack itself for the first
+        attacker_count() evaluators, Honest(honest_noise_sd) for the rest."""
+        k = self.attacker_count()
+        honest = Honest(self.honest_noise_sd)
+        return {
+            p.evaluator_id: self.attack if i < k else honest
+            for i, p in enumerate(self.evaluators)
+        }
 
 
 class _Replay:
@@ -653,19 +647,29 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     n = len(config.evaluators)
     profiles = list(config.evaluators)
     behaviors = config.resolve_behaviors()
-    attacker_ids = frozenset(e for e, b in behaviors.items() if isinstance(b, Malicious))
+    attacker_ids = frozenset(p.evaluator_id for p in profiles[: config.attacker_count()])
 
     trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
     trust: dict[str, float] = {p.evaluator_id: 1.0 / n for p in profiles}
     budget = config.budget if config.budget is not None else math.inf
     rng = rng_for(config.rng_seed, config.config_id)
 
+    # outputs(round_index) yields (key, producer, observed quality, error
+    # target or None) in scoring order. It is lazy: a synthetic output's Beta
+    # draw follows the previous output's emissions and trust step.
     if replay is None:
         if not config.producers:
             raise SimConfigError(
                 f"{config.config_id}: synthetic mode needs producer mean qualities"
             )
-        rounds_plan = None
+        producers = sorted(config.producers.items())
+        kappa = config.beta_concentration
+
+        def outputs(round_index: int) -> Iterator[tuple[str, str, float, float | None]]:
+            for producer, mean in producers:
+                quality = float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
+                yield f"r{round_index:04d}:{producer}", producer, quality, quality
+
     else:
         if not replay.samples:
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
@@ -673,7 +677,12 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
         signal_values = replay.signal_values(config.quality_signal)
         ref_norm = replay.ref_norm
-        rounds_plan = replay.groups
+        groups = replay.groups
+
+        def outputs(round_index: int) -> Iterator[tuple[str, str, float, float | None]]:
+            for s in groups[round_index % len(groups)]:
+                sid = s.sample_id
+                yield sid, s.producer_id, signal_values[sid], ref_norm.get(sid)
 
     consensus_scores: dict[str, float] = {}
     rewards: dict[str, float] = {}
@@ -688,46 +697,21 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             trajectory.append(dict(trust))
             continue
         emitters = sorted(selected)
-        contest: dict[str, dict[str, float]] = {}
+        contest: dict[str, float] = {}  # producer -> consensus; one contest per round
+        for key, producer, quality, target in outputs(round_index):
+            scores = {
+                e: evaluator_emit(behaviors[e], quality, round_index, rng, producer)
+                for e in emitters
+            }
+            consensus = aggregate(scores, trust, config.defense)
+            consensus_scores[key] = consensus
+            contest[producer] = consensus
+            if target is not None:
+                errors.append(abs(consensus - target))
+            if trust_step is not None:
+                trust = trust_step(trust, scores)
 
-        if rounds_plan is None:
-            contest_key = f"r{round_index:04d}"
-            contest[contest_key] = {}
-            for producer in sorted(config.producers):
-                mean = config.producers[producer]
-                kappa = config.beta_concentration
-                quality = float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
-                scores = {
-                    e: evaluator_emit(behaviors[e], quality, round_index, rng, producer)
-                    for e in emitters
-                }
-                consensus = aggregate(scores, trust, config.defense)
-                consensus_scores[f"{contest_key}:{producer}"] = consensus
-                contest[contest_key][producer] = consensus
-                errors.append(abs(consensus - quality))
-                if trust_step is not None:
-                    trust = trust_step(trust, scores)
-        else:
-            group = rounds_plan[round_index % len(rounds_plan)]
-            contest_key = group[0].query
-            contest[contest_key] = {}
-            for sample in group:
-                quality = signal_values[sample.sample_id]
-                scores = {
-                    e: evaluator_emit(
-                        behaviors[e], quality, round_index, rng, sample.producer_id
-                    )
-                    for e in emitters
-                }
-                consensus = aggregate(scores, trust, config.defense)
-                consensus_scores[sample.sample_id] = consensus
-                contest[contest_key][sample.producer_id] = consensus
-                if sample.sample_id in ref_norm:
-                    errors.append(abs(consensus - ref_norm[sample.sample_id]))
-                if trust_step is not None:
-                    trust = trust_step(trust, scores)
-
-        for producer, share in allocate_rewards(contest, config.reward_budget).items():
+        for producer, share in allocate_rewards({"round": contest}, config.reward_budget).items():
             rewards[producer] = rewards.get(producer, 0.0) + share
         trajectory.append(dict(trust))
 

@@ -13,7 +13,8 @@ import struct
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # a master seed is an integer in [0, SEED_LIMIT)
+_MASK64 = SEED_LIMIT - 1
 
 
 def stream_words(label: str) -> tuple[int, int, int, int]:

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 from mdqs.errors import (
     EmptyPriorTable,
+    MdqsError,
     MissingColumn,
     MissingReferenceText,
     SchemaError,
@@ -234,13 +235,20 @@ class ColumnProvider(ScoreProvider):
             raise ValueError("column name must be non-empty")
         self.column = column
 
-    def provide(self, sample: LoggedSample) -> float:
-        if sample.evaluator_scores and self.column in sample.evaluator_scores:
+    def value(self, sample: LoggedSample) -> float | None:
+        """The sample's value in the column; None when it has none."""
+        if self.column in sample.evaluator_scores:
             return float(sample.evaluator_scores[self.column])
         value = sample.extra.get(self.column)
         if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MissingColumn(self.column, sample.sample_id)
+            return None
         return float(value)
+
+    def provide(self, sample: LoggedSample) -> float:
+        value = self.value(sample)
+        if value is None:
+            raise MissingColumn(self.column, sample.sample_id)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +338,27 @@ class ScoringConfig:
     semantic_provider: ScoreProvider = field(default_factory=CharNgramSemanticProvider)
     alignment_provider: ScoreProvider | None = None
     frozen_stats: Mapping[DimensionId, tuple[float, float]] | None = None
+
+
+def missing_inputs(
+    sample: LoggedSample, config: ScoringConfig
+) -> list[tuple[str, MdqsError]]:
+    """Each input that scoring under `config` needs and `sample` lacks, as
+    (field, the error the scoring pass would raise); [] when it has all."""
+    active = config.weights.dimensions()
+    sid = sample.sample_id
+    missing: list[tuple[str, MdqsError]] = []
+    semantic = config.semantic_provider if DimensionId.SEMANTIC in active else None
+    alignment = config.alignment_provider if DimensionId.ALIGNMENT in active else None
+    if isinstance(semantic, CharNgramSemanticProvider) and sample.reference_text is None:
+        missing.append(("reference_text", MissingReferenceText(sid)))
+    for provider in (semantic, alignment):
+        if isinstance(provider, ColumnProvider) and provider.value(sample) is None:
+            missing.append((provider.column, MissingColumn(provider.column, sid)))
+    count = len(sample.evaluator_scores)
+    if DimensionId.AGREEMENT in active and count < 2:
+        missing.append(("evaluator_scores", TooFewEvaluators(sid, count)))
+    return missing
 
 
 def _raw_column(

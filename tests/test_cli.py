@@ -114,8 +114,11 @@ def test_validate_flags_duplicates(tmp_path):
     )
     out = tmp_path / "r"
     assert main(["validate", "--input", str(data), "--out", str(out)]) == 1
-    report = json.loads((out / "validation.json").read_text(encoding="utf-8"))
-    assert report["invalid"] == 1
+    issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in issues] == [
+        {"line": 25, "error": f"duplicate sample_id {first.sample_id!r} (first on line 1)"}
+    ]
+    assert main(["validate", "--input", str(data), "--out", str(out), "--strict"]) == 1
 
 
 def test_validate_counts_malformed_lines(tmp_path):
@@ -125,6 +128,30 @@ def test_validate_counts_malformed_lines(tmp_path):
     assert main(["validate", "--input", str(data), "--out", str(out)]) == 1
     issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").strip().split("\n")
     assert len(issues) == 1
+
+
+def test_validate_flags_what_score_would_reject(tmp_path, capsys):
+    lines = (Path(FIXTURES) / "replay_200.jsonl").read_text(encoding="utf-8").splitlines()[:10]
+    records = [json.loads(line) for line in lines]
+    del records[3]["reference_text"]
+    records[5]["evaluator_scores"] = {"alignment_judge": 0.5}  # agreement needs two
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    argv = ["--config", f"{FIXTURES}/replay_config.yaml", "--input", str(data)]
+    out = tmp_path / "r"
+    assert main(["validate", *argv, "--out", str(out)]) == 1
+    assert "8 valid, 2 invalid" in capsys.readouterr().out
+    report = json.loads((out / "validation.json").read_text(encoding="utf-8"))
+    assert [(i["sample_id"], i["field"], i["message"]) for i in report["issues"]] == [
+        ("s00003", "reference_text", "sample 's00003' has no reference_text"),
+        (
+            "s00005",
+            "evaluator_scores",
+            "sample 's00005' has 1 evaluator score(s); agreement needs >= 2",
+        ),
+    ]
+    assert main(["score", *argv, "--out", str(tmp_path / "s")]) == 1
+    assert "sample 's00003' has no reference_text" in capsys.readouterr().err
 
 
 SIM = "sim:\n  evaluators: [{id: e1}]\n  producers: {a: 0.5}\n"
@@ -151,6 +178,11 @@ BAD_CONFIGS = [
     ("normalization: {mode: batch, stat: s.json}\n", "stat"),
     ("providers: {semantic: 'column:'}\n", "semantic"),
     ("schema: [1\n", "config"),
+    ("weights: {semantic: 0}\n", "weights"),
+    ("weights: {semantic: -1, structure: 3}\n", "weights.semantic"),
+    ('synthetic: {n: 10, correlations: {" ": {semantic: 0.5}}}\n', "synthetic.correlations"),
+    ("seed: 18446744073709551616\n", "seed must be in"),
+    ("synthetic: {n: 5, seed: -1}\n", "synthetic.seed"),
 ]
 
 
@@ -171,6 +203,7 @@ def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, text, key):
         {"evaluator_scores": {"sts_paraphrase": float("nan")}},
         {"gt": float("inf")},
         {"dims": {"semantic": 7.5}},
+        {"sample_id": "s00000"},  # the first line's id
     ],
 )
 def test_bad_record_value_lands_in_ingest_errors(tmp_path, bad):
@@ -221,6 +254,17 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert synth_bytes("e", "--seed", "9") == flag
     monkeypatch.setenv("MDQS_SEED", "not-a-number")
     assert main(["synth", "--out", str(tmp_path / "f"), "--n", "12"]) == 64
+
+
+def test_seed_outside_64_bits_is_usage_error(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "r")
+    for seed in (str(2**64 + 1), "-1"):
+        assert main(["synth", "--out", out, "--n", "12", "--seed", seed]) == 64
+        assert "--seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert main(["synth", "--out", out, "--n", "12", "--seed", str(2**64 - 1)]) == 0
+    monkeypatch.setenv("MDQS_SEED", str(2**64))
+    assert main(["synth", "--out", out, "--n", "12"]) == 64
+    assert "MDQS_SEED must be in [0, 2**64)" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ score

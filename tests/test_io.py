@@ -13,7 +13,7 @@ from mdqs.audit import (
     with_composites,
 )
 from mdqs.composite import PAPER_PRESET
-from mdqs.errors import MissingColumn, MissingReferenceText, SchemaError
+from mdqs.errors import MissingColumn, MissingReferenceText, SchemaError, TooFewEvaluators
 from mdqs.io import (
     EmittedFile,
     IngestIssue,
@@ -321,7 +321,7 @@ def test_load_config_full(tmp_path):
     assert cfg.weights_inline == {DimensionId.SEMANTIC: 2.0, DimensionId.STRUCTURE: 1.0}
     assert cfg.structure.min_tokens == 5
     assert cfg.structure.max_tokens == 500
-    assert cfg.semantic_spec == "builtin"
+    assert cfg.semantic_column is None
     assert cfg.alignment_column == "judge"
     assert cfg.model_priors.ratings == {"m1": 1000.0, "m2": 1200.0}
     assert cfg.cost_priors.ratings == {"m1": 0.5, "m2": 1.5}
@@ -517,7 +517,7 @@ def test_build_scoring_config_wires_providers(tmp_path):
     stats_path = tmp_path / "stats.json"
     write_json(stats_path, {"semantic": [0.0, 1.0]})
     cfg = RunConfig(
-        semantic_spec="column:sts",
+        semantic_column="sts",
         alignment_column="judge",
         normalization_mode="frozen",
         normalization_stats_path=str(stats_path),
@@ -535,9 +535,12 @@ def test_build_scoring_config_wires_providers(tmp_path):
 def test_check_required_columns_fails_fast():
     scoring = build_scoring_config(RunConfig(alignment_column="judge"), DEFAULT_WEIGHTS)
     good = make_sample(
-        sample_id="ok", reference_text="ref", evaluator_scores={"judge": 0.5}
+        sample_id="ok", reference_text="ref", evaluator_scores={"judge": 0.5, "other": 0.1}
     )
     check_required_columns([good], scoring)
+    one_score = make_sample(sample_id="bad3", reference_text="ref", evaluator_scores={"judge": 0.5})
+    with pytest.raises(TooFewEvaluators):
+        check_required_columns([one_score], scoring)
     no_ref = make_sample(sample_id="bad", evaluator_scores={"judge": 0.5})
     with pytest.raises(MissingReferenceText):
         check_required_columns([no_ref], scoring)

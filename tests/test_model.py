@@ -108,7 +108,6 @@ def test_weight_config_rejects_bad_inputs():
 def test_evaluator_profile_defaults_and_validation():
     p = EvaluatorProfile(evaluator_id="e1")
     assert p.cost == 1.0
-    assert p.behavior is None
     with pytest.raises(ValueError):
         EvaluatorProfile(evaluator_id="")
     with pytest.raises(ValueError):

@@ -31,7 +31,6 @@ from mdqs.poq import (
     DefenseConfig,
     Honest,
     Inflate,
-    Malicious,
     Mean,
     Median,
     QualitySignal,
@@ -73,28 +72,28 @@ def test_honest_noise_stays_clipped():
 
 
 def test_inflate_and_deflate_clip():
-    assert evaluator_emit(Malicious(Inflate(0.3)), 0.5, 0, RNG) == pytest.approx(0.8)
-    assert evaluator_emit(Malicious(Inflate(0.3)), 0.9, 0, RNG) == 1.0
-    assert evaluator_emit(Malicious(Deflate(0.3)), 0.5, 0, RNG) == pytest.approx(0.2)
-    assert evaluator_emit(Malicious(Deflate(0.3)), 0.1, 0, RNG) == 0.0
+    assert evaluator_emit(Inflate(0.3), 0.5, 0, RNG) == pytest.approx(0.8)
+    assert evaluator_emit(Inflate(0.3), 0.9, 0, RNG) == 1.0
+    assert evaluator_emit(Deflate(0.3), 0.5, 0, RNG) == pytest.approx(0.2)
+    assert evaluator_emit(Deflate(0.3), 0.1, 0, RNG) == 0.0
 
 
 def test_random_noise_ignores_quality():
     rng = np.random.default_rng(4)
-    values = {evaluator_emit(Malicious(RandomNoise()), 0.0, 0, rng) for _ in range(50)}
+    values = {evaluator_emit(RandomNoise(), 0.0, 0, rng) for _ in range(50)}
     assert len(values) > 1
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_collude_boosts_target_and_buries_rest():
-    behavior = Malicious(Collude("star", 0.2))
+    behavior = Collude("star", 0.2)
     assert evaluator_emit(behavior, 0.5, 0, RNG, producer_id="star") == pytest.approx(0.7)
     assert evaluator_emit(behavior, 0.5, 0, RNG, producer_id="rival") == pytest.approx(0.3)
     assert evaluator_emit(behavior, 0.5, 0, RNG, producer_id=None) == pytest.approx(0.3)
 
 
 def test_camouflage_switches_after_honest_rounds():
-    behavior = Malicious(Camouflage(honest_rounds=2, then_delta=0.3))
+    behavior = Camouflage(honest_rounds=2, then_delta=0.3)
     assert evaluator_emit(behavior, 0.4, 0, RNG) == 0.4
     assert evaluator_emit(behavior, 0.4, 1, RNG) == 0.4
     assert evaluator_emit(behavior, 0.4, 2, RNG) == pytest.approx(0.7)
@@ -387,28 +386,24 @@ def test_resolve_behaviors_attack_takes_listed_order():
         producers={"p": 0.5},
     )
     behaviors = cfg.resolve_behaviors()
-    assert behaviors["e00"] == Malicious(Deflate(0.2))
-    assert behaviors["e01"] == Malicious(Deflate(0.2))
+    assert behaviors["e00"] == Deflate(0.2)
+    assert behaviors["e01"] == Deflate(0.2)
     assert behaviors["e02"] == Honest(0.05)
     assert behaviors["e03"] == Honest(0.05)
 
 
-def test_resolve_behaviors_profile_behaviors_without_attack():
-    ps = (
-        EvaluatorProfile(evaluator_id="a", behavior=Malicious(RandomNoise())),
-        EvaluatorProfile(evaluator_id="b"),
-    )
+def test_resolve_behaviors_without_attack_all_honest():
     cfg = SimConfig(
         config_id="c",
-        evaluators=ps,
+        evaluators=profiles(3),
         defense=Median(),
         rounds=1,
+        attack_ratio=0.5,
         honest_noise_sd=0.1,
         producers={"p": 0.5},
     )
-    behaviors = cfg.resolve_behaviors()
-    assert behaviors["a"] == Malicious(RandomNoise())
-    assert behaviors["b"] == Honest(0.1)
+    assert cfg.attacker_count() == 0
+    assert cfg.resolve_behaviors() == {e: Honest(0.1) for e in ("e00", "e01", "e02")}
 
 
 # ------------------------------------------------------------ run_single
