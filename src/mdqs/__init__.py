@@ -7,7 +7,6 @@ with adversarial evaluators.
 """
 
 from mdqs.audit import (
-    AblationRow,
     AuditBlock,
     AuditReport,
     CalibrationResult,

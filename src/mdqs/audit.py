@@ -86,55 +86,52 @@ def consensus_baselines(samples: Sequence[LoggedSample]) -> dict[str, dict[str, 
     return out
 
 
-def _correlation_row(kind: str, name: str, pairs: list[tuple[float, float]]) -> CorrelationRow:
-    if len(pairs) < 2:
-        return CorrelationRow(kind=kind, name=name, pearson=None, spearman=None, n=len(pairs))
-    xs = [p[0] for p in pairs]
-    ys = [p[1] for p in pairs]
+def _correlation_row(
+    kind: str, name: str, xs: Sequence[float], samples: Sequence[LoggedSample]
+) -> CorrelationRow:
+    """xs against the reference scores of `samples`, pair by pair."""
+    if len(xs) < 2:
+        return CorrelationRow(kind=kind, name=name, pearson=None, spearman=None, n=len(xs))
+    ys = [s.reference_score for s in samples]
     return CorrelationRow(
-        kind=kind, name=name, pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(pairs)
+        kind=kind, name=name, pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(xs)
     )
+
+
+def _referenced(samples: Sequence[LoggedSample], what: str) -> list[LoggedSample]:
+    """The samples carrying a reference score; at least two are needed."""
+    referenced = [s for s in samples if s.reference_score is not None]
+    if len(referenced) < 2:
+        raise TooFewReferencedSamples(
+            f"{what} needs >= 2 samples with a reference score, got {len(referenced)}"
+        )
+    return referenced
 
 
 def _block(
     label: str,
     samples: list[LoggedSample],
-    normalized: dict[str, dict[str, float]],
+    baselines: Mapping[str, Mapping[str, float]],
 ) -> AuditBlock:
     rows: list[CorrelationRow] = []
 
-    dims_present = [
-        d
-        for d in CANONICAL_DIMENSIONS
-        if any(s.dimension_scores is not None and d in s.dimension_scores for s in samples)
-    ]
-    for dim in dims_present:
-        pairs = [
-            (s.dimension_scores[dim], s.reference_score)
-            for s in samples
-            if s.dimension_scores is not None and dim in s.dimension_scores
+    for dim in CANONICAL_DIMENSIONS:
+        scored = [
+            s for s in samples if s.dimension_scores is not None and dim in s.dimension_scores
         ]
-        rows.append(_correlation_row("dimension", dim.value, pairs))
+        if scored:
+            xs = [s.dimension_scores[dim] for s in scored]
+            rows.append(_correlation_row("dimension", dim.value, xs, scored))
 
-    evaluator_ids = sorted({e for s in samples for e in s.evaluator_scores})
-    for evaluator in evaluator_ids:
-        pairs = [
-            (s.evaluator_scores[evaluator], s.reference_score)
-            for s in samples
-            if evaluator in s.evaluator_scores
-        ]
-        rows.append(_correlation_row("evaluator", evaluator, pairs))
+    for evaluator in sorted({e for s in samples for e in s.evaluator_scores}):
+        scored = [s for s in samples if evaluator in s.evaluator_scores]
+        xs = [s.evaluator_scores[evaluator] for s in scored]
+        rows.append(_correlation_row("evaluator", evaluator, xs, scored))
 
     with_scores = [s for s in samples if s.evaluator_scores]
     for stat in ("mean", "median"):
-        pairs = []
-        for s in with_scores:
-            values = list(normalized[s.sample_id].values())
-            agg = math.fsum(values) / len(values) if stat == "mean" else float(
-                statistics.median(values)
-            )
-            pairs.append((agg, s.reference_score))
-        rows.append(_correlation_row("baseline", stat, pairs))
+        xs = [baselines[s.sample_id][stat] for s in with_scores]
+        rows.append(_correlation_row("baseline", stat, xs, with_scores))
 
     return AuditBlock(label=label, rows=tuple(rows))
 
@@ -149,20 +146,16 @@ def audit(samples: Sequence[LoggedSample]) -> AuditReport:
     baselines need a common scale.
     """
     all_samples = list(samples)
-    referenced = [s for s in all_samples if s.reference_score is not None]
-    if len(referenced) < 2:
-        raise TooFewReferencedSamples(
-            f"audit needs >= 2 samples with a reference score, got {len(referenced)}"
-        )
-    normalized = normalize_evaluator_scores(all_samples)
+    referenced = _referenced(all_samples, "audit")
+    baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
 
-    overall = _block("overall", referenced, normalized)
+    overall = _block("overall", referenced, baselines)
 
     # qa, then summarization, then other tasks in order of first appearance
     first_seen = dict.fromkeys(s.task.label for s in referenced)
     task_order = sorted(first_seen, key=lambda t: {"qa": 0, "summarization": 1}.get(t, 2))
     by_task = {
-        label: _block(label, [s for s in referenced if s.task.label == label], normalized)
+        label: _block(label, [s for s in referenced if s.task.label == label], baselines)
         for label in task_order
     }
     return AuditReport(overall=overall, by_task=by_task, n_referenced=len(referenced))
@@ -175,67 +168,52 @@ def with_composites(
 ) -> AuditReport:
     """`report`, audit(samples)'s result, with one composite row per weight
     config appended to every block. A row covers the block's referenced
-    samples whose dimension scores include every weighted dimension."""
+    samples whose dimension scores include every weighted dimension; each
+    config is composed once and every block takes its part of that column."""
     referenced = [s for s in samples if s.reference_score is not None]
-
-    def extend(block: AuditBlock, subset: list[LoggedSample]) -> AuditBlock:
-        rows = list(block.rows)
-        for name, weights in composites.items():
-            scorable = [
-                s
-                for s in subset
-                if s.dimension_scores is not None
-                and weights.dimensions() <= s.dimension_scores.keys()
-            ]
-            refs = [s.reference_score for s in scorable]
-            pairs = list(zip(compose_batch(scorable, weights), refs))
-            rows.append(_correlation_row("composite", name, pairs))
-        return AuditBlock(label=block.label, rows=tuple(rows))
-
-    by_task = {
-        label: extend(block, [s for s in referenced if s.task.label == label])
-        for label, block in report.by_task.items()
-    }
-    return AuditReport(extend(report.overall, referenced), by_task, report.n_referenced)
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    name: str
-    pearson: float | None
-    spearman: float | None
-    n: int
+    overall = list(report.overall.rows)
+    by_task = {label: list(block.rows) for label, block in report.by_task.items()}
+    for name, weights in composites.items():
+        wanted = weights.dimensions()
+        scorable = [
+            s
+            for s in referenced
+            if s.dimension_scores is not None and s.dimension_scores.values.keys() >= wanted
+        ]
+        column = compose_batch(scorable, weights)
+        overall.append(_correlation_row("composite", name, column, scorable))
+        for label, rows in by_task.items():
+            in_task = [i for i, s in enumerate(scorable) if s.task.label == label]
+            rows.append(
+                _correlation_row(
+                    "composite", name, [column[i] for i in in_task], [scorable[i] for i in in_task]
+                )
+            )
+    return AuditReport(
+        AuditBlock(report.overall.label, tuple(overall)),
+        {label: AuditBlock(label, tuple(rows)) for label, rows in by_task.items()},
+        report.n_referenced,
+    )
 
 
 def ablation_grid(
     samples: Sequence[LoggedSample],
     variants: Sequence[tuple[str, VariantSpec]],
     base: WeightConfig = DEFAULT_WEIGHTS,
-) -> list[AblationRow]:
-    """Overall reference correlation for each weight variant.
+) -> list[CorrelationRow]:
+    """Overall reference correlation for each weight variant, one composite
+    row each.
 
     Variants reuse the dimension scores already on the samples; nothing is
     re-scored, so the grid is cheap and rows are exactly comparable.
     """
-    referenced = [s for s in samples if s.reference_score is not None]
-    if len(referenced) < 2:
-        raise TooFewReferencedSamples(
-            f"ablation needs >= 2 samples with a reference score, got {len(referenced)}"
+    referenced = _referenced(samples, "ablation")
+    return [
+        _correlation_row(
+            "composite", name, compose_batch(referenced, make_variant(base, spec)), referenced
         )
-    refs = [s.reference_score for s in referenced]
-    rows: list[AblationRow] = []
-    for name, spec in variants:
-        weights = make_variant(base, spec)
-        scores = compose_batch(referenced, weights)
-        rows.append(
-            AblationRow(
-                name=name,
-                pearson=pearson(scores, refs),
-                spearman=spearman(scores, refs),
-                n=len(referenced),
-            )
-        )
-    return rows
+        for name, spec in variants
+    ]
 
 
 GATE_CHOICES = ("pearson", "spearman", "taskwise_min")
@@ -304,18 +282,19 @@ def calibrate(
         )
     calibrated = make_variant(base, VariantSpec.removing(removed, name="calibrated"))
 
-    referenced = [s for s in samples if s.reference_score is not None]
-    refs = [s.reference_score for s in referenced]
-    before_scores = compose_batch(referenced, base)
-    after_scores = compose_batch(referenced, calibrated)
+    referenced = _referenced(samples, "calibration")
+    before, after = (
+        _correlation_row("composite", w.name, compose_batch(referenced, w), referenced)
+        for w in (base, calibrated)
+    )
     return CalibrationResult(
         removed=removed,
         threshold=threshold,
         gate=gate,
         gate_stats=stats,
         calibrated=calibrated,
-        before=(pearson(before_scores, refs), spearman(before_scores, refs)),
-        after=(pearson(after_scores, refs), spearman(after_scores, refs)),
+        before=(before.pearson, before.spearman),
+        after=(after.pearson, after.spearman),
     )
 
 
@@ -355,12 +334,9 @@ def calibrate_per_task(
     labels = list(dict.fromkeys(s.task.label for s in referenced))
     out: dict[str, CalibrationResult] = {}
     for label in labels:
-        subset = [s for s in referenced if s.task.label == label]
-        if len(subset) < 2:
-            raise TooFewReferencedSamples(
-                f"task {label!r}: calibration needs >= 2 samples with a reference score, "
-                f"got {len(subset)}"
-            )
+        subset = _referenced(
+            [s for s in referenced if s.task.label == label], f"task {label!r}: calibration"
+        )
         block = report.by_task[label]
         task_report = AuditReport(block, {label: block}, len(subset))
         out[label] = calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
@@ -19,6 +19,12 @@ from mdqs.model import (
 )
 
 
+def _weighted_sum(scores: Mapping[DimensionId, float], weights: WeightConfig) -> float:
+    """fsum of weight times score over the weighted dimensions, clipped to
+    [0, 1]. fsum is correctly rounded, so the term order does not matter."""
+    return min(1.0, max(0.0, math.fsum(w * scores[d] for d, w in weights.weights.items())))
+
+
 def compose(scores: DimensionVector, weights: WeightConfig) -> float:
     """Weighted sum clipped to [0, 1].
 
@@ -27,12 +33,11 @@ def compose(scores: DimensionVector, weights: WeightConfig) -> float:
     """
     if scores.keys() != weights.dimensions():
         raise DimensionMismatch(scores.keys(), weights.dimensions())
-    total = math.fsum(weights[d] * scores[d] for d in scores.values)
-    return min(1.0, max(0.0, total))
+    return _weighted_sum(scores.values, weights)
 
 
 def compose_batch(samples: Sequence[LoggedSample], weights: WeightConfig) -> list[float]:
-    """Composite for every sample, restricting vectors to the active set.
+    """Composite for every sample over the weighted dimensions.
 
     Samples must already carry dimension scores covering every weighted
     dimension; extra dimensions on the sample are ignored, which is what
@@ -44,10 +49,9 @@ def compose_batch(samples: Sequence[LoggedSample], weights: WeightConfig) -> lis
         vec = sample.dimension_scores
         if vec is None:
             raise SchemaError(f"sample {sample.sample_id!r} has no dimension scores; run score first")
-        missing = wanted - vec.keys()
-        if missing:
+        if not vec.values.keys() >= wanted:
             raise DimensionMismatch(vec.keys(), wanted)
-        out.append(compose(vec.restrict(wanted), weights))
+        out.append(_weighted_sum(vec.values, weights))
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from mdqs.audit import GATE_CHOICES, AblationRow, AuditBlock, AuditReport, CalibrationResult
+from mdqs.audit import GATE_CHOICES, AuditBlock, AuditReport, CalibrationResult, CorrelationRow
 from mdqs.composite import PAPER_PRESET
 from mdqs.errors import SchemaError, SimConfigError
 from mdqs.model import (
@@ -831,7 +831,7 @@ def emit_reports(
     synthetic_samples: Sequence[LoggedSample] | None = None,
     normalization_stats: Mapping[DimensionId, tuple[float, float]] | None = None,
     audit_report: AuditReport | None = None,
-    ablation: Sequence[AblationRow] | None = None,
+    ablation: Sequence[CorrelationRow] | None = None,
     calibration: CalibrationResult | None = None,
     calibration_by_task: Mapping[str, CalibrationResult] | None = None,
     sim_results: Sequence[tuple[SimConfig, SimOutcome | SimError]] | None = None,

@@ -2,7 +2,7 @@
 
 A LoggedSample is one producer output for one query, with whatever evaluator
 scores were logged alongside it. Dimension scores are kept in a
-DimensionVector whose values are clipped to [0, 1] at construction, so
+DimensionVector, which rejects a value outside [0, 1] at construction, so
 downstream code never re-checks ranges. WeightConfig normalizes on
 construction and is the only way weights enter the composite.
 """
@@ -75,7 +75,7 @@ TaskFamily.SUMMARIZATION = TaskFamily("summarization")
 
 @dataclass(frozen=True)
 class DimensionVector:
-    """Per-dimension scores, each clipped to [0, 1] at construction.
+    """Per-dimension scores, each checked to lie in [0, 1] at construction.
 
     Iteration order is canonical dimension order regardless of the order the
     mapping was built in, so emitted reports are stable.
@@ -86,13 +86,13 @@ class DimensionVector:
     def __post_init__(self):
         if not self.values:
             raise ValueError("dimension vector must not be empty")
-        clipped: dict[DimensionId, float] = {}
+        ordered: dict[DimensionId, float] = {}
         for dim in sorted(self.values, key=_DIM_ORDER.__getitem__):
             v = float(self.values[dim])
-            if not math.isfinite(v):
-                raise ValueError(f"dimension {dim.value} has non-finite score {v!r}")
-            clipped[dim] = min(1.0, max(0.0, v))
-        object.__setattr__(self, "values", clipped)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"dimension {dim.value} has score {v!r} outside [0, 1]")
+            ordered[dim] = v
+        object.__setattr__(self, "values", ordered)
 
     def __getitem__(self, dim: DimensionId) -> float:
         return self.values[dim]
@@ -105,11 +105,6 @@ class DimensionVector:
 
     def as_dict(self) -> dict[DimensionId, float]:
         return dict(self.values)
-
-    def restrict(self, dims: Iterable[DimensionId]) -> "DimensionVector":
-        """Sub-vector over the given dimensions; KeyError if one is absent."""
-        wanted = set(dims)
-        return DimensionVector({d: self.values[d] for d in wanted})
 
 
 @dataclass(frozen=True)

@@ -697,7 +697,8 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             trajectory.append(dict(trust))
             continue
         emitters = sorted(selected)
-        contest: dict[str, float] = {}  # producer -> consensus; one contest per round
+        contest: dict[str, float] = {}  # output key -> consensus; one contest per round
+        producer_of: dict[str, str] = {}
         for key, producer, quality, target in outputs(round_index):
             scores = {
                 e: evaluator_emit(behaviors[e], quality, round_index, rng, producer)
@@ -705,13 +706,15 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             }
             consensus = aggregate(scores, trust, config.defense)
             consensus_scores[key] = consensus
-            contest[producer] = consensus
+            contest[key] = consensus
+            producer_of[key] = producer
             if target is not None:
                 errors.append(abs(consensus - target))
             if trust_step is not None:
                 trust = trust_step(trust, scores)
 
-        for producer, share in allocate_rewards({"round": contest}, config.reward_budget).items():
+        for key, share in allocate_rewards({"round": contest}, config.reward_budget).items():
+            producer = producer_of[key]
             rewards[producer] = rewards.get(producer, 0.0) + share
         trajectory.append(dict(trust))
 

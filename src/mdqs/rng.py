@@ -14,7 +14,6 @@ import struct
 import numpy as np
 
 SEED_LIMIT = 1 << 64  # a master seed is an integer in [0, SEED_LIMIT)
-_MASK64 = SEED_LIMIT - 1
 
 
 def stream_words(label: str) -> tuple[int, int, int, int]:
@@ -24,6 +23,11 @@ def stream_words(label: str) -> tuple[int, int, int, int]:
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
-    """Generator for (seed, label); same pair always yields the same stream."""
-    entropy = [seed & _MASK64, *stream_words(label)]
+    """Generator for (seed, label); same pair always yields the same stream.
+
+    ValueError for a seed outside [0, SEED_LIMIT): masking it would run
+    another seed's stream under this seed's name."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    entropy = [seed, *stream_words(label)]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -46,18 +46,19 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
 
 
 def average_ranks(x: Sequence[float]) -> np.ndarray:
-    """1-based ranks with ties averaged (fractional ranks)."""
+    """1-based ranks with ties averaged (fractional ranks).
+
+    A stable argsort, then one averaged rank per run of equal sorted values:
+    the group at sorted positions start..end gets (start + end + 2) / 2. This
+    is the "average" method of scipy.stats.rankdata.
+    """
     ax = np.asarray(x, dtype=np.float64)
     order = np.argsort(ax, kind="stable")
+    ordered = ax[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], ax.shape[0]) - 1
     ranks = np.empty(ax.shape[0], dtype=np.float64)
-    i = 0
-    while i < ax.shape[0]:
-        j = i
-        while j + 1 < ax.shape[0] and ax[order[j + 1]] == ax[order[i]]:
-            j += 1
-        # ranks i+1 .. j+1 share one tie group; assign their mean
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends + 2) / 2.0, ends - starts + 1)
     return ranks
 
 

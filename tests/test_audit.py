@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_sample, scored_sample
+from conftest import FIXTURES, make_sample, scored_sample
 from mdqs.audit import (
     GATE_CHOICES,
     ablation_grid,
@@ -22,7 +22,9 @@ from mdqs.errors import (
     NoEvaluators,
     TooFewReferencedSamples,
 )
+from mdqs.io import build_scoring_config, ingest, load_config, resolve_weights
 from mdqs.model import DEFAULT_WEIGHTS, DimensionId, WeightConfig
+from mdqs.scoring import score_all
 from mdqs.stats import pearson, spearman
 
 
@@ -204,6 +206,20 @@ def test_ablation_matches_direct_computation():
 def test_ablation_needs_references():
     with pytest.raises(TooFewReferencedSamples):
         ablation_grid([make_sample(sample_id="s0")], PAPER_PRESET)
+
+
+def test_composite_row_is_the_same_from_ablation_calibrate_and_audit():
+    config = load_config(f"{FIXTURES}/replay_config.yaml")
+    base = resolve_weights(config)
+    raw = ingest(f"{FIXTURES}/replay_200.jsonl").samples
+    samples, _ = score_all(raw, build_scoring_config(config, base))
+    report = audit(samples)
+    (grid,) = ablation_grid(samples, [("default", VariantSpec.default())], base=base)
+    before = calibrate(report, samples, base=base).before
+    overall = with_composites(report, samples, {base.name: base}).overall.row("composite", base.name)
+    assert grid.pearson is not None and grid.spearman is not None
+    assert (grid.pearson, grid.spearman, grid.n) == (*before, report.n_referenced)
+    assert (grid.pearson, grid.spearman, grid.n) == (overall.pearson, overall.spearman, overall.n)
 
 
 # ------------------------------------------------------------ calibrate

@@ -45,8 +45,11 @@ def test_task_family_normalizes_label():
         TaskFamily("  ")
 
 
-def test_dimension_vector_clips_and_orders():
-    v = DimensionVector({DimensionId.SEMANTIC: 1.7, DimensionId.STRUCTURE: -0.2})
+def test_dimension_vector_rejects_out_of_range_and_orders():
+    for value in (1.7, -0.2):
+        with pytest.raises(ValueError, match="semantic"):
+            DimensionVector({DimensionId.STRUCTURE: 0.5, DimensionId.SEMANTIC: value})
+    v = DimensionVector({DimensionId.SEMANTIC: 1.0, DimensionId.STRUCTURE: 0.0})
     assert v[DimensionId.SEMANTIC] == 1.0
     assert v[DimensionId.STRUCTURE] == 0.0
     # storage order is canonical regardless of construction order
@@ -62,16 +65,6 @@ def test_dimension_vector_rejects_bad_input():
         DimensionVector({DimensionId.SEMANTIC: float("inf")})
     with pytest.raises(ValueError):
         DimensionVector({})
-
-
-def test_dimension_vector_restrict():
-    v = DimensionVector({d: 0.5 for d in CANONICAL_DIMENSIONS})
-    r = v.restrict({DimensionId.SEMANTIC, DimensionId.STRUCTURE})
-    assert r.keys() == frozenset({DimensionId.STRUCTURE, DimensionId.SEMANTIC})
-    with pytest.raises(KeyError):
-        DimensionVector({DimensionId.SEMANTIC: 0.5}).restrict(
-            {DimensionId.SEMANTIC, DimensionId.ALIGNMENT}
-        )
 
 
 def test_default_weights_values():

@@ -50,6 +50,7 @@ from mdqs.poq import (
     update_trust,
     weighted_median,
 )
+from mdqs.rng import rng_for
 
 RNG = np.random.default_rng(0)
 
@@ -551,6 +552,33 @@ def test_replay_rounds_cycle_query_groups():
     # q1, q2, then q1 again: 2 contests of q1 + 1 of q2
     assert math.fsum(out.rewards.values()) == pytest.approx(3.0, abs=1e-9)
     assert out.rewards["pb"] > out.rewards["pa"]
+
+
+def test_replay_contest_pays_each_output_of_a_producer():
+    # two outputs of m1 on one query: each is its own entry in the contest
+    dataset = [
+        LoggedSample(
+            sample_id=sid,
+            task=TaskFamily.QA,
+            producer_id=producer,
+            query="q",
+            output=f"answer {sid}",
+            evaluator_scores={"j": j},
+        )
+        for sid, producer, j in (("a", "m1", 0.9), ("b", "m1", 0.1), ("c", "m2", 0.5))
+    ]
+    out = run_single(replay_config(evaluators=profiles(1), rounds=1), dataset=dataset)
+    assert out.consensus_scores == {"a": 1.0, "b": 0.0, "c": 0.5}
+    # spreads over the minimum 0.0 are a 1.0, b 0.0, c 0.5 of a total 1.5
+    assert out.rewards == {"m1": pytest.approx(2 / 3), "m2": pytest.approx(1 / 3)}
+
+
+def test_seed_outside_64_bits_is_rejected():
+    for seed in (2**64 + 1, -1):
+        with pytest.raises(ValueError, match="seed"):
+            rng_for(seed, "x")
+    with pytest.raises(ValueError, match="seed"):
+        run_single(synth_config(rng_seed=2**64 + 1))
 
 
 def test_replay_composite_signal():

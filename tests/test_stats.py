@@ -100,8 +100,13 @@ def test_average_ranks_ties():
     assert average_ranks([10, 20, 20, 30]).tolist() == [1.0, 2.5, 2.5, 4.0]
     assert average_ranks([5, 5, 5]).tolist() == [2.0, 2.0, 2.0]
     rng = np.random.default_rng(93)
+    cases = [[], [4.2], [0.5] * 7]
     for _ in range(50):
-        x = (rng.integers(0, 4, size=int(rng.integers(2, 30))) * 1.0).tolist()
+        cases.append((rng.integers(0, 4, size=int(rng.integers(2, 30))) * 1.0).tolist())
+        # heavy ties: continuous values rounded to one decimal
+        cases.append(np.round(rng.normal(size=int(rng.integers(2, 80))), 1).tolist())
+        cases.append(rng.normal(size=int(rng.integers(2, 30))).tolist())
+    for x in cases:
         assert average_ranks(x).tolist() == ranks_oracle(x)
 
 
