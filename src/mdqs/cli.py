@@ -259,11 +259,12 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate needs a 'sim' section in the config")
     seed = _resolve_seed(args, config)
     grid = build_grid(config.sim, seed)
-    dataset = None
+    dataset, issues = None, None
     if config.sim.mode == "replay":
-        dataset = _ingest(args, config).samples
+        result = _ingest(args, config)
+        dataset, issues = result.samples, result.issues
     results = run_experiment(grid, dataset=dataset, base_weights=resolve_weights(config, None))
-    emit_reports(out, sim_results=list(zip(grid, results)))
+    emit_reports(out, sim_results=list(zip(grid, results)), ingest_issues=issues)
     failures = sum(1 for r in results if not hasattr(r, "rewards"))
     print(f"simulate: {len(grid)} config(s), {failures} failed, seed {seed} -> {out}")
     return 0

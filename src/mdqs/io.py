@@ -8,6 +8,9 @@ counterpart so runs can be committed and replayed.
 Report emission rules that keep reruns byte-identical: no timestamps, fixed
 key and column orders, floats written with their shortest round-trip repr,
 and a manifest.json that is merged on write with entries sorted by path.
+One table, _reports, names each file, its series and its writer. A run's
+files, then its manifest, go to hidden temporary files and replace the old
+ones only once all are written: a failed run leaves the directory as it was.
 """
 
 from __future__ import annotations
@@ -15,16 +18,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
+from json import JSONDecodeError
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import yaml
 
 from mdqs.audit import GATE_CHOICES, AuditBlock, AuditReport, CalibrationResult, CorrelationRow
 from mdqs.composite import PAPER_PRESET
-from mdqs.errors import SchemaError, SimConfigError
+from mdqs.errors import MdqsError, SchemaError, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DimensionId,
@@ -253,32 +258,31 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     samples: list[LoggedSample] = []
     issues: list[IngestIssue] = []
     first_line: dict[str, int] = {}  # sample_id -> line it was first read on
-    with open(path, "rb") as fh:  # decoded per line, so one bad byte costs one line
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                sample = from_record(json.loads(line.decode("utf-8")))
-                first = first_line.setdefault(sample.sample_id, line_no)
-                if first != line_no:
-                    raise SchemaError(
-                        f"duplicate sample_id {sample.sample_id!r} (first on line {first})"
-                    )
-                samples.append(sample)
-            except (UnicodeDecodeError, json.JSONDecodeError, SchemaError) as exc:
-                if strict:
-                    raise SchemaError(f"{path}:{line_no}: {exc}") from None
-                issues.append(IngestIssue(line_no=line_no, message=str(exc)))
+    try:
+        with open(path, "rb") as fh:  # decoded per line, so one bad byte costs one line
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    sample = from_record(json.loads(line.decode("utf-8")))
+                    first = first_line.setdefault(sample.sample_id, line_no)
+                    if first != line_no:
+                        raise SchemaError(
+                            f"duplicate sample_id {sample.sample_id!r} (first on line {first})"
+                        )
+                    samples.append(sample)
+                except (UnicodeDecodeError, JSONDecodeError, RecursionError, SchemaError) as exc:
+                    if strict:
+                        raise SchemaError(f"{path}:{line_no}: {exc}") from None
+                    issues.append(IngestIssue(line_no=line_no, message=str(exc)))
+    except OSError as exc:
+        raise SchemaError(f"cannot read dataset {path}: {exc}") from None
     return IngestResult(samples=samples, issues=issues)
 
 
-def write_jsonl(path: str | Path, samples: Sequence[LoggedSample]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_jsonl(path: str | Path, samples: Iterable[LoggedSample]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(to_record(sample), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+        _jsonl(map(to_record, samples))(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +584,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, yaml.YAMLError, RecursionError) as exc:
         raise SchemaError(f"cannot load config {path}: {exc}") from None
     raw = _section(raw, "run config", _TOP_KEYS)
     schema = raw.get("schema", 1)
@@ -656,7 +660,7 @@ def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot load normalization stats {path}: {exc}") from None
     return _dimension_map(raw, "stats", _min_max)
 
@@ -713,44 +717,51 @@ def _csv_safe(text: str) -> str:
     return text.replace('"', "'").replace(",", ";").replace("\n", " ")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write a CSV with no quoting; text cells are flattened by _csv_safe."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _csv(header: Sequence[str], rows: Iterable[Sequence]):
+    """A writer of a CSV with no quoting; text cells are flattened by _csv_safe."""
+
+    def write(fh: TextIO) -> None:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+    return write
 
 
-def write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+def _json(obj):
+    """A writer of one indented JSON document; NaN and infinities are refused."""
+
+    def write(fh: TextIO) -> None:
+        fh.write(json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n")
+
+    return write
 
 
-def update_manifest(out_dir: Path, entries: Sequence[EmittedFile]) -> Path:
-    """Merge new entries into manifest.json, keyed and sorted by path."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = out_dir / "manifest.json"
-    existing: dict[str, str] = {}
-    if manifest_path.exists():
-        try:
-            raw = json.loads(manifest_path.read_text(encoding="utf-8"))
-            for entry in raw.get("files", []):
-                existing[entry["path"]] = entry["series"]
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise SchemaError(f"corrupt manifest at {manifest_path}: {exc}") from None
-    for entry in entries:
-        existing[entry.path] = entry.series
-    write_json(
-        manifest_path,
-        {
-            "schema": 1,
-            "files": [{"path": p, "series": existing[p]} for p in sorted(existing)],
-        },
-    )
-    return manifest_path
+def _jsonl(records: Iterable[dict]):
+    """A writer of one compact JSON object per line."""
+
+    def write(fh: TextIO) -> None:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+
+    return write
+
+
+def _read_manifest(path: Path) -> dict[str, str]:
+    """{path: series} from an existing manifest.json; {} when there is none."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return {}
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or nested too deep
+        raise SchemaError(f"corrupt manifest at {path}: {exc}") from None
+    files = raw.get("files", []) if isinstance(raw, dict) else None
+    if not isinstance(files, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("path"), str) and isinstance(e.get("series"), str)
+        for e in files
+    ):
+        raise SchemaError(f"corrupt manifest at {path}: 'files' must list {{path, series}} strings")
+    return {e["path"]: e["series"] for e in files}
 
 
 def _audit_block_json(block: AuditBlock) -> dict:
@@ -815,15 +826,35 @@ def _sim_entry_json(config: SimConfig, result: SimOutcome | SimError) -> dict:
     return base
 
 
-def _top_producer(result: SimOutcome | SimError) -> str | None:
-    if isinstance(result, SimError) or not result.rewards:
-        return None
-    best = max(result.rewards.values())
-    return min(p for p, v in result.rewards.items() if v == best)
+_SIM_COLUMNS = (
+    "config_id", "status", "attack", "attack_ratio", "defense", "quality_signal",
+    "consensus_error", "skipped_rounds", "top_producer", "message",
+)
 
 
-def emit_reports(
-    out_dir: str | Path,
+def _sim_row(config: SimConfig, result: SimOutcome | SimError) -> tuple:
+    """One defense_comparison.csv row, in _SIM_COLUMNS order.
+
+    The CSV carries flattened labels and messages; sim_<id>.json keeps the
+    exact ones. top_producer is the best paid, the first by name on a tie.
+    """
+    ok = not isinstance(result, SimError)
+    rewards = result.rewards if ok else {}
+    return (
+        config.config_id,
+        "ok" if ok else "error",
+        sanitize_label(attack_label(config.attack)),
+        config.attack_ratio,
+        sanitize_label(defense_label(config.defense)),
+        sanitize_label(signal_label(config.quality_signal)),
+        result.consensus_error if ok else None,
+        result.skipped_rounds if ok else None,
+        min(rewards, key=lambda p: (-rewards[p], p)) if rewards else None,
+        None if ok else result.message,
+    )
+
+
+def _reports(
     *,
     validation: ValidationReport | None = None,
     ingest_issues: Sequence[IngestIssue] | None = None,
@@ -836,22 +867,10 @@ def emit_reports(
     calibration_by_task: Mapping[str, CalibrationResult] | None = None,
     sim_results: Sequence[tuple[SimConfig, SimOutcome | SimError]] | None = None,
     dimension_means: Sequence[tuple[str, str, float, int]] | None = None,
-) -> list[EmittedFile]:
-    """Write whatever result objects are given, then merge the manifest.
-
-    Each file is one plot-ready series; absent inputs mean absent files.
-    Returns the emitted entries (manifest.json itself is not listed).
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emitted: list[EmittedFile] = []
-
-    def add(name: str, series: str):
-        emitted.append(EmittedFile(path=name, series=series))
-
+):
+    """Yield (file name, series, writer) for each file the given results make."""
     if validation is not None:
-        write_json(
-            out / "validation.json",
+        yield "validation.json", "validation", _json(
             {
                 "valid": validation.valid_count,
                 "invalid": validation.invalid_count,
@@ -860,94 +879,57 @@ def emit_reports(
                     {"sample_id": i.sample_id, "field": i.fieldname, "message": i.message}
                     for i in validation.issues
                 ],
-            },
+            }
         )
-        add("validation.json", "validation")
-
     if ingest_issues:
-        path = out / "ingest_errors.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for issue in ingest_issues:
-                fh.write(
-                    json.dumps(
-                        {"line": issue.line_no, "error": issue.message},
-                        ensure_ascii=False,
-                        separators=(",", ":"),
-                    )
-                )
-                fh.write("\n")
-        add("ingest_errors.jsonl", "ingest_errors")
-
+        yield "ingest_errors.jsonl", "ingest_errors", _jsonl(
+            {"line": issue.line_no, "error": issue.message} for issue in ingest_issues
+        )
     if scored_samples is not None:
-        write_jsonl(out / "scored.jsonl", scored_samples)
-        add("scored.jsonl", "scored_dataset")
-
+        yield "scored.jsonl", "scored_dataset", _jsonl(map(to_record, scored_samples))
     if synthetic_samples is not None:
-        write_jsonl(out / "synthetic.jsonl", synthetic_samples)
-        add("synthetic.jsonl", "synthetic_dataset")
-
+        yield "synthetic.jsonl", "synthetic_dataset", _jsonl(map(to_record, synthetic_samples))
     if normalization_stats is not None:
-        write_json(
-            out / "normalization_stats.json",
+        yield "normalization_stats.json", "normalization_stats", _json(
             {
                 d.value: [normalization_stats[d][0], normalization_stats[d][1]]
                 for d in CANONICAL_DIMENSIONS
                 if d in normalization_stats
-            },
+            }
         )
-        add("normalization_stats.json", "normalization_stats")
-
     if audit_report is not None:
-        header = ["kind", "name", "pearson", "spearman", "n"]
-        write_csv(
-            out / "correlation_summary.csv",
-            header,
-            [
-                (r.kind, r.name, r.pearson, r.spearman, r.n)
-                for r in audit_report.overall.rows
-            ],
+        overall = audit_report.overall
+        yield "correlation_summary.csv", "correlation_summary", _csv(
+            ["kind", "name", "pearson", "spearman", "n"],
+            [(r.kind, r.name, r.pearson, r.spearman, r.n) for r in overall.rows],
         )
-        add("correlation_summary.csv", "correlation_summary")
-        write_csv(
-            out / "dimension_correlations.csv",
+        yield "dimension_correlations.csv", "dimension_correlations", _csv(
             ["name", "pearson", "spearman", "n"],
+            [(r.name, r.pearson, r.spearman, r.n) for r in overall.dimensions()],
+        )
+        yield "taskwise_correlations.csv", "taskwise_correlations", _csv(
+            ["task", "kind", "name", "pearson", "spearman", "n"],
             [
-                (r.name, r.pearson, r.spearman, r.n)
-                for r in audit_report.overall.dimensions()
+                (label, r.kind, r.name, r.pearson, r.spearman, r.n)
+                for label, block in audit_report.by_task.items()
+                for r in block.rows
             ],
         )
-        add("dimension_correlations.csv", "dimension_correlations")
-        task_rows = []
-        for label, block in audit_report.by_task.items():
-            for r in block.rows:
-                task_rows.append((label, r.kind, r.name, r.pearson, r.spearman, r.n))
-        write_csv(
-            out / "taskwise_correlations.csv",
-            ["task", "kind", "name", "pearson", "spearman", "n"],
-            task_rows,
-        )
-        add("taskwise_correlations.csv", "taskwise_correlations")
-        write_json(
-            out / "audit.json",
+        yield "audit.json", "audit", _json(
             {
                 "n_referenced": audit_report.n_referenced,
-                "overall": _audit_block_json(audit_report.overall),
+                "overall": _audit_block_json(overall),
                 "by_task": {
                     label: _audit_block_json(block)
                     for label, block in audit_report.by_task.items()
                 },
-            },
+            }
         )
-        add("audit.json", "audit")
-
     if ablation is not None:
-        write_csv(
-            out / "ablation_grid.csv",
+        yield "ablation_grid.csv", "ablation_grid", _csv(
             ["variant", "pearson", "spearman", "n"],
             [(r.name, r.pearson, r.spearman, r.n) for r in ablation],
         )
-        add("ablation_grid.csv", "ablation_grid")
-
     if calibration is not None:
         payload = _calibration_json(calibration)
         if calibration_by_task:
@@ -955,58 +937,53 @@ def emit_reports(
                 label: _calibration_json(result)
                 for label, result in calibration_by_task.items()
             }
-        write_json(out / "calibration.json", payload)
-        add("calibration.json", "calibration")
-
+        yield "calibration.json", "calibration", _json(payload)
     if sim_results is not None:
-        # the CSV carries flattened labels and messages; the per-config JSON
-        # keeps the exact ones
-        rows = []
+        yield "defense_comparison.csv", "defense_comparison", _csv(
+            _SIM_COLUMNS, [_sim_row(config, result) for config, result in sim_results]
+        )
         for config, result in sim_results:
-            ok = not isinstance(result, SimError)
-            rows.append(
-                (
-                    config.config_id,
-                    "ok" if ok else "error",
-                    sanitize_label(attack_label(config.attack)),
-                    config.attack_ratio,
-                    sanitize_label(defense_label(config.defense)),
-                    sanitize_label(signal_label(config.quality_signal)),
-                    result.consensus_error if ok else None,
-                    result.skipped_rounds if ok else None,
-                    _top_producer(result),
-                    None if ok else result.message,
-                )
+            yield f"sim_{config.config_id}.json", f"sim:{config.config_id}", _json(
+                _sim_entry_json(config, result)
             )
-        write_csv(
-            out / "defense_comparison.csv",
-            [
-                "config_id",
-                "status",
-                "attack",
-                "attack_ratio",
-                "defense",
-                "quality_signal",
-                "consensus_error",
-                "skipped_rounds",
-                "top_producer",
-                "message",
-            ],
-            rows,
-        )
-        add("defense_comparison.csv", "defense_comparison")
-        for config, result in sim_results:
-            name = f"sim_{config.config_id}.json"
-            write_json(out / name, _sim_entry_json(config, result))
-            add(name, f"sim:{config.config_id}")
-
     if dimension_means is not None:
-        write_csv(
-            out / "dimension_means_by_producer.csv",
-            ["producer", "dimension", "mean", "n"],
-            dimension_means,
+        yield "dimension_means_by_producer.csv", "dimension_means_by_producer", _csv(
+            ["producer", "dimension", "mean", "n"], dimension_means
         )
-        add("dimension_means_by_producer.csv", "dimension_means_by_producer")
 
-    update_manifest(out, emitted)
+
+def emit_reports(out_dir: str | Path, **results) -> list[EmittedFile]:
+    """Write a file for each result given, then merge the manifest.
+
+    Takes the keyword arguments of _reports; absent inputs mean absent files.
+    No old file is replaced until every new one, manifest.json last, is
+    written, and an OSError on the way is raised as MdqsError. Returns the
+    emitted entries (manifest.json itself is not listed).
+    """
+    out = Path(out_dir)
+    reports = _reports(**results)  # an unknown name is a TypeError before any write
+    emitted: list[EmittedFile] = []
+    staged: dict[str, Path] = {}  # final name -> its temporary file, in write order
+
+    def stage(name: str, write) -> None:
+        staged[name] = out / f".{name}.tmp"
+        with open(staged[name], "w", encoding="utf-8") as fh:
+            write(fh)
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        manifest = _read_manifest(out / "manifest.json")
+        for name, series, write in reports:
+            stage(name, write)
+            emitted.append(EmittedFile(path=name, series=series))
+            manifest[name] = series
+        files = [{"path": p, "series": manifest[p]} for p in sorted(manifest)]
+        stage("manifest.json", _json({"schema": 1, "files": files}))
+        for name, tmp in staged.items():
+            os.replace(tmp, out / name)
+    except OSError as exc:
+        raise MdqsError(f"cannot write reports to {out}: {exc}") from None
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
     return emitted

@@ -524,6 +524,11 @@ def signal_label(signal: QualitySignal | None) -> str:
 # configuration and the run loop
 
 
+# Each round adds a trust snapshot to the cell's report, so a cell's work and
+# its sim_<id>.json grow with rounds; beyond this a typo, not a study, is likely.
+MAX_ROUNDS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One cell of a simulation grid.
@@ -555,10 +560,13 @@ class SimConfig:
         ids = [p.evaluator_id for p in self.evaluators]
         if len(set(ids)) != len(ids):
             raise SimConfigError(f"{self.config_id}: duplicate evaluator ids")
-        if self.rounds < 1:
-            raise SimConfigError(f"{self.config_id}: rounds must be >= 1")
-        if not math.isfinite(self.reward_budget) or self.reward_budget < 0:
-            raise SimConfigError(f"{self.config_id}: reward_budget must be finite and >= 0")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise SimConfigError(f"{self.config_id}: rounds must be in [1, {MAX_ROUNDS}]")
+        # every round pays out reward_budget, so the run's total must be finite too
+        if not math.isfinite(self.reward_budget * self.rounds) or self.reward_budget < 0:
+            raise SimConfigError(
+                f"{self.config_id}: reward_budget must be >= 0 and finite over {self.rounds} rounds"
+            )
         if not (0.0 <= self.attack_ratio <= 1.0):
             raise SimConfigError(f"{self.config_id}: attack_ratio must be in [0, 1]")
         if self.budget is not None and (not math.isfinite(self.budget) or self.budget < 0):

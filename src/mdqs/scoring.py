@@ -289,16 +289,18 @@ def normalize_batch(values: Sequence[float]) -> list[float]:
     hi = max(vals)
     if hi == lo:
         return [0.5] * len(vals)
-    span = hi - lo
-    return [(v - lo) / span for v in vals]
+    # on halves, so a range wider than the largest float cannot overflow;
+    # halving is exact short of underflow, so the results keep their bits
+    lo, span = lo / 2, hi / 2 - lo / 2
+    return [(v / 2 - lo) / span for v in vals]
 
 
 def normalize_with_stats(values: Sequence[float], lo: float, hi: float) -> list[float]:
     """Normalize against frozen stats, clipping anything outside the range."""
     if hi <= lo:
         return [0.5 for _ in values]
-    span = hi - lo
-    return [min(1.0, max(0.0, (float(v) - lo) / span)) for v in values]
+    lo, span = lo / 2, hi / 2 - lo / 2  # on halves, as in normalize_batch
+    return [min(1.0, max(0.0, (float(v) / 2 - lo) / span)) for v in values]
 
 
 def normalize_evaluator_scores(

@@ -29,11 +29,20 @@ def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, 
     return ax, ay
 
 
+def _centred(a: np.ndarray) -> np.ndarray:
+    """`a` minus its mean, after scaling by the power of two that brings it
+    under 1 in magnitude, so a huge finite input cannot overflow a sum or a
+    square. Short of underflow the scaling is exact: the correlation keeps
+    its bits."""
+    a = np.ldexp(a, -int(np.frexp(np.abs(a).max())[1]))
+    return a - a.mean()
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     """Product-moment correlation, or None if either side is constant."""
     ax, ay = _paired_arrays(x, y)
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
+    dx = _centred(ax)
+    dy = _centred(ay)
     var_x = float(np.dot(dx, dx))
     var_y = float(np.dot(dy, dy))
     if var_x == 0.0 or var_y == 0.0:

@@ -1,7 +1,9 @@
 """End-to-end command line behavior, run in process through main()."""
 
+import copy
 import importlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,20 @@ def test_strict_malformed_line_exits_one(tmp_path):
     assert main(["validate", "--input", str(data), "--out", str(out), "--strict"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--input", "--out"])
+def test_unusable_path_exits_one_naming_it(tmp_path, capsys, flag):
+    # a directory where a dataset should be, a file where a directory should be
+    taken = tmp_path / "taken"
+    if flag == "--input":
+        taken.mkdir()
+        argv = ["--input", str(taken), "--out", str(tmp_path / "r")]
+    else:
+        taken.write_text("not a directory\n", encoding="utf-8")
+        argv = ["--input", str(planted_path(tmp_path)), "--out", str(taken)]
+    assert main(["validate", *argv]) == 1
+    assert str(taken) in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- validate
 
 def test_validate_clean_dataset(tmp_path, capsys):
@@ -128,6 +144,15 @@ def test_validate_counts_malformed_lines(tmp_path):
     assert main(["validate", "--input", str(data), "--out", str(out)]) == 1
     issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").strip().split("\n")
     assert len(issues) == 1
+
+
+def test_validate_counts_a_line_nested_past_the_recursion_limit(tmp_path):
+    data = planted_path(tmp_path)
+    data.write_text(data.read_text(encoding="utf-8") + "[" * 10_000 + "\n", encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["validate", "--input", str(data), "--out", str(out)]) == 1
+    issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["line"] for line in issues] == [25]
 
 
 def test_validate_flags_what_score_would_reject(tmp_path, capsys):
@@ -183,6 +208,7 @@ BAD_CONFIGS = [
     ('synthetic: {n: 10, correlations: {" ": {semantic: 0.5}}}\n', "synthetic.correlations"),
     ("seed: 18446744073709551616\n", "seed must be in"),
     ("synthetic: {n: 5, seed: -1}\n", "synthetic.seed"),
+    ("[" * 1_000 + "\n", "cannot load config"),  # nested past the recursion limit
 ]
 
 
@@ -230,6 +256,29 @@ def test_synth_writes_dataset(tmp_path):
     assert all(s.reference_score is not None for s in samples)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert {"path": "synthetic.jsonl", "series": "synthetic_dataset"} in manifest["files"]
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        b"[]",
+        b"\xff\xfe\x00\x81",
+        b'{"files": 3}',
+        b'{"files": [{"path": 1, "series": "x"}]}',
+        b'{"files": [{"path": "a"}]}',
+        b"{oops",
+        b"[" * 10_000,
+    ],
+    ids=["list", "not-utf8", "files-number", "path-number", "no-series", "not-json", "deep"],
+)
+def test_corrupt_manifest_exits_one_and_changes_nothing(tmp_path, capsys, manifest):
+    out = tmp_path / "r"
+    assert main(["synth", "--out", str(out), "--n", "50", "--seed", "1"]) == 0
+    (out / "manifest.json").write_bytes(manifest)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["synth", "--out", str(out), "--n", "50", "--seed", "2"]) == 1
+    assert "corrupt manifest" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_synth_needs_count_or_config(tmp_path):
@@ -465,6 +514,21 @@ def test_simulate_replay_with_composite_signal(tmp_path):
     assert entry["consensus_error"] is not None
 
 
+def test_simulate_replay_reports_malformed_lines(tmp_path):
+    data = planted_path(tmp_path)
+    data.write_text(data.read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
+    config = tmp_path / "sim.yaml"
+    config.write_text(
+        "sim:\n  mode: replay\n  rounds: 3\n  evaluators: [{id: e1}, {id: e2}]\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "r"
+    argv = ["simulate", "--config", str(config), "--input", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["line"] for line in issues] == [25]
+
+
 # ----------------------------------------------------------------- report
 
 def test_report_full_pipeline(tmp_path):
@@ -554,3 +618,71 @@ def test_report_flattens_a_comma_in_a_label(tmp_path):
     assert {s.producer_id for s in ingest(out / "scored.jsonl").samples} >= {"model,a"}
     sim = json.loads((out / "sim_none-r0.25-median-composite_default.json").read_text())
     assert "model,a" in sim["rewards"]
+
+
+# ------------------------------------------------------- seeded mutations
+
+# values that a record or a config can hold but should not
+HOSTILE = (
+    None, "", " ", "é\x00", -1, 0, -0.5, 1e308, -1e308, 2**70, float("nan"), float("inf"),
+    True, [], {}, [1, "a"], {"a": None}, "model-a", "column:", "median",
+)
+
+
+def _paths(node, prefix=()):
+    """Every (key or index, ...) path into a parsed JSON or YAML tree."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _paths(child, (*prefix, key))
+
+
+def _mutate(tree, rng: random.Random):
+    """A copy of `tree` with one key renamed or deleted, or one value replaced."""
+    tree = copy.deepcopy(tree)
+    *parents, key = rng.choice(list(_paths(tree)))
+    node = tree
+    for step in parents:
+        node = node[step]
+    action = rng.choice(("replace", "replace", "replace", "delete", "rename"))
+    if action == "rename" and isinstance(node, dict):
+        node[f"{key}x"] = node.pop(key)
+    elif action == "delete":
+        del node[key]
+    else:
+        node[key] = rng.choice(HOSTILE)
+    return tree
+
+
+def test_seeded_mutations_never_exit_two(tmp_path, capsys):
+    """`report` on a mutated record or config key exits 0 or 1, never 2."""
+    lines = Path(FIXTURES, "replay_200.jsonl").read_text(encoding="utf-8").splitlines()[:24]
+    records = [json.loads(line) for line in lines]
+    config = yaml.safe_load(Path(FIXTURES, "replay_config.yaml").read_text(encoding="utf-8"))
+    config["sim"]["rounds"] = 5
+    rng = random.Random(20240601)
+    crashes = []
+    for case in range(150):
+        data, run_config = list(records), config
+        if case == 0:
+            pass  # the unmutated inputs, which must succeed
+        elif case % 2:
+            i = rng.randrange(len(data))
+            data[i] = _mutate(data[i], rng)
+        else:
+            run_config = _mutate(config, rng)
+        data_path, config_path = tmp_path / f"{case}.jsonl", tmp_path / f"{case}.yaml"
+        data_path.write_text("".join(json.dumps(r) + "\n" for r in data), encoding="utf-8")
+        config_path.write_text(yaml.safe_dump(run_config), encoding="utf-8")
+        argv = ["report", "--config", str(config_path), "--input", str(data_path)]
+        code = main([*argv, "--out", str(tmp_path / f"r{case}")])
+        err = capsys.readouterr().err
+        assert case or code == 0, err
+        if code not in (0, 1):
+            crashes.append((case, code, err))
+    assert crashes == []

@@ -1,6 +1,7 @@
 """Serialization, config parsing, grid expansion, and report emission."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,14 @@ from mdqs.audit import (
     with_composites,
 )
 from mdqs.composite import PAPER_PRESET
-from mdqs.errors import MissingColumn, MissingReferenceText, SchemaError, TooFewEvaluators
+from mdqs.errors import (
+    MdqsError,
+    MissingColumn,
+    MissingReferenceText,
+    SchemaError,
+    TooFewEvaluators,
+)
 from mdqs.io import (
-    EmittedFile,
     IngestIssue,
     RunConfig,
     SimGridSpec,
@@ -33,9 +39,6 @@ from mdqs.io import (
     resolve_weights,
     sanitize_label,
     to_record,
-    update_manifest,
-    write_csv,
-    write_json,
     write_jsonl,
 )
 from mdqs.model import (
@@ -499,23 +502,26 @@ def test_resolve_weights_precedence():
 
 def test_frozen_stats_round_trip(tmp_path):
     path = tmp_path / "stats.json"
-    write_json(path, {"semantic": [0.1, 0.9], "structure": [0.0, 1.0]})
+    path.write_text(json.dumps({"semantic": [0.1, 0.9], "structure": [0.0, 1.0]}))
     stats = load_frozen_stats(path)
     assert stats == {
         DimensionId.SEMANTIC: (0.1, 0.9),
         DimensionId.STRUCTURE: (0.0, 1.0),
     }
-    write_json(path, {"semantic": [0.1]})
+    path.write_text(json.dumps({"semantic": [0.1]}))
     with pytest.raises(SchemaError):
         load_frozen_stats(path)
-    write_json(path, {"vibes": [0, 1]})
+    path.write_text(json.dumps({"vibes": [0, 1]}))
+    with pytest.raises(SchemaError):
+        load_frozen_stats(path)
+    path.write_text('{"semantic": ' + "[" * 10_000)
     with pytest.raises(SchemaError):
         load_frozen_stats(path)
 
 
 def test_build_scoring_config_wires_providers(tmp_path):
     stats_path = tmp_path / "stats.json"
-    write_json(stats_path, {"semantic": [0.0, 1.0]})
+    stats_path.write_text(json.dumps({"semantic": [0.0, 1.0]}))
     cfg = RunConfig(
         semantic_column="sts",
         alignment_column="judge",
@@ -551,38 +557,53 @@ def test_check_required_columns_fails_fast():
 
 # ------------------------------------------------------------ emission
 
-def test_write_csv_format(tmp_path):
-    path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b", "c"], [("x", 0.25, None), ("y", 2, 0.1)])
-    assert path.read_text(encoding="utf-8") == "a,b,c\nx,0.25,\ny,2,0.1\n"
+def snapshot(directory):
+    """{file name: bytes} of everything in `directory`, hidden files included."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_emit_reports_csv_format(tmp_path):
+    emit_reports(tmp_path, dimension_means=[("x", "d", 0.25, None), ("y", "d", 2, 0.1)])
+    path = tmp_path / "dimension_means_by_producer.csv"
+    assert path.read_text(encoding="utf-8") == "producer,dimension,mean,n\nx,d,0.25,\ny,d,2,0.1\n"
     # the dialect has no quoting, so text cells are flattened
-    write_csv(path, ["a", "b"], [('needs,"quoting"\nhere', 3)])
-    assert path.read_text(encoding="utf-8") == "a,b\nneeds;'quoting' here,3\n"
+    emit_reports(tmp_path, dimension_means=[('needs,"quoting"\nhere', "d", 3, 1)])
+    assert path.read_text(encoding="utf-8").splitlines()[1] == "needs;'quoting' here,d,3,1"
 
 
-def test_write_json_format(tmp_path):
-    path = tmp_path / "t.json"
-    write_json(path, {"b": 1, "a": [1.5, None]})
-    text = path.read_text(encoding="utf-8")
-    assert text.endswith("\n")
-    assert json.loads(text) == {"b": 1, "a": [1.5, None]}
+def test_emit_reports_json_format(tmp_path):
+    emit_reports(
+        tmp_path,
+        normalization_stats={DimensionId.SEMANTIC: (0.25, 1.0)},
+        ingest_issues=[IngestIssue(line_no=3, message="naïve, \"quoted\"")],
+    )
+    stats = (tmp_path / "normalization_stats.json").read_text(encoding="utf-8")
+    assert stats == '{\n  "semantic": [\n    0.25,\n    1.0\n  ]\n}\n'
+    issues = (tmp_path / "ingest_errors.jsonl").read_text(encoding="utf-8")
+    assert issues == '{"line":3,"error":"naïve, \\"quoted\\""}\n'
+    before = snapshot(tmp_path)
     with pytest.raises(ValueError):
-        write_json(path, {"x": float("nan")})
+        emit_reports(tmp_path, normalization_stats={DimensionId.SEMANTIC: (float("nan"), 1.0)})
+    assert snapshot(tmp_path) == before
 
 
-def test_update_manifest_merges_and_sorts(tmp_path):
-    update_manifest(tmp_path, [EmittedFile("b.csv", "beta")])
-    update_manifest(tmp_path, [EmittedFile("a.json", "alpha"), EmittedFile("b.csv", "beta2")])
+def test_emit_reports_merges_and_sorts_the_manifest(tmp_path):
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"schema": 1, "files": [{"path": "ablation_grid.csv", "series": "old"}]})
+    )
+    emit_reports(tmp_path, dimension_means=[])
+    emit_reports(tmp_path, ablation=[], ingest_issues=[IngestIssue(line_no=1, message="x")])
     manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert manifest == {
         "schema": 1,
         "files": [
-            {"path": "a.json", "series": "alpha"},
-            {"path": "b.csv", "series": "beta2"},
+            {"path": "ablation_grid.csv", "series": "ablation_grid"},
+            {"path": "dimension_means_by_producer.csv", "series": "dimension_means_by_producer"},
+            {"path": "ingest_errors.jsonl", "series": "ingest_errors"},
         ],
     }
     before = (tmp_path / "manifest.json").read_bytes()
-    update_manifest(tmp_path, [EmittedFile("a.json", "alpha")])
+    emit_reports(tmp_path, ablation=[])
     assert (tmp_path / "manifest.json").read_bytes() == before
 
 
@@ -696,3 +717,56 @@ def test_emit_reports_nothing_means_no_files(tmp_path):
     entries = emit_reports(tmp_path)
     assert entries == []
     assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["files"] == []
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_emit_reports_rejects_an_unknown_result_before_writing(tmp_path):
+    with pytest.raises(TypeError):
+        emit_reports(tmp_path / "r", scored=[])
+    assert not (tmp_path / "r").exists()
+
+
+def second_sim():
+    config = SimConfig(
+        config_id="inflate-r0.5-median",
+        evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(4)),
+        defense=Median(),
+        rounds=3,
+        producers={"pa": 0.4, "pb": 0.6},
+        attack=Inflate(delta=0.3),
+        attack_ratio=0.5,
+        rng_seed=6,
+    )
+    return config, run_single(config)
+
+
+@pytest.mark.parametrize(
+    "failing", ["validation.json", "audit.json", "sim_inflate-r0.5-median.json", "manifest.json"]
+)
+def test_a_failed_emit_leaves_the_directory_as_it_was(tmp_path, monkeypatch, failing):
+    emit_reports(tmp_path, **report_inputs())
+    before = snapshot(tmp_path)
+    real_open = open
+
+    def open_that_fails(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if Path(path).name == f".{failing}.tmp":
+            fh.write("half a file")
+            fh.close()
+            raise OSError(28, "No space left on device")
+        return fh
+
+    # a second run with different results: one more sim config, another ingest issue
+    inputs = report_inputs()
+    inputs["sim_results"].append(second_sim())
+    inputs["ingest_issues"] = [IngestIssue(line_no=9, message="truncated")]
+    monkeypatch.setattr("builtins.open", open_that_fails)
+    with pytest.raises(MdqsError, match=str(tmp_path)):
+        emit_reports(tmp_path, **inputs)
+    monkeypatch.undo()
+    assert snapshot(tmp_path) == before
+    # and the same results written without the fault do change the directory
+    emit_reports(tmp_path, **inputs)
+    after = snapshot(tmp_path)
+    assert set(after) == set(before) | {"sim_inflate-r0.5-median.json"}
+    assert after["manifest.json"] != before["manifest.json"]

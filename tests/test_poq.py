@@ -334,8 +334,9 @@ def test_sim_config_validation():
         SimConfig(config_id="", evaluators=profiles(2), defense=Median(), rounds=5)
     with pytest.raises(SimConfigError):
         SimConfig(config_id="c", evaluators=(), defense=Median(), rounds=5)
-    with pytest.raises(SimConfigError):
-        SimConfig(config_id="c", evaluators=profiles(2), defense=Median(), rounds=0)
+    for rounds in (0, 2**70):  # 2**70 rounds would run without end
+        with pytest.raises(SimConfigError, match="rounds"):
+            SimConfig(config_id="c", evaluators=profiles(2), defense=Median(), rounds=rounds)
     with pytest.raises(SimConfigError):
         SimConfig(
             config_id="c", evaluators=profiles(2), defense=Median(), rounds=5, attack_ratio=1.5
@@ -351,6 +352,11 @@ def test_sim_config_validation():
     dup = (EvaluatorProfile(evaluator_id="e"), EvaluatorProfile(evaluator_id="e"))
     with pytest.raises(SimConfigError):
         SimConfig(config_id="c", evaluators=dup, defense=Median(), rounds=5)
+    # each round pays the whole budget, so 5 rounds of 1e308 overflow the total
+    with pytest.raises(SimConfigError, match="reward_budget"):
+        SimConfig(
+            config_id="c", evaluators=profiles(2), defense=Median(), rounds=5, reward_budget=1e308
+        )
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,8 @@ def test_agreement_needs_two_evaluators():
 
 def test_normalize_batch_min_max():
     assert normalize_batch([-1.0, 0.0, 3.0]) == [0.0, 0.25, 1.0]
+    # a range wider than the largest float: hi - lo alone would overflow to inf
+    assert normalize_batch([-1e308, 0.0, 1e308]) == [0.0, 0.5, 1.0]
 
 
 def test_normalize_batch_zero_range_and_empty():
@@ -222,6 +224,7 @@ def test_normalize_batch_rejects_non_finite():
 
 def test_normalize_with_stats_clips():
     assert normalize_with_stats([-5.0, 0.0, 10.0, 20.0], 0.0, 10.0) == [0.0, 0.0, 1.0, 1.0]
+    assert normalize_with_stats([-1e308, 0.0, 5e307], -1e308, 1e308) == [0.0, 0.5, 0.75]
     # degenerate frozen window collapses to the midpoint
     assert normalize_with_stats([3.0, 9.0], 4.0, 4.0) == [0.5, 0.5]
 

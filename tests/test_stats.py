@@ -79,6 +79,16 @@ def test_pearson_known_value():
     assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
 
 
+def test_pearson_does_not_overflow_on_huge_finite_values():
+    x = [0.1, 0.2, 0.3, 0.4]
+    y = [0.1, 0.2, 0.3, 4.0]
+    # scaling by a power of two changes no bit of the result
+    assert pearson(x, [v * 2.0**1020 for v in y]) == pearson(x, y)
+    # squares, and here even the sum, of these would overflow without rescaling
+    huge = [1e308, 1e308, 1e308, 1e-300]
+    assert pearson(x, huge) == pytest.approx(pearson(x, [1.0, 1.0, 1.0, 0.0]), abs=1e-12)
+
+
 def test_zero_variance_is_undefined():
     assert pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
     assert pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
