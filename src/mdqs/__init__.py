@@ -18,13 +18,7 @@ from mdqs.audit import (
     consensus_baselines,
     with_composites,
 )
-from mdqs.composite import (
-    PAPER_PRESET,
-    VariantSpec,
-    compose,
-    compose_batch,
-    make_variant,
-)
+from mdqs.composite import VARIANTS, compose, compose_batch, variant
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from mdqs.composite import VariantSpec, compose_batch, make_variant
+from mdqs.composite import compose_batch, variant
 from mdqs.errors import (
     AllDimensionsRemoved,
     NoEvaluators,
@@ -198,11 +198,11 @@ def with_composites(
 
 def ablation_grid(
     samples: Sequence[LoggedSample],
-    variants: Sequence[tuple[str, VariantSpec]],
+    names: Iterable[str],
     base: WeightConfig = DEFAULT_WEIGHTS,
 ) -> list[CorrelationRow]:
-    """Overall reference correlation for each weight variant, one composite
-    row each.
+    """Overall reference correlation for each named weight variant of
+    `base`, one composite row each.
 
     Variants reuse the dimension scores already on the samples; nothing is
     re-scored, so the grid is cheap and rows are exactly comparable.
@@ -210,9 +210,9 @@ def ablation_grid(
     referenced = _referenced(samples, "ablation")
     return [
         _correlation_row(
-            "composite", name, compose_batch(referenced, make_variant(base, spec)), referenced
+            "composite", name, compose_batch(referenced, variant(base, name)), referenced
         )
-        for name, spec in variants
+        for name in names
     ]
 
 
@@ -265,7 +265,8 @@ def calibrate(
 ) -> CalibrationResult:
     """Drop dimensions whose gate statistic misses the threshold, renormalize.
 
-    Gate statistics come from `report`, audit(samples)'s result. A dimension with an undefined (zero variance) statistic is removed too:
+    Gate statistics come from `report`, audit(samples)'s result. A
+    dimension with an undefined (zero variance) statistic is removed too:
     it carries no ranking signal, and scoring it as 0 would let it slip
     past a negative threshold unnoticed.
     """
@@ -280,7 +281,7 @@ def calibrate(
         raise AllDimensionsRemoved(
             f"threshold {threshold} removes every dimension under gate {gate!r}"
         )
-    calibrated = make_variant(base, VariantSpec.removing(removed, name="calibrated"))
+    calibrated = WeightConfig("calibrated", {d: base[d] for d in dims if d not in removed})
 
     referenced = _referenced(samples, "calibration")
     before, after = (

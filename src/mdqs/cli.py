@@ -28,13 +28,13 @@ from mdqs.audit import (
     dimension_means_by_producer,
     with_composites,
 )
-from mdqs.composite import preset_variants
 from mdqs.errors import MdqsError, UsageError
 from mdqs.io import (
     IngestResult,
     RunConfig,
     build_grid,
     build_scoring_config,
+    check_config_needs,
     check_required_columns,
     emit_reports,
     ingest,
@@ -44,7 +44,7 @@ from mdqs.io import (
 from mdqs.model import validate_dataset
 from mdqs.poq import run_experiment
 from mdqs.rng import SEED_LIMIT
-from mdqs.scoring import missing_inputs, score_all
+from mdqs.scoring import ScoringConfig, missing_inputs, score_all
 from mdqs.synth import (
     DEFAULT_CORRELATIONS,
     DEFAULT_EVALUATOR_NOISE,
@@ -154,12 +154,16 @@ def _out_dir(args, config: RunConfig) -> Path:
     return Path(out)
 
 
-def _ingest(args, config: RunConfig) -> IngestResult:
+def _ingest(args, config: RunConfig, scoring: ScoringConfig | None = None) -> IngestResult:
+    """Read the input dataset, first refusing a `scoring` config that no
+    sample could satisfy."""
     path = getattr(args, "input", None) or config.input_path
     if not path:
         raise UsageError("no input dataset: pass --input or set 'input' in the config")
     if not Path(path).exists():
         raise UsageError(f"input dataset not found: {path}")
+    if scoring is not None:
+        check_config_needs(scoring)
     return ingest(path, strict=args.strict)
 
 
@@ -170,11 +174,11 @@ def _ingest(args, config: RunConfig) -> IngestResult:
 def cmd_validate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
-    missing = None
+    missing = scoring = None
     if args.config:  # also check what scoring under this config needs
-        scoring = build_scoring_config(config, resolve_weights(config, None))
+        scoring = build_scoring_config(config, config.weights)
         missing = functools.partial(missing_inputs, config=scoring)
-    result = _ingest(args, config)
+    result = _ingest(args, config, scoring)
     report = validate_dataset(result.samples, missing)
     emit_reports(out, validation=report, ingest_issues=result.issues)
     print(
@@ -189,7 +193,7 @@ def cmd_score(args) -> int:
     out = _out_dir(args, config)
     weights = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, weights)
-    result = _ingest(args, config)
+    result = _ingest(args, config, scoring)
     check_required_columns(result.samples, scoring)
     scored, stats = score_all(result.samples, scoring)
     emit_reports(
@@ -222,10 +226,8 @@ def cmd_audit(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
-    base = resolve_weights(config, None)
-    variants = preset_variants(config.variant_names)
     result = _ingest(args, config)
-    rows = ablation_grid(result.samples, variants, base=base)
+    rows = ablation_grid(result.samples, config.variant_names, base=config.weights)
     emit_reports(out, ablation=rows, ingest_issues=result.issues)
     print(f"ablate: {len(rows)} variant(s) over {rows[0].n if rows else 0} sample(s) -> {out}")
     return 0
@@ -263,7 +265,7 @@ def cmd_simulate(args) -> int:
     if config.sim.mode == "replay":
         result = _ingest(args, config)
         dataset, issues = result.samples, result.issues
-    results = run_experiment(grid, dataset=dataset, base_weights=resolve_weights(config, None))
+    results = run_experiment(grid, dataset=dataset, base_weights=config.weights)
     emit_reports(out, sim_results=list(zip(grid, results)), ingest_issues=issues)
     failures = sum(1 for r in results if not hasattr(r, "rewards"))
     print(f"simulate: {len(grid)} config(s), {failures} failed, seed {seed} -> {out}")
@@ -301,7 +303,7 @@ def cmd_report(args) -> int:
     seed = _resolve_seed(args, config)
     base = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, base)
-    result = _ingest(args, config)
+    result = _ingest(args, config, scoring)
     check_required_columns(result.samples, scoring)
     scored, stats = score_all(result.samples, scoring)
 
@@ -313,7 +315,7 @@ def cmd_report(args) -> int:
         else None
     )
     report = with_composites(report, scored, {base.name: base, "calibrated": cal.calibrated})
-    rows = ablation_grid(scored, preset_variants(config.variant_names), base=base)
+    rows = ablation_grid(scored, config.variant_names, base=base)
 
     sim_results = None
     if config.sim is not None:

@@ -2,13 +2,15 @@
 
 The composite is a pure post-processing layer over dimension outputs, so
 re-weighting experiments (ablations, calibration) never re-run scorers.
+VARIANTS is the one table of named weight variants; config keys, the
+--weights flag, the ablation grid and the composite quality signal all look
+names up in it through variant().
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
@@ -55,117 +57,35 @@ def compose_batch(samples: Sequence[LoggedSample], weights: WeightConfig) -> lis
     return out
 
 
-_PRIOR_DIMS = frozenset({DimensionId.MODEL_PRIOR, DimensionId.COST_PRIOR})
-
-_KINDS = ("default", "equal_weights", "no_priors", "prior_heavy", "semantic_only", "remove")
+_PRIORS = (DimensionId.MODEL_PRIOR, DimensionId.COST_PRIOR)
 
 
-@dataclass(frozen=True)
-class VariantSpec:
-    """A recipe for deriving a weight variant from a base config."""
-
-    kind: str
-    remove: frozenset[DimensionId] = frozenset()
-    factor: float = 2.0
-    name: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind == "prior_heavy" and (not math.isfinite(self.factor) or self.factor <= 0):
-            raise ValueError("prior_heavy factor must be finite and > 0")
-        object.__setattr__(self, "remove", frozenset(self.remove))
-
-    @classmethod
-    def default(cls) -> "VariantSpec":
-        return cls("default")
-
-    @classmethod
-    def equal_weights(cls) -> "VariantSpec":
-        return cls("equal_weights")
-
-    @classmethod
-    def no_priors(cls) -> "VariantSpec":
-        return cls("no_priors")
-
-    @classmethod
-    def prior_heavy(cls, factor: float = 2.0) -> "VariantSpec":
-        return cls("prior_heavy", factor=factor)
-
-    @classmethod
-    def semantic_only(cls) -> "VariantSpec":
-        return cls("semantic_only")
-
-    @classmethod
-    def removing(cls, dims: Iterable[DimensionId], name: str | None = None) -> "VariantSpec":
-        return cls("remove", remove=frozenset(dims), name=name)
-
-    def display_name(self) -> str:
-        if self.name:
-            return self.name
-        if self.kind == "remove":
-            dropped = "+".join(sorted(d.value for d in self.remove))
-            return f"remove_{dropped}" if dropped else "remove_nothing"
-        return self.kind
+def _without(*dims: DimensionId) -> Callable[[Mapping[DimensionId, float]], dict]:
+    return lambda weights: {d: w for d, w in weights.items() if d not in dims}
 
 
-def make_variant(base: WeightConfig, spec: VariantSpec) -> WeightConfig:
-    """Derive a weight variant; WeightConfig renormalizes on construction."""
-    name = spec.display_name()
-    dims = base.dimensions()
-    if spec.kind == "default":
-        return WeightConfig(name, dict(base.weights))
-    if spec.kind == "equal_weights":
-        return WeightConfig(name, {d: 1.0 for d in dims})
-    if spec.kind == "no_priors":
-        kept = {d: base[d] for d in dims if d not in _PRIOR_DIMS}
-        if not kept:
-            raise AllDimensionsRemoved("variant no_priors leaves no dimensions")
-        return WeightConfig(name, kept)
-    if spec.kind == "prior_heavy":
-        scaled = {
-            d: base[d] * (spec.factor if d in _PRIOR_DIMS else 1.0) for d in dims
-        }
-        return WeightConfig(name, scaled)
-    if spec.kind == "semantic_only":
-        if DimensionId.SEMANTIC not in dims:
-            raise AllDimensionsRemoved("base config has no semantic dimension")
-        return WeightConfig(name, {DimensionId.SEMANTIC: 1.0})
-    if spec.kind == "remove":
-        kept = {d: base[d] for d in dims if d not in spec.remove}
-        if not kept:
-            raise AllDimensionsRemoved("removal set covers every dimension")
-        return WeightConfig(name, kept)
-    raise ValueError(f"unknown variant kind {spec.kind!r}")
+# The ablation grid's weight variants, in grid order: each maps the base
+# weights to the variant's weights, which WeightConfig then renormalizes.
+VARIANTS: dict[str, Callable[[Mapping[DimensionId, float]], dict]] = {
+    "default": dict,
+    "equal_weights": lambda weights: dict.fromkeys(weights, 1.0),
+    "no_priors": _without(*_PRIORS),
+    "prior_heavy": lambda weights: {
+        d: w * 2.0 if d in _PRIORS else w for d, w in weights.items()
+    },
+    "semantic_only": lambda weights: {d: 1.0 for d in weights if d is DimensionId.SEMANTIC},
+    "no_structure": _without(DimensionId.STRUCTURE),
+    "no_alignment": _without(DimensionId.ALIGNMENT),
+    "no_agreement": _without(DimensionId.AGREEMENT),
+    "calibrated": _without(DimensionId.ALIGNMENT, DimensionId.AGREEMENT),
+}
 
 
-# The standard nine-variant ablation grid.
-PAPER_PRESET: tuple[tuple[str, VariantSpec], ...] = (
-    ("default", VariantSpec.default()),
-    ("equal_weights", VariantSpec.equal_weights()),
-    ("no_priors", VariantSpec.no_priors()),
-    ("prior_heavy", VariantSpec.prior_heavy(2.0)),
-    ("semantic_only", VariantSpec.semantic_only()),
-    ("no_structure", VariantSpec.removing({DimensionId.STRUCTURE}, name="no_structure")),
-    ("no_alignment", VariantSpec.removing({DimensionId.ALIGNMENT}, name="no_alignment")),
-    ("no_agreement", VariantSpec.removing({DimensionId.AGREEMENT}, name="no_agreement")),
-    (
-        "calibrated",
-        VariantSpec.removing(
-            {DimensionId.ALIGNMENT, DimensionId.AGREEMENT}, name="calibrated"
-        ),
-    ),
-)
-
-
-def preset_variants(names: Sequence[str] | None = None) -> list[tuple[str, VariantSpec]]:
-    """The named subset of the standard grid, in grid order."""
-    if names is None:
-        return list(PAPER_PRESET)
-    known = dict(PAPER_PRESET)
-    out = []
-    for name in names:
-        if name not in known:
-            raise ValueError(f"unknown variant {name!r} (known: {', '.join(known)})")
-        out.append((name, known[name]))
-    return out
+def variant(base: WeightConfig, name: str) -> WeightConfig:
+    """The weight variant `name` of `base`, named after the variant."""
+    if name not in VARIANTS:
+        raise SchemaError(f"unknown weights variant {name!r} (known: {', '.join(VARIANTS)})")
+    weights = VARIANTS[name](base.weights)
+    if not weights:
+        raise AllDimensionsRemoved(f"variant {name!r} leaves no dimensions")
+    return WeightConfig(name, weights)

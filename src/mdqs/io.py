@@ -28,10 +28,11 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import yaml
 
 from mdqs.audit import GATE_CHOICES, AuditBlock, AuditReport, CalibrationResult, CorrelationRow
-from mdqs.composite import PAPER_PRESET
+from mdqs.composite import VARIANTS, variant
 from mdqs.errors import MdqsError, SchemaError, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
+    DEFAULT_WEIGHTS,
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
@@ -53,7 +54,6 @@ from mdqs.poq import (
     QualitySignal,
     SimConfig,
     attack_label,
-    defense_label,
     signal_label,
 )
 from mdqs.rng import SEED_LIMIT
@@ -328,7 +328,7 @@ def build_grid(spec: SimGridSpec, master_seed: int) -> list[SimConfig]:
                     parts = [
                         sanitize_label(attack_label(attack)),
                         f"r{ratio:g}",
-                        sanitize_label(defense_label(defense)),
+                        sanitize_label(defense.label()),
                     ]
                     if signal is not None:
                         parts.append(sanitize_label(signal_label(signal)))
@@ -360,8 +360,7 @@ class RunConfig:
     input_path: str | None = None
     out_dir: str | None = None
     seed: int | None = None
-    weights_name: str | None = None
-    weights_inline: Mapping[DimensionId, float] | None = None
+    weights: WeightConfig = DEFAULT_WEIGHTS
     structure: StructurePolicy = field(default_factory=StructurePolicy)
     semantic_column: str | None = None  # None: the built-in semantic scorer
     alignment_column: str | None = None
@@ -372,7 +371,7 @@ class RunConfig:
     gate: str = "pearson"
     threshold: float = 0.0
     per_task: bool = False
-    variant_names: tuple[str, ...] | None = None
+    variant_names: tuple[str, ...] = tuple(VARIANTS)
     synthetic: SyntheticSpec | None = None
     sim: SimGridSpec | None = None
 
@@ -457,17 +456,20 @@ def parse_signal(entry, where: str = "signal") -> QualitySignal:
     return _strategy(SIGNALS, entry, where)
 
 
-def _weights(value) -> tuple[str | None, dict[DimensionId, float] | None]:
-    if value is None or isinstance(value, str):
-        return value, None
+_variant_name = _one_of(*VARIANTS)
+
+
+def _weights(value) -> WeightConfig:
+    if value is None:
+        return DEFAULT_WEIGHTS
+    if isinstance(value, str):
+        return variant(DEFAULT_WEIGHTS, _variant_name(value, "weights"))
     if not isinstance(value, dict):
         raise SchemaError("weights must be a variant name or a {dimension: weight} map")
-    weights = _dimension_map(value, "weights", _weight)
     try:
-        WeightConfig("custom", weights)
+        return WeightConfig("custom", _dimension_map(value, "weights", _weight))
     except (ValueError, OverflowError) as exc:  # an empty map, a zero or huge sum
         raise SchemaError(f"weights: {exc}") from None
-    return None, weights
 
 
 def _weight(value, where: str) -> float:
@@ -591,7 +593,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     if schema != 1:
         raise SchemaError(f"unsupported config schema {schema!r}")
     seed = _opt(raw, "seed", _seed, "")
-    weights_name, weights_inline = _weights(raw.get("weights"))
+    weights = _weights(raw.get("weights"))
 
     providers = _section(raw.get("providers"), "providers", ("semantic", "alignment"))
     priors = _section(raw.get("priors"), "priors", ("model_rating", "cost_efficiency"))
@@ -606,18 +608,16 @@ def load_config(path: str | Path | None) -> RunConfig:
     audit_section = _section(raw.get("audit"), "audit", audit_keys)
     _opt(audit_section, "preset", _one_of("paper"), "audit")  # the only preset; accepted, ignored
     variants = audit_section.get("variants")
-    if variants is not None:
-        if not isinstance(variants, list):
-            raise SchemaError("audit.variants must be a list of variant names")
-        variant = _one_of(*(name for name, _ in PAPER_PRESET))
-        variants = tuple(variant(v, f"audit.variants[{i}]") for i, v in enumerate(variants))
+    variants = list(VARIANTS) if variants is None else variants
+    if not isinstance(variants, list):
+        raise SchemaError("audit.variants must be a list of variant names")
+    variants = tuple(_variant_name(v, f"audit.variants[{i}]") for i, v in enumerate(variants))
 
     return RunConfig(
         input_path=_opt(raw, "input", _text, ""),
         out_dir=_opt(raw, "out", _text, ""),
         seed=seed,
-        weights_name=weights_name,
-        weights_inline=weights_inline,
+        weights=weights,
         structure=_from_fields(StructurePolicy, raw.get("structure"), "structure"),
         semantic_column=_opt(providers, "semantic", _semantic_column, "providers"),
         alignment_column=_opt(providers, "alignment", _column, "providers"),
@@ -635,19 +635,8 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 
 def resolve_weights(config: RunConfig, override_name: str | None = None) -> WeightConfig:
-    """Pick the run's weight config: flag override, inline map, named variant."""
-    from mdqs.composite import make_variant
-    from mdqs.model import DEFAULT_WEIGHTS
-
-    name = override_name or config.weights_name
-    if name is None and config.weights_inline is not None:
-        return WeightConfig("custom", config.weights_inline)
-    if name is None or name == "default":
-        return DEFAULT_WEIGHTS
-    known = dict(PAPER_PRESET)
-    if name not in known:
-        raise SchemaError(f"unknown weights variant {name!r} (known: {', '.join(known)})")
-    return make_variant(DEFAULT_WEIGHTS, known[name])
+    """The run's weight config: the --weights variant if given, else the config's."""
+    return variant(DEFAULT_WEIGHTS, override_name) if override_name else config.weights
 
 
 def _min_max(pair, where: str) -> tuple[float, float]:
@@ -685,6 +674,20 @@ def build_scoring_config(
         alignment_provider=alignment,
         frozen_stats=frozen,
     )
+
+
+def check_config_needs(scoring: ScoringConfig) -> None:
+    """Fail before ingest on what no sample can supply: a weighted prior
+    dimension without a non-empty table, or weighted alignment without a column."""
+    active = scoring.weights.dimensions()
+    for dim, key, table in (
+        (DimensionId.MODEL_PRIOR, "priors.model_rating", scoring.model_priors),
+        (DimensionId.COST_PRIOR, "priors.cost_efficiency", scoring.cost_priors),
+    ):
+        if dim in active and (table is None or not table.ratings):
+            raise SchemaError(f"{key} must be a non-empty table while {dim.value} is weighted")
+    if DimensionId.ALIGNMENT in active and scoring.alignment_provider is None:
+        raise SchemaError("providers.alignment must name a column while alignment is weighted")
 
 
 def check_required_columns(samples: Sequence[LoggedSample], scoring: ScoringConfig) -> None:
@@ -805,7 +808,7 @@ def _sim_entry_json(config: SimConfig, result: SimOutcome | SimError) -> dict:
         "config_id": config.config_id,
         "attack": attack_label(config.attack),
         "attack_ratio": config.attack_ratio,
-        "defense": defense_label(config.defense),
+        "defense": config.defense.label(),
         "quality_signal": signal_label(config.quality_signal),
         "rounds": config.rounds,
         "reward_budget": config.reward_budget,
@@ -845,7 +848,7 @@ def _sim_row(config: SimConfig, result: SimOutcome | SimError) -> tuple:
         "ok" if ok else "error",
         sanitize_label(attack_label(config.attack)),
         config.attack_ratio,
-        sanitize_label(defense_label(config.defense)),
+        sanitize_label(config.defense.label()),
         sanitize_label(signal_label(config.quality_signal)),
         result.consensus_error if ok else None,
         result.skipped_rounds if ok else None,

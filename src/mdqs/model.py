@@ -44,33 +44,17 @@ def parse_dimension(name: str) -> DimensionId:
 
 @dataclass(frozen=True)
 class TaskFamily:
-    """Task grouping used for per-family reporting.
-
-    Anything other than "qa" and "summarization" is an open family keyed by
-    its own lowercase label.
+    """Task grouping used for per-family reporting, keyed by its trimmed
+    lowercase label. Reports list "qa" and "summarization" first, then any
+    other family in order of first appearance.
     """
 
     label: str
-
-    QA: "TaskFamily" = None  # type: ignore[assignment]
-    SUMMARIZATION: "TaskFamily" = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.label or not self.label.strip():
             raise ValueError("task label must be non-empty")
         object.__setattr__(self, "label", self.label.strip().lower())
-
-    @property
-    def is_qa(self) -> bool:
-        return self.label == "qa"
-
-    @property
-    def is_summarization(self) -> bool:
-        return self.label == "summarization"
-
-
-TaskFamily.QA = TaskFamily("qa")
-TaskFamily.SUMMARIZATION = TaskFamily("summarization")
 
 
 @dataclass(frozen=True)

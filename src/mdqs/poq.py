@@ -30,7 +30,7 @@ from typing import Callable, ClassVar, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from mdqs.composite import PAPER_PRESET, compose_batch, make_variant
+from mdqs.composite import VARIANTS, compose_batch, variant
 from mdqs.errors import (
     EmptyAfterTrim,
     MdqsError,
@@ -310,10 +310,6 @@ DefenseConfig = Union[Mean, Median, TrimmedMean, AdaptiveTrust]
 DEFENSES: dict[str, type] = {c.type: c for c in (Mean, Median, TrimmedMean, AdaptiveTrust)}
 
 
-def defense_label(defense: DefenseConfig) -> str:
-    return defense.label()
-
-
 def _renormalized(weights: Mapping[str, float]) -> dict[str, float]:
     total = math.fsum(weights.values())
     if total <= 0.0:
@@ -487,16 +483,15 @@ class ConsensusBaseline:
 
 @dataclass(frozen=True)
 class CompositeSignal:
-    """The composite under one of the paper preset's weight variants."""
+    """The composite under one of the weight variants in VARIANTS."""
 
     type: ClassVar[str] = "composite"
     variant: str = "default"
 
     def __post_init__(self):
-        known = dict(PAPER_PRESET)
-        if self.variant not in known:
+        if self.variant not in VARIANTS:
             raise SimConfigError(
-                f"unknown composite variant {self.variant!r} (known: {', '.join(known)})"
+                f"unknown composite variant {self.variant!r} (known: {', '.join(VARIANTS)})"
             )
 
     def label(self) -> str:
@@ -505,8 +500,7 @@ class CompositeSignal:
     def values(
         self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
     ) -> dict[str, float]:
-        weights = make_variant(base_weights, dict(PAPER_PRESET)[self.variant])
-        scores = compose_batch(dataset, weights)
+        scores = compose_batch(dataset, variant(base_weights, self.variant))
         return {s.sample_id: v for s, v in zip(dataset, scores)}
 
 
@@ -749,7 +743,8 @@ def run_experiment(
     references and query groups are computed once and shared by every cell."""
     ids = [c.config_id for c in grid]
     if len(set(ids)) != len(ids):
-        raise SimConfigError("grid has duplicate config_ids")
+        repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+        raise SimConfigError(f"grid has duplicate config_id {repeated!r}")
     replay = None if dataset is None else _Replay(dataset, base_weights)
     results: list[SimOutcome | SimError] = []
     for config in grid:

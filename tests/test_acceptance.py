@@ -17,13 +17,7 @@ import pytest
 import conftest
 from mdqs.audit import ablation_grid, audit, calibrate
 from mdqs.cli import main
-from mdqs.composite import (
-    PAPER_PRESET,
-    VariantSpec,
-    compose,
-    make_variant,
-    preset_variants,
-)
+from mdqs.composite import VARIANTS, compose, variant
 from mdqs.io import emit_reports, write_jsonl
 from mdqs.model import DEFAULT_WEIGHTS, DimensionId, DimensionVector, EvaluatorProfile
 from mdqs.poq import (
@@ -144,10 +138,7 @@ def test_criterion_2_composite_algebra():
             vec = DimensionVector({d: 1.0 if d is target else 0.0 for d in DimensionId})
             assert compose(vec, DEFAULT_WEIGHTS) == pytest.approx(expected, abs=1e-12)
 
-        trimmed = make_variant(
-            DEFAULT_WEIGHTS,
-            VariantSpec.removing(frozenset({DimensionId.ALIGNMENT, DimensionId.AGREEMENT})),
-        )
+        trimmed = variant(DEFAULT_WEIGHTS, "calibrated")
         renormalized = {
             DimensionId.MODEL_PRIOR: 0.2143,
             DimensionId.COST_PRIOR: 0.1429,
@@ -211,8 +202,8 @@ def test_criterion_3_planted_sign_structure_recovered():
 def test_criterion_4_ablation_grid_consistency(tmp_path):
     def body():
         samples = _frozen_dataset()
-        rows = ablation_grid(samples, preset_variants())
-        assert [r.name for r in rows] == [name for name, _ in PAPER_PRESET]
+        rows = ablation_grid(samples, VARIANTS)
+        assert [r.name for r in rows] == list(VARIANTS)
         assert len(rows) == 9
         semantic_only = next(r for r in rows if r.name == "semantic_only")
         dim_row = audit(samples).overall.row("dimension", "semantic")

@@ -16,7 +16,7 @@ from mdqs.audit import (
     dimension_means_by_producer,
     with_composites,
 )
-from mdqs.composite import PAPER_PRESET, VariantSpec, make_variant
+from mdqs.composite import VARIANTS, variant
 from mdqs.errors import (
     AllDimensionsRemoved,
     NoEvaluators,
@@ -174,8 +174,8 @@ def test_audit_ignores_dimensions_nobody_scored():
 
 def test_ablation_grid_covers_requested_variants():
     samples = planted_batch()
-    rows = ablation_grid(samples, PAPER_PRESET)
-    assert [r.name for r in rows] == [name for name, _ in PAPER_PRESET]
+    rows = ablation_grid(samples, VARIANTS)
+    assert [r.name for r in rows] == list(VARIANTS)
     for r in rows:
         assert r.n == len(samples)
 
@@ -183,7 +183,7 @@ def test_ablation_grid_covers_requested_variants():
 def test_ablation_semantic_only_matches_dimension_row():
     samples = planted_batch()
     report = audit(samples)
-    rows = {r.name: r for r in ablation_grid(samples, PAPER_PRESET)}
+    rows = {r.name: r for r in ablation_grid(samples, VARIANTS)}
     dim_row = report.overall.row("dimension", "semantic")
     # identical input columns, so identical statistics, bit for bit
     assert rows["semantic_only"].pearson == dim_row.pearson
@@ -193,19 +193,19 @@ def test_ablation_semantic_only_matches_dimension_row():
 def test_ablation_matches_direct_computation():
     samples = planted_batch()
     refs = [s.reference_score for s in samples]
-    weights = make_variant(DEFAULT_WEIGHTS, VariantSpec.no_priors())
+    weights = variant(DEFAULT_WEIGHTS, "no_priors")
     scores = [
         math.fsum(weights[d] * s.dimension_scores[d] for d in weights.dimensions())
         for s in samples
     ]
-    rows = {r.name: r for r in ablation_grid(samples, [("no_priors", VariantSpec.no_priors())])}
+    rows = {r.name: r for r in ablation_grid(samples, ["no_priors"])}
     assert rows["no_priors"].pearson == pytest.approx(pearson(scores, refs), abs=1e-12)
     assert rows["no_priors"].spearman == pytest.approx(spearman(scores, refs), abs=1e-12)
 
 
 def test_ablation_needs_references():
     with pytest.raises(TooFewReferencedSamples):
-        ablation_grid([make_sample(sample_id="s0")], PAPER_PRESET)
+        ablation_grid([make_sample(sample_id="s0")], VARIANTS)
 
 
 def test_composite_row_is_the_same_from_ablation_calibrate_and_audit():
@@ -214,7 +214,7 @@ def test_composite_row_is_the_same_from_ablation_calibrate_and_audit():
     raw = ingest(f"{FIXTURES}/replay_200.jsonl").samples
     samples, _ = score_all(raw, build_scoring_config(config, base))
     report = audit(samples)
-    (grid,) = ablation_grid(samples, [("default", VariantSpec.default())], base=base)
+    (grid,) = ablation_grid(samples, ["default"], base=base)
     before = calibrate(report, samples, base=base).before
     overall = with_composites(report, samples, {base.name: base}).overall.row("composite", base.name)
     assert grid.pearson is not None and grid.spearman is not None

@@ -179,6 +179,39 @@ def test_validate_flags_what_score_would_reject(tmp_path, capsys):
     assert "sample 's00003' has no reference_text" in capsys.readouterr().err
 
 
+def replay_config_edited(tmp_path, edit) -> str:
+    raw = yaml.safe_load((Path(FIXTURES) / "replay_config.yaml").read_text(encoding="utf-8"))
+    edit(raw)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return str(path)
+
+
+UNMET_NEEDS = [
+    (lambda raw: raw.pop("priors"), "priors.model_rating"),
+    (lambda raw: raw["priors"].update(model_rating={}), "priors.model_rating"),
+    (lambda raw: raw["providers"].pop("alignment"), "providers.alignment"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, key", UNMET_NEEDS, ids=["no-priors", "empty-model-rating", "no-alignment"]
+)
+def test_config_no_sample_can_satisfy_exits_one_before_ingest(
+    tmp_path, capsys, monkeypatch, edit, key
+):
+    config = replay_config_edited(tmp_path, edit)
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(mdqs.cli, "ingest", no_ingest)
+    for command in ("validate", "score", "report"):
+        argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl"]
+        assert main([command, *argv, "--out", str(tmp_path / command)]) == 1
+        assert key in capsys.readouterr().err
+
+
 SIM = "sim:\n  evaluators: [{id: e1}]\n  producers: {a: 0.5}\n"
 
 
@@ -209,6 +242,7 @@ BAD_CONFIGS = [
     ("seed: 18446744073709551616\n", "seed must be in"),
     ("synthetic: {n: 5, seed: -1}\n", "synthetic.seed"),
     ("[" * 1_000 + "\n", "cannot load config"),  # nested past the recursion limit
+    ("weights: bogus\n", "weights must be one of"),
 ]
 
 
@@ -373,6 +407,17 @@ def test_score_weights_override_limits_dimensions(tmp_path):
     assert all({d.value for d in s.dimension_scores.keys()} == {"semantic"} for s in scored)
 
 
+def test_unknown_weights_variant_exits_one(tmp_path, capsys):
+    config = tmp_path / "bogus.yaml"
+    config.write_text("weights: bogus\nsynthetic: {n: 5}\n", encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "s")]) == 1
+    assert "weights" in capsys.readouterr().err
+    data = synth_dataset(tmp_path)
+    argv = ["--config", str(scoring_config(tmp_path)), "--input", str(data)]
+    assert main(["score", *argv, "--out", str(tmp_path / "r"), "--weights", "bogus"]) == 1
+    assert "unknown weights variant 'bogus'" in capsys.readouterr().err
+
+
 def test_score_without_priors_is_domain_error(tmp_path, capsys):
     data = synth_dataset(tmp_path)
     assert main(["score", "--input", str(data), "--out", str(tmp_path / "r")]) == 1
@@ -512,6 +557,13 @@ def test_simulate_replay_with_composite_signal(tmp_path):
     )
     assert entry["status"] == "ok"
     assert entry["consensus_error"] is not None
+
+
+def test_duplicate_grid_config_id_is_named(tmp_path, capsys):
+    config = replay_config_edited(tmp_path, lambda raw: raw["sim"].update(ratios=[0.25, 0.25]))
+    argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl"]
+    assert main(["simulate", *argv, "--out", str(tmp_path / "r")]) == 1
+    assert "duplicate config_id 'none-r0.25-median-composite_default'" in capsys.readouterr().err
 
 
 def test_simulate_replay_reports_malformed_lines(tmp_path):

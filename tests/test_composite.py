@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import make_sample
-from mdqs.composite import (
-    PAPER_PRESET,
-    VariantSpec,
-    compose,
-    compose_batch,
-    make_variant,
-    preset_variants,
-)
+from mdqs.composite import VARIANTS, compose, compose_batch, variant
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
     DimensionId,
     DimensionVector,
+    WeightConfig,
 )
 
 
@@ -74,9 +68,7 @@ def test_compose_requires_exact_key_match():
     partial = DimensionVector({DimensionId.SEMANTIC: 0.5})
     with pytest.raises(DimensionMismatch):
         compose(partial, DEFAULT_WEIGHTS)
-    smaller = make_variant(
-        DEFAULT_WEIGHTS, VariantSpec.removing({DimensionId.AGREEMENT}, "no_agreement")
-    )
+    smaller = variant(DEFAULT_WEIGHTS, "no_agreement")
     full = DimensionVector({d: 0.5 for d in CANONICAL_DIMENSIONS})
     with pytest.raises(DimensionMismatch):
         compose(full, smaller)
@@ -88,9 +80,7 @@ def test_compose_batch_restricts_to_active_weights():
             DimensionVector({d: 0.5 for d in CANONICAL_DIMENSIONS})
         )
     ]
-    weights = make_variant(
-        DEFAULT_WEIGHTS, VariantSpec.removing({DimensionId.AGREEMENT}, "no_agreement")
-    )
+    weights = variant(DEFAULT_WEIGHTS, "no_agreement")
     assert compose_batch(samples, weights) == [pytest.approx(0.5)]
 
 
@@ -110,10 +100,7 @@ def test_compose_batch_missing_dimension_raises():
 
 
 def test_remove_variant_renormalizes():
-    spec = VariantSpec.removing(
-        {DimensionId.ALIGNMENT, DimensionId.AGREEMENT}, "calibrated"
-    )
-    w = make_variant(DEFAULT_WEIGHTS, spec).weights
+    w = variant(DEFAULT_WEIGHTS, "calibrated").weights
     # remaining raw weights .15/.10/.20/.25 over a total of .70
     assert w[DimensionId.MODEL_PRIOR] == pytest.approx(0.15 / 0.70, abs=1e-4)
     assert w[DimensionId.COST_PRIOR] == pytest.approx(0.10 / 0.70, abs=1e-4)
@@ -124,13 +111,13 @@ def test_remove_variant_renormalizes():
 
 
 def test_equal_weights_variant():
-    w = make_variant(DEFAULT_WEIGHTS, VariantSpec.equal_weights()).weights
+    w = variant(DEFAULT_WEIGHTS, "equal_weights").weights
     for d in CANONICAL_DIMENSIONS:
         assert w[d] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_no_priors_variant():
-    w = make_variant(DEFAULT_WEIGHTS, VariantSpec.no_priors()).weights
+    w = variant(DEFAULT_WEIGHTS, "no_priors").weights
     assert DimensionId.MODEL_PRIOR not in w
     assert DimensionId.COST_PRIOR not in w
     # .20/.25/.15/.15 renormalized over .75
@@ -138,7 +125,7 @@ def test_no_priors_variant():
 
 
 def test_prior_heavy_variant():
-    w = make_variant(DEFAULT_WEIGHTS, VariantSpec.prior_heavy(2.0)).weights
+    w = variant(DEFAULT_WEIGHTS, "prior_heavy").weights
     # priors doubled then renormalized: total is .30 + .20 + .75 = 1.25
     assert w[DimensionId.MODEL_PRIOR] == pytest.approx(0.30 / 1.25, abs=1e-12)
     assert w[DimensionId.COST_PRIOR] == pytest.approx(0.20 / 1.25, abs=1e-12)
@@ -146,39 +133,34 @@ def test_prior_heavy_variant():
 
 
 def test_semantic_only_variant():
-    w = make_variant(DEFAULT_WEIGHTS, VariantSpec.semantic_only()).weights
+    w = variant(DEFAULT_WEIGHTS, "semantic_only").weights
     assert list(w) == [DimensionId.SEMANTIC]
     assert w[DimensionId.SEMANTIC] == 1.0
 
 
 def test_default_variant_is_identity():
-    w = make_variant(DEFAULT_WEIGHTS, VariantSpec.default())
+    w = variant(DEFAULT_WEIGHTS, "default")
     assert w.weights == DEFAULT_WEIGHTS.weights
+    assert w == DEFAULT_WEIGHTS
 
 
 def test_remove_everything_rejected():
-    with pytest.raises(AllDimensionsRemoved):
-        make_variant(DEFAULT_WEIGHTS, VariantSpec.removing(set(CANONICAL_DIMENSIONS)))
-
-
-def test_variant_spec_validation():
-    with pytest.raises(ValueError):
-        VariantSpec("mystery_kind")
-    with pytest.raises(ValueError):
-        VariantSpec.prior_heavy(0.0)
-    with pytest.raises(ValueError):
-        VariantSpec.prior_heavy(float("inf"))
-
-
-def test_variant_display_names():
-    assert VariantSpec.removing({DimensionId.STRUCTURE}).display_name() == "remove_structure"
-    assert VariantSpec.removing({DimensionId.STRUCTURE}, "custom").display_name() == "custom"
-    assert VariantSpec.equal_weights().display_name() == "equal_weights"
+    priors_only = WeightConfig(
+        "priors", {DimensionId.MODEL_PRIOR: 1.0, DimensionId.COST_PRIOR: 1.0}
+    )
+    with pytest.raises(AllDimensionsRemoved, match="'no_priors'"):
+        variant(priors_only, "no_priors")
+    with pytest.raises(AllDimensionsRemoved, match="'semantic_only'"):
+        variant(priors_only, "semantic_only")
+    alignment_agreement = WeightConfig(
+        "pair", {DimensionId.ALIGNMENT: 1.0, DimensionId.AGREEMENT: 1.0}
+    )
+    with pytest.raises(AllDimensionsRemoved, match="'calibrated'"):
+        variant(alignment_agreement, "calibrated")
 
 
 def test_paper_preset_order_and_names():
-    names = [name for name, _ in PAPER_PRESET]
-    assert names == [
+    assert list(VARIANTS) == [
         "default",
         "equal_weights",
         "no_priors",
@@ -189,16 +171,19 @@ def test_paper_preset_order_and_names():
         "no_agreement",
         "calibrated",
     ]
-    specs = dict(PAPER_PRESET)
-    assert specs["calibrated"].remove == frozenset(
-        {DimensionId.ALIGNMENT, DimensionId.AGREEMENT}
+    for name in VARIANTS:
+        assert variant(DEFAULT_WEIGHTS, name).name == name
+    dropped = {DimensionId.ALIGNMENT, DimensionId.AGREEMENT}
+    kept = DEFAULT_WEIGHTS.dimensions() - dropped
+    assert variant(DEFAULT_WEIGHTS, "calibrated").dimensions() == kept
+    heavy = variant(DEFAULT_WEIGHTS, "prior_heavy")
+    assert heavy[DimensionId.MODEL_PRIOR] / heavy[DimensionId.SEMANTIC] == pytest.approx(
+        2.0 * 0.15 / 0.25, abs=1e-12
     )
-    assert specs["prior_heavy"].factor == 2.0
 
 
 def test_preset_variants_subset_lookup():
-    variants = preset_variants(["default", "calibrated"])
-    assert [name for name, _ in variants] == ["default", "calibrated"]
-    assert preset_variants() == list(PAPER_PRESET)
-    with pytest.raises(ValueError):
-        preset_variants(["nonexistent"])
+    picked = [variant(DEFAULT_WEIGHTS, name) for name in ("calibrated", "default")]
+    assert [w.name for w in picked] == ["calibrated", "default"]
+    with pytest.raises(SchemaError, match="unknown weights variant 'nonexistent'"):
+        variant(DEFAULT_WEIGHTS, "nonexistent")

@@ -13,7 +13,7 @@ from mdqs.audit import (
     dimension_means_by_producer,
     with_composites,
 )
-from mdqs.composite import PAPER_PRESET
+from mdqs.composite import VARIANTS
 from mdqs.errors import (
     MdqsError,
     MissingColumn,
@@ -45,6 +45,7 @@ from mdqs.model import (
     DEFAULT_WEIGHTS,
     DimensionId,
     EvaluatorProfile,
+    WeightConfig,
     validate_dataset,
 )
 from mdqs.poq import (
@@ -61,7 +62,6 @@ from mdqs.poq import (
     SingleEvaluator,
     TrimmedMean,
     attack_label,
-    defense_label,
     run_single,
     signal_label,
 )
@@ -90,7 +90,7 @@ def full_record():
 def test_record_round_trip_preserves_everything():
     sample = from_record(full_record())
     assert sample.sample_id == "s1"
-    assert sample.task.is_qa
+    assert sample.task.label == "qa"
     assert sample.reference_score == 0.8
     assert sample.dimension_scores[DimensionId.SEMANTIC] == 0.9
     assert sample.extra == {"run_tag": "batch-7", "latency_ms": 412}
@@ -320,8 +320,9 @@ def test_load_config_full(tmp_path):
     assert cfg.input_path == "data.jsonl"
     assert cfg.out_dir == "reports"
     assert cfg.seed == 11
-    assert cfg.weights_name is None
-    assert cfg.weights_inline == {DimensionId.SEMANTIC: 2.0, DimensionId.STRUCTURE: 1.0}
+    assert cfg.weights == WeightConfig(
+        "custom", {DimensionId.SEMANTIC: 2.0, DimensionId.STRUCTURE: 1.0}
+    )
     assert cfg.structure.min_tokens == 5
     assert cfg.structure.max_tokens == 500
     assert cfg.semantic_column is None
@@ -454,7 +455,7 @@ def test_parse_defense_forms():
     assert parse_defense({"type": "adaptive_trust", "floor": 0.02}) == AdaptiveTrust(1.0, 0.02)
     assert parse_defense({"type": "adaptive_trust", "floor": None}) == AdaptiveTrust()
     parsed = [parse_defense(entry) for entry, _ in DEFENSE_FORMS]
-    assert [sanitize_label(defense_label(d)) for d in parsed] == [f for _, f in DEFENSE_FORMS]
+    assert [sanitize_label(d.label()) for d in parsed] == [f for _, f in DEFENSE_FORMS]
     assert {type(d) for d in parsed} == set(DEFENSES.values())
     for bad in (
         {"type": "firewall"},
@@ -485,19 +486,33 @@ def test_parse_signal_forms():
             parse_signal(bad)
 
 
-def test_resolve_weights_precedence():
+def test_resolve_weights_precedence(tmp_path):
     assert resolve_weights(RunConfig()) is DEFAULT_WEIGHTS
-    inline = RunConfig(weights_inline={DimensionId.SEMANTIC: 1.0})
+    inline = RunConfig(weights=WeightConfig("custom", {DimensionId.SEMANTIC: 1.0}))
     assert resolve_weights(inline).dimensions() == frozenset({DimensionId.SEMANTIC})
-    named = RunConfig(weights_name="no_priors")
+    path = tmp_path / "named.yaml"
+    path.write_text("weights: no_priors\n", encoding="utf-8")
+    named = load_config(path)
+    assert named.weights.name == "no_priors"
     assert DimensionId.MODEL_PRIOR not in resolve_weights(named).dimensions()
     # CLI flag beats everything in the file
-    both = RunConfig(weights_name="no_priors", weights_inline={DimensionId.SEMANTIC: 1.0})
-    assert resolve_weights(both, override_name="equal_weights").weights[
+    assert resolve_weights(inline, override_name="equal_weights").weights[
         DimensionId.AGREEMENT
     ] == pytest.approx(1 / 6)
     with pytest.raises(SchemaError):
-        resolve_weights(RunConfig(weights_name="mystery"))
+        resolve_weights(RunConfig(), override_name="mystery")
+    path.write_text("weights: mystery\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="^weights must be one of"):
+        load_config(path)
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "run.yaml"
+    path.write_text(readme.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    config = load_config(path)
+    assert resolve_weights(config) == DEFAULT_WEIGHTS
+    assert len(build_grid(config.sim, config.seed)) == 8
 
 
 def test_frozen_stats_round_trip(tmp_path):
@@ -625,7 +640,7 @@ def report_inputs():
     report = audit(samples)
     calibration = calibrate(report, samples, threshold=0.0)
     report = with_composites(report, samples, {"default": DEFAULT_WEIGHTS})
-    grid_rows = ablation_grid(samples, PAPER_PRESET)
+    grid_rows = ablation_grid(samples, VARIANTS)
     sim_config = SimConfig(
         config_id="none-r0-median",
         evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(3)),

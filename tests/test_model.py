@@ -36,11 +36,11 @@ def test_parse_dimension():
 
 
 def test_task_family_normalizes_label():
-    assert TaskFamily(" QA ") == TaskFamily.QA
-    assert TaskFamily("qa").is_qa
-    assert TaskFamily("Summarization").is_summarization
+    assert TaskFamily(" QA ") == TaskFamily("qa")
+    assert TaskFamily(" QA ").label == "qa"
+    assert TaskFamily("Summarization").label == "summarization"
     other = TaskFamily("translation")
-    assert not other.is_qa and not other.is_summarization
+    assert other.label == "translation" and other != TaskFamily("qa")
     with pytest.raises(ValueError):
         TaskFamily("  ")
 

@@ -41,7 +41,6 @@ from mdqs.poq import (
     aggregate,
     allocate_rewards,
     attack_label,
-    defense_label,
     evaluator_emit,
     run_experiment,
     run_single,
@@ -143,10 +142,10 @@ def test_defense_validation_and_labels():
         AdaptiveTrust(learning_rate=-1.0)
     with pytest.raises(ValueError):
         AdaptiveTrust(floor=-0.2)
-    assert defense_label(Mean()) == "mean"
-    assert defense_label(Median()) == "median"
-    assert defense_label(TrimmedMean(0.2)) == "trimmed_mean(0.2)"
-    assert defense_label(AdaptiveTrust()) == "adaptive_trust(lr=1)"
+    assert Mean().label() == "mean"
+    assert Median().label() == "median"
+    assert TrimmedMean(0.2).label() == "trimmed_mean(0.2)"
+    assert AdaptiveTrust().label() == "adaptive_trust(lr=1)"
     assert set(DEFENSES.values()) == set(get_args(DefenseConfig))
     assert all(DEFENSES[c.type] is c for c in get_args(DefenseConfig))
 
@@ -506,7 +505,7 @@ def replay_dataset():
         dims = DimensionVector({d: j for d in CANONICAL_DIMENSIONS})
         return LoggedSample(
             sample_id=sid,
-            task=TaskFamily.QA,
+            task=TaskFamily("qa"),
             producer_id=producer,
             query=query,
             output=f"answer from {producer}",
@@ -565,7 +564,7 @@ def test_replay_contest_pays_each_output_of_a_producer():
     dataset = [
         LoggedSample(
             sample_id=sid,
-            task=TaskFamily.QA,
+            task=TaskFamily("qa"),
             producer_id=producer,
             query="q",
             output=f"answer {sid}",

@@ -84,8 +84,8 @@ def test_perfect_correlation_is_exact():
 
 def test_planted_correlations_recovered_loosely():
     samples = generate_synthetic(spec(n=2000))
-    qa = [s for s in samples if s.task.is_qa]
-    summ = [s for s in samples if s.task.is_summarization]
+    qa = [s for s in samples if s.task.label == "qa"]
+    summ = [s for s in samples if s.task.label == "summarization"]
     got_qa = spearman(column(qa, DimensionId.SEMANTIC), refs(qa))
     got_summ = spearman(column(summ, DimensionId.SEMANTIC), refs(summ))
     assert got_qa == pytest.approx(0.8, abs=0.08)
@@ -96,10 +96,10 @@ def test_planted_correlations_recovered_loosely():
 
 def test_task_split_follows_fraction():
     samples = generate_synthetic(spec(n=1000, qa_fraction=0.6))
-    n_qa = sum(1 for s in samples if s.task.is_qa)
+    n_qa = sum(1 for s in samples if s.task.label == "qa")
     assert n_qa == 600
     samples = generate_synthetic(spec(n=100, qa_fraction=1.0))
-    assert all(s.task.is_qa for s in samples)
+    assert all(s.task.label == "qa" for s in samples)
 
 
 def test_groups_share_query_and_cycle_producers():
