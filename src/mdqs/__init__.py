@@ -48,6 +48,7 @@ from mdqs.poq import (
     Median,
     RandomNoise,
     SimConfig,
+    SimSettings,
     SingleEvaluator,
     TrimmedMean,
     aggregate,
@@ -60,16 +61,15 @@ from mdqs.poq import (
     weighted_median,
 )
 from mdqs.scoring import (
-    CharNgramSemanticProvider,
-    ColumnProvider,
     PriorTable,
-    ScoreProvider,
     ScoringConfig,
     StructureFeatures,
     StructurePolicy,
+    column_value,
     normalize_batch,
     score_agreement,
     score_all,
+    score_semantic,
     score_structure,
     structure_features,
 )

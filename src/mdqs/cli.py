@@ -176,7 +176,7 @@ def cmd_validate(args) -> int:
     out = _out_dir(args, config)
     missing = scoring = None
     if args.config:  # also check what scoring under this config needs
-        scoring = build_scoring_config(config, config.weights)
+        scoring = config.scoring
         missing = functools.partial(missing_inputs, config=scoring)
     result = _ingest(args, config, scoring)
     report = validate_dataset(result.samples, missing)
@@ -227,7 +227,7 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     result = _ingest(args, config)
-    rows = ablation_grid(result.samples, config.variant_names, base=config.weights)
+    rows = ablation_grid(result.samples, config.variant_names, base=config.scoring.weights)
     emit_reports(out, ablation=rows, ingest_issues=result.issues)
     print(f"ablate: {len(rows)} variant(s) over {rows[0].n if rows else 0} sample(s) -> {out}")
     return 0
@@ -265,7 +265,7 @@ def cmd_simulate(args) -> int:
     if config.sim.mode == "replay":
         result = _ingest(args, config)
         dataset, issues = result.samples, result.issues
-    results = run_experiment(grid, dataset=dataset, base_weights=config.weights)
+    results = run_experiment(grid, dataset=dataset, base_weights=config.scoring.weights)
     emit_reports(out, sim_results=list(zip(grid, results)), ingest_issues=issues)
     failures = sum(1 for r in results if not hasattr(r, "rewards"))
     print(f"simulate: {len(grid)} config(s), {failures} failed, seed {seed} -> {out}")

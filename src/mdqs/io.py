@@ -29,7 +29,7 @@ import yaml
 
 from mdqs.audit import GATE_CHOICES, AuditBlock, AuditReport, CalibrationResult, CorrelationRow
 from mdqs.composite import VARIANTS, variant
-from mdqs.errors import MdqsError, SchemaError, SimConfigError
+from mdqs.errors import AllDimensionsRemoved, MdqsError, SchemaError, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
@@ -49,22 +49,17 @@ from mdqs.poq import (
     DEFENSES,
     SIGNALS,
     AttackStrategy,
+    CompositeSignal,
     DefenseConfig,
     Median,
     QualitySignal,
     SimConfig,
+    SimSettings,
     attack_label,
     signal_label,
 )
 from mdqs.rng import SEED_LIMIT
-from mdqs.scoring import (
-    CharNgramSemanticProvider,
-    ColumnProvider,
-    PriorTable,
-    ScoringConfig,
-    StructurePolicy,
-    missing_inputs,
-)
+from mdqs.scoring import PriorTable, ScoringConfig, StructurePolicy, missing_inputs
 from mdqs.synth import SyntheticSpec
 
 RECORD_SCHEMA = 1
@@ -291,16 +286,11 @@ def write_jsonl(path: str | Path, samples: Iterable[LoggedSample]) -> None:
 
 @dataclass(frozen=True)
 class SimGridSpec:
-    """Cartesian sweep: attacks x ratios x defenses x signals."""
+    """Cartesian sweep: attacks x ratios x defenses x signals, every cell
+    sharing one SimSettings."""
 
+    settings: SimSettings
     mode: str = "synthetic"
-    rounds: int = 200
-    reward_budget: float = 1.0
-    budget: float | None = None
-    honest_noise_sd: float = 0.0
-    beta_concentration: float = 10.0
-    evaluators: tuple[EvaluatorProfile, ...] = ()
-    producers: Mapping[str, float] | None = None
     attacks: tuple[AttackStrategy | None, ...] = (None,)
     ratios: tuple[float, ...] = (0.0,)
     defenses: tuple[DefenseConfig, ...] = (Median(),)
@@ -309,8 +299,15 @@ class SimGridSpec:
     def __post_init__(self):
         if self.mode not in ("synthetic", "replay"):
             raise SchemaError(f"sim.mode must be 'synthetic' or 'replay', got {self.mode!r}")
-        if not self.evaluators:
-            raise SchemaError("sim.evaluators must list at least one evaluator")
+        if self.mode == "replay" and None in self.signals:
+            raise SchemaError("sim.signals must list a quality signal in replay mode")
+        if self.mode == "synthetic" and not self.settings.producers:
+            raise SchemaError("sim.producers: synthetic mode needs producer mean qualities")
+        for i, defense in enumerate(self.defenses):
+            try:
+                defense.trust_step(len(self.settings.evaluators), f"sim.defenses[{i}]")
+            except SimConfigError as exc:
+                raise SchemaError(str(exc)) from None
 
 
 def sanitize_label(label: str) -> str:
@@ -335,19 +332,13 @@ def build_grid(spec: SimGridSpec, master_seed: int) -> list[SimConfig]:
                     config_id = "-".join(parts)
                     grid.append(
                         SimConfig(
-                            config_id=config_id,
-                            evaluators=spec.evaluators,
-                            defense=defense,
-                            rounds=spec.rounds,
-                            reward_budget=spec.reward_budget,
+                            config_id,
+                            spec.settings,
+                            defense,
                             attack=attack,
                             attack_ratio=ratio,
-                            budget=spec.budget,
-                            rng_seed=master_seed,
                             quality_signal=signal,
-                            honest_noise_sd=spec.honest_noise_sd,
-                            producers=spec.producers,
-                            beta_concentration=spec.beta_concentration,
+                            rng_seed=master_seed,
                         )
                     )
     return grid
@@ -360,14 +351,7 @@ class RunConfig:
     input_path: str | None = None
     out_dir: str | None = None
     seed: int | None = None
-    weights: WeightConfig = DEFAULT_WEIGHTS
-    structure: StructurePolicy = field(default_factory=StructurePolicy)
-    semantic_column: str | None = None  # None: the built-in semantic scorer
-    alignment_column: str | None = None
-    model_priors: PriorTable | None = None
-    cost_priors: PriorTable | None = None
-    normalization_mode: str = "batch"
-    normalization_stats_path: str | None = None
+    scoring: ScoringConfig = field(default_factory=ScoringConfig)
     gate: str = "pearson"
     threshold: float = 0.0
     per_task: bool = False
@@ -377,8 +361,8 @@ class RunConfig:
 
 
 # In a config section, a key set to null means its default. In an entry built
-# from a dataclass (structure, attacks, defenses, signals) null is accepted
-# only by a field that takes None.
+# from a dataclass (structure, evaluators, attacks, defenses, signals) null is
+# accepted only by a field that takes None.
 
 _TOP_KEYS = (
     "schema",
@@ -407,12 +391,38 @@ def _semantic_column(value, where: str) -> str | None:
     return None if value == "builtin" else _column(value, where)
 
 
+def _list_of(read):
+    """A reader of a non-empty list, each entry passed through `read`."""
+
+    def read_list(value, where: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise SchemaError(f"{where} must be a non-empty list")
+        return tuple(read(entry, f"{where}[{i}]") for i, entry in enumerate(value))
+
+    return read_list
+
+
+_tier = _one_of("low", "medium", "high")  # accepted for old configs, then ignored
+
+
+def _evaluator(raw, where: str) -> EvaluatorProfile:
+    if isinstance(raw, dict) and "tier" in raw:
+        _tier(raw["tier"], f"{where}.tier")
+    return _from_fields(EvaluatorProfile, raw, where, extra_keys=("tier",))
+
+
+def _producers(raw, where: str) -> dict[str, float]:
+    return {str(k): _number(v, f"{where}.{k}") for k, v in _section(raw, where).items()}
+
+
 # field annotation -> reader, for entries built from a dataclass's fields
 _FIELD_READERS = {
     "int": _integer,
     "float": _number,
     "str": _text,
     "float | None": lambda value, where: None if value is None else _number(value, where),
+    "tuple[EvaluatorProfile, ...]": _list_of(_evaluator),
+    "Mapping[str, float] | None": _producers,
 }
 # the config keys that differ from the field they set
 _FIELD_KEYS = {"target_producer": "target", "evaluator_id": "id"}
@@ -524,59 +534,20 @@ def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
     )
 
 
-_tier = _one_of("low", "medium", "high")  # accepted for old configs, then ignored
-
-
-def _evaluator(raw, where: str) -> EvaluatorProfile:
-    entry = _section(raw, where, ("id", "cost", "tier"))
-    if "tier" in entry:
-        _tier(entry["tier"], f"{where}.tier")
-    if "id" not in entry:
-        raise SchemaError(f"{where} needs an 'id'")
-    try:
-        return EvaluatorProfile(
-            evaluator_id=_text(entry["id"], f"{where}.id"),
-            cost=_opt(entry, "cost", _number, where, 1.0),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-
-
 def _sim(raw) -> SimGridSpec | None:
     if raw is None:
         return None
-    section = _section(raw, "sim", [f.name for f in dataclasses.fields(SimGridSpec)])
-    evaluators = section.get("evaluators") or []
-    if not isinstance(evaluators, list):
-        raise SchemaError("sim.evaluators must be a list")
-    producers = section.get("producers")
-    if producers is not None:
-        producers = {
-            str(k): _number(v, f"sim.producers.{k}")
-            for k, v in _section(producers, "sim.producers").items()
-        }
-
-    def each(key: str, parse, default: list) -> tuple:
-        entries = section.get(key)
-        entries = default if entries is None else entries
-        if not isinstance(entries, list) or not entries:
-            raise SchemaError(f"sim.{key} must be a non-empty list")
-        return tuple(parse(e, f"sim.{key}[{i}]") for i, e in enumerate(entries))
-
-    return SimGridSpec(
-        mode=_opt(section, "mode", _text, "sim", "synthetic"),
-        rounds=_opt(section, "rounds", _integer, "sim", 200),
-        reward_budget=_opt(section, "reward_budget", _number, "sim", 1.0),
-        budget=_opt(section, "budget", _number, "sim"),
-        honest_noise_sd=_opt(section, "honest_noise_sd", _number, "sim", 0.0),
-        beta_concentration=_opt(section, "beta_concentration", _number, "sim", 10.0),
-        evaluators=tuple(_evaluator(e, f"sim.evaluators[{i}]") for i, e in enumerate(evaluators)),
-        producers=producers,
-        attacks=each("attacks", parse_attack, [None]),
-        ratios=each("ratios", _number, [0.0]),
-        defenses=each("defenses", parse_defense, ["median"]),
-        signals=(None,) if section.get("signals") is None else each("signals", parse_signal, []),
-    )
+    grid_readers = {
+        "mode": _text,
+        "attacks": _list_of(parse_attack),
+        "ratios": _list_of(_unit),
+        "defenses": _list_of(parse_defense),
+        "signals": _list_of(parse_signal),
+    }
+    section = {k: v for k, v in _section(raw, "sim").items() if v is not None}
+    settings = _from_fields(SimSettings, section, "sim", extra_keys=tuple(grid_readers))
+    grid = {k: read(section[k], f"sim.{k}") for k, read in grid_readers.items() if k in section}
+    return SimGridSpec(settings, **grid)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -595,6 +566,13 @@ def load_config(path: str | Path | None) -> RunConfig:
     seed = _opt(raw, "seed", _seed, "")
     weights = _weights(raw.get("weights"))
 
+    def nonempty_variant(value, where: str) -> str:
+        try:
+            variant(weights, _variant_name(value, where))
+        except AllDimensionsRemoved as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+        return value
+
     providers = _section(raw.get("providers"), "providers", ("semantic", "alignment"))
     priors = _section(raw.get("priors"), "priors", ("model_rating", "cost_efficiency"))
 
@@ -611,32 +589,39 @@ def load_config(path: str | Path | None) -> RunConfig:
     variants = list(VARIANTS) if variants is None else variants
     if not isinstance(variants, list):
         raise SchemaError("audit.variants must be a list of variant names")
-    variants = tuple(_variant_name(v, f"audit.variants[{i}]") for i, v in enumerate(variants))
+    variants = tuple(nonempty_variant(v, f"audit.variants[{i}]") for i, v in enumerate(variants))
 
+    sim = _sim(raw.get("sim"))
+    for i, signal in enumerate(sim.signals if sim else ()):
+        if isinstance(signal, CompositeSignal):
+            nonempty_variant(signal.variant, f"sim.signals[{i}].variant")
+
+    scoring = ScoringConfig(
+        weights=weights,
+        structure=_from_fields(StructurePolicy, raw.get("structure"), "structure"),
+        model_priors=_prior_table(priors, "model_rating"),
+        cost_priors=_prior_table(priors, "cost_efficiency"),
+        semantic_column=_opt(providers, "semantic", _semantic_column, "providers"),
+        alignment_column=_opt(providers, "alignment", _column, "providers"),
+        frozen_stats=load_frozen_stats(stats) if mode == "frozen" else None,
+    )
     return RunConfig(
         input_path=_opt(raw, "input", _text, ""),
         out_dir=_opt(raw, "out", _text, ""),
         seed=seed,
-        weights=weights,
-        structure=_from_fields(StructurePolicy, raw.get("structure"), "structure"),
-        semantic_column=_opt(providers, "semantic", _semantic_column, "providers"),
-        alignment_column=_opt(providers, "alignment", _column, "providers"),
-        model_priors=_prior_table(priors, "model_rating"),
-        cost_priors=_prior_table(priors, "cost_efficiency"),
-        normalization_mode=mode,
-        normalization_stats_path=stats,
+        scoring=scoring,
         gate=_opt(audit_section, "gate", _one_of(*GATE_CHOICES), "audit", "pearson"),
         threshold=_opt(audit_section, "threshold", _number, "audit", 0.0),
         per_task=_opt(audit_section, "per_task", _flag, "audit", False),
         variant_names=variants,
         synthetic=_synthetic(raw.get("synthetic"), seed),
-        sim=_sim(raw.get("sim")),
+        sim=sim,
     )
 
 
 def resolve_weights(config: RunConfig, override_name: str | None = None) -> WeightConfig:
     """The run's weight config: the --weights variant if given, else the config's."""
-    return variant(DEFAULT_WEIGHTS, override_name) if override_name else config.weights
+    return variant(DEFAULT_WEIGHTS, override_name) if override_name else config.scoring.weights
 
 
 def _min_max(pair, where: str) -> tuple[float, float]:
@@ -654,31 +639,15 @@ def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]
     return _dimension_map(raw, "stats", _min_max)
 
 
-def build_scoring_config(
-    config: RunConfig, weights: WeightConfig
-) -> ScoringConfig:
-    if config.semantic_column is None:
-        semantic = CharNgramSemanticProvider()
-    else:
-        semantic = ColumnProvider(config.semantic_column)
-    alignment = ColumnProvider(config.alignment_column) if config.alignment_column else None
-    frozen = None
-    if config.normalization_mode == "frozen":
-        frozen = load_frozen_stats(config.normalization_stats_path)
-    return ScoringConfig(
-        weights=weights,
-        structure=config.structure,
-        model_priors=config.model_priors,
-        cost_priors=config.cost_priors,
-        semantic_provider=semantic,
-        alignment_provider=alignment,
-        frozen_stats=frozen,
-    )
+def build_scoring_config(config: RunConfig, weights: WeightConfig) -> ScoringConfig:
+    """The config's scoring settings under `weights`."""
+    return dataclasses.replace(config.scoring, weights=weights)
 
 
 def check_config_needs(scoring: ScoringConfig) -> None:
     """Fail before ingest on what no sample can supply: a weighted prior
-    dimension without a non-empty table, or weighted alignment without a column."""
+    dimension without a non-empty table, weighted alignment without a column,
+    or frozen stats that miss a weighted dimension."""
     active = scoring.weights.dimensions()
     for dim, key, table in (
         (DimensionId.MODEL_PRIOR, "priors.model_rating", scoring.model_priors),
@@ -686,8 +655,11 @@ def check_config_needs(scoring: ScoringConfig) -> None:
     ):
         if dim in active and (table is None or not table.ratings):
             raise SchemaError(f"{key} must be a non-empty table while {dim.value} is weighted")
-    if DimensionId.ALIGNMENT in active and scoring.alignment_provider is None:
+    if DimensionId.ALIGNMENT in active and scoring.alignment_column is None:
         raise SchemaError("providers.alignment must name a column while alignment is weighted")
+    if scoring.frozen_stats is not None and active - scoring.frozen_stats.keys():
+        uncovered = ", ".join(sorted(d.value for d in active - scoring.frozen_stats.keys()))
+        raise SchemaError(f"normalization.stats has no [min, max] for weighted {uncovered}")
 
 
 def check_required_columns(samples: Sequence[LoggedSample], scoring: ScoringConfig) -> None:
@@ -810,8 +782,8 @@ def _sim_entry_json(config: SimConfig, result: SimOutcome | SimError) -> dict:
         "attack_ratio": config.attack_ratio,
         "defense": config.defense.label(),
         "quality_signal": signal_label(config.quality_signal),
-        "rounds": config.rounds,
-        "reward_budget": config.reward_budget,
+        "rounds": config.settings.rounds,
+        "reward_budget": config.settings.reward_budget,
         "rng_seed": config.rng_seed,
     }
     if isinstance(result, SimError):

@@ -524,78 +524,87 @@ MAX_ROUNDS = 1_000_000
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """One cell of a simulation grid.
+class SimSettings:
+    """What every cell of a simulation grid shares: the evaluators, rounds
+    and budgets; producers and beta_concentration drive synthetic mode."""
 
-    With attack set, the first floor(attack_ratio * n) evaluators in listed
-    order run the attack; every other evaluator is honest with
-    honest_noise_sd.
-    """
-
-    config_id: str
     evaluators: tuple[EvaluatorProfile, ...]
-    defense: DefenseConfig
-    rounds: int
+    rounds: int = 200
     reward_budget: float = 1.0
-    attack: AttackStrategy | None = None
-    attack_ratio: float = 0.0
     budget: float | None = None
-    rng_seed: int = 0
-    quality_signal: QualitySignal | None = None
     honest_noise_sd: float = 0.0
     producers: Mapping[str, float] | None = None
     beta_concentration: float = 10.0
 
     def __post_init__(self):
-        if not self.config_id:
-            raise SimConfigError("config_id must be non-empty")
         if not self.evaluators:
-            raise SimConfigError(f"{self.config_id}: needs at least one evaluator")
+            raise SimConfigError("evaluators must list at least one evaluator")
         ids = [p.evaluator_id for p in self.evaluators]
         if len(set(ids)) != len(ids):
-            raise SimConfigError(f"{self.config_id}: duplicate evaluator ids")
+            repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+            raise SimConfigError(f"duplicate evaluator id {repeated!r}")
         if not 1 <= self.rounds <= MAX_ROUNDS:
-            raise SimConfigError(f"{self.config_id}: rounds must be in [1, {MAX_ROUNDS}]")
+            raise SimConfigError(f"rounds must be in [1, {MAX_ROUNDS}]")
         # every round pays out reward_budget, so the run's total must be finite too
         if not math.isfinite(self.reward_budget * self.rounds) or self.reward_budget < 0:
             raise SimConfigError(
-                f"{self.config_id}: reward_budget must be >= 0 and finite over {self.rounds} rounds"
+                f"reward_budget must be >= 0 and finite over {self.rounds} rounds"
             )
-        if not (0.0 <= self.attack_ratio <= 1.0):
-            raise SimConfigError(f"{self.config_id}: attack_ratio must be in [0, 1]")
         if self.budget is not None and (not math.isfinite(self.budget) or self.budget < 0):
-            raise SimConfigError(f"{self.config_id}: budget must be finite and >= 0")
+            raise SimConfigError("budget must be finite and >= 0")
         if not (0.0 <= self.honest_noise_sd) or not math.isfinite(self.honest_noise_sd):
-            raise SimConfigError(f"{self.config_id}: honest_noise_sd must be finite and >= 0")
+            raise SimConfigError("honest_noise_sd must be finite and >= 0")
         if self.beta_concentration <= 0:
-            raise SimConfigError(f"{self.config_id}: beta_concentration must be > 0")
+            raise SimConfigError("beta_concentration must be > 0")
         if self.producers is not None:
             clean = {}
             for producer, mean in self.producers.items():
                 m = float(mean)
                 if not (0.0 < m < 1.0):
-                    raise SimConfigError(
-                        f"{self.config_id}: producer {producer!r} mean quality must be in (0, 1)"
-                    )
+                    raise SimConfigError(f"producer {producer!r} mean quality must be in (0, 1)")
                 clean[str(producer)] = m
             object.__setattr__(self, "producers", clean)
         object.__setattr__(self, "evaluators", tuple(self.evaluators))
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """One cell of a simulation grid.
+
+    With attack set, the first floor(attack_ratio * n) evaluators in listed
+    order run the attack; every other evaluator is honest with
+    settings.honest_noise_sd.
+    """
+
+    config_id: str
+    settings: SimSettings
+    defense: DefenseConfig
+    attack: AttackStrategy | None = None
+    attack_ratio: float = 0.0
+    quality_signal: QualitySignal | None = None
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if not self.config_id:
+            raise SimConfigError("config_id must be non-empty")
+        if not (0.0 <= self.attack_ratio <= 1.0):
+            raise SimConfigError(f"{self.config_id}: attack_ratio must be in [0, 1]")
 
     def attacker_count(self) -> int:
         """How many evaluators run the attack; 0 without one."""
         if self.attack is None:
             return 0
         # floor of the decimal ratio times n: int(0.58 * 50) would give 28
-        return int(Fraction(repr(float(self.attack_ratio))) * len(self.evaluators))
+        return int(Fraction(repr(float(self.attack_ratio))) * len(self.settings.evaluators))
 
     def resolve_behaviors(self) -> dict[str, EvaluatorBehavior]:
         """Evaluator id -> behavior: the attack itself for the first
         attacker_count() evaluators, Honest(honest_noise_sd) for the rest."""
         k = self.attacker_count()
-        honest = Honest(self.honest_noise_sd)
+        honest = Honest(self.settings.honest_noise_sd)
         return {
             p.evaluator_id: self.attack if i < k else honest
-            for i, p in enumerate(self.evaluators)
+            for i, p in enumerate(self.settings.evaluators)
         }
 
 
@@ -646,26 +655,27 @@ def run_single(
 
 
 def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
-    n = len(config.evaluators)
-    profiles = list(config.evaluators)
+    settings = config.settings
+    n = len(settings.evaluators)
+    profiles = list(settings.evaluators)
     behaviors = config.resolve_behaviors()
     attacker_ids = frozenset(p.evaluator_id for p in profiles[: config.attacker_count()])
 
     trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
     trust: dict[str, float] = {p.evaluator_id: 1.0 / n for p in profiles}
-    budget = config.budget if config.budget is not None else math.inf
+    budget = settings.budget if settings.budget is not None else math.inf
     rng = rng_for(config.rng_seed, config.config_id)
 
     # outputs(round_index) yields (key, producer, observed quality, error
     # target or None) in scoring order. It is lazy: a synthetic output's Beta
     # draw follows the previous output's emissions and trust step.
     if replay is None:
-        if not config.producers:
+        if not settings.producers:
             raise SimConfigError(
                 f"{config.config_id}: synthetic mode needs producer mean qualities"
             )
-        producers = sorted(config.producers.items())
-        kappa = config.beta_concentration
+        producers = sorted(settings.producers.items())
+        kappa = settings.beta_concentration
 
         def outputs(round_index: int) -> Iterator[tuple[str, str, float, float | None]]:
             for producer, mean in producers:
@@ -692,7 +702,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     errors: list[float] = []
     skipped = 0
 
-    for round_index in range(config.rounds):
+    for round_index in range(settings.rounds):
         selected = sample_evaluators(profiles, trust, budget)
         if not selected:
             skipped += 1
@@ -715,7 +725,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             if trust_step is not None:
                 trust = trust_step(trust, scores)
 
-        for key, share in allocate_rewards({"round": contest}, config.reward_budget).items():
+        for key, share in allocate_rewards({"round": contest}, settings.reward_budget).items():
             producer = producer_of[key]
             rewards[producer] = rewards.get(producer, 0.0) + share
         trajectory.append(dict(trust))

@@ -176,79 +176,57 @@ def score_structure(text: str, policy: StructurePolicy | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# providers (semantic, alignment)
+# semantic and alignment
 
 
-class ScoreProvider:
-    """Something that can produce one raw score for a sample."""
-
-    def provide(self, sample: LoggedSample) -> float:
-        raise NotImplementedError
+def _trigram_counts(text: str) -> Counter:
+    text = " ".join(text.lower().split())
+    return Counter(text[i : i + 3] for i in range(len(text) - 2))
 
 
-class CharNgramSemanticProvider(ScoreProvider):
-    """Reference-based semantic proxy: cosine over character n-gram counts.
+def score_semantic(sample: LoggedSample) -> float:
+    """Built-in reference-based semantic proxy: cosine over character
+    trigram counts.
 
     Texts are lowercased and whitespace-collapsed first. Identical texts
-    score 1.0, texts sharing no n-grams score 0.0. This is deliberately a
+    score 1.0, texts sharing no trigrams score 0.0. This is deliberately a
     cheap offline stand-in for an embedding similarity service.
     """
-
-    def __init__(self, ngram: int = 3):
-        if ngram < 1:
-            raise ValueError("ngram must be >= 1")
-        self.ngram = ngram
-
-    @staticmethod
-    def _normalize_text(text: str) -> str:
-        return " ".join(text.lower().split())
-
-    def _counts(self, text: str) -> Counter:
-        n = self.ngram
-        return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-    def provide(self, sample: LoggedSample) -> float:
-        if sample.reference_text is None:
-            raise MissingReferenceText(sample.sample_id)
-        a = self._counts(self._normalize_text(sample.output))
-        b = self._counts(self._normalize_text(sample.reference_text))
-        if a == b:
-            return 1.0
-        if not a or not b:
-            return 0.0
-        dot = sum(c * b[g] for g, c in a.items())
-        norm = math.sqrt(sum(c * c for c in a.values())) * math.sqrt(
-            sum(c * c for c in b.values())
-        )
-        return min(1.0, max(0.0, dot / norm))
+    if sample.reference_text is None:
+        raise MissingReferenceText(sample.sample_id)
+    a = _trigram_counts(sample.output)
+    b = _trigram_counts(sample.reference_text)
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    dot = sum(c * b[g] for g, c in a.items())
+    norm = math.sqrt(sum(c * c for c in a.values())) * math.sqrt(
+        sum(c * c for c in b.values())
+    )
+    return min(1.0, max(0.0, dot / norm))
 
 
-class ColumnProvider(ScoreProvider):
-    """Reads a pre-logged score column (evaluator_scores first, then extra).
+def column_value(sample: LoggedSample, column: str) -> float | None:
+    """The sample's value in a pre-logged score column (evaluator_scores
+    first, then extra); None when it has no numeric value there.
 
     There is no builtin alignment judge, so the alignment dimension only
     exists when the dataset carries such a column.
     """
+    if column in sample.evaluator_scores:
+        return float(sample.evaluator_scores[column])
+    value = sample.extra.get(column)
+    if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
 
-    def __init__(self, column: str):
-        if not column:
-            raise ValueError("column name must be non-empty")
-        self.column = column
 
-    def value(self, sample: LoggedSample) -> float | None:
-        """The sample's value in the column; None when it has none."""
-        if self.column in sample.evaluator_scores:
-            return float(sample.evaluator_scores[self.column])
-        value = sample.extra.get(self.column)
-        if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        return float(value)
-
-    def provide(self, sample: LoggedSample) -> float:
-        value = self.value(sample)
-        if value is None:
-            raise MissingColumn(self.column, sample.sample_id)
-        return value
+def _column(samples: Sequence[LoggedSample], column: str) -> list[float]:
+    values = [column_value(s, column) for s in samples]
+    if None in values:
+        raise MissingColumn(column, samples[values.index(None)].sample_id)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +315,8 @@ class ScoringConfig:
     structure: StructurePolicy = field(default_factory=StructurePolicy)
     model_priors: PriorTable | None = None
     cost_priors: PriorTable | None = None
-    semantic_provider: ScoreProvider = field(default_factory=CharNgramSemanticProvider)
-    alignment_provider: ScoreProvider | None = None
+    semantic_column: str | None = None  # None: the built-in score_semantic
+    alignment_column: str | None = None
     frozen_stats: Mapping[DimensionId, tuple[float, float]] | None = None
 
 
@@ -350,13 +328,15 @@ def missing_inputs(
     active = config.weights.dimensions()
     sid = sample.sample_id
     missing: list[tuple[str, MdqsError]] = []
-    semantic = config.semantic_provider if DimensionId.SEMANTIC in active else None
-    alignment = config.alignment_provider if DimensionId.ALIGNMENT in active else None
-    if isinstance(semantic, CharNgramSemanticProvider) and sample.reference_text is None:
+    semantic = DimensionId.SEMANTIC in active
+    if semantic and config.semantic_column is None and sample.reference_text is None:
         missing.append(("reference_text", MissingReferenceText(sid)))
-    for provider in (semantic, alignment):
-        if isinstance(provider, ColumnProvider) and provider.value(sample) is None:
-            missing.append((provider.column, MissingColumn(provider.column, sid)))
+    for column in (
+        config.semantic_column if semantic else None,
+        config.alignment_column if DimensionId.ALIGNMENT in active else None,
+    ):
+        if column is not None and column_value(sample, column) is None:
+            missing.append((column, MissingColumn(column, sid)))
     count = len(sample.evaluator_scores)
     if DimensionId.AGREEMENT in active and count < 2:
         missing.append(("evaluator_scores", TooFewEvaluators(sid, count)))
@@ -377,13 +357,15 @@ def _raw_column(
     if dim is DimensionId.STRUCTURE:
         return [score_structure(s.output, config.structure) for s in samples]
     if dim is DimensionId.SEMANTIC:
-        return [config.semantic_provider.provide(s) for s in samples]
+        if config.semantic_column is None:
+            return [score_semantic(s) for s in samples]
+        return _column(samples, config.semantic_column)
     if dim is DimensionId.ALIGNMENT:
-        if config.alignment_provider is None:
+        if config.alignment_column is None:
             raise SchemaError(
                 "alignment weight is active but no alignment column is configured"
             )
-        return [config.alignment_provider.provide(s) for s in samples]
+        return _column(samples, config.alignment_column)
     if dim is DimensionId.AGREEMENT:
         normalized = normalize_evaluator_scores(samples)
         return [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from mdqs.model import (
@@ -10,6 +12,7 @@ from mdqs.model import (
     LoggedSample,
     TaskFamily,
 )
+from mdqs.poq import SimConfig, SimSettings
 
 FIXTURES = "tests/fixtures"
 
@@ -55,6 +58,19 @@ def scored_sample(i: int, *, task: str = "qa", gt: float, dims: dict, producer: 
         evaluator_scores={"judge": gt, "anti": 1.0 - gt},
         dims=dims,
     )
+
+
+def split_settings(fields: dict) -> tuple[SimSettings, dict]:
+    """SimSettings from the keys of `fields` that it has, and the other keys."""
+    shared = {f.name for f in dataclasses.fields(SimSettings)}
+    settings = SimSettings(**{k: v for k, v in fields.items() if k in shared})
+    return settings, {k: v for k, v in fields.items() if k not in shared}
+
+
+def sim_config(**fields) -> SimConfig:
+    """A SimConfig from the fields of SimSettings and of SimConfig, given flat."""
+    settings, rest = split_settings(fields)
+    return SimConfig(settings=settings, **rest)
 
 
 @pytest.fixture

@@ -29,6 +29,7 @@ from mdqs.poq import (
     Median,
     RandomNoise,
     SimConfig,
+    SimSettings,
     TrimmedMean,
     run_experiment,
     run_single,
@@ -232,13 +233,15 @@ def test_criterion_4_ablation_grid_consistency(tmp_path):
 def _attack_config(config_id, defense, seed, rounds=5):
     return SimConfig(
         config_id=config_id,
-        evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i:02d}") for i in range(10)),
+        settings=SimSettings(
+            evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i:02d}") for i in range(10)),
+            rounds=rounds,
+            producers={"p": 0.55},
+            honest_noise_sd=0.0,
+        ),
         defense=defense,
-        rounds=rounds,
-        producers={"p": 0.55},
         attack=Inflate(0.4),
         attack_ratio=0.4,
-        honest_noise_sd=0.0,
         rng_seed=seed,
     )
 
@@ -259,20 +262,22 @@ def test_criterion_5_robust_aggregation_shrugs_off_inflators():
 # ------------------------------------------------------------- criterion 6
 
 def test_criterion_6_adaptive_trust_separates_attackers():
+    settings = SimSettings(
+        evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i:02d}") for i in range(10)),
+        rounds=100,
+        producers={"p-a": 0.35, "p-b": 0.55, "p-c": 0.7},
+        honest_noise_sd=0.05,
+    )
+
     def body():
         wins = 0
         for seed in range(100):
             config = SimConfig(
                 config_id="trust",
-                evaluators=tuple(
-                    EvaluatorProfile(evaluator_id=f"e{i:02d}") for i in range(10)
-                ),
+                settings=settings,
                 defense=AdaptiveTrust(),
-                rounds=100,
-                producers={"p-a": 0.35, "p-b": 0.55, "p-c": 0.7},
                 attack=Inflate(0.3),
                 attack_ratio=0.3,
-                honest_noise_sd=0.05,
                 rng_seed=seed,
             )
             outcome = run_single(config)
@@ -292,22 +297,23 @@ def test_criterion_6_adaptive_trust_separates_attackers():
 def _grid_25():
     attacks = [None, Inflate(0.4), Deflate(0.3), RandomNoise(), Collude("p-b", 0.3)]
     defenses = [Mean(), Median(), TrimmedMean(0.2), AdaptiveTrust(), Median()]
+    settings = SimSettings(
+        evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{k:02d}") for k in range(10)),
+        rounds=200,
+        reward_budget=2.5,
+        producers={"p-a": 0.35, "p-b": 0.55, "p-c": 0.7},
+        honest_noise_sd=0.05,
+    )
     configs = []
     for i, attack in enumerate(attacks):
         for j, ratio in enumerate((0.0, 0.1, 0.2, 0.3, 0.4)):
             configs.append(
                 SimConfig(
                     config_id=f"c{i}{j}",
-                    evaluators=tuple(
-                        EvaluatorProfile(evaluator_id=f"e{k:02d}") for k in range(10)
-                    ),
+                    settings=settings,
                     defense=defenses[(i + j) % 5],
-                    rounds=200,
-                    reward_budget=2.5,
-                    producers={"p-a": 0.35, "p-b": 0.55, "p-c": 0.7},
                     attack=attack,
                     attack_ratio=ratio,
-                    honest_noise_sd=0.05,
                     rng_seed=123,
                 )
             )
@@ -323,7 +329,8 @@ def test_criterion_7_conservation_and_determinism(tmp_path):
         for config, outcome in zip(configs, first):
             assert dataclasses.is_dataclass(outcome)
             paid = math.fsum(outcome.rewards.values())
-            expected = (config.rounds - outcome.skipped_rounds) * config.reward_budget
+            settings = config.settings
+            expected = (settings.rounds - outcome.skipped_rounds) * settings.reward_budget
             assert paid == pytest.approx(expected, abs=1e-9)
             for snapshot in outcome.trust_trajectory:
                 assert math.fsum(snapshot.values()) == pytest.approx(1.0, abs=1e-9)

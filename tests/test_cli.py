@@ -243,6 +243,19 @@ BAD_CONFIGS = [
     ("synthetic: {n: 5, seed: -1}\n", "synthetic.seed"),
     ("[" * 1_000 + "\n", "cannot load config"),  # nested past the recursion limit
     ("weights: bogus\n", "weights must be one of"),
+    (SIM + "  rounds: 0\n", "sim: rounds must be in"),
+    (SIM + "  beta_concentration: -1\n", "sim: beta_concentration"),
+    ("sim:\n  evaluators: [{id: e1}, {id: e1}]\n  producers: {a: 0.5}\n", "sim: duplicate"),
+    ("sim:\n  evaluators: [{id: e1}]\n  producers: {a: 1.5}\n", "sim: producer 'a'"),
+    (SIM + "  ratios: [1.5]\n", "sim.ratios"),
+    ("sim:\n  mode: replay\n  evaluators: [{id: e1}]\n", "sim.signals"),
+    ("sim:\n  evaluators: [{id: e1}]\n", "sim.producers"),
+    (
+        "sim:\n  evaluators: [{id: e1}, {id: e2}, {id: e3}]\n  producers: {a: 0.5}\n"
+        "  defenses: [median, {type: adaptive_trust, floor: 0.5}]\n",
+        "sim.defenses",
+    ),
+    ("weights: {structure: 1, agreement: 1}\n", "audit.variants"),  # semantic_only is empty
 ]
 
 
@@ -254,6 +267,64 @@ def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, text, key):
         load_config(config)
     assert main(["validate", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
     assert key in capsys.readouterr().err
+
+
+def _without_semantic(raw, signal=None):
+    raw["weights"] = {"structure": 1, "agreement": 1}
+    if signal is not None:
+        raw["audit"]["variants"] = ["default"]
+        raw["sim"]["signals"] = [{"type": "composite", "variant": signal}]
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (_without_semantic, "audit.variants[4]: variant 'semantic_only' leaves no dimensions"),
+        (
+            lambda raw: _without_semantic(raw, signal="semantic_only"),
+            "sim.signals[0].variant: variant 'semantic_only' leaves no dimensions",
+        ),
+    ],
+    ids=["audit-variant", "composite-signal"],
+)
+def test_variant_left_empty_by_the_weights_exits_one_at_load(tmp_path, capsys, edit, key):
+    config = replay_config_edited(tmp_path, edit)
+    for command in ("validate", "simulate", "report"):
+        argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl"]
+        assert main([command, *argv, "--out", str(tmp_path / command)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
+def test_frozen_stats_must_cover_every_weighted_dimension(tmp_path, capsys, monkeypatch):
+    data = ["--input", f"{FIXTURES}/replay_200.jsonl"]
+    replay = f"{FIXTURES}/replay_config.yaml"
+    assert main(["score", "--config", replay, *data, "--out", str(tmp_path / "batch")]) == 0
+    partial = tmp_path / "semantic_only.json"
+    partial.write_text(json.dumps({"semantic": [0.0, 1.0]}), encoding="utf-8")
+
+    def frozen(stats):
+        def edit(raw):
+            raw["normalization"] = {"mode": "frozen", "stats": str(stats)}
+
+        return replay_config_edited(tmp_path, edit)
+
+    # the stats a batch run writes cover every weighted dimension
+    config = frozen(tmp_path / "batch" / "normalization_stats.json")
+    assert main(["score", "--config", config, *data, "--out", str(tmp_path / "full")]) == 0
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(mdqs.cli, "ingest", no_ingest)
+    config = frozen(partial)
+    capsys.readouterr()
+    for command in ("validate", "score", "report"):
+        assert main([command, "--config", config, *data, "--out", str(tmp_path / command)]) == 1
+        assert (
+            "normalization.stats has no [min, max] for weighted "
+            "agreement, alignment, cost_prior, model_prior, structure"
+        ) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -571,7 +642,8 @@ def test_simulate_replay_reports_malformed_lines(tmp_path):
     data.write_text(data.read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
     config = tmp_path / "sim.yaml"
     config.write_text(
-        "sim:\n  mode: replay\n  rounds: 3\n  evaluators: [{id: e1}, {id: e2}]\n",
+        "sim:\n  mode: replay\n  rounds: 3\n  evaluators: [{id: e1}, {id: e2}]\n"
+        "  signals: [{type: baseline, stat: median}]\n",
         encoding="utf-8",
     )
     out = tmp_path / "r"

@@ -1,11 +1,12 @@
 """Serialization, config parsing, grid expansion, and report emission."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from conftest import make_sample, scored_sample
+from conftest import make_sample, scored_sample, sim_config, split_settings
 from mdqs.audit import (
     ablation_grid,
     audit,
@@ -13,15 +14,17 @@ from mdqs.audit import (
     dimension_means_by_producer,
     with_composites,
 )
-from mdqs.composite import VARIANTS
+from mdqs.composite import VARIANTS, variant
 from mdqs.errors import (
     MdqsError,
     MissingColumn,
     MissingReferenceText,
     SchemaError,
+    SimConfigError,
     TooFewEvaluators,
 )
 from mdqs.io import (
+    _FIELD_READERS,
     IngestIssue,
     RunConfig,
     SimGridSpec,
@@ -58,14 +61,14 @@ from mdqs.poq import (
     Median,
     Mean,
     RandomNoise,
-    SimConfig,
+    SimSettings,
     SingleEvaluator,
     TrimmedMean,
     attack_label,
     run_single,
     signal_label,
 )
-from mdqs.scoring import CharNgramSemanticProvider, ColumnProvider
+from mdqs.scoring import ScoringConfig, StructurePolicy
 
 
 # ------------------------------------------------------------ records
@@ -212,11 +215,13 @@ def grid_spec(**overrides):
         defenses=(Median(), TrimmedMean(0.2)),
     )
     base.update(overrides)
-    return SimGridSpec(**base)
+    settings, rest = split_settings(base)
+    return SimGridSpec(settings, **rest)
 
 
 def test_build_grid_full_product():
-    grid = build_grid(grid_spec(), master_seed=7)
+    spec = grid_spec()
+    grid = build_grid(spec, master_seed=7)
     assert len(grid) == 2 * 2 * 2
     ids = [c.config_id for c in grid]
     assert len(set(ids)) == len(ids)
@@ -224,7 +229,8 @@ def test_build_grid_full_product():
     assert "inflate_0.3-r0.5-trimmed_mean_0.2" in ids
     for config in grid:
         assert config.rng_seed == 7
-        assert config.rounds == 5
+        assert config.settings is spec.settings
+        assert config.settings.rounds == 5
 
 
 def test_build_grid_synthetic_ignores_signals():
@@ -249,8 +255,15 @@ def test_build_grid_replay_appends_signal_part():
 def test_grid_spec_validation():
     with pytest.raises(SchemaError):
         grid_spec(mode="live")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SimConfigError):
         grid_spec(evaluators=())
+    # what a mode needs, and a trust floor above 1/n, fail before any cell runs
+    with pytest.raises(SchemaError, match="sim.signals"):
+        grid_spec(mode="replay", producers=None)
+    with pytest.raises(SchemaError, match="sim.producers"):
+        grid_spec(producers=None)
+    with pytest.raises(SchemaError, match="sim.defenses.1.: trust floor 0.5 exceeds 1/4"):
+        grid_spec(defenses=(Median(), AdaptiveTrust(floor=0.5)))
 
 
 # -------------------------------------------------------------- config
@@ -320,16 +333,16 @@ def test_load_config_full(tmp_path):
     assert cfg.input_path == "data.jsonl"
     assert cfg.out_dir == "reports"
     assert cfg.seed == 11
-    assert cfg.weights == WeightConfig(
+    assert cfg.scoring.weights == WeightConfig(
         "custom", {DimensionId.SEMANTIC: 2.0, DimensionId.STRUCTURE: 1.0}
     )
-    assert cfg.structure.min_tokens == 5
-    assert cfg.structure.max_tokens == 500
-    assert cfg.semantic_column is None
-    assert cfg.alignment_column == "judge"
-    assert cfg.model_priors.ratings == {"m1": 1000.0, "m2": 1200.0}
-    assert cfg.cost_priors.ratings == {"m1": 0.5, "m2": 1.5}
-    assert cfg.normalization_mode == "batch"
+    assert cfg.scoring.structure.min_tokens == 5
+    assert cfg.scoring.structure.max_tokens == 500
+    assert cfg.scoring.semantic_column is None
+    assert cfg.scoring.alignment_column == "judge"
+    assert cfg.scoring.model_priors.ratings == {"m1": 1000.0, "m2": 1200.0}
+    assert cfg.scoring.cost_priors.ratings == {"m1": 0.5, "m2": 1.5}
+    assert cfg.scoring.frozen_stats is None  # batch normalization
     assert cfg.gate == "spearman"
     assert cfg.threshold == 0.05
     assert cfg.per_task is True
@@ -340,10 +353,10 @@ def test_load_config_full(tmp_path):
     assert cfg.synthetic.correlations["summarization"][DimensionId.STRUCTURE] == 0.5
     assert cfg.synthetic.evaluator_noise == {"judge": 0.3}
     assert cfg.synthetic.rng_seed == 99
-    assert cfg.sim.rounds == 10
-    assert cfg.sim.reward_budget == 2.0
-    assert [p.evaluator_id for p in cfg.sim.evaluators] == ["e1", "e2"]
-    assert cfg.sim.producers == {"pa": 0.4, "pb": 0.6}
+    assert cfg.sim.settings.rounds == 10
+    assert cfg.sim.settings.reward_budget == 2.0
+    assert [p.evaluator_id for p in cfg.sim.settings.evaluators] == ["e1", "e2"]
+    assert cfg.sim.settings.producers == {"pa": 0.4, "pb": 0.6}
     assert cfg.sim.attacks == (None, Inflate(0.3))
     assert cfg.sim.ratios == (0.0, 0.5)
     assert cfg.sim.defenses == (Median(), TrimmedMean(0.2))
@@ -353,7 +366,7 @@ def test_load_config_full(tmp_path):
 def test_load_config_defaults_and_none(tmp_path):
     cfg = load_config(None)
     assert cfg == RunConfig()
-    assert cfg.normalization_mode == "batch"
+    assert cfg.scoring.frozen_stats is None  # batch normalization
     # "paper" is the only preset: accepted for old configs, then ignored
     path = tmp_path / "run.yaml"
     path.write_text("audit: {preset: paper}\n", encoding="utf-8")
@@ -486,14 +499,25 @@ def test_parse_signal_forms():
             parse_signal(bad)
 
 
+def test_every_field_read_from_a_config_entry_has_a_reader():
+    # _from_fields looks each field's reader up by its annotation, so a missing
+    # reader would be a KeyError (exit 2) on the first config that sets the key
+    built = [StructurePolicy, EvaluatorProfile, SimSettings]
+    for cls in (*built, *ATTACKS.values(), *DEFENSES.values(), *SIGNALS.values()):
+        for f in dataclasses.fields(cls):
+            assert f.type in _FIELD_READERS, f"{cls.__name__}.{f.name}: {f.type}"
+
+
 def test_resolve_weights_precedence(tmp_path):
     assert resolve_weights(RunConfig()) is DEFAULT_WEIGHTS
-    inline = RunConfig(weights=WeightConfig("custom", {DimensionId.SEMANTIC: 1.0}))
+    inline = RunConfig(
+        scoring=ScoringConfig(weights=WeightConfig("custom", {DimensionId.SEMANTIC: 1.0}))
+    )
     assert resolve_weights(inline).dimensions() == frozenset({DimensionId.SEMANTIC})
     path = tmp_path / "named.yaml"
     path.write_text("weights: no_priors\n", encoding="utf-8")
     named = load_config(path)
-    assert named.weights.name == "no_priors"
+    assert named.scoring.weights.name == "no_priors"
     assert DimensionId.MODEL_PRIOR not in resolve_weights(named).dimensions()
     # CLI flag beats everything in the file
     assert resolve_weights(inline, override_name="equal_weights").weights[
@@ -537,24 +561,25 @@ def test_frozen_stats_round_trip(tmp_path):
 def test_build_scoring_config_wires_providers(tmp_path):
     stats_path = tmp_path / "stats.json"
     stats_path.write_text(json.dumps({"semantic": [0.0, 1.0]}))
-    cfg = RunConfig(
-        semantic_column="sts",
-        alignment_column="judge",
-        normalization_mode="frozen",
-        normalization_stats_path=str(stats_path),
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "providers: {semantic: 'column:sts', alignment: 'column:judge'}\n"
+        f"normalization: {{mode: frozen, stats: '{stats_path}'}}\n",
+        encoding="utf-8",
     )
-    scoring = build_scoring_config(cfg, DEFAULT_WEIGHTS)
-    assert isinstance(scoring.semantic_provider, ColumnProvider)
-    assert scoring.semantic_provider.column == "sts"
-    assert scoring.alignment_provider.column == "judge"
+    weights = variant(DEFAULT_WEIGHTS, "no_priors")
+    scoring = build_scoring_config(load_config(path), weights)
+    assert scoring.weights is weights
+    assert scoring.semantic_column == "sts"
+    assert scoring.alignment_column == "judge"
     assert scoring.frozen_stats == {DimensionId.SEMANTIC: (0.0, 1.0)}
     plain = build_scoring_config(RunConfig(), DEFAULT_WEIGHTS)
-    assert isinstance(plain.semantic_provider, CharNgramSemanticProvider)
-    assert plain.alignment_provider is None
+    assert plain.semantic_column is None  # the built-in semantic scorer
+    assert plain.alignment_column is None
 
 
 def test_check_required_columns_fails_fast():
-    scoring = build_scoring_config(RunConfig(alignment_column="judge"), DEFAULT_WEIGHTS)
+    scoring = ScoringConfig(alignment_column="judge")
     good = make_sample(
         sample_id="ok", reference_text="ref", evaluator_scores={"judge": 0.5, "other": 0.1}
     )
@@ -641,7 +666,7 @@ def report_inputs():
     calibration = calibrate(report, samples, threshold=0.0)
     report = with_composites(report, samples, {"default": DEFAULT_WEIGHTS})
     grid_rows = ablation_grid(samples, VARIANTS)
-    sim_config = SimConfig(
+    cell = sim_config(
         config_id="none-r0-median",
         evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(3)),
         defense=Median(),
@@ -649,7 +674,7 @@ def report_inputs():
         producers={"pa": 0.4, "pb": 0.6},
         rng_seed=5,
     )
-    sim_result = run_single(sim_config)
+    sim_result = run_single(cell)
     return {
         "validation": validate_dataset(samples),
         "ingest_issues": [IngestIssue(line_no=4, message="bad json")],
@@ -658,7 +683,7 @@ def report_inputs():
         "audit_report": report,
         "ablation": grid_rows,
         "calibration": calibration,
-        "sim_results": [(sim_config, sim_result)],
+        "sim_results": [(cell, sim_result)],
         "dimension_means": dimension_means_by_producer(samples),
     }
 
@@ -710,7 +735,7 @@ def test_emit_reports_rerun_is_byte_identical(tmp_path):
 def test_emit_reports_sim_error_entry(tmp_path):
     from mdqs.model import SimError
 
-    config = SimConfig(
+    config = sim_config(
         config_id="broken",
         evaluators=(EvaluatorProfile(evaluator_id="e0"),),
         defense=Median(),
@@ -742,7 +767,7 @@ def test_emit_reports_rejects_an_unknown_result_before_writing(tmp_path):
 
 
 def second_sim():
-    config = SimConfig(
+    config = sim_config(
         config_id="inflate-r0.5-median",
         evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(4)),
         defense=Median(),

@@ -7,6 +7,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
+from conftest import sim_config
 from mdqs.errors import MissingColumn, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
@@ -36,6 +37,7 @@ from mdqs.poq import (
     QualitySignal,
     RandomNoise,
     SimConfig,
+    SimSettings,
     SingleEvaluator,
     TrimmedMean,
     aggregate,
@@ -329,33 +331,25 @@ def test_allocate_rewards_edge_cases():
 # ---------------------------------------------------------------- config
 
 def test_sim_config_validation():
+    settings = SimSettings(evaluators=profiles(2), rounds=5)
     with pytest.raises(SimConfigError):
-        SimConfig(config_id="", evaluators=profiles(2), defense=Median(), rounds=5)
+        SimConfig(config_id="", settings=settings, defense=Median())
     with pytest.raises(SimConfigError):
-        SimConfig(config_id="c", evaluators=(), defense=Median(), rounds=5)
+        SimConfig(config_id="c", settings=settings, defense=Median(), attack_ratio=1.5)
+    # the settings every cell of a grid shares are checked once, on SimSettings
+    with pytest.raises(SimConfigError):
+        SimSettings(evaluators=(), rounds=5)
     for rounds in (0, 2**70):  # 2**70 rounds would run without end
         with pytest.raises(SimConfigError, match="rounds"):
-            SimConfig(config_id="c", evaluators=profiles(2), defense=Median(), rounds=rounds)
+            SimSettings(evaluators=profiles(2), rounds=rounds)
     with pytest.raises(SimConfigError):
-        SimConfig(
-            config_id="c", evaluators=profiles(2), defense=Median(), rounds=5, attack_ratio=1.5
-        )
-    with pytest.raises(SimConfigError):
-        SimConfig(
-            config_id="c",
-            evaluators=profiles(2),
-            defense=Median(),
-            rounds=5,
-            producers={"p": 1.0},
-        )
+        SimSettings(evaluators=profiles(2), rounds=5, producers={"p": 1.0})
     dup = (EvaluatorProfile(evaluator_id="e"), EvaluatorProfile(evaluator_id="e"))
     with pytest.raises(SimConfigError):
-        SimConfig(config_id="c", evaluators=dup, defense=Median(), rounds=5)
+        SimSettings(evaluators=dup, rounds=5)
     # each round pays the whole budget, so 5 rounds of 1e308 overflow the total
     with pytest.raises(SimConfigError, match="reward_budget"):
-        SimConfig(
-            config_id="c", evaluators=profiles(2), defense=Median(), rounds=5, reward_budget=1e308
-        )
+        SimSettings(evaluators=profiles(2), rounds=5, reward_budget=1e308)
 
 
 @pytest.mark.parametrize(
@@ -368,7 +362,7 @@ def test_sim_config_validation():
     ],
 )
 def test_attacker_count_truncates(n, ratio, expected):
-    cfg = SimConfig(
+    cfg = sim_config(
         config_id="c",
         evaluators=profiles(n),
         defense=Median(),
@@ -381,7 +375,7 @@ def test_attacker_count_truncates(n, ratio, expected):
 
 
 def test_resolve_behaviors_attack_takes_listed_order():
-    cfg = SimConfig(
+    cfg = sim_config(
         config_id="c",
         evaluators=profiles(4),
         defense=Median(),
@@ -399,7 +393,7 @@ def test_resolve_behaviors_attack_takes_listed_order():
 
 
 def test_resolve_behaviors_without_attack_all_honest():
-    cfg = SimConfig(
+    cfg = sim_config(
         config_id="c",
         evaluators=profiles(3),
         defense=Median(),
@@ -426,7 +420,7 @@ def synth_config(**overrides):
         rng_seed=42,
     )
     base.update(overrides)
-    return SimConfig(**base)
+    return sim_config(**base)
 
 
 def test_run_single_synthetic_shape():
@@ -533,7 +527,7 @@ def replay_config(**overrides):
         rng_seed=9,
     )
     base.update(overrides)
-    return SimConfig(**base)
+    return sim_config(**base)
 
 
 def test_replay_consensus_tracks_signal():

@@ -16,16 +16,16 @@ from mdqs.errors import (
 )
 from mdqs.model import CANONICAL_DIMENSIONS, DimensionId, WeightConfig
 from mdqs.scoring import (
-    CharNgramSemanticProvider,
-    ColumnProvider,
     PriorTable,
     ScoringConfig,
     StructurePolicy,
+    column_value,
     normalize_batch,
     normalize_evaluator_scores,
     normalize_with_stats,
     score_agreement,
     score_all,
+    score_semantic,
     score_structure,
     structure_features,
 )
@@ -131,52 +131,54 @@ def test_structure_policy_validation():
 # -------------------------------------------------------------- semantic
 
 def test_semantic_identical_text_is_exactly_one():
-    p = CharNgramSemanticProvider()
     s = make_sample(sample_id="s0", output="The Quick Fox", reference_text="the  quick fox")
-    assert p.provide(s) == 1.0
+    assert score_semantic(s) == 1.0
 
 
 def test_semantic_empty_side_is_zero():
-    p = CharNgramSemanticProvider()
-    assert p.provide(make_sample(sample_id="s0", output="", reference_text="words")) == 0.0
-    assert p.provide(make_sample(sample_id="s0", output="words", reference_text="")) == 0.0
+    assert score_semantic(make_sample(sample_id="s0", output="", reference_text="words")) == 0.0
+    assert score_semantic(make_sample(sample_id="s0", output="words", reference_text="")) == 0.0
 
 
 def test_semantic_partial_overlap_strictly_between():
-    p = CharNgramSemanticProvider()
     s = make_sample(
         sample_id="s0",
         output="the cat sat on the mat",
         reference_text="the dog sat on the rug",
     )
-    assert 0.0 < p.provide(s) < 1.0
+    assert 0.0 < score_semantic(s) < 1.0
 
 
 def test_semantic_missing_reference_raises():
-    p = CharNgramSemanticProvider()
     with pytest.raises(MissingReferenceText):
-        p.provide(make_sample(sample_id="s0", output="text", reference_text=None))
+        score_semantic(make_sample(sample_id="s0", output="text", reference_text=None))
 
 
 def test_column_provider_reads_evaluator_scores():
-    p = ColumnProvider("judge")
     s = make_sample(sample_id="s0", evaluator_scores={"judge": 0.73})
-    assert p.provide(s) == 0.73
+    assert column_value(s, "judge") == 0.73
 
 
 def test_column_provider_falls_back_to_extra():
-    p = ColumnProvider("quality_flag")
     s = make_sample(sample_id="s0", extra={"quality_flag": 0.4})
-    assert p.provide(s) == 0.4
+    assert column_value(s, "quality_flag") == 0.4
+
+
+def _semantic_from_column(column, sample):
+    """score_all over one sample, with semantic read from `column`."""
+    weights = WeightConfig("semantic", {DimensionId.SEMANTIC: 1.0})
+    return score_all([sample], ScoringConfig(weights=weights, semantic_column=column))
 
 
 def test_column_provider_missing_or_non_numeric():
-    with pytest.raises(MissingColumn):
-        ColumnProvider("absent").provide(make_sample(sample_id="s0"))
-    with pytest.raises(MissingColumn):
-        ColumnProvider("flag").provide(make_sample(sample_id="s0", extra={"flag": True}))
-    with pytest.raises(MissingColumn):
-        ColumnProvider("flag").provide(make_sample(sample_id="s0", extra={"flag": "high"}))
+    for column, sample in (
+        ("absent", make_sample(sample_id="s0")),
+        ("flag", make_sample(sample_id="s0", extra={"flag": True})),
+        ("flag", make_sample(sample_id="s0", extra={"flag": "high"})),
+    ):
+        assert column_value(sample, column) is None
+        with pytest.raises(MissingColumn):
+            _semantic_from_column(column, sample)
 
 
 # ------------------------------------------------------------- agreement
@@ -258,8 +260,7 @@ def _full_config(**overrides):
     cfg = ScoringConfig(
         model_priors=PriorTable("model_rating", {"m1": 1000.0, "m2": 1200.0}),
         cost_priors=PriorTable("cost_efficiency", {"m1": 1.0, "m2": 0.5}),
-        semantic_provider=CharNgramSemanticProvider(),
-        alignment_provider=ColumnProvider("judge"),
+        alignment_column="judge",
     )
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
@@ -348,7 +349,7 @@ def test_score_all_missing_prior_table_raises():
 
 def test_score_all_alignment_without_provider_raises():
     with pytest.raises(SchemaError):
-        score_all(_batch(), _full_config(alignment_provider=None))
+        score_all(_batch(), _full_config(alignment_column=None))
 
 
 def test_score_all_reports_raw_extremes():
