@@ -31,7 +31,6 @@ from mdqs.model import (
     TaskFamily,
     ValidationReport,
     WeightConfig,
-    validate_dataset,
 )
 from mdqs.poq import (
     AdaptiveTrust,
@@ -72,6 +71,7 @@ from mdqs.scoring import (
     score_semantic,
     score_structure,
     structure_features,
+    validate_dataset,
 )
 from mdqs.stats import average_ranks, pearson, rank_normalize, spearman
 from mdqs.synth import SyntheticSpec, generate_synthetic

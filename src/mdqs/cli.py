@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import os
 import sys
 import traceback
@@ -34,17 +33,14 @@ from mdqs.io import (
     RunConfig,
     build_grid,
     build_scoring_config,
-    check_config_needs,
-    check_required_columns,
     emit_reports,
     ingest,
     load_config,
     resolve_weights,
 )
-from mdqs.model import validate_dataset
 from mdqs.poq import run_experiment
 from mdqs.rng import SEED_LIMIT
-from mdqs.scoring import ScoringConfig, missing_inputs, score_all
+from mdqs.scoring import ScoringConfig, check_config, score_all, validate_dataset
 from mdqs.synth import (
     DEFAULT_CORRELATIONS,
     DEFAULT_EVALUATOR_NOISE,
@@ -163,7 +159,7 @@ def _ingest(args, config: RunConfig, scoring: ScoringConfig | None = None) -> In
     if not Path(path).exists():
         raise UsageError(f"input dataset not found: {path}")
     if scoring is not None:
-        check_config_needs(scoring)
+        check_config(scoring)
     return ingest(path, strict=args.strict)
 
 
@@ -174,12 +170,9 @@ def _ingest(args, config: RunConfig, scoring: ScoringConfig | None = None) -> In
 def cmd_validate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
-    missing = scoring = None
-    if args.config:  # also check what scoring under this config needs
-        scoring = config.scoring
-        missing = functools.partial(missing_inputs, config=scoring)
+    scoring = config.scoring if args.config else None  # with a config, also list what scoring needs
     result = _ingest(args, config, scoring)
-    report = validate_dataset(result.samples, missing)
+    report = validate_dataset(result.samples, scoring)
     emit_reports(out, validation=report, ingest_issues=result.issues)
     print(
         f"validate: {report.valid_count} valid, {report.invalid_count} invalid, "
@@ -194,7 +187,6 @@ def cmd_score(args) -> int:
     weights = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, weights)
     result = _ingest(args, config, scoring)
-    check_required_columns(result.samples, scoring)
     scored, stats = score_all(result.samples, scoring)
     emit_reports(
         out,
@@ -304,7 +296,6 @@ def cmd_report(args) -> int:
     base = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, base)
     result = _ingest(args, config, scoring)
-    check_required_columns(result.samples, scoring)
     scored, stats = score_all(result.samples, scoring)
 
     report = audit(scored)

@@ -29,7 +29,7 @@ import yaml
 
 from mdqs.audit import GATE_CHOICES, AuditBlock, AuditReport, CalibrationResult, CorrelationRow
 from mdqs.composite import VARIANTS, variant
-from mdqs.errors import AllDimensionsRemoved, MdqsError, SchemaError, SimConfigError
+from mdqs.errors import AllDimensionsRemoved, InvalidSpec, MdqsError, SchemaError, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
@@ -59,7 +59,7 @@ from mdqs.poq import (
     signal_label,
 )
 from mdqs.rng import SEED_LIMIT
-from mdqs.scoring import PriorTable, ScoringConfig, StructurePolicy, missing_inputs
+from mdqs.scoring import PriorTable, ScoringConfig, StructurePolicy
 from mdqs.synth import SyntheticSpec
 
 RECORD_SCHEMA = 1
@@ -190,7 +190,7 @@ def from_record(obj: object) -> LoggedSample:
         raise SchemaError(f"task: {exc}") from None
     scores = _section(obj.get("evaluator_scores"), "evaluator_scores")
     dims = _dimension_map(obj.get("dims"), "dims", _unit)
-    return LoggedSample(
+    fields = dict(
         sample_id=_text(obj.get("sample_id"), "sample_id"),
         task=task,
         producer_id=_text(obj.get("producer_id"), "producer_id"),
@@ -202,6 +202,10 @@ def from_record(obj: object) -> LoggedSample:
         dimension_scores=DimensionVector(dims) if dims else None,
         extra={k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS},
     )
+    try:
+        return LoggedSample(**fields)
+    except ValueError as exc:  # a field LoggedSample refuses, such as a blank sample_id
+        raise SchemaError(str(exc)) from None
 
 
 def to_record(sample: LoggedSample) -> dict:
@@ -411,7 +415,7 @@ def _evaluator(raw, where: str) -> EvaluatorProfile:
     return _from_fields(EvaluatorProfile, raw, where, extra_keys=("tier",))
 
 
-def _producers(raw, where: str) -> dict[str, float]:
+def _number_map(raw, where: str) -> dict[str, float]:
     return {str(k): _number(v, f"{where}.{k}") for k, v in _section(raw, where).items()}
 
 
@@ -422,7 +426,7 @@ _FIELD_READERS = {
     "str": _text,
     "float | None": lambda value, where: None if value is None else _number(value, where),
     "tuple[EvaluatorProfile, ...]": _list_of(_evaluator),
-    "Mapping[str, float] | None": _producers,
+    "Mapping[str, float] | None": _number_map,
 }
 # the config keys that differ from the field they set
 _FIELD_KEYS = {"target_producer": "target", "evaluator_id": "id"}
@@ -492,19 +496,17 @@ def _weight(value, where: str) -> float:
 def _prior_table(priors: Mapping, key: str) -> PriorTable | None:
     if priors.get(key) is None:
         return None
-    table = _section(priors[key], f"priors.{key}")
-    return PriorTable(key, {str(k): _number(v, f"priors.{key}.{k}") for k, v in table.items()})
+    return PriorTable(key, _number_map(priors[key], f"priors.{key}"))
 
 
 def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
     if raw is None:
         return None
-    section = _section(
-        raw,
-        "synthetic",
-        ("n", "qa_fraction", "correlations", "evaluators", "producers", "producers_per_query",
-         "seed"),
-    )
+    readers = {"qa_fraction": _number, "producers": _list_of(_text), "producers_per_query": _integer}
+    keys = ("n", "correlations", "evaluators", "seed", *readers)
+    section = {k: v for k, v in _section(raw, "synthetic", keys).items() if v is not None}
+    if "n" not in section:
+        raise SchemaError("synthetic needs 'n'")
     correlations = _section(section.get("correlations"), "synthetic.correlations")
     # flat {dimension: rho} applies to both standard tasks
     if correlations and all(not isinstance(v, dict) for v in correlations.values()):
@@ -516,22 +518,18 @@ def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
             if not str(task).strip():
                 raise SchemaError("synthetic.correlations: task label must be non-empty")
             by_task[str(task)] = _dimension_map(entry, f"synthetic.correlations.{task}")
-    noise = {
-        str(k): _number(v, f"synthetic.evaluators.{k}")
-        for k, v in _section(section.get("evaluators"), "synthetic.evaluators").items()
-    }
-    producers = section.get("producers") or ("model-a", "model-b", "model-c")
-    if not isinstance(producers, (list, tuple)):
-        raise SchemaError("synthetic.producers must be a list")
-    return SyntheticSpec(
-        n=_opt(section, "n", _integer, "synthetic", 0),
-        correlations=by_task,
-        evaluator_noise=noise,
-        qa_fraction=_opt(section, "qa_fraction", _number, "synthetic", 0.5),
-        producers=tuple(_text(p, f"synthetic.producers[{i}]") for i, p in enumerate(producers)),
-        producers_per_query=_opt(section, "producers_per_query", _integer, "synthetic", 1),
-        rng_seed=_opt(section, "seed", _seed, "synthetic", default_seed or 0),
-    )
+    # only the keys given, so each default is written once, on SyntheticSpec
+    given = {k: read(section[k], f"synthetic.{k}") for k, read in readers.items() if k in section}
+    try:
+        return SyntheticSpec(
+            n=_integer(section["n"], "synthetic.n"),
+            correlations=by_task,
+            evaluator_noise=_number_map(section.get("evaluators"), "synthetic.evaluators"),
+            rng_seed=_opt(section, "seed", _seed, "synthetic", default_seed or 0),
+            **given,
+        )
+    except InvalidSpec as exc:
+        raise SchemaError(f"synthetic: {exc}") from None
 
 
 def _sim(raw) -> SimGridSpec | None:
@@ -581,6 +579,8 @@ def load_config(path: str | Path | None) -> RunConfig:
     stats = _opt(normalization, "stats", _text, "normalization")
     if mode == "frozen" and stats is None:
         raise SchemaError("normalization.stats must point to a stats JSON file")
+    if mode != "frozen" and stats is not None:
+        raise SchemaError("normalization.mode must be 'frozen' to use normalization.stats")
 
     audit_keys = ("gate", "threshold", "per_task", "preset", "variants")
     audit_section = _section(raw.get("audit"), "audit", audit_keys)
@@ -642,31 +642,6 @@ def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]
 def build_scoring_config(config: RunConfig, weights: WeightConfig) -> ScoringConfig:
     """The config's scoring settings under `weights`."""
     return dataclasses.replace(config.scoring, weights=weights)
-
-
-def check_config_needs(scoring: ScoringConfig) -> None:
-    """Fail before ingest on what no sample can supply: a weighted prior
-    dimension without a non-empty table, weighted alignment without a column,
-    or frozen stats that miss a weighted dimension."""
-    active = scoring.weights.dimensions()
-    for dim, key, table in (
-        (DimensionId.MODEL_PRIOR, "priors.model_rating", scoring.model_priors),
-        (DimensionId.COST_PRIOR, "priors.cost_efficiency", scoring.cost_priors),
-    ):
-        if dim in active and (table is None or not table.ratings):
-            raise SchemaError(f"{key} must be a non-empty table while {dim.value} is weighted")
-    if DimensionId.ALIGNMENT in active and scoring.alignment_column is None:
-        raise SchemaError("providers.alignment must name a column while alignment is weighted")
-    if scoring.frozen_stats is not None and active - scoring.frozen_stats.keys():
-        uncovered = ", ".join(sorted(d.value for d in active - scoring.frozen_stats.keys()))
-        raise SchemaError(f"normalization.stats has no [min, max] for weighted {uncovered}")
-
-
-def check_required_columns(samples: Sequence[LoggedSample], scoring: ScoringConfig) -> None:
-    """Fail fast, before any scoring work, on the first input a sample lacks."""
-    for sample in samples:
-        for _, error in missing_inputs(sample, scoring):
-            raise error
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 
 class DimensionId(Enum):
@@ -142,7 +142,9 @@ class LoggedSample:
     reference_score is the trusted quality signal used for audits; it is
     optional because production logs rarely have one. reference_text feeds
     the builtin semantic baseline. Unknown fields from ingestion ride along
-    in `extra` and are written back out unchanged.
+    in `extra` and are written back out unchanged. Construction refuses a
+    blank sample_id or producer_id, a non-string output and a non-finite
+    score, so no later stage re-checks them.
     """
 
     sample_id: str
@@ -157,9 +159,19 @@ class LoggedSample:
     extra: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "evaluator_scores", {str(k): float(v) for k, v in self.evaluator_scores.items()}
-        )
+        for name in ("sample_id", "producer_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value.strip():
+                raise ValueError(f"{name} must be a non-blank string, got {value!r}")
+        if not isinstance(self.output, str):
+            raise ValueError(f"output must be a string, got {type(self.output).__name__}")
+        scores = {str(k): float(v) for k, v in self.evaluator_scores.items()}
+        for name, score in scores.items():
+            if not math.isfinite(score):
+                raise ValueError(f"evaluator_scores.{name} must be finite, got {score!r}")
+        if self.reference_score is not None and not math.isfinite(self.reference_score):
+            raise ValueError(f"reference_score must be finite, got {self.reference_score!r}")
+        object.__setattr__(self, "evaluator_scores", scores)
         object.__setattr__(self, "extra", dict(self.extra))
 
     def with_dimensions(self, dims: DimensionVector) -> "LoggedSample":
@@ -201,65 +213,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.invalid_count == 0
-
-
-def _check_sample(sample: LoggedSample) -> list[ValidationIssue]:
-    issues: list[ValidationIssue] = []
-    sid = sample.sample_id
-
-    def bad(fieldname: str, message: str):
-        issues.append(ValidationIssue(sample_id=sid, fieldname=fieldname, message=message))
-
-    if not sid or not sid.strip():
-        bad("sample_id", "must be non-empty")
-    if not sample.producer_id or not sample.producer_id.strip():
-        bad("producer_id", "must be non-empty")
-    if not isinstance(sample.output, str):
-        bad("output", "must be a string")
-    for name, score in sample.evaluator_scores.items():
-        if not math.isfinite(score):
-            bad(f"evaluator_scores.{name}", f"non-finite score {score!r}")
-    if sample.reference_score is not None and not math.isfinite(sample.reference_score):
-        bad("reference_score", f"non-finite value {sample.reference_score!r}")
-    return issues
-
-
-def validate_dataset(
-    samples: Iterable[LoggedSample],
-    missing: Callable[[LoggedSample], Iterable[tuple[str, Exception]]] | None = None,
-) -> ValidationReport:
-    """Check structural invariants over a whole dataset.
-
-    Flags duplicate sample ids, non-finite scores, and empty identity
-    fields, plus each (field, error) that `missing` lists for a sample.
-    Every violation is reported, not just the first.
-    """
-    issues: list[ValidationIssue] = []
-    seen: set[str] = set()
-    valid = 0
-    invalid = 0
-    for sample in samples:
-        sample_issues = _check_sample(sample)
-        if missing is not None:
-            sample_issues.extend(
-                ValidationIssue(sample.sample_id, fieldname, str(error))
-                for fieldname, error in missing(sample)
-            )
-        if sample.sample_id in seen:
-            sample_issues.append(
-                ValidationIssue(
-                    sample_id=sample.sample_id,
-                    fieldname="sample_id",
-                    message=f"duplicate sample_id {sample.sample_id!r}",
-                )
-            )
-        seen.add(sample.sample_id)
-        if sample_issues:
-            invalid += 1
-            issues.extend(sample_issues)
-        else:
-            valid += 1
-    return ValidationReport(valid_count=valid, invalid_count=invalid, issues=tuple(issues))
 
 
 @dataclass(frozen=True)

@@ -554,8 +554,8 @@ class SimSettings:
             raise SimConfigError("budget must be finite and >= 0")
         if not (0.0 <= self.honest_noise_sd) or not math.isfinite(self.honest_noise_sd):
             raise SimConfigError("honest_noise_sd must be finite and >= 0")
-        if self.beta_concentration <= 0:
-            raise SimConfigError("beta_concentration must be > 0")
+        if not (math.isfinite(self.beta_concentration) and self.beta_concentration > 0):
+            raise SimConfigError("beta_concentration must be finite and > 0")
         if self.producers is not None:
             clean = {}
             for producer, mean in self.producers.items():

@@ -4,7 +4,8 @@ Each scorer returns a raw real number; score_all builds each active raw
 column once, normalizes it to [0, 1] with per-batch min-max (or frozen
 stats), attaches a DimensionVector to every sample, and returns each raw
 column's (min, max) too. The scorers stay usable on their own for debugging
-single samples.
+single samples. check_config and missing_inputs decide what scoring needs;
+score_all and validate_dataset both ask them.
 
 Conventions that matter:
   - tokenization is whitespace split, nothing smarter;
@@ -19,7 +20,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from mdqs.errors import (
     EmptyPriorTable,
@@ -35,6 +36,8 @@ from mdqs.model import (
     DimensionId,
     DimensionVector,
     LoggedSample,
+    ValidationIssue,
+    ValidationReport,
     WeightConfig,
 )
 
@@ -222,13 +225,6 @@ def column_value(sample: LoggedSample, column: str) -> float | None:
     return float(value)
 
 
-def _column(samples: Sequence[LoggedSample], column: str) -> list[float]:
-    values = [column_value(s, column) for s in samples]
-    if None in values:
-        raise MissingColumn(column, samples[values.index(None)].sample_id)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # agreement
 
@@ -320,6 +316,26 @@ class ScoringConfig:
     frozen_stats: Mapping[DimensionId, tuple[float, float]] | None = None
 
 
+def check_config(config: ScoringConfig) -> None:
+    """Refuse what no sample can supply: a weighted prior dimension without a
+    non-empty table (EmptyPriorTable), weighted alignment without a column, or
+    frozen stats that miss a weighted dimension (SchemaError)."""
+    active = config.weights.dimensions()
+    for dim, key, table in (
+        (DimensionId.MODEL_PRIOR, "priors.model_rating", config.model_priors),
+        (DimensionId.COST_PRIOR, "priors.cost_efficiency", config.cost_priors),
+    ):
+        if dim in active and (table is None or not table.ratings):
+            raise EmptyPriorTable(
+                f"{key} must be a non-empty table while {dim.value} is weighted"
+            )
+    if DimensionId.ALIGNMENT in active and config.alignment_column is None:
+        raise SchemaError("providers.alignment must name a column while alignment is weighted")
+    if config.frozen_stats is not None and active - config.frozen_stats.keys():
+        uncovered = ", ".join(sorted(d.value for d in active - config.frozen_stats.keys()))
+        raise SchemaError(f"normalization.stats has no [min, max] for weighted {uncovered}")
+
+
 def missing_inputs(
     sample: LoggedSample, config: ScoringConfig
 ) -> list[tuple[str, MdqsError]]:
@@ -347,25 +363,17 @@ def _raw_column(
     dim: DimensionId, samples: Sequence[LoggedSample], config: ScoringConfig
 ) -> list[float]:
     if dim is DimensionId.MODEL_PRIOR:
-        if config.model_priors is None:
-            raise EmptyPriorTable("model prior table not configured")
         return [config.model_priors.normalized(s.producer_id) for s in samples]
     if dim is DimensionId.COST_PRIOR:
-        if config.cost_priors is None:
-            raise EmptyPriorTable("cost-efficiency prior table not configured")
         return [config.cost_priors.normalized(s.producer_id) for s in samples]
     if dim is DimensionId.STRUCTURE:
         return [score_structure(s.output, config.structure) for s in samples]
+    if dim is DimensionId.SEMANTIC and config.semantic_column is None:
+        return [score_semantic(s) for s in samples]
     if dim is DimensionId.SEMANTIC:
-        if config.semantic_column is None:
-            return [score_semantic(s) for s in samples]
-        return _column(samples, config.semantic_column)
+        return [column_value(s, config.semantic_column) for s in samples]
     if dim is DimensionId.ALIGNMENT:
-        if config.alignment_column is None:
-            raise SchemaError(
-                "alignment weight is active but no alignment column is configured"
-            )
-        return _column(samples, config.alignment_column)
+        return [column_value(s, config.alignment_column) for s in samples]
     if dim is DimensionId.AGREEMENT:
         normalized = normalize_evaluator_scores(samples)
         return [
@@ -382,24 +390,28 @@ def score_all(
 ) -> tuple[list[LoggedSample], dict[DimensionId, tuple[float, float]]]:
     """Score every active dimension over the batch and attach the vectors.
 
-    Raw columns are computed per dimension, then normalized per batch
-    (or against frozen stats when configured). Existing dimension scores
-    are replaced, so re-scoring is idempotent. Scorer errors carry the
-    offending sample_id and abort the pass. Returns the scored samples and
-    each active dimension's raw (min, max), which can be fed back in as
-    frozen_stats.
+    Before any column is built, the config passes check_config and every
+    sample passes missing_inputs; the first problem is raised. Raw columns
+    are computed per dimension, then normalized per batch (or against
+    frozen stats when configured). Existing dimension scores are replaced,
+    so re-scoring is idempotent. Returns the scored samples and each active
+    dimension's raw (min, max), which can be fed back in as frozen_stats.
     """
     config = config or ScoringConfig()
     samples = list(samples)
     if not samples:
         return [], {}
+    check_config(config)
+    for sample in samples:
+        for _, error in missing_inputs(sample, config):
+            raise error
     active = [d for d in CANONICAL_DIMENSIONS if d in config.weights.dimensions()]
     columns: dict[DimensionId, list[float]] = {}
     raw_ranges: dict[DimensionId, tuple[float, float]] = {}
     for dim in active:
         raw = _raw_column(dim, samples, config)
         raw_ranges[dim] = (min(raw), max(raw))
-        if config.frozen_stats is not None and dim in config.frozen_stats:
+        if config.frozen_stats is not None:
             lo, hi = config.frozen_stats[dim]
             columns[dim] = normalize_with_stats(raw, lo, hi)
         else:
@@ -409,3 +421,28 @@ def score_all(
         vector = DimensionVector({dim: columns[dim][i] for dim in active})
         scored.append(sample.with_dimensions(vector))
     return scored, raw_ranges
+
+
+def validate_dataset(
+    samples: Iterable[LoggedSample], config: ScoringConfig | None = None
+) -> ValidationReport:
+    """List every repeated sample id and, given `config`, every input that
+    scoring under it would reject, not just the first."""
+    issues: list[ValidationIssue] = []
+    seen: set[str] = set()
+    valid = invalid = 0
+    for sample in samples:
+        sid = sample.sample_id
+        found = [
+            ValidationIssue(sid, fieldname, str(error))
+            for fieldname, error in (missing_inputs(sample, config) if config is not None else ())
+        ]
+        if sid in seen:
+            found.append(ValidationIssue(sid, "sample_id", f"duplicate sample_id {sid!r}"))
+        seen.add(sid)
+        if found:
+            invalid += 1
+            issues.extend(found)
+        else:
+            valid += 1
+    return ValidationReport(valid_count=valid, invalid_count=invalid, issues=tuple(issues))

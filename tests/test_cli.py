@@ -256,6 +256,10 @@ BAD_CONFIGS = [
         "sim.defenses",
     ),
     ("weights: {structure: 1, agreement: 1}\n", "audit.variants"),  # semantic_only is empty
+    ("normalization: {stats: narrow.json}\n", "normalization.mode"),
+    ("synthetic: {qa_fraction: 0.3}\n", "synthetic needs 'n'"),
+    ("synthetic: {n: 10, producers_per_query: 5}\n", "synthetic: producers_per_query"),
+    ("synthetic: {n: 10, qa_fraction: 2}\n", "synthetic: qa_fraction"),
 ]
 
 
@@ -325,6 +329,35 @@ def test_frozen_stats_must_cover_every_weighted_dimension(tmp_path, capsys, monk
             "normalization.stats has no [min, max] for weighted "
             "agreement, alignment, cost_prior, model_prior, structure"
         ) in capsys.readouterr().err
+
+
+def test_blank_identity_is_a_malformed_line_for_every_command(tmp_path):
+    lines = (Path(FIXTURES) / "replay_200.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[3] = json.dumps(json.loads(lines[3]) | {"producer_id": ""})
+    lines[7] = json.dumps(json.loads(lines[7]) | {"sample_id": "  "})
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = f"{FIXTURES}/replay_config.yaml"
+    for command in ("validate", "score", "report"):
+        out = tmp_path / command
+        code = main([command, "--config", config, "--input", str(data), "--out", str(out)])
+        assert code == (1 if command == "validate" else 0)
+        issues = [
+            json.loads(line)
+            for line in (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert [(i["line"], i["error"].split()[0]) for i in issues] == [
+            (4, "producer_id"),
+            (8, "sample_id"),
+        ]
+        if command == "validate":
+            assert json.loads((out / "validation.json").read_text())["total"] == 198
+            continue
+        scored = ingest(out / "scored.jsonl").samples
+        assert len(scored) == 198
+        assert all(s.producer_id.strip() and s.sample_id.strip() for s in scored)
+    means = (tmp_path / "report" / "dimension_means_by_producer.csv").read_text(encoding="utf-8")
+    assert "\n," not in means
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ Runs through the CLI, each into its own directory:
                  on the fixture in its own order and with its lines reversed
                  (so summarization comes first);
   calibrate-<gate>[-reversed]
-                 per-task calibration of that report's scored.jsonl.
+                 per-task calibration of that report's scored.jsonl;
+  validate       validate the replay fixture under its config.
 
 Every file each run leaves, manifest.json included, must match
 fixtures/golden_digests.txt byte for byte. A change that alters report bytes
@@ -76,6 +77,9 @@ def _commands(case: str, root: Path) -> list[list[str]]:
             ["score", *config, "--input", RAW, *common],
             ["simulate", *config, "--input", scored, *common],
         ]
+    if case == "validate":
+        config = ["--config", str(FIXTURES / "replay_config.yaml")]
+        return [["validate", *config, "--input", RAW, *common]]
     return [["simulate", "--config", str(FIXTURES / "synthetic_grid.yaml"), *common]]
 
 
@@ -88,6 +92,7 @@ CASES = (
     "synthetic_grid",
     *(f"report-{variant}" for variant in PER_TASK),
     *(f"calibrate-{variant}" for variant in PER_TASK),
+    "validate",
 )
 
 

@@ -17,11 +17,8 @@ from mdqs.audit import (
 from mdqs.composite import VARIANTS, variant
 from mdqs.errors import (
     MdqsError,
-    MissingColumn,
-    MissingReferenceText,
     SchemaError,
     SimConfigError,
-    TooFewEvaluators,
 )
 from mdqs.io import (
     _FIELD_READERS,
@@ -30,7 +27,6 @@ from mdqs.io import (
     SimGridSpec,
     build_grid,
     build_scoring_config,
-    check_required_columns,
     emit_reports,
     from_record,
     ingest,
@@ -49,7 +45,6 @@ from mdqs.model import (
     DimensionId,
     EvaluatorProfile,
     WeightConfig,
-    validate_dataset,
 )
 from mdqs.poq import (
     ATTACKS,
@@ -68,7 +63,7 @@ from mdqs.poq import (
     run_single,
     signal_label,
 )
-from mdqs.scoring import ScoringConfig, StructurePolicy
+from mdqs.scoring import ScoringConfig, StructurePolicy, validate_dataset
 
 
 # ------------------------------------------------------------ records
@@ -147,6 +142,10 @@ def test_from_record_schema_errors():
         from_record(full_record() | {"gt": "high"})
     for bad in (
         {"task": "  "},
+        {"sample_id": ""},
+        {"sample_id": "  "},
+        {"producer_id": ""},
+        {"producer_id": " \t"},
         {"evaluator_scores": {"j": float("nan")}},
         {"gt": float("inf")},
         {"gt": 10**400},
@@ -576,23 +575,6 @@ def test_build_scoring_config_wires_providers(tmp_path):
     plain = build_scoring_config(RunConfig(), DEFAULT_WEIGHTS)
     assert plain.semantic_column is None  # the built-in semantic scorer
     assert plain.alignment_column is None
-
-
-def test_check_required_columns_fails_fast():
-    scoring = ScoringConfig(alignment_column="judge")
-    good = make_sample(
-        sample_id="ok", reference_text="ref", evaluator_scores={"judge": 0.5, "other": 0.1}
-    )
-    check_required_columns([good], scoring)
-    one_score = make_sample(sample_id="bad3", reference_text="ref", evaluator_scores={"judge": 0.5})
-    with pytest.raises(TooFewEvaluators):
-        check_required_columns([one_score], scoring)
-    no_ref = make_sample(sample_id="bad", evaluator_scores={"judge": 0.5})
-    with pytest.raises(MissingReferenceText):
-        check_required_columns([no_ref], scoring)
-    no_col = make_sample(sample_id="bad2", reference_text="ref")
-    with pytest.raises(MissingColumn):
-        check_required_columns([no_col], scoring)
 
 
 # ------------------------------------------------------------ emission

@@ -14,8 +14,8 @@ from mdqs.model import (
     TaskFamily,
     WeightConfig,
     parse_dimension,
-    validate_dataset,
 )
+from mdqs.scoring import ScoringConfig, validate_dataset
 
 
 def test_canonical_dimension_order():
@@ -124,29 +124,38 @@ def test_validate_dataset_duplicate_ids():
     assert any("duplicate" in issue.message.lower() for issue in report.issues)
 
 
-def test_validate_dataset_non_finite_scores():
-    bad = make_sample(sample_id="s0", evaluator_scores={"judge": float("nan")})
-    report = validate_dataset([bad])
-    assert not report.ok
-    assert report.invalid_count == 1
-    assert any(issue.fieldname.startswith("evaluator_scores") for issue in report.issues)
+def test_sample_rejects_non_finite_scores():
+    with pytest.raises(ValueError, match="evaluator_scores.judge"):
+        make_sample(sample_id="s0", evaluator_scores={"judge": float("nan")})
+    with pytest.raises(ValueError, match="evaluator_scores.j must be finite"):
+        make_sample(sample_id="a", evaluator_scores={"j": float("inf")})
+    with pytest.raises(ValueError, match="reference_score"):
+        make_sample(sample_id="c", reference_score=float("nan"))
 
 
-def test_validate_dataset_empty_identity_fields():
-    assert not validate_dataset([make_sample(sample_id="")]).ok
-    assert not validate_dataset([make_sample(sample_id="s0", producer_id=" ")]).ok
+def test_sample_rejects_blank_identity_fields():
+    with pytest.raises(ValueError, match="sample_id"):
+        make_sample(sample_id="")
+    with pytest.raises(ValueError, match="producer_id"):
+        make_sample(sample_id="s0", producer_id=" ")
+    with pytest.raises(ValueError, match="output"):
+        make_sample(sample_id="s0", output=None)
 
 
 def test_validate_dataset_reports_every_issue():
     samples = [
-        make_sample(sample_id="a", evaluator_scores={"j": float("inf")}),
-        make_sample(sample_id="a"),
-        make_sample(sample_id="c", reference_score=float("nan")),
+        make_sample(sample_id="a", reference_text="r", evaluator_scores={"j": 0.5}),
+        make_sample(sample_id="a", reference_text="r", evaluator_scores={"j": 0.5, "k": 0.1}),
+        make_sample(sample_id="c", evaluator_scores={"j": 0.5, "k": 0.1}),
     ]
-    report = validate_dataset(samples)
+    weights = WeightConfig("w", {DimensionId.SEMANTIC: 1.0, DimensionId.AGREEMENT: 1.0})
+    report = validate_dataset(samples, ScoringConfig(weights=weights))
     assert report.invalid_count == 3
     assert report.valid_count == 0
     assert len(report.issues) == 3
+    assert [i.fieldname for i in report.issues] == [
+        "evaluator_scores", "sample_id", "reference_text"
+    ]
 
 
 def test_sample_with_dimensions():

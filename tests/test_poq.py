@@ -350,6 +350,9 @@ def test_sim_config_validation():
     # each round pays the whole budget, so 5 rounds of 1e308 overflow the total
     with pytest.raises(SimConfigError, match="reward_budget"):
         SimSettings(evaluators=profiles(2), rounds=5, reward_budget=1e308)
+    for beta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(SimConfigError, match="beta_concentration"):
+            SimSettings(evaluators=profiles(2), rounds=5, beta_concentration=beta)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import mdqs.scoring
 from conftest import make_sample
 from mdqs.errors import (
     EmptyPriorTable,
@@ -350,6 +351,27 @@ def test_score_all_missing_prior_table_raises():
 def test_score_all_alignment_without_provider_raises():
     with pytest.raises(SchemaError):
         score_all(_batch(), _full_config(alignment_column=None))
+
+
+def test_score_all_refuses_missing_inputs_before_any_column(monkeypatch):
+    good = make_sample(
+        sample_id="ok", reference_text="ref", evaluator_scores={"judge": 0.5, "other": 0.1}
+    )
+    assert len(score_all([good], _full_config())[0]) == 1
+
+    def unreached(sample):
+        raise AssertionError("a column was built before every sample was checked")
+
+    monkeypatch.setattr(mdqs.scoring, "score_semantic", unreached)
+    one_score = make_sample(sample_id="bad3", reference_text="ref", evaluator_scores={"judge": 0.5})
+    with pytest.raises(TooFewEvaluators):
+        score_all([good, one_score], _full_config())
+    no_ref = make_sample(sample_id="bad", evaluator_scores={"judge": 0.5})
+    with pytest.raises(MissingReferenceText):
+        score_all([good, no_ref], _full_config())
+    no_col = make_sample(sample_id="bad2", reference_text="ref")
+    with pytest.raises(MissingColumn):
+        score_all([good, no_col], _full_config())
 
 
 def test_score_all_reports_raw_extremes():

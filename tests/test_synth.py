@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mdqs.errors import InvalidSpec
-from mdqs.model import DimensionId, validate_dataset
+from mdqs.model import DimensionId
+from mdqs.scoring import validate_dataset
 from mdqs.stats import spearman
 from mdqs.synth import (
     DEFAULT_CORRELATIONS,
