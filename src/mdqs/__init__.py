@@ -50,13 +50,10 @@ from mdqs.poq import (
     SimSettings,
     SingleEvaluator,
     TrimmedMean,
-    aggregate,
     allocate_rewards,
-    evaluator_emit,
     run_experiment,
     run_single,
     sample_evaluators,
-    update_trust,
     weighted_median,
 )
 from mdqs.scoring import (

@@ -27,7 +27,7 @@ from mdqs.audit import (
     dimension_means_by_producer,
     with_composites,
 )
-from mdqs.errors import MdqsError, UsageError
+from mdqs.errors import InvalidSpec, MdqsError, UsageError
 from mdqs.io import (
     IngestResult,
     RunConfig,
@@ -41,12 +41,7 @@ from mdqs.io import (
 from mdqs.poq import run_experiment
 from mdqs.rng import SEED_LIMIT
 from mdqs.scoring import ScoringConfig, check_config, score_all, validate_dataset
-from mdqs.synth import (
-    DEFAULT_CORRELATIONS,
-    DEFAULT_EVALUATOR_NOISE,
-    SyntheticSpec,
-    generate_synthetic,
-)
+from mdqs.synth import SyntheticSpec, generate_synthetic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,6 +260,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise InvalidSpec(f"--n must be >= 1, got {args.n}")
     config = load_config(args.config)
     out = _out_dir(args, config)
     seed = _resolve_seed(args, config)
@@ -272,12 +269,7 @@ def cmd_synth(args) -> int:
     if spec is None:
         if args.n is None:
             raise UsageError("synth needs --n or a 'synthetic' section in the config")
-        spec = SyntheticSpec(
-            n=args.n,
-            correlations=DEFAULT_CORRELATIONS,
-            evaluator_noise=DEFAULT_EVALUATOR_NOISE,
-            rng_seed=seed,
-        )
+        spec = SyntheticSpec(n=args.n, rng_seed=seed)
     else:
         if args.n is not None:
             spec = dataclasses.replace(spec, n=args.n)

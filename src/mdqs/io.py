@@ -499,32 +499,40 @@ def _prior_table(priors: Mapping, key: str) -> PriorTable | None:
     return PriorTable(key, _number_map(priors[key], f"priors.{key}"))
 
 
+def _correlations(raw, where: str) -> dict[str, dict[DimensionId, float]]:
+    correlations = _section(raw, where)
+    # flat {dimension: rho} applies to both standard tasks
+    if correlations and all(not isinstance(v, dict) for v in correlations.values()):
+        shared = _dimension_map(correlations, where)
+        return {"qa": shared, "summarization": dict(shared)}
+    by_task = {}
+    for task, entry in correlations.items():
+        if not str(task).strip():
+            raise SchemaError(f"{where}: task label must be non-empty")
+        by_task[str(task)] = _dimension_map(entry, f"{where}.{task}")
+    return by_task
+
+
 def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
     if raw is None:
         return None
-    readers = {"qa_fraction": _number, "producers": _list_of(_text), "producers_per_query": _integer}
-    keys = ("n", "correlations", "evaluators", "seed", *readers)
+    readers = {
+        "correlations": _correlations,
+        "qa_fraction": _number,
+        "producers": _list_of(_text),
+        "producers_per_query": _integer,
+    }
+    keys = ("n", "evaluators", "seed", *readers)
     section = {k: v for k, v in _section(raw, "synthetic", keys).items() if v is not None}
     if "n" not in section:
         raise SchemaError("synthetic needs 'n'")
-    correlations = _section(section.get("correlations"), "synthetic.correlations")
-    # flat {dimension: rho} applies to both standard tasks
-    if correlations and all(not isinstance(v, dict) for v in correlations.values()):
-        shared = _dimension_map(correlations, "synthetic.correlations")
-        by_task = {"qa": shared, "summarization": dict(shared)}
-    else:
-        by_task = {}
-        for task, entry in correlations.items():
-            if not str(task).strip():
-                raise SchemaError("synthetic.correlations: task label must be non-empty")
-            by_task[str(task)] = _dimension_map(entry, f"synthetic.correlations.{task}")
     # only the keys given, so each default is written once, on SyntheticSpec
     given = {k: read(section[k], f"synthetic.{k}") for k, read in readers.items() if k in section}
+    if "evaluators" in section:
+        given["evaluator_noise"] = _number_map(section["evaluators"], "synthetic.evaluators")
     try:
         return SyntheticSpec(
             n=_integer(section["n"], "synthetic.n"),
-            correlations=by_task,
-            evaluator_noise=_number_map(section.get("evaluators"), "synthetic.evaluators"),
             rng_seed=_opt(section, "seed", _seed, "synthetic", default_seed or 0),
             **given,
         )

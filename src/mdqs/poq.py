@@ -4,8 +4,14 @@ Each round, a budgeted subset of evaluators scores every output, a defense
 aggregates the emissions into one consensus score, trust optionally adapts,
 and the round's reward budget is split across producers in proportion to
 their score spread. The first floor(attack_ratio * n) evaluators behave
-as the cell's attack strategy itself; the rest are Honest. One round loop
-serves both modes, which differ only in the outputs a round scores:
+as the cell's attack strategy itself; the rest are Honest.
+
+Trust is one list in the order the evaluators are listed, and each
+trust_trajectory snapshot keeps that order. A round's emitters score in
+evaluator-id order, and a defense sees their values and trust as parallel
+lists in that order, so the weighted median and trimmed mean break value
+ties by evaluator id. One round loop serves both modes, which differ only
+in the outputs a round scores:
 
   synthetic: per-producer latent quality drawn from a Beta distribution each
       round; evaluators observe that latent value, and the error is measured
@@ -27,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, ClassVar, Iterator, Mapping, Sequence, Union
-
-import numpy as np
 
 from mdqs.composite import VARIANTS, compose_batch, variant
 from mdqs.errors import (
@@ -184,28 +188,15 @@ def attack_label(attack: AttackStrategy | None) -> str:
     return "none" if attack is None else attack.label()
 
 
-def evaluator_emit(
-    behavior: EvaluatorBehavior,
-    quality: float,
-    round_index: int,
-    rng: np.random.Generator,
-    producer_id: str | None = None,
-) -> float:
-    """One evaluator's reported score for one output.
-
-    quality is what the evaluator observes (latent oracle in synthetic
-    mode, the configured signal in replay) and must already be in [0, 1].
-    """
-    if not (0.0 <= quality <= 1.0):
-        raise ValueError(f"quality must be in [0, 1], got {quality!r}")
-    return behavior.emit(quality, round_index, rng, producer_id)
-
-
 # ---------------------------------------------------------------------------
 # defenses
+#
+# aggregate(values, trust) gets the emitters' values and trust as parallel
+# lists in evaluator-id order. A trust step maps (whole trust list, emitter
+# positions, their values) to the next trust list.
 
 
-TrustStep = Callable[[Mapping[str, float], Mapping[str, float]], dict[str, float]]
+TrustStep = Callable[[list[float], Sequence[int], Sequence[float]], list[float]]
 
 
 class _FixedTrust:
@@ -224,8 +215,8 @@ class Mean(_FixedTrust):
     def label(self) -> str:
         return "mean"
 
-    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
-        return _weighted_mean(scores, trust)
+    def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
+        return _weighted_mean(values, trust)
 
 
 @dataclass(frozen=True)
@@ -238,8 +229,8 @@ class Median(_FixedTrust):
     def label(self) -> str:
         return "median"
 
-    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
-        return weighted_median(scores, trust)
+    def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
+        return weighted_median(values, trust)
 
 
 @dataclass(frozen=True)
@@ -256,14 +247,13 @@ class TrimmedMean(_FixedTrust):
     def label(self) -> str:
         return f"trimmed_mean({self.trim_fraction:g})"
 
-    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
-        k = int(self.trim_fraction * len(scores))
-        ordered = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
+    def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
+        k = int(self.trim_fraction * len(values))
+        ordered = _by_value(values)
         kept = ordered[k : len(ordered) - k] if k else ordered
         if not kept:
-            raise EmptyAfterTrim(len(scores), k)
-        weights = _renormalized({e: trust.get(e, 0.0) for e, _ in kept})
-        return math.fsum(weights[e] * v for e, v in kept)
+            raise EmptyAfterTrim(len(values), k)
+        return _weighted_mean([values[i] for i in kept], [trust[i] for i in kept])
 
 
 @dataclass(frozen=True)
@@ -287,21 +277,27 @@ class AdaptiveTrust:
     def label(self) -> str:
         return f"adaptive_trust(lr={self.learning_rate:g})"
 
-    def aggregate(self, scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
-        return _weighted_mean(scores, trust)
+    def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
+        return _weighted_mean(values, trust)
 
     def trust_step(self, n_evaluators: int, config_id: str) -> TrustStep:
-        """Per-output update: downdate each emitter by its distance from the
-        trust-weighted median, never below the floor."""
+        """Per-output multiplicative downdate: each emitter's weight shrinks
+        with its distance from the trust-weighted median, never below the
+        floor, and the list is renormalized back onto the simplex. Evaluators
+        who did not emit keep their weight (before renormalization)."""
         n = n_evaluators
         floor = self.floor if self.floor is not None else 0.01 / n
         if floor > 1.0 / n:
             raise SimConfigError(f"{config_id}: trust floor {floor} exceeds 1/{n}")
         learning_rate = self.learning_rate
 
-        def step(trust: Mapping[str, float], scores: Mapping[str, float]) -> dict[str, float]:
-            reference = weighted_median(scores, trust)
-            return update_trust(trust, scores, reference, learning_rate, floor)
+        def step(trust: list[float], emitters: Sequence[int], values: Sequence[float]):
+            reference = weighted_median(values, [trust[i] for i in emitters])
+            updated = list(trust)
+            for i, value in zip(emitters, values):
+                deviation = abs(value - reference)
+                updated[i] = max(floor, trust[i] * math.exp(-learning_rate * deviation))
+            return _renormalized(updated)
 
         return step
 
@@ -310,93 +306,66 @@ DefenseConfig = Union[Mean, Median, TrimmedMean, AdaptiveTrust]
 DEFENSES: dict[str, type] = {c.type: c for c in (Mean, Median, TrimmedMean, AdaptiveTrust)}
 
 
-def _renormalized(weights: Mapping[str, float]) -> dict[str, float]:
-    total = math.fsum(weights.values())
+def _renormalized(weights: Sequence[float]) -> list[float]:
+    total = math.fsum(weights)
     if total <= 0.0:
-        n = len(weights)
-        return {e: 1.0 / n for e in weights}
-    return {e: w / total for e, w in weights.items()}
+        return [1.0 / len(weights)] * len(weights)
+    return [w / total for w in weights]
 
 
-def weighted_median(scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
-    """Smallest emitted value whose cumulative (renormalized) trust >= 1/2.
+def _by_value(values: Sequence[float]) -> list[int]:
+    """Positions in ascending value; the stable sort keeps tied values in
+    the order given, which is evaluator-id order."""
+    return sorted(range(len(values)), key=values.__getitem__)
 
-    Ties in value sort by evaluator id, which fixes the walk order but not
-    the result; equal values are interchangeable.
+
+def weighted_median(values: Sequence[float], trust: Sequence[float]) -> float:
+    """Smallest value whose cumulative (renormalized) trust >= 1/2.
+
+    values and trust are parallel, in evaluator-id order. Tied values are
+    walked in that order, which fixes the walk but not the result; equal
+    values are interchangeable.
     """
-    if not scores:
+    if not values:
         raise ValueError("cannot take the median of zero scores")
-    weights = _renormalized({e: trust.get(e, 0.0) for e in scores})
-    ordered = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
+    weights = _renormalized(trust)
+    ordered = _by_value(values)
     cumulative = 0.0
-    for evaluator, value in ordered:
-        cumulative += weights[evaluator]
+    for i in ordered:
+        cumulative += weights[i]
         if cumulative >= 0.5:
-            return value
-    return ordered[-1][1]  # fp slack; cumulative should have reached 1.0
+            return values[i]
+    return values[ordered[-1]]  # fp slack; cumulative should have reached 1.0
 
 
-def _weighted_mean(scores: Mapping[str, float], trust: Mapping[str, float]) -> float:
-    weights = _renormalized({e: trust.get(e, 0.0) for e in scores})
-    return math.fsum(weights[e] * v for e, v in scores.items())
-
-
-def aggregate(
-    scores: Mapping[str, float],
-    trust: Mapping[str, float],
-    defense: DefenseConfig,
-) -> float:
-    """Collapse one output's emissions into a consensus score."""
-    if not scores:
-        raise ValueError("cannot aggregate zero scores")
-    return defense.aggregate(scores, trust)
-
-
-def update_trust(
-    trust: Mapping[str, float],
-    scores: Mapping[str, float],
-    reference: float,
-    learning_rate: float,
-    floor: float,
-) -> dict[str, float]:
-    """Multiplicative downdate by deviation from the reference, then
-    renormalize back onto the simplex. Evaluators who did not score this
-    output keep their weight (before renormalization)."""
-    updated: dict[str, float] = {}
-    for evaluator, t in trust.items():
-        if evaluator in scores:
-            deviation = abs(scores[evaluator] - reference)
-            updated[evaluator] = max(floor, t * math.exp(-learning_rate * deviation))
-        else:
-            updated[evaluator] = t
-    return _renormalized(updated)
+def _weighted_mean(values: Sequence[float], trust: Sequence[float]) -> float:
+    return math.fsum(w * v for w, v in zip(_renormalized(trust), values))
 
 
 def sample_evaluators(
     profiles: Sequence[EvaluatorProfile],
-    trust: Mapping[str, float],
+    trust: Sequence[float],
     budget: float,
-) -> set[str]:
-    """Greedy cost-aware selection.
+) -> list[int]:
+    """Greedy cost-aware selection; trust is parallel to profiles, and the
+    chosen positions come back in evaluator-id order.
 
     Evaluators are taken in descending trust/cost (zero cost sorts first),
     ties broken by evaluator id, stopping at the first one the remaining
     budget cannot cover.
     """
-    def ratio(p: EvaluatorProfile) -> float:
-        if p.cost == 0.0:
-            return math.inf
-        return trust.get(p.evaluator_id, 0.0) / p.cost
+    def rank(i: int) -> tuple[float, str]:
+        p = profiles[i]
+        return (-math.inf if p.cost == 0.0 else -(trust[i] / p.cost)), p.evaluator_id
 
-    ordered = sorted(profiles, key=lambda p: (-ratio(p), p.evaluator_id))
-    selected: set[str] = set()
+    chosen: list[int] = []
     spent = 0.0
-    for p in ordered:
-        if spent + p.cost > budget:
+    for i in sorted(range(len(profiles)), key=rank):
+        if spent + profiles[i].cost > budget:
             break
-        selected.add(p.evaluator_id)
-        spent += p.cost
-    return selected
+        chosen.append(i)
+        spent += profiles[i].cost
+    return sorted(chosen, key=lambda i: profiles[i].evaluator_id)
 
 
 def allocate_rewards(
@@ -619,10 +588,16 @@ class _Replay:
         self._signal_values: dict[QualitySignal, dict[str, float]] = {}
 
     def signal_values(self, signal: QualitySignal) -> dict[str, float]:
-        """The signal's value per sample id; a failure is not stored, so
-        every cell that asks again raises it again."""
+        """The signal's value per sample id, each checked to lie in [0, 1];
+        a failure is not stored, so every cell that asks again raises it
+        again."""
         if signal not in self._signal_values:
-            self._signal_values[signal] = signal.values(self.samples, self.base_weights)
+            values = signal.values(self.samples, self.base_weights)
+            for sid, q in values.items():
+                if not (0.0 <= q <= 1.0):
+                    label = signal.label()
+                    raise ValueError(f"{label}: quality of {sid!r} must be in [0, 1], got {q!r}")
+            self._signal_values[signal] = values
         return self._signal_values[signal]
 
     @cached_property
@@ -656,13 +631,14 @@ def run_single(
 
 def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     settings = config.settings
-    n = len(settings.evaluators)
-    profiles = list(settings.evaluators)
-    behaviors = config.resolve_behaviors()
-    attacker_ids = frozenset(p.evaluator_id for p in profiles[: config.attacker_count()])
+    profiles = settings.evaluators
+    n = len(profiles)
+    ids = [p.evaluator_id for p in profiles]
+    behaviors = list(config.resolve_behaviors().values())  # in listed order
+    attacker_ids = frozenset(ids[: config.attacker_count()])
 
     trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
-    trust: dict[str, float] = {p.evaluator_id: 1.0 / n for p in profiles}
+    trust = [1.0 / n] * n  # in listed order, like profiles
     budget = settings.budget if settings.budget is not None else math.inf
     rng = rng_for(config.rng_seed, config.config_id)
 
@@ -703,32 +679,29 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     skipped = 0
 
     for round_index in range(settings.rounds):
-        selected = sample_evaluators(profiles, trust, budget)
-        if not selected:
+        emitters = sample_evaluators(profiles, trust, budget)  # positions, in id order
+        if not emitters:
             skipped += 1
-            trajectory.append(dict(trust))
+            trajectory.append(dict(zip(ids, trust)))
             continue
-        emitters = sorted(selected)
+        emitting = [behaviors[i] for i in emitters]
         contest: dict[str, float] = {}  # output key -> consensus; one contest per round
         producer_of: dict[str, str] = {}
         for key, producer, quality, target in outputs(round_index):
-            scores = {
-                e: evaluator_emit(behaviors[e], quality, round_index, rng, producer)
-                for e in emitters
-            }
-            consensus = aggregate(scores, trust, config.defense)
+            values = [b.emit(quality, round_index, rng, producer) for b in emitting]
+            consensus = config.defense.aggregate(values, [trust[i] for i in emitters])
             consensus_scores[key] = consensus
             contest[key] = consensus
             producer_of[key] = producer
             if target is not None:
                 errors.append(abs(consensus - target))
             if trust_step is not None:
-                trust = trust_step(trust, scores)
+                trust = trust_step(trust, emitters, values)
 
         for key, share in allocate_rewards({"round": contest}, settings.reward_budget).items():
             producer = producer_of[key]
             rewards[producer] = rewards.get(producer, 0.0) + share
-        trajectory.append(dict(trust))
+        trajectory.append(dict(zip(ids, trust)))
 
     return SimOutcome(
         config_id=config.config_id,

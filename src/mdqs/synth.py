@@ -74,12 +74,15 @@ class SyntheticSpec:
 
     correlations maps task label -> {dimension -> rho}; every task produced
     by qa_fraction must have an entry. evaluator_noise maps evaluator id ->
-    Gaussian sd added to the latent before rank normalization.
+    Gaussian sd added to the latent before rank normalization. Both default
+    to DEFAULT_CORRELATIONS and DEFAULT_EVALUATOR_NOISE.
     """
 
     n: int
-    correlations: Mapping[str, Mapping[DimensionId, float]]
-    evaluator_noise: Mapping[str, float] = field(default_factory=dict)
+    correlations: Mapping[str, Mapping[DimensionId, float]] = field(
+        default_factory=DEFAULT_CORRELATIONS.copy
+    )
+    evaluator_noise: Mapping[str, float] = field(default_factory=DEFAULT_EVALUATOR_NOISE.copy)
     qa_fraction: float = 0.5
     producers: tuple[str, ...] = ("model-a", "model-b", "model-c")
     producers_per_query: int = 1

@@ -423,6 +423,40 @@ def test_synth_needs_count_or_config(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "r")]) == 64
 
 
+@pytest.mark.parametrize("section", [None, "synthetic: {n: 5}\n"], ids=["no-config", "config"])
+def test_synth_zero_count_exits_one_naming_the_flag(tmp_path, capsys, section):
+    argv = ["synth", "--out", str(tmp_path / "r"), "--n", "0"]
+    if section is not None:
+        config = tmp_path / "synth.yaml"
+        config.write_text(section, encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    assert "--n must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_synth_section_defaults_match_a_bare_count(tmp_path):
+    def synth(name, *argv):
+        out = tmp_path / name
+        assert main(["synth", "--out", str(out), *argv]) == 0
+        return (out / "synthetic.jsonl").read_bytes()
+
+    def config(name, text):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    # correlations and evaluators default on SyntheticSpec, not in the CLI
+    bare = synth("bare", "--n", "12", "--seed", "9")
+    assert synth("section", "--config", config("section", "synthetic: {n: 12, seed: 9}\n")) == bare
+    columns = {"sts_paraphrase", "lexical_overlap", "judge_heldout"}
+    assert set(ingest(tmp_path / "section" / "synthetic.jsonl").samples[0].evaluator_scores) == columns
+    # an evaluators map, even an empty one, replaces the default columns
+    text = "synthetic: {n: 12, seed: 9, evaluators: {}}\n"
+    synth("none", "--config", config("none", text))
+    assert all(not s.evaluator_scores for s in ingest(tmp_path / "none" / "synthetic.jsonl").samples)
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     def synth_bytes(name, *argv):
         out = tmp_path / name

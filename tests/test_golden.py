@@ -6,6 +6,10 @@ Runs through the CLI, each into its own directory:
                  (the criterion-8 pipeline);
   strategy_grid  score, then simulate every attack x defense x signal in
                  replay mode (72 cells);
+  strategy_grid-reversed
+                 simulate that grid on strategy_grid's scored.jsonl with the
+                 evaluators listed in reverse id order (trust snapshots follow
+                 the listed order; emitters and value ties follow id order);
   synthetic_grid simulate every attack x defense in synthetic mode;
   report-<gate>[-reversed]
                  the full report with per-task calibration under each gate,
@@ -50,6 +54,15 @@ def _reversed_fixture(root: Path) -> str:
     return str(path)
 
 
+def _reversed_evaluators(root: Path) -> str:
+    """strategy_grid.yaml with its evaluator list reversed."""
+    config = yaml.safe_load((FIXTURES / "strategy_grid.yaml").read_text(encoding="utf-8"))
+    config["sim"]["evaluators"].reverse()
+    path = root / "strategy_grid_reversed.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
+    return str(path)
+
+
 def _commands(case: str, root: Path) -> list[list[str]]:
     out = root / case
     scored = str(out / "scored.jsonl")
@@ -71,6 +84,10 @@ def _commands(case: str, root: Path) -> list[list[str]]:
             ["calibrate", *config, "--input", scored, *common],
             ["simulate", *config, "--input", scored, *common],
         ]
+    if case == "strategy_grid-reversed":
+        config = ["--config", _reversed_evaluators(root)]
+        grid_scored = str(root / "strategy_grid" / "scored.jsonl")
+        return [["simulate", *config, "--input", grid_scored, *common]]
     if case == "strategy_grid":
         config = ["--config", str(FIXTURES / "strategy_grid.yaml")]
         return [
@@ -85,10 +102,12 @@ def _commands(case: str, root: Path) -> list[list[str]]:
 
 GATES = ("pearson", "spearman", "taskwise_min")
 PER_TASK = tuple(f"{gate}{order}" for gate in GATES for order in ("", "-reversed"))
-# each calibrate case reads the scored.jsonl of the report case before it
+# each calibrate case reads the scored.jsonl of the report case before it, and
+# strategy_grid-reversed reads strategy_grid's
 CASES = (
     "replay",
     "strategy_grid",
+    "strategy_grid-reversed",
     "synthetic_grid",
     *(f"report-{variant}" for variant in PER_TASK),
     *(f"calibrate-{variant}" for variant in PER_TASK),

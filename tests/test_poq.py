@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import dataclass
 from typing import get_args
 
 import numpy as np
@@ -40,15 +41,12 @@ from mdqs.poq import (
     SimSettings,
     SingleEvaluator,
     TrimmedMean,
-    aggregate,
     allocate_rewards,
     attack_label,
-    evaluator_emit,
     run_experiment,
     run_single,
     sample_evaluators,
     signal_label,
-    update_trust,
     weighted_median,
 )
 from mdqs.rng import rng_for
@@ -63,50 +61,43 @@ def profiles(n, cost=1.0):
 # ------------------------------------------------------------- behaviors
 
 def test_honest_noiseless_reports_quality_exactly():
-    assert evaluator_emit(Honest(0.0), 0.37, 0, RNG) == 0.37
+    assert Honest(0.0).emit(0.37, 0, RNG, None) == 0.37
 
 
 def test_honest_noise_stays_clipped():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        v = evaluator_emit(Honest(0.5), 0.9, 0, rng)
+        v = Honest(0.5).emit(0.9, 0, rng, None)
         assert 0.0 <= v <= 1.0
 
 
 def test_inflate_and_deflate_clip():
-    assert evaluator_emit(Inflate(0.3), 0.5, 0, RNG) == pytest.approx(0.8)
-    assert evaluator_emit(Inflate(0.3), 0.9, 0, RNG) == 1.0
-    assert evaluator_emit(Deflate(0.3), 0.5, 0, RNG) == pytest.approx(0.2)
-    assert evaluator_emit(Deflate(0.3), 0.1, 0, RNG) == 0.0
+    assert Inflate(0.3).emit(0.5, 0, RNG, None) == pytest.approx(0.8)
+    assert Inflate(0.3).emit(0.9, 0, RNG, None) == 1.0
+    assert Deflate(0.3).emit(0.5, 0, RNG, None) == pytest.approx(0.2)
+    assert Deflate(0.3).emit(0.1, 0, RNG, None) == 0.0
 
 
 def test_random_noise_ignores_quality():
     rng = np.random.default_rng(4)
-    values = {evaluator_emit(RandomNoise(), 0.0, 0, rng) for _ in range(50)}
+    values = {RandomNoise().emit(0.0, 0, rng, None) for _ in range(50)}
     assert len(values) > 1
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_collude_boosts_target_and_buries_rest():
     behavior = Collude("star", 0.2)
-    assert evaluator_emit(behavior, 0.5, 0, RNG, producer_id="star") == pytest.approx(0.7)
-    assert evaluator_emit(behavior, 0.5, 0, RNG, producer_id="rival") == pytest.approx(0.3)
-    assert evaluator_emit(behavior, 0.5, 0, RNG, producer_id=None) == pytest.approx(0.3)
+    assert behavior.emit(0.5, 0, RNG, "star") == pytest.approx(0.7)
+    assert behavior.emit(0.5, 0, RNG, "rival") == pytest.approx(0.3)
+    assert behavior.emit(0.5, 0, RNG, None) == pytest.approx(0.3)
 
 
 def test_camouflage_switches_after_honest_rounds():
     behavior = Camouflage(honest_rounds=2, then_delta=0.3)
-    assert evaluator_emit(behavior, 0.4, 0, RNG) == 0.4
-    assert evaluator_emit(behavior, 0.4, 1, RNG) == 0.4
-    assert evaluator_emit(behavior, 0.4, 2, RNG) == pytest.approx(0.7)
-    assert evaluator_emit(behavior, 0.4, 99, RNG) == pytest.approx(0.7)
-
-
-def test_emit_rejects_out_of_range_quality():
-    with pytest.raises(ValueError):
-        evaluator_emit(Honest(0.0), 1.2, 0, RNG)
-    with pytest.raises(ValueError):
-        evaluator_emit(Honest(0.0), -0.1, 0, RNG)
+    assert behavior.emit(0.4, 0, RNG, None) == 0.4
+    assert behavior.emit(0.4, 1, RNG, None) == 0.4
+    assert behavior.emit(0.4, 2, RNG, None) == pytest.approx(0.7)
+    assert behavior.emit(0.4, 99, RNG, None) == pytest.approx(0.7)
 
 
 def test_behavior_validation():
@@ -153,107 +144,110 @@ def test_defense_validation_and_labels():
 
 
 def test_weighted_median_uniform_trust():
-    trust = {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
-    assert weighted_median({"a": 0.0, "b": 0.5, "c": 1.0}, trust) == 0.5
+    trust = [1 / 3, 1 / 3, 1 / 3]
+    assert weighted_median([0.0, 0.5, 1.0], trust) == 0.5
 
 
 def test_weighted_median_follows_trust_mass():
-    scores = {"a": 0.1, "b": 0.5, "c": 0.9}
-    assert weighted_median(scores, {"a": 0.05, "b": 0.05, "c": 0.9}) == 0.9
-    assert weighted_median(scores, {"a": 0.9, "b": 0.05, "c": 0.05}) == 0.1
+    values = [0.1, 0.5, 0.9]
+    assert weighted_median(values, [0.05, 0.05, 0.9]) == 0.9
+    assert weighted_median(values, [0.9, 0.05, 0.05]) == 0.1
 
 
 def test_weighted_median_zero_trust_falls_back_to_uniform():
-    scores = {"a": 0.0, "b": 0.4, "c": 1.0}
-    assert weighted_median(scores, {"a": 0.0, "b": 0.0, "c": 0.0}) == 0.4
+    values = [0.0, 0.4, 1.0]
+    assert weighted_median(values, [0.0, 0.0, 0.0]) == 0.4
 
 
 def test_weighted_median_even_split_takes_lower_boundary():
     # cumulative hits exactly 0.5 on the first of two values
-    assert weighted_median({"a": 0.2, "b": 0.8}, {"a": 0.5, "b": 0.5}) == 0.2
+    assert weighted_median([0.2, 0.8], [0.5, 0.5]) == 0.2
 
 
 def test_aggregate_mean_is_trust_weighted():
-    scores = {"a": 0.0, "b": 1.0}
-    assert aggregate(scores, {"a": 0.25, "b": 0.75}, Mean()) == pytest.approx(0.75)
-    assert aggregate(scores, {"a": 0.5, "b": 0.5}, AdaptiveTrust()) == pytest.approx(0.5)
+    values = [0.0, 1.0]
+    assert Mean().aggregate(values, [0.25, 0.75]) == pytest.approx(0.75)
+    assert AdaptiveTrust().aggregate(values, [0.5, 0.5]) == pytest.approx(0.5)
 
 
 def test_aggregate_trimmed_mean_drops_extremes():
-    scores = {"a": 0.0, "b": 0.5, "c": 1.0}
-    trust = {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
+    values = [0.0, 0.5, 1.0]
+    trust = [1 / 3, 1 / 3, 1 / 3]
     # k = int(0.34 * 3) = 1: both extremes go, the middle survives
-    assert aggregate(scores, trust, TrimmedMean(0.34)) == 0.5
+    assert TrimmedMean(0.34).aggregate(values, trust) == 0.5
 
 
 def test_aggregate_trimmed_mean_small_fraction_keeps_all():
-    scores = {"a": 0.0, "b": 0.5, "c": 1.0}
-    trust = {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
-    assert aggregate(scores, trust, TrimmedMean(0.2)) == pytest.approx(0.5)
+    values = [0.0, 0.5, 1.0]
+    trust = [1 / 3, 1 / 3, 1 / 3]
+    assert TrimmedMean(0.2).aggregate(values, trust) == pytest.approx(0.5)
 
 
 def test_aggregate_trimmed_mean_beats_inflators():
     # 4 honest at 0.5, 2 inflated at 1.0; f=0.34 trims k=2 per side
-    scores = {"h1": 0.5, "h2": 0.5, "h3": 0.5, "h4": 0.5, "m1": 1.0, "m2": 1.0}
-    trust = {e: 1 / 6 for e in scores}
-    assert aggregate(scores, trust, TrimmedMean(0.34)) == pytest.approx(0.5)
-
-
-def test_aggregate_rejects_empty():
-    with pytest.raises(ValueError):
-        aggregate({}, {}, Mean())
+    values = [0.5, 0.5, 0.5, 0.5, 1.0, 1.0]
+    trust = [1 / 6] * 6
+    assert TrimmedMean(0.34).aggregate(values, trust) == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------- trust
 
 def test_update_trust_zero_deviation_keeps_distribution():
-    trust = {"a": 0.5, "b": 0.3, "c": 0.2}
-    scores = {"a": 0.4, "b": 0.4, "c": 0.4}
-    out = update_trust(trust, scores, reference=0.4, learning_rate=1.0, floor=0.001)
-    for e in trust:
-        assert out[e] == pytest.approx(trust[e])
+    trust = [0.5, 0.3, 0.2]
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).trust_step(3, "t")
+    # every emission equals the median 0.4, so nobody deviates
+    out = step(trust, [0, 1, 2], [0.4, 0.4, 0.4])
+    for i in range(3):
+        assert out[i] == pytest.approx(trust[i])
 
 
 def test_update_trust_penalizes_deviation():
-    trust = {"a": 0.5, "b": 0.5}
-    scores = {"a": 0.5, "b": 1.0}
-    out = update_trust(trust, scores, reference=0.5, learning_rate=1.0, floor=0.001)
-    assert out["a"] > out["b"]
-    assert out["a"] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).trust_step(2, "t")
+    # the median of 0.5 and 1.0 under equal trust is 0.5
+    out = step([0.5, 0.5], [0, 1], [0.5, 1.0])
+    assert out[0] > out[1]
+    assert out[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
 
 
 def test_update_trust_stays_on_simplex():
     rng = np.random.default_rng(6)
-    trust = {f"e{i}": 0.25 for i in range(4)}
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.0025).trust_step(4, "t")
+    trust = [0.25] * 4
     for r in range(50):
-        scores = {f"e{i}": float(rng.uniform(0, 1)) for i in range(4)}
-        trust = update_trust(trust, scores, float(rng.uniform(0, 1)), 1.0, 0.0025)
-        assert math.fsum(trust.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(t >= 0.0 for t in trust.values())
+        values = [float(rng.uniform(0, 1)) for _ in range(4)]
+        trust = step(trust, [0, 1, 2, 3], values)
+        assert math.fsum(trust) == pytest.approx(1.0, abs=1e-9)
+        assert all(t >= 0.0 for t in trust)
 
 
 def test_update_trust_floor_pins_collapsed_evaluators():
-    trust = {"a": 0.5, "b": 0.5}
     floor = 0.01
-    out = trust
+    step = AdaptiveTrust(learning_rate=5.0, floor=floor).trust_step(2, "t")
+    out = [0.5, 0.5]
     for _ in range(100):
-        out = update_trust(out, {"a": 0.0, "b": 1.0}, reference=0.0, learning_rate=5.0, floor=floor)
+        # a holds at least half the trust, so the median is a's 0.0
+        out = step(out, [0, 1], [0.0, 1.0])
     # b is maximally wrong every time; the raw weight pins at the floor, so
     # the renormalized share can never drop below floor / (1 + floor)
-    assert out["b"] >= floor / (1.0 + floor) - 1e-12
-    assert out["b"] < 0.05
-    assert math.fsum(out.values()) == pytest.approx(1.0, abs=1e-9)
+    assert out[1] >= floor / (1.0 + floor) - 1e-12
+    assert out[1] < 0.05
+    assert math.fsum(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_update_trust_skips_non_participants():
-    trust = {"a": 0.6, "b": 0.4}
-    out = update_trust(trust, {"a": 1.0}, reference=0.0, learning_rate=1.0, floor=0.001)
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).trust_step(3, "t")
+    # a and c emit, b does not; the median is c's 0.0, so only a deviates
+    out = step([0.3, 0.4, 0.3], [0, 2], [1.0, 0.0])
     # a is penalized, b's raw weight is untouched, so b's share grows
-    assert out["b"] > 0.4
-    assert out["a"] < 0.6
+    assert out[1] > 0.4
+    assert out[0] < 0.3
 
 
 # ------------------------------------------------------------- selection
+
+def chosen_ids(ps, positions):
+    return [ps[i].evaluator_id for i in positions]
+
 
 def test_sample_evaluators_prefers_trust_per_cost():
     ps = (
@@ -261,9 +255,9 @@ def test_sample_evaluators_prefers_trust_per_cost():
         EvaluatorProfile(evaluator_id="pricey", cost=4.0),
         EvaluatorProfile(evaluator_id="mid", cost=2.0),
     )
-    trust = {"cheap": 0.2, "pricey": 0.4, "mid": 0.4}
+    trust = [0.2, 0.4, 0.4]
     # ratios: cheap .2, pricey .1, mid .2; tie broken by id: cheap then mid
-    assert sample_evaluators(ps, trust, budget=3.0) == {"cheap", "mid"}
+    assert chosen_ids(ps, sample_evaluators(ps, trust, budget=3.0)) == ["cheap", "mid"]
 
 
 def test_sample_evaluators_stops_at_first_violation():
@@ -272,10 +266,10 @@ def test_sample_evaluators_stops_at_first_violation():
         EvaluatorProfile(evaluator_id="late", cost=1.0),
         EvaluatorProfile(evaluator_id="top", cost=1.0),
     )
-    trust = {"top": 0.5, "big": 0.9, "late": 0.1}
+    trust = [0.9, 0.1, 0.5]
     # order: top (.5), big (.3), late (.1); big busts the budget and the
     # walk stops there, late is never reached
-    assert sample_evaluators(ps, trust, budget=3.0) == {"top"}
+    assert chosen_ids(ps, sample_evaluators(ps, trust, budget=3.0)) == ["top"]
 
 
 def test_sample_evaluators_zero_cost_always_first():
@@ -283,15 +277,130 @@ def test_sample_evaluators_zero_cost_always_first():
         EvaluatorProfile(evaluator_id="free", cost=0.0),
         EvaluatorProfile(evaluator_id="paid", cost=1.0),
     )
-    trust = {"free": 0.01, "paid": 0.99}
-    assert sample_evaluators(ps, trust, budget=0.0) == {"free"}
-    assert sample_evaluators(ps, trust, budget=1.0) == {"free", "paid"}
+    trust = [0.01, 0.99]
+    assert chosen_ids(ps, sample_evaluators(ps, trust, budget=0.0)) == ["free"]
+    assert chosen_ids(ps, sample_evaluators(ps, trust, budget=1.0)) == ["free", "paid"]
 
 
 def test_sample_evaluators_unlimited_budget_takes_all():
     ps = profiles(5)
-    trust = {p.evaluator_id: 0.2 for p in ps}
-    assert sample_evaluators(ps, trust, budget=math.inf) == {p.evaluator_id for p in ps}
+    assert sample_evaluators(ps, [0.2] * 5, budget=math.inf) == [0, 1, 2, 3, 4]
+
+
+def test_sample_evaluators_returns_positions_in_id_order():
+    ps = (
+        EvaluatorProfile(evaluator_id="z"),
+        EvaluatorProfile(evaluator_id="m"),
+        EvaluatorProfile(evaluator_id="a"),
+    )
+    # z has the most trust and is taken first, yet comes back last
+    assert sample_evaluators(ps, [0.5, 0.2, 0.3], budget=math.inf) == [2, 1, 0]
+
+
+# ------------------------------------------------ dict-keyed reference
+#
+# The defenses and the trust step as they were when trust was a dict keyed by
+# evaluator id, kept verbatim as the oracle the list forms must match
+# bit for bit.
+
+def _ref_renormalized(weights):
+    total = math.fsum(weights.values())
+    if total <= 0.0:
+        n = len(weights)
+        return {e: 1.0 / n for e in weights}
+    return {e: w / total for e, w in weights.items()}
+
+
+def _ref_weighted_median(scores, trust):
+    if not scores:
+        raise ValueError("cannot take the median of zero scores")
+    weights = _ref_renormalized({e: trust.get(e, 0.0) for e in scores})
+    ordered = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
+    cumulative = 0.0
+    for evaluator, value in ordered:
+        cumulative += weights[evaluator]
+        if cumulative >= 0.5:
+            return value
+    return ordered[-1][1]  # fp slack; cumulative should have reached 1.0
+
+
+def _ref_weighted_mean(scores, trust):
+    weights = _ref_renormalized({e: trust.get(e, 0.0) for e in scores})
+    return math.fsum(weights[e] * v for e, v in scores.items())
+
+
+def _ref_trimmed_mean(trim_fraction, scores, trust):
+    k = int(trim_fraction * len(scores))
+    ordered = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
+    kept = ordered[k : len(ordered) - k] if k else ordered
+    weights = _ref_renormalized({e: trust.get(e, 0.0) for e, _ in kept})
+    return math.fsum(weights[e] * v for e, v in kept)
+
+
+def _ref_update_trust(trust, scores, reference, learning_rate, floor):
+    updated = {}
+    for evaluator, t in trust.items():
+        if evaluator in scores:
+            deviation = abs(scores[evaluator] - reference)
+            updated[evaluator] = max(floor, t * math.exp(-learning_rate * deviation))
+        else:
+            updated[evaluator] = t
+    return _ref_renormalized(updated)
+
+
+TRIM_FRACTIONS = (0.0, 0.2, 0.34, 0.49)  # 0.2 and 0.34 are in use; 0.0 and 0.49 are the ends
+
+
+def _random_case(rng):
+    """Evaluators listed out of id order, trust in listed order (zeros and
+    all-zero included), and a non-empty set of emitters with their values
+    (ties included) in id order."""
+    n = int(rng.integers(1, 9))
+    listed = [f"e{i}" for i in rng.permutation(n)]
+    trust = [float(t) for t in rng.dirichlet(np.ones(n))]
+    zeros = rng.uniform(0, 1, n) < float(rng.choice([0.0, 0.3, 1.0]))
+    trust = [0.0 if z else t for t, z in zip(trust, zeros)]
+    by_id = sorted(range(n), key=lambda i: listed[i])
+    emitters = [i for i in by_id if rng.uniform() < 0.7] or by_id[:1]
+    grid = [0.0, 0.25, 0.5, 1.0]  # draws from it repeat values
+    values = [
+        float(rng.choice(grid)) if rng.uniform() < 0.5 else float(rng.uniform(0, 1))
+        for _ in emitters
+    ]
+    return listed, trust, emitters, values
+
+
+def test_list_forms_match_the_dict_keyed_reference():
+    rng = np.random.default_rng(2018)
+    floor_hits = 0
+    for _ in range(3000):
+        listed, trust, emitters, values = _random_case(rng)
+        trust_by_id = dict(zip(listed, trust))
+        scores = {listed[i]: v for i, v in zip(emitters, values)}
+        emitter_trust = [trust[i] for i in emitters]
+
+        assert weighted_median(values, emitter_trust) == _ref_weighted_median(scores, trust_by_id)
+        mean = _ref_weighted_mean(scores, trust_by_id)
+        assert Mean().aggregate(values, emitter_trust) == mean
+        assert AdaptiveTrust().aggregate(values, emitter_trust) == mean
+        for f in TRIM_FRACTIONS:
+            expected = _ref_trimmed_mean(f, scores, trust_by_id)
+            assert TrimmedMean(f).aggregate(values, emitter_trust) == expected
+
+        n = len(listed)
+        learning_rate = float(rng.choice([0.0, 1.0, 5.0, 50.0]))
+        floor = float(rng.choice([0.0, 0.01 / n, 1.0 / n]))
+        step = AdaptiveTrust(learning_rate=learning_rate, floor=floor).trust_step(n, "t")
+        reference = _ref_weighted_median(scores, trust_by_id)
+        expected = _ref_update_trust(trust_by_id, scores, reference, learning_rate, floor)
+        updated = step(trust, emitters, values)
+        assert dict(zip(listed, updated)) == expected
+        assert list(expected) == listed  # the reference keeps listed order too
+        floor_hits += any(
+            trust[i] * math.exp(-learning_rate * abs(v - reference)) < floor
+            for i, v in zip(emitters, values)
+        )
+    assert floor_hits > 100
 
 
 # --------------------------------------------------------------- rewards
@@ -605,6 +714,30 @@ def test_replay_missing_signal_rejected():
         run_single(replay_config(quality_signal=None), dataset=replay_dataset())
     with pytest.raises(SimConfigError):
         run_single(replay_config(), dataset=[])
+
+
+@dataclass(frozen=True)
+class FixedSignal:
+    """A replay signal that reports one value for every sample."""
+
+    value: float
+
+    def label(self) -> str:
+        return f"fixed:{self.value}"
+
+    def values(self, dataset, base_weights):
+        return {s.sample_id: self.value for s in dataset}
+
+
+def test_emit_rejects_out_of_range_quality():
+    # replay quality is checked once per signal, where it enters the run
+    for value in (1.2, -0.1, float("nan")):
+        config = replay_config(quality_signal=FixedSignal(value))
+        with pytest.raises(ValueError, match=r"quality of 's0' must be in \[0, 1\]"):
+            run_single(config, dataset=replay_dataset())
+        # not a per-cell failure: the error leaves the whole grid
+        with pytest.raises(ValueError, match="must be in"):
+            run_experiment([config], dataset=replay_dataset())
 
 
 def test_replay_unknown_variant_rejected():
