@@ -12,7 +12,6 @@ variable, the config file's seed, then 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import traceback
@@ -265,16 +264,14 @@ def cmd_synth(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     seed = _resolve_seed(args, config)
-    spec = config.synthetic
-    if spec is None:
+    if config.synthetic is None:
         if args.n is None:
             raise UsageError("synth needs --n or a 'synthetic' section in the config")
         spec = SyntheticSpec(n=args.n, rng_seed=seed)
     else:
-        if args.n is not None:
-            spec = dataclasses.replace(spec, n=args.n)
-        if args.seed is not None or os.environ.get("MDQS_SEED"):
-            spec = dataclasses.replace(spec, rng_seed=seed)
+        # --n and a --seed or MDQS_SEED replace the section's own
+        seeded = args.seed is not None or os.environ.get("MDQS_SEED")
+        spec = config.synthetic.spec(n=args.n, rng_seed=seed if seeded else None)
     samples = generate_synthetic(spec)
     emit_reports(out, synthetic_samples=samples)
     print(f"synth: {len(samples)} sample(s), seed {spec.rng_seed} -> {out}")

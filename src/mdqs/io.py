@@ -349,6 +349,29 @@ def build_grid(spec: SimGridSpec, master_seed: int) -> list[SimConfig]:
 
 
 @dataclass(frozen=True)
+class SyntheticSection:
+    """The config's synthetic section, checked at load. Its fields are the
+    SyntheticSpec keyword arguments it gives; n may instead come from
+    `synth --n`, so the spec is built only once the command line is read."""
+
+    fields: Mapping[str, object]
+
+    def spec(self, n: int | None = None, rng_seed: int | None = None) -> SyntheticSpec:
+        """The SyntheticSpec, with n and rng_seed replaced where given."""
+        fields = dict(self.fields)
+        if n is not None:
+            fields["n"] = n
+        if rng_seed is not None:
+            fields["rng_seed"] = rng_seed
+        if "n" not in fields:
+            raise SchemaError("synthetic needs 'n' in the config or synth --n")
+        try:
+            return SyntheticSpec(**fields)
+        except InvalidSpec as exc:
+            raise SchemaError(f"synthetic: {exc}") from None
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Parsed YAML run configuration with defaults filled in."""
 
@@ -360,7 +383,7 @@ class RunConfig:
     threshold: float = 0.0
     per_task: bool = False
     variant_names: tuple[str, ...] = tuple(VARIANTS)
-    synthetic: SyntheticSpec | None = None
+    synthetic: SyntheticSection | None = None
     sim: SimGridSpec | None = None
 
 
@@ -513,31 +536,26 @@ def _correlations(raw, where: str) -> dict[str, dict[DimensionId, float]]:
     return by_task
 
 
-def _synthetic(raw, default_seed: int | None) -> SyntheticSpec | None:
+def _synthetic(raw, default_seed: int | None) -> SyntheticSection | None:
     if raw is None:
         return None
     readers = {
+        "n": _integer,
         "correlations": _correlations,
         "qa_fraction": _number,
         "producers": _list_of(_text),
         "producers_per_query": _integer,
     }
-    keys = ("n", "evaluators", "seed", *readers)
+    keys = ("evaluators", "seed", *readers)
     section = {k: v for k, v in _section(raw, "synthetic", keys).items() if v is not None}
-    if "n" not in section:
-        raise SchemaError("synthetic needs 'n'")
     # only the keys given, so each default is written once, on SyntheticSpec
     given = {k: read(section[k], f"synthetic.{k}") for k, read in readers.items() if k in section}
     if "evaluators" in section:
         given["evaluator_noise"] = _number_map(section["evaluators"], "synthetic.evaluators")
-    try:
-        return SyntheticSpec(
-            n=_integer(section["n"], "synthetic.n"),
-            rng_seed=_opt(section, "seed", _seed, "synthetic", default_seed or 0),
-            **given,
-        )
-    except InvalidSpec as exc:
-        raise SchemaError(f"synthetic: {exc}") from None
+    given["rng_seed"] = _opt(section, "seed", _seed, "synthetic", default_seed or 0)
+    synthetic = SyntheticSection(given)
+    synthetic.spec(n=given.get("n", 1))  # checks the other fields now, whether or not n is set
+    return synthetic
 
 
 def _sim(raw) -> SimGridSpec | None:

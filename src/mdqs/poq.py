@@ -10,8 +10,16 @@ Trust is one list in the order the evaluators are listed, and each
 trust_trajectory snapshot keeps that order. A round's emitters score in
 evaluator-id order, and a defense sees their values and trust as parallel
 lists in that order, so the weighted median and trimmed mean break value
-ties by evaluator id. One round loop serves both modes, which differ only
-in the outputs a round scores:
+ties by evaluator id.
+
+A cell runs one of two ways. When its defense keeps trust fixed (mean,
+median, trimmed mean), it selects its emitters once, builds one
+(outputs x emitters) emission matrix over its rounds and aggregates every
+row at once. Under adaptive trust it walks the outputs in order, each
+output's trust step before the next output. Both paths draw the same values
+in the same order as one scalar draw per output per emitter, so the RNG
+stream and every report byte are the same either way. Both serve the two
+modes, which differ only in the outputs a round scores:
 
   synthetic: per-producer latent quality drawn from a Beta distribution each
       round; evaluators observe that latent value, and the error is measured
@@ -29,10 +37,13 @@ so a (config, seed) pair replays bit-identically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Iterator, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from mdqs.composite import VARIANTS, compose_batch, variant
 from mdqs.errors import (
@@ -57,6 +68,13 @@ def _clip01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+def _clip01_column(x: np.ndarray) -> np.ndarray:
+    """_clip01 elementwise, to the bit: max(0.0, x) keeps 0.0 unless x > 0.0
+    (so -0.0 becomes 0.0), then min(1.0, y) keeps 1.0 unless y < 1.0."""
+    low = np.where(x > 0.0, x, 0.0)
+    return np.where(low < 1.0, low, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # behaviors
 #
@@ -64,6 +82,13 @@ def _clip01(x: float) -> float:
 # frozen dataclasses. A class carries its config `type` name, its label for
 # config ids and reports, and its behavior; the family's registry maps the
 # `type` name to the class. mdqs.io builds an entry from the class's fields.
+#
+# An evaluator behavior has two forms of the same rule. emit scores one
+# output. emit_column scores a block of outputs (rows) for several emitters
+# that share the behavior (columns): quality is (outputs x emitters),
+# round_index and producer_id are (outputs x 1), and a behavior that draws
+# fills the block row by row, as the scalar calls would. `draws` says
+# whether emitting takes values from the cell's Generator.
 
 
 @dataclass(frozen=True)
@@ -71,6 +96,7 @@ class Inflate:
     """Always report delta above the observed quality."""
 
     type: ClassVar[str] = "inflate"
+    draws: ClassVar[bool] = False
     delta: float = 0.2
 
     def __post_init__(self):
@@ -83,12 +109,16 @@ class Inflate:
     def emit(self, quality, round_index, rng, producer_id) -> float:
         return _clip01(quality + self.delta)
 
+    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
+        return _clip01_column(quality + self.delta)
+
 
 @dataclass(frozen=True)
 class Deflate:
     """Always report delta below the observed quality."""
 
     type: ClassVar[str] = "deflate"
+    draws: ClassVar[bool] = False
     delta: float = 0.2
 
     def __post_init__(self):
@@ -101,18 +131,27 @@ class Deflate:
     def emit(self, quality, round_index, rng, producer_id) -> float:
         return _clip01(quality - self.delta)
 
+    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
+        return _clip01_column(quality - self.delta)
+
 
 @dataclass(frozen=True)
 class RandomNoise:
     """Ignore quality entirely; emit uniform noise on [0, 1]."""
 
     type: ClassVar[str] = "random_noise"
+    draws: ClassVar[bool] = True
 
     def label(self) -> str:
         return "random_noise"
 
+    # rng.random() is rng.uniform(0.0, 1.0) to the bit (0.0 + 1.0 * d is d)
+    # and draws the same one word per value, at a third of the call's cost
     def emit(self, quality, round_index, rng, producer_id) -> float:
-        return float(rng.uniform(0.0, 1.0))
+        return rng.random()
+
+    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
+        return rng.random(size=quality.shape)
 
 
 @dataclass(frozen=True)
@@ -120,6 +159,7 @@ class Collude:
     """Boost one producer, depress everyone else."""
 
     type: ClassVar[str] = "collude"
+    draws: ClassVar[bool] = False
     target_producer: str
     delta: float = 0.2
 
@@ -137,12 +177,20 @@ class Collude:
             return _clip01(quality + self.delta)
         return _clip01(quality - self.delta)
 
+    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
+        return np.where(
+            producer_id == self.target_producer,
+            _clip01_column(quality + self.delta),
+            _clip01_column(quality - self.delta),
+        )
+
 
 @dataclass(frozen=True)
 class Camouflage:
     """Behave honestly for a while, then inflate."""
 
     type: ClassVar[str] = "camouflage"
+    draws: ClassVar[bool] = False
     honest_rounds: int = 0
     then_delta: float = 0.2
 
@@ -160,6 +208,11 @@ class Camouflage:
             return quality
         return _clip01(quality + self.then_delta)
 
+    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
+        return np.where(
+            round_index < self.honest_rounds, quality, _clip01_column(quality + self.then_delta)
+        )
+
 
 AttackStrategy = Union[Inflate, Deflate, RandomNoise, Collude, Camouflage]
 ATTACKS: dict[str, type] = {
@@ -175,10 +228,19 @@ class Honest:
         if not math.isfinite(self.noise_sd) or self.noise_sd < 0:
             raise ValueError("noise_sd must be finite and >= 0")
 
+    @property
+    def draws(self) -> bool:
+        return self.noise_sd != 0.0
+
     def emit(self, quality, round_index, rng, producer_id) -> float:
         if self.noise_sd == 0.0:  # draws nothing, so the RNG stream stays put
             return quality
         return _clip01(quality + rng.normal(0.0, self.noise_sd))
+
+    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
+        if self.noise_sd == 0.0:
+            return quality
+        return _clip01_column(quality + rng.normal(0.0, self.noise_sd, size=quality.shape))
 
 
 EvaluatorBehavior = Union[Honest, AttackStrategy]
@@ -193,7 +255,10 @@ def attack_label(attack: AttackStrategy | None) -> str:
 #
 # aggregate(values, trust) gets the emitters' values and trust as parallel
 # lists in evaluator-id order. A trust step maps (whole trust list, emitter
-# positions, their values) to the next trust list.
+# positions, their values) to the next trust list. A defense that keeps
+# trust fixed also has aggregate_rows(values, trust): aggregate applied to
+# each row of an (outputs x emitters) array, with the same results to the
+# bit.
 
 
 TrustStep = Callable[[list[float], Sequence[int], Sequence[float]], list[float]]
@@ -218,6 +283,9 @@ class Mean(_FixedTrust):
     def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
         return _weighted_mean(values, trust)
 
+    def aggregate_rows(self, values: np.ndarray, trust: Sequence[float]) -> list[float]:
+        return _fsum_rows(values * np.array(_renormalized(trust)))
+
 
 @dataclass(frozen=True)
 class Median(_FixedTrust):
@@ -231,6 +299,16 @@ class Median(_FixedTrust):
 
     def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
         return weighted_median(values, trust)
+
+    def aggregate_rows(self, values: np.ndarray, trust: Sequence[float]) -> list[float]:
+        """weighted_median of each row: the same stable walk up the sorted
+        values, with np.cumsum adding the weights in the loop's order."""
+        order = np.argsort(values, axis=1, kind="stable")
+        reached = np.cumsum(np.array(_renormalized(trust))[order], axis=1) >= 0.5
+        # fp slack: a row that never reaches 1/2 takes its last sorted value
+        first = np.where(reached.any(axis=1), reached.argmax(axis=1), values.shape[1] - 1)
+        picked = np.take_along_axis(order, first[:, None], axis=1)
+        return np.take_along_axis(values, picked, axis=1)[:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -254,6 +332,21 @@ class TrimmedMean(_FixedTrust):
         if not kept:
             raise EmptyAfterTrim(len(values), k)
         return _weighted_mean([values[i] for i in kept], [trust[i] for i in kept])
+
+    def aggregate_rows(self, values: np.ndarray, trust: Sequence[float]) -> list[float]:
+        """aggregate of each row: each row keeps its own emitters, so each
+        renormalizes its own kept trust (uniform where that sums to 0)."""
+        m = values.shape[1]
+        k = int(self.trim_fraction * m)
+        if m - 2 * k < 1:
+            raise EmptyAfterTrim(m, k)
+        kept = np.argsort(values, axis=1, kind="stable")[:, k : m - k]
+        kept_trust = np.array(trust)[kept]
+        totals = np.array(_fsum_rows(kept_trust))[:, None]
+        weights = np.divide(
+            kept_trust, totals, out=np.full(kept.shape, 1.0 / kept.shape[1]), where=totals > 0.0
+        )
+        return _fsum_rows(weights * np.take_along_axis(values, kept, axis=1))
 
 
 @dataclass(frozen=True)
@@ -289,14 +382,15 @@ class AdaptiveTrust:
         floor = self.floor if self.floor is not None else 0.01 / n
         if floor > 1.0 / n:
             raise SimConfigError(f"{config_id}: trust floor {floor} exceeds 1/{n}")
-        learning_rate = self.learning_rate
+        rate = -self.learning_rate
+        exp = math.exp
 
         def step(trust: list[float], emitters: Sequence[int], values: Sequence[float]):
             reference = weighted_median(values, [trust[i] for i in emitters])
             updated = list(trust)
             for i, value in zip(emitters, values):
-                deviation = abs(value - reference)
-                updated[i] = max(floor, trust[i] * math.exp(-learning_rate * deviation))
+                shrunk = trust[i] * exp(rate * abs(value - reference))
+                updated[i] = shrunk if shrunk > floor else floor  # max(floor, shrunk)
             return _renormalized(updated)
 
         return step
@@ -339,7 +433,13 @@ def weighted_median(values: Sequence[float], trust: Sequence[float]) -> float:
 
 
 def _weighted_mean(values: Sequence[float], trust: Sequence[float]) -> float:
-    return math.fsum(w * v for w, v in zip(_renormalized(trust), values))
+    return math.fsum(map(operator.mul, _renormalized(trust), values))
+
+
+def _fsum_rows(products: np.ndarray) -> list[float]:
+    """math.fsum of each row. numpy's products are the IEEE products Python
+    forms, and fsum is exact, so each sum is the scalar path's."""
+    return [math.fsum(row) for row in products.tolist()]
 
 
 def sample_evaluators(
@@ -354,13 +454,13 @@ def sample_evaluators(
     ties broken by evaluator id, stopping at the first one the remaining
     budget cannot cover.
     """
-    def rank(i: int) -> tuple[float, str]:
-        p = profiles[i]
-        return (-math.inf if p.cost == 0.0 else -(trust[i] / p.cost)), p.evaluator_id
-
+    rank = [
+        (-math.inf if p.cost == 0.0 else -(t / p.cost), p.evaluator_id)
+        for p, t in zip(profiles, trust)
+    ]
     chosen: list[int] = []
     spent = 0.0
-    for i in sorted(range(len(profiles)), key=rank):
+    for i in sorted(range(len(profiles)), key=rank.__getitem__):
         if spent + profiles[i].cost > budget:
             break
         chosen.append(i)
@@ -388,16 +488,20 @@ def allocate_rewards(
     for _, producer_scores in consensus.items():
         if not producer_scores:
             raise ValueError("a contest must have at least one producer")
-        low = min(producer_scores.values())
-        spreads = {p: max(s - low, 0.0) for p, s in producer_scores.items()}
-        total = math.fsum(spreads.values())
-        for producer in producer_scores:
-            if total > 0.0:
-                share = slice_budget * (spreads[producer] / total)
-            else:
-                share = slice_budget / len(producer_scores)
+        shares = _contest_shares(list(producer_scores.values()), slice_budget)
+        for producer, share in zip(producer_scores, shares):
             rewards[producer] = rewards.get(producer, 0.0) + share
     return rewards
+
+
+def _contest_shares(scores: Sequence[float], budget: float) -> list[float]:
+    """One contest's payouts, parallel to its non-empty scores."""
+    low = min(scores)
+    spreads = [max(s - low, 0.0) for s in scores]
+    total = math.fsum(spreads)
+    if total > 0.0:
+        return [budget * (spread / total) for spread in spreads]
+    return [budget / len(scores)] * len(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +681,10 @@ class SimConfig:
         }
 
 
+# An output is (key, producer, observed quality, error target or None).
+Output = tuple[str, str, float, Union[float, None]]
+
+
 class _Replay:
     """A replay dataset's inputs to the round loop, shared by every cell of
     one run. Each is built on first use, in the order a cell reads them, so
@@ -586,6 +694,7 @@ class _Replay:
         self.samples = list(dataset)
         self.base_weights = base_weights
         self._signal_values: dict[QualitySignal, dict[str, float]] = {}
+        self._group_outputs: dict[QualitySignal, list[list[Output]]] = {}
 
     def signal_values(self, signal: QualitySignal) -> dict[str, float]:
         """The signal's value per sample id, each checked to lie in [0, 1];
@@ -614,6 +723,19 @@ class _Replay:
             by_query.setdefault(s.query, []).append(s)
         return list(by_query.values())
 
+    def group_outputs(self, signal: QualitySignal) -> list[list[Output]]:
+        """Each query group's outputs under the signal, keyed by sample id,
+        with the normalized reference as the error target."""
+        if signal not in self._group_outputs:
+            values = self.signal_values(signal)
+            ref_norm = self.ref_norm
+            self._group_outputs[signal] = [
+                [(s.sample_id, s.producer_id, values[s.sample_id], ref_norm.get(s.sample_id))
+                 for s in group]
+                for group in self.groups
+            ]
+        return self._group_outputs[signal]
+
 
 def run_single(
     config: SimConfig,
@@ -629,32 +751,43 @@ def run_single(
     return _run_cell(config, replay)
 
 
+# A walk yields, for each round, the trust list after it and the round's
+# outputs as parallel columns (keys, producers, consensus, error targets) in
+# scoring order, or None when no evaluator could afford to emit.
+Scored = tuple[Sequence[str], Sequence[str], Sequence[float], Sequence[Union[float, None]]]
+Walk = Iterator[tuple[list[float], Union[Scored, None]]]
+
+# Rounds per emission matrix: bounds the arrays a long fixed-trust cell holds.
+ROUNDS_PER_MATRIX = 1024
+
+
 def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     settings = config.settings
     profiles = settings.evaluators
     n = len(profiles)
     ids = [p.evaluator_id for p in profiles]
     behaviors = list(config.resolve_behaviors().values())  # in listed order
-    attacker_ids = frozenset(ids[: config.attacker_count()])
+    attackers = config.attacker_count()
+    attacker_ids = frozenset(ids[:attackers])
 
     trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
     trust = [1.0 / n] * n  # in listed order, like profiles
     budget = settings.budget if settings.budget is not None else math.inf
     rng = rng_for(config.rng_seed, config.config_id)
 
-    # outputs(round_index) yields (key, producer, observed quality, error
-    # target or None) in scoring order. It is lazy: a synthetic output's Beta
-    # draw follows the previous output's emissions and trust step.
+    # outputs(round_index) gives a round's outputs in scoring order. Synthetic
+    # ones are lazy: an output's Beta draw follows the previous output's
+    # emissions and trust step.
     if replay is None:
         if not settings.producers:
             raise SimConfigError(
                 f"{config.config_id}: synthetic mode needs producer mean qualities"
             )
-        producers = sorted(settings.producers.items())
+        means = sorted(settings.producers.items())
         kappa = settings.beta_concentration
 
-        def outputs(round_index: int) -> Iterator[tuple[str, str, float, float | None]]:
-            for producer, mean in producers:
+        def outputs(round_index: int) -> Iterator[Output]:
+            for producer, mean in means:
                 quality = float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
                 yield f"r{round_index:04d}:{producer}", producer, quality, quality
 
@@ -663,45 +796,46 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
-        signal_values = replay.signal_values(config.quality_signal)
-        ref_norm = replay.ref_norm
-        groups = replay.groups
+        by_group = replay.group_outputs(config.quality_signal)
 
-        def outputs(round_index: int) -> Iterator[tuple[str, str, float, float | None]]:
-            for s in groups[round_index % len(groups)]:
-                sid = s.sample_id
-                yield sid, s.producer_id, signal_values[sid], ref_norm.get(sid)
+        def outputs(round_index: int) -> Iterable[Output]:
+            return by_group[round_index % len(by_group)]
+
+    if trust_step is None:
+        walk = _fixed_trust_walk(
+            config.defense, trust, profiles, budget, behaviors, outputs, settings.rounds, rng,
+            replay=replay is not None,
+        )
+    else:
+        # in replay mode only emitting draws; if only Honest does, serve its
+        # noise from batched draws
+        emit_rng = rng
+        if replay is not None and not (attackers and config.attack.draws):
+            emit_rng = _HonestNoise(rng, settings.honest_noise_sd)
+        walk = _adaptive_walk(
+            config.defense, trust_step, trust, profiles, budget, behaviors,
+            outputs, settings.rounds, emit_rng,
+        )
 
     consensus_scores: dict[str, float] = {}
     rewards: dict[str, float] = {}
     trajectory: list[dict[str, float]] = []
     errors: list[float] = []
     skipped = 0
-
-    for round_index in range(settings.rounds):
-        emitters = sample_evaluators(profiles, trust, budget)  # positions, in id order
-        if not emitters:
-            skipped += 1
-            trajectory.append(dict(zip(ids, trust)))
-            continue
-        emitting = [behaviors[i] for i in emitters]
-        contest: dict[str, float] = {}  # output key -> consensus; one contest per round
-        producer_of: dict[str, str] = {}
-        for key, producer, quality, target in outputs(round_index):
-            values = [b.emit(quality, round_index, rng, producer) for b in emitting]
-            consensus = config.defense.aggregate(values, [trust[i] for i in emitters])
-            consensus_scores[key] = consensus
-            contest[key] = consensus
-            producer_of[key] = producer
-            if target is not None:
-                errors.append(abs(consensus - target))
-            if trust_step is not None:
-                trust = trust_step(trust, emitters, values)
-
-        for key, share in allocate_rewards({"round": contest}, settings.reward_budget).items():
-            producer = producer_of[key]
-            rewards[producer] = rewards.get(producer, 0.0) + share
+    reward_budget = settings.reward_budget
+    for trust, scored in walk:
         trajectory.append(dict(zip(ids, trust)))
+        if scored is None:
+            skipped += 1
+            continue
+        keys, producers, consensus, targets = scored
+        contest = dict(zip(keys, consensus))  # one contest per round
+        consensus_scores.update(contest)  # a repeated key keeps its place, takes the new value
+        errors.extend(abs(c - t) for c, t in zip(consensus, targets) if t is not None)
+        # allocate_rewards for the one contest, paid to each output's producer
+        owners = dict(zip(keys, producers)).values()  # parallel to contest
+        for producer, share in zip(owners, _contest_shares(list(contest.values()), reward_budget)):
+            rewards[producer] = rewards.get(producer, 0.0) + share
 
     return SimOutcome(
         config_id=config.config_id,
@@ -712,6 +846,126 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
         skipped_rounds=skipped,
         attacker_ids=attacker_ids,
     )
+
+
+def _adaptive_walk(
+    defense: DefenseConfig,
+    trust_step: TrustStep,
+    trust: list[float],
+    profiles: Sequence[EvaluatorProfile],
+    budget: float,
+    behaviors: Sequence[EvaluatorBehavior],
+    outputs: Callable[[int], Iterable[Output]],
+    rounds: int,
+    rng,
+) -> Walk:
+    """Output by output: each output's trust step lands before the next
+    output is scored, and each round picks its emitters under the trust the
+    last one left."""
+    for round_index in range(rounds):
+        emitters = sample_evaluators(profiles, trust, budget)  # positions, in id order
+        if not emitters:
+            yield trust, None
+            continue
+        emitting = [behaviors[i] for i in emitters]
+        scored = []
+        for key, producer, quality, target in outputs(round_index):
+            values = [b.emit(quality, round_index, rng, producer) for b in emitting]
+            consensus = defense.aggregate(values, [trust[i] for i in emitters])
+            scored.append((key, producer, consensus, target))
+            trust = trust_step(trust, emitters, values)
+        yield trust, tuple(zip(*scored))
+
+
+def _fixed_trust_walk(
+    defense: DefenseConfig,
+    trust: list[float],
+    profiles: Sequence[EvaluatorProfile],
+    budget: float,
+    behaviors: Sequence[EvaluatorBehavior],
+    outputs: Callable[[int], Iterable[Output]],
+    rounds: int,
+    rng,
+    replay: bool,
+) -> Walk:
+    """Trust never moves, so the emitters are chosen once. Each block of up
+    to ROUNDS_PER_MATRIX rounds forms one (outputs x emitters) emission
+    matrix, and the defense aggregates all its rows at once.
+
+    In replay mode, with at most one drawing behavior among the emitters,
+    the matrix is filled a column block per behavior. Otherwise it is filled
+    row by row from the scalar emit: synthetic mode's Beta draws, or the
+    draws of two behaviors, interleave output by output."""
+    emitters = sample_evaluators(profiles, trust, budget)  # positions, in id order
+    if not emitters:
+        for _ in range(rounds):
+            yield trust, None
+        return
+    emitting = [behaviors[i] for i in emitters]
+    emitter_trust = [trust[i] for i in emitters]
+    by_column = replay and sum(b.draws for b in set(emitting)) <= 1
+    for first in range(0, rounds, ROUNDS_PER_MATRIX):
+        block = range(first, min(first + ROUNDS_PER_MATRIX, rounds))
+        by_round: list[list[Output]] = []
+        emitted: list[list[float]] = []  # per output, when filled row by row
+        for round_index in block:
+            by_round.append([])
+            for output in outputs(round_index):
+                by_round[-1].append(output)
+                if not by_column:
+                    _, producer, quality, _ = output
+                    emitted.append([b.emit(quality, round_index, rng, producer) for b in emitting])
+        values = _emission_matrix(emitting, block, by_round, rng) if by_column else np.array(emitted)
+        consensus = defense.aggregate_rows(values, emitter_trust)
+        end = 0
+        for round_outputs in by_round:
+            start, end = end, end + len(round_outputs)
+            keys, producers, _, targets = zip(*round_outputs)
+            yield trust, (keys, producers, consensus[start:end], targets)
+
+
+def _emission_matrix(
+    emitting: Sequence[EvaluatorBehavior],
+    block: range,
+    by_round: list[list[Output]],
+    rng,
+) -> np.ndarray:
+    """Every emitter's value for every output of a block of rounds, one
+    emit_column call per behavior. At most one behavior draws, so its one
+    batched draw, filled row by row, is the scalar stream."""
+    rows = [output for round_outputs in by_round for output in round_outputs]
+    quality = np.array([q for _, _, q, _ in rows])[:, None]
+    round_index = np.repeat(np.array(block), [len(r) for r in by_round])[:, None]
+    producer_id = np.array([p for _, p, _, _ in rows])[:, None]
+    columns: dict[EvaluatorBehavior, list[int]] = {}
+    for j, behavior in enumerate(emitting):
+        columns.setdefault(behavior, []).append(j)
+    values = np.empty((len(rows), len(emitting)))
+    for behavior, cols in columns.items():
+        block_quality = np.broadcast_to(quality, (len(rows), len(cols)))
+        values[:, cols] = behavior.emit_column(block_quality, round_index, rng, producer_id)
+    return values
+
+
+class _HonestNoise:
+    """Stands in for a replay cell's Generator when Honest.emit is the only
+    caller that draws: serves each rng.normal(0.0, sd) from batched draws.
+    A batch holds the values as many scalar calls would return, and nothing
+    else reads the cell's Generator, so the emissions stay the same."""
+
+    BATCH = 4096
+
+    def __init__(self, rng, sd: float):
+        self._rng = rng
+        self._sd = sd
+        self._values: Iterator[float] = iter(())
+
+    def normal(self, loc: float, scale: float) -> float:
+        value = next(self._values, None)
+        if value is None:
+            self._values = iter(self._rng.normal(0.0, self._sd, self.BATCH).tolist())
+            value = next(self._values)
+        return value
 
 
 def run_experiment(

@@ -257,7 +257,6 @@ BAD_CONFIGS = [
     ),
     ("weights: {structure: 1, agreement: 1}\n", "audit.variants"),  # semantic_only is empty
     ("normalization: {stats: narrow.json}\n", "normalization.mode"),
-    ("synthetic: {qa_fraction: 0.3}\n", "synthetic needs 'n'"),
     ("synthetic: {n: 10, producers_per_query: 5}\n", "synthetic: producers_per_query"),
     ("synthetic: {n: 10, qa_fraction: 2}\n", "synthetic: qa_fraction"),
 ]
@@ -433,6 +432,20 @@ def test_synth_zero_count_exits_one_naming_the_flag(tmp_path, capsys, section):
     assert main(argv) == 1
     assert "--n must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_synth_count_from_the_flag_when_the_section_has_none(tmp_path, capsys):
+    config = tmp_path / "synth.yaml"
+    config.write_text("synthetic: {qa_fraction: 0.3}\n", encoding="utf-8")
+    load_config(config)  # a section without n loads; synth --n supplies it
+    argv = ["synth", "--config", str(config), "--out"]
+    assert main([*argv, str(tmp_path / "flag"), "--n", "5", "--seed", "3"]) == 0
+    assert len(ingest(tmp_path / "flag" / "synthetic.jsonl").samples) == 5
+    # neither the section nor the command line gives n
+    capsys.readouterr()
+    assert main([*argv, str(tmp_path / "none")]) == 1
+    assert "synthetic needs 'n'" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
 
 
 def test_synth_section_defaults_match_a_bare_count(tmp_path):

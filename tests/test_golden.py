@@ -10,6 +10,10 @@ Runs through the CLI, each into its own directory:
                  simulate that grid on strategy_grid's scored.jsonl with the
                  evaluators listed in reverse id order (trust snapshots follow
                  the listed order; emitters and value ties follow id order);
+  strategy_grid-cycling
+                 simulate that grid on strategy_grid's scored.jsonl for 230
+                 rounds, past the fixture's 100 query groups, so output keys
+                 repeat (a repeated key keeps its first place and last value);
   synthetic_grid simulate every attack x defense in synthetic mode;
   report-<gate>[-reversed]
                  the full report with per-task calibration under each gate,
@@ -54,11 +58,15 @@ def _reversed_fixture(root: Path) -> str:
     return str(path)
 
 
-def _reversed_evaluators(root: Path) -> str:
-    """strategy_grid.yaml with its evaluator list reversed."""
+def _strategy_grid_variant(root: Path, variant: str) -> str:
+    """strategy_grid.yaml with its evaluator list reversed ("reversed") or
+    its rounds raised past the fixture's query groups ("cycling")."""
     config = yaml.safe_load((FIXTURES / "strategy_grid.yaml").read_text(encoding="utf-8"))
-    config["sim"]["evaluators"].reverse()
-    path = root / "strategy_grid_reversed.yaml"
+    if variant == "reversed":
+        config["sim"]["evaluators"].reverse()
+    else:
+        config["sim"]["rounds"] = 230
+    path = root / f"strategy_grid_{variant}.yaml"
     path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
     return str(path)
 
@@ -84,8 +92,8 @@ def _commands(case: str, root: Path) -> list[list[str]]:
             ["calibrate", *config, "--input", scored, *common],
             ["simulate", *config, "--input", scored, *common],
         ]
-    if case == "strategy_grid-reversed":
-        config = ["--config", _reversed_evaluators(root)]
+    if command == "strategy_grid" and variant:
+        config = ["--config", _strategy_grid_variant(root, variant)]
         grid_scored = str(root / "strategy_grid" / "scored.jsonl")
         return [["simulate", *config, "--input", grid_scored, *common]]
     if case == "strategy_grid":
@@ -103,11 +111,12 @@ def _commands(case: str, root: Path) -> list[list[str]]:
 GATES = ("pearson", "spearman", "taskwise_min")
 PER_TASK = tuple(f"{gate}{order}" for gate in GATES for order in ("", "-reversed"))
 # each calibrate case reads the scored.jsonl of the report case before it, and
-# strategy_grid-reversed reads strategy_grid's
+# the strategy_grid variants read strategy_grid's
 CASES = (
     "replay",
     "strategy_grid",
     "strategy_grid-reversed",
+    "strategy_grid-cycling",
     "synthetic_grid",
     *(f"report-{variant}" for variant in PER_TASK),
     *(f"calibrate-{variant}" for variant in PER_TASK),

@@ -347,11 +347,12 @@ def test_load_config_full(tmp_path):
     assert cfg.per_task is True
     assert cfg.variant_names == ("default", "calibrated")
     # flat correlation map expands to both standard tasks
-    assert cfg.synthetic.n == 50
-    assert cfg.synthetic.correlations["qa"][DimensionId.SEMANTIC] == 0.8
-    assert cfg.synthetic.correlations["summarization"][DimensionId.STRUCTURE] == 0.5
-    assert cfg.synthetic.evaluator_noise == {"judge": 0.3}
-    assert cfg.synthetic.rng_seed == 99
+    synthetic = cfg.synthetic.spec()
+    assert synthetic.n == 50
+    assert synthetic.correlations["qa"][DimensionId.SEMANTIC] == 0.8
+    assert synthetic.correlations["summarization"][DimensionId.STRUCTURE] == 0.5
+    assert synthetic.evaluator_noise == {"judge": 0.3}
+    assert synthetic.rng_seed == 99
     assert cfg.sim.settings.rounds == 10
     assert cfg.sim.settings.reward_budget == 2.0
     assert [p.evaluator_id for p in cfg.sim.settings.evaluators] == ["e1", "e2"]
@@ -398,9 +399,9 @@ def test_load_config_per_task_synthetic(tmp_path):
         "    summarization: {semantic: 0.3}\n",
         encoding="utf-8",
     )
-    cfg = load_config(path)
-    assert cfg.synthetic.correlations["qa"][DimensionId.SEMANTIC] == 0.9
-    assert cfg.synthetic.correlations["summarization"][DimensionId.SEMANTIC] == 0.3
+    correlations = load_config(path).synthetic.spec().correlations
+    assert correlations["qa"][DimensionId.SEMANTIC] == 0.9
+    assert correlations["summarization"][DimensionId.SEMANTIC] == 0.3
 
 
 def test_frozen_normalization_requires_stats(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import get_args
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 from conftest import sim_config
 from mdqs.errors import MissingColumn, SimConfigError
+from mdqs.io import ingest
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
+    DEFAULT_WEIGHTS,
     DimensionVector,
     EvaluatorProfile,
     LoggedSample,
@@ -41,6 +44,8 @@ from mdqs.poq import (
     SimSettings,
     SingleEvaluator,
     TrimmedMean,
+    _Replay,
+    _run_cell,
     allocate_rewards,
     attack_label,
     run_experiment,
@@ -83,6 +88,13 @@ def test_random_noise_ignores_quality():
     values = {RandomNoise().emit(0.0, 0, rng, None) for _ in range(50)}
     assert len(values) > 1
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_random_noise_draws_what_a_uniform_draw_would():
+    rng, uniform = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(10_000):
+        assert repr(RandomNoise().emit(0.5, 0, rng, None)) == repr(float(uniform.uniform(0.0, 1.0)))
+        assert repr(float(rng.normal(0.0, 0.05))) == repr(float(uniform.normal(0.0, 0.05)))
 
 
 def test_collude_boosts_target_and_buries_rest():
@@ -401,6 +413,49 @@ def test_list_forms_match_the_dict_keyed_reference():
             for i, v in zip(emitters, values)
         )
     assert floor_hits > 100
+
+
+def test_row_forms_match_the_scalar_aggregates():
+    # zero and all-zero trust, tied values and -0.0 included
+    rng = np.random.default_rng(2012)
+    fixed = [Mean(), Median(), *(TrimmedMean(f) for f in TRIM_FRACTIONS)]
+    for _ in range(500):
+        _, trust, emitters, _ = _random_case(rng)
+        emitter_trust = [trust[i] for i in emitters]
+        grid = [-0.0, 0.0, 0.25, 0.5, 1.0]
+        rows = rng.choice(grid, size=(int(rng.integers(1, 6)), len(emitters)))
+        rows = np.where(rng.uniform(size=rows.shape) < 0.5, rows, rng.uniform(size=rows.shape))
+        for defense in fixed:
+            expected = [repr(defense.aggregate(row, emitter_trust)) for row in rows.tolist()]
+            assert [repr(v) for v in defense.aggregate_rows(rows, emitter_trust)] == expected
+
+
+def test_column_emits_match_the_scalar_emits():
+    # one block per behavior, filled row by row: the same values, drawn in
+    # the same order, as one scalar emit per output per emitter
+    quality = [-0.0, 0.0, 0.3, 0.75, 0.9, 1.0]
+    producers = ["model-a", "model-b", "model-a", "model-c", "model-a", "model-b"]
+    round_index = [0, 1, 2, 3, 4, 5]
+    behaviors = [
+        Honest(0.0), Honest(0.05), Honest(0.5), Inflate(0.3), Deflate(0.3), Deflate(0.0),
+        RandomNoise(), Collude("model-a", 0.3), Camouflage(3, 0.3), Camouflage(0, 0.0),
+    ]
+    for behavior in behaviors:
+        for width in (1, 3):
+            scalar_rng, column_rng = np.random.default_rng(7), np.random.default_rng(7)
+            expected = [
+                [repr(behavior.emit(q, r, scalar_rng, p)) for _ in range(width)]
+                for q, r, p in zip(quality, round_index, producers)
+            ]
+            block = behavior.emit_column(
+                np.broadcast_to(np.array(quality)[:, None], (len(quality), width)),
+                np.array(round_index)[:, None],
+                column_rng,
+                np.array(producers)[:, None],
+            )
+            assert [[repr(v) for v in row] for row in block.tolist()] == expected, behavior
+            drew = scalar_rng.bit_generator.state != np.random.default_rng(7).bit_generator.state
+            assert behavior.draws == drew
 
 
 # --------------------------------------------------------------- rewards
@@ -831,3 +886,217 @@ def test_run_experiment_computes_each_signal_once(monkeypatch):
 def test_run_experiment_rejects_duplicate_ids():
     with pytest.raises(SimConfigError):
         run_experiment([synth_config(), synth_config()])
+
+
+# ------------------------------------------------- run loop reference
+#
+# _run_cell as it was when every cell walked its outputs one by one, kept
+# verbatim with the selection and reward helpers it called, as the oracle
+# that the fixed-trust emission matrix and the adaptive walk must match in
+# every float's repr, every key order and every error.
+
+def _ref_sample_evaluators(profiles, trust, budget):
+    def rank(i: int) -> tuple[float, str]:
+        p = profiles[i]
+        return (-math.inf if p.cost == 0.0 else -(trust[i] / p.cost)), p.evaluator_id
+
+    chosen: list[int] = []
+    spent = 0.0
+    for i in sorted(range(len(profiles)), key=rank):
+        if spent + profiles[i].cost > budget:
+            break
+        chosen.append(i)
+        spent += profiles[i].cost
+    return sorted(chosen, key=lambda i: profiles[i].evaluator_id)
+
+
+def _ref_allocate_rewards(consensus, reward_budget):
+    if not consensus:
+        return {}
+    if not math.isfinite(reward_budget) or reward_budget < 0:
+        raise ValueError("reward_budget must be finite and >= 0")
+    slice_budget = reward_budget / len(consensus)
+    rewards: dict[str, float] = {}
+    for _, producer_scores in consensus.items():
+        if not producer_scores:
+            raise ValueError("a contest must have at least one producer")
+        low = min(producer_scores.values())
+        spreads = {p: max(s - low, 0.0) for p, s in producer_scores.items()}
+        total = math.fsum(spreads.values())
+        for producer in producer_scores:
+            if total > 0.0:
+                share = slice_budget * (spreads[producer] / total)
+            else:
+                share = slice_budget / len(producer_scores)
+            rewards[producer] = rewards.get(producer, 0.0) + share
+    return rewards
+
+
+def _ref_run_cell(config, replay):
+    settings = config.settings
+    profiles = settings.evaluators
+    n = len(profiles)
+    ids = [p.evaluator_id for p in profiles]
+    behaviors = list(config.resolve_behaviors().values())  # in listed order
+    attacker_ids = frozenset(ids[: config.attacker_count()])
+
+    trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
+    trust = [1.0 / n] * n  # in listed order, like profiles
+    budget = settings.budget if settings.budget is not None else math.inf
+    rng = rng_for(config.rng_seed, config.config_id)
+
+    if replay is None:
+        if not settings.producers:
+            raise SimConfigError(
+                f"{config.config_id}: synthetic mode needs producer mean qualities"
+            )
+        producers = sorted(settings.producers.items())
+        kappa = settings.beta_concentration
+
+        def outputs(round_index):
+            for producer, mean in producers:
+                quality = float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
+                yield f"r{round_index:04d}:{producer}", producer, quality, quality
+
+    else:
+        if not replay.samples:
+            raise SimConfigError(f"{config.config_id}: replay dataset is empty")
+        if config.quality_signal is None:
+            raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
+        signal_values = replay.signal_values(config.quality_signal)
+        ref_norm = replay.ref_norm
+        groups = replay.groups
+
+        def outputs(round_index):
+            for s in groups[round_index % len(groups)]:
+                sid = s.sample_id
+                yield sid, s.producer_id, signal_values[sid], ref_norm.get(sid)
+
+    consensus_scores: dict[str, float] = {}
+    rewards: dict[str, float] = {}
+    trajectory: list[dict[str, float]] = []
+    errors: list[float] = []
+    skipped = 0
+
+    for round_index in range(settings.rounds):
+        emitters = _ref_sample_evaluators(profiles, trust, budget)  # positions, in id order
+        if not emitters:
+            skipped += 1
+            trajectory.append(dict(zip(ids, trust)))
+            continue
+        emitting = [behaviors[i] for i in emitters]
+        contest: dict[str, float] = {}  # output key -> consensus; one contest per round
+        producer_of: dict[str, str] = {}
+        for key, producer, quality, target in outputs(round_index):
+            values = [b.emit(quality, round_index, rng, producer) for b in emitting]
+            consensus = config.defense.aggregate(values, [trust[i] for i in emitters])
+            consensus_scores[key] = consensus
+            contest[key] = consensus
+            producer_of[key] = producer
+            if target is not None:
+                errors.append(abs(consensus - target))
+            if trust_step is not None:
+                trust = trust_step(trust, emitters, values)
+
+        for key, share in _ref_allocate_rewards({"round": contest}, settings.reward_budget).items():
+            producer = producer_of[key]
+            rewards[producer] = rewards.get(producer, 0.0) + share
+        trajectory.append(dict(zip(ids, trust)))
+
+    return SimOutcome(
+        config_id=config.config_id,
+        consensus_scores=consensus_scores,
+        rewards=rewards,
+        trust_trajectory=tuple(trajectory),
+        consensus_error=(math.fsum(errors) / len(errors)) if errors else None,
+        skipped_rounds=skipped,
+        attacker_ids=attacker_ids,
+    )
+
+
+def _fingerprint(run):
+    """Everything a cell reports, floats as repr (so -0.0 differs from 0.0),
+    dicts as item lists (so key order counts); or the error it raised."""
+    try:
+        out = run()
+    except Exception as exc:  # the error itself is what is compared
+        return "error", type(exc).__name__, str(exc)
+    return (
+        "outcome",
+        out.config_id,
+        [(k, repr(v)) for k, v in out.consensus_scores.items()],
+        [(k, repr(v)) for k, v in out.rewards.items()],
+        [[(k, repr(v)) for k, v in snapshot.items()] for snapshot in out.trust_trajectory],
+        repr(out.consensus_error),
+        out.skipped_rounds,
+        sorted(out.attacker_ids),
+    )
+
+
+ORACLE_ATTACKS = (
+    None,
+    Inflate(0.3),
+    Deflate(0.3),
+    Deflate(0.0),
+    RandomNoise(),
+    Collude("model-a", 0.3),
+    Camouflage(3, 0.3),
+    Camouflage(0, 0.0),
+)
+ORACLE_DEFENSES = (
+    Mean(),
+    Median(),
+    *(TrimmedMean(f) for f in TRIM_FRACTIONS),
+    AdaptiveTrust(),
+    AdaptiveTrust(learning_rate=5.0),
+)
+ORACLE_SIGNALS = (
+    CompositeSignal("default"),
+    ConsensusBaseline("median"),
+    SingleEvaluator("sts_paraphrase"),
+    SingleEvaluator("missing"),
+)
+
+
+def _oracle_cell(rng, index):
+    """One random cell: evaluators listed out of id order with costs 0, 1
+    and 2, and every budget, noise level, attack, ratio, defense, signal and
+    round count the run loop distinguishes."""
+    n = int(rng.integers(1, 9))
+    evaluators = tuple(
+        EvaluatorProfile(evaluator_id=f"e{i}", cost=float(rng.choice([0.0, 1.0, 2.0])))
+        for i in rng.permutation(n)
+    )
+    budget = [None, 0.0, 1.0, 3.0, 6.0][int(rng.integers(5))]
+    return sim_config(
+        config_id=f"cell{index}",
+        evaluators=evaluators,
+        rounds=int(rng.choice([1, 7, 40, 150])),
+        budget=budget,
+        honest_noise_sd=float(rng.choice([0.0, 0.05, 0.5])),
+        producers={"model-a": 0.7, "model-b": 0.4, "model-c": 0.5},
+        attack=ORACLE_ATTACKS[int(rng.integers(len(ORACLE_ATTACKS)))],
+        attack_ratio=float(rng.choice([0.0, 0.25, 0.5, 1.0])),
+        defense=ORACLE_DEFENSES[int(rng.integers(len(ORACLE_DEFENSES)))],
+        quality_signal=ORACLE_SIGNALS[int(rng.integers(len(ORACLE_SIGNALS)))],
+        rng_seed=int(rng.integers(2**32)),
+    )
+
+
+def test_run_cell_matches_the_one_by_one_reference():
+    samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples
+    # 3, 10 and 100 query groups of two, so most round counts cycle past them
+    replays = [_Replay(samples[:size], DEFAULT_WEIGHTS) for size in (6, 20, 200)]
+    rng = np.random.default_rng(12)
+    seen = set()
+    for index in range(420):
+        config = _oracle_cell(rng, index)
+        replay = None if index % 4 == 0 else replays[int(rng.integers(len(replays)))]
+        expected = _fingerprint(lambda: _ref_run_cell(config, replay))
+        assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
+        if expected[0] == "outcome":
+            seen.add((replay is None, attack_label(config.attack), config.defense))
+    # both modes, every attack and every defense ran to an outcome
+    assert {s[0] for s in seen} == {True, False}
+    assert {s[1] for s in seen} == {attack_label(a) for a in ORACLE_ATTACKS}
+    assert {s[2] for s in seen} == set(ORACLE_DEFENSES)
