@@ -235,6 +235,31 @@ def to_record(sample: LoggedSample) -> dict:
     return rec
 
 
+# Only a \u escape of U+D800-U+DFFF can put a lone surrogate into a decoded
+# line (raw UTF-8 bytes of one fail to decode), so only a line holding such
+# an escape gets the full check.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
+def _refuse_lone_surrogates(value, where: str) -> None:
+    """SchemaError naming the first key or string, at any depth, that holds a
+    lone surrogate: no report could write it as UTF-8. A valid escaped pair
+    decodes to one code point and passes."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            code = ord(value[exc.start])
+            raise SchemaError(f"{where or 'record'}: lone surrogate U+{code:04X}") from None
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_lone_surrogates(key, f"a key in {where or 'the record'}")
+            _refuse_lone_surrogates(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _refuse_lone_surrogates(item, f"{where}[{i}]")
+
+
 @dataclass(frozen=True)
 class IngestIssue:
     line_no: int
@@ -250,9 +275,9 @@ class IngestResult:
 def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     """Read a JSONL dataset.
 
-    Malformed lines, and a line repeating an earlier line's sample_id, are
-    collected as issues and skipped; with strict=True the first one aborts
-    the read instead.
+    Malformed lines (a lone surrogate anywhere in a record among them), and
+    a line repeating an earlier line's sample_id, are collected as issues
+    and skipped; with strict=True the first one aborts the read instead.
     """
     samples: list[LoggedSample] = []
     issues: list[IngestIssue] = []
@@ -263,7 +288,10 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
                 if not line.strip():
                     continue
                 try:
-                    sample = from_record(json.loads(line.decode("utf-8")))
+                    record = json.loads(line.decode("utf-8"))
+                    if _SURROGATE_ESCAPE.search(line):
+                        _refuse_lone_surrogates(record, "")
+                    sample = from_record(record)
                     first = first_line.setdefault(sample.sample_id, line_no)
                     if first != line_no:
                         raise SchemaError(

@@ -8,7 +8,13 @@ single samples. check_config and missing_inputs decide what scoring needs;
 score_all and validate_dataset both ask them.
 
 Conventions that matter:
-  - tokenization is whitespace split, nothing smarter;
+  - tokenization is whitespace split, nothing smarter; structure n-grams
+    are runs of n >= 1 tokens, and StructurePolicy refuses a size or a
+    degeneration count below 1;
+  - the semantic proxy counts character trigrams as int64 codes of three
+    code points, so the cosine is taken on exact integer counts with no
+    per-trigram string; a text under three characters has no trigram and
+    matches only an equal text;
   - a zero-range column normalizes to 0.5 everywhere (no information);
   - agreement expects evaluator scores already normalized per evaluator,
     which score_all does internally before measuring dispersion.
@@ -21,6 +27,8 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from mdqs.errors import (
     EmptyPriorTable,
@@ -109,6 +117,9 @@ class StructurePolicy:
         ):
             if not math.isfinite(w) or w < 0.0:
                 raise ValueError("penalty weights must be finite and >= 0")
+        for name in ("repetition_ngram", "degeneration_ngram", "degeneration_min_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +131,8 @@ class StructureFeatures:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
-    if len(tokens) < n:
-        return []
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    """Every run of n >= 1 consecutive tokens, in order."""
+    return list(zip(*(tokens[i:] for i in range(n))))
 
 
 def _format_violations(text: str) -> int:
@@ -143,8 +153,7 @@ def structure_features(text: str, policy: StructurePolicy | None = None) -> Stru
     tokens = text.split()
     bigrams = _ngrams(tokens, policy.repetition_ngram)
     if bigrams:
-        counts = Counter(bigrams)
-        repeated = sum(1 for g in bigrams if counts[g] >= 2)
+        repeated = sum(c for c in Counter(bigrams).values() if c >= 2)
         repetition_ratio = repeated / len(bigrams)
     else:
         repetition_ratio = 0.0
@@ -182,31 +191,51 @@ def score_structure(text: str, policy: StructurePolicy | None = None) -> float:
 # semantic and alignment
 
 
-def _trigram_counts(text: str) -> Counter:
-    text = " ".join(text.lower().split())
-    return Counter(text[i : i + 3] for i in range(len(text) - 2))
+# a trigram's code (c0 * K + c1) * K + c2 stays below K**3 < 2**63
+_CODE_POINTS = 0x110000
+
+
+def _normalized(text: str) -> str:
+    return " ".join(text.lower().split())
+
+
+def _trigram_counts(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct trigram codes of the normalized text, and their
+    counts. Lone surrogates pass through as their own code points."""
+    codes = np.frombuffer(
+        _normalized(text).encode("utf-32-le", "surrogatepass"), np.uint32
+    ).astype(np.int64)
+    grams = (codes[:-2] * _CODE_POINTS + codes[1:-1]) * _CODE_POINTS + codes[2:]
+    return np.unique(grams, return_counts=True)
 
 
 def score_semantic(sample: LoggedSample) -> float:
     """Built-in reference-based semantic proxy: cosine over character
     trigram counts.
 
-    Texts are lowercased and whitespace-collapsed first. Identical texts
-    score 1.0, texts sharing no trigrams score 0.0. This is deliberately a
-    cheap offline stand-in for an embedding similarity service.
+    Texts are lowercased and whitespace-collapsed first, and each trigram
+    is counted as one int64 code of its three code points. The dot product
+    and both squared norms are exact integers; the score is
+    dot / (sqrt(|a|^2) * sqrt(|b|^2)), clipped to [0, 1]. Equal trigram
+    counts score 1.0, texts sharing no trigrams score 0.0. A text under
+    three characters has no trigram, so when either side has none the
+    score is 1.0 for equal normalized texts and 0.0 otherwise. This is
+    deliberately a cheap offline stand-in for an embedding similarity
+    service.
     """
     if sample.reference_text is None:
         raise MissingReferenceText(sample.sample_id)
-    a = _trigram_counts(sample.output)
-    b = _trigram_counts(sample.reference_text)
-    if a == b:
+    ga, ca = _trigram_counts(sample.output)
+    gb, cb = _trigram_counts(sample.reference_text)
+    if not ga.size or not gb.size:
+        equal = _normalized(sample.output) == _normalized(sample.reference_text)
+        return 1.0 if equal else 0.0
+    if ga.size == gb.size and (ga == gb).all() and (ca == cb).all():
         return 1.0
-    if not a or not b:
-        return 0.0
-    dot = sum(c * b[g] for g, c in a.items())
-    norm = math.sqrt(sum(c * c for c in a.values())) * math.sqrt(
-        sum(c * c for c in b.values())
-    )
+    at = np.minimum(np.searchsorted(gb, ga), gb.size - 1)
+    hit = gb[at] == ga
+    dot = int(ca[hit] @ cb[at[hit]])
+    norm = math.sqrt(int(ca @ ca)) * math.sqrt(int(cb @ cb))
     return min(1.0, max(0.0, dot / norm))
 
 

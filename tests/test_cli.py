@@ -259,6 +259,9 @@ BAD_CONFIGS = [
     ("normalization: {stats: narrow.json}\n", "normalization.mode"),
     ("synthetic: {n: 10, producers_per_query: 5}\n", "synthetic: producers_per_query"),
     ("synthetic: {n: 10, qa_fraction: 2}\n", "synthetic: qa_fraction"),
+    ("structure: {repetition_ngram: 0}\n", "structure: repetition_ngram must be >= 1"),
+    ("structure: {degeneration_ngram: -2}\n", "structure: degeneration_ngram must be >= 1"),
+    ("structure: {degeneration_min_count: 0}\n", "structure: degeneration_min_count must be"),
 ]
 
 
@@ -357,6 +360,39 @@ def test_blank_identity_is_a_malformed_line_for_every_command(tmp_path):
         assert all(s.producer_id.strip() and s.sample_id.strip() for s in scored)
     means = (tmp_path / "report" / "dimension_means_by_producer.csv").read_text(encoding="utf-8")
     assert "\n," not in means
+
+
+def test_lone_surrogate_is_a_malformed_line_for_every_command(tmp_path):
+    lines = (Path(FIXTURES) / "replay_200.jsonl").read_text(encoding="utf-8").splitlines()[:40]
+    lone = chr(0xD800)
+    edits = {
+        3: {"output": "fine words " + lone},
+        8: {"meta": {"tags": [{"k" + chr(0xDC00): 1}]}},
+        11: {"note": ["ok", "x" + chr(0xDFFF)]},
+        14: {"output": "a smile \U0001F600 " * 3},  # an escaped pair, which loads
+    }
+    for index, edit in edits.items():
+        lines[index] = json.dumps(json.loads(lines[index]) | edit)  # ASCII: \u escapes
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = f"{FIXTURES}/replay_config.yaml"
+    for command in ("validate", "score", "audit", "report"):
+        out = tmp_path / command
+        code = main([command, "--config", config, "--input", str(data), "--out", str(out)])
+        assert code == (1 if command == "validate" else 0)
+        issues = [
+            json.loads(line)
+            for line in (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert [(i["line"], i["error"]) for i in issues] == [
+            (4, "output: lone surrogate U+D800"),
+            (9, "a key in meta.tags[0]: lone surrogate U+DC00"),
+            (12, "note[1]: lone surrogate U+DFFF"),
+        ]
+    assert json.loads((tmp_path / "validate" / "validation.json").read_text())["total"] == 37
+    scored = {s.sample_id: s for s in ingest(tmp_path / "report" / "scored.jsonl").samples}
+    assert len(scored) == 37
+    assert scored["s00014"].output.startswith("a smile \U0001F600")
 
 
 @pytest.mark.parametrize(

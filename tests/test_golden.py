@@ -15,6 +15,10 @@ Runs through the CLI, each into its own directory:
                  rounds, past the fixture's 100 query groups, so output keys
                  repeat (a repeated key keeps its first place and last value);
   synthetic_grid simulate every attack x defense in synthetic mode;
+  unicode        score the fixture's first records with non-ASCII output and
+                 reference texts (dotted capital I, sharp s, combining marks,
+                 CJK, emoji, U+10FFFF, tabs and newlines), every pair with a
+                 trigram on at least one side;
   report-<gate>[-reversed]
                  the full report with per-task calibration under each gate,
                  on the fixture in its own order and with its lines reversed
@@ -32,6 +36,7 @@ why the new bytes are more correct.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -55,6 +60,35 @@ def _reversed_fixture(root: Path) -> str:
     lines = Path(RAW).read_text(encoding="utf-8").splitlines(keepends=True)
     path = root / "replay_200_reversed.jsonl"
     path.write_text("".join(reversed(lines)), encoding="utf-8")
+    return str(path)
+
+
+# (output, reference_text) for each of the fixture's first records
+UNICODE_TEXTS = (
+    ("İstanbul'da ÇAĞRI merkezi açık", "istanbul'da çağrı merkezi açık"),
+    ("Die Straße ist groß und weiß", "DIE STRASSE IST GROSS UND WEISS"),
+    ("cafe\u0301 au lait, s'il vous plaît", "café au lait s'il vous plait"),
+    ("東京都の天気は晴れです。", "東京の天気は曇りです。"),
+    ("🙂 ok 🙂 ok 🙂 ok 🙂 ok", "🙂 ok"),
+    ("tab\tseparated\nlines  here", "  TAB separated lines\there\n"),
+    ("abab", "baba"),
+    ("Ωμέγα και άλφα (και βήτα", "ΑΛΦΑ ΚΑΙ ΩΜΈΓΑ ΚΑΙ ΒΉΤΑ"),
+    ("ок", "Привет, мир! Привет, мир!"),
+    ("\U0010ffff\U0010ffff\U0010ffff x \U0010ffff", "\U0010ffff\U0010ffff x"),
+    ("नमस्ते दुनिया नमस्ते दुनिया नमस्ते दुनिया", "नमस्ते दुनिया"),
+    ("👩\u200d💻 writes ```code``` and \"quotes", "👩\u200d💻 writes code"),
+)
+
+
+def _unicode_fixture(root: Path) -> str:
+    lines = Path(RAW).read_text(encoding="utf-8").splitlines()
+    records = []
+    for line, (output, reference) in zip(lines, UNICODE_TEXTS):
+        record = json.loads(line)
+        record["output"], record["reference_text"] = output, reference
+        records.append(json.dumps(record, ensure_ascii=False) + "\n")
+    path = root / "unicode.jsonl"
+    path.write_text("".join(records), encoding="utf-8")
     return str(path)
 
 
@@ -102,6 +136,9 @@ def _commands(case: str, root: Path) -> list[list[str]]:
             ["score", *config, "--input", RAW, *common],
             ["simulate", *config, "--input", scored, *common],
         ]
+    if case == "unicode":
+        config = ["--config", str(FIXTURES / "replay_config.yaml")]
+        return [["score", *config, "--input", _unicode_fixture(root), *common]]
     if case == "validate":
         config = ["--config", str(FIXTURES / "replay_config.yaml")]
         return [["validate", *config, "--input", RAW, *common]]
@@ -120,6 +157,7 @@ CASES = (
     "synthetic_grid",
     *(f"report-{variant}" for variant in PER_TASK),
     *(f"calibrate-{variant}" for variant in PER_TASK),
+    "unicode",
     "validate",
 )
 

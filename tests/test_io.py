@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import mdqs.io
 from conftest import make_sample, scored_sample, sim_config, split_settings
 from mdqs.audit import (
     ablation_grid,
@@ -178,6 +179,45 @@ def test_ingest_strict_raises_with_location(tmp_path):
     with pytest.raises(SchemaError) as err:
         ingest(path, strict=True)
     assert f"{path}:2:" in str(err.value)
+
+
+LONE = chr(0xD800)
+
+
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        ({"output": "ok " + LONE}, "output: lone surrogate U+D800"),
+        ({"reference_text": chr(0xDFFF)}, "reference_text: lone surrogate U+DFFF"),
+        ({"evaluator_scores": {"judge" + LONE: 0.5}}, "a key in evaluator_scores"),
+        ({"meta": {"tags": ["fine", {"k": "x" + LONE}]}}, "meta.tags[1].k: lone surrogate"),
+        ({"meta": [{chr(0xDC00): 1}]}, "a key in meta[0]: lone surrogate U+DC00"),
+    ],
+)
+def test_ingest_refuses_a_lone_surrogate_anywhere_in_a_record(tmp_path, bad, where):
+    path = tmp_path / "data.jsonl"
+    good = full_record() | {"sample_id": "s2", "output": "smile \U0001F600", "x": "\\ud800"}
+    lines = [json.dumps(full_record() | bad), json.dumps(good)]  # ASCII, so \u escapes
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest(path)
+    assert [s.sample_id for s in result.samples] == ["s2"]
+    assert result.samples[0].output == "smile \U0001F600"  # an escaped pair still loads
+    assert [(i.line_no, i.message) for i in result.issues] == [(1, result.issues[0].message)]
+    assert where in result.issues[0].message
+    result.issues[0].message.encode("utf-8")  # the message itself is writable
+    with pytest.raises(SchemaError, match=f"{path}:1: .*lone surrogate"):
+        ingest(path, strict=True)
+
+
+def test_ingest_checks_for_lone_surrogates_only_on_lines_with_an_escape(tmp_path, monkeypatch):
+    checked = []
+    monkeypatch.setattr(mdqs.io, "_refuse_lone_surrogates", lambda record, where: checked.append(1))
+    path = tmp_path / "data.jsonl"
+    plain = full_record() | {"output": "caf\u00e9 \U0001F600"}
+    lines = [json.dumps(plain, ensure_ascii=False), json.dumps(plain | {"sample_id": "s2"})]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert len(ingest(path).samples) == 2
+    assert checked == [1]  # only the second line, written with \u escapes
 
 
 def test_jsonl_file_round_trip(tmp_path):

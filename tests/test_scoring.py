@@ -3,6 +3,8 @@ alignment columns, agreement, and batch normalization."""
 
 import dataclasses
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -129,6 +131,16 @@ def test_structure_policy_validation():
         StructurePolicy(length_weight=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field", ["repetition_ngram", "degeneration_ngram", "degeneration_min_count"]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_structure_policy_refuses_sizes_below_one(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        StructurePolicy(**{field: value})
+    assert getattr(StructurePolicy(**{field: 1}), field) == 1
+
+
 # -------------------------------------------------------------- semantic
 
 def test_semantic_identical_text_is_exactly_one():
@@ -139,6 +151,23 @@ def test_semantic_identical_text_is_exactly_one():
 def test_semantic_empty_side_is_zero():
     assert score_semantic(make_sample(sample_id="s0", output="", reference_text="words")) == 0.0
     assert score_semantic(make_sample(sample_id="s0", output="words", reference_text="")) == 0.0
+
+
+@pytest.mark.parametrize(
+    "output, reference, expected",
+    [
+        ("ok", "no", 0.0),
+        ("ab", "cd", 0.0),
+        ("", "a", 0.0),
+        ("", "", 1.0),
+        ("OK", " ok\n", 1.0),
+        ("a  b", "a b", 1.0),
+        ("ok", "okay", 0.0),
+    ],
+)
+def test_semantic_texts_without_a_trigram_match_only_equal_texts(output, reference, expected):
+    sample = make_sample(sample_id="s0", output=output, reference_text=reference)
+    assert score_semantic(sample) == expected
 
 
 def test_semantic_partial_overlap_strictly_between():
@@ -383,3 +412,146 @@ def test_score_all_reports_raw_extremes():
     lo, hi = stats[DimensionId.ALIGNMENT]
     assert lo == pytest.approx(0.2)
     assert hi == pytest.approx(0.7)
+
+
+# ------------------------------------------- reference text scorers
+# _trigram_counts, score_semantic, _ngrams and structure_features as they
+# were before the code-point arrays, kept verbatim as the oracle the array
+# forms must match.
+
+
+def _ref_trigram_counts(text: str) -> Counter:
+    text = " ".join(text.lower().split())
+    return Counter(text[i : i + 3] for i in range(len(text) - 2))
+
+
+def _ref_score_semantic(sample) -> float:
+    if sample.reference_text is None:
+        raise MissingReferenceText(sample.sample_id)
+    a = _ref_trigram_counts(sample.output)
+    b = _ref_trigram_counts(sample.reference_text)
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    dot = sum(c * b[g] for g, c in a.items())
+    norm = math.sqrt(sum(c * c for c in a.values())) * math.sqrt(
+        sum(c * c for c in b.values())
+    )
+    return min(1.0, max(0.0, dot / norm))
+
+
+def _ref_ngrams(tokens, n: int):
+    if len(tokens) < n:
+        return []
+    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def _ref_structure_features(text: str, policy: StructurePolicy | None = None):
+    policy = policy or StructurePolicy()
+    tokens = text.split()
+    bigrams = _ref_ngrams(tokens, policy.repetition_ngram)
+    if bigrams:
+        counts = Counter(bigrams)
+        repeated = sum(1 for g in bigrams if counts[g] >= 2)
+        repetition_ratio = repeated / len(bigrams)
+    else:
+        repetition_ratio = 0.0
+    four_grams = Counter(_ref_ngrams(tokens, policy.degeneration_ngram))
+    degeneration = bool(four_grams) and max(four_grams.values()) >= policy.degeneration_min_count
+    return mdqs.scoring.StructureFeatures(
+        length_tokens=len(tokens),
+        repetition_ratio=repetition_ratio,
+        format_violations=mdqs.scoring._format_violations(text),
+        degeneration=degeneration,
+    )
+
+
+# 'İ' lowers to two code points, 'ß' stays one; U+0301 is a combining mark,
+# U+D800 a lone surrogate
+TEXT_PIECES = (
+    "a", "b", "ab", "ba", "abc", "A", "İ", "ß", "e\u0301", "東京", "天気",
+    "\U0001F642", "\U0001F469\u200d\U0001F4BB", "\x00", "\U0010FFFF", "\ud800",
+    " ", "  ", "\t", "\n", " \t\n ", "(", '"', "```",
+)
+# equal gram sets with unequal counts ("abab", "ababa") score below 1.0
+EDGE_PAIRS = (
+    ("", ""), ("", " \t\n"), ("", "abc"), ("a", "a"), ("ab", "ab"), ("abc", "abc"),
+    ("abc", "ABC"), ("abab", "baba"), ("aaaa", "aaaaaa"), ("a" * 40, "a" * 3),
+    ("abab", "ababa"), ("abcabc", "abc" * 3), ("İ", "i\u0307"), ("İİ", "i\u0307i\u0307"),
+    ("ß", "SS"), ("\ud800" * 3, "\ud800" * 4), ("\x00\x00\x00", "\x00 \x00"),
+    ("\U0010FFFF" * 3, "\U0010FFFF" * 3), ("tab\there", "tab here"),
+    ("line\nbreak\n", "line break"),
+)
+# neither side has a trigram and the normalized texts differ: the Counter
+# form scored 1.0 (two empty Counters compare equal), the arrays score 0.0
+SHORT_TEXT_CHANGES = (("ok", "no"), ("ab", "cd"), ("", "a"), ("İ", "i"), ("x", " y "))
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(TEXT_PIECES) for _ in range(rng.choice((0, 1, 2, 4, 6, 9, 14, 20))))
+
+
+def _normalized(text: str) -> str:
+    return " ".join(text.lower().split())
+
+
+def test_semantic_matches_the_counter_reference():
+    rng = random.Random(13)
+    pairs = [*EDGE_PAIRS, *SHORT_TEXT_CHANGES]
+    pairs += [(_random_text(rng), _random_text(rng)) for _ in range(3200)]
+    pairs += [(text, text[::-1]) for text, _ in pairs[-200:]]
+    changed, scores = [], Counter()
+    for output, reference in pairs:
+        sample = make_sample(sample_id="s0", output=output, reference_text=reference)
+        new, old = score_semantic(sample), _ref_score_semantic(sample)
+        if new.hex() != old.hex():
+            changed.append((output, reference))
+            a, b = _normalized(output), _normalized(reference)
+            assert max(len(a), len(b)) < 3 and a != b
+            assert (old, new) == (1.0, 0.0)
+        else:
+            scores[new if new in (0.0, 1.0) else "between"] += 1
+    assert set(SHORT_TEXT_CHANGES) <= set(changed)
+    # the random texts reach the short-text rule and every other outcome
+    assert len(changed) > len(SHORT_TEXT_CHANGES)
+    assert len(pairs) - len(changed) >= 3000
+    assert min(scores[0.0], scores[1.0], scores["between"]) >= 100, scores
+
+
+def test_trigram_codes_count_the_counter_trigrams():
+    rng = random.Random(14)
+    K = mdqs.scoring._CODE_POINTS
+    texts = [text for pair in EDGE_PAIRS for text in pair]
+    for text in texts + [_random_text(rng) for _ in range(500)]:
+        grams, counts = mdqs.scoring._trigram_counts(text)
+        decoded = {
+            chr(g // (K * K)) + chr(g // K % K) + chr(g % K): int(c)
+            for g, c in zip(grams.tolist(), counts)
+        }
+        assert decoded == _ref_trigram_counts(text)
+        assert list(grams) == sorted(set(grams.tolist()))
+
+
+def test_structure_features_match_the_reference():
+    rng = random.Random(15)
+    words = ("a", "b", "c", "(", ")", '"', "```", "ß", "\U0001F642")
+    seen = set()
+    for _ in range(3000):
+        count = rng.randrange(9)
+        tokens = [rng.choice(words[: rng.randrange(1, len(words) + 1)]) for _ in range(count)]
+        text = "".join(rng.choice((" ", "\t", "\n ")) + token for token in tokens)
+        policy = StructurePolicy(
+            repetition_ngram=rng.randrange(1, 7),
+            degeneration_ngram=rng.randrange(1, 7),
+            degeneration_min_count=rng.randrange(1, 5),
+        )
+        new, old = structure_features(text, policy), _ref_structure_features(text, policy)
+        assert new == old
+        assert new.repetition_ratio.hex() == old.repetition_ratio.hex()
+        for n in range(1, 7):
+            assert mdqs.scoring._ngrams(tokens, n) == _ref_ngrams(tokens, n)
+        seen.add((count, policy.repetition_ngram, new.degeneration))
+    assert {c for c, _, _ in seen} == set(range(9))
+    assert {n for _, n, _ in seen} == set(range(1, 7))
+    assert {d for _, _, d in seen} == {True, False}
