@@ -16,12 +16,14 @@ ones only once all are written: a failed run leaves the directory as it was.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
 from dataclasses import dataclass, field
 from json import JSONDecodeError
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -241,23 +243,35 @@ def to_record(sample: LoggedSample) -> dict:
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
-def _refuse_lone_surrogates(value, where: str) -> None:
+def _refuse_lone_surrogates(
+    value, where: str, root: str = "record", seen: set | None = None
+) -> None:
     """SchemaError naming the first key or string, at any depth, that holds a
     lone surrogate: no report could write it as UTF-8. A valid escaped pair
-    decodes to one code point and passes."""
+    decodes to one code point and passes. `root` names the whole value.
+
+    Each container is checked once, so a YAML alias, even one that refers to
+    its own parent, costs nothing more."""
     if isinstance(value, str):
         try:
             value.encode("utf-8")
         except UnicodeEncodeError as exc:
             code = ord(value[exc.start])
-            raise SchemaError(f"{where or 'record'}: lone surrogate U+{code:04X}") from None
-    elif isinstance(value, dict):
+            raise SchemaError(f"{where or root}: lone surrogate U+{code:04X}") from None
+        return
+    if not isinstance(value, (dict, list)):
+        return
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, dict):
         for key, item in value.items():
-            _refuse_lone_surrogates(key, f"a key in {where or 'the record'}")
-            _refuse_lone_surrogates(item, f"{where}.{key}" if where else key)
-    elif isinstance(value, list):
+            _refuse_lone_surrogates(key, f"a key in {where or 'the ' + root}", root, seen)
+            _refuse_lone_surrogates(item, f"{where}.{key}" if where else f"{key}", root, seen)
+    else:
         for i, item in enumerate(value):
-            _refuse_lone_surrogates(item, f"{where}[{i}]")
+            _refuse_lone_surrogates(item, f"{where}[{i}]", root, seen)
 
 
 @dataclass(frozen=True)
@@ -609,6 +623,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
+        _refuse_lone_surrogates(raw, "", "run config")  # an id or label may reach a report
     except (OSError, yaml.YAMLError, RecursionError) as exc:
         raise SchemaError(f"cannot load config {path}: {exc}") from None
     raw = _section(raw, "run config", _TOP_KEYS)
@@ -733,12 +748,75 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]):
 
 
 def _json(obj):
-    """A writer of one indented JSON document; NaN and infinities are refused."""
+    """A writer of one indented JSON document; NaN and infinities are refused.
+
+    The bytes are json.dumps(obj, indent=2, ensure_ascii=False,
+    allow_nan=False) plus a newline, but each container that holds no
+    container is encoded in one call to json's C encoder, which `indent`
+    would switch off.
+    """
 
     def write(fh: TextIO) -> None:
-        fh.write(json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n")
+        fh.write(_indented(obj, 0, {}) + "\n")
 
     return write
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat(depth: int) -> json.JSONEncoder:
+    """The encoder of a scalar, or of a container of scalars laid out at
+    `depth` less its first and last line breaks. With no indent it is json's
+    C encoder where the _json accelerator exists."""
+    return json.JSONEncoder(
+        ensure_ascii=False, allow_nan=False, check_circular=False,
+        separators=(",\n" + "  " * (depth + 1), ": "),
+    )
+
+
+def _indented(obj, depth: int, memo: dict) -> str:
+    """obj as indent=2 JSON text, nested depth levels deep.
+
+    memo maps (id, depth) of each container already written to its text, so
+    a container reached twice, such as one trust snapshot shared by many
+    rounds, is encoded once. Every object stays reachable from the root for
+    the whole document, so no id is reused within it.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        return _flat(depth).encode(obj)
+    text = memo.get((id(obj), depth))
+    if text is not None:
+        return text
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if not obj:
+        text = "{}" if is_dict else "[]"
+    elif not any(isinstance(v, _CONTAINERS) for v in values):
+        body = _flat(depth).encode(obj)
+        text = body[0] + inner + body[1:-1] + outer + body[-1]
+    elif is_dict:
+        items = [_key(k) + ": " + _indented(v, depth + 1, memo) for k, v in obj.items()]
+        text = "{" + inner + ("," + inner).join(items) + outer + "}"
+    else:
+        items = [_indented(v, depth + 1, memo) for v in obj]
+        text = "[" + inner + ("," + inner).join(items) + outer + "]"
+    memo[(id(obj), depth)] = text
+    return text
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a number, bool or None as its JSON text,
+    quoted."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key, allow_nan=False)
+    return encode_basestring(key)
 
 
 def _jsonl(records: Iterable[dict]):
@@ -825,8 +903,8 @@ def _sim_entry_json(config: SimConfig, result: SimOutcome | SimError) -> dict:
     base["skipped_rounds"] = result.skipped_rounds
     base["attackers"] = sorted(result.attacker_ids)
     base["rewards"] = {p: result.rewards[p] for p in sorted(result.rewards)}
-    base["consensus_scores"] = dict(result.consensus_scores)
-    base["trust_trajectory"] = [dict(step) for step in result.trust_trajectory]
+    base["consensus_scores"] = result.consensus_scores
+    base["trust_trajectory"] = result.trust_trajectory  # shared snapshots are written once
     return base
 
 

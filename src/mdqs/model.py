@@ -221,9 +221,10 @@ class SimOutcome:
 
     consensus_scores maps an output key (sample id, or round:producer in
     synthetic mode) to its aggregated score. trust_trajectory has one entry
-    per round with the post-update trust of every evaluator. consensus_error
-    is the mean absolute gap between aggregate and oracle quality, None when
-    no output had an oracle value.
+    per round with the post-update trust of every evaluator. Its snapshots
+    are read-only: rounds whose trust did not change may share one mapping.
+    consensus_error is the mean absolute gap between aggregate and oracle
+    quality, None when no output had an oracle value.
     """
 
     config_id: str

@@ -823,8 +823,13 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     errors: list[float] = []
     skipped = 0
     reward_budget = settings.reward_budget
+    last = None  # the trust list the latest snapshot was taken of
     for trust, scored in walk:
-        trajectory.append(dict(zip(ids, trust)))
+        # a walk yields a new list whenever trust moves, so rounds that
+        # yield the same list share one snapshot
+        if trust is not last:
+            snapshot, last = dict(zip(ids, trust)), trust
+        trajectory.append(snapshot)
         if scored is None:
             skipped += 1
             continue

@@ -215,6 +215,12 @@ def test_config_no_sample_can_satisfy_exits_one_before_ingest(
 SIM = "sim:\n  evaluators: [{id: e1}]\n  producers: {a: 0.5}\n"
 
 
+# 10**7 paths to one "x" through seven aliased lists: checked once per list
+ALIAS_BOMB = "a: &a [x, x, x, x, x, x, x, x, x, x]\n" + "".join(
+    f"{b}: &{b} [{', '.join([f'*{a}'] * 10)}]\n" for a, b in zip("abcdef", "bcdefg")
+)
+
+
 BAD_CONFIGS = [
     (SIM + "  attacks: [{type: inflate, delt: 0.5}]\n", "delt"),
     (SIM + "  signals: [{type: composite, varient: calibrated}]\n", "varient"),
@@ -262,6 +268,10 @@ BAD_CONFIGS = [
     ("structure: {repetition_ngram: 0}\n", "structure: repetition_ngram must be >= 1"),
     ("structure: {degeneration_ngram: -2}\n", "structure: degeneration_ngram must be >= 1"),
     ("structure: {degeneration_min_count: 0}\n", "structure: degeneration_min_count must be"),
+    ('sim:\n  evaluators: [{id: "e1\\ud800"}]\n', "id: lone surrogate U"),
+    ('"se\\udfffed": 1\n', "a key in the run config: lone"),
+    (ALIAS_BOMB, "unknown run config key"),
+    ("sim: &s\n  evaluators: [*s]\n", ": evaluators"),  # refers to itself
 ]
 
 
@@ -751,6 +761,17 @@ def test_duplicate_grid_config_id_is_named(tmp_path, capsys):
     argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl"]
     assert main(["simulate", *argv, "--out", str(tmp_path / "r")]) == 1
     assert "duplicate config_id 'none-r0.25-median-composite_default'" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_lone_surrogate_in_an_evaluator_id(tmp_path, capsys):
+    text = (Path(FIXTURES) / "replay_config.yaml").read_text(encoding="utf-8")
+    config = tmp_path / "surrogate.yaml"
+    config.write_text(text.replace("{id: e08,", '{id: "e08\\ud800",'), encoding="utf-8")
+    out = tmp_path / "r"
+    argv = ["--config", str(config), "--input", f"{FIXTURES}/replay_200.jsonl", "--out", str(out)]
+    assert main(["simulate", *argv]) == 1
+    assert "sim.evaluators[7].id: lone surrogate U+D800" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_replay_reports_malformed_lines(tmp_path):

@@ -1,7 +1,10 @@
 """Serialization, config parsing, grid expansion, and report emission."""
 
 import dataclasses
+import gc
+import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -833,3 +836,94 @@ def test_a_failed_emit_leaves_the_directory_as_it_was(tmp_path, monkeypatch, fai
     after = snapshot(tmp_path)
     assert set(after) == set(before) | {"sim_inflate-r0.5-median.json"}
     assert after["manifest.json"] != before["manifest.json"]
+
+
+# ------------------------------------------------------------ the indented JSON writer
+
+_SCALARS = (
+    None, True, False, 0, 1, -1, 2**70, -(10**40), 0.0, -0.0, 5e-324, 1e16, 0.1, -2.5e-7,
+    "", "plain", "naïve", "日本語", "😀", "  ", "\x00\x1f\x7f", 'q"\\/\n\t',
+)
+_KEYS = ("", "k", "ключ", " ", "\x01\x1b", 'a"b\\', 2, -3, 2**65, 1.5, -0.0, 1e16, True,
+         False, None)
+
+
+def _random_json(rng, depth):
+    """A random JSON value: containers down to depth 5, then scalars."""
+    roll = rng.random()
+    if depth >= 5 or roll < 0.3:
+        pick = rng.random()
+        if pick < 0.15:
+            return rng.random() * 10.0 ** rng.randint(-30, 30)
+        if pick < 0.2:
+            return rng.getrandbits(rng.randint(1, 200)) - 2**100
+        return rng.choice(_SCALARS)
+    n = rng.choice((0, 1, 1, 2, 3, 5))
+    if roll < 0.6:
+        return {rng.choice(_KEYS): _random_json(rng, depth + 1) for _ in range(n)}
+    items = [_random_json(rng, depth + 1) for _ in range(n)]
+    return tuple(items) if roll < 0.7 else items
+
+
+def _random_document(rng):
+    """A random tree, and beside it one sub-object reached at two depths and
+    one flat dict repeated in a list (as rounds share a trust snapshot)."""
+    shared = {"s": [True, 1, 1.0, "x"], "t": _random_json(rng, 3)}
+    flat = {key: rng.choice(_SCALARS) for key in rng.sample(_KEYS, 4)}
+    return {
+        "tree": _random_json(rng, 0),
+        "shared": [shared, {"again": (shared,)}],
+        "rounds": [flat] * rng.randint(1, 4),
+        "mixed": [True, 1, False, 0, None, (), {}, []],
+    }
+
+
+def written(obj) -> str:
+    out = io.StringIO()
+    mdqs.io._json(obj)(out)
+    return out.getvalue()
+
+
+def test_json_writer_matches_json_dumps_indent_2():
+    rng = random.Random(20261018)
+    for i in range(3000):
+        doc = _random_document(rng) if i % 2 else _random_json(rng, 0)
+        expected = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+        assert written(doc) == expected, doc
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_refuses_nan_and_infinity_like_json(bad):
+    for doc in (bad, [bad], {"a": [1, bad]}, {"a": {"b": bad}}, {bad: 1}, {"a": {bad: [1]}}):
+        with pytest.raises(ValueError):
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            written(doc)
+
+
+def test_json_writer_refuses_a_non_json_value_like_json():
+    for doc in (object(), {"a": {1, 2}}, [{"a": [object()]}], {"a": {(1, 2): [1]}}, {(1,): 1}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(TypeError):
+            written(doc)
+
+
+def test_writing_a_sim_report_leaves_no_reference_cycle(tmp_path):
+    config = sim_config(
+        config_id="none-r0-mean",
+        evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(4)),
+        defense=Mean(),
+        rounds=200,
+        producers={"pa": 0.4, "pb": 0.6},
+        rng_seed=3,
+    )
+    result = run_single(config)
+    assert len(result.trust_trajectory) == 200
+    gc.collect()
+    gc.disable()
+    try:
+        emit_reports(tmp_path, sim_results=[(config, result)])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

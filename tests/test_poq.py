@@ -620,6 +620,15 @@ def test_static_defense_never_moves_trust():
         assert snapshot == {f"e{i:02d}": 0.1 for i in range(10)}
 
 
+def test_fixed_trust_rounds_share_one_snapshot():
+    for defense in (Mean(), Median(), TrimmedMean(0.2)):
+        out = run_single(synth_config(defense=defense))
+        assert len({id(snapshot) for snapshot in out.trust_trajectory}) == 1
+    # adaptive trust moves every round, so each round has its own
+    out = run_single(synth_config(defense=AdaptiveTrust()))
+    assert len({id(snapshot) for snapshot in out.trust_trajectory}) == 20
+
+
 def test_adaptive_trust_demotes_inflators():
     out = run_single(
         synth_config(
