@@ -1,10 +1,12 @@
 """Reliability audit: correlate every quality signal against the reference.
 
 The audit answers one question per signal: does it rank outputs the way the
-trusted reference does? Signals covered: each dimension column, each raw
-evaluator column, the mean/median consensus baselines, and any composite
-variants. Everything is reported overall and per task family, because a
-dimension can help on one task and hurt on another. A run audits once:
+trusted reference does? Each signal (a dimension, a raw evaluator column, the
+mean/median consensus baseline, a composite variant) is one column over the
+referenced samples, NaN where a sample has no value. Each block is a boolean
+mask over those samples: overall, then one per task family, because a
+dimension can help on one task and hurt on another. One routine makes a
+block's rows from the non-NaN entries of every column. A run audits once:
 calibrate and calibrate_per_task read their gate statistics from audit's
 report, and with_composites then appends the composite rows to it.
 """
@@ -16,18 +18,12 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from mdqs.composite import compose_batch, variant
-from mdqs.errors import (
-    AllDimensionsRemoved,
-    NoEvaluators,
-    TooFewReferencedSamples,
-)
+import numpy as np
+
+from mdqs.composite import compose_rows, dimension_matrix, refuse_absent, variant
+from mdqs.errors import AllDimensionsRemoved, NoEvaluators, TooFewReferencedSamples
 from mdqs.model import (
-    CANONICAL_DIMENSIONS,
-    DEFAULT_WEIGHTS,
-    DimensionId,
-    LoggedSample,
-    WeightConfig,
+    CANONICAL_DIMENSIONS, DEFAULT_WEIGHTS, DimensionId, LoggedSample, WeightConfig
 )
 from mdqs.scoring import normalize_evaluator_scores
 from mdqs.stats import pearson, spearman
@@ -86,13 +82,10 @@ def consensus_baselines(samples: Sequence[LoggedSample]) -> dict[str, dict[str, 
     return out
 
 
-def _correlation_row(
-    kind: str, name: str, xs: Sequence[float], samples: Sequence[LoggedSample]
-) -> CorrelationRow:
-    """xs against the reference scores of `samples`, pair by pair."""
+def _correlation_row(kind: str, name: str, xs: np.ndarray, ys: np.ndarray) -> CorrelationRow:
+    """xs against the reference scores ys, pair by pair."""
     if len(xs) < 2:
         return CorrelationRow(kind=kind, name=name, pearson=None, spearman=None, n=len(xs))
-    ys = [s.reference_score for s in samples]
     return CorrelationRow(
         kind=kind, name=name, pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(xs)
     )
@@ -108,32 +101,27 @@ def _referenced(samples: Sequence[LoggedSample], what: str) -> list[LoggedSample
     return referenced
 
 
-def _block(
-    label: str,
-    samples: list[LoggedSample],
-    baselines: Mapping[str, Mapping[str, float]],
-) -> AuditBlock:
-    rows: list[CorrelationRow] = []
+def _columns(referenced: Sequence[LoggedSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The referenced samples' dimension matrix, reference scores and task labels."""
+    return (
+        dimension_matrix(s.dimension_scores for s in referenced),
+        np.array([s.reference_score for s in referenced], dtype=np.float64),
+        np.array([s.task.label for s in referenced], dtype=object),
+    )
 
-    for dim in CANONICAL_DIMENSIONS:
-        scored = [
-            s for s in samples if s.dimension_scores is not None and dim in s.dimension_scores
-        ]
-        if scored:
-            xs = [s.dimension_scores[dim] for s in scored]
-            rows.append(_correlation_row("dimension", dim.value, xs, scored))
 
-    for evaluator in sorted({e for s in samples for e in s.evaluator_scores}):
-        scored = [s for s in samples if evaluator in s.evaluator_scores]
-        xs = [s.evaluator_scores[evaluator] for s in scored]
-        rows.append(_correlation_row("evaluator", evaluator, xs, scored))
-
-    with_scores = [s for s in samples if s.evaluator_scores]
-    for stat in ("mean", "median"):
-        xs = [baselines[s.sample_id][stat] for s in with_scores]
-        rows.append(_correlation_row("baseline", stat, xs, with_scores))
-
-    return AuditBlock(label=label, rows=tuple(rows))
+def _block_rows(
+    signals: Sequence[tuple[str, str, np.ndarray]], ys: np.ndarray, mask: np.ndarray
+) -> tuple[CorrelationRow, ...]:
+    """One row per (kind, name, column) signal over its non-NaN entries in
+    `mask`; a dimension or evaluator with none gets no row, any other does."""
+    rows = []
+    for kind, name, column in signals:
+        keep = mask & ~np.isnan(column)
+        if kind in ("dimension", "evaluator") and not keep.any():
+            continue
+        rows.append(_correlation_row(kind, name, column[keep], ys[keep]))
+    return tuple(rows)
 
 
 def audit(samples: Sequence[LoggedSample]) -> AuditReport:
@@ -148,17 +136,26 @@ def audit(samples: Sequence[LoggedSample]) -> AuditReport:
     all_samples = list(samples)
     referenced = _referenced(all_samples, "audit")
     baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
-
-    overall = _block("overall", referenced, baselines)
+    matrix, ys, labels = _columns(referenced)
+    signals = [("dimension", d.value, matrix[:, j]) for j, d in enumerate(CANONICAL_DIMENSIONS)]
+    for evaluator in sorted({e for s in referenced for e in s.evaluator_scores}):
+        scores = [s.evaluator_scores.get(evaluator, math.nan) for s in referenced]
+        signals.append(("evaluator", evaluator, np.array(scores, dtype=np.float64)))
+    for stat in ("mean", "median"):
+        xs = [baselines[s.sample_id][stat] if s.evaluator_scores else math.nan for s in referenced]
+        signals.append(("baseline", stat, np.array(xs, dtype=np.float64)))
 
     # qa, then summarization, then other tasks in order of first appearance
-    first_seen = dict.fromkeys(s.task.label for s in referenced)
+    first_seen = dict.fromkeys(labels.tolist())
     task_order = sorted(first_seen, key=lambda t: {"qa": 0, "summarization": 1}.get(t, 2))
-    by_task = {
-        label: _block(label, [s for s in referenced if s.task.label == label], baselines)
-        for label in task_order
-    }
-    return AuditReport(overall=overall, by_task=by_task, n_referenced=len(referenced))
+    return AuditReport(
+        overall=AuditBlock("overall", _block_rows(signals, ys, np.ones(len(ys), dtype=bool))),
+        by_task={
+            label: AuditBlock(label, _block_rows(signals, ys, labels == label))
+            for label in task_order
+        },
+        n_referenced=len(referenced),
+    )
 
 
 def with_composites(
@@ -167,33 +164,35 @@ def with_composites(
     composites: Mapping[str, WeightConfig],
 ) -> AuditReport:
     """`report`, audit(samples)'s result, with one composite row per weight
-    config appended to every block. A row covers the block's referenced
-    samples whose dimension scores include every weighted dimension; each
-    config is composed once and every block takes its part of that column."""
-    referenced = [s for s in samples if s.reference_score is not None]
-    overall = list(report.overall.rows)
-    by_task = {label: list(block.rows) for label, block in report.by_task.items()}
-    for name, weights in composites.items():
-        wanted = weights.dimensions()
-        scorable = [
-            s
-            for s in referenced
-            if s.dimension_scores is not None and s.dimension_scores.values.keys() >= wanted
-        ]
-        column = compose_batch(scorable, weights)
-        overall.append(_correlation_row("composite", name, column, scorable))
-        for label, rows in by_task.items():
-            in_task = [i for i, s in enumerate(scorable) if s.task.label == label]
-            rows.append(
-                _correlation_row(
-                    "composite", name, [column[i] for i in in_task], [scorable[i] for i in in_task]
-                )
-            )
+    config appended to each of its blocks. A row covers the block's
+    referenced samples whose dimension scores include every weighted
+    dimension; each config is composed once, over one dimension matrix."""
+    matrix, ys, labels = _columns([s for s in samples if s.reference_score is not None])
+    signals = [("composite", name, compose_rows(matrix, w)) for name, w in composites.items()]
+
+    def extended(block: AuditBlock, mask: np.ndarray) -> AuditBlock:
+        return AuditBlock(block.label, block.rows + _block_rows(signals, ys, mask))
+
     return AuditReport(
-        AuditBlock(report.overall.label, tuple(overall)),
-        {label: AuditBlock(label, tuple(rows)) for label, rows in by_task.items()},
+        extended(report.overall, np.ones(len(ys), dtype=bool)),
+        {label: extended(block, labels == label) for label, block in report.by_task.items()},
         report.n_referenced,
     )
+
+
+def _composite_rows(
+    samples: Sequence[LoggedSample], configs: Iterable[WeightConfig], what: str
+) -> list[CorrelationRow]:
+    """One composite row per weight config over every referenced sample; a
+    sample the config cannot compose raises as in compose_batch."""
+    referenced = _referenced(samples, what)
+    matrix, ys, _ = _columns(referenced)
+    rows = []
+    for weights in configs:
+        column = compose_rows(matrix, weights)
+        refuse_absent(referenced, column, weights)
+        rows.append(_correlation_row("composite", weights.name, column, ys))
+    return rows
 
 
 def ablation_grid(
@@ -207,13 +206,7 @@ def ablation_grid(
     Variants reuse the dimension scores already on the samples; nothing is
     re-scored, so the grid is cheap and rows are exactly comparable.
     """
-    referenced = _referenced(samples, "ablation")
-    return [
-        _correlation_row(
-            "composite", name, compose_batch(referenced, variant(base, name)), referenced
-        )
-        for name in names
-    ]
+    return _composite_rows(samples, (variant(base, name) for name in names), "ablation")
 
 
 GATE_CHOICES = ("pearson", "spearman", "taskwise_min")
@@ -249,10 +242,7 @@ def _gate_stats(
             stats[dim] = None if not per_task or None in per_task else min(per_task)
             continue
         row = report.overall.row("dimension", dim.value)
-        if row is None:
-            stats[dim] = None
-        else:
-            stats[dim] = row.pearson if gate == "pearson" else row.spearman
+        stats[dim] = None if row is None else (row.pearson if gate == "pearson" else row.spearman)
     return stats
 
 
@@ -274,20 +264,13 @@ def calibrate(
         raise ValueError(f"gate must be one of {GATE_CHOICES}, got {gate!r}")
     dims = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
     stats = _gate_stats(report, dims, gate)
-    removed = frozenset(
-        d for d in dims if stats[d] is None or stats[d] < threshold
-    )
+    removed = frozenset(d for d in dims if stats[d] is None or stats[d] < threshold)
     if removed == frozenset(dims):
         raise AllDimensionsRemoved(
             f"threshold {threshold} removes every dimension under gate {gate!r}"
         )
     calibrated = WeightConfig("calibrated", {d: base[d] for d in dims if d not in removed})
-
-    referenced = _referenced(samples, "calibration")
-    before, after = (
-        _correlation_row("composite", w.name, compose_batch(referenced, w), referenced)
-        for w in (base, calibrated)
-    )
+    before, after = _composite_rows(samples, (base, calibrated), "calibration")
     return CalibrationResult(
         removed=removed,
         threshold=threshold,
@@ -304,20 +287,14 @@ def dimension_means_by_producer(
 ) -> list[tuple[str, str, float, int]]:
     """Mean normalized score per (producer, dimension); shows which models
     win on which dimension. Rows sorted by producer, then canonical order."""
-    sums: dict[tuple[str, DimensionId], list[float]] = {}
-    for s in samples:
-        if s.dimension_scores is None:
-            continue
-        for dim, value in s.dimension_scores.as_dict().items():
-            sums.setdefault((s.producer_id, dim), []).append(value)
+    matrix = dimension_matrix(s.dimension_scores for s in samples)
+    producers = np.array([s.producer_id for s in samples], dtype=object)
     rows = []
-    for producer in sorted({p for p, _ in sums}):
-        for dim in CANONICAL_DIMENSIONS:
-            values = sums.get((producer, dim))
-            if values:
-                rows.append(
-                    (producer, dim.value, math.fsum(values) / len(values), len(values))
-                )
+    for producer in sorted(set(producers.tolist())):
+        for dim, column in zip(CANONICAL_DIMENSIONS, matrix[producers == producer].T):
+            values = column[~np.isnan(column)]
+            if values.size:
+                rows.append((producer, dim.value, math.fsum(values) / values.size, values.size))
     return rows
 
 
@@ -332,9 +309,8 @@ def calibrate_per_task(
     appearance; each task's gate statistics come from its block of `report`,
     audit(samples)'s result, as if that task were the whole dataset."""
     referenced = [s for s in samples if s.reference_score is not None]
-    labels = list(dict.fromkeys(s.task.label for s in referenced))
     out: dict[str, CalibrationResult] = {}
-    for label in labels:
+    for label in dict.fromkeys(s.task.label for s in referenced):
         subset = _referenced(
             [s for s in referenced if s.task.label == label], f"task {label!r}: calibration"
         )

@@ -2,29 +2,59 @@
 
 The composite is a pure post-processing layer over dimension outputs, so
 re-weighting experiments (ablations, calibration) never re-run scorers.
-VARIANTS is the one table of named weight variants; config keys, the
---weights flag, the ablation grid and the composite quality signal all look
-names up in it through variant().
+Scores are read as columns: dimension_matrix lays a batch's vectors out as
+one n x 6 array in canonical order, and compose_rows is the one composite
+formula, applied to every row of it. VARIANTS is the one table of named
+weight variants; config keys, the --weights flag, the ablation grid and the
+composite quality signal all look names up in it through variant().
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
-    DimensionId,
-    DimensionVector,
-    LoggedSample,
-    WeightConfig,
+    CANONICAL_DIMENSIONS, DimensionId, DimensionVector, LoggedSample, WeightConfig
 )
 
+_COLUMN = {d: j for j, d in enumerate(CANONICAL_DIMENSIONS)}
 
-def _weighted_sum(scores: Mapping[DimensionId, float], weights: WeightConfig) -> float:
-    """fsum of weight times score over the weighted dimensions, clipped to
-    [0, 1]. fsum is correctly rounded, so the term order does not matter."""
-    return min(1.0, max(0.0, math.fsum(w * scores[d] for d, w in weights.weights.items())))
+
+def dimension_matrix(vectors: Iterable[DimensionVector | None]) -> np.ndarray:
+    """An n x 6 float64 array of the vectors' scores in canonical order, NaN
+    where a vector has no score for a dimension (or is None). A vector never
+    holds NaN, so NaN can only mean absent."""
+    width = len(CANONICAL_DIMENSIONS)
+    flat: list[float] = []
+    for vector in vectors:
+        values = {} if vector is None else vector.values
+        full = len(values) == width  # then its values are already in canonical order
+        flat.extend(values.values() if full else [values.get(d, math.nan) for d in _COLUMN])
+    return np.array(flat, dtype=np.float64).reshape(-1, width)
+
+
+def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
+    """Each row's fsum of weight times score over the weighted dimensions,
+    clipped to [0, 1]; NaN where the row lacks a weighted dimension, as fsum
+    and np.clip pass NaN through. numpy's products are the IEEE products
+    Python forms and fsum is correctly rounded (never -0.0), so every value
+    is the scalar formula's to the bit."""
+    terms = matrix[:, [_COLUMN[d] for d in weights.weights]] * list(weights.weights.values())
+    return np.clip(list(map(math.fsum, terms.tolist())), 0.0, 1.0)
+
+
+def refuse_absent(samples: Sequence[LoggedSample], column: np.ndarray, weights: WeightConfig):
+    """Raise for the first sample whose composite in `column` is NaN: it has
+    no dimension scores, or lacks a weighted dimension."""
+    for i in np.flatnonzero(np.isnan(column))[:1]:
+        vector, sample_id = samples[i].dimension_scores, samples[i].sample_id
+        if vector is None:
+            raise SchemaError(f"sample {sample_id!r} has no dimension scores; run score first")
+        raise DimensionMismatch(vector.keys(), weights.dimensions())
 
 
 def compose(scores: DimensionVector, weights: WeightConfig) -> float:
@@ -35,7 +65,7 @@ def compose(scores: DimensionVector, weights: WeightConfig) -> float:
     """
     if scores.keys() != weights.dimensions():
         raise DimensionMismatch(scores.keys(), weights.dimensions())
-    return _weighted_sum(scores.values, weights)
+    return float(compose_rows(dimension_matrix([scores]), weights)[0])
 
 
 def compose_batch(samples: Sequence[LoggedSample], weights: WeightConfig) -> list[float]:
@@ -45,16 +75,9 @@ def compose_batch(samples: Sequence[LoggedSample], weights: WeightConfig) -> lis
     dimension; extra dimensions on the sample are ignored, which is what
     lets ablation variants reuse one scoring pass.
     """
-    out: list[float] = []
-    wanted = weights.dimensions()
-    for sample in samples:
-        vec = sample.dimension_scores
-        if vec is None:
-            raise SchemaError(f"sample {sample.sample_id!r} has no dimension scores; run score first")
-        if not vec.values.keys() >= wanted:
-            raise DimensionMismatch(vec.keys(), wanted)
-        out.append(_weighted_sum(vec.values, weights))
-    return out
+    column = compose_rows(dimension_matrix(s.dimension_scores for s in samples), weights)
+    refuse_absent(samples, column, weights)
+    return column.tolist()
 
 
 _PRIORS = (DimensionId.MODEL_PRIOR, DimensionId.COST_PRIOR)

@@ -61,7 +61,7 @@ from mdqs.model import (
     WeightConfig,
 )
 from mdqs.rng import rng_for
-from mdqs.scoring import normalize_batch, normalize_evaluator_scores
+from mdqs.scoring import normalize_batch, normalize_evaluator_scores, refuse_repeated_ids
 
 
 def _clip01(x: float) -> float:
@@ -688,10 +688,12 @@ Output = tuple[str, str, float, Union[float, None]]
 class _Replay:
     """A replay dataset's inputs to the round loop, shared by every cell of
     one run. Each is built on first use, in the order a cell reads them, so
-    a cell raises the same first error as it would when run alone."""
+    a cell raises the same first error as it would when run alone. A
+    repeated sample_id is refused, since outputs are keyed by it."""
 
     def __init__(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig):
         self.samples = list(dataset)
+        refuse_repeated_ids(self.samples)
         self.base_weights = base_weights
         self._signal_values: dict[QualitySignal, dict[str, float]] = {}
         self._group_outputs: dict[QualitySignal, list[list[Output]]] = {}
@@ -833,13 +835,13 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
         if scored is None:
             skipped += 1
             continue
+        # one contest per round; a round's keys are distinct (sample ids, or
+        # round:producer), and a key seen in an earlier round takes the new value
         keys, producers, consensus, targets = scored
-        contest = dict(zip(keys, consensus))  # one contest per round
-        consensus_scores.update(contest)  # a repeated key keeps its place, takes the new value
+        consensus_scores.update(zip(keys, consensus))
         errors.extend(abs(c - t) for c, t in zip(consensus, targets) if t is not None)
         # allocate_rewards for the one contest, paid to each output's producer
-        owners = dict(zip(keys, producers)).values()  # parallel to contest
-        for producer, share in zip(owners, _contest_shares(list(contest.values()), reward_budget)):
+        for producer, share in zip(producers, _contest_shares(consensus, reward_budget)):
             rewards[producer] = rewards.get(producer, 0.0) + share
 
     return SimOutcome(

@@ -306,6 +306,16 @@ def normalize_with_stats(values: Sequence[float], lo: float, hi: float) -> list[
     return [min(1.0, max(0.0, (float(v) / 2 - lo) / span)) for v in values]
 
 
+def refuse_repeated_ids(samples: Iterable[LoggedSample]) -> None:
+    """Raise SchemaError naming the first sample_id that repeats: a map keyed
+    by sample_id would silently merge those samples."""
+    seen: set[str] = set()
+    for sample in samples:
+        if sample.sample_id in seen:
+            raise SchemaError(f"duplicate sample_id {sample.sample_id!r}")
+        seen.add(sample.sample_id)
+
+
 def normalize_evaluator_scores(
     samples: Sequence[LoggedSample],
 ) -> dict[str, dict[str, float]]:
@@ -314,8 +324,10 @@ def normalize_evaluator_scores(
     Returns sample_id -> {evaluator_id -> normalized score}, covering each
     evaluator only on the samples where it appears. Raw evaluator scales
     are arbitrary (logprobs, Likert, percentages), so each column is mapped
-    onto [0, 1] independently before any cross-evaluator arithmetic.
+    onto [0, 1] independently before any cross-evaluator arithmetic. A
+    repeated sample_id is refused.
     """
+    refuse_repeated_ids(samples)
     columns: dict[str, list[tuple[str, float]]] = {}
     for sample in samples:
         for evaluator, score in sample.evaluator_scores.items():

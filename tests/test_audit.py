@@ -8,6 +8,10 @@ import pytest
 from conftest import FIXTURES, make_sample, scored_sample
 from mdqs.audit import (
     GATE_CHOICES,
+    AuditBlock,
+    AuditReport,
+    CalibrationResult,
+    CorrelationRow,
     ablation_grid,
     audit,
     calibrate,
@@ -16,14 +20,17 @@ from mdqs.audit import (
     dimension_means_by_producer,
     with_composites,
 )
-from mdqs.composite import VARIANTS, variant
+from mdqs.composite import VARIANTS, compose, compose_batch, variant
 from mdqs.errors import (
     AllDimensionsRemoved,
+    DimensionMismatch,
+    MdqsError,
     NoEvaluators,
+    SchemaError,
     TooFewReferencedSamples,
 )
 from mdqs.io import build_scoring_config, ingest, load_config, resolve_weights
-from mdqs.model import DEFAULT_WEIGHTS, DimensionId, WeightConfig
+from mdqs.model import CANONICAL_DIMENSIONS, DEFAULT_WEIGHTS, DimensionId, WeightConfig
 from mdqs.scoring import score_all
 from mdqs.stats import pearson, spearman
 
@@ -147,6 +154,12 @@ def test_audit_skips_unreferenced_samples():
     report = audit(samples)
     assert report.n_referenced == 10
     assert report.overall.row("dimension", "semantic").n == 10
+
+
+def test_audit_refuses_a_repeated_sample_id():
+    samples = planted_batch(n=6)
+    with pytest.raises(SchemaError, match="duplicate sample_id 's0000'"):
+        audit([*samples, samples[0]])
 
 
 def test_audit_composite_rows():
@@ -357,3 +370,310 @@ def test_dimension_means_by_producer():
 def test_dimension_means_skips_unscored():
     rows = dimension_means_by_producer([make_sample(sample_id="s0")])
     assert rows == []
+
+
+# ------------------------------------------------ column-path oracle
+#
+# The audit layer's previous per-sample implementation, kept verbatim as the
+# reference: every row, float and error of the column path must match it.
+
+
+def _ref_weighted_sum(scores, weights):
+    return min(1.0, max(0.0, math.fsum(w * scores[d] for d, w in weights.weights.items())))
+
+
+def _ref_compose_batch(samples, weights):
+    out = []
+    wanted = weights.dimensions()
+    for sample in samples:
+        vec = sample.dimension_scores
+        if vec is None:
+            raise SchemaError(f"sample {sample.sample_id!r} has no dimension scores; run score first")
+        if not vec.values.keys() >= wanted:
+            raise DimensionMismatch(vec.keys(), wanted)
+        out.append(_ref_weighted_sum(vec.values, weights))
+    return out
+
+
+def _ref_correlation_row(kind, name, xs, samples):
+    if len(xs) < 2:
+        return CorrelationRow(kind=kind, name=name, pearson=None, spearman=None, n=len(xs))
+    ys = [s.reference_score for s in samples]
+    return CorrelationRow(
+        kind=kind, name=name, pearson=pearson(xs, ys), spearman=spearman(xs, ys), n=len(xs)
+    )
+
+
+def _ref_referenced(samples, what):
+    referenced = [s for s in samples if s.reference_score is not None]
+    if len(referenced) < 2:
+        raise TooFewReferencedSamples(
+            f"{what} needs >= 2 samples with a reference score, got {len(referenced)}"
+        )
+    return referenced
+
+
+def _ref_block(label, samples, baselines):
+    rows = []
+
+    for dim in CANONICAL_DIMENSIONS:
+        scored = [
+            s for s in samples if s.dimension_scores is not None and dim in s.dimension_scores
+        ]
+        if scored:
+            xs = [s.dimension_scores[dim] for s in scored]
+            rows.append(_ref_correlation_row("dimension", dim.value, xs, scored))
+
+    for evaluator in sorted({e for s in samples for e in s.evaluator_scores}):
+        scored = [s for s in samples if evaluator in s.evaluator_scores]
+        xs = [s.evaluator_scores[evaluator] for s in scored]
+        rows.append(_ref_correlation_row("evaluator", evaluator, xs, scored))
+
+    with_scores = [s for s in samples if s.evaluator_scores]
+    for stat in ("mean", "median"):
+        xs = [baselines[s.sample_id][stat] for s in with_scores]
+        rows.append(_ref_correlation_row("baseline", stat, xs, with_scores))
+
+    return AuditBlock(label=label, rows=tuple(rows))
+
+
+def _ref_audit(samples):
+    all_samples = list(samples)
+    referenced = _ref_referenced(all_samples, "audit")
+    baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
+
+    overall = _ref_block("overall", referenced, baselines)
+
+    first_seen = dict.fromkeys(s.task.label for s in referenced)
+    task_order = sorted(first_seen, key=lambda t: {"qa": 0, "summarization": 1}.get(t, 2))
+    by_task = {
+        label: _ref_block(label, [s for s in referenced if s.task.label == label], baselines)
+        for label in task_order
+    }
+    return AuditReport(overall=overall, by_task=by_task, n_referenced=len(referenced))
+
+
+def _ref_with_composites(report, samples, composites):
+    referenced = [s for s in samples if s.reference_score is not None]
+    overall = list(report.overall.rows)
+    by_task = {label: list(block.rows) for label, block in report.by_task.items()}
+    for name, weights in composites.items():
+        wanted = weights.dimensions()
+        scorable = [
+            s
+            for s in referenced
+            if s.dimension_scores is not None and s.dimension_scores.values.keys() >= wanted
+        ]
+        column = _ref_compose_batch(scorable, weights)
+        overall.append(_ref_correlation_row("composite", name, column, scorable))
+        for label, rows in by_task.items():
+            in_task = [i for i, s in enumerate(scorable) if s.task.label == label]
+            rows.append(
+                _ref_correlation_row(
+                    "composite", name, [column[i] for i in in_task], [scorable[i] for i in in_task]
+                )
+            )
+    return AuditReport(
+        AuditBlock(report.overall.label, tuple(overall)),
+        {label: AuditBlock(label, tuple(rows)) for label, rows in by_task.items()},
+        report.n_referenced,
+    )
+
+
+def _ref_ablation_grid(samples, names, base=DEFAULT_WEIGHTS):
+    referenced = _ref_referenced(samples, "ablation")
+    return [
+        _ref_correlation_row(
+            "composite", name, _ref_compose_batch(referenced, variant(base, name)), referenced
+        )
+        for name in names
+    ]
+
+
+def _ref_gate_stats(report, dims, gate):
+    stats = {}
+    for dim in dims:
+        if gate == "taskwise_min":
+            rows = [block.row("dimension", dim.value) for block in report.by_task.values()]
+            per_task = [r.pearson for r in rows if r is not None and r.n >= 2]
+            stats[dim] = None if not per_task or None in per_task else min(per_task)
+            continue
+        row = report.overall.row("dimension", dim.value)
+        if row is None:
+            stats[dim] = None
+        else:
+            stats[dim] = row.pearson if gate == "pearson" else row.spearman
+    return stats
+
+
+def _ref_calibrate(report, samples, base=DEFAULT_WEIGHTS, threshold=0.0, gate="pearson"):
+    if gate not in GATE_CHOICES:
+        raise ValueError(f"gate must be one of {GATE_CHOICES}, got {gate!r}")
+    dims = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
+    stats = _ref_gate_stats(report, dims, gate)
+    removed = frozenset(
+        d for d in dims if stats[d] is None or stats[d] < threshold
+    )
+    if removed == frozenset(dims):
+        raise AllDimensionsRemoved(
+            f"threshold {threshold} removes every dimension under gate {gate!r}"
+        )
+    calibrated = WeightConfig("calibrated", {d: base[d] for d in dims if d not in removed})
+
+    referenced = _ref_referenced(samples, "calibration")
+    before, after = (
+        _ref_correlation_row("composite", w.name, _ref_compose_batch(referenced, w), referenced)
+        for w in (base, calibrated)
+    )
+    return CalibrationResult(
+        removed=removed,
+        threshold=threshold,
+        gate=gate,
+        gate_stats=stats,
+        calibrated=calibrated,
+        before=(before.pearson, before.spearman),
+        after=(after.pearson, after.spearman),
+    )
+
+
+def _ref_calibrate_per_task(report, samples, base=DEFAULT_WEIGHTS, threshold=0.0, gate="pearson"):
+    referenced = [s for s in samples if s.reference_score is not None]
+    labels = list(dict.fromkeys(s.task.label for s in referenced))
+    out = {}
+    for label in labels:
+        subset = _ref_referenced(
+            [s for s in referenced if s.task.label == label], f"task {label!r}: calibration"
+        )
+        block = report.by_task[label]
+        task_report = AuditReport(block, {label: block}, len(subset))
+        out[label] = _ref_calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)
+    return out
+
+
+def _ref_dimension_means_by_producer(samples):
+    sums = {}
+    for s in samples:
+        if s.dimension_scores is None:
+            continue
+        for dim, value in s.dimension_scores.as_dict().items():
+            sums.setdefault((s.producer_id, dim), []).append(value)
+    rows = []
+    for producer in sorted({p for p, _ in sums}):
+        for dim in CANONICAL_DIMENSIONS:
+            values = sums.get((producer, dim))
+            if values:
+                rows.append(
+                    (producer, dim.value, math.fsum(values) / len(values), len(values))
+                )
+    return rows
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result (dataclass and container reprs spell every float
+    with repr, and show row and key order), or the error's type and text."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:  # compared with the reference's, not hidden
+        return f"{type(exc).__name__}: {exc}"
+
+
+_SCORE_GRID = (0.0, -0.0, 1.0, 0.5, 0.25, 0.1, 0.7)
+
+# normalized, these weights fsum to 1.0000000000000002: an all-ones row needs the clip
+_ABOVE_ONE_WEIGHTS = (
+    0.49326104275013793, 0.8626489777797094, 0.15417959616284405,
+    0.5014295859466933, 0.794983493746024, 0.0771069862639161,
+)
+_ABOVE_ONE = WeightConfig("above_one", dict(zip(CANONICAL_DIMENSIONS, _ABOVE_ONE_WEIGHTS)))
+
+
+def _oracle_batch(rng) -> list:
+    """A seeded batch mixing what the audit layer has to handle: samples
+    with every, some or no dimensions, with and without evaluator scores or
+    a reference, three tasks plus an occasional one-sample task, and
+    constant or signed-zero columns."""
+    n = int(rng.integers(0, 28))
+    full = rng.random() < 0.5  # every sample carries every dimension
+    constant = {d: float(rng.choice(_SCORE_GRID)) for d in CANONICAL_DIMENSIONS}
+    constant = {d: v for d, v in constant.items() if rng.random() < 0.2}
+    if rng.random() < 0.1:
+        constant = dict.fromkeys(CANONICAL_DIMENSIONS, 1.0)
+    evaluators = [e for e in ("e1", "e2", "e3") if rng.random() < 0.7]
+    tasks = ["qa", "summarization", "translation"][: int(rng.integers(1, 4))]
+    samples = []
+    for i in range(n):
+        dims = None
+        if full or rng.random() < 0.85:
+            dims = {}
+            for d in CANONICAL_DIMENSIONS:
+                if full or rng.random() < 0.8:
+                    grid = rng.random() < 0.3
+                    value = float(rng.choice(_SCORE_GRID)) if grid else float(rng.random())
+                    dims[d.value] = constant.get(d, value)
+            dims = dims or None
+        task = "rare" if i == n - 1 and rng.random() < 0.3 else str(rng.choice(tasks))
+        samples.append(
+            make_sample(
+                sample_id=f"s{i:03d}",
+                task=task,
+                producer_id=f"m{int(rng.integers(0, 3))}",
+                evaluator_scores={
+                    e: float(rng.normal(0.0, 3.0)) for e in evaluators if rng.random() < 0.8
+                },
+                reference_score=float(rng.random()) if rng.random() < 0.8 else None,
+                dims=dims,
+            )
+        )
+    return samples
+
+
+def _oracle_weights(rng) -> WeightConfig:
+    if rng.random() < 0.4:
+        return DEFAULT_WEIGHTS
+    dims = [d for d in CANONICAL_DIMENSIONS if rng.random() < 0.6] or [DimensionId.SEMANTIC]
+    return WeightConfig("picked", {d: float(rng.integers(1, 5)) for d in dims})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_path_matches_per_sample_reference(seed):
+    assert math.fsum(_ABOVE_ONE.weights.values()) > 1.0
+    rng = np.random.default_rng([seed, 15])
+    for _ in range(40):
+        samples = _oracle_batch(rng)
+        base = _oracle_weights(rng)
+        for weights in (base, DEFAULT_WEIGHTS, variant(DEFAULT_WEIGHTS, "no_priors"), _ABOVE_ONE):
+            assert _outcome(compose_batch, samples, weights) == _outcome(
+                _ref_compose_batch, samples, weights
+            )
+        for s in samples:
+            vec = s.dimension_scores
+            if vec is not None and vec.keys() == DEFAULT_WEIGHTS.dimensions():
+                for weights in (DEFAULT_WEIGHTS, _ABOVE_ONE):
+                    expected = _ref_weighted_sum(vec.values, weights)
+                    assert repr(compose(vec, weights)) == repr(expected)
+        assert _outcome(dimension_means_by_producer, samples) == _outcome(
+            _ref_dimension_means_by_producer, samples
+        )
+        assert _outcome(ablation_grid, samples, VARIANTS, base) == _outcome(
+            _ref_ablation_grid, samples, VARIANTS, base
+        )
+        assert _outcome(audit, samples) == _outcome(_ref_audit, samples)
+        try:
+            report = audit(samples)
+        except MdqsError:
+            continue
+        composites = {
+            "base": base,
+            "above_one": _ABOVE_ONE,
+            "semantic": variant(DEFAULT_WEIGHTS, "semantic_only"),
+        }
+        assert _outcome(with_composites, report, samples, composites) == _outcome(
+            _ref_with_composites, report, samples, composites
+        )
+        for gate in GATE_CHOICES:
+            threshold = float(rng.choice([-1.0, 0.0, 0.3]))
+            pairs = ((calibrate, _ref_calibrate), (calibrate_per_task, _ref_calibrate_per_task))
+            for new, ref in pairs:
+                assert _outcome(new, report, samples, base, threshold, gate) == _outcome(
+                    ref, report, samples, base, threshold, gate
+                )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import sim_config
-from mdqs.errors import MissingColumn, SimConfigError
+from mdqs.errors import MissingColumn, SchemaError, SimConfigError
 from mdqs.io import ingest
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
@@ -746,6 +746,25 @@ def test_replay_contest_pays_each_output_of_a_producer():
     assert out.consensus_scores == {"a": 1.0, "b": 0.0, "c": 0.5}
     # spreads over the minimum 0.0 are a 1.0, b 0.0, c 0.5 of a total 1.5
     assert out.rewards == {"m1": pytest.approx(2 / 3), "m2": pytest.approx(1 / 3)}
+
+
+def test_replay_refuses_a_repeated_sample_id():
+    # p1's output and p2's shared "s1": the cell kept p2's and paid p1 nothing
+    dataset = [
+        LoggedSample(
+            sample_id=sid,
+            task=TaskFamily("qa"),
+            producer_id=producer,
+            query="q",
+            output=f"answer {producer}",
+            evaluator_scores={"j": j},
+        )
+        for sid, producer, j in (("s1", "p1", 0.9), ("s1", "p2", 0.1), ("s2", "p3", 0.5))
+    ]
+    config = replay_config(evaluators=profiles(1), rounds=1)
+    for run in (run_single, lambda c, dataset: run_experiment([c], dataset=dataset)):
+        with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
+            run(config, dataset=dataset)
 
 
 def test_seed_outside_64_bits_is_rejected():

@@ -284,6 +284,22 @@ def test_normalize_evaluator_scores_partial_coverage():
     assert normed["s2"] == {"k": 1.0}
 
 
+def test_repeated_sample_id_is_refused():
+    # merged under one id, the first s1's scores (each the minimum of its
+    # column, so agreement 1.0) were overwritten by the second's
+    samples = [
+        make_sample(sample_id="s1", evaluator_scores={"j": 0.0, "k": 0.0}),
+        make_sample(sample_id="s2", evaluator_scores={"j": 1.0, "k": 1.0}),
+        make_sample(sample_id="s1", evaluator_scores={"j": 1.0, "k": 0.0}),
+    ]
+    with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
+        normalize_evaluator_scores(samples)
+    agreement = ScoringConfig(weights=WeightConfig("a", {DimensionId.AGREEMENT: 1.0}))
+    with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
+        score_all(samples, agreement)
+    assert normalize_evaluator_scores(samples[:2])["s1"] == {"j": 0.0, "k": 0.0}
+
+
 # --------------------------------------------------------------- score_all
 
 def _full_config(**overrides):
