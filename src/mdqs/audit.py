@@ -21,9 +21,17 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from mdqs.composite import compose_rows, dimension_matrix, refuse_absent, variant
-from mdqs.errors import AllDimensionsRemoved, NoEvaluators, TooFewReferencedSamples
+from mdqs.errors import (
+    AllDimensionsRemoved,
+    NoEvaluators,
+    TooFewReferencedSamples,
+)
 from mdqs.model import (
-    CANONICAL_DIMENSIONS, DEFAULT_WEIGHTS, DimensionId, LoggedSample, WeightConfig
+    CANONICAL_DIMENSIONS,
+    DEFAULT_WEIGHTS,
+    DimensionId,
+    LoggedSample,
+    WeightConfig,
 )
 from mdqs.scoring import normalize_evaluator_scores
 from mdqs.stats import pearson, spearman
@@ -242,7 +250,10 @@ def _gate_stats(
             stats[dim] = None if not per_task or None in per_task else min(per_task)
             continue
         row = report.overall.row("dimension", dim.value)
-        stats[dim] = None if row is None else (row.pearson if gate == "pearson" else row.spearman)
+        if row is None:
+            stats[dim] = None
+        else:
+            stats[dim] = row.pearson if gate == "pearson" else row.spearman
     return stats
 
 
@@ -264,7 +275,9 @@ def calibrate(
         raise ValueError(f"gate must be one of {GATE_CHOICES}, got {gate!r}")
     dims = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
     stats = _gate_stats(report, dims, gate)
-    removed = frozenset(d for d in dims if stats[d] is None or stats[d] < threshold)
+    removed = frozenset(
+        d for d in dims if stats[d] is None or stats[d] < threshold
+    )
     if removed == frozenset(dims):
         raise AllDimensionsRemoved(
             f"threshold {threshold} removes every dimension under gate {gate!r}"
@@ -309,8 +322,9 @@ def calibrate_per_task(
     appearance; each task's gate statistics come from its block of `report`,
     audit(samples)'s result, as if that task were the whole dataset."""
     referenced = [s for s in samples if s.reference_score is not None]
+    labels = list(dict.fromkeys(s.task.label for s in referenced))
     out: dict[str, CalibrationResult] = {}
-    for label in dict.fromkeys(s.task.label for s in referenced):
+    for label in labels:
         subset = _referenced(
             [s for s in referenced if s.task.label == label], f"task {label!r}: calibration"
         )

@@ -18,7 +18,11 @@ import numpy as np
 
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
-    CANONICAL_DIMENSIONS, DimensionId, DimensionVector, LoggedSample, WeightConfig
+    CANONICAL_DIMENSIONS,
+    DimensionId,
+    DimensionVector,
+    LoggedSample,
+    WeightConfig,
 )
 
 _COLUMN = {d: j for j, d in enumerate(CANONICAL_DIMENSIONS)}
@@ -28,13 +32,11 @@ def dimension_matrix(vectors: Iterable[DimensionVector | None]) -> np.ndarray:
     """An n x 6 float64 array of the vectors' scores in canonical order, NaN
     where a vector has no score for a dimension (or is None). A vector never
     holds NaN, so NaN can only mean absent."""
-    width = len(CANONICAL_DIMENSIONS)
     flat: list[float] = []
     for vector in vectors:
         values = {} if vector is None else vector.values
-        full = len(values) == width  # then its values are already in canonical order
-        flat.extend(values.values() if full else [values.get(d, math.nan) for d in _COLUMN])
-    return np.array(flat, dtype=np.float64).reshape(-1, width)
+        flat.extend([values.get(d, math.nan) for d in _COLUMN])
+    return np.array(flat, dtype=np.float64).reshape(-1, len(_COLUMN))
 
 
 def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:

@@ -308,12 +308,11 @@ def normalize_with_stats(values: Sequence[float], lo: float, hi: float) -> list[
 
 def refuse_repeated_ids(samples: Iterable[LoggedSample]) -> None:
     """Raise SchemaError naming the first sample_id that repeats: a map keyed
-    by sample_id would silently merge those samples."""
-    seen: set[str] = set()
-    for sample in samples:
-        if sample.sample_id in seen:
-            raise SchemaError(f"duplicate sample_id {sample.sample_id!r}")
-        seen.add(sample.sample_id)
+    by sample_id would silently merge those samples. Without a config,
+    validate_dataset reports exactly the repeated ids."""
+    issues = validate_dataset(samples).issues
+    if issues:
+        raise SchemaError(issues[0].message)
 
 
 def normalize_evaluator_scores(
