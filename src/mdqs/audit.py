@@ -145,7 +145,7 @@ def audit(samples: Sequence[LoggedSample]) -> AuditReport:
     referenced = _referenced(all_samples, "audit")
     baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
     matrix, ys, labels = _columns(referenced)
-    signals = [("dimension", d.value, matrix[:, j]) for j, d in enumerate(CANONICAL_DIMENSIONS)]
+    signals = [("dimension", d.value, column) for d, column in zip(CANONICAL_DIMENSIONS, matrix.T)]
     for evaluator in sorted({e for s in referenced for e in s.evaluator_scores}):
         scores = [s.evaluator_scores.get(evaluator, math.nan) for s in referenced]
         signals.append(("evaluator", evaluator, np.array(scores, dtype=np.float64)))

@@ -12,6 +12,7 @@ variable, the config file's seed, then 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="drop unreliable dimensions and renormalize")
     _add_common(p)
     p.add_argument("--weights", help="weight variant name")
-    p.add_argument("--threshold", type=float, help="gate threshold (default 0.0)")
+    p.add_argument("--threshold", type=_threshold, help="gate threshold (default 0.0)")
     p.add_argument("--gate", choices=["pearson", "spearman", "taskwise_min"])
     p.add_argument("--per-task", action="store_true", dest="per_task")
     p.set_defaults(func=cmd_calibrate)
@@ -124,6 +125,16 @@ def _seed(text: str, where: str) -> int:
     if not 0 <= seed < SEED_LIMIT:
         raise UsageError(f"{where} must be in [0, 2**64), got {seed}")
     return seed
+
+
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):  # nan, inf, or beyond float range such as -1e400
+        raise UsageError(f"--threshold must be a finite number, got {text!r}")
+    return value
 
 
 def _resolve_seed(args, config: RunConfig) -> int:

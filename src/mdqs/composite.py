@@ -2,9 +2,9 @@
 
 The composite is a pure post-processing layer over dimension outputs, so
 re-weighting experiments (ablations, calibration) never re-run scorers.
-Scores are read as columns: dimension_matrix lays a batch's vectors out as
-one n x 6 array in canonical order, and compose_rows is the one composite
-formula, applied to every row of it. VARIANTS is the one table of named
+Scores are read as columns: dimension_matrix stacks a batch's canonical
+rows into one n x 6 array, and compose_rows is the one composite formula,
+applied to every row of it. VARIANTS is the one table of named
 weight variants; config keys, the --weights flag, the ablation grid and the
 composite quality signal all look names up in it through variant().
 """
@@ -19,24 +19,22 @@ import numpy as np
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
+    DIMENSION_COLUMN,
     DimensionId,
     DimensionVector,
     LoggedSample,
     WeightConfig,
 )
 
-_COLUMN = {d: j for j, d in enumerate(CANONICAL_DIMENSIONS)}
+_ABSENT = (None,) * len(CANONICAL_DIMENSIONS)
 
 
 def dimension_matrix(vectors: Iterable[DimensionVector | None]) -> np.ndarray:
-    """An n x 6 float64 array of the vectors' scores in canonical order, NaN
-    where a vector has no score for a dimension (or is None). A vector never
-    holds NaN, so NaN can only mean absent."""
-    flat: list[float] = []
-    for vector in vectors:
-        values = {} if vector is None else vector.values
-        flat.extend([values.get(d, math.nan) for d in _COLUMN])
-    return np.array(flat, dtype=np.float64).reshape(-1, len(_COLUMN))
+    """An n x 6 float64 array of the vectors' rows, NaN where a vector has no
+    score for a dimension (numpy reads None as NaN) or is None itself. A
+    vector never holds NaN, so NaN can only mean absent."""
+    rows = [_ABSENT if vector is None else vector.row for vector in vectors]
+    return np.array(rows, dtype=np.float64).reshape(-1, len(CANONICAL_DIMENSIONS))
 
 
 def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
@@ -45,7 +43,8 @@ def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
     and np.clip pass NaN through. numpy's products are the IEEE products
     Python forms and fsum is correctly rounded (never -0.0), so every value
     is the scalar formula's to the bit."""
-    terms = matrix[:, [_COLUMN[d] for d in weights.weights]] * list(weights.weights.values())
+    columns = [DIMENSION_COLUMN[d] for d in weights.weights]
+    terms = matrix[:, columns] * list(weights.weights.values())
     return np.clip(list(map(math.fsum, terms.tolist())), 0.0, 1.0)
 
 

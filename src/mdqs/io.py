@@ -226,11 +226,8 @@ def to_record(sample: LoggedSample) -> dict:
     if sample.reference_text is not None:
         rec["reference_text"] = sample.reference_text
     if sample.dimension_scores is not None:
-        rec["dims"] = {
-            d.value: sample.dimension_scores[d]
-            for d in CANONICAL_DIMENSIONS
-            if d in sample.dimension_scores
-        }
+        row = zip(CANONICAL_DIMENSIONS, sample.dimension_scores.row)
+        rec["dims"] = {d.value: v for d, v in row if v is not None}
     for key, value in sample.extra.items():
         if key not in _KNOWN_RECORD_FIELDS:
             rec[key] = value
@@ -696,7 +693,10 @@ def resolve_weights(config: RunConfig, override_name: str | None = None) -> Weig
 def _min_max(pair, where: str) -> tuple[float, float]:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise SchemaError(f"{where} must be a [min, max] pair")
-    return _number(pair[0], f"{where}[0]"), _number(pair[1], f"{where}[1]")
+    low, high = _number(pair[0], f"{where}[0]"), _number(pair[1], f"{where}[1]")
+    if low > high:
+        raise SchemaError(f"{where} must be a [min, max] pair with min <= max, got {pair!r}")
+    return low, high
 
 
 def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]]:

@@ -1,8 +1,8 @@
 """Domain types shared by every layer: samples, dimensions, weights, outcomes.
 
 A LoggedSample is one producer output for one query, with whatever evaluator
-scores were logged alongside it. Dimension scores are kept in a
-DimensionVector, which rejects a value outside [0, 1] at construction, so
+scores were logged alongside it. A DimensionVector keeps its scores as one
+row in DIMENSION_COLUMN order and rejects a value outside [0, 1], so
 downstream code never re-checks ranges. WeightConfig normalizes on
 construction and is the only way weights enter the composite.
 """
@@ -31,15 +31,14 @@ class DimensionId(Enum):
 
 CANONICAL_DIMENSIONS: tuple[DimensionId, ...] = tuple(DimensionId)
 
-_DIM_ORDER = {d: i for i, d in enumerate(CANONICAL_DIMENSIONS)}
+DIMENSION_COLUMN: dict[DimensionId, int] = {d: i for i, d in enumerate(CANONICAL_DIMENSIONS)}
+_BY_NAME = {d.value: d for d in CANONICAL_DIMENSIONS}
 
 
 def parse_dimension(name: str) -> DimensionId:
-    try:
-        return DimensionId(name)
-    except ValueError:
-        known = ", ".join(d.value for d in CANONICAL_DIMENSIONS)
-        raise ValueError(f"unknown dimension {name!r} (known: {known})") from None
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown dimension {name!r} (known: {', '.join(_BY_NAME)})")
+    return _BY_NAME[name]
 
 
 @dataclass(frozen=True)
@@ -59,24 +58,31 @@ class TaskFamily:
 
 @dataclass(frozen=True)
 class DimensionVector:
-    """Per-dimension scores, each checked to lie in [0, 1] at construction.
-
-    Iteration order is canonical dimension order regardless of the order the
-    mapping was built in, so emitted reports are stable.
+    """Per-dimension scores as one row in canonical order, None where a
+    dimension is absent (None, not NaN, so equal vectors compare and hash
+    equal). Built from a {DimensionId: score} mapping in any order or from a
+    canonical row; either way each score is checked to lie in [0, 1].
     """
 
-    values: Mapping[DimensionId, float]
+    row: tuple[float | None, ...]
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("dimension vector must not be empty")
-        ordered: dict[DimensionId, float] = {}
-        for dim in sorted(self.values, key=_DIM_ORDER.__getitem__):
-            v = float(self.values[dim])
-            if not 0.0 <= v <= 1.0:
+        row = self.row
+        if isinstance(row, Mapping):
+            if not row.keys() <= DIMENSION_COLUMN.keys():
+                raise ValueError(f"dimension keys must be DimensionIds, got {list(row)!r}")
+            row = [row.get(d) for d in CANONICAL_DIMENSIONS]
+        row = tuple([None if v is None else float(v) for v in row])
+        if len(row) != len(CANONICAL_DIMENSIONS) or row.count(None) == len(row):
+            raise ValueError(f"dimension row needs 6 entries, not all None; got {row!r}")
+        for dim, v in zip(CANONICAL_DIMENSIONS, row):
+            if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"dimension {dim.value} has score {v!r} outside [0, 1]")
-            ordered[dim] = v
-        object.__setattr__(self, "values", ordered)
+        object.__setattr__(self, "row", row)
+
+    @property
+    def values(self) -> dict[DimensionId, float]:
+        return {d: v for d, v in zip(CANONICAL_DIMENSIONS, self.row) if v is not None}
 
     def __getitem__(self, dim: DimensionId) -> float:
         return self.values[dim]
@@ -86,9 +92,6 @@ class DimensionVector:
 
     def keys(self) -> frozenset[DimensionId]:
         return frozenset(self.values)
-
-    def as_dict(self) -> dict[DimensionId, float]:
-        return dict(self.values)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ class WeightConfig:
         if total <= 0.0:
             raise ValueError("weights must have a positive sum")
         normalized: dict[DimensionId, float] = {}
-        for dim in sorted(self.weights, key=_DIM_ORDER.__getitem__):
+        for dim in sorted(self.weights, key=DIMENSION_COLUMN.__getitem__):
             w = float(self.weights[dim])
             if not math.isfinite(w) or w < 0.0:
                 raise ValueError(f"weight for {dim.value} must be finite and >= 0, got {w!r}")

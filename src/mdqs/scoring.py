@@ -2,10 +2,10 @@
 
 Each scorer returns a raw real number; score_all builds each active raw
 column once, normalizes it to [0, 1] with per-batch min-max (or frozen
-stats), attaches a DimensionVector to every sample, and returns each raw
-column's (min, max) too. The scorers stay usable on their own for debugging
-single samples. check_config and missing_inputs decide what scoring needs;
-score_all and validate_dataset both ask them.
+stats), zips the columns into each sample's DimensionVector row, and
+returns each raw column's (min, max) too. The scorers stay usable on their
+own for debugging single samples. check_config and missing_inputs decide
+what scoring needs; score_all and validate_dataset both ask them.
 
 Conventions that matter:
   - tokenization is whitespace split, nothing smarter; structure n-grams
@@ -456,11 +456,9 @@ def score_all(
             columns[dim] = normalize_with_stats(raw, lo, hi)
         else:
             columns[dim] = normalize_batch(raw)
-    scored = []
-    for i, sample in enumerate(samples):
-        vector = DimensionVector({dim: columns[dim][i] for dim in active})
-        scored.append(sample.with_dimensions(vector))
-    return scored, raw_ranges
+    absent = [None] * len(samples)
+    rows = zip(*(columns.get(d, absent) for d in CANONICAL_DIMENSIONS))
+    return [s.with_dimensions(DimensionVector(row)) for s, row in zip(samples, rows)], raw_ranges
 
 
 def validate_dataset(

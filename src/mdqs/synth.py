@@ -194,18 +194,18 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
         evaluator_columns[evaluator] = rank_normalize(gt + sd * eps)
 
     reference = rank_normalize(gt)
+    rows = zip(
+        *(dim_columns[d].tolist() if d in dim_columns else [None] * n for d in CANONICAL_DIMENSIONS)
+    )
 
     samples: list[LoggedSample] = []
-    for i in range(n):
+    for i, row in enumerate(rows):
         u = float(reference[i])
         length = 20 + int(u * 60)
         word_idx = rng.integers(0, len(_VOCAB), size=length)
         words = [_VOCAB[int(j)] for j in word_idx]
         out_words = _degrade(words, u, rng)
         ref_words = _mutate(words, u, rng)
-        vector = (
-            DimensionVector({d: float(dim_columns[d][i]) for d in dims}) if dims else None
-        )
         samples.append(
             LoggedSample(
                 sample_id=f"s{i:05d}",
@@ -216,7 +216,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
                 evaluator_scores={e: float(col[i]) for e, col in evaluator_columns.items()},
                 reference_score=float(reference[i]),
                 reference_text=" ".join(ref_words),
-                dimension_scores=vector,
+                dimension_scores=DimensionVector(row) if dims else None,
             )
         )
     return samples

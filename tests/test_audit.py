@@ -555,7 +555,7 @@ def _ref_dimension_means_by_producer(samples):
     for s in samples:
         if s.dimension_scores is None:
             continue
-        for dim, value in s.dimension_scores.as_dict().items():
+        for dim, value in s.dimension_scores.values.items():
             sums.setdefault((s.producer_id, dim), []).append(value)
     rows = []
     for producer in sorted({p for p, _ in sums}):

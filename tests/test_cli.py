@@ -581,7 +581,7 @@ def test_score_attaches_all_dimensions(tmp_path):
     assert len(scored) == 24
     for s in scored:
         assert len(s.dimension_scores.keys()) == 6
-        assert all(0.0 <= v <= 1.0 for v in s.dimension_scores.as_dict().values())
+        assert all(0.0 <= v <= 1.0 for v in s.dimension_scores.values.values())
     stats = json.loads((out / "normalization_stats.json").read_text(encoding="utf-8"))
     assert set(stats) == {d for d in stats}  # parsed fine
     assert len(stats) == 6
@@ -690,6 +690,18 @@ def test_calibrate_cli_flags(tmp_path):
     assert cal["gate"] == "spearman"
     assert cal["threshold"] == 0.1
     assert set(cal["by_task"]) == {"qa", "summarization"}
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1e400", "abc"])
+def test_calibrate_threshold_must_be_finite(tmp_path, capsys, threshold):
+    data = planted_path(tmp_path)
+    out = tmp_path / "r"
+    code = main(
+        ["calibrate", "--input", str(data), "--out", str(out), f"--threshold={threshold}"]
+    )
+    assert code == 64
+    assert "--threshold must be a finite number" in capsys.readouterr().err
+    assert not (out / "calibration.json").exists()
 
 
 # --------------------------------------------------------------- simulate

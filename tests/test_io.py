@@ -105,6 +105,12 @@ def test_record_round_trip_preserves_everything():
     assert keys[0] == "schema"
     assert keys[-2:] == ["run_tag", "latency_ms"]
     assert list(rec["evaluator_scores"]) == ["a_judge", "b_judge"]
+    # partial dims given out of order come back in canonical order, absent ones omitted
+    assert sample.dimension_scores.row == (None, None, 0.6, 0.9, None, None)
+    assert list(rec["dims"]) == ["structure", "semantic"]
+    scrambled = full_record() | {"dims": {"agreement": 0.25, "model_prior": 1, "semantic": 0.0}}
+    dims = to_record(from_record(scrambled))["dims"]
+    assert list(dims.items()) == [("model_prior", 1.0), ("semantic", 0.0), ("agreement", 0.25)]
 
 
 def test_record_minimal():
@@ -590,6 +596,12 @@ def test_frozen_stats_round_trip(tmp_path):
         DimensionId.SEMANTIC: (0.1, 0.9),
         DimensionId.STRUCTURE: (0.0, 1.0),
     }
+    # a zero-range pair, as score_all writes for a constant column, is accepted
+    path.write_text(json.dumps({"structure": [0.4, 0.4]}))
+    assert load_frozen_stats(path) == {DimensionId.STRUCTURE: (0.4, 0.4)}
+    path.write_text(json.dumps({"semantic": [0.1, 0.9], "structure": [0.9, 0.1]}))
+    with pytest.raises(SchemaError, match=r"stats\.structure .*min <= max"):
+        load_frozen_stats(path)
     path.write_text(json.dumps({"semantic": [0.1]}))
     with pytest.raises(SchemaError):
         load_frozen_stats(path)

@@ -1,10 +1,13 @@
 """Core value objects: dimensions, weights, samples, dataset validation."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from conftest import make_sample
+from mdqs.composite import dimension_matrix
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
@@ -53,18 +56,78 @@ def test_dimension_vector_rejects_out_of_range_and_orders():
     assert v[DimensionId.SEMANTIC] == 1.0
     assert v[DimensionId.STRUCTURE] == 0.0
     # storage order is canonical regardless of construction order
-    assert list(v.as_dict()) == [DimensionId.STRUCTURE, DimensionId.SEMANTIC]
+    assert list(v.values) == [DimensionId.STRUCTURE, DimensionId.SEMANTIC]
+    assert v.row == (None, None, 0.0, 1.0, None, None)
     assert DimensionId.SEMANTIC in v
     assert DimensionId.ALIGNMENT not in v
+    assert "semantic" not in v
+    with pytest.raises(KeyError):
+        v[DimensionId.ALIGNMENT]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dimension_vector_from_a_mapping_equals_its_canonical_row(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        present = [d for d in CANONICAL_DIMENSIONS if rng.random() < 0.6] or [DimensionId.SEMANTIC]
+        scores = {d: rng.choice([0.0, 1.0, 5e-324, rng.random()]) for d in present}
+        row = tuple(scores.get(d) for d in CANONICAL_DIMENSIONS)
+        shuffled = list(scores.items())
+        rng.shuffle(shuffled)
+        from_mapping = DimensionVector(dict(shuffled))
+        from_row = DimensionVector(row)
+        assert from_mapping == from_row
+        assert hash(from_mapping) == hash(from_row)
+        assert from_mapping.row == row
+        assert list(from_mapping.values) == present
+        assert list(from_mapping.values.values()) == [scores[d] for d in present]
+        assert from_mapping.keys() == frozenset(present)
 
 
 def test_dimension_vector_rejects_bad_input():
-    with pytest.raises(ValueError):
-        DimensionVector({DimensionId.SEMANTIC: float("nan")})
-    with pytest.raises(ValueError):
-        DimensionVector({DimensionId.SEMANTIC: float("inf")})
-    with pytest.raises(ValueError):
-        DimensionVector({})
+    for bad in (float("nan"), float("inf"), float("-inf"), 1.5, -0.1):
+        with pytest.raises(ValueError, match="semantic"):
+            DimensionVector({DimensionId.SEMANTIC: bad})
+        with pytest.raises(ValueError, match="semantic"):
+            DimensionVector((None, None, None, bad, None, None))
+    for empty in ({}, (None,) * 6, (), (0.5,) * 5, (0.5,) * 7):
+        with pytest.raises(ValueError, match="6 entries, not all None"):
+            DimensionVector(empty)
+    with pytest.raises(ValueError, match="DimensionId"):
+        DimensionVector({"semantic": 0.5})
+    with pytest.raises(ValueError, match="DimensionId"):
+        DimensionVector({DimensionId.SEMANTIC: 0.5, 3: 0.5})
+
+
+def _ref_dimension_matrix(vectors) -> np.ndarray:
+    """The dict.get loop dimension_matrix replaced."""
+    flat = []
+    for vector in vectors:
+        values = {} if vector is None else vector.values
+        flat.extend([values.get(d, math.nan) for d in CANONICAL_DIMENSIONS])
+    return np.array(flat, dtype=np.float64).reshape(-1, len(CANONICAL_DIMENSIONS))
+
+
+def _cells(matrix: np.ndarray) -> list[list[str]]:
+    return [["nan" if math.isnan(x) else float.hex(x) for x in row] for row in matrix.tolist()]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dimension_matrix_matches_the_dict_lookup_reference(seed):
+    rng = random.Random(seed)
+    vectors = []
+    for _ in range(300):
+        if rng.random() < 0.1:
+            vectors.append(None)
+            continue
+        present = [d for d in CANONICAL_DIMENSIONS if rng.random() < 0.7] or [DimensionId.AGREEMENT]
+        vectors.append(
+            DimensionVector({d: rng.choice([0.0, 1.0, 5e-324, rng.random()]) for d in present})
+        )
+    matrix = dimension_matrix(vectors)
+    assert matrix.shape == (300, 6) and matrix.dtype == np.float64
+    assert _cells(matrix) == _cells(_ref_dimension_matrix(vectors))
+    assert dimension_matrix([]).shape == (0, 6)
 
 
 def test_default_weights_values():
