@@ -50,7 +50,6 @@ from mdqs.poq import (
     SimSettings,
     SingleEvaluator,
     TrimmedMean,
-    allocate_rewards,
     run_experiment,
     run_single,
     sample_evaluators,

@@ -23,7 +23,7 @@ class MissingColumn(MdqsError):
         self.column = column
         self.sample_id = sample_id
         where = f" (sample {sample_id})" if sample_id is not None else ""
-        super().__init__(f"column {column!r} not found{where}")
+        super().__init__(f"column {column!r} not found or not a finite number{where}")
 
 
 class MissingReferenceText(MdqsError):

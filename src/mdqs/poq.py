@@ -468,34 +468,10 @@ def sample_evaluators(
     return sorted(chosen, key=lambda i: profiles[i].evaluator_id)
 
 
-def allocate_rewards(
-    consensus: Mapping[str, Mapping[str, float]],
-    reward_budget: float,
-) -> dict[str, float]:
-    """Split a budget across producers by score spread.
-
-    consensus maps contest key (query or round) -> {producer -> score}.
-    Each contest gets an equal slice; within a contest a producer earns in
-    proportion to max(score - min score, 0), and a zero spread splits the
-    slice equally. Payouts sum to reward_budget exactly up to fp rounding.
-    """
-    if not consensus:
-        return {}
-    if not math.isfinite(reward_budget) or reward_budget < 0:
-        raise ValueError("reward_budget must be finite and >= 0")
-    slice_budget = reward_budget / len(consensus)
-    rewards: dict[str, float] = {}
-    for _, producer_scores in consensus.items():
-        if not producer_scores:
-            raise ValueError("a contest must have at least one producer")
-        shares = _contest_shares(list(producer_scores.values()), slice_budget)
-        for producer, share in zip(producer_scores, shares):
-            rewards[producer] = rewards.get(producer, 0.0) + share
-    return rewards
-
-
 def _contest_shares(scores: Sequence[float], budget: float) -> list[float]:
-    """One contest's payouts, parallel to its non-empty scores."""
+    """One contest's payouts, parallel to its non-empty scores: each output
+    earns in proportion to max(score - min score, 0), and a zero spread
+    splits the budget equally. Payouts sum to the budget up to fp rounding."""
     low = min(scores)
     spreads = [max(s - low, 0.0) for s in scores]
     total = math.fsum(spreads)
@@ -548,7 +524,8 @@ class ConsensusBaseline:
     def values(
         self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
     ) -> dict[str, float]:
-        from mdqs.audit import consensus_baselines  # local import, avoids a cycle
+        # looked up at call time, so a wrapper put on mdqs.audit sees the call
+        from mdqs.audit import consensus_baselines
 
         baselines = consensus_baselines(dataset)
         return {sid: stats[self.stat] for sid, stats in baselines.items()}
@@ -840,7 +817,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
         keys, producers, consensus, targets = scored
         consensus_scores.update(zip(keys, consensus))
         errors.extend(abs(c - t) for c, t in zip(consensus, targets) if t is not None)
-        # allocate_rewards for the one contest, paid to each output's producer
+        # the one contest's shares, paid to each output's producer
         for producer, share in zip(producers, _contest_shares(consensus, reward_budget)):
             rewards[producer] = rewards.get(producer, 0.0) + share
 

@@ -3,9 +3,12 @@
 Each scorer returns a raw real number; score_all builds each active raw
 column once, normalizes it to [0, 1] with per-batch min-max (or frozen
 stats), zips the columns into each sample's DimensionVector row, and
-returns each raw column's (min, max) too. The scorers stay usable on their
-own for debugging single samples. check_config and missing_inputs decide
-what scoring needs; score_all and validate_dataset both ask them.
+returns each raw column's (min, max) too. Normalization is one routine,
+normalize_batch: score_all, the per-evaluator columns and PriorTable all
+go through it, and it is the only place that clips to frozen stats. The
+scorers stay usable on their own for debugging single samples.
+check_config and missing_inputs decide what scoring needs; score_all and
+validate_dataset both ask them.
 
 Conventions that matter:
   - tokenization is whitespace split, nothing smarter; structure n-grams
@@ -23,9 +26,9 @@ Conventions that matter:
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +63,7 @@ class PriorTable:
     Lookups return the rating min-max normalized over the table. A single
     entry or a zero range carries no ordering information, so every lookup
     returns the 0.5 midpoint. Unknown producers get the table's median
-    rating, normalized.
+    rating, normalized. The table is normalized once, at construction.
     """
 
     name: str
@@ -73,19 +76,23 @@ class PriorTable:
             if not math.isfinite(r):
                 raise ValueError(f"prior table {self.name!r}: non-finite rating for {producer!r}")
             clean[str(producer)] = r
-        object.__setattr__(self, "ratings", clean)
+        # read-only, since lookups come from the table normalized here
+        object.__setattr__(self, "ratings", MappingProxyType(clean))
+        if not clean:
+            return  # normalized() refuses an empty table
+        ordered = sorted(clean.values())
+        mid = len(ordered) // 2
+        # an even table's (a + b) / 2 on halves, so it cannot overflow; the
+        # median lies inside the table's range, so it moves neither end
+        median = ordered[mid] if len(ordered) % 2 else ordered[mid - 1] / 2 + ordered[mid] / 2
+        *scores, unknown = normalize_batch([*clean.values(), median])
+        object.__setattr__(self, "_scores", dict(zip(clean, scores)))
+        object.__setattr__(self, "_unknown", unknown)
 
     def normalized(self, producer_id: str) -> float:
         if not self.ratings:
             raise EmptyPriorTable(f"prior table {self.name!r} is empty")
-        rating = self.ratings.get(producer_id)
-        if rating is None:
-            rating = statistics.median(self.ratings.values())
-        lo = min(self.ratings.values())
-        hi = max(self.ratings.values())
-        if hi == lo:
-            return 0.5
-        return (rating - lo) / (hi - lo)
+        return self._scores.get(producer_id, self._unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,7 @@ def score_semantic(sample: LoggedSample) -> float:
 
 def column_value(sample: LoggedSample, column: str) -> float | None:
     """The sample's value in a pre-logged score column (evaluator_scores
-    first, then extra); None when it has no numeric value there.
+    first, then extra); None when it has no finite numeric value there.
 
     There is no builtin alignment judge, so the alignment dimension only
     exists when the dataset carries such a column.
@@ -251,7 +258,11 @@ def column_value(sample: LoggedSample, column: str) -> float | None:
     value = sample.extra.get(column)
     if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +292,28 @@ def score_agreement(sample: LoggedSample) -> float:
 # normalization
 
 
-def normalize_batch(values: Sequence[float]) -> list[float]:
-    """Min-max normalize one column; a zero range maps everything to 0.5."""
+def normalize_batch(
+    values: Sequence[float], stats: tuple[float, float] | None = None
+) -> list[float]:
+    """Min-max normalize one column over its own range, or over frozen
+    stats=(min, max) with anything outside clipped to [0, 1]. A zero range
+    maps everything to 0.5; a frozen min above its max is a ValueError."""
     vals = [float(v) for v in values]
     if not vals:
         return []
     if any(not math.isfinite(v) for v in vals):
         raise ValueError("cannot normalize non-finite values")
-    lo = min(vals)
-    hi = max(vals)
+    lo, hi = (min(vals), max(vals)) if stats is None else stats
+    if lo > hi:
+        raise ValueError(f"frozen stats need min <= max, got {stats!r}")
     if hi == lo:
         return [0.5] * len(vals)
     # on halves, so a range wider than the largest float cannot overflow;
     # halving is exact short of underflow, so the results keep their bits
     lo, span = lo / 2, hi / 2 - lo / 2
-    return [(v / 2 - lo) / span for v in vals]
-
-
-def normalize_with_stats(values: Sequence[float], lo: float, hi: float) -> list[float]:
-    """Normalize against frozen stats, clipping anything outside the range."""
-    if hi <= lo:
-        return [0.5 for _ in values]
-    lo, span = lo / 2, hi / 2 - lo / 2  # on halves, as in normalize_batch
-    return [min(1.0, max(0.0, (float(v) / 2 - lo) / span)) for v in values]
+    scores = [(v / 2 - lo) / span for v in vals]
+    # only frozen stats clip, so a batch column keeps its exact bits, -0.0 too
+    return scores if stats is None else [min(1.0, max(0.0, z)) for z in scores]
 
 
 def refuse_repeated_ids(samples: Iterable[LoggedSample]) -> None:
@@ -359,7 +369,8 @@ class ScoringConfig:
 def check_config(config: ScoringConfig) -> None:
     """Refuse what no sample can supply: a weighted prior dimension without a
     non-empty table (EmptyPriorTable), weighted alignment without a column, or
-    frozen stats that miss a weighted dimension (SchemaError)."""
+    frozen stats that miss a weighted dimension or hold a pair that is not
+    finite with min <= max (SchemaError)."""
     active = config.weights.dimensions()
     for dim, key, table in (
         (DimensionId.MODEL_PRIOR, "priors.model_rating", config.model_priors),
@@ -374,6 +385,12 @@ def check_config(config: ScoringConfig) -> None:
     if config.frozen_stats is not None and active - config.frozen_stats.keys():
         uncovered = ", ".join(sorted(d.value for d in active - config.frozen_stats.keys()))
         raise SchemaError(f"normalization.stats has no [min, max] for weighted {uncovered}")
+    for dim, (lo, hi) in (config.frozen_stats or {}).items():
+        if not -math.inf < lo <= hi < math.inf:
+            raise SchemaError(
+                f"normalization.stats.{dim.value} must be a finite [min, max] pair"
+                f" with min <= max, got {[lo, hi]!r}"
+            )
 
 
 def missing_inputs(
@@ -451,11 +468,7 @@ def score_all(
     for dim in active:
         raw = _raw_column(dim, samples, config)
         raw_ranges[dim] = (min(raw), max(raw))
-        if config.frozen_stats is not None:
-            lo, hi = config.frozen_stats[dim]
-            columns[dim] = normalize_with_stats(raw, lo, hi)
-        else:
-            columns[dim] = normalize_batch(raw)
+        columns[dim] = normalize_batch(raw, (config.frozen_stats or {}).get(dim))
     absent = [None] * len(samples)
     rows = zip(*(columns.get(d, absent) for d in CANONICAL_DIMENSIONS))
     return [s.with_dimensions(DimensionVector(row)) for s, row in zip(samples, rows)], raw_ranges

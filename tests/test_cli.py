@@ -15,7 +15,7 @@ from conftest import FIXTURES, scored_sample
 from mdqs.cli import main
 from mdqs.errors import SchemaError
 from mdqs.io import ingest, load_config, to_record, write_jsonl
-from mdqs.model import CANONICAL_DIMENSIONS
+from mdqs.model import CANONICAL_DIMENSIONS, DimensionId
 
 
 @pytest.fixture(autouse=True)
@@ -185,6 +185,45 @@ def replay_config_edited(tmp_path, edit) -> str:
     path = tmp_path / "edited.yaml"
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "judge", ["1e400", "NaN", "1" + "0" * 400], ids=["inf", "nan", "int-past-float-range"]
+)
+def test_extra_score_column_must_hold_a_finite_number(tmp_path, capsys, judge):
+    lines = (Path(FIXTURES) / "replay_200.jsonl").read_text(encoding="utf-8").splitlines()[:6]
+    # json reads 1e400 as inf, NaN as nan and the 401-digit integer as an int
+    lines = [line[:-1] + f', "judge": {judge if i == 2 else 0.5}}}' for i, line in enumerate(lines)]
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = replay_config_edited(
+        tmp_path, lambda raw: raw["providers"].update(alignment="column:judge")
+    )
+    argv = ["--config", config, "--input", str(data)]
+    assert main(["score", *argv, "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert "column 'judge'" in err and "s00002" in err
+    assert not (tmp_path / "s" / "scored.jsonl").exists()
+    assert main(["validate", *argv, "--out", str(tmp_path / "v")]) == 1
+    report = json.loads((tmp_path / "v" / "validation.json").read_text(encoding="utf-8"))
+    assert [(i["sample_id"], i["field"]) for i in report["issues"]] == [("s00002", "judge")]
+
+
+@pytest.mark.parametrize(
+    "ratings, expected",
+    [
+        ({"model-a": -1.0e308, "model-b": 1.0e308, "model-c": 0}, {0.0, 0.5, 1.0}),
+        # no replay producer is in the table, so each reads the median
+        ({"model-x": 1.0e308, "model-y": 1.5e308}, {0.5}),
+    ],
+    ids=["range-past-float-limit", "median-sum-past-float-limit"],
+)
+def test_prior_ratings_of_any_finite_size_score(tmp_path, ratings, expected):
+    config = replay_config_edited(tmp_path, lambda raw: raw["priors"].update(model_rating=ratings))
+    argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl"]
+    assert main(["score", *argv, "--out", str(tmp_path / "s")]) == 0
+    scored = ingest(tmp_path / "s" / "scored.jsonl").samples
+    assert {s.dimension_scores[DimensionId.MODEL_PRIOR] for s in scored} == expected
 
 
 UNMET_NEEDS = [

@@ -45,8 +45,8 @@ from mdqs.poq import (
     SingleEvaluator,
     TrimmedMean,
     _Replay,
+    _contest_shares,
     _run_cell,
-    allocate_rewards,
     attack_label,
     run_experiment,
     run_single,
@@ -460,36 +460,15 @@ def test_column_emits_match_the_scalar_emits():
 
 # --------------------------------------------------------------- rewards
 
-def test_allocate_rewards_proportional_to_spread():
-    consensus = {"q": {"a": 0.2, "b": 0.6, "c": 1.0}}
-    rewards = allocate_rewards(consensus, 1.0)
-    assert rewards["a"] == 0.0
-    assert rewards["b"] == pytest.approx(1.0 / 3.0)
-    assert rewards["c"] == pytest.approx(2.0 / 3.0)
+def test_contest_shares_proportional_to_spread():
+    shares = _contest_shares([0.2, 0.6, 1.0], 1.0)
+    assert shares[0] == 0.0
+    assert shares[1] == pytest.approx(1.0 / 3.0)
+    assert shares[2] == pytest.approx(2.0 / 3.0)
 
 
-def test_allocate_rewards_zero_spread_splits_equally():
-    rewards = allocate_rewards({"q": {"a": 0.5, "b": 0.5, "c": 0.5}}, 0.9)
-    assert rewards == pytest.approx({"a": 0.3, "b": 0.3, "c": 0.3})
-
-
-def test_allocate_rewards_conserves_budget_across_contests():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        consensus = {
-            f"q{j}": {f"p{i}": float(rng.uniform(0, 1)) for i in range(4)}
-            for j in range(int(rng.integers(1, 6)))
-        }
-        rewards = allocate_rewards(consensus, 2.5)
-        assert math.fsum(rewards.values()) == pytest.approx(2.5, abs=1e-9)
-
-
-def test_allocate_rewards_edge_cases():
-    assert allocate_rewards({}, 1.0) == {}
-    with pytest.raises(ValueError):
-        allocate_rewards({"q": {"a": 0.5}}, -1.0)
-    with pytest.raises(ValueError):
-        allocate_rewards({"q": {}}, 1.0)
+def test_contest_shares_zero_spread_splits_equally():
+    assert _contest_shares([0.5, 0.5, 0.5], 0.9) == pytest.approx([0.3, 0.3, 0.3])
 
 
 # ---------------------------------------------------------------- config

@@ -4,6 +4,7 @@ alignment columns, agreement, and batch normalization."""
 import dataclasses
 import math
 import random
+import statistics
 from collections import Counter
 
 import pytest
@@ -25,7 +26,6 @@ from mdqs.scoring import (
     column_value,
     normalize_batch,
     normalize_evaluator_scores,
-    normalize_with_stats,
     score_agreement,
     score_all,
     score_semantic,
@@ -41,6 +41,8 @@ def test_prior_table_min_max():
     assert t.normalized("a") == 0.0
     assert t.normalized("b") == 1.0
     assert t.normalized("c") == pytest.approx(0.5)
+    with pytest.raises(TypeError):  # normalized once, at construction
+        t.ratings["d"] = 1300.0
 
 
 def test_prior_table_single_entry_is_midpoint():
@@ -205,6 +207,9 @@ def test_column_provider_missing_or_non_numeric():
         ("absent", make_sample(sample_id="s0")),
         ("flag", make_sample(sample_id="s0", extra={"flag": True})),
         ("flag", make_sample(sample_id="s0", extra={"flag": "high"})),
+        ("flag", make_sample(sample_id="s0", extra={"flag": math.inf})),
+        ("flag", make_sample(sample_id="s0", extra={"flag": math.nan})),
+        ("flag", make_sample(sample_id="s0", extra={"flag": 10**400})),  # beyond float range
     ):
         assert column_value(sample, column) is None
         with pytest.raises(MissingColumn):
@@ -255,10 +260,113 @@ def test_normalize_batch_rejects_non_finite():
 
 
 def test_normalize_with_stats_clips():
-    assert normalize_with_stats([-5.0, 0.0, 10.0, 20.0], 0.0, 10.0) == [0.0, 0.0, 1.0, 1.0]
-    assert normalize_with_stats([-1e308, 0.0, 5e307], -1e308, 1e308) == [0.0, 0.5, 0.75]
+    assert normalize_batch([-5.0, 0.0, 10.0, 20.0], (0.0, 10.0)) == [0.0, 0.0, 1.0, 1.0]
+    assert normalize_batch([-1e308, 0.0, 5e307], (-1e308, 1e308)) == [0.0, 0.5, 0.75]
     # degenerate frozen window collapses to the midpoint
-    assert normalize_with_stats([3.0, 9.0], 4.0, 4.0) == [0.5, 0.5]
+    assert normalize_batch([3.0, 9.0], (4.0, 4.0)) == [0.5, 0.5]
+
+
+def test_reversed_frozen_stats_are_refused():
+    with pytest.raises(ValueError, match="min <= max"):
+        normalize_batch([0.2, 0.5], (0.9, 0.1))
+    semantic = WeightConfig("semantic", {DimensionId.SEMANTIC: 1.0})
+    for pair in ((0.9, 0.1), (0.1, math.nan), (-math.inf, 1.0)):
+        config = ScoringConfig(weights=semantic, frozen_stats={DimensionId.SEMANTIC: pair})
+        with pytest.raises(SchemaError, match=r"normalization\.stats\.semantic"):
+            score_all(_batch(), config)
+    # an equal pair is a zero-width window, not a reversed one
+    config = ScoringConfig(weights=semantic, frozen_stats={DimensionId.SEMANTIC: (0.4, 0.4)})
+    scored, _ = score_all(_batch(), config)
+    assert {s.dimension_scores[DimensionId.SEMANTIC] for s in scored} == {0.5}
+
+
+# normalize_batch, normalize_with_stats and PriorTable.normalized as they were
+# when each wrote its own min-max formula, kept verbatim as the oracle that
+# the one normalize_batch must match bit for bit.
+
+
+def _ref_normalize_batch(values):
+    vals = [float(v) for v in values]
+    if not vals:
+        return []
+    if any(not math.isfinite(v) for v in vals):
+        raise ValueError("cannot normalize non-finite values")
+    lo = min(vals)
+    hi = max(vals)
+    if hi == lo:
+        return [0.5] * len(vals)
+    lo, span = lo / 2, hi / 2 - lo / 2
+    return [(v / 2 - lo) / span for v in vals]
+
+
+def _ref_normalize_with_stats(values, lo, hi):
+    if hi <= lo:
+        return [0.5 for _ in values]
+    lo, span = lo / 2, hi / 2 - lo / 2
+    return [min(1.0, max(0.0, (float(v) / 2 - lo) / span)) for v in values]
+
+
+def _ref_prior_normalized(ratings, producer_id):
+    if not ratings:
+        raise EmptyPriorTable("prior table is empty")
+    rating = ratings.get(producer_id)
+    if rating is None:
+        rating = statistics.median(ratings.values())
+    lo = min(ratings.values())
+    hi = max(ratings.values())
+    if hi == lo:
+        return 0.5
+    return (rating - lo) / (hi - lo)
+
+
+def _oracle_values(rng, n):
+    """n values at one scale between 1e-30 and 1e308: ties, signed zeros and
+    whole multiples of the scale mixed with uniform draws. Every scale stays far above the
+    subnormal range, so halving a value or a difference never rounds."""
+    scale = rng.choice([10.0 ** rng.randint(-30, 30), 1e307, 1e308])
+    pool = [0.0, -0.0, scale, -scale, 2 * scale if scale < 1e308 else scale]
+    out = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.3 and out:
+            out.append(rng.choice(out))  # a tie
+        elif kind < 0.5:
+            out.append(rng.choice(pool))
+        else:
+            out.append(rng.uniform(-1.0, 1.0) * scale)
+    return out
+
+
+def _hexes(values):
+    return [v.hex() for v in values]
+
+
+def test_one_normalize_batch_matches_the_three_formulas_it_replaced():
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        values = _oracle_values(rng, rng.randint(0, 8))
+        assert _hexes(normalize_batch(values)) == _hexes(_ref_normalize_batch(values)), values
+        if not values:
+            continue
+        window = sorted(_oracle_values(rng, 2)) if rng.random() < 0.8 else [values[0]] * 2
+        lo, hi = window
+        got = normalize_batch(values, (lo, hi))
+        assert _hexes(got) == _hexes(_ref_normalize_with_stats(values, lo, hi)), (values, window)
+    for _ in range(3000):
+        ratings = {f"p{i}": v for i, v in enumerate(_oracle_values(rng, rng.randint(1, 6)))}
+        table = PriorTable("model_rating", ratings)
+        values = sorted(ratings.values())
+        mid = len(values) // 2
+        # the old formula overflows on a range or an even median sum past the float limit
+        overflows = not math.isfinite(values[-1] - values[0]) or (
+            len(values) % 2 == 0 and not math.isfinite(values[mid - 1] + values[mid])
+        )
+        for producer in [*ratings, "unknown"]:
+            got = table.normalized(producer)
+            if overflows:
+                assert 0.0 <= got <= 1.0, ratings
+            else:
+                assert got.hex() == _ref_prior_normalized(ratings, producer).hex(), ratings
 
 
 def test_normalize_evaluator_scores_per_column():
