@@ -44,6 +44,7 @@ from mdqs.model import (
     TaskFamily,
     ValidationReport,
     WeightConfig,
+    _COLUMN_BY_NAME,
     parse_dimension,
 )
 from mdqs.poq import (
@@ -175,6 +176,20 @@ def _dimension_map(raw, where: str, read=_number) -> dict:
     return out
 
 
+def _dims(raw) -> DimensionVector | None:
+    """A record's `dims` as one canonical row, filled by name so that no
+    DimensionId is hashed; None when absent or empty."""
+    dims = _section(raw, "dims")
+    if not dims:
+        return None
+    if not dims.keys() <= _COLUMN_BY_NAME.keys():  # the mapping reader words the error
+        return DimensionVector(_dimension_map(dims, "dims", _unit))
+    row = [None] * len(CANONICAL_DIMENSIONS)
+    for name, value in dims.items():
+        row[_COLUMN_BY_NAME[name]] = _unit(value, f"dims.{name}")
+    return DimensionVector(tuple(row))
+
+
 # ---------------------------------------------------------------------------
 # record <-> sample
 
@@ -191,7 +206,7 @@ def from_record(obj: object) -> LoggedSample:
     except ValueError as exc:
         raise SchemaError(f"task: {exc}") from None
     scores = _section(obj.get("evaluator_scores"), "evaluator_scores")
-    dims = _dimension_map(obj.get("dims"), "dims", _unit)
+    dims = _dims(obj.get("dims"))
     fields = dict(
         sample_id=_text(obj.get("sample_id"), "sample_id"),
         task=task,
@@ -201,7 +216,7 @@ def from_record(obj: object) -> LoggedSample:
         evaluator_scores={str(k): _number(v, f"evaluator_scores.{k}") for k, v in scores.items()},
         reference_score=_opt(obj, "gt", _number, ""),
         reference_text=_opt(obj, "reference_text", _text, ""),
-        dimension_scores=DimensionVector(dims) if dims else None,
+        dimension_scores=dims,
         extra={k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS},
     )
     try:

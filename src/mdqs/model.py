@@ -32,13 +32,14 @@ class DimensionId(Enum):
 CANONICAL_DIMENSIONS: tuple[DimensionId, ...] = tuple(DimensionId)
 
 DIMENSION_COLUMN: dict[DimensionId, int] = {d: i for i, d in enumerate(CANONICAL_DIMENSIONS)}
-_BY_NAME = {d.value: d for d in CANONICAL_DIMENSIONS}
+# the same columns by name, so a reader of names hashes no DimensionId
+_COLUMN_BY_NAME = {d.value: i for d, i in DIMENSION_COLUMN.items()}
 
 
 def parse_dimension(name: str) -> DimensionId:
-    if name not in _BY_NAME:
-        raise ValueError(f"unknown dimension {name!r} (known: {', '.join(_BY_NAME)})")
-    return _BY_NAME[name]
+    if name not in _COLUMN_BY_NAME:
+        raise ValueError(f"unknown dimension {name!r} (known: {', '.join(_COLUMN_BY_NAME)})")
+    return CANONICAL_DIMENSIONS[_COLUMN_BY_NAME[name]]
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,25 @@ evaluator-id order, and a defense sees their values and trust as parallel
 lists in that order, so the weighted median and trimmed mean break value
 ties by evaluator id.
 
-A cell runs one of two ways. When its defense keeps trust fixed (mean,
-median, trimmed mean), it selects its emitters once, builds one
-(outputs x emitters) emission matrix over its rounds and aggregates every
-row at once. Under adaptive trust it walks the outputs in order, each
-output's trust step before the next output. Both paths draw the same values
-in the same order as one scalar draw per output per emitter, so the RNG
-stream and every report byte are the same either way. Both serve the two
-modes, which differ only in the outputs a round scores:
+A cell runs in blocks of up to ROUNDS_PER_MATRIX rounds, one of two ways.
+When its defense keeps trust fixed (mean, median, trimmed mean), it selects
+its emitters once, builds one (outputs x emitters) emission matrix per
+block and aggregates every row at once. Under adaptive trust it walks the
+outputs in order, each output's trust step before the next output. Both
+paths draw the same values in the same order as one scalar draw per output
+per emitter, so the RNG stream and every report byte are the same either
+way, and both give a block's outputs as columns, which the cell books at
+once: consensus scores, errors, contest shares and rewards. Both serve the
+two modes, which differ only in the outputs a round scores:
 
   synthetic: per-producer latent quality drawn from a Beta distribution each
       round; evaluators observe that latent value, and the error is measured
       against it.
   replay: rounds walk a logged dataset's query groups (cycling); evaluators
       observe the configured quality signal for each sample, and consensus
-      error is measured against the normalized reference score. A run
-      computes the query groups, the normalized references and each distinct
-      signal's values once; every cell of the grid shares them.
+      error is measured against the normalized reference score. A run lays
+      out each distinct signal's outputs, query group by group, as flat
+      columns once, and every cell of the grid gathers from them.
 
 Everything is driven by one Generator derived from (rng_seed, config_id),
 so a (config, seed) pair replays bit-identically.
@@ -41,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -468,16 +470,34 @@ def sample_evaluators(
     return sorted(chosen, key=lambda i: profiles[i].evaluator_id)
 
 
-def _contest_shares(scores: Sequence[float], budget: float) -> list[float]:
-    """One contest's payouts, parallel to its non-empty scores: each output
-    earns in proportion to max(score - min score, 0), and a zero spread
-    splits the budget equally. Payouts sum to the budget up to fp rounding."""
-    low = min(scores)
-    spreads = [max(s - low, 0.0) for s in scores]
-    total = math.fsum(spreads)
-    if total > 0.0:
-        return [budget * (spread / total) for spread in spreads]
-    return [budget / len(scores)] * len(scores)
+def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np.ndarray:
+    """Payouts of consecutive contests of sizes[k] > 0 outputs: each output
+    earns in proportion to its spread, max(score - min score, 0), and a zero
+    total splits the budget equally. The bits are those of one contest at a
+    time through Python's min, max and math.fsum:
+    - min picks the first of equal minima. Only a zero minimum's sign can
+      differ from np.minimum's, so those contests ask min itself. Then
+      score - low is >= 0 or -0.0, which max(score - low, 0.0) keeps as is.
+    - The minimum's own spread is 0. With at most two nonzero spreads a and
+      b (each at most about 1, so nothing overflows), every other term is a
+      zero, adding a zero is exact, and so in any order the one rounded step
+      is a + b: fl(a + b), the correctly rounded exact sum fsum returns. No
+      nonzero spread leaves a zero of either sign, which total > 0.0 reads
+      alike. Any other contest is summed by fsum.
+    """
+    starts = np.cumsum(sizes) - sizes
+    contest = np.repeat(np.arange(len(sizes)), sizes)
+    low = np.full(len(sizes), np.inf)
+    np.minimum.at(low, contest, consensus)
+    for k in np.flatnonzero(low == 0.0):
+        low[k] = min(consensus[starts[k] : starts[k] + sizes[k]].tolist())
+    spreads = consensus - low[contest]
+    total = np.bincount(contest, weights=spreads, minlength=len(sizes))
+    for k in np.flatnonzero(np.bincount(contest[spreads != 0.0], minlength=len(sizes)) > 2):
+        total[k] = math.fsum(spreads[starts[k] : starts[k] + sizes[k]].tolist())
+    paying = total > 0.0
+    shares = budget * (spreads / np.where(paying, total, 1.0)[contest])
+    return np.where(paying[contest], shares, (budget / sizes)[contest])
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +678,31 @@ class SimConfig:
         }
 
 
-# An output is (key, producer, observed quality, error target or None).
-Output = tuple[str, str, float, Union[float, None]]
+# An output is (producer code, producer, observed quality); codes index names.
+Output = tuple[int, str, float]
+
+
+class _Columns(NamedTuple):
+    """A signal's outputs over every query group, in group order. Ids are
+    object arrays, which compare as the exact strings; a fixed-width numpy
+    string drops a trailing NUL."""
+
+    keys: np.ndarray  # sample ids
+    producers: np.ndarray
+    codes: np.ndarray  # each producer's place in names
+    names: list[str]
+    quality: np.ndarray
+    target: np.ndarray  # the normalized reference; 0.0 where has_target is False
+    has_target: np.ndarray
+    starts: np.ndarray  # each group's first row
+    sizes: np.ndarray
+
+    def rows(self, first: int, sizes: np.ndarray) -> np.ndarray:
+        """The rows that the rounds from `first` on score, cycling through the
+        groups: sizes[i] is round first + i's group size, or 0 if skipped."""
+        groups = (first + np.arange(len(sizes))) % len(self.starts)
+        ends = np.cumsum(sizes)
+        return np.repeat(self.starts[groups] - (ends - sizes), sizes) + np.arange(ends[-1])
 
 
 class _Replay:
@@ -673,7 +716,7 @@ class _Replay:
         refuse_repeated_ids(self.samples)
         self.base_weights = base_weights
         self._signal_values: dict[QualitySignal, dict[str, float]] = {}
-        self._group_outputs: dict[QualitySignal, list[list[Output]]] = {}
+        self._columns: dict[QualitySignal, _Columns] = {}
 
     def signal_values(self, signal: QualitySignal) -> dict[str, float]:
         """The signal's value per sample id, each checked to lie in [0, 1];
@@ -702,18 +745,29 @@ class _Replay:
             by_query.setdefault(s.query, []).append(s)
         return list(by_query.values())
 
-    def group_outputs(self, signal: QualitySignal) -> list[list[Output]]:
-        """Each query group's outputs under the signal, keyed by sample id,
+    def columns(self, signal: QualitySignal) -> _Columns:
+        """The query groups' outputs under the signal, keyed by sample id,
         with the normalized reference as the error target."""
-        if signal not in self._group_outputs:
+        if signal not in self._columns:
             values = self.signal_values(signal)
             ref_norm = self.ref_norm
-            self._group_outputs[signal] = [
-                [(s.sample_id, s.producer_id, values[s.sample_id], ref_norm.get(s.sample_id))
-                 for s in group]
-                for group in self.groups
-            ]
-        return self._group_outputs[signal]
+            rows = [s for group in self.groups for s in group]
+            names: dict[str, int] = {}  # producer -> code, in order of first appearance
+            codes = [names.setdefault(s.producer_id, len(names)) for s in rows]
+            targets = [ref_norm.get(s.sample_id) for s in rows]
+            sizes = np.array([len(group) for group in self.groups])
+            self._columns[signal] = _Columns(
+                keys=np.array([s.sample_id for s in rows], dtype=object),
+                producers=np.array([s.producer_id for s in rows], dtype=object),
+                codes=np.array(codes),
+                names=list(names),
+                quality=np.array([values[s.sample_id] for s in rows], dtype=float),
+                target=np.array([0.0 if t is None else t for t in targets]),
+                has_target=np.array([t is not None for t in targets]),
+                starts=np.cumsum(sizes) - sizes,
+                sizes=sizes,
+            )
+        return self._columns[signal]
 
 
 def run_single(
@@ -730,13 +784,20 @@ def run_single(
     return _run_cell(config, replay)
 
 
-# A walk yields, for each round, the trust list after it and the round's
-# outputs as parallel columns (keys, producers, consensus, error targets) in
-# scoring order, or None when no evaluator could afford to emit.
-Scored = tuple[Sequence[str], Sequence[str], Sequence[float], Sequence[Union[float, None]]]
-Walk = Iterator[tuple[list[float], Union[Scored, None]]]
+class _Block(NamedTuple):
+    """At most ROUNDS_PER_MATRIX rounds of a walk from round `first`: the
+    trust list after each round, how many outputs each scored (0: no
+    evaluator could afford to emit), and those outputs' columns."""
 
-# Rounds per emission matrix: bounds the arrays a long fixed-trust cell holds.
+    first: int
+    trust: list[list[float]]
+    sizes: np.ndarray
+    codes: np.ndarray
+    quality: np.ndarray
+    consensus: np.ndarray
+
+
+# Rounds per block: bounds the arrays a long cell holds at once.
 ROUNDS_PER_MATRIX = 1024
 
 
@@ -752,79 +813,87 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
     trust = [1.0 / n] * n  # in listed order, like profiles
     budget = settings.budget if settings.budget is not None else math.inf
-    rng = rng_for(config.rng_seed, config.config_id)
+    rng = emit_rng = rng_for(config.rng_seed, config.config_id)
 
-    # outputs(round_index) gives a round's outputs in scoring order. Synthetic
-    # ones are lazy: an output's Beta draw follows the previous output's
-    # emissions and trust step.
+    # outputs(round_index) gives a round's outputs in scoring order (synthetic
+    # ones lazily: a Beta draw follows the previous output's emissions), and
+    # frame(block) its outputs' keys, error targets and has-target mask.
+    columns = None
     if replay is None:
         if not settings.producers:
             raise SimConfigError(
                 f"{config.config_id}: synthetic mode needs producer mean qualities"
             )
         means = sorted(settings.producers.items())
+        names = [producer for producer, _ in means]
         kappa = settings.beta_concentration
 
         def outputs(round_index: int) -> Iterator[Output]:
-            for producer, mean in means:
-                quality = float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
-                yield f"r{round_index:04d}:{producer}", producer, quality, quality
+            for code, (producer, mean) in enumerate(means):
+                yield code, producer, float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
+
+        def frame(block: _Block):
+            rounds = np.repeat(np.arange(block.first, block.first + len(block.sizes)), block.sizes)
+            keys = [f"r{r:04d}:{names[c]}" for r, c in zip(rounds.tolist(), block.codes.tolist())]
+            return keys, block.quality, np.ones(len(keys), dtype=bool)
 
     else:
         if not replay.samples:
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
-        by_group = replay.group_outputs(config.quality_signal)
+        columns = replay.columns(config.quality_signal)
+        names = columns.names
+        by_row = columns.codes.tolist(), columns.producers.tolist(), columns.quality.tolist()
+        starts, ends = columns.starts.tolist(), (columns.starts + columns.sizes).tolist()
 
         def outputs(round_index: int) -> Iterable[Output]:
-            return by_group[round_index % len(by_group)]
+            group = round_index % len(starts)
+            return zip(*(column[starts[group] : ends[group]] for column in by_row))
 
-    if trust_step is None:
-        walk = _fixed_trust_walk(
-            config.defense, trust, profiles, budget, behaviors, outputs, settings.rounds, rng,
-            replay=replay is not None,
-        )
-    else:
-        # in replay mode only emitting draws; if only Honest does, serve its
-        # noise from batched draws
-        emit_rng = rng
-        if replay is not None and not (attackers and config.attack.draws):
+        def frame(block: _Block):
+            rows = columns.rows(block.first, block.sizes)
+            return columns.keys[rows].tolist(), columns.target[rows], columns.has_target[rows]
+
+        # only emitting draws; if only Honest does, adaptive trust's scalar
+        # emits take its noise from batched draws
+        if trust_step is not None and not (attackers and config.attack.draws):
             emit_rng = _HonestNoise(rng, settings.honest_noise_sd)
-        walk = _adaptive_walk(
-            config.defense, trust_step, trust, profiles, budget, behaviors,
-            outputs, settings.rounds, emit_rng,
-        )
 
     consensus_scores: dict[str, float] = {}
-    rewards: dict[str, float] = {}
+    paid = np.zeros(len(names))  # rewards by producer code
+    payees: dict[int, None] = {}  # producer codes in order of first payout
     trajectory: list[dict[str, float]] = []
     errors: list[float] = []
     skipped = 0
-    reward_budget = settings.reward_budget
     last = None  # the trust list the latest snapshot was taken of
-    for trust, scored in walk:
-        # a walk yields a new list whenever trust moves, so rounds that
-        # yield the same list share one snapshot
-        if trust is not last:
-            snapshot, last = dict(zip(ids, trust)), trust
-        trajectory.append(snapshot)
-        if scored is None:
-            skipped += 1
+    walk = _walk(
+        config.defense, trust_step, trust, profiles, budget, behaviors, outputs, columns,
+        settings.rounds, emit_rng,
+    )
+    for block in walk:
+        for trust in block.trust:  # a new list whenever trust moves
+            if trust is not last:
+                snapshot, last = dict(zip(ids, trust)), trust
+            trajectory.append(snapshot)
+        sizes = block.sizes[block.sizes > 0]  # one contest per scored round
+        skipped += len(block.sizes) - len(sizes)
+        if not len(sizes):
             continue
-        # one contest per round; a round's keys are distinct (sample ids, or
-        # round:producer), and a key seen in an earlier round takes the new value
-        keys, producers, consensus, targets = scored
-        consensus_scores.update(zip(keys, consensus))
-        errors.extend(abs(c - t) for c, t in zip(consensus, targets) if t is not None)
-        # the one contest's shares, paid to each output's producer
-        for producer, share in zip(producers, _contest_shares(consensus, reward_budget)):
-            rewards[producer] = rewards.get(producer, 0.0) + share
+        # a round's keys are distinct (sample ids, or round:producer), and a
+        # key seen in an earlier round takes the new value
+        keys, target, has_target = frame(block)
+        consensus_scores.update(zip(keys, block.consensus.tolist()))
+        errors.extend(np.abs(block.consensus - target)[has_target].tolist())
+        # np.add.at adds in index order: each producer's shares in output order
+        np.add.at(paid, block.codes, _block_shares(block.consensus, sizes, settings.reward_budget))
+        payees.update(dict.fromkeys(block.codes.tolist()))
+    rewards = paid.tolist()
 
     return SimOutcome(
         config_id=config.config_id,
         consensus_scores=consensus_scores,
-        rewards=rewards,
+        rewards={names[code]: rewards[code] for code in payees},
         trust_trajectory=tuple(trajectory),
         consensus_error=(math.fsum(errors) / len(errors)) if errors else None,
         skipped_rounds=skipped,
@@ -832,103 +901,73 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     )
 
 
-def _adaptive_walk(
+def _walk(
     defense: DefenseConfig,
-    trust_step: TrustStep,
+    trust_step: TrustStep | None,
     trust: list[float],
     profiles: Sequence[EvaluatorProfile],
     budget: float,
     behaviors: Sequence[EvaluatorBehavior],
     outputs: Callable[[int], Iterable[Output]],
+    columns: _Columns | None,
     rounds: int,
     rng,
-) -> Walk:
-    """Output by output: each output's trust step lands before the next
-    output is scored, and each round picks its emitters under the trust the
-    last one left."""
-    for round_index in range(rounds):
-        emitters = sample_evaluators(profiles, trust, budget)  # positions, in id order
-        if not emitters:
-            yield trust, None
-            continue
-        emitting = [behaviors[i] for i in emitters]
-        scored = []
-        for key, producer, quality, target in outputs(round_index):
-            values = [b.emit(quality, round_index, rng, producer) for b in emitting]
-            consensus = defense.aggregate(values, [trust[i] for i in emitters])
-            scored.append((key, producer, consensus, target))
-            trust = trust_step(trust, emitters, values)
-        yield trust, tuple(zip(*scored))
-
-
-def _fixed_trust_walk(
-    defense: DefenseConfig,
-    trust: list[float],
-    profiles: Sequence[EvaluatorProfile],
-    budget: float,
-    behaviors: Sequence[EvaluatorBehavior],
-    outputs: Callable[[int], Iterable[Output]],
-    rounds: int,
-    rng,
-    replay: bool,
-) -> Walk:
-    """Trust never moves, so the emitters are chosen once. Each block of up
-    to ROUNDS_PER_MATRIX rounds forms one (outputs x emitters) emission
-    matrix, and the defense aggregates all its rows at once.
-
-    In replay mode, with at most one drawing behavior among the emitters,
-    the matrix is filled a column block per behavior. Otherwise it is filled
-    row by row from the scalar emit: synthetic mode's Beta draws, or the
-    draws of two behaviors, interleave output by output."""
-    emitters = sample_evaluators(profiles, trust, budget)  # positions, in id order
-    if not emitters:
-        for _ in range(rounds):
-            yield trust, None
-        return
+) -> Iterator[_Block]:
+    """The cell's rounds, a block at a time. Each round picks its emitters
+    under the trust the last one left, so fixed trust picks them once and
+    every round shares one trust list, and the defense aggregates a block's
+    (outputs x emitters) emission matrix at once. In replay mode, with at
+    most one drawing behavior among them, the block's outputs are one cyclic
+    gather from the columns and the matrix is filled a column block per
+    behavior: no Python runs per round or per output. Otherwise outputs are
+    walked one by one with scalar emits, as synthetic mode's Beta draws or
+    two behaviors' draws interleave, and adaptive trust aggregates each
+    output and steps trust before the next is scored."""
+    emitters, picked = sample_evaluators(profiles, trust, budget), trust  # positions, in id order
     emitting = [behaviors[i] for i in emitters]
-    emitter_trust = [trust[i] for i in emitters]
-    by_column = replay and sum(b.draws for b in set(emitting)) <= 1
+    # each behavior's emitters: with at most one of them drawing, its one
+    # batched draw, filled row by row, is the scalar stream
+    by_behavior: dict[EvaluatorBehavior, list[int]] = {}
+    for j, behavior in enumerate(emitting):
+        by_behavior.setdefault(behavior, []).append(j)
+    by_column = trust_step is None and columns is not None and emitters
+    by_column = by_column and sum(b.draws for b in by_behavior) <= 1
     for first in range(0, rounds, ROUNDS_PER_MATRIX):
         block = range(first, min(first + ROUNDS_PER_MATRIX, rounds))
-        by_round: list[list[Output]] = []
-        emitted: list[list[float]] = []  # per output, when filled row by row
+        if by_column:
+            round_index = np.arange(first, block.stop)
+            sizes = columns.sizes[round_index % len(columns.sizes)]
+            rows = columns.rows(first, sizes)
+            codes, quality = columns.codes[rows], columns.quality[rows]
+            round_index = np.repeat(round_index, sizes)[:, None]
+            producer_id = columns.producers[rows][:, None]
+            values = np.empty((len(rows), len(emitting)))
+            for behavior, cols in by_behavior.items():
+                block_quality = np.broadcast_to(quality[:, None], (len(rows), len(cols)))
+                values[:, cols] = behavior.emit_column(block_quality, round_index, rng, producer_id)
+            consensus = defense.aggregate_rows(values, [trust[i] for i in emitters])
+            yield _Block(first, [trust] * len(block), sizes, codes, quality, np.array(consensus))
+            continue
+        trusts, sizes, codes, quality, consensus, emitted = [], [], [], [], [], []
         for round_index in block:
-            by_round.append([])
-            for output in outputs(round_index):
-                by_round[-1].append(output)
-                if not by_column:
-                    _, producer, quality, _ = output
-                    emitted.append([b.emit(quality, round_index, rng, producer) for b in emitting])
-        values = _emission_matrix(emitting, block, by_round, rng) if by_column else np.array(emitted)
-        consensus = defense.aggregate_rows(values, emitter_trust)
-        end = 0
-        for round_outputs in by_round:
-            start, end = end, end + len(round_outputs)
-            keys, producers, _, targets = zip(*round_outputs)
-            yield trust, (keys, producers, consensus[start:end], targets)
-
-
-def _emission_matrix(
-    emitting: Sequence[EvaluatorBehavior],
-    block: range,
-    by_round: list[list[Output]],
-    rng,
-) -> np.ndarray:
-    """Every emitter's value for every output of a block of rounds, one
-    emit_column call per behavior. At most one behavior draws, so its one
-    batched draw, filled row by row, is the scalar stream."""
-    rows = [output for round_outputs in by_round for output in round_outputs]
-    quality = np.array([q for _, _, q, _ in rows])[:, None]
-    round_index = np.repeat(np.array(block), [len(r) for r in by_round])[:, None]
-    producer_id = np.array([p for _, p, _, _ in rows])[:, None]
-    columns: dict[EvaluatorBehavior, list[int]] = {}
-    for j, behavior in enumerate(emitting):
-        columns.setdefault(behavior, []).append(j)
-    values = np.empty((len(rows), len(emitting)))
-    for behavior, cols in columns.items():
-        block_quality = np.broadcast_to(quality, (len(rows), len(cols)))
-        values[:, cols] = behavior.emit_column(block_quality, round_index, rng, producer_id)
-    return values
+            if trust is not picked:
+                emitters, picked = sample_evaluators(profiles, trust, budget), trust
+                emitting = [behaviors[i] for i in emitters]
+            start = len(codes)
+            for code, producer, q in outputs(round_index) if emitters else ():
+                values = [b.emit(q, round_index, rng, producer) for b in emitting]
+                if trust_step is None:
+                    emitted.append(values)
+                else:
+                    consensus.append(defense.aggregate(values, [trust[i] for i in emitters]))
+                    trust = trust_step(trust, emitters, values)
+                codes.append(code)
+                quality.append(q)
+            trusts.append(trust)
+            sizes.append(len(codes) - start)
+        if emitted:
+            consensus = defense.aggregate_rows(np.array(emitted), [trust[i] for i in emitters])
+        yield _Block(first, trusts, *map(np.array, (sizes, codes, quality, consensus)))
 
 
 class _HonestNoise:

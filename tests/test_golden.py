@@ -14,6 +14,10 @@ Runs through the CLI, each into its own directory:
                  simulate that grid on strategy_grid's scored.jsonl for 230
                  rounds, past the fixture's 100 query groups, so output keys
                  repeat (a repeated key keeps its first place and last value);
+  wide_groups    simulate that grid on the fixture with every five consecutive
+                 records sharing one query (40 groups of five) for 1,030
+                 rounds, past the 1,024 rounds of one block, so contests of
+                 five outputs are settled block by block;
   synthetic_grid simulate every attack x defense in synthetic mode;
   unicode        score the fixture's first records with non-ASCII output and
                  reference texts (dotted capital I, sharp s, combining marks,
@@ -92,14 +96,25 @@ def _unicode_fixture(root: Path) -> str:
     return str(path)
 
 
+def _wide_groups_fixture(root: Path) -> str:
+    """The fixture with each run of five records on the first one's query."""
+    records = [json.loads(line) for line in Path(RAW).read_text(encoding="utf-8").splitlines()]
+    for i, record in enumerate(records):
+        record["query"] = records[i - i % 5]["query"]
+    path = root / "wide_groups.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
 def _strategy_grid_variant(root: Path, variant: str) -> str:
-    """strategy_grid.yaml with its evaluator list reversed ("reversed") or
-    its rounds raised past the fixture's query groups ("cycling")."""
+    """strategy_grid.yaml with its evaluator list reversed ("reversed"), or
+    its rounds raised past the fixture's query groups ("cycling") or past
+    one block of rounds ("wide")."""
     config = yaml.safe_load((FIXTURES / "strategy_grid.yaml").read_text(encoding="utf-8"))
     if variant == "reversed":
         config["sim"]["evaluators"].reverse()
     else:
-        config["sim"]["rounds"] = 230
+        config["sim"]["rounds"] = 1030 if variant == "wide" else 230
     path = root / f"strategy_grid_{variant}.yaml"
     path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
     return str(path)
@@ -136,6 +151,9 @@ def _commands(case: str, root: Path) -> list[list[str]]:
             ["score", *config, "--input", RAW, *common],
             ["simulate", *config, "--input", scored, *common],
         ]
+    if case == "wide_groups":
+        config = ["--config", _strategy_grid_variant(root, "wide")]
+        return [["simulate", *config, "--input", _wide_groups_fixture(root), *common]]
     if case == "unicode":
         config = ["--config", str(FIXTURES / "replay_config.yaml")]
         return [["score", *config, "--input", _unicode_fixture(root), *common]]
@@ -154,6 +172,7 @@ CASES = (
     "strategy_grid",
     "strategy_grid-reversed",
     "strategy_grid-cycling",
+    "wide_groups",
     "synthetic_grid",
     *(f"report-{variant}" for variant in PER_TASK),
     *(f"calibrate-{variant}" for variant in PER_TASK),

@@ -45,8 +45,10 @@ from mdqs.io import (
     write_jsonl,
 )
 from mdqs.model import (
+    CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
     DimensionId,
+    DimensionVector,
     EvaluatorProfile,
     WeightConfig,
 )
@@ -164,6 +166,27 @@ def test_from_record_schema_errors():
     ):
         with pytest.raises(SchemaError):
             from_record(full_record() | bad)
+
+
+def test_dims_fill_the_canonical_row_by_name():
+    # the row filled through the name table is the vector a {DimensionId:
+    # score} mapping builds, for any subset of names in any order
+    rng = random.Random(18)
+    names = [d.value for d in CANONICAL_DIMENSIONS]
+    for _ in range(300):
+        chosen = rng.sample(names, rng.randint(1, len(names)))
+        dims = {name: rng.choice([0.0, -0.0, 1, 1.0, rng.random()]) for name in chosen}
+        expected = DimensionVector({DimensionId(name): v for name, v in dims.items()})
+        got = from_record(full_record() | {"dims": dims}).dimension_scores
+        assert [repr(v) for v in got.row] == [repr(v) for v in expected.row]
+        assert got == expected
+    for empty in ({}, None):
+        assert from_record(full_record() | {"dims": empty}).dimension_scores is None
+    known = ", ".join(names)
+    with pytest.raises(SchemaError, match=rf"^unknown dimension 'vibes' \(known: {known}\)$"):
+        from_record(full_record() | {"dims": {"semantic": 0.5, "vibes": 0.5}})
+    with pytest.raises(SchemaError, match=r"^dims\.semantic must be in \[0, 1\], got 1\.5$"):
+        from_record(full_record() | {"dims": {"semantic": 1.5, "vibes": 0.5}})
 
 
 def test_ingest_collects_issues(tmp_path):

@@ -2,7 +2,7 @@
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_args
 
@@ -44,8 +44,8 @@ from mdqs.poq import (
     SimSettings,
     SingleEvaluator,
     TrimmedMean,
+    _block_shares,
     _Replay,
-    _contest_shares,
     _run_cell,
     attack_label,
     run_experiment,
@@ -460,15 +460,60 @@ def test_column_emits_match_the_scalar_emits():
 
 # --------------------------------------------------------------- rewards
 
+def _contest_shares(scores, budget):
+    """One contest's payouts, parallel to its non-empty scores: each output
+    earns in proportion to max(score - min score, 0), and a zero spread
+    splits the budget equally. This was the run loop's per-round rule; it is
+    kept as the oracle for _block_shares."""
+    low = min(scores)
+    spreads = [max(s - low, 0.0) for s in scores]
+    total = math.fsum(spreads)
+    if total > 0.0:
+        return [budget * (spread / total) for spread in spreads]
+    return [budget / len(scores)] * len(scores)
+
+
 def test_contest_shares_proportional_to_spread():
-    shares = _contest_shares([0.2, 0.6, 1.0], 1.0)
+    shares = _block_shares(np.array([0.2, 0.6, 1.0]), np.array([3]), 1.0).tolist()
     assert shares[0] == 0.0
     assert shares[1] == pytest.approx(1.0 / 3.0)
     assert shares[2] == pytest.approx(2.0 / 3.0)
 
 
 def test_contest_shares_zero_spread_splits_equally():
-    assert _contest_shares([0.5, 0.5, 0.5], 0.9) == pytest.approx([0.3, 0.3, 0.3])
+    shares = _block_shares(np.array([0.5, 0.5, 0.5]), np.array([3]), 0.9).tolist()
+    assert shares == pytest.approx([0.3, 0.3, 0.3])
+
+
+def _random_contest(rng):
+    """1-6 scores drawn from a tie-prone grid with both zeros, or uniform,
+    or a mix; often with three or more distinct nonzero spreads."""
+    size = int(rng.integers(1, 7))
+    grid = np.array([-0.0, 0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 1 / 3])
+    kind = int(rng.integers(3))
+    tied = rng.choice(grid, size=size)
+    free = rng.uniform(size=size) * (10.0 ** -rng.integers(0, 18))
+    scores = [tied, free, np.where(rng.uniform(size=size) < 0.5, tied, free)][kind]
+    return scores.tolist()
+
+
+def test_block_shares_match_the_per_contest_reference():
+    rng = np.random.default_rng(31)
+    fsum_contests = zero_spread = signed_zero_low = 0
+    for _ in range(600):
+        contests = [_random_contest(rng) for _ in range(int(rng.integers(1, 40)))]
+        budget = float(rng.choice([0.0, 1.0, 0.7, 3.0]))
+        expected = [float.hex(v) for c in contests for v in _contest_shares(c, budget)]
+        flat = np.array([v for c in contests for v in c])
+        sizes = np.array([len(c) for c in contests])
+        assert [float.hex(v) for v in _block_shares(flat, sizes, budget).tolist()] == expected
+        for c in contests:
+            spreads = [s - min(c) for s in c]
+            fsum_contests += sum(s != 0.0 for s in spreads) > 2
+            zero_spread += all(s == 0.0 for s in spreads)
+            signed_zero_low += min(c) == 0.0 and len({math.copysign(1, s) for s in c if s == 0}) > 1
+    # every branch ran: the fsum path, equal splits and a zero minimum of either sign
+    assert fsum_contests > 1000 and zero_spread > 500 and signed_zero_low > 200
 
 
 # ---------------------------------------------------------------- config
@@ -1107,3 +1152,44 @@ def test_run_cell_matches_the_one_by_one_reference():
     assert {s[0] for s in seen} == {True, False}
     assert {s[1] for s in seen} == {attack_label(a) for a in ORACLE_ATTACKS}
     assert {s[2] for s in seen} == set(ORACLE_DEFENSES)
+
+
+def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
+    # query groups of 4 and 5 samples, so most contests have three or more
+    # nonzero spreads (the fsum path), over 1,025-1,100 rounds: past the
+    # first block of rounds, and cycling through the 40 groups many times
+    samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples[:180]
+    queries = [f"wide-{g}" for g, size in enumerate([4, 5] * 20) for _ in range(size)]
+    replay = _Replay(
+        [replace(s, query=q) for s, q in zip(samples, queries)], DEFAULT_WEIGHTS
+    )
+    assert sorted({len(group) for group in replay.groups}) == [4, 5]
+    rng = np.random.default_rng(5)
+    for index, defense in enumerate([*ORACLE_DEFENSES, Mean(), Median()]):
+        cell = _oracle_cell(rng, index)
+        settings = replace(cell.settings, rounds=int(rng.choice([1025, 1030, 1100])), budget=None)
+        config = replace(cell, settings=settings, defense=defense, quality_signal=ORACLE_SIGNALS[0])
+        expected = _fingerprint(lambda: _ref_run_cell(config, replay))
+        assert expected[0] == "outcome"
+        assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
+
+
+def test_collude_does_not_match_a_producer_id_with_a_trailing_nul():
+    # a fixed-width numpy string drops a trailing NUL, so "m\0" read as "m"
+    dataset = [
+        LoggedSample(
+            sample_id=sid,
+            task=TaskFamily("qa"),
+            producer_id=producer,
+            query="q",
+            output=f"answer {sid}",
+            evaluator_scores={"j": j, "k": 0.5},
+        )
+        for sid, producer, j in (("s0", "m", 0.3), ("s1", "m\u0000", 0.6))
+    ]
+    config = replay_config(
+        evaluators=profiles(2), attack=Collude("m", 0.2), attack_ratio=1.0, rounds=2
+    )
+    expected = _fingerprint(lambda: _ref_run_cell(config, _Replay(dataset, DEFAULT_WEIGHTS)))
+    assert _fingerprint(lambda: _run_cell(config, _Replay(dataset, DEFAULT_WEIGHTS))) == expected
+    assert run_single(config, dataset=dataset).consensus_scores["s1"] == 0.8
