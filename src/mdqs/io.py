@@ -182,11 +182,13 @@ def _dims(raw) -> DimensionVector | None:
     dims = _section(raw, "dims")
     if not dims:
         return None
-    if not dims.keys() <= _COLUMN_BY_NAME.keys():  # the mapping reader words the error
-        return DimensionVector(_dimension_map(dims, "dims", _unit))
     row = [None] * len(CANONICAL_DIMENSIONS)
     for name, value in dims.items():
-        row[_COLUMN_BY_NAME[name]] = _unit(value, f"dims.{name}")
+        col = _COLUMN_BY_NAME.get(str(name))
+        if col is None:  # parse_dimension's words
+            known = ", ".join(_COLUMN_BY_NAME)
+            raise SchemaError(f"unknown dimension {str(name)!r} (known: {known})")
+        row[col] = _unit(value, f"dims.{name}")
     return DimensionVector(tuple(row))
 
 

@@ -474,10 +474,11 @@ def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np
     """Payouts of consecutive contests of sizes[k] > 0 outputs: each output
     earns in proportion to its spread, max(score - min score, 0), and a zero
     total splits the budget equally. The bits are those of one contest at a
-    time through Python's min, max and math.fsum:
-    - min picks the first of equal minima. Only a zero minimum's sign can
-      differ from np.minimum's, so those contests ask min itself. Then
-      score - low is >= 0 or -0.0, which max(score - low, 0.0) keeps as is.
+    time through Python's min, max and math.fsum, but for a zero share's
+    sign, which a reward summed from +0.0 cannot show:
+    - np.minimum and min agree on the minimum but for a zero's sign, and
+      score - low is score for a nonzero score, so only zero spreads can
+      differ in sign. score - low >= 0, which max(score - low, 0.0) keeps.
     - The minimum's own spread is 0. With at most two nonzero spreads a and
       b (each at most about 1, so nothing overflows), every other term is a
       zero, adding a zero is exact, and so in any order the one rounded step
@@ -489,8 +490,6 @@ def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np
     contest = np.repeat(np.arange(len(sizes)), sizes)
     low = np.full(len(sizes), np.inf)
     np.minimum.at(low, contest, consensus)
-    for k in np.flatnonzero(low == 0.0):
-        low[k] = min(consensus[starts[k] : starts[k] + sizes[k]].tolist())
     spreads = consensus - low[contest]
     total = np.bincount(contest, weights=spreads, minlength=len(sizes))
     for k in np.flatnonzero(np.bincount(contest[spreads != 0.0], minlength=len(sizes)) > 2):
@@ -688,12 +687,10 @@ class _Columns(NamedTuple):
     string drops a trailing NUL."""
 
     keys: np.ndarray  # sample ids
-    producers: np.ndarray
     codes: np.ndarray  # each producer's place in names
-    names: list[str]
+    names: np.ndarray  # producer ids, in order of first appearance
     quality: np.ndarray
-    target: np.ndarray  # the normalized reference; 0.0 where has_target is False
-    has_target: np.ndarray
+    target: np.ndarray  # the normalized reference; NaN where a sample has none
     starts: np.ndarray  # each group's first row
     sizes: np.ndarray
 
@@ -752,18 +749,15 @@ class _Replay:
             values = self.signal_values(signal)
             ref_norm = self.ref_norm
             rows = [s for group in self.groups for s in group]
-            names: dict[str, int] = {}  # producer -> code, in order of first appearance
+            names: dict[str, int] = {}  # producer -> code
             codes = [names.setdefault(s.producer_id, len(names)) for s in rows]
-            targets = [ref_norm.get(s.sample_id) for s in rows]
             sizes = np.array([len(group) for group in self.groups])
             self._columns[signal] = _Columns(
                 keys=np.array([s.sample_id for s in rows], dtype=object),
-                producers=np.array([s.producer_id for s in rows], dtype=object),
                 codes=np.array(codes),
-                names=list(names),
+                names=np.array(list(names), dtype=object),
                 quality=np.array([values[s.sample_id] for s in rows], dtype=float),
-                target=np.array([0.0 if t is None else t for t in targets]),
-                has_target=np.array([t is not None for t in targets]),
+                target=np.array([ref_norm.get(s.sample_id, math.nan) for s in rows]),
                 starts=np.cumsum(sizes) - sizes,
                 sizes=sizes,
             )
@@ -817,7 +811,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
 
     # outputs(round_index) gives a round's outputs in scoring order (synthetic
     # ones lazily: a Beta draw follows the previous output's emissions), and
-    # frame(block) its outputs' keys, error targets and has-target mask.
+    # frame(block) its outputs' keys and error targets (NaN: no target).
     columns = None
     if replay is None:
         if not settings.producers:
@@ -835,7 +829,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
         def frame(block: _Block):
             rounds = np.repeat(np.arange(block.first, block.first + len(block.sizes)), block.sizes)
             keys = [f"r{r:04d}:{names[c]}" for r, c in zip(rounds.tolist(), block.codes.tolist())]
-            return keys, block.quality, np.ones(len(keys), dtype=bool)
+            return keys, block.quality
 
     else:
         if not replay.samples:
@@ -844,7 +838,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
         columns = replay.columns(config.quality_signal)
         names = columns.names
-        by_row = columns.codes.tolist(), columns.producers.tolist(), columns.quality.tolist()
+        by_row = [c.tolist() for c in (columns.codes, names[columns.codes], columns.quality)]
         starts, ends = columns.starts.tolist(), (columns.starts + columns.sizes).tolist()
 
         def outputs(round_index: int) -> Iterable[Output]:
@@ -853,7 +847,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
 
         def frame(block: _Block):
             rows = columns.rows(block.first, block.sizes)
-            return columns.keys[rows].tolist(), columns.target[rows], columns.has_target[rows]
+            return columns.keys[rows].tolist(), columns.target[rows]
 
         # only emitting draws; if only Honest does, adaptive trust's scalar
         # emits take its noise from batched draws
@@ -882,9 +876,10 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             continue
         # a round's keys are distinct (sample ids, or round:producer), and a
         # key seen in an earlier round takes the new value
-        keys, target, has_target = frame(block)
+        keys, target = frame(block)
         consensus_scores.update(zip(keys, block.consensus.tolist()))
-        errors.extend(np.abs(block.consensus - target)[has_target].tolist())
+        error = np.abs(block.consensus - target)
+        errors.extend(error[~np.isnan(error)].tolist())
         # np.add.at adds in index order: each producer's shares in output order
         np.add.at(paid, block.codes, _block_shares(block.consensus, sizes, settings.reward_budget))
         payees.update(dict.fromkeys(block.codes.tolist()))
@@ -940,7 +935,7 @@ def _walk(
             rows = columns.rows(first, sizes)
             codes, quality = columns.codes[rows], columns.quality[rows]
             round_index = np.repeat(round_index, sizes)[:, None]
-            producer_id = columns.producers[rows][:, None]
+            producer_id = columns.names[codes][:, None]
             values = np.empty((len(rows), len(emitting)))
             for behavior, cols in by_behavior.items():
                 block_quality = np.broadcast_to(quality[:, None], (len(rows), len(cols)))
