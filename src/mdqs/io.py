@@ -94,7 +94,12 @@ _KNOWN_RECORD_FIELDS = frozenset(
 def _number(value, where: str) -> float:
     """A finite number from a record or a config; bools are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where} must be a number, got {type(value).__name__}")
+        got = type(value).__name__
+        if isinstance(value, str):
+            got += f" {value[:40]!r}{'...' if len(value) > 40 else ''}"
+            if _finite_text(value):
+                got += "; write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
+        raise SchemaError(f"{where} must be a number, got {got}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond float range
@@ -102,6 +107,16 @@ def _number(value, where: str) -> float:
     if not math.isfinite(number):
         raise SchemaError(f"{where} must be finite, got {number!r}")
     return number
+
+
+def _finite_text(text: str) -> bool:
+    """Whether float() reads the text as a finite number. PyYAML follows
+    YAML 1.1, which loads 1e-3, 1.0e3 and 1E+3 as strings: only a dot and a
+    signed exponent (1.0e-3) load as a float."""
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def _section(raw, where: str, keys: Sequence[str] | None = None) -> dict:

@@ -12,16 +12,17 @@ evaluator-id order, and a defense sees their values and trust as parallel
 lists in that order, so the weighted median and trimmed mean break value
 ties by evaluator id.
 
-A cell runs in blocks of up to ROUNDS_PER_MATRIX rounds, one of two ways.
-When its defense keeps trust fixed (mean, median, trimmed mean), it selects
-its emitters once, builds one (outputs x emitters) emission matrix per
-block and aggregates every row at once. Under adaptive trust it walks the
-outputs in order, each output's trust step before the next output. Both
-paths draw the same values in the same order as one scalar draw per output
-per emitter, so the RNG stream and every report byte are the same either
-way, and both give a block's outputs as columns, which the cell books at
-once: consensus scores, errors, contest shares and rewards. Both serve the
-two modes, which differ only in the outputs a round scores:
+A cell runs in blocks of up to ROUNDS_PER_MATRIX rounds, one of three ways
+(see _walk): the fixed-trust column path, which aggregates a block's
+(outputs x emitters) emission matrix at once; adaptive replay on block
+columns, which reads emissions from per-block columns and steps trust after
+each output; and the scalar walk, for synthetic mode and for two drawing
+behaviors. All draw the same values in the same order as one scalar draw
+per output per drawing emitter, so the RNG stream and every report byte are
+the same either way, and all give a block's outputs as columns, which the
+cell books at once: consensus scores, errors, contest shares and rewards.
+The column paths are replay's; the two modes differ only in the outputs a
+round scores:
 
   synthetic: per-producer latent quality drawn from a Beta distribution each
       round; evaluators observe that latent value, and the error is measured
@@ -257,20 +258,24 @@ def attack_label(attack: AttackStrategy | None) -> str:
 #
 # aggregate(values, trust) gets the emitters' values and trust as parallel
 # lists in evaluator-id order. A trust step maps (whole trust list, emitter
-# positions, their values) to the next trust list. A defense that keeps
-# trust fixed also has aggregate_rows(values, trust): aggregate applied to
-# each row of an (outputs x emitters) array, with the same results to the
-# bit.
+# positions, their values) to the next trust list; a consensus step maps the
+# same to (aggregate of the values, next trust list). A defense that keeps
+# trust fixed has neither, and has aggregate_rows(values, trust): aggregate
+# applied to each row of an (outputs x emitters) array, with the same
+# results to the bit.
 
 
 TrustStep = Callable[[list[float], Sequence[int], Sequence[float]], list[float]]
+ConsensusStep = Callable[[list[float], Sequence[int], Sequence[float]], tuple[float, list[float]]]
 
 
 class _FixedTrust:
     """Defenses under which trust never moves."""
 
-    def trust_step(self, n_evaluators: int, config_id: str) -> TrustStep | None:
+    def consensus_step(self, n_evaluators: int, config_id: str) -> ConsensusStep | None:
         return None
+
+    trust_step = consensus_step
 
 
 @dataclass(frozen=True)
@@ -375,11 +380,13 @@ class AdaptiveTrust:
     def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
         return _weighted_mean(values, trust)
 
-    def trust_step(self, n_evaluators: int, config_id: str) -> TrustStep:
-        """Per-output multiplicative downdate: each emitter's weight shrinks
-        with its distance from the trust-weighted median, never below the
-        floor, and the list is renormalized back onto the simplex. Evaluators
-        who did not emit keep their weight (before renormalization)."""
+    def consensus_step(self, n_evaluators: int, config_id: str) -> ConsensusStep:
+        """One output's aggregate and trust step, from one renormalization
+        of the emitters' trust: the consensus is aggregate(values, emitter
+        trust), and each emitter's weight shrinks with its distance from the
+        trust-weighted median, never below the floor, before the list is
+        renormalized back onto the simplex. Evaluators who did not emit keep
+        their weight (before renormalization)."""
         n = n_evaluators
         floor = self.floor if self.floor is not None else 0.01 / n
         if floor > 1.0 / n:
@@ -388,14 +395,20 @@ class AdaptiveTrust:
         exp = math.exp
 
         def step(trust: list[float], emitters: Sequence[int], values: Sequence[float]):
-            reference = weighted_median(values, [trust[i] for i in emitters])
+            weights = _renormalized([trust[i] for i in emitters])
+            reference = _median_at_half(values, weights)
             updated = list(trust)
             for i, value in zip(emitters, values):
                 shrunk = trust[i] * exp(rate * abs(value - reference))
                 updated[i] = shrunk if shrunk > floor else floor  # max(floor, shrunk)
-            return _renormalized(updated)
+            return math.fsum(map(operator.mul, weights, values)), _renormalized(updated)
 
         return step
+
+    def trust_step(self, n_evaluators: int, config_id: str) -> TrustStep:
+        """consensus_step's next trust list alone."""
+        step = self.consensus_step(n_evaluators, config_id)
+        return lambda trust, emitters, values: step(trust, emitters, values)[1]
 
 
 DefenseConfig = Union[Mean, Median, TrimmedMean, AdaptiveTrust]
@@ -424,7 +437,11 @@ def weighted_median(values: Sequence[float], trust: Sequence[float]) -> float:
     """
     if not values:
         raise ValueError("cannot take the median of zero scores")
-    weights = _renormalized(trust)
+    return _median_at_half(values, _renormalized(trust))
+
+
+def _median_at_half(values: Sequence[float], weights: Sequence[float]) -> float:
+    """weighted_median's walk over weights already on the simplex."""
     ordered = _by_value(values)
     cumulative = 0.0
     for i in ordered:
@@ -804,10 +821,10 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     attackers = config.attacker_count()
     attacker_ids = frozenset(ids[:attackers])
 
-    trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
+    step = config.defense.consensus_step(n, config.config_id)  # None: trust stays put
     trust = [1.0 / n] * n  # in listed order, like profiles
     budget = settings.budget if settings.budget is not None else math.inf
-    rng = emit_rng = rng_for(config.rng_seed, config.config_id)
+    rng = rng_for(config.rng_seed, config.config_id)
 
     # outputs(round_index) gives a round's outputs in scoring order (synthetic
     # ones lazily: a Beta draw follows the previous output's emissions), and
@@ -849,11 +866,6 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             rows = columns.rows(block.first, block.sizes)
             return columns.keys[rows].tolist(), columns.target[rows]
 
-        # only emitting draws; if only Honest does, adaptive trust's scalar
-        # emits take its noise from batched draws
-        if trust_step is not None and not (attackers and config.attack.draws):
-            emit_rng = _HonestNoise(rng, settings.honest_noise_sd)
-
     consensus_scores: dict[str, float] = {}
     paid = np.zeros(len(names))  # rewards by producer code
     payees: dict[int, None] = {}  # producer codes in order of first payout
@@ -862,8 +874,8 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     skipped = 0
     last = None  # the trust list the latest snapshot was taken of
     walk = _walk(
-        config.defense, trust_step, trust, profiles, budget, behaviors, outputs, columns,
-        settings.rounds, emit_rng,
+        config.defense, step, trust, profiles, budget, behaviors, outputs, columns,
+        settings.rounds, rng,
     )
     for block in walk:
         for trust in block.trust:  # a new list whenever trust moves
@@ -898,7 +910,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
 
 def _walk(
     defense: DefenseConfig,
-    trust_step: TrustStep | None,
+    step: ConsensusStep | None,
     trust: list[float],
     profiles: Sequence[EvaluatorProfile],
     budget: float,
@@ -908,16 +920,24 @@ def _walk(
     rounds: int,
     rng,
 ) -> Iterator[_Block]:
-    """The cell's rounds, a block at a time. Each round picks its emitters
-    under the trust the last one left, so fixed trust picks them once and
-    every round shares one trust list, and the defense aggregates a block's
-    (outputs x emitters) emission matrix at once. In replay mode, with at
-    most one drawing behavior among them, the block's outputs are one cyclic
-    gather from the columns and the matrix is filled a column block per
-    behavior: no Python runs per round or per output. Otherwise outputs are
-    walked one by one with scalar emits, as synthetic mode's Beta draws or
-    two behaviors' draws interleave, and adaptive trust aggregates each
-    output and steps trust before the next is scored."""
+    """The cell's rounds, a block at a time, run one of three ways. Each
+    round picks its emitters under the trust the last one left, so fixed
+    trust picks them once, and every emitter that draws takes one draw per
+    output, in evaluator-id order.
+
+    - The fixed-trust column path (replay, at most one drawing behavior
+      among the emitters): the block's outputs are one cyclic gather from
+      the columns, the (outputs x emitters) emission matrix is filled a
+      column block per behavior, and the defense aggregates it at once; no
+      Python runs per round or per output.
+    - Adaptive replay on block columns (only Honest draws): the same gather,
+      and one emission column per behavior that does not draw. Each output
+      reads its emitters' values from those columns, and Honest noise from
+      batched draws, then takes its consensus step before the next output.
+    - The scalar walk (synthetic mode, whose Beta draws interleave with the
+      emissions, or two drawing behaviors): outputs one by one with scalar
+      emits; fixed trust aggregates the block's matrix at once, adaptive
+      trust steps per output."""
     emitters, picked = sample_evaluators(profiles, trust, budget), trust  # positions, in id order
     emitting = [behaviors[i] for i in emitters]
     # each behavior's emitters: with at most one of them drawing, its one
@@ -925,17 +945,23 @@ def _walk(
     by_behavior: dict[EvaluatorBehavior, list[int]] = {}
     for j, behavior in enumerate(emitting):
         by_behavior.setdefault(behavior, []).append(j)
-    by_column = trust_step is None and columns is not None and emitters
+    by_column = step is None and columns is not None and emitters
     by_column = by_column and sum(b.draws for b in by_behavior) <= 1
+    drawing = [b for b in behaviors if b.draws]
+    by_table = step is not None and columns is not None
+    by_table = by_table and all(isinstance(b, Honest) for b in drawing)
+    if by_table and drawing:
+        noise = _honest_noise(rng, drawing[0].noise_sd)
     for first in range(0, rounds, ROUNDS_PER_MATRIX):
         block = range(first, min(first + ROUNDS_PER_MATRIX, rounds))
-        if by_column:
+        if by_column or by_table:
             round_index = np.arange(first, block.stop)
             sizes = columns.sizes[round_index % len(columns.sizes)]
             rows = columns.rows(first, sizes)
             codes, quality = columns.codes[rows], columns.quality[rows]
             round_index = np.repeat(round_index, sizes)[:, None]
             producer_id = columns.names[codes][:, None]
+        if by_column:
             values = np.empty((len(rows), len(emitting)))
             for behavior, cols in by_behavior.items():
                 block_quality = np.broadcast_to(quality[:, None], (len(rows), len(cols)))
@@ -943,7 +969,37 @@ def _walk(
             consensus = defense.aggregate_rows(values, [trust[i] for i in emitters])
             yield _Block(first, [trust] * len(block), sizes, codes, quality, np.array(consensus))
             continue
-        trusts, sizes, codes, quality, consensus, emitted = [], [], [], [], [], []
+        trusts, consensus = [], []
+        if by_table:
+            # a drawing Honest emitter reads None: its value is
+            # _clip01(quality + noise), which is the sum itself inside (0, 1),
+            # with the noise drawn in emitter order
+            table = {
+                b: b.emit_column(quality[:, None], round_index, rng, producer_id)[:, 0].tolist()
+                for b in set(behaviors) if not b.draws
+            }
+            sources = [table.get(behaviors[i]) for i in emitters]
+            q, start, scored = quality.tolist(), 0, []
+            for size in sizes.tolist():
+                if trust is not picked:
+                    emitters, picked = sample_evaluators(profiles, trust, budget), trust
+                    sources = [table.get(behaviors[i]) for i in emitters]
+                for row in range(start, start + size) if emitters else ():
+                    values = [
+                        s[row] if s is not None
+                        else x if 0.0 < (x := q[row] + next(noise)) < 1.0 else _clip01(x)
+                        for s in sources
+                    ]
+                    c, trust = step(trust, emitters, values)
+                    consensus.append(c)
+                trusts.append(trust)
+                scored.append(size if emitters else 0)
+                start += size
+            kept = np.repeat(np.array(scored) > 0, sizes)
+            consensus = np.array(consensus)
+            yield _Block(first, trusts, np.array(scored), codes[kept], quality[kept], consensus)
+            continue
+        sizes, codes, quality, emitted = [], [], [], []
         for round_index in block:
             if trust is not picked:
                 emitters, picked = sample_evaluators(profiles, trust, budget), trust
@@ -951,11 +1007,11 @@ def _walk(
             start = len(codes)
             for code, producer, q in outputs(round_index) if emitters else ():
                 values = [b.emit(q, round_index, rng, producer) for b in emitting]
-                if trust_step is None:
+                if step is None:
                     emitted.append(values)
                 else:
-                    consensus.append(defense.aggregate(values, [trust[i] for i in emitters]))
-                    trust = trust_step(trust, emitters, values)
+                    c, trust = step(trust, emitters, values)
+                    consensus.append(c)
                 codes.append(code)
                 quality.append(q)
             trusts.append(trust)
@@ -965,25 +1021,15 @@ def _walk(
         yield _Block(first, trusts, *map(np.array, (sizes, codes, quality, consensus)))
 
 
-class _HonestNoise:
-    """Stands in for a replay cell's Generator when Honest.emit is the only
-    caller that draws: serves each rng.normal(0.0, sd) from batched draws.
-    A batch holds the values as many scalar calls would return, and nothing
-    else reads the cell's Generator, so the emissions stay the same."""
+NOISE_BATCH = 4096
 
-    BATCH = 4096
 
-    def __init__(self, rng, sd: float):
-        self._rng = rng
-        self._sd = sd
-        self._values: Iterator[float] = iter(())
-
-    def normal(self, loc: float, scale: float) -> float:
-        value = next(self._values, None)
-        if value is None:
-            self._values = iter(self._rng.normal(0.0, self._sd, self.BATCH).tolist())
-            value = next(self._values)
-        return value
+def _honest_noise(rng, sd: float) -> Iterator[float]:
+    """The values of successive rng.normal(0.0, sd) calls, drawn NOISE_BATCH
+    at a time: a batch holds what as many scalar calls would return. Only
+    for a cell whose Generator nothing else reads, as the draws run ahead."""
+    while True:
+        yield from rng.normal(0.0, sd, NOISE_BATCH).tolist()
 
 
 def run_experiment(

@@ -18,6 +18,7 @@ from mdqs.audit import (
     dimension_means_by_producer,
     with_composites,
 )
+from mdqs.cli import main
 from mdqs.composite import VARIANTS, variant
 from mdqs.errors import (
     MdqsError,
@@ -459,6 +460,34 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text("seed: true\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         load_config(path)
+
+
+def test_a_number_that_yaml_reads_as_text_is_refused_with_its_text(tmp_path, capsys):
+    # PyYAML follows YAML 1.1: an exponent without a dot or without a sign
+    # loads as a string, so these are refused, quoting what was read
+    config = tmp_path / "run.yaml"
+    sim = "sim:\n  evaluators: [{id: e1}]\n  producers: {a: 0.5}\n  defenses:\n"
+    hint = "write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
+    for text in ("1e-3", "1.0e3", "1E+3", "' 2.5 '", '"0.5"'):
+        config.write_text(sim + f"    - {{type: adaptive_trust, learning_rate: {text}}}\n")
+        read = text.strip("'\"")
+        expected = f"sim.defenses[0].learning_rate must be a number, got str {read!r}; {hint}"
+        with pytest.raises(SchemaError) as caught:
+            load_config(config)
+        assert str(caught.value) == expected
+        assert main(["validate", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+        assert expected in capsys.readouterr().err
+    # text that is not a finite number gets no hint, and long text is cut
+    for text, read in (("nan", "'nan'"), ("'-inf'", "'-inf'"), ("x" * 50, repr("x" * 40) + "...")):
+        config.write_text(sim + f"    - {{type: adaptive_trust, learning_rate: {text}}}\n")
+        with pytest.raises(SchemaError) as caught:
+            load_config(config)
+        message = str(caught.value)
+        assert message == f"sim.defenses[0].learning_rate must be a number, got str {read}"
+    # a dot and a signed exponent load as a float, as before
+    config.write_text(sim + "    - {type: adaptive_trust, learning_rate: 1.0e-3}\n")
+    (defense,) = load_config(config).sim.defenses
+    assert defense.learning_rate == 0.001
 
 
 def test_load_config_per_task_synthetic(tmp_path):

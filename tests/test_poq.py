@@ -25,6 +25,7 @@ from mdqs.model import (
 from mdqs.poq import (
     ATTACKS,
     DEFENSES,
+    NOISE_BATCH,
     SIGNALS,
     AdaptiveTrust,
     AttackStrategy,
@@ -45,6 +46,7 @@ from mdqs.poq import (
     SingleEvaluator,
     TrimmedMean,
     _block_shares,
+    _honest_noise,
     _Replay,
     _run_cell,
     attack_label,
@@ -413,6 +415,47 @@ def test_list_forms_match_the_dict_keyed_reference():
             for i, v in zip(emitters, values)
         )
     assert floor_hits > 100
+
+
+def test_consensus_step_matches_the_dict_keyed_reference():
+    # one renormalization of the emitters' trust serves the mean and the
+    # median: the consensus is the reference mean, and the next trust the
+    # reference downdate at the reference median, bit for bit
+    rng = np.random.default_rng(2019)
+    floor_hits = 0
+    for _ in range(600):
+        listed, trust, emitters, values = _random_case(rng)
+        trust_by_id = dict(zip(listed, trust))
+        scores = {listed[i]: v for i, v in zip(emitters, values)}
+        mean = _ref_weighted_mean(scores, trust_by_id).hex()
+        reference = _ref_weighted_median(scores, trust_by_id)
+        given = list(trust)
+        n = len(listed)
+        for learning_rate in (0.0, 1.0, 5.0, 50.0):
+            for floor in (0.0, 0.01 / n, 1.0 / n):
+                defense = AdaptiveTrust(learning_rate=learning_rate, floor=floor)
+                consensus, updated = defense.consensus_step(n, "t")(trust, emitters, values)
+                assert consensus.hex() == mean
+                expected = _ref_update_trust(trust_by_id, scores, reference, learning_rate, floor)
+                assert [t.hex() for t in updated] == [expected[e].hex() for e in listed]
+                assert trust == given  # the step returns a new list
+                floor_hits += any(
+                    trust[i] * math.exp(-learning_rate * abs(v - reference)) < floor
+                    for i, v in zip(emitters, values)
+                )
+    assert floor_hits > 500
+
+
+def test_honest_noise_serves_the_scalar_normal_stream():
+    # batches of NOISE_BATCH draws hold the values of as many scalar calls,
+    # across batch ends too
+    count = 9000
+    assert count > 2 * NOISE_BATCH
+    for sd in (0.05, 0.5):
+        scalar, batched = np.random.default_rng(31), np.random.default_rng(31)
+        expected = [float(scalar.normal(0.0, sd)).hex() for _ in range(count)]
+        noise = _honest_noise(batched, sd)
+        assert [next(noise).hex() for _ in range(count)] == expected
 
 
 def test_row_forms_match_the_scalar_aggregates():
@@ -1193,3 +1236,68 @@ def test_collude_does_not_match_a_producer_id_with_a_trailing_nul():
     expected = _fingerprint(lambda: _ref_run_cell(config, _Replay(dataset, DEFAULT_WEIGHTS)))
     assert _fingerprint(lambda: _run_cell(config, _Replay(dataset, DEFAULT_WEIGHTS))) == expected
     assert run_single(config, dataset=dataset).consensus_scores["s1"] == 0.8
+
+
+def test_adaptive_replay_on_block_columns_matches_the_reference(monkeypatch):
+    # sim_grid's shape: eight evaluators listed out of id order, five at
+    # cost 1 and three at cost 2, under a budget of 6, so the emitters
+    # change from round to round as trust moves; every attack that draws
+    # nothing, with and without honest noise
+    samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples
+    replay = _Replay(samples, DEFAULT_WEIGHTS)
+    evaluators = tuple(
+        EvaluatorProfile(evaluator_id=f"e{i}", cost=1.0 if i < 5 else 2.0)
+        for i in (3, 7, 0, 5, 1, 6, 4, 2)
+    )
+    attacks = [a for a in ORACLE_ATTACKS if a is None or not a.draws]
+    assert len(attacks) == 7
+    cells = [
+        sim_config(
+            config_id=f"cell{len(attacks) * k + j}",
+            evaluators=evaluators,
+            rounds=200,
+            budget=6.0,
+            honest_noise_sd=sd,
+            attack=attack,
+            attack_ratio=0.25,
+            defense=AdaptiveTrust(learning_rate=lr),
+            quality_signal=ORACLE_SIGNALS[k % 2],
+            rng_seed=k,
+        )
+        for k, (lr, sd) in enumerate([(1.0, 0.0), (1.0, 0.05), (5.0, 0.0), (5.0, 0.05)])
+        for j, attack in enumerate(attacks)
+    ]
+    long = cells[-1]
+    cells.append(replace(long, config_id="long", settings=replace(long.settings, rounds=1030)))
+    # the cost-3 evaluator comes to rank first by trust per cost and cannot
+    # afford to emit, so no round after the first is scored
+    runs_out = sim_config(
+        config_id="runs-out",
+        evaluators=tuple(
+            EvaluatorProfile(evaluator_id=e, cost=c)
+            for e, c in (("e1", 0.5), ("e3", 0.5), ("e2", 3.0), ("e0", 0.25))
+        ),
+        rounds=100,
+        budget=1.5,
+        honest_noise_sd=0.5,
+        defense=AdaptiveTrust(learning_rate=50.0, floor=0.0),
+        quality_signal=ORACLE_SIGNALS[0],
+        rng_seed=14,
+    )
+    for config in [*cells, runs_out]:
+        expected = _fingerprint(lambda: _ref_run_cell(config, replay))
+        assert expected[0] == "outcome"
+        with monkeypatch.context() as patched:
+            for behavior in (Honest, *ATTACKS.values()):  # no scalar emits on this path
+                patched.setattr(behavior, "emit", None)
+            assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
+        if config is runs_out:
+            assert expected[-2] == 99  # skipped rounds
+            continue
+        # under honest noise, trust moves the emitter set in many rounds
+        picks = [
+            sample_evaluators(evaluators, list(snapshot.values()), 6.0)
+            for snapshot in _run_cell(config, replay).trust_trajectory
+        ]
+        changed = sum(a != b for a, b in zip(picks, picks[1:]))
+        assert changed > 20 or not config.settings.honest_noise_sd, config
