@@ -39,7 +39,13 @@ def _centred(a: np.ndarray) -> np.ndarray:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Product-moment correlation, or None if either side is constant."""
+    """Product-moment correlation, or None if either side is constant.
+
+    Its sums are BLAS dot products. BLAS splits one longer than 10,000
+    elements across its threads, so above 10,000 pairs the last bits of
+    the result follow the thread count: the `mdqs` CLI runs with one
+    OpenBLAS thread unless OPENBLAS_NUM_THREADS says otherwise.
+    """
     ax, ay = _paired_arrays(x, y)
     dx = _centred(ax)
     dy = _centred(ay)

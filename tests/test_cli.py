@@ -3,12 +3,17 @@
 import copy
 import importlib
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import mdqs
 import mdqs.cli
 import mdqs.scoring
 from conftest import FIXTURES, scored_sample
@@ -779,6 +784,15 @@ def test_simulate_synthetic_grid(tmp_path):
     assert len(entry["trust_trajectory"]) == 5
 
 
+def test_simulate_refuses_input_for_a_synthetic_grid(tmp_path, capsys):
+    out = tmp_path / "r"
+    config = f"{FIXTURES}/synthetic_grid.yaml"
+    argv = ["simulate", "--config", config, "--input", "/nonexistent", "--out", str(out)]
+    assert main(argv) == 64
+    assert "sim.mode 'replay', not 'synthetic'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_replay_with_composite_signal(tmp_path):
     data = planted_path(tmp_path)
     config = tmp_path / "sim.yaml"
@@ -998,3 +1012,101 @@ def test_seeded_mutations_never_exit_two(tmp_path, capsys):
         if code not in (0, 1):
             crashes.append((case, code, err))
     assert crashes == []
+
+
+# ---------------------------------------------- BLAS threads and lazy root
+
+SRC = Path(mdqs.cli.__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+PEARSON_20001 = """
+import numpy as np
+import mdqs.stats
+rng = np.random.default_rng(3)
+x = rng.random(20001)
+y = x + rng.normal(0, 0.5, 20001)
+print(mdqs.stats.pearson(x, y).hex())
+"""
+
+
+def _child(code, **env):
+    """stdout words of code run in a fresh interpreter; of the thread
+    variables, only those in env are set (this process may carry one)."""
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    base["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_cli_import_runs_numpy_on_one_blas_thread():
+    code = """
+import os, sys
+import mdqs.cli
+assert "numpy" in sys.modules
+threads = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else 1
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+    assert _child(code) == ["1", "1"]
+    assert _child(code, OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+
+def test_bare_import_loads_no_numpy_and_leaves_the_environment():
+    code = """
+import os, sys
+import mdqs
+print(mdqs.__version__, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"))
+print(mdqs.stats.pearson is mdqs.pearson)
+"""
+    assert _child(code) == ["0.1.0", "False", "None", "True"]
+
+
+def test_cli_pearson_bits_do_not_follow_the_core_count():
+    """np.dot splits 20,001 elements across BLAS threads; the CLI runs one."""
+    cli = _child("import mdqs.cli\n" + PEARSON_20001)
+    assert cli == _child(PEARSON_20001, OPENBLAS_NUM_THREADS="1")
+
+
+ROOT_EXPORTS = {
+    "mdqs.audit": (
+        "AuditBlock", "AuditReport", "CalibrationResult", "CorrelationRow", "ablation_grid",
+        "audit", "calibrate", "calibrate_per_task", "consensus_baselines", "with_composites",
+    ),
+    "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
+    "mdqs.model": (
+        "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
+        "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome", "TaskFamily",
+        "ValidationReport", "WeightConfig",
+    ),
+    "mdqs.poq": (
+        "AdaptiveTrust", "AttackStrategy", "Camouflage", "Collude", "CompositeSignal",
+        "ConsensusBaseline", "DefenseConfig", "Deflate", "Honest", "Inflate", "Mean", "Median",
+        "RandomNoise", "SimConfig", "SimSettings", "SingleEvaluator", "TrimmedMean",
+        "run_experiment", "run_single", "sample_evaluators", "weighted_median",
+    ),
+    "mdqs.scoring": (
+        "PriorTable", "ScoringConfig", "StructureFeatures", "StructurePolicy", "column_value",
+        "normalize_batch", "score_agreement", "score_all", "score_semantic", "score_structure",
+        "structure_features", "validate_dataset",
+    ),
+    "mdqs.stats": ("average_ranks", "pearson", "rank_normalize", "spearman"),
+    "mdqs.synth": ("SyntheticSpec", "generate_synthetic"),
+}
+
+
+def test_lazy_root_exports_the_same_objects():
+    names = sorted(name for group in ROOT_EXPORTS.values() for name in group)
+    assert len(names) == 64
+    assert sorted(mdqs.__all__) == names
+    for module, group in ROOT_EXPORTS.items():
+        for name in group:
+            # the submodule mdqs.audit is loaded by now, yet mdqs.audit is the function
+            assert getattr(mdqs, name) is getattr(sys.modules[module], name), name
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^from mdqs import \((.*?)\)", readme, re.MULTILINE | re.DOTALL).group(1)
+    assert set(re.findall(r"\w+", block)) <= set(mdqs.__all__)
+    assert set(mdqs.__all__) <= set(dir(mdqs))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        mdqs.no_such_name
