@@ -64,12 +64,12 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
     parser.add_argument("--config", help="YAML run config")
     if with_input:
         parser.add_argument("--input", help="JSONL dataset (overrides config)")
+        parser.add_argument(
+            "--strict", action="store_true", help="treat the first malformed line as fatal"
+        )
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument(
         "--seed", type=lambda text: _seed(text, "--seed"), help="master RNG seed, in [0, 2**64)"
-    )
-    parser.add_argument(
-        "--strict", action="store_true", help="treat the first malformed line as fatal"
     )
 
 
@@ -265,8 +265,10 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args, config)
     if config.sim is None:
         raise UsageError("simulate needs a 'sim' section in the config")
-    if args.input and config.sim.mode != "replay":
-        raise UsageError(f"--input needs sim.mode 'replay', not {config.sim.mode!r}")
+    if config.sim.mode != "replay":
+        for flag, given in (("--input", args.input), ("--strict", args.strict)):
+            if given:
+                raise UsageError(f"{flag} needs sim.mode 'replay', not {config.sim.mode!r}")
     seed = _resolve_seed(args, config)
     grid = build_grid(config.sim, seed)
     dataset, issues = None, None

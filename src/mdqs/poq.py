@@ -12,17 +12,13 @@ evaluator-id order, and a defense sees their values and trust as parallel
 lists in that order, so the weighted median and trimmed mean break value
 ties by evaluator id.
 
-A cell runs in blocks of up to ROUNDS_PER_MATRIX rounds, one of three ways
-(see _walk): the fixed-trust column path, which aggregates a block's
-(outputs x emitters) emission matrix at once; adaptive replay on block
-columns, which reads emissions from per-block columns and steps trust after
-each output; and the scalar walk, for synthetic mode and for two drawing
-behaviors. All draw the same values in the same order as one scalar draw
-per output per drawing emitter, so the RNG stream and every report byte are
-the same either way, and all give a block's outputs as columns, which the
-cell books at once: consensus scores, errors, contest shares and rewards.
-The column paths are replay's; the two modes differ only in the outputs a
-round scores:
+A cell runs in blocks of up to ROUNDS_PER_MATRIX rounds (see _walk). A
+block gathers its outputs as columns, every evaluator scores all of them
+with its behavior, and the defense turns those columns into consensus
+scores: at once for a block's (outputs x emitters) matrix under fixed
+trust, one output at a time under adaptive trust. The cell books each
+block at once: consensus scores, errors, contest shares and rewards. The
+two modes differ only in the outputs a round scores:
 
   synthetic: per-producer latent quality drawn from a Beta distribution each
       round; evaluators observe that latent value, and the error is measured
@@ -33,8 +29,13 @@ round scores:
       out each distinct signal's outputs, query group by group, as flat
       columns once, and every cell of the grid gathers from them.
 
-Everything is driven by one Generator derived from (rng_seed, config_id),
-so a (config, seed) pair replays bit-identically.
+Randomness comes from streams labelled by purpose, derived from rng_seed
+alone: "sim/quality" draws synthetic qualities, a (rounds x producers)
+block for every round, scored or not, and "sim/evaluator/<id>" is one
+evaluator's, whose k-th draw is for the cell's k-th output, whether or not
+the evaluator was picked. So no draw depends on trust, a (config, seed)
+pair replays bit-identically, and cells of one seed see the same random
+numbers: two defenses are compared on the same qualities and noise.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -67,13 +68,10 @@ from mdqs.rng import rng_for
 from mdqs.scoring import normalize_batch, normalize_evaluator_scores, refuse_repeated_ids
 
 
-def _clip01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
-def _clip01_column(x: np.ndarray) -> np.ndarray:
-    """_clip01 elementwise, to the bit: max(0.0, x) keeps 0.0 unless x > 0.0
-    (so -0.0 becomes 0.0), then min(1.0, y) keeps 1.0 unless y < 1.0."""
+def _clip01(x: np.ndarray) -> np.ndarray:
+    """min(1.0, max(0.0, x)) elementwise, to the bit: max(0.0, x) keeps 0.0
+    unless x > 0.0 (so -0.0 becomes 0.0), then min(1.0, y) keeps 1.0 unless
+    y < 1.0."""
     low = np.where(x > 0.0, x, 0.0)
     return np.where(low < 1.0, low, 1.0)
 
@@ -86,12 +84,10 @@ def _clip01_column(x: np.ndarray) -> np.ndarray:
 # config ids and reports, and its behavior; the family's registry maps the
 # `type` name to the class. mdqs.io builds an entry from the class's fields.
 #
-# An evaluator behavior has two forms of the same rule. emit scores one
-# output. emit_column scores a block of outputs (rows) for several emitters
-# that share the behavior (columns): quality is (outputs x emitters),
-# round_index and producer_id are (outputs x 1), and a behavior that draws
-# fills the block row by row, as the scalar calls would. `draws` says
-# whether emitting takes values from the cell's Generator.
+# An evaluator behavior is emit_column(quality, round_index, rng,
+# producer_id): one evaluator's scores for a block of outputs, given as
+# parallel columns. rng is that evaluator's own stream; a behavior that
+# draws takes one value per output from it, in output order.
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,6 @@ class Inflate:
     """Always report delta above the observed quality."""
 
     type: ClassVar[str] = "inflate"
-    draws: ClassVar[bool] = False
     delta: float = 0.2
 
     def __post_init__(self):
@@ -109,11 +104,8 @@ class Inflate:
     def label(self) -> str:
         return f"inflate({self.delta:g})"
 
-    def emit(self, quality, round_index, rng, producer_id) -> float:
-        return _clip01(quality + self.delta)
-
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
-        return _clip01_column(quality + self.delta)
+        return _clip01(quality + self.delta)
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,6 @@ class Deflate:
     """Always report delta below the observed quality."""
 
     type: ClassVar[str] = "deflate"
-    draws: ClassVar[bool] = False
     delta: float = 0.2
 
     def __post_init__(self):
@@ -131,11 +122,8 @@ class Deflate:
     def label(self) -> str:
         return f"deflate({self.delta:g})"
 
-    def emit(self, quality, round_index, rng, producer_id) -> float:
-        return _clip01(quality - self.delta)
-
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
-        return _clip01_column(quality - self.delta)
+        return _clip01(quality - self.delta)
 
 
 @dataclass(frozen=True)
@@ -143,16 +131,12 @@ class RandomNoise:
     """Ignore quality entirely; emit uniform noise on [0, 1]."""
 
     type: ClassVar[str] = "random_noise"
-    draws: ClassVar[bool] = True
 
     def label(self) -> str:
         return "random_noise"
 
     # rng.random() is rng.uniform(0.0, 1.0) to the bit (0.0 + 1.0 * d is d)
     # and draws the same one word per value, at a third of the call's cost
-    def emit(self, quality, round_index, rng, producer_id) -> float:
-        return rng.random()
-
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
         return rng.random(size=quality.shape)
 
@@ -162,7 +146,6 @@ class Collude:
     """Boost one producer, depress everyone else."""
 
     type: ClassVar[str] = "collude"
-    draws: ClassVar[bool] = False
     target_producer: str
     delta: float = 0.2
 
@@ -175,16 +158,11 @@ class Collude:
     def label(self) -> str:
         return f"collude({self.target_producer},{self.delta:g})"
 
-    def emit(self, quality, round_index, rng, producer_id) -> float:
-        if producer_id is not None and producer_id == self.target_producer:
-            return _clip01(quality + self.delta)
-        return _clip01(quality - self.delta)
-
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
         return np.where(
             producer_id == self.target_producer,
-            _clip01_column(quality + self.delta),
-            _clip01_column(quality - self.delta),
+            _clip01(quality + self.delta),
+            _clip01(quality - self.delta),
         )
 
 
@@ -193,7 +171,6 @@ class Camouflage:
     """Behave honestly for a while, then inflate."""
 
     type: ClassVar[str] = "camouflage"
-    draws: ClassVar[bool] = False
     honest_rounds: int = 0
     then_delta: float = 0.2
 
@@ -206,14 +183,9 @@ class Camouflage:
     def label(self) -> str:
         return f"camouflage({self.honest_rounds},{self.then_delta:g})"
 
-    def emit(self, quality, round_index, rng, producer_id) -> float:
-        if round_index < self.honest_rounds:
-            return quality
-        return _clip01(quality + self.then_delta)
-
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
         return np.where(
-            round_index < self.honest_rounds, quality, _clip01_column(quality + self.then_delta)
+            round_index < self.honest_rounds, quality, _clip01(quality + self.then_delta)
         )
 
 
@@ -231,19 +203,10 @@ class Honest:
         if not math.isfinite(self.noise_sd) or self.noise_sd < 0:
             raise ValueError("noise_sd must be finite and >= 0")
 
-    @property
-    def draws(self) -> bool:
-        return self.noise_sd != 0.0
-
-    def emit(self, quality, round_index, rng, producer_id) -> float:
-        if self.noise_sd == 0.0:  # draws nothing, so the RNG stream stays put
-            return quality
-        return _clip01(quality + rng.normal(0.0, self.noise_sd))
-
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
-        if self.noise_sd == 0.0:
+        if self.noise_sd == 0.0:  # draws nothing
             return quality
-        return _clip01_column(quality + rng.normal(0.0, self.noise_sd, size=quality.shape))
+        return _clip01(quality + rng.normal(0.0, self.noise_sd, size=quality.shape))
 
 
 EvaluatorBehavior = Union[Honest, AttackStrategy]
@@ -694,10 +657,6 @@ class SimConfig:
         }
 
 
-# An output is (producer code, producer, observed quality); codes index names.
-Output = tuple[int, str, float]
-
-
 class _Columns(NamedTuple):
     """A signal's outputs over every query group, in group order. Ids are
     object arrays, which compare as the exact strings; a fixed-width numpy
@@ -824,28 +783,35 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     step = config.defense.consensus_step(n, config.config_id)  # None: trust stays put
     trust = [1.0 / n] * n  # in listed order, like profiles
     budget = settings.budget if settings.budget is not None else math.inf
-    rng = rng_for(config.rng_seed, config.config_id)
+    # each evaluator's own stream, the same in every cell of this seed: its
+    # k-th draw is for the cell's k-th output, picked or not
+    streams = [rng_for(config.rng_seed, f"sim/evaluator/{e}") for e in ids]
 
-    # outputs(round_index) gives a round's outputs in scoring order (synthetic
-    # ones lazily: a Beta draw follows the previous output's emissions), and
-    # frame(block) its outputs' keys and error targets (NaN: no target).
-    columns = None
+    # gather(first, stop) gives the outputs of rounds first to stop - 1,
+    # scored or not: each round's output count, and the outputs' producer
+    # codes and observed quality. frame(block) gives a block's scored
+    # outputs' keys and error targets (NaN: no target).
     if replay is None:
         if not settings.producers:
             raise SimConfigError(
                 f"{config.config_id}: synthetic mode needs producer mean qualities"
             )
         means = sorted(settings.producers.items())
-        names = [producer for producer, _ in means]
+        names = np.array([producer for producer, _ in means], dtype=object)
+        mean = np.array([m for _, m in means])
         kappa = settings.beta_concentration
+        alpha, beta = mean * kappa, (1.0 - mean) * kappa
+        quality_rng = rng_for(config.rng_seed, "sim/quality")
 
-        def outputs(round_index: int) -> Iterator[Output]:
-            for code, (producer, mean) in enumerate(means):
-                yield code, producer, float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
+        def gather(first: int, stop: int):
+            # a round's qualities are one Beta draw per producer, in name order
+            quality = quality_rng.beta(alpha, beta, (stop - first, len(mean)))
+            sizes = np.full(stop - first, len(mean))
+            return sizes, np.tile(np.arange(len(mean)), stop - first), quality.ravel()
 
         def frame(block: _Block):
             rounds = np.repeat(np.arange(block.first, block.first + len(block.sizes)), block.sizes)
-            keys = [f"r{r:04d}:{names[c]}" for r, c in zip(rounds.tolist(), block.codes.tolist())]
+            keys = [f"r{r:04d}:{p}" for r, p in zip(rounds.tolist(), names[block.codes].tolist())]
             return keys, block.quality
 
     else:
@@ -855,12 +821,11 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
         columns = replay.columns(config.quality_signal)
         names = columns.names
-        by_row = [c.tolist() for c in (columns.codes, names[columns.codes], columns.quality)]
-        starts, ends = columns.starts.tolist(), (columns.starts + columns.sizes).tolist()
 
-        def outputs(round_index: int) -> Iterable[Output]:
-            group = round_index % len(starts)
-            return zip(*(column[starts[group] : ends[group]] for column in by_row))
+        def gather(first: int, stop: int):
+            sizes = columns.sizes[np.arange(first, stop) % len(columns.sizes)]
+            rows = columns.rows(first, sizes)
+            return sizes, columns.codes[rows], columns.quality[rows]
 
         def frame(block: _Block):
             rows = columns.rows(block.first, block.sizes)
@@ -874,8 +839,8 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     skipped = 0
     last = None  # the trust list the latest snapshot was taken of
     walk = _walk(
-        config.defense, step, trust, profiles, budget, behaviors, outputs, columns,
-        settings.rounds, rng,
+        config.defense, step, trust, profiles, budget, behaviors, streams, gather, names,
+        settings.rounds,
     )
     for block in walk:
         for trust in block.trust:  # a new list whenever trust moves
@@ -915,121 +880,55 @@ def _walk(
     profiles: Sequence[EvaluatorProfile],
     budget: float,
     behaviors: Sequence[EvaluatorBehavior],
-    outputs: Callable[[int], Iterable[Output]],
-    columns: _Columns | None,
+    streams: Sequence[np.random.Generator],
+    gather: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    names: np.ndarray,
     rounds: int,
-    rng,
 ) -> Iterator[_Block]:
-    """The cell's rounds, a block at a time, run one of three ways. Each
-    round picks its emitters under the trust the last one left, so fixed
-    trust picks them once, and every emitter that draws takes one draw per
-    output, in evaluator-id order.
+    """The cell's rounds, a block at a time. Each block gathers its outputs
+    and scores them with every evaluator's behavior, one column each, so
+    every evaluator draws for every output whether it is picked or not.
+    Each round picks its emitters under the trust the last one left.
 
-    - The fixed-trust column path (replay, at most one drawing behavior
-      among the emitters): the block's outputs are one cyclic gather from
-      the columns, the (outputs x emitters) emission matrix is filled a
-      column block per behavior, and the defense aggregates it at once; no
-      Python runs per round or per output.
-    - Adaptive replay on block columns (only Honest draws): the same gather,
-      and one emission column per behavior that does not draw. Each output
-      reads its emitters' values from those columns, and Honest noise from
-      batched draws, then takes its consensus step before the next output.
-    - The scalar walk (synthetic mode, whose Beta draws interleave with the
-      emissions, or two drawing behaviors): outputs one by one with scalar
-      emits; fixed trust aggregates the block's matrix at once, adaptive
-      trust steps per output."""
+    - Fixed trust picks the emitters once, and the defense aggregates each
+      block's (outputs x emitters) matrix at once; no Python runs per round
+      or per output.
+    - Adaptive trust walks the outputs in order, since each output's trust
+      step weighs the next output and picks the next round's emitters: each
+      output reads its emitters' values from the columns and takes its
+      consensus step."""
     emitters, picked = sample_evaluators(profiles, trust, budget), trust  # positions, in id order
-    emitting = [behaviors[i] for i in emitters]
-    # each behavior's emitters: with at most one of them drawing, its one
-    # batched draw, filled row by row, is the scalar stream
-    by_behavior: dict[EvaluatorBehavior, list[int]] = {}
-    for j, behavior in enumerate(emitting):
-        by_behavior.setdefault(behavior, []).append(j)
-    by_column = step is None and columns is not None and emitters
-    by_column = by_column and sum(b.draws for b in by_behavior) <= 1
-    drawing = [b for b in behaviors if b.draws]
-    by_table = step is not None and columns is not None
-    by_table = by_table and all(isinstance(b, Honest) for b in drawing)
-    if by_table and drawing:
-        noise = _honest_noise(rng, drawing[0].noise_sd)
     for first in range(0, rounds, ROUNDS_PER_MATRIX):
-        block = range(first, min(first + ROUNDS_PER_MATRIX, rounds))
-        if by_column or by_table:
-            round_index = np.arange(first, block.stop)
-            sizes = columns.sizes[round_index % len(columns.sizes)]
-            rows = columns.rows(first, sizes)
-            codes, quality = columns.codes[rows], columns.quality[rows]
-            round_index = np.repeat(round_index, sizes)[:, None]
-            producer_id = columns.names[codes][:, None]
-        if by_column:
-            values = np.empty((len(rows), len(emitting)))
-            for behavior, cols in by_behavior.items():
-                block_quality = np.broadcast_to(quality[:, None], (len(rows), len(cols)))
-                values[:, cols] = behavior.emit_column(block_quality, round_index, rng, producer_id)
-            consensus = defense.aggregate_rows(values, [trust[i] for i in emitters])
-            yield _Block(first, [trust] * len(block), sizes, codes, quality, np.array(consensus))
-            continue
-        trusts, consensus = [], []
-        if by_table:
-            # a drawing Honest emitter reads None: its value is
-            # _clip01(quality + noise), which is the sum itself inside (0, 1),
-            # with the noise drawn in emitter order
-            table = {
-                b: b.emit_column(quality[:, None], round_index, rng, producer_id)[:, 0].tolist()
-                for b in set(behaviors) if not b.draws
-            }
-            sources = [table.get(behaviors[i]) for i in emitters]
-            q, start, scored = quality.tolist(), 0, []
+        stop = min(first + ROUNDS_PER_MATRIX, rounds)
+        sizes, codes, quality = gather(first, stop)
+        round_index, producer_id = np.repeat(np.arange(first, stop), sizes), names[codes]
+        emitted = [
+            behavior.emit_column(quality, round_index, rng, producer_id)
+            for behavior, rng in zip(behaviors, streams)
+        ]
+        if step is None:
+            trusts, scored, consensus = [trust] * (stop - first), 0 * sizes, []
+            if emitters:
+                values = np.column_stack([emitted[i] for i in emitters])
+                consensus = defense.aggregate_rows(values, [trust[i] for i in emitters])
+                scored = sizes
+        else:
+            by_evaluator = [column.tolist() for column in emitted]
+            sources = [by_evaluator[i] for i in emitters]
+            trusts, scored, consensus, start = [], [], [], 0
             for size in sizes.tolist():
                 if trust is not picked:
                     emitters, picked = sample_evaluators(profiles, trust, budget), trust
-                    sources = [table.get(behaviors[i]) for i in emitters]
+                    sources = [by_evaluator[i] for i in emitters]
                 for row in range(start, start + size) if emitters else ():
-                    values = [
-                        s[row] if s is not None
-                        else x if 0.0 < (x := q[row] + next(noise)) < 1.0 else _clip01(x)
-                        for s in sources
-                    ]
-                    c, trust = step(trust, emitters, values)
+                    c, trust = step(trust, emitters, [s[row] for s in sources])
                     consensus.append(c)
                 trusts.append(trust)
                 scored.append(size if emitters else 0)
                 start += size
-            kept = np.repeat(np.array(scored) > 0, sizes)
-            consensus = np.array(consensus)
-            yield _Block(first, trusts, np.array(scored), codes[kept], quality[kept], consensus)
-            continue
-        sizes, codes, quality, emitted = [], [], [], []
-        for round_index in block:
-            if trust is not picked:
-                emitters, picked = sample_evaluators(profiles, trust, budget), trust
-                emitting = [behaviors[i] for i in emitters]
-            start = len(codes)
-            for code, producer, q in outputs(round_index) if emitters else ():
-                values = [b.emit(q, round_index, rng, producer) for b in emitting]
-                if step is None:
-                    emitted.append(values)
-                else:
-                    c, trust = step(trust, emitters, values)
-                    consensus.append(c)
-                codes.append(code)
-                quality.append(q)
-            trusts.append(trust)
-            sizes.append(len(codes) - start)
-        if emitted:
-            consensus = defense.aggregate_rows(np.array(emitted), [trust[i] for i in emitters])
-        yield _Block(first, trusts, *map(np.array, (sizes, codes, quality, consensus)))
-
-
-NOISE_BATCH = 4096
-
-
-def _honest_noise(rng, sd: float) -> Iterator[float]:
-    """The values of successive rng.normal(0.0, sd) calls, drawn NOISE_BATCH
-    at a time: a batch holds what as many scalar calls would return. Only
-    for a cell whose Generator nothing else reads, as the draws run ahead."""
-    while True:
-        yield from rng.normal(0.0, sd, NOISE_BATCH).tolist()
+            scored = np.array(scored)
+        kept = np.repeat(scored > 0, sizes)
+        yield _Block(first, trusts, scored, codes[kept], quality[kept], np.array(consensus))
 
 
 def run_experiment(

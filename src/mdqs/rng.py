@@ -1,9 +1,12 @@
 """Deterministic random-stream derivation.
 
-A run has one 64-bit master seed. Every consumer (synthetic generator, each
-simulation config, noise draws) gets its own stream derived from the master
-seed plus a stable string label, so adding a consumer never shifts the draws
-of an existing one, and reruns are byte-identical.
+A run has one 64-bit master seed. Every consumer gets its own stream
+derived from the master seed plus a stable string label, so adding a
+consumer never shifts the draws of an existing one, and reruns are
+byte-identical. Labels name a purpose, not a simulation config: the
+synthetic dataset generator, the simulation's synthetic qualities, and each
+simulated evaluator by id. So every cell of a simulation grid draws the
+same numbers for the same purpose.
 """
 
 from __future__ import annotations

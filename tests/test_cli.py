@@ -793,6 +793,22 @@ def test_simulate_refuses_input_for_a_synthetic_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_strict_for_a_synthetic_grid(tmp_path, capsys):
+    out = tmp_path / "r"
+    config = f"{FIXTURES}/synthetic_grid.yaml"
+    argv = ["simulate", "--config", config, "--strict", "--out", str(out)]
+    assert main(argv) == 64
+    assert "--strict needs sim.mode 'replay', not 'synthetic'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_has_no_strict_flag(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["synth", "--n", "5", "--strict", "--out", str(out)]) == 64
+    assert "--strict" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_replay_with_composite_signal(tmp_path):
     data = planted_path(tmp_path)
     config = tmp_path / "sim.yaml"

@@ -25,7 +25,6 @@ from mdqs.model import (
 from mdqs.poq import (
     ATTACKS,
     DEFENSES,
-    NOISE_BATCH,
     SIGNALS,
     AdaptiveTrust,
     AttackStrategy,
@@ -46,7 +45,6 @@ from mdqs.poq import (
     SingleEvaluator,
     TrimmedMean,
     _block_shares,
-    _honest_noise,
     _Replay,
     _run_cell,
     attack_label,
@@ -67,27 +65,35 @@ def profiles(n, cost=1.0):
 
 # ------------------------------------------------------------- behaviors
 
+def emit(behavior, quality, round_index=0, rng=RNG, producer_id=None):
+    """One output's score: emit_column on one-element columns."""
+    column = behavior.emit_column(
+        np.array([quality]), np.array([round_index]), rng, np.array([producer_id], dtype=object)
+    )
+    return float(column[0])
+
+
 def test_honest_noiseless_reports_quality_exactly():
-    assert Honest(0.0).emit(0.37, 0, RNG, None) == 0.37
+    assert emit(Honest(0.0), 0.37) == 0.37
 
 
 def test_honest_noise_stays_clipped():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        v = Honest(0.5).emit(0.9, 0, rng, None)
+        v = emit(Honest(0.5), 0.9, rng=rng)
         assert 0.0 <= v <= 1.0
 
 
 def test_inflate_and_deflate_clip():
-    assert Inflate(0.3).emit(0.5, 0, RNG, None) == pytest.approx(0.8)
-    assert Inflate(0.3).emit(0.9, 0, RNG, None) == 1.0
-    assert Deflate(0.3).emit(0.5, 0, RNG, None) == pytest.approx(0.2)
-    assert Deflate(0.3).emit(0.1, 0, RNG, None) == 0.0
+    assert emit(Inflate(0.3), 0.5) == pytest.approx(0.8)
+    assert emit(Inflate(0.3), 0.9) == 1.0
+    assert emit(Deflate(0.3), 0.5) == pytest.approx(0.2)
+    assert emit(Deflate(0.3), 0.1) == 0.0
 
 
 def test_random_noise_ignores_quality():
     rng = np.random.default_rng(4)
-    values = {RandomNoise().emit(0.0, 0, rng, None) for _ in range(50)}
+    values = {emit(RandomNoise(), 0.0, rng=rng) for _ in range(50)}
     assert len(values) > 1
     assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -95,23 +101,23 @@ def test_random_noise_ignores_quality():
 def test_random_noise_draws_what_a_uniform_draw_would():
     rng, uniform = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(10_000):
-        assert repr(RandomNoise().emit(0.5, 0, rng, None)) == repr(float(uniform.uniform(0.0, 1.0)))
+        assert repr(emit(RandomNoise(), 0.5, rng=rng)) == repr(float(uniform.uniform(0.0, 1.0)))
         assert repr(float(rng.normal(0.0, 0.05))) == repr(float(uniform.normal(0.0, 0.05)))
 
 
 def test_collude_boosts_target_and_buries_rest():
     behavior = Collude("star", 0.2)
-    assert behavior.emit(0.5, 0, RNG, "star") == pytest.approx(0.7)
-    assert behavior.emit(0.5, 0, RNG, "rival") == pytest.approx(0.3)
-    assert behavior.emit(0.5, 0, RNG, None) == pytest.approx(0.3)
+    assert emit(behavior, 0.5, producer_id="star") == pytest.approx(0.7)
+    assert emit(behavior, 0.5, producer_id="rival") == pytest.approx(0.3)
+    assert emit(behavior, 0.5) == pytest.approx(0.3)
 
 
 def test_camouflage_switches_after_honest_rounds():
     behavior = Camouflage(honest_rounds=2, then_delta=0.3)
-    assert behavior.emit(0.4, 0, RNG, None) == 0.4
-    assert behavior.emit(0.4, 1, RNG, None) == 0.4
-    assert behavior.emit(0.4, 2, RNG, None) == pytest.approx(0.7)
-    assert behavior.emit(0.4, 99, RNG, None) == pytest.approx(0.7)
+    assert emit(behavior, 0.4, 0) == 0.4
+    assert emit(behavior, 0.4, 1) == 0.4
+    assert emit(behavior, 0.4, 2) == pytest.approx(0.7)
+    assert emit(behavior, 0.4, 99) == pytest.approx(0.7)
 
 
 def test_behavior_validation():
@@ -446,18 +452,6 @@ def test_consensus_step_matches_the_dict_keyed_reference():
     assert floor_hits > 500
 
 
-def test_honest_noise_serves_the_scalar_normal_stream():
-    # batches of NOISE_BATCH draws hold the values of as many scalar calls,
-    # across batch ends too
-    count = 9000
-    assert count > 2 * NOISE_BATCH
-    for sd in (0.05, 0.5):
-        scalar, batched = np.random.default_rng(31), np.random.default_rng(31)
-        expected = [float(scalar.normal(0.0, sd)).hex() for _ in range(count)]
-        noise = _honest_noise(batched, sd)
-        assert [next(noise).hex() for _ in range(count)] == expected
-
-
 def test_row_forms_match_the_scalar_aggregates():
     # zero and all-zero trust, tied values and -0.0 included
     rng = np.random.default_rng(2012)
@@ -473,9 +467,9 @@ def test_row_forms_match_the_scalar_aggregates():
             assert [repr(v) for v in defense.aggregate_rows(rows, emitter_trust)] == expected
 
 
-def test_column_emits_match_the_scalar_emits():
-    # one block per behavior, filled row by row: the same values, drawn in
-    # the same order, as one scalar emit per output per emitter
+def test_block_emits_match_one_output_calls_in_order():
+    # one call for a block of outputs: the same values, drawn in the same
+    # order, as one call per output on the same stream
     quality = [-0.0, 0.0, 0.3, 0.75, 0.9, 1.0]
     producers = ["model-a", "model-b", "model-a", "model-c", "model-a", "model-b"]
     round_index = [0, 1, 2, 3, 4, 5]
@@ -484,21 +478,16 @@ def test_column_emits_match_the_scalar_emits():
         RandomNoise(), Collude("model-a", 0.3), Camouflage(3, 0.3), Camouflage(0, 0.0),
     ]
     for behavior in behaviors:
-        for width in (1, 3):
-            scalar_rng, column_rng = np.random.default_rng(7), np.random.default_rng(7)
-            expected = [
-                [repr(behavior.emit(q, r, scalar_rng, p)) for _ in range(width)]
-                for q, r, p in zip(quality, round_index, producers)
-            ]
-            block = behavior.emit_column(
-                np.broadcast_to(np.array(quality)[:, None], (len(quality), width)),
-                np.array(round_index)[:, None],
-                column_rng,
-                np.array(producers)[:, None],
-            )
-            assert [[repr(v) for v in row] for row in block.tolist()] == expected, behavior
-            drew = scalar_rng.bit_generator.state != np.random.default_rng(7).bit_generator.state
-            assert behavior.draws == drew
+        one_rng, block_rng = np.random.default_rng(7), np.random.default_rng(7)
+        expected = [
+            repr(emit(behavior, q, r, one_rng, p))
+            for q, r, p in zip(quality, round_index, producers)
+        ]
+        block = behavior.emit_column(
+            np.array(quality), np.array(round_index), block_rng, np.array(producers, dtype=object)
+        )
+        assert [repr(v) for v in block.tolist()] == expected, behavior
+        assert block_rng.bit_generator.state == one_rng.bit_generator.state, behavior
 
 
 # --------------------------------------------------------------- rewards
@@ -983,12 +972,49 @@ def test_run_experiment_rejects_duplicate_ids():
         run_experiment([synth_config(), synth_config()])
 
 
+@pytest.mark.parametrize("defense", [Median(), AdaptiveTrust()], ids=["median", "adaptive"])
+def test_cells_that_differ_only_in_config_id_report_the_same(defense):
+    # streams are labelled by purpose and seed, never by config id, so two
+    # such cells draw the same qualities, honest noise and random_noise
+    fields = dict(
+        defense=defense, attack=RandomNoise(), attack_ratio=0.4, honest_noise_sd=0.05, rounds=30
+    )
+    for config, dataset in (
+        (synth_config(config_id="a", **fields), None),
+        (replay_config(config_id="a", evaluators=profiles(5), **fields), replay_dataset()),
+    ):
+        a = run_single(config, dataset=dataset)
+        b = run_single(replace(config, config_id="b"), dataset=dataset)
+        assert b.config_id == "b"
+        assert replace(b, config_id="a") == a
+        assert a.attacker_ids and a.consensus_scores  # random_noise drew, and rounds scored
+
+
+def test_synthetic_grid_defenses_see_the_same_quality_per_output():
+    # one honest noiseless evaluator reports each output's quality, so every
+    # defense's consensus is that quality, with no error
+    defenses = [Mean(), Median(), TrimmedMean(0.2), AdaptiveTrust()]
+    grid = [
+        synth_config(config_id=d.label(), defense=d, evaluators=profiles(1), honest_noise_sd=0.0)
+        for d in defenses
+    ]
+    results = run_experiment(grid)
+    assert all(r.consensus_error == 0.0 for r in results)
+    first = results[0].consensus_scores
+    assert len(first) == 20 * 3 and len(set(first.values())) == len(first)
+    for r in results[1:]:
+        assert list(r.consensus_scores.items()) == list(first.items())
+
+
 # ------------------------------------------------- run loop reference
 #
-# _run_cell as it was when every cell walked its outputs one by one, kept
-# verbatim with the selection and reward helpers it called, as the oracle
-# that the fixed-trust emission matrix and the adaptive walk must match in
-# every float's repr, every key order and every error.
+# _run_cell as it was when every cell walked its outputs one by one, with
+# the selection and reward helpers it called and each behavior's rule for
+# one output, as the oracle that the fixed-trust emission matrix and the
+# adaptive walk must match in every float's repr, every key order and every
+# error. It draws from the same per-purpose streams, one value at a time:
+# each round's qualities whether the round is scored or not, and each
+# evaluator's value for every output whether it is picked or not.
 
 def _ref_sample_evaluators(profiles, trust, budget):
     def rank(i: int) -> tuple[float, str]:
@@ -1003,6 +1029,30 @@ def _ref_sample_evaluators(profiles, trust, budget):
         chosen.append(i)
         spent += profiles[i].cost
     return sorted(chosen, key=lambda i: profiles[i].evaluator_id)
+
+
+def _ref_clip01(x):
+    return min(1.0, max(0.0, x))
+
+
+def _ref_emit(behavior, quality, round_index, rng, producer):
+    if isinstance(behavior, Honest):
+        if behavior.noise_sd == 0.0:
+            return quality
+        return _ref_clip01(quality + rng.normal(0.0, behavior.noise_sd))
+    if isinstance(behavior, Inflate):
+        return _ref_clip01(quality + behavior.delta)
+    if isinstance(behavior, Deflate):
+        return _ref_clip01(quality - behavior.delta)
+    if isinstance(behavior, RandomNoise):
+        return rng.uniform(0.0, 1.0)
+    if isinstance(behavior, Collude):
+        if producer == behavior.target_producer:
+            return _ref_clip01(quality + behavior.delta)
+        return _ref_clip01(quality - behavior.delta)
+    if round_index < behavior.honest_rounds:  # Camouflage
+        return quality
+    return _ref_clip01(quality + behavior.then_delta)
 
 
 def _ref_allocate_rewards(consensus, reward_budget):
@@ -1038,7 +1088,7 @@ def _ref_run_cell(config, replay):
     trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
     trust = [1.0 / n] * n  # in listed order, like profiles
     budget = settings.budget if settings.budget is not None else math.inf
-    rng = rng_for(config.rng_seed, config.config_id)
+    streams = [rng_for(config.rng_seed, f"sim/evaluator/{e}") for e in ids]
 
     if replay is None:
         if not settings.producers:
@@ -1047,10 +1097,11 @@ def _ref_run_cell(config, replay):
             )
         producers = sorted(settings.producers.items())
         kappa = settings.beta_concentration
+        quality_rng = rng_for(config.rng_seed, "sim/quality")
 
         def outputs(round_index):
             for producer, mean in producers:
-                quality = float(rng.beta(mean * kappa, (1.0 - mean) * kappa))
+                quality = float(quality_rng.beta(mean * kappa, (1.0 - mean) * kappa))
                 yield f"r{round_index:04d}:{producer}", producer, quality, quality
 
     else:
@@ -1075,15 +1126,21 @@ def _ref_run_cell(config, replay):
 
     for round_index in range(settings.rounds):
         emitters = _ref_sample_evaluators(profiles, trust, budget)  # positions, in id order
+        round_outputs = [
+            (key, producer, quality, target, [
+                _ref_emit(b, quality, round_index, stream, producer)
+                for b, stream in zip(behaviors, streams)
+            ])
+            for key, producer, quality, target in outputs(round_index)
+        ]
         if not emitters:
             skipped += 1
             trajectory.append(dict(zip(ids, trust)))
             continue
-        emitting = [behaviors[i] for i in emitters]
         contest: dict[str, float] = {}  # output key -> consensus; one contest per round
         producer_of: dict[str, str] = {}
-        for key, producer, quality, target in outputs(round_index):
-            values = [b.emit(quality, round_index, rng, producer) for b in emitting]
+        for key, producer, quality, target, emitted in round_outputs:
+            values = [emitted[i] for i in emitters]
             consensus = config.defense.aggregate(values, [trust[i] for i in emitters])
             consensus_scores[key] = consensus
             contest[key] = consensus
@@ -1217,6 +1274,21 @@ def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
         assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
 
 
+def test_synthetic_cells_past_one_block_match_the_reference():
+    # the quality and evaluator streams run on across blocks: 1,030 rounds
+    # under every noise source, for both kinds of defense
+    rng = np.random.default_rng(8)
+    for index, defense in enumerate([Mean(), AdaptiveTrust()]):
+        cell = _oracle_cell(rng, index)
+        settings = replace(cell.settings, rounds=1030, budget=None, honest_noise_sd=0.05)
+        config = replace(
+            cell, settings=settings, defense=defense, attack=RandomNoise(), attack_ratio=0.5
+        )
+        expected = _fingerprint(lambda: _ref_run_cell(config, None))
+        assert expected[0] == "outcome"
+        assert _fingerprint(lambda: _run_cell(config, None)) == expected, config
+
+
 def test_collude_does_not_match_a_producer_id_with_a_trailing_nul():
     # a fixed-width numpy string drops a trailing NUL, so "m\0" read as "m"
     dataset = [
@@ -1238,19 +1310,18 @@ def test_collude_does_not_match_a_producer_id_with_a_trailing_nul():
     assert run_single(config, dataset=dataset).consensus_scores["s1"] == 0.8
 
 
-def test_adaptive_replay_on_block_columns_matches_the_reference(monkeypatch):
+def test_adaptive_replay_on_block_columns_matches_the_reference():
     # sim_grid's shape: eight evaluators listed out of id order, five at
     # cost 1 and three at cost 2, under a budget of 6, so the emitters
-    # change from round to round as trust moves; every attack that draws
-    # nothing, with and without honest noise
+    # change from round to round as trust moves; every attack, with and
+    # without honest noise
     samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples
     replay = _Replay(samples, DEFAULT_WEIGHTS)
     evaluators = tuple(
         EvaluatorProfile(evaluator_id=f"e{i}", cost=1.0 if i < 5 else 2.0)
         for i in (3, 7, 0, 5, 1, 6, 4, 2)
     )
-    attacks = [a for a in ORACLE_ATTACKS if a is None or not a.draws]
-    assert len(attacks) == 7
+    attacks = ORACLE_ATTACKS
     cells = [
         sim_config(
             config_id=f"cell{len(attacks) * k + j}",
@@ -1270,7 +1341,8 @@ def test_adaptive_replay_on_block_columns_matches_the_reference(monkeypatch):
     long = cells[-1]
     cells.append(replace(long, config_id="long", settings=replace(long.settings, rounds=1030)))
     # the cost-3 evaluator comes to rank first by trust per cost and cannot
-    # afford to emit, so no round after the first is scored
+    # afford to emit, so no round after the first is scored (seed 18's first
+    # round of noise brings this about)
     runs_out = sim_config(
         config_id="runs-out",
         evaluators=tuple(
@@ -1282,15 +1354,12 @@ def test_adaptive_replay_on_block_columns_matches_the_reference(monkeypatch):
         honest_noise_sd=0.5,
         defense=AdaptiveTrust(learning_rate=50.0, floor=0.0),
         quality_signal=ORACLE_SIGNALS[0],
-        rng_seed=14,
+        rng_seed=18,
     )
     for config in [*cells, runs_out]:
         expected = _fingerprint(lambda: _ref_run_cell(config, replay))
         assert expected[0] == "outcome"
-        with monkeypatch.context() as patched:
-            for behavior in (Honest, *ATTACKS.values()):  # no scalar emits on this path
-                patched.setattr(behavior, "emit", None)
-            assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
+        assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
         if config is runs_out:
             assert expected[-2] == 99  # skipped rounds
             continue
@@ -1300,4 +1369,4 @@ def test_adaptive_replay_on_block_columns_matches_the_reference(monkeypatch):
             for snapshot in _run_cell(config, replay).trust_trajectory
         ]
         changed = sum(a != b for a, b in zip(picks, picks[1:]))
-        assert changed > 20 or not config.settings.honest_noise_sd, config
+        assert changed > 10 or not config.settings.honest_noise_sd, config
