@@ -5,8 +5,9 @@ report. Every run prints a one-line summary and updates manifest.json in
 the output directory. Exit codes: 0 success, 1 validation or data errors,
 2 internal errors, 64 usage errors.
 
-The master seed resolves in this order: --seed flag, MDQS_SEED environment
-variable, the config file's seed, then 0.
+The master seed of simulate, synth and report, the commands that draw
+random numbers and so the only ones with --seed, resolves in this order:
+--seed flag, MDQS_SEED environment variable, the config file's seed, then 0.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_input=True, with_seed=False) -> None:
     parser.add_argument("--config", help="YAML run config")
     if with_input:
         parser.add_argument("--input", help="JSONL dataset (overrides config)")
@@ -68,9 +69,12 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
             "--strict", action="store_true", help="treat the first malformed line as fatal"
         )
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument(
-        "--seed", type=lambda text: _seed(text, "--seed"), help="master RNG seed, in [0, 2**64)"
-    )
+    if with_seed:
+        parser.add_argument(
+            "--seed",
+            type=lambda text: _seed(text, "--seed"),
+            help="master RNG seed, in [0, 2**64)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="correlation for each weight variant")
     _add_common(p)
-    p.add_argument("--preset", choices=["paper"], help="variant grid preset")
+    p.add_argument("--preset", choices=["paper"], help="accepted and ignored: the only grid")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("calibrate", help="drop unreliable dimensions and renormalize")
@@ -106,16 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", help="run the consensus simulation grid")
-    _add_common(p)
+    _add_common(p, with_seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p, with_input=False)
+    _add_common(p, with_input=False, with_seed=True)
     p.add_argument("--n", type=int, help="number of samples")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="full pipeline: score, audit, ablate, calibrate, simulate")
-    _add_common(p)
+    _add_common(p, with_seed=True)
     p.add_argument("--weights", help="weight variant name")
     p.set_defaults(func=cmd_report)
 
@@ -147,7 +151,7 @@ def _threshold(text: str) -> float:
 
 
 def _resolve_seed(args, config: RunConfig) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("MDQS_SEED")
     if env:
@@ -167,7 +171,7 @@ def _out_dir(args, config: RunConfig) -> Path:
 def _ingest(args, config: RunConfig, scoring: ScoringConfig | None = None) -> IngestResult:
     """Read the input dataset, first refusing a `scoring` config that no
     sample could satisfy."""
-    path = getattr(args, "input", None) or config.input_path
+    path = args.input or config.input_path
     if not path:
         raise UsageError("no input dataset: pass --input or set 'input' in the config")
     if not Path(path).exists():

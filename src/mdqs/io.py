@@ -380,7 +380,7 @@ class SimGridSpec:
             raise SchemaError("sim.producers: synthetic mode needs producer mean qualities")
         for i, defense in enumerate(self.defenses):
             try:
-                defense.trust_step(len(self.settings.evaluators), f"sim.defenses[{i}]")
+                defense.consensus_step(len(self.settings.evaluators), f"sim.defenses[{i}]")
             except SimConfigError as exc:
                 raise SchemaError(str(exc)) from None
 

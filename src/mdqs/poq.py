@@ -26,8 +26,9 @@ two modes differ only in the outputs a round scores:
   replay: rounds walk a logged dataset's query groups (cycling); evaluators
       observe the configured quality signal for each sample, and consensus
       error is measured against the normalized reference score. A run lays
-      out each distinct signal's outputs, query group by group, as flat
-      columns once, and every cell of the grid gathers from them.
+      out the query groups as flat columns once, permutes each distinct
+      signal's values into them once, and every cell of the grid gathers
+      from them.
 
 Randomness comes from streams labelled by purpose, derived from rng_seed
 alone: "sim/quality" draws synthetic qualities, a (rounds x producers)
@@ -44,7 +45,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -65,7 +65,7 @@ from mdqs.model import (
     WeightConfig,
 )
 from mdqs.rng import rng_for
-from mdqs.scoring import normalize_batch, normalize_evaluator_scores, refuse_repeated_ids
+from mdqs.scoring import normalize_batch, refuse_repeated_ids
 
 
 def _clip01(x: np.ndarray) -> np.ndarray:
@@ -220,15 +220,13 @@ def attack_label(attack: AttackStrategy | None) -> str:
 # defenses
 #
 # aggregate(values, trust) gets the emitters' values and trust as parallel
-# lists in evaluator-id order. A trust step maps (whole trust list, emitter
-# positions, their values) to the next trust list; a consensus step maps the
-# same to (aggregate of the values, next trust list). A defense that keeps
-# trust fixed has neither, and has aggregate_rows(values, trust): aggregate
-# applied to each row of an (outputs x emitters) array, with the same
-# results to the bit.
+# lists in evaluator-id order. A consensus step maps (whole trust list,
+# emitter positions, their values) to (aggregate of the values, next trust
+# list). A defense that keeps trust fixed has none, and has
+# aggregate_rows(values, trust): aggregate applied to each row of an
+# (outputs x emitters) array, with the same results to the bit.
 
 
-TrustStep = Callable[[list[float], Sequence[int], Sequence[float]], list[float]]
 ConsensusStep = Callable[[list[float], Sequence[int], Sequence[float]], tuple[float, list[float]]]
 
 
@@ -237,8 +235,6 @@ class _FixedTrust:
 
     def consensus_step(self, n_evaluators: int, config_id: str) -> ConsensusStep | None:
         return None
-
-    trust_step = consensus_step
 
 
 @dataclass(frozen=True)
@@ -368,11 +364,6 @@ class AdaptiveTrust:
 
         return step
 
-    def trust_step(self, n_evaluators: int, config_id: str) -> TrustStep:
-        """consensus_step's next trust list alone."""
-        step = self.consensus_step(n_evaluators, config_id)
-        return lambda trust, emitters, values: step(trust, emitters, values)[1]
-
 
 DefenseConfig = Union[Mean, Median, TrimmedMean, AdaptiveTrust]
 DEFENSES: dict[str, type] = {c.type: c for c in (Mean, Median, TrimmedMean, AdaptiveTrust)}
@@ -481,6 +472,8 @@ def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np
 
 # ---------------------------------------------------------------------------
 # quality signals (replay mode)
+#
+# values(dataset, base_weights) gives one value per sample, in dataset order.
 
 
 @dataclass(frozen=True)
@@ -493,17 +486,11 @@ class SingleEvaluator:
     def label(self) -> str:
         return f"evaluator:{self.evaluator_id}"
 
-    def values(
-        self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
-    ) -> dict[str, float]:
-        normalized = normalize_evaluator_scores(dataset)
-        values = {}
+    def values(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig) -> list[float]:
         for s in dataset:
-            z = normalized[s.sample_id].get(self.evaluator_id)
-            if z is None:
+            if self.evaluator_id not in s.evaluator_scores:
                 raise MissingColumn(self.evaluator_id, s.sample_id)
-            values[s.sample_id] = z
-        return values
+        return normalize_batch([s.evaluator_scores[self.evaluator_id] for s in dataset])
 
 
 @dataclass(frozen=True)
@@ -520,14 +507,12 @@ class ConsensusBaseline:
     def label(self) -> str:
         return f"baseline:{self.stat}"
 
-    def values(
-        self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
-    ) -> dict[str, float]:
+    def values(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig) -> list[float]:
         # looked up at call time, so a wrapper put on mdqs.audit sees the call
         from mdqs.audit import consensus_baselines
 
         baselines = consensus_baselines(dataset)
-        return {sid: stats[self.stat] for sid, stats in baselines.items()}
+        return [baselines[s.sample_id][self.stat] for s in dataset]
 
 
 @dataclass(frozen=True)
@@ -546,11 +531,8 @@ class CompositeSignal:
     def label(self) -> str:
         return f"composite:{self.variant}"
 
-    def values(
-        self, dataset: Sequence[LoggedSample], base_weights: WeightConfig
-    ) -> dict[str, float]:
-        scores = compose_batch(dataset, variant(base_weights, self.variant))
-        return {s.sample_id: v for s, v in zip(dataset, scores)}
+    def values(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig) -> list[float]:
+        return compose_batch(dataset, variant(base_weights, self.variant))
 
 
 QualitySignal = Union[SingleEvaluator, ConsensusBaseline, CompositeSignal]
@@ -680,63 +662,48 @@ class _Columns(NamedTuple):
 
 class _Replay:
     """A replay dataset's inputs to the round loop, shared by every cell of
-    one run. Each is built on first use, in the order a cell reads them, so
-    a cell raises the same first error as it would when run alone. A
-    repeated sample_id is refused, since outputs are keyed by it."""
+    one run: the query groups, laid out once, and each signal's values in
+    that layout, checked on first use. A signal that fails is not stored,
+    so every cell that asks for it raises the same error, as when run
+    alone. A repeated sample_id is refused: consensus scores are keyed by it."""
 
     def __init__(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig):
         self.samples = list(dataset)
         refuse_repeated_ids(self.samples)
         self.base_weights = base_weights
-        self._signal_values: dict[QualitySignal, dict[str, float]] = {}
+        queries: dict[str, int] = {}  # query -> group, in order of first appearance
+        group = np.array([queries.setdefault(s.query, len(queries)) for s in self.samples], int)
+        self._order = np.argsort(group, kind="stable")  # group by group, in dataset order
+        rows = [self.samples[i] for i in self._order.tolist()]
+        names: dict[str, int] = {}  # producer -> code
+        codes = [names.setdefault(s.producer_id, len(names)) for s in rows]
+        refs = [s.reference_score for s in rows]
+        target = np.full(len(rows), math.nan)
+        target[[r is not None for r in refs]] = normalize_batch([r for r in refs if r is not None])
+        sizes = np.bincount(group)
+        self._layout = _Columns(
+            keys=np.array([s.sample_id for s in rows], dtype=object),
+            codes=np.array(codes, int),
+            names=np.array(list(names), dtype=object),
+            quality=np.empty(0),  # each signal's own
+            target=target,
+            starts=np.cumsum(sizes) - sizes,
+            sizes=sizes,
+        )
         self._columns: dict[QualitySignal, _Columns] = {}
 
-    def signal_values(self, signal: QualitySignal) -> dict[str, float]:
-        """The signal's value per sample id, each checked to lie in [0, 1];
-        a failure is not stored, so every cell that asks again raises it
-        again."""
-        if signal not in self._signal_values:
-            values = signal.values(self.samples, self.base_weights)
-            for sid, q in values.items():
-                if not (0.0 <= q <= 1.0):
-                    label = signal.label()
-                    raise ValueError(f"{label}: quality of {sid!r} must be in [0, 1], got {q!r}")
-            self._signal_values[signal] = values
-        return self._signal_values[signal]
-
-    @cached_property
-    def ref_norm(self) -> dict[str, float]:
-        referenced = [s for s in self.samples if s.reference_score is not None]
-        normalized_refs = normalize_batch([s.reference_score for s in referenced])
-        return {s.sample_id: z for s, z in zip(referenced, normalized_refs)}
-
-    @cached_property
-    def groups(self) -> list[list[LoggedSample]]:
-        """The samples of each query, in order of first appearance."""
-        by_query: dict[str, list[LoggedSample]] = {}
-        for s in self.samples:
-            by_query.setdefault(s.query, []).append(s)
-        return list(by_query.values())
-
     def columns(self, signal: QualitySignal) -> _Columns:
-        """The query groups' outputs under the signal, keyed by sample id,
-        with the normalized reference as the error target."""
+        """The query groups' outputs under the signal."""
         if signal not in self._columns:
-            values = self.signal_values(signal)
-            ref_norm = self.ref_norm
-            rows = [s for group in self.groups for s in group]
-            names: dict[str, int] = {}  # producer -> code
-            codes = [names.setdefault(s.producer_id, len(names)) for s in rows]
-            sizes = np.array([len(group) for group in self.groups])
-            self._columns[signal] = _Columns(
-                keys=np.array([s.sample_id for s in rows], dtype=object),
-                codes=np.array(codes),
-                names=np.array(list(names), dtype=object),
-                quality=np.array([values[s.sample_id] for s in rows], dtype=float),
-                target=np.array([ref_norm.get(s.sample_id, math.nan) for s in rows]),
-                starts=np.cumsum(sizes) - sizes,
-                sizes=sizes,
-            )
+            quality = np.array(signal.values(self.samples, self.base_weights), dtype=float)
+            n, label = len(self.samples), signal.label()
+            if len(quality) != n:
+                raise ValueError(f"{label}: values gave {len(quality)} entries for {n} samples")
+            outside = np.flatnonzero(~((quality >= 0.0) & (quality <= 1.0)))
+            if len(outside):
+                sid, q = self.samples[outside[0]].sample_id, quality[outside[0]].item()
+                raise ValueError(f"{label}: quality of {sid!r} must be in [0, 1], got {q!r}")
+            self._columns[signal] = self._layout._replace(quality=quality[self._order])
         return self._columns[signal]
 
 
@@ -747,9 +714,9 @@ def run_single(
 ) -> SimOutcome:
     """Run one config to completion. Deterministic in (config, seed).
 
-    In replay mode this builds the signal values, normalized references
-    and query groups for this one cell; run_experiment builds them once
-    for its whole grid."""
+    In replay mode this lays out the query groups and the signal's values
+    for this one cell; run_experiment lays them out once for its whole
+    grid."""
     replay = None if dataset is None else _Replay(dataset, base_weights)
     return _run_cell(config, replay)
 
@@ -939,8 +906,9 @@ def run_experiment(
     """Run every config; a failing config becomes a SimError entry instead
     of aborting the rest of the grid.
 
-    In replay mode the signal values (once per distinct signal), normalized
-    references and query groups are computed once and shared by every cell."""
+    In replay mode the query groups, with their normalized references, are
+    laid out once, each distinct signal's values once, and every cell shares
+    them."""
     ids = [c.config_id for c in grid]
     if len(set(ids)) != len(ids):
         repeated = next(i for n, i in enumerate(ids) if i in ids[:n])

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process through main()."""
 
+import argparse
 import copy
 import importlib
 import json
@@ -809,6 +810,59 @@ def test_synth_has_no_strict_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "score", "audit", "ablate", "calibrate"])
+def test_seed_is_offered_only_where_a_run_draws(tmp_path, capsys, command):
+    data = Path(FIXTURES, "replay_200.jsonl")
+    out = tmp_path / "r"
+    assert main([command, "--input", str(data), "--out", str(out), "--seed", "1"]) == 64
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _Recording(argparse.Namespace):
+    """Parsed arguments that note each name a command reads, once `reads`
+    is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+# every flag a command accepts, each given a value that a run can use
+EVERY_FLAG = {
+    "validate": ["--strict"],
+    "score": ["--strict", "--weights", "default"],
+    "audit": ["--strict", "--weights", "default"],
+    "ablate": ["--strict", "--preset", "paper"],
+    "calibrate": [
+        "--strict", "--weights", "default", "--threshold", "0", "--gate", "spearman", "--per-task"
+    ],
+    "simulate": ["--strict", "--seed", "3"],
+    "report": ["--strict", "--weights", "default", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("command", [*EVERY_FLAG, "synth"])
+def test_every_flag_a_command_accepts_is_read(tmp_path, capsys, command):
+    config = Path(FIXTURES, "replay_config.yaml")
+    if command == "synth":
+        argv = ["synth", "--config", str(config), "--n", "5", "--seed", "3"]
+    else:
+        data = Path(FIXTURES, "replay_200.jsonl")
+        argv = [command, "--config", str(config), "--input", str(data), *EVERY_FLAG[command]]
+    args = mdqs.cli.build_parser().parse_args(
+        [*argv, "--out", str(tmp_path / "r")], namespace=_Recording()
+    )
+    accepted = set(vars(args)) - {"command", "func"}
+    args.reads = set()
+    assert args.func(args) == 0, capsys.readouterr().err
+    # ablate --preset paper names the only grid there is: accepted, ignored
+    ignored = {"preset"} if command == "ablate" else set()
+    assert accepted - args.reads == ignored
+
+
 def test_simulate_replay_with_composite_signal(tmp_path):
     data = planted_path(tmp_path)
     config = tmp_path / "sim.yaml"
@@ -1001,14 +1055,44 @@ def _mutate(tree, rng: random.Random):
     return tree
 
 
-def test_seeded_mutations_never_exit_two(tmp_path, capsys):
-    """`report` on a mutated record or config key exits 0 or 1, never 2."""
+MUTATED_COMMANDS = ("validate", "score", "audit", "calibrate", "simulate", "report")
+
+
+def _build_once(monkeypatch):
+    """Make mdqs.cli build its parser once, and load each config text once:
+    a later command gets the same RunConfig, or the same error raised again.
+    Both are functions of their input alone, and building them is most of a
+    small run's time."""
+    parser = mdqs.cli.build_parser()
+    monkeypatch.setattr(mdqs.cli, "build_parser", lambda: parser)
+    loaded = {}
+
+    def load(path):
+        text = Path(path).read_bytes()
+        if text not in loaded:
+            try:
+                loaded[text] = load_config(path)
+            except Exception as exc:
+                loaded[text] = exc
+        if isinstance(loaded[text], Exception):
+            raise loaded[text]
+        return loaded[text]
+
+    monkeypatch.setattr(mdqs.cli, "load_config", load)
+
+
+def test_seeded_mutations_never_exit_two(tmp_path, capsys, monkeypatch):
+    """Every command on a mutated record or config key exits 0 or 1, never 2.
+    `validate --config` fails whatever `score` fails on, and a run that fails
+    with an error writes nothing; validate's own verdict (exit 1 without an
+    error) still writes its report."""
+    _build_once(monkeypatch)
     lines = Path(FIXTURES, "replay_200.jsonl").read_text(encoding="utf-8").splitlines()[:24]
     records = [json.loads(line) for line in lines]
     config = yaml.safe_load(Path(FIXTURES, "replay_config.yaml").read_text(encoding="utf-8"))
     config["sim"]["rounds"] = 5
     rng = random.Random(20240601)
-    crashes = []
+    faults = []
     for case in range(150):
         data, run_config = list(records), config
         if case == 0:
@@ -1021,13 +1105,19 @@ def test_seeded_mutations_never_exit_two(tmp_path, capsys):
         data_path, config_path = tmp_path / f"{case}.jsonl", tmp_path / f"{case}.yaml"
         data_path.write_text("".join(json.dumps(r) + "\n" for r in data), encoding="utf-8")
         config_path.write_text(yaml.safe_dump(run_config), encoding="utf-8")
-        argv = ["report", "--config", str(config_path), "--input", str(data_path)]
-        code = main([*argv, "--out", str(tmp_path / f"r{case}")])
-        err = capsys.readouterr().err
-        assert case or code == 0, err
-        if code not in (0, 1):
-            crashes.append((case, code, err))
-    assert crashes == []
+        codes = {}
+        for command in MUTATED_COMMANDS:
+            out = tmp_path / f"{command}{case}"
+            argv = [command, "--config", str(config_path), "--input", str(data_path)]
+            code = codes[command] = main([*argv, "--out", str(out)])
+            err = capsys.readouterr().err
+            if code not in (0, 1) or (case == 0 and code):
+                faults.append((case, command, code, err))
+            elif code == 1 and "error:" in err and out.exists() and any(out.iterdir()):
+                faults.append((case, command, "wrote files", err))
+        if codes["score"] == 1 and codes["validate"] != 1:
+            faults.append((case, "validate passed what score failed", codes))
+    assert faults == []
 
 
 # ---------------------------------------------- BLAS threads and lazy root

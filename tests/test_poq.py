@@ -55,6 +55,7 @@ from mdqs.poq import (
     weighted_median,
 )
 from mdqs.rng import rng_for
+from mdqs.scoring import normalize_batch
 
 RNG = np.random.default_rng(0)
 
@@ -214,39 +215,39 @@ def test_aggregate_trimmed_mean_beats_inflators():
 
 def test_update_trust_zero_deviation_keeps_distribution():
     trust = [0.5, 0.3, 0.2]
-    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).trust_step(3, "t")
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).consensus_step(3, "t")
     # every emission equals the median 0.4, so nobody deviates
-    out = step(trust, [0, 1, 2], [0.4, 0.4, 0.4])
+    out = step(trust, [0, 1, 2], [0.4, 0.4, 0.4])[1]
     for i in range(3):
         assert out[i] == pytest.approx(trust[i])
 
 
 def test_update_trust_penalizes_deviation():
-    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).trust_step(2, "t")
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).consensus_step(2, "t")
     # the median of 0.5 and 1.0 under equal trust is 0.5
-    out = step([0.5, 0.5], [0, 1], [0.5, 1.0])
+    out = step([0.5, 0.5], [0, 1], [0.5, 1.0])[1]
     assert out[0] > out[1]
     assert out[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)))
 
 
 def test_update_trust_stays_on_simplex():
     rng = np.random.default_rng(6)
-    step = AdaptiveTrust(learning_rate=1.0, floor=0.0025).trust_step(4, "t")
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.0025).consensus_step(4, "t")
     trust = [0.25] * 4
     for r in range(50):
         values = [float(rng.uniform(0, 1)) for _ in range(4)]
-        trust = step(trust, [0, 1, 2, 3], values)
+        trust = step(trust, [0, 1, 2, 3], values)[1]
         assert math.fsum(trust) == pytest.approx(1.0, abs=1e-9)
         assert all(t >= 0.0 for t in trust)
 
 
 def test_update_trust_floor_pins_collapsed_evaluators():
     floor = 0.01
-    step = AdaptiveTrust(learning_rate=5.0, floor=floor).trust_step(2, "t")
+    step = AdaptiveTrust(learning_rate=5.0, floor=floor).consensus_step(2, "t")
     out = [0.5, 0.5]
     for _ in range(100):
         # a holds at least half the trust, so the median is a's 0.0
-        out = step(out, [0, 1], [0.0, 1.0])
+        out = step(out, [0, 1], [0.0, 1.0])[1]
     # b is maximally wrong every time; the raw weight pins at the floor, so
     # the renormalized share can never drop below floor / (1 + floor)
     assert out[1] >= floor / (1.0 + floor) - 1e-12
@@ -255,9 +256,9 @@ def test_update_trust_floor_pins_collapsed_evaluators():
 
 
 def test_update_trust_skips_non_participants():
-    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).trust_step(3, "t")
+    step = AdaptiveTrust(learning_rate=1.0, floor=0.001).consensus_step(3, "t")
     # a and c emit, b does not; the median is c's 0.0, so only a deviates
-    out = step([0.3, 0.4, 0.3], [0, 2], [1.0, 0.0])
+    out = step([0.3, 0.4, 0.3], [0, 2], [1.0, 0.0])[1]
     # a is penalized, b's raw weight is untouched, so b's share grows
     assert out[1] > 0.4
     assert out[0] < 0.3
@@ -410,10 +411,10 @@ def test_list_forms_match_the_dict_keyed_reference():
         n = len(listed)
         learning_rate = float(rng.choice([0.0, 1.0, 5.0, 50.0]))
         floor = float(rng.choice([0.0, 0.01 / n, 1.0 / n]))
-        step = AdaptiveTrust(learning_rate=learning_rate, floor=floor).trust_step(n, "t")
+        step = AdaptiveTrust(learning_rate=learning_rate, floor=floor).consensus_step(n, "t")
         reference = _ref_weighted_median(scores, trust_by_id)
         expected = _ref_update_trust(trust_by_id, scores, reference, learning_rate, floor)
-        updated = step(trust, emitters, values)
+        updated = step(trust, emitters, values)[1]
         assert dict(zip(listed, updated)) == expected
         assert list(expected) == listed  # the reference keeps listed order too
         floor_hits += any(
@@ -857,25 +858,40 @@ def test_replay_missing_signal_rejected():
 
 @dataclass(frozen=True)
 class FixedSignal:
-    """A replay signal that reports one value for every sample."""
+    """A replay signal that reports one value for every sample, and `extra`
+    more values than there are samples."""
 
     value: float
+    extra: int = 0
 
     def label(self) -> str:
         return f"fixed:{self.value}"
 
     def values(self, dataset, base_weights):
-        return {s.sample_id: self.value for s in dataset}
+        return [self.value] * (len(dataset) + self.extra)
 
 
 def test_emit_rejects_out_of_range_quality():
     # replay quality is checked once per signal, where it enters the run
-    for value in (1.2, -0.1, float("nan")):
+    for value in (1.2, -0.1, float("nan"), np.float64(1.2)):
         config = replay_config(quality_signal=FixedSignal(value))
-        with pytest.raises(ValueError, match=r"quality of 's0' must be in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"quality of 's0' must be in \[0, 1\]") as error:
             run_single(config, dataset=replay_dataset())
+        # named as a Python float, not as np.float64(1.2)
+        assert str(error.value).endswith(f"got {float(value)!r}")
         # not a per-cell failure: the error leaves the whole grid
         with pytest.raises(ValueError, match="must be in"):
+            run_experiment([config], dataset=replay_dataset())
+
+
+def test_replay_rejects_a_signal_with_one_value_too_few_or_too_many():
+    n = len(replay_dataset())
+    for extra in (-1, 1):
+        config = replay_config(quality_signal=FixedSignal(0.5, extra))
+        message = rf"^fixed:0.5: values gave {n + extra} entries for {n} samples$"
+        with pytest.raises(ValueError, match=message):
+            run_single(config, dataset=replay_dataset())
+        with pytest.raises(ValueError, match=message):
             run_experiment([config], dataset=replay_dataset())
 
 
@@ -1085,7 +1101,7 @@ def _ref_run_cell(config, replay):
     behaviors = list(config.resolve_behaviors().values())  # in listed order
     attacker_ids = frozenset(ids[: config.attacker_count()])
 
-    trust_step = config.defense.trust_step(n, config.config_id)  # None: trust stays put
+    step = config.defense.consensus_step(n, config.config_id)  # None: trust stays put
     trust = [1.0 / n] * n  # in listed order, like profiles
     budget = settings.budget if settings.budget is not None else math.inf
     streams = [rng_for(config.rng_seed, f"sim/evaluator/{e}") for e in ids]
@@ -1109,9 +1125,16 @@ def _ref_run_cell(config, replay):
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
-        signal_values = replay.signal_values(config.quality_signal)
-        ref_norm = replay.ref_norm
-        groups = replay.groups
+        samples = replay.samples
+        values = config.quality_signal.values(samples, replay.base_weights)
+        signal_values = {s.sample_id: q for s, q in zip(samples, values)}
+        referenced = [s for s in samples if s.reference_score is not None]
+        normalized_refs = normalize_batch([s.reference_score for s in referenced])
+        ref_norm = {s.sample_id: z for s, z in zip(referenced, normalized_refs)}
+        by_query: dict[str, list[LoggedSample]] = {}  # in order of first appearance
+        for s in samples:
+            by_query.setdefault(s.query, []).append(s)
+        groups = list(by_query.values())
 
         def outputs(round_index):
             for s in groups[round_index % len(groups)]:
@@ -1147,8 +1170,8 @@ def _ref_run_cell(config, replay):
             producer_of[key] = producer
             if target is not None:
                 errors.append(abs(consensus - target))
-            if trust_step is not None:
-                trust = trust_step(trust, emitters, values)
+            if step is not None:
+                trust = step(trust, emitters, values)[1]
 
         for key, share in _ref_allocate_rewards({"round": contest}, settings.reward_budget).items():
             producer = producer_of[key]
@@ -1235,12 +1258,27 @@ def _oracle_cell(rng, index):
     )
 
 
+def _interleaved(samples):
+    """The first 30 samples, whose queries come in pairs, reordered so the
+    queries interleave (q0, q1, q0, q2, q1, q2, ...): the groups' order is
+    not the dataset's. Two samples in three carry a reference score."""
+    order = [i + k for i in range(0, 30, 6) for k in (0, 2, 1, 4, 3, 5)]
+    return [
+        replace(samples[i], reference_score=None if n % 3 == 0 else float(n % 7))
+        for n, i in enumerate(order)
+    ]
+
+
 def test_run_cell_matches_the_one_by_one_reference():
     samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples
     # 3, 10 and 100 query groups of two, so most round counts cycle past them
     replays = [_Replay(samples[:size], DEFAULT_WEIGHTS) for size in (6, 20, 200)]
+    interleaved = _Replay(_interleaved(samples), DEFAULT_WEIGHTS)
+    assert [s.query for s in interleaved.samples[:6]] == [
+        samples[i].query for i in (0, 2, 0, 4, 2, 4)
+    ]
     rng = np.random.default_rng(12)
-    seen = set()
+    seen, signals = set(), set()
     for index in range(420):
         config = _oracle_cell(rng, index)
         replay = None if index % 4 == 0 else replays[int(rng.integers(len(replays)))]
@@ -1248,10 +1286,17 @@ def test_run_cell_matches_the_one_by_one_reference():
         assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
         if expected[0] == "outcome":
             seen.add((replay is None, attack_label(config.attack), config.defense))
+        if index % 4 == 1:  # the same cell on the interleaved queries
+            expected = _fingerprint(lambda: _ref_run_cell(config, interleaved))
+            assert _fingerprint(lambda: _run_cell(config, interleaved)) == expected, config
+            if expected[0] == "outcome":
+                signals.add(type(config.quality_signal))
     # both modes, every attack and every defense ran to an outcome
     assert {s[0] for s in seen} == {True, False}
     assert {s[1] for s in seen} == {attack_label(a) for a in ORACLE_ATTACKS}
     assert {s[2] for s in seen} == set(ORACLE_DEFENSES)
+    # every kind of signal ran to an outcome on the interleaved queries
+    assert signals == set(SIGNALS.values())
 
 
 def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
@@ -1263,7 +1308,7 @@ def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
     replay = _Replay(
         [replace(s, query=q) for s, q in zip(samples, queries)], DEFAULT_WEIGHTS
     )
-    assert sorted({len(group) for group in replay.groups}) == [4, 5]
+    assert sorted(set(replay.columns(ORACLE_SIGNALS[0]).sizes.tolist())) == [4, 5]
     rng = np.random.default_rng(5)
     for index, defense in enumerate([*ORACLE_DEFENSES, Mean(), Median()]):
         cell = _oracle_cell(rng, index)
