@@ -11,7 +11,6 @@ composite quality signal all look names up in it through variant().
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from mdqs.model import (
     LoggedSample,
     WeightConfig,
 )
+from mdqs.stats import fsum_rows
 
 _ABSENT = (None,) * len(CANONICAL_DIMENSIONS)
 
@@ -45,7 +45,7 @@ def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
     is the scalar formula's to the bit."""
     columns = [DIMENSION_COLUMN[d] for d in weights.weights]
     terms = matrix[:, columns] * list(weights.weights.values())
-    return np.clip(list(map(math.fsum, terms.tolist())), 0.0, 1.0)
+    return np.clip(fsum_rows(terms), 0.0, 1.0)
 
 
 def refuse_absent(samples: Sequence[LoggedSample], column: np.ndarray, weights: WeightConfig):

@@ -12,7 +12,7 @@ evaluator-id order, and a defense sees their values and trust as parallel
 lists in that order, so the weighted median and trimmed mean break value
 ties by evaluator id.
 
-A cell runs in blocks of up to ROUNDS_PER_MATRIX rounds (see _walk). A
+A cell runs in blocks of up to ROUNDS_PER_MATRIX rounds (see _scorer). A
 block gathers its outputs as columns, every evaluator scores all of them
 with its behavior, and the defense turns those columns into consensus
 scores: at once for a block's (outputs x emitters) matrix under fixed
@@ -45,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from mdqs.model import (
 )
 from mdqs.rng import rng_for
 from mdqs.scoring import normalize_batch, refuse_repeated_ids
+from mdqs.stats import fsum_rows
 
 
 def _clip01(x: np.ndarray) -> np.ndarray:
@@ -250,7 +251,7 @@ class Mean(_FixedTrust):
         return _weighted_mean(values, trust)
 
     def aggregate_rows(self, values: np.ndarray, trust: Sequence[float]) -> list[float]:
-        return _fsum_rows(values * np.array(_renormalized(trust)))
+        return fsum_rows(values * np.array(_renormalized(trust)))
 
 
 @dataclass(frozen=True)
@@ -308,11 +309,11 @@ class TrimmedMean(_FixedTrust):
             raise EmptyAfterTrim(m, k)
         kept = np.argsort(values, axis=1, kind="stable")[:, k : m - k]
         kept_trust = np.array(trust)[kept]
-        totals = np.array(_fsum_rows(kept_trust))[:, None]
+        totals = np.array(fsum_rows(kept_trust))[:, None]
         weights = np.divide(
             kept_trust, totals, out=np.full(kept.shape, 1.0 / kept.shape[1]), where=totals > 0.0
         )
-        return _fsum_rows(weights * np.take_along_axis(values, kept, axis=1))
+        return fsum_rows(weights * np.take_along_axis(values, kept, axis=1))
 
 
 @dataclass(frozen=True)
@@ -407,12 +408,6 @@ def _median_at_half(values: Sequence[float], weights: Sequence[float]) -> float:
 
 def _weighted_mean(values: Sequence[float], trust: Sequence[float]) -> float:
     return math.fsum(map(operator.mul, _renormalized(trust), values))
-
-
-def _fsum_rows(products: np.ndarray) -> list[float]:
-    """math.fsum of each row. numpy's products are the IEEE products Python
-    forms, and fsum is exact, so each sum is the scalar path's."""
-    return [math.fsum(row) for row in products.tolist()]
 
 
 def sample_evaluators(
@@ -721,50 +716,26 @@ def run_single(
     return _run_cell(config, replay)
 
 
-class _Block(NamedTuple):
-    """At most ROUNDS_PER_MATRIX rounds of a walk from round `first`: the
-    trust list after each round, how many outputs each scored (0: no
-    evaluator could afford to emit), and those outputs' columns."""
-
-    first: int
-    trust: list[list[float]]
-    sizes: np.ndarray
-    codes: np.ndarray
-    quality: np.ndarray
-    consensus: np.ndarray
-
-
 # Rounds per block: bounds the arrays a long cell holds at once.
 ROUNDS_PER_MATRIX = 1024
 
 
 def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     settings = config.settings
-    profiles = settings.evaluators
-    n = len(profiles)
-    ids = [p.evaluator_id for p in profiles]
-    behaviors = list(config.resolve_behaviors().values())  # in listed order
-    attackers = config.attacker_count()
-    attacker_ids = frozenset(ids[:attackers])
-
-    step = config.defense.consensus_step(n, config.config_id)  # None: trust stays put
-    trust = [1.0 / n] * n  # in listed order, like profiles
-    budget = settings.budget if settings.budget is not None else math.inf
-    # each evaluator's own stream, the same in every cell of this seed: its
-    # k-th draw is for the cell's k-th output, picked or not
-    streams = [rng_for(config.rng_seed, f"sim/evaluator/{e}") for e in ids]
+    ids = [p.evaluator_id for p in settings.evaluators]
+    score = _scorer(config)  # the trust floor and the seed are checked first
 
     # gather(first, stop) gives the outputs of rounds first to stop - 1,
-    # scored or not: each round's output count, and the outputs' producer
-    # codes and observed quality. frame(block) gives a block's scored
-    # outputs' keys and error targets (NaN: no target).
+    # scored or not: each round's output count, and each output's producer
+    # code, observed quality, key and error target (NaN: no target).
     if replay is None:
         if not settings.producers:
             raise SimConfigError(
                 f"{config.config_id}: synthetic mode needs producer mean qualities"
             )
         means = sorted(settings.producers.items())
-        names = np.array([producer for producer, _ in means], dtype=object)
+        producers = [producer for producer, _ in means]
+        names = np.array(producers, dtype=object)
         mean = np.array([m for _, m in means])
         kappa = settings.beta_concentration
         alpha, beta = mean * kappa, (1.0 - mean) * kappa
@@ -772,14 +743,11 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
 
         def gather(first: int, stop: int):
             # a round's qualities are one Beta draw per producer, in name order
-            quality = quality_rng.beta(alpha, beta, (stop - first, len(mean)))
+            quality = quality_rng.beta(alpha, beta, (stop - first, len(mean))).ravel()
+            keys = [f"r{r:04d}:{p}" for r in range(first, stop) for p in producers]
+            codes = np.tile(np.arange(len(mean)), stop - first)
             sizes = np.full(stop - first, len(mean))
-            return sizes, np.tile(np.arange(len(mean)), stop - first), quality.ravel()
-
-        def frame(block: _Block):
-            rounds = np.repeat(np.arange(block.first, block.first + len(block.sizes)), block.sizes)
-            keys = [f"r{r:04d}:{p}" for r, p in zip(rounds.tolist(), names[block.codes].tolist())]
-            return keys, block.quality
+            return sizes, codes, quality, np.array(keys, dtype=object), quality
 
     else:
         if not replay.samples:
@@ -792,11 +760,8 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
         def gather(first: int, stop: int):
             sizes = columns.sizes[np.arange(first, stop) % len(columns.sizes)]
             rows = columns.rows(first, sizes)
-            return sizes, columns.codes[rows], columns.quality[rows]
-
-        def frame(block: _Block):
-            rows = columns.rows(block.first, block.sizes)
-            return columns.keys[rows].tolist(), columns.target[rows]
+            quality, target = columns.quality[rows], columns.target[rows]
+            return sizes, columns.codes[rows], quality, columns.keys[rows], target
 
     consensus_scores: dict[str, float] = {}
     paid = np.zeros(len(names))  # rewards by producer code
@@ -805,28 +770,28 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
     errors: list[float] = []
     skipped = 0
     last = None  # the trust list the latest snapshot was taken of
-    walk = _walk(
-        config.defense, step, trust, profiles, budget, behaviors, streams, gather, names,
-        settings.rounds,
-    )
-    for block in walk:
-        for trust in block.trust:  # a new list whenever trust moves
+    for first in range(0, settings.rounds, ROUNDS_PER_MATRIX):
+        stop = min(first + ROUNDS_PER_MATRIX, settings.rounds)
+        sizes, codes, quality, keys, target = gather(first, stop)
+        trusts, scored, consensus = score(first, sizes, quality, names[codes])
+        for trust in trusts:  # a new list whenever trust moves
             if trust is not last:
                 snapshot, last = dict(zip(ids, trust)), trust
             trajectory.append(snapshot)
-        sizes = block.sizes[block.sizes > 0]  # one contest per scored round
-        skipped += len(block.sizes) - len(sizes)
-        if not len(sizes):
+        contests = scored[scored > 0]  # one per scored round
+        skipped += len(sizes) - len(contests)
+        if not len(contests):
             continue
+        kept = np.repeat(scored > 0, sizes)
+        codes = codes[kept]
         # a round's keys are distinct (sample ids, or round:producer), and a
         # key seen in an earlier round takes the new value
-        keys, target = frame(block)
-        consensus_scores.update(zip(keys, block.consensus.tolist()))
-        error = np.abs(block.consensus - target)
+        consensus_scores.update(zip(keys[kept].tolist(), consensus.tolist()))
+        error = np.abs(consensus - target[kept])
         errors.extend(error[~np.isnan(error)].tolist())
         # np.add.at adds in index order: each producer's shares in output order
-        np.add.at(paid, block.codes, _block_shares(block.consensus, sizes, settings.reward_budget))
-        payees.update(dict.fromkeys(block.codes.tolist()))
+        np.add.at(paid, codes, _block_shares(consensus, contests, settings.reward_budget))
+        payees.update(dict.fromkeys(codes.tolist()))
     rewards = paid.tolist()
 
     return SimOutcome(
@@ -836,26 +801,22 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
         trust_trajectory=tuple(trajectory),
         consensus_error=(math.fsum(errors) / len(errors)) if errors else None,
         skipped_rounds=skipped,
-        attacker_ids=attacker_ids,
+        attacker_ids=frozenset(ids[: config.attacker_count()]),
     )
 
 
-def _walk(
-    defense: DefenseConfig,
-    step: ConsensusStep | None,
-    trust: list[float],
-    profiles: Sequence[EvaluatorProfile],
-    budget: float,
-    behaviors: Sequence[EvaluatorBehavior],
-    streams: Sequence[np.random.Generator],
-    gather: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
-    names: np.ndarray,
-    rounds: int,
-) -> Iterator[_Block]:
-    """The cell's rounds, a block at a time. Each block gathers its outputs
-    and scores them with every evaluator's behavior, one column each, so
-    every evaluator draws for every output whether it is picked or not.
-    Each round picks its emitters under the trust the last one left.
+def _scorer(config: SimConfig) -> Callable[..., tuple[list[list[float]], np.ndarray, np.ndarray]]:
+    """A cell's scorer. It owns what only scoring reads: the behaviors, each
+    evaluator's stream, the budget, the trust list, the current emitters and
+    the trust list they were picked under.
+
+    score(first, sizes, quality, producer_id) scores the outputs of rounds
+    from `first` on (sizes[i]: round first + i's output count) with every
+    evaluator's behavior, one column each, so every evaluator draws for
+    every output whether it is picked or not. Each round picks its emitters
+    under the trust the last one left. It returns the trust list after each
+    round, each round's scored output count (0: no evaluator could afford
+    to emit) and the scored outputs' consensus.
 
     - Fixed trust picks the emitters once, and the defense aggregates each
       block's (outputs x emitters) matrix at once; no Python runs per round
@@ -864,38 +825,46 @@ def _walk(
       step weighs the next output and picks the next round's emitters: each
       output reads its emitters' values from the columns and takes its
       consensus step."""
+    profiles, defense = config.settings.evaluators, config.defense
+    n = len(profiles)
+    step = defense.consensus_step(n, config.config_id)  # None: trust stays put
+    behaviors = list(config.resolve_behaviors().values())  # in listed order
+    # each evaluator's own stream, the same in every cell of this seed: its
+    # k-th draw is for the cell's k-th output, picked or not
+    streams = [rng_for(config.rng_seed, f"sim/evaluator/{p.evaluator_id}") for p in profiles]
+    budget = config.settings.budget if config.settings.budget is not None else math.inf
+    trust = [1.0 / n] * n  # in listed order, like profiles
     emitters, picked = sample_evaluators(profiles, trust, budget), trust  # positions, in id order
-    for first in range(0, rounds, ROUNDS_PER_MATRIX):
-        stop = min(first + ROUNDS_PER_MATRIX, rounds)
-        sizes, codes, quality = gather(first, stop)
-        round_index, producer_id = np.repeat(np.arange(first, stop), sizes), names[codes]
+
+    def score(first: int, sizes: np.ndarray, quality: np.ndarray, producer_id: np.ndarray):
+        nonlocal trust, emitters, picked
+        round_index = np.repeat(np.arange(first, first + len(sizes)), sizes)
         emitted = [
             behavior.emit_column(quality, round_index, rng, producer_id)
             for behavior, rng in zip(behaviors, streams)
         ]
         if step is None:
-            trusts, scored, consensus = [trust] * (stop - first), 0 * sizes, []
-            if emitters:
-                values = np.column_stack([emitted[i] for i in emitters])
-                consensus = defense.aggregate_rows(values, [trust[i] for i in emitters])
-                scored = sizes
-        else:
-            by_evaluator = [column.tolist() for column in emitted]
-            sources = [by_evaluator[i] for i in emitters]
-            trusts, scored, consensus, start = [], [], [], 0
-            for size in sizes.tolist():
-                if trust is not picked:
-                    emitters, picked = sample_evaluators(profiles, trust, budget), trust
-                    sources = [by_evaluator[i] for i in emitters]
-                for row in range(start, start + size) if emitters else ():
-                    c, trust = step(trust, emitters, [s[row] for s in sources])
-                    consensus.append(c)
-                trusts.append(trust)
-                scored.append(size if emitters else 0)
-                start += size
-            scored = np.array(scored)
-        kept = np.repeat(scored > 0, sizes)
-        yield _Block(first, trusts, scored, codes[kept], quality[kept], np.array(consensus))
+            if not emitters:
+                return [trust] * len(sizes), 0 * sizes, np.empty(0)
+            values = np.column_stack([emitted[i] for i in emitters])
+            consensus = defense.aggregate_rows(values, [trust[i] for i in emitters])
+            return [trust] * len(sizes), sizes, np.array(consensus)
+        by_evaluator = [column.tolist() for column in emitted]
+        sources = [by_evaluator[i] for i in emitters]
+        trusts, scored, consensus, start = [], [], [], 0
+        for size in sizes.tolist():
+            if trust is not picked:
+                emitters, picked = sample_evaluators(profiles, trust, budget), trust
+                sources = [by_evaluator[i] for i in emitters]
+            for row in range(start, start + size) if emitters else ():
+                c, trust = step(trust, emitters, [s[row] for s in sources])
+                consensus.append(c)
+            trusts.append(trust)
+            scored.append(size if emitters else 0)
+            start += size
+        return trusts, np.array(scored), np.array(consensus)
+
+    return score
 
 
 def run_experiment(

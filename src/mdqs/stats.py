@@ -1,4 +1,5 @@
-"""Correlation statistics used by the reliability audit.
+"""Correlation statistics used by the reliability audit, and fsum_rows,
+the one exact row sum that the composite and the simulation's defenses use.
 
 pearson and spearman return None (undefined) when either input has zero
 variance; callers decide how to report that. Results snap to exactly +/-1.0
@@ -13,6 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from mdqs.errors import LengthMismatch, TooFewSamples
+
+
+def fsum_rows(terms: np.ndarray) -> list[float]:
+    """Each row's exact sum, rounded once (math.fsum); a row holding NaN
+    sums to NaN. numpy's products are the IEEE products Python forms, so a
+    row of products sums to the scalar path's bits."""
+    return [math.fsum(row) for row in terms.tolist()]
 
 
 def _paired_arrays(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:

@@ -132,7 +132,7 @@ def _task_labels(spec: SyntheticSpec, n_groups: int) -> list[str]:
     return ["qa"] * n_qa + ["summarization"] * (n_groups - n_qa)
 
 
-def _degrade(words: list[str], quality: float, rng: np.random.Generator) -> list[str]:
+def _degrade(words: list[str], quality: float) -> list[str]:
     """Low quality shortens the text and injects a degenerate loop."""
     if quality >= 0.2:
         return words
@@ -181,11 +181,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
     dim_columns: dict[DimensionId, np.ndarray] = {}
     for dim in dims:
         eps = rng.standard_normal(n)
-        latent = np.empty(n)
-        for i in range(n):
-            rho = spec.correlations[tasks[i]].get(dim, 0.0)
-            latent[i] = rho * gt[i] + math.sqrt(1.0 - rho * rho) * eps[i]
-        dim_columns[dim] = rank_normalize(latent)
+        rho = np.array([spec.correlations[t].get(dim, 0.0) for t in tasks])
+        dim_columns[dim] = rank_normalize(rho * gt + np.sqrt(1.0 - rho * rho) * eps)
 
     evaluator_columns: dict[str, np.ndarray] = {}
     for evaluator in sorted(spec.evaluator_noise):
@@ -204,7 +201,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
         length = 20 + int(u * 60)
         word_idx = rng.integers(0, len(_VOCAB), size=length)
         words = [_VOCAB[int(j)] for j in word_idx]
-        out_words = _degrade(words, u, rng)
+        out_words = _degrade(words, u)
         ref_words = _mutate(words, u, rng)
         samples.append(
             LoggedSample(

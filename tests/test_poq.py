@@ -953,6 +953,20 @@ def test_run_experiment_records_failures_and_continues():
             assert result == run_single(config, dataset=replay_dataset())
 
 
+def test_trust_floor_error_wins_over_a_signal_or_producer_error():
+    # the floor is checked before the mode's own checks and before the
+    # replay signal's values are read
+    floor = dict(config_id="c", evaluators=profiles(4), defense=AdaptiveTrust(floor=0.5))
+    for grid, dataset in (
+        ([replay_config(quality_signal=SingleEvaluator("missing"), **floor)], replay_dataset()),
+        ([synth_config(producers=None, **floor)], None),
+    ):
+        [result] = run_experiment(grid, dataset=dataset)
+        assert isinstance(result, SimError)
+        assert result.error_type == "SimConfigError"
+        assert result.message == "c: trust floor 0.5 exceeds 1/4"
+
+
 def test_run_experiment_computes_each_signal_once(monkeypatch):
     import mdqs.poq
 

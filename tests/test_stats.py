@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mdqs.errors import LengthMismatch, TooFewSamples
-from mdqs.stats import average_ranks, pearson, rank_normalize, spearman
+from mdqs.stats import average_ranks, fsum_rows, pearson, rank_normalize, spearman
 
 
 def pearson_oracle(x, y):
@@ -128,3 +128,32 @@ def test_rank_normalize():
     out = rank_normalize([1.0, 1.0, 2.0, 0.0])
     assert out[0] == out[1]
     assert min(out) == 0.0 and max(out) == 1.0
+
+
+def test_fsum_rows_is_math_fsum_of_each_row_to_the_bit():
+    nan, tiny, big = float("nan"), 5e-324, 1e308
+    below_big = math.nextafter(big, 0.0)
+    ulp = 2.0**-52
+    blocks = [
+        # NaN passes through wherever it sits
+        [[nan, 1.0, 2.0], [1.0, nan, -1.0], [0.0, 0.0, nan], [nan, nan, nan]],
+        # all negative zeros, and one of them beside a positive zero
+        [[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]],
+        [[-0.0]],
+        # subnormals: exact sums below the smallest normal
+        [[tiny, tiny, -tiny], [tiny, -2 * tiny, tiny], [2.2250738585072014e-308, -tiny, tiny]],
+        # cancellation at the 1e308 scale, where a running sum loses the rest
+        [[big, 1.0, -big, 0.0], [big, -big, big, -big], [big, -below_big, 1e-300, 0.0]],
+        # ties at half an ulp: round half to even, unless a later term breaks the tie
+        [[1.0, ulp / 2, 0.0], [1.0 + ulp, ulp / 2, 0.0], [1.0, ulp / 2, 2.0**-105]],
+        [[1.0, ulp / 2, -(2.0**-105)], [-1.0, -ulp / 2, 0.0], [2.0**53, 1.0, 0.0]],
+    ]
+    rng = np.random.default_rng(94)
+    for _ in range(20):
+        width = int(rng.integers(1, 9))
+        scale = 10.0 ** rng.integers(-300, 300, size=(5, width))
+        blocks.append((rng.normal(size=(5, width)) * scale).tolist())
+    for block in blocks:
+        got = fsum_rows(np.array(block))
+        assert [x.hex() for x in got] == [math.fsum(row).hex() for row in block]
+    assert fsum_rows(np.empty((0, 3))) == []
