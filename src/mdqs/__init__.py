@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "mdqs.audit": (
         "AuditBlock", "AuditReport", "CalibrationResult", "CorrelationRow", "ablation_grid",
-        "audit", "calibrate", "calibrate_per_task", "consensus_baselines", "with_composites",
+        "audit", "calibrate", "calibrate_per_task", "with_composites",
     ),
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "mdqs.scoring": (
         "PriorTable", "ScoringConfig", "StructureFeatures", "StructurePolicy", "column_value",
-        "normalize_batch", "score_agreement", "score_all", "score_semantic", "score_structure",
-        "structure_features", "validate_dataset",
+        "consensus_baselines", "normalize_batch", "score_agreement", "score_all",
+        "score_semantic", "score_structure", "structure_features", "validate_dataset",
     ),
     "mdqs.stats": ("average_ranks", "pearson", "rank_normalize", "spearman"),
     "mdqs.synth": ("SyntheticSpec", "generate_synthetic"),

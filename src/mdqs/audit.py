@@ -14,18 +14,13 @@ report, and with_composites then appends the composite rows to it.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from mdqs.composite import compose_rows, dimension_matrix, refuse_absent, variant
-from mdqs.errors import (
-    AllDimensionsRemoved,
-    NoEvaluators,
-    TooFewReferencedSamples,
-)
+from mdqs.errors import AllDimensionsRemoved, TooFewReferencedSamples
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
@@ -33,7 +28,7 @@ from mdqs.model import (
     LoggedSample,
     WeightConfig,
 )
-from mdqs.scoring import normalize_evaluator_scores
+from mdqs.scoring import consensus_baselines, evaluator_table
 from mdqs.stats import pearson, spearman
 
 
@@ -68,26 +63,6 @@ class AuditReport:
     overall: AuditBlock
     by_task: Mapping[str, AuditBlock]
     n_referenced: int
-
-
-def consensus_baselines(samples: Sequence[LoggedSample]) -> dict[str, dict[str, float]]:
-    """Mean and median of per-evaluator-normalized scores, per sample.
-
-    Every sample must carry at least one evaluator score; a consensus of
-    nothing is a config error, not a zero.
-    """
-    samples = list(samples)
-    normalized = normalize_evaluator_scores(samples)
-    out: dict[str, dict[str, float]] = {}
-    for sample in samples:
-        values = list(normalized[sample.sample_id].values())
-        if not values:
-            raise NoEvaluators(sample.sample_id)
-        out[sample.sample_id] = {
-            "mean": math.fsum(values) / len(values),
-            "median": float(statistics.median(values)),
-        }
-    return out
 
 
 def _correlation_row(kind: str, name: str, xs: np.ndarray, ys: np.ndarray) -> CorrelationRow:
@@ -137,21 +112,24 @@ def audit(samples: Sequence[LoggedSample]) -> AuditReport:
     overall and per task.
 
     Only samples carrying a reference score participate. Evaluator columns
-    are normalized over the full sample set first; min-max is affine per
-    column, so the correlations themselves are unaffected, but the consensus
-    baselines need a common scale.
+    are correlated raw: min-max is affine per column, so it would move no
+    correlation but its last bits. The consensus baselines are taken over
+    every sample carrying evaluator scores, normalized per evaluator.
     """
     all_samples = list(samples)
     referenced = _referenced(all_samples, "audit")
     baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
     matrix, ys, labels = _columns(referenced)
     signals = [("dimension", d.value, column) for d, column in zip(CANONICAL_DIMENSIONS, matrix.T)]
-    for evaluator in sorted({e for s in referenced for e in s.evaluator_scores}):
-        scores = [s.evaluator_scores.get(evaluator, math.nan) for s in referenced]
-        signals.append(("evaluator", evaluator, np.array(scores, dtype=np.float64)))
-    for stat in ("mean", "median"):
-        xs = [baselines[s.sample_id][stat] if s.evaluator_scores else math.nan for s in referenced]
-        signals.append(("baseline", stat, np.array(xs, dtype=np.float64)))
+    ids, raw = evaluator_table(referenced)
+    signals += [("evaluator", evaluator, column) for evaluator, column in zip(ids, raw.T)]
+    # each baseline onto the samples carrying scores, NaN elsewhere; then the referenced rows
+    has_scores = np.array([bool(s.evaluator_scores) for s in all_samples], dtype=bool)
+    is_referenced = np.array([s.reference_score is not None for s in all_samples], dtype=bool)
+    for stat, values in baselines.items():
+        column = np.full(len(all_samples), math.nan)
+        column[has_scores] = values
+        signals.append(("baseline", stat, column[is_referenced]))
 
     # qa, then summarization, then other tasks in order of first appearance
     first_seen = dict.fromkeys(labels.tolist())

@@ -236,6 +236,9 @@ def from_record(obj: object) -> LoggedSample:
         dimension_scores=dims,
         extra={k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS},
     )
+    for key, value in fields["extra"].items():
+        if isinstance(value, (float, dict, list)):  # a string's surrogates are ingest's check
+            _refuse_unwritable(value, key)
     try:
         return LoggedSample(**fields)
     except ValueError as exc:  # a field LoggedSample refuses, such as a blank sample_id
@@ -272,12 +275,11 @@ def to_record(sample: LoggedSample) -> dict:
 _SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 
-def _refuse_lone_surrogates(
-    value, where: str, root: str = "record", seen: set | None = None
-) -> None:
-    """SchemaError naming the first key or string, at any depth, that holds a
-    lone surrogate: no report could write it as UTF-8. A valid escaped pair
-    decodes to one code point and passes. `root` names the whole value.
+def _refuse_unwritable(value, where: str, root: str = "record", seen: set | None = None) -> None:
+    """SchemaError naming the first key, string or float, at any depth, that
+    no report could write: a string holding a lone surrogate is not UTF-8,
+    and NaN or an infinity is not JSON. A valid escaped pair decodes to one
+    code point and passes. `root` names the whole value.
 
     Each container is checked once, so a YAML alias, even one that refers to
     its own parent, costs nothing more."""
@@ -288,6 +290,8 @@ def _refuse_lone_surrogates(
             code = ord(value[exc.start])
             raise SchemaError(f"{where or root}: lone surrogate U+{code:04X}") from None
         return
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{where or root} must be finite, got {value!r}")
     if not isinstance(value, (dict, list)):
         return
     seen = set() if seen is None else seen
@@ -296,11 +300,11 @@ def _refuse_lone_surrogates(
     seen.add(id(value))
     if isinstance(value, dict):
         for key, item in value.items():
-            _refuse_lone_surrogates(key, f"a key in {where or 'the ' + root}", root, seen)
-            _refuse_lone_surrogates(item, f"{where}.{key}" if where else f"{key}", root, seen)
+            _refuse_unwritable(key, f"a key in {where or 'the ' + root}", root, seen)
+            _refuse_unwritable(item, f"{where}.{key}" if where else f"{key}", root, seen)
     else:
         for i, item in enumerate(value):
-            _refuse_lone_surrogates(item, f"{where}[{i}]", root, seen)
+            _refuse_unwritable(item, f"{where}[{i}]", root, seen)
 
 
 @dataclass(frozen=True)
@@ -318,9 +322,10 @@ class IngestResult:
 def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     """Read a JSONL dataset.
 
-    Malformed lines (a lone surrogate anywhere in a record among them), and
-    a line repeating an earlier line's sample_id, are collected as issues
-    and skipped; with strict=True the first one aborts the read instead.
+    Malformed lines (a lone surrogate or a non-finite number anywhere in a
+    record among them), and a line repeating an earlier line's sample_id,
+    are collected as issues and skipped; with strict=True the first one
+    aborts the read instead.
     """
     samples: list[LoggedSample] = []
     issues: list[IngestIssue] = []
@@ -333,7 +338,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
                 try:
                     record = json.loads(line.decode("utf-8"))
                     if _SURROGATE_ESCAPE.search(line):
-                        _refuse_lone_surrogates(record, "")
+                        _refuse_unwritable(record, "")
                     sample = from_record(record)
                     first = first_line.setdefault(sample.sample_id, line_no)
                     if first != line_no:
@@ -652,7 +657,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        _refuse_lone_surrogates(raw, "", "run config")  # an id or label may reach a report
+        _refuse_unwritable(raw, "", "run config")  # an id or label may reach a report
     except (OSError, yaml.YAMLError, RecursionError) as exc:
         raise SchemaError(f"cannot load config {path}: {exc}") from None
     raw = _section(raw, "run config", _TOP_KEYS)
@@ -856,7 +861,10 @@ def _jsonl(records: Iterable[dict]):
 
     def write(fh: TextIO) -> None:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n")
+            fh.write(
+                json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+                + "\n"
+            )
 
     return write
 

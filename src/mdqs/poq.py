@@ -65,7 +65,7 @@ from mdqs.model import (
     WeightConfig,
 )
 from mdqs.rng import rng_for
-from mdqs.scoring import normalize_batch, refuse_repeated_ids
+from mdqs.scoring import consensus_baselines, normalize_batch, refuse_repeated_ids
 from mdqs.stats import fsum_rows
 
 
@@ -503,11 +503,7 @@ class ConsensusBaseline:
         return f"baseline:{self.stat}"
 
     def values(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig) -> list[float]:
-        # looked up at call time, so a wrapper put on mdqs.audit sees the call
-        from mdqs.audit import consensus_baselines
-
-        baselines = consensus_baselines(dataset)
-        return [baselines[s.sample_id][self.stat] for s in dataset]
+        return consensus_baselines(dataset)[self.stat]
 
 
 @dataclass(frozen=True)

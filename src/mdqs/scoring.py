@@ -19,13 +19,15 @@ Conventions that matter:
     per-trigram string; a text under three characters has no trigram and
     matches only an equal text;
   - a zero-range column normalizes to 0.5 everywhere (no information);
-  - agreement expects evaluator scores already normalized per evaluator,
-    which score_all does internally before measuring dispersion.
+  - evaluator scores form one (n x evaluators) table, normalized per
+    column over the samples each evaluator scores; agreement and the
+    mean/median consensus baselines are statistics of its rows.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -38,6 +40,7 @@ from mdqs.errors import (
     MdqsError,
     MissingColumn,
     MissingReferenceText,
+    NoEvaluators,
     SchemaError,
     TooFewEvaluators,
 )
@@ -325,28 +328,42 @@ def refuse_repeated_ids(samples: Iterable[LoggedSample]) -> None:
         raise SchemaError(issues[0].message)
 
 
-def normalize_evaluator_scores(
-    samples: Sequence[LoggedSample],
-) -> dict[str, dict[str, float]]:
-    """Per-evaluator min-max over the batch.
+def evaluator_table(samples: Sequence[LoggedSample]) -> tuple[list[str], np.ndarray]:
+    """Sorted evaluator ids and the raw scores as an (n x evaluators) float64
+    array in sample order, NaN where a sample has no score."""
+    ids = sorted({e for s in samples for e in s.evaluator_scores})
+    rows = [[s.evaluator_scores.get(e, math.nan) for e in ids] for s in samples]
+    return ids, np.array(rows, dtype=np.float64).reshape(len(samples), len(ids))
 
-    Returns sample_id -> {evaluator_id -> normalized score}, covering each
-    evaluator only on the samples where it appears. Raw evaluator scales
-    are arbitrary (logprobs, Likert, percentages), so each column is mapped
-    onto [0, 1] independently before any cross-evaluator arithmetic. A
-    repeated sample_id is refused.
-    """
+
+def normalize_evaluator_scores(samples: Sequence[LoggedSample]) -> tuple[list[str], np.ndarray]:
+    """evaluator_table, each column min-max normalized over the samples it
+    scores: raw evaluator scales are arbitrary (logprobs, Likert,
+    percentages), so each is mapped onto [0, 1] on its own before any
+    cross-evaluator arithmetic. A repeated sample_id is refused."""
     refuse_repeated_ids(samples)
-    columns: dict[str, list[tuple[str, float]]] = {}
-    for sample in samples:
-        for evaluator, score in sample.evaluator_scores.items():
-            columns.setdefault(evaluator, []).append((sample.sample_id, score))
-    normalized: dict[str, dict[str, float]] = {s.sample_id: {} for s in samples}
-    for evaluator, pairs in columns.items():
-        scores = normalize_batch([score for _, score in pairs])
-        for (sample_id, _), z in zip(pairs, scores):
-            normalized[sample_id][evaluator] = z
-    return normalized
+    ids, table = evaluator_table(samples)
+    for column in table.T:
+        present = ~np.isnan(column)
+        column[present] = normalize_batch(column[present].tolist())
+    return ids, table
+
+
+def consensus_baselines(samples: Sequence[LoggedSample]) -> dict[str, list[float]]:
+    """Mean and median of each sample's normalized evaluator scores, as
+    {"mean": [...], "median": [...]} in sample order. A sample without
+    scores raises NoEvaluators: a consensus of nothing is a config error,
+    not a zero. A repeated sample_id is refused."""
+    samples = list(samples)
+    _, table = normalize_evaluator_scores(samples)
+    out: dict[str, list[float]] = {"mean": [], "median": []}
+    for sample, row in zip(samples, table.tolist()):
+        values = [v for v in row if v == v]
+        if not values:
+            raise NoEvaluators(sample.sample_id)
+        out["mean"].append(math.fsum(values) / len(values))
+        out["median"].append(float(statistics.median(values)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +449,10 @@ def _raw_column(
     if dim is DimensionId.ALIGNMENT:
         return [column_value(s, config.alignment_column) for s in samples]
     if dim is DimensionId.AGREEMENT:
-        normalized = normalize_evaluator_scores(samples)
+        _, table = normalize_evaluator_scores(samples)
         return [
-            _agreement_from_values(
-                list(normalized[s.sample_id].values()), s.sample_id
-            )
-            for s in samples
+            _agreement_from_values([v for v in row if v == v], s.sample_id)
+            for s, row in zip(samples, table.tolist())
         ]
     raise ValueError(f"no scorer for dimension {dim!r}")
 

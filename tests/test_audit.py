@@ -1,6 +1,7 @@
 """Reliability audit, ablation grid, and threshold calibration."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -27,11 +28,12 @@ from mdqs.errors import (
     MdqsError,
     NoEvaluators,
     SchemaError,
+    TooFewEvaluators,
     TooFewReferencedSamples,
 )
 from mdqs.io import build_scoring_config, ingest, load_config, resolve_weights
 from mdqs.model import CANONICAL_DIMENSIONS, DEFAULT_WEIGHTS, DimensionId, WeightConfig
-from mdqs.scoring import score_all
+from mdqs.scoring import ScoringConfig, _raw_column, score_all
 from mdqs.stats import pearson, spearman
 
 
@@ -71,9 +73,9 @@ def test_consensus_baselines_mean_median():
     ]
     out = consensus_baselines(samples)
     # each column min-max normalizes to [0, .5, 1], so mean == median == position
-    assert out["s0"]["mean"] == pytest.approx(0.0)
-    assert out["s1"]["mean"] == pytest.approx(0.5)
-    assert out["s2"]["median"] == pytest.approx(1.0)
+    assert out["mean"][0] == pytest.approx(0.0)
+    assert out["mean"][1] == pytest.approx(0.5)
+    assert out["median"][2] == pytest.approx(1.0)
 
 
 def test_consensus_baselines_need_evaluators():
@@ -413,6 +415,49 @@ def _ref_referenced(samples, what):
     return referenced
 
 
+def _ref_normalized_by_id(samples):
+    """{sample_id: {evaluator: score}}, each evaluator's scores min-max
+    normalized over the samples it scores, as the dict-keyed code did."""
+    columns = {}
+    for s in samples:
+        for evaluator, score in s.evaluator_scores.items():
+            columns.setdefault(evaluator, {})[s.sample_id] = score
+    normalized = {s.sample_id: {} for s in samples}
+    for evaluator, column in columns.items():
+        lo, hi = min(column.values()), max(column.values())
+        for sample_id, score in column.items():
+            z = 0.5 if hi == lo else (score / 2 - lo / 2) / (hi / 2 - lo / 2)
+            normalized[sample_id][evaluator] = z
+    return normalized
+
+
+def _ref_consensus_baselines(samples):
+    normalized = _ref_normalized_by_id(samples)
+    out = {}
+    for s in samples:
+        values = list(normalized[s.sample_id].values())
+        if not values:
+            raise NoEvaluators(s.sample_id)
+        out[s.sample_id] = {
+            "mean": math.fsum(values) / len(values),
+            "median": float(statistics.median(values)),
+        }
+    return out
+
+
+def _ref_agreement(samples):
+    normalized = _ref_normalized_by_id(samples)
+    out = []
+    for s in samples:
+        values = list(normalized[s.sample_id].values())
+        if len(values) < 2:
+            raise TooFewEvaluators(s.sample_id, len(values))
+        mean = math.fsum(values) / len(values)
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+        out.append(min(1.0, max(0.0, 1.0 - sd / 0.5)))
+    return out
+
+
 def _ref_block(label, samples, baselines):
     rows = []
 
@@ -440,7 +485,7 @@ def _ref_block(label, samples, baselines):
 def _ref_audit(samples):
     all_samples = list(samples)
     referenced = _ref_referenced(all_samples, "audit")
-    baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
+    baselines = _ref_consensus_baselines([s for s in all_samples if s.evaluator_scores])
 
     overall = _ref_block("overall", referenced, baselines)
 
@@ -627,6 +672,44 @@ def _oracle_batch(rng) -> list:
     return samples
 
 
+def _evaluator_batch(rng) -> list:
+    """A seeded batch whose evaluators first appear in reverse-sorted order,
+    where some samples carry one evaluator or none, and whose scores tie and
+    hold both signed zeros."""
+    evaluators = ["e4", "e3", "e2", "e1", "e0"][: int(rng.integers(1, 6))]
+    pool = (0.0, -0.0, 1.0, -1.0, 2.5)
+    samples = []
+    for i in range(int(rng.integers(2, 16))):
+        carried = evaluators if i == 0 else [e for e in evaluators if rng.random() < 0.7]
+        if i and rng.random() < 0.3:
+            carried = carried[: int(rng.integers(0, 2))]
+        scores = {
+            e: float(rng.choice(pool)) if rng.random() < 0.5 else float(rng.normal(0.0, 3.0))
+            for e in carried
+        }
+        samples.append(
+            make_sample(
+                sample_id=f"s{i:03d}",
+                task=str(rng.choice(["qa", "summarization"])),
+                evaluator_scores=scores,
+                reference_score=float(rng.random()) if rng.random() < 0.8 else None,
+            )
+        )
+    return samples
+
+
+def _assert_evaluator_statistics_match(samples):
+    """Agreement and both consensus baselines, bit for bit, against the
+    dict-keyed reference."""
+    scored = [s for s in samples if s.evaluator_scores]
+    got, want = consensus_baselines(scored), _ref_consensus_baselines(scored)
+    for stat in ("mean", "median"):
+        assert [v.hex() for v in got[stat]] == [want[s.sample_id][stat].hex() for s in scored]
+    pairs = [s for s in samples if len(s.evaluator_scores) >= 2]
+    got = _raw_column(DimensionId.AGREEMENT, pairs, ScoringConfig())
+    assert [v.hex() for v in got] == [v.hex() for v in _ref_agreement(pairs)]
+
+
 def _oracle_weights(rng) -> WeightConfig:
     if rng.random() < 0.4:
         return DEFAULT_WEIGHTS
@@ -638,8 +721,14 @@ def _oracle_weights(rng) -> WeightConfig:
 def test_column_path_matches_per_sample_reference(seed):
     assert math.fsum(_ABOVE_ONE.weights.values()) > 1.0
     rng = np.random.default_rng([seed, 15])
+    evaluator_rng = np.random.default_rng([seed, 25])
+    for _ in range(20):
+        samples = _evaluator_batch(evaluator_rng)
+        _assert_evaluator_statistics_match(samples)
+        assert _outcome(audit, samples) == _outcome(_ref_audit, samples)
     for _ in range(40):
         samples = _oracle_batch(rng)
+        _assert_evaluator_statistics_match(samples)
         base = _oracle_weights(rng)
         for weights in (base, DEFAULT_WEIGHTS, variant(DEFAULT_WEIGHTS, "no_priors"), _ABOVE_ONE):
             assert _outcome(compose_batch, samples, weights) == _outcome(

@@ -206,6 +206,15 @@ def test_extra_score_column_must_hold_a_finite_number(tmp_path, capsys, judge):
         tmp_path, lambda raw: raw["providers"].update(alignment="column:judge")
     )
     argv = ["--config", config, "--input", str(data)]
+    if judge in ("1e400", "NaN"):
+        # not JSON a report could write, so ingest refuses the line itself
+        assert main(["score", *argv, "--strict", "--out", str(tmp_path / "s")]) == 1
+        assert f"{data}:3: judge must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "scored.jsonl").exists()
+        assert main(["validate", *argv, "--out", str(tmp_path / "v")]) == 1
+        errors = (tmp_path / "v" / "ingest_errors.jsonl").read_text(encoding="utf-8")
+        assert [json.loads(line)["line"] for line in errors.splitlines()] == [3]
+        return
     assert main(["score", *argv, "--out", str(tmp_path / "s")]) == 1
     err = capsys.readouterr().err
     assert "column 'judge'" in err and "s00002" in err
@@ -472,6 +481,35 @@ def test_bad_record_value_lands_in_ingest_errors(tmp_path, bad):
         assert code in (0, 1)
         issues = (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["line"] for line in issues] == [6]
+
+
+def test_non_finite_unknown_field_is_a_malformed_line(tmp_path):
+    lines = (Path(FIXTURES) / "replay_200.jsonl").read_text(encoding="utf-8").splitlines()[:12]
+    edits = {2: '"note": NaN', 5: '"drift": -Infinity', 8: '"meta": {"tags": [1, {"big": 1e999}]}'}
+    for index, field in edits.items():
+        lines[index] = lines[index][:-1] + ", " + field + "}"
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = f"{FIXTURES}/replay_config.yaml"
+    for command in ("validate", "score"):
+        out = tmp_path / command
+        code = main([command, "--config", config, "--input", str(data), "--out", str(out)])
+        assert code == (1 if command == "validate" else 0)
+        issues = [
+            json.loads(line)
+            for line in (out / "ingest_errors.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert [(i["line"], i["error"]) for i in issues] == [
+            (3, "note must be finite, got nan"),
+            (6, "drift must be finite, got -inf"),
+            (9, "meta.tags[1].big must be finite, got inf"),
+        ]
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} written to scored.jsonl")
+
+    scored = (tmp_path / "score" / "scored.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len([json.loads(line, parse_constant=refuse) for line in scored]) == 9
 
 
 # ------------------------------------------------------------------ synth
@@ -1178,7 +1216,7 @@ def test_cli_pearson_bits_do_not_follow_the_core_count():
 ROOT_EXPORTS = {
     "mdqs.audit": (
         "AuditBlock", "AuditReport", "CalibrationResult", "CorrelationRow", "ablation_grid",
-        "audit", "calibrate", "calibrate_per_task", "consensus_baselines", "with_composites",
+        "audit", "calibrate", "calibrate_per_task", "with_composites",
     ),
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
@@ -1194,8 +1232,8 @@ ROOT_EXPORTS = {
     ),
     "mdqs.scoring": (
         "PriorTable", "ScoringConfig", "StructureFeatures", "StructurePolicy", "column_value",
-        "normalize_batch", "score_agreement", "score_all", "score_semantic", "score_structure",
-        "structure_features", "validate_dataset",
+        "consensus_baselines", "normalize_batch", "score_agreement", "score_all",
+        "score_semantic", "score_structure", "structure_features", "validate_dataset",
     ),
     "mdqs.stats": ("average_ranks", "pearson", "rank_normalize", "spearman"),
     "mdqs.synth": ("SyntheticSpec", "generate_synthetic"),

@@ -244,7 +244,7 @@ def test_ingest_refuses_a_lone_surrogate_anywhere_in_a_record(tmp_path, bad, whe
 
 def test_ingest_checks_for_lone_surrogates_only_on_lines_with_an_escape(tmp_path, monkeypatch):
     checked = []
-    monkeypatch.setattr(mdqs.io, "_refuse_lone_surrogates", lambda record, where: checked.append(1))
+    monkeypatch.setattr(mdqs.io, "_refuse_unwritable", lambda record, where: checked.append(1))
     path = tmp_path / "data.jsonl"
     plain = full_record() | {"output": "caf\u00e9 \U0001F600"}
     lines = [json.dumps(plain, ensure_ascii=False), json.dumps(plain | {"sample_id": "s2"})]

@@ -1,7 +1,6 @@
 """Consensus simulation: behaviors, defenses, trust, rewards, run loop."""
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_args
@@ -970,7 +969,6 @@ def test_trust_floor_error_wins_over_a_signal_or_producer_error():
 def test_run_experiment_computes_each_signal_once(monkeypatch):
     import mdqs.poq
 
-    audit_module = sys.modules["mdqs.audit"]  # mdqs.audit names the function
     calls = {"compose_batch": 0, "consensus_baselines": 0}
 
     def counted(module, name):
@@ -983,7 +981,7 @@ def test_run_experiment_computes_each_signal_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(mdqs.poq, "compose_batch")
-    counted(audit_module, "consensus_baselines")
+    counted(mdqs.poq, "consensus_baselines")
     composite = [
         replay_config(config_id=f"c{i}", quality_signal=CompositeSignal("default"))
         for i in range(3)

@@ -7,6 +7,7 @@ import random
 import statistics
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import mdqs.scoring
@@ -375,9 +376,10 @@ def test_normalize_evaluator_scores_per_column():
         make_sample(sample_id="s1", evaluator_scores={"j": 30.0, "k": 0.4}),
         make_sample(sample_id="s2", evaluator_scores={"j": 20.0, "k": 0.3}),
     ]
-    normed = normalize_evaluator_scores(samples)
-    assert [normed[f"s{i}"]["j"] for i in range(3)] == [0.0, 1.0, 0.5]
-    assert [normed[f"s{i}"]["k"] for i in range(3)] == pytest.approx([0.0, 1.0, 0.5])
+    ids, table = normalize_evaluator_scores(samples)
+    assert ids == ["j", "k"]
+    assert table[:, 0].tolist() == [0.0, 1.0, 0.5]
+    assert table[:, 1].tolist() == pytest.approx([0.0, 1.0, 0.5])
 
 
 def test_normalize_evaluator_scores_partial_coverage():
@@ -386,10 +388,10 @@ def test_normalize_evaluator_scores_partial_coverage():
         make_sample(sample_id="s1", evaluator_scores={"j": 3.0, "k": 5.0}),
         make_sample(sample_id="s2", evaluator_scores={"k": 9.0}),
     ]
-    normed = normalize_evaluator_scores(samples)
-    assert normed["s0"] == {"j": 0.0}
-    assert normed["s1"] == {"j": 1.0, "k": 0.0}
-    assert normed["s2"] == {"k": 1.0}
+    ids, table = normalize_evaluator_scores(samples)
+    assert ids == ["j", "k"]
+    # NaN where a sample has no score from that evaluator
+    np.testing.assert_array_equal(table, [[0.0, math.nan], [1.0, 0.0], [math.nan, 1.0]])
 
 
 def test_repeated_sample_id_is_refused():
@@ -405,7 +407,8 @@ def test_repeated_sample_id_is_refused():
     agreement = ScoringConfig(weights=WeightConfig("a", {DimensionId.AGREEMENT: 1.0}))
     with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
         score_all(samples, agreement)
-    assert normalize_evaluator_scores(samples[:2])["s1"] == {"j": 0.0, "k": 0.0}
+    ids, table = normalize_evaluator_scores(samples[:2])
+    assert ids == ["j", "k"] and table[0].tolist() == [0.0, 0.0]  # s1's row
 
 
 # --------------------------------------------------------------- score_all
