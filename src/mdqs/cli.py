@@ -18,7 +18,7 @@ import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # One OpenBLAS thread, set before the imports below load numpy. The only
 # BLAS calls in mdqs are the vector dot products of stats.pearson, yet
@@ -48,7 +48,8 @@ from mdqs.io import (
     load_config,
     resolve_weights,
 )
-from mdqs.poq import run_experiment
+from mdqs.model import SimError
+from mdqs.poq import SimConfig, iter_experiment
 from mdqs.rng import SEED_LIMIT
 from mdqs.scoring import ScoringConfig, check_config, score_all, validate_dataset
 from mdqs.synth import SyntheticSpec, generate_synthetic
@@ -181,6 +182,20 @@ def _ingest(args, config: RunConfig, scoring: ScoringConfig | None = None) -> In
     return ingest(path, strict=args.strict)
 
 
+def _cells(grid: Sequence[SimConfig], outcomes: Iterator, failed: list[str]) -> Iterator[tuple]:
+    """(config, outcome) pairs as the cells run, for emit_reports to write
+    one by one; each failed config_id is added to `failed` as it passes.
+    Unlike zip, map keeps no pair it has handed on, so each outcome is freed
+    once its report is written."""
+
+    def pair(config: SimConfig, outcome):
+        if isinstance(outcome, SimError):
+            failed.append(config.config_id)
+        return config, outcome
+
+    return map(pair, grid, outcomes)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -279,10 +294,10 @@ def cmd_simulate(args) -> int:
     if config.sim.mode == "replay":
         result = _ingest(args, config)
         dataset, issues = result.samples, result.issues
-    results = run_experiment(grid, dataset=dataset, base_weights=config.scoring.weights)
-    emit_reports(out, sim_results=list(zip(grid, results)), ingest_issues=issues)
-    failures = sum(1 for r in results if not hasattr(r, "rewards"))
-    print(f"simulate: {len(grid)} config(s), {failures} failed, seed {seed} -> {out}")
+    outcomes = iter_experiment(grid, dataset=dataset, base_weights=config.scoring.weights)
+    failed: list[str] = []
+    emit_reports(out, sim_results=_cells(grid, outcomes, failed), ingest_issues=issues)
+    print(f"simulate: {len(grid)} config(s), {len(failed)} failed, seed {seed} -> {out}")
     return 0
 
 
@@ -325,11 +340,12 @@ def cmd_report(args) -> int:
     report = with_composites(report, scored, {base.name: base, "calibrated": cal.calibrated})
     rows = ablation_grid(scored, config.variant_names, base=base)
 
-    sim_results = None
+    grid, sim_results = [], None
     if config.sim is not None:
         grid = build_grid(config.sim, seed)
         dataset = scored if config.sim.mode == "replay" else None
-        sim_results = list(zip(grid, run_experiment(grid, dataset=dataset, base_weights=base)))
+        outcomes = iter_experiment(grid, dataset=dataset, base_weights=base)
+        sim_results = _cells(grid, outcomes, [])
 
     emit_reports(
         out,
@@ -343,9 +359,8 @@ def cmd_report(args) -> int:
         dimension_means=dimension_means_by_producer(scored),
         ingest_issues=result.issues,
     )
-    sims = len(sim_results) if sim_results else 0
     print(
-        f"report: {len(scored)} sample(s), {len(rows)} variant(s), {sims} sim config(s), "
+        f"report: {len(scored)} sample(s), {len(rows)} variant(s), {len(grid)} sim config(s), "
         f"seed {seed} -> {out}"
     )
     return 0

@@ -15,8 +15,10 @@ ones only once all are written: a failed run leaves the directory as it was.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -212,9 +214,19 @@ def _dims(raw) -> DimensionVector | None:
 
 
 def from_record(obj: object) -> LoggedSample:
-    """Parse one JSONL record; SchemaError names the offending field."""
+    """Parse one JSONL record; SchemaError names the offending field. Like
+    ingest, it refuses a lone surrogate or a non-finite number anywhere in
+    the record, so every sample it returns can be written back."""
+    return _from_record(obj, any_string=True)
+
+
+def _from_record(obj: object, any_string: bool) -> LoggedSample:
+    """from_record. any_string=False, for a line read without a surrogate
+    escape, walks only the unknown fields' containers and numbers."""
     if not isinstance(obj, dict):
         raise SchemaError(f"record must be an object, got {type(obj).__name__}")
+    if any_string:
+        _refuse_unwritable(obj, "")
     schema = obj.get("schema", RECORD_SCHEMA)
     if schema != RECORD_SCHEMA:
         raise SchemaError(f"unsupported record schema {schema!r}")
@@ -236,9 +248,10 @@ def from_record(obj: object) -> LoggedSample:
         dimension_scores=dims,
         extra={k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS},
     )
-    for key, value in fields["extra"].items():
-        if isinstance(value, (float, dict, list)):  # a string's surrogates are ingest's check
-            _refuse_unwritable(value, key)
+    if not any_string:  # then no string holds a surrogate, but a number may be NaN
+        for key, value in fields["extra"].items():
+            if isinstance(value, (float, dict, list)):
+                _refuse_unwritable(value, key)
     try:
         return LoggedSample(**fields)
     except ValueError as exc:  # a field LoggedSample refuses, such as a blank sample_id
@@ -337,9 +350,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
                     continue
                 try:
                     record = json.loads(line.decode("utf-8"))
-                    if _SURROGATE_ESCAPE.search(line):
-                        _refuse_unwritable(record, "")
-                    sample = from_record(record)
+                    sample = _from_record(record, bool(_SURROGATE_ESCAPE.search(line)))
                     first = first_line.setdefault(sample.sample_id, line_no)
                     if first != line_no:
                         raise SchemaError(
@@ -356,8 +367,17 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
 
 
 def write_jsonl(path: str | Path, samples: Iterable[LoggedSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _jsonl(map(to_record, samples))(fh)
+    """Write samples one record per line. The lines go to a hidden temporary
+    file that replaces `path` once all are written, so a failed write leaves
+    the old file, or none, in place."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            _jsonl(map(to_record, samples))(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -987,10 +1007,14 @@ def _reports(
     ablation: Sequence[CorrelationRow] | None = None,
     calibration: CalibrationResult | None = None,
     calibration_by_task: Mapping[str, CalibrationResult] | None = None,
-    sim_results: Sequence[tuple[SimConfig, SimOutcome | SimError]] | None = None,
+    sim_results: Iterable[tuple[SimConfig, SimOutcome | SimError]] | None = None,
     dimension_means: Sequence[tuple[str, str, float, int]] | None = None,
 ):
-    """Yield (file name, series, writer) for each file the given results make."""
+    """Yield (file name, series, writer) for each file the given results make.
+
+    sim_results is read once, as the files are written: each cell's
+    sim_<id>.json follows its pair, and defense_comparison.csv the last one.
+    Given iter_experiment's outcomes, each cell runs when its file is due."""
     if validation is not None:
         yield "validation.json", "validation", _json(
             {
@@ -1061,13 +1085,14 @@ def _reports(
             }
         yield "calibration.json", "calibration", _json(payload)
     if sim_results is not None:
-        yield "defense_comparison.csv", "defense_comparison", _csv(
-            _SIM_COLUMNS, [_sim_row(config, result) for config, result in sim_results]
-        )
+        rows = []  # defense_comparison.csv's: all that is kept of a cell once written
         for config, result in sim_results:
+            rows.append(_sim_row(config, result))
             yield f"sim_{config.config_id}.json", f"sim:{config.config_id}", _json(
                 _sim_entry_json(config, result)
             )
+            del result  # so the next cell runs without this one's outcome
+        yield "defense_comparison.csv", "defense_comparison", _csv(_SIM_COLUMNS, rows)
     if dimension_means is not None:
         yield "dimension_means_by_producer.csv", "dimension_means_by_producer", _csv(
             ["producer", "dimension", "mean", "n"], dimension_means
@@ -1079,33 +1104,49 @@ def emit_reports(out_dir: str | Path, **results) -> list[EmittedFile]:
 
     Takes the keyword arguments of _reports; absent inputs mean absent files.
     No old file is replaced until every new one, manifest.json last, is
-    written, and an OSError on the way is raised as MdqsError. Returns the
-    emitted entries (manifest.json itself is not listed).
+    written, and an OSError in writing is raised as MdqsError. Any other
+    failure, such as one raised by a simulation cell that sim_results runs
+    on the way, passes through as it is. A failed run leaves the directory
+    as it was: no file replaced, no temporary file, and no directory that it
+    made. Returns the emitted entries (manifest.json itself is not listed).
     """
     out = Path(out_dir)
     reports = _reports(**results)  # an unknown name is a TypeError before any write
-    emitted: list[EmittedFile] = []
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     staged: dict[str, Path] = {}  # final name -> its temporary file, in write order
 
-    def stage(name: str, write) -> None:
+    def stage(name: str, series: str, write) -> EmittedFile:
         staged[name] = out / f".{name}.tmp"
-        with open(staged[name], "w", encoding="utf-8") as fh:
+        with _writing(out), open(staged[name], "w", encoding="utf-8") as fh:
             write(fh)
+        return EmittedFile(path=name, series=series)
 
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = _read_manifest(out / "manifest.json")
-        for name, series, write in reports:
-            stage(name, write)
-            emitted.append(EmittedFile(path=name, series=series))
-            manifest[name] = series
+        with _writing(out):
+            out.mkdir(parents=True, exist_ok=True)
+            manifest = _read_manifest(out / "manifest.json")
+        # starmap keeps no written file's contents while the next is made
+        emitted = list(itertools.starmap(stage, reports))
+        manifest.update((e.path, e.series) for e in emitted)
         files = [{"path": p, "series": manifest[p]} for p in sorted(manifest)]
-        stage("manifest.json", _json({"schema": 1, "files": files}))
-        for name, tmp in staged.items():
-            os.replace(tmp, out / name)
-    except OSError as exc:
-        raise MdqsError(f"cannot write reports to {out}: {exc}") from None
-    finally:
+        stage("manifest.json", "", _json({"schema": 1, "files": files}))
+        with _writing(out):
+            for name, tmp in staged.items():
+                os.replace(tmp, out / name)
+    except BaseException:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     return emitted
+
+
+@contextlib.contextmanager
+def _writing(out: Path):
+    """Raise an OSError from the block as MdqsError naming out."""
+    try:
+        yield
+    except OSError as exc:
+        raise MdqsError(f"cannot write reports to {out}: {exc}") from None

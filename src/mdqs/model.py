@@ -247,7 +247,7 @@ class SimOutcome:
 
 @dataclass(frozen=True)
 class SimError:
-    """A grid entry that failed; run_experiment records it and moves on."""
+    """A grid entry that failed; iter_experiment yields it and moves on."""
 
     config_id: str
     error_type: str

@@ -41,11 +41,12 @@ numbers: two defenses are compared on the same qualities and noise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -706,7 +707,7 @@ def run_single(
     """Run one config to completion. Deterministic in (config, seed).
 
     In replay mode this lays out the query groups and the signal's values
-    for this one cell; run_experiment lays them out once for its whole
+    for this one cell; iter_experiment lays them out once for its whole
     grid."""
     replay = None if dataset is None else _Replay(dataset, base_weights)
     return _run_cell(config, replay)
@@ -863,32 +864,40 @@ def _scorer(config: SimConfig) -> Callable[..., tuple[list[list[float]], np.ndar
     return score
 
 
-def run_experiment(
+def iter_experiment(
     grid: Sequence[SimConfig],
     dataset: Sequence[LoggedSample] | None = None,
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
-) -> list[SimOutcome | SimError]:
-    """Run every config; a failing config becomes a SimError entry instead
-    of aborting the rest of the grid.
+) -> Iterator[SimOutcome | SimError]:
+    """Run the grid one config at a time, in grid order: each step runs one
+    cell and yields its outcome, so a caller that writes each outcome as it
+    comes holds one cell at a time. A failing config yields a SimError
+    instead of aborting the rest of the grid.
 
-    In replay mode the query groups, with their normalized references, are
-    laid out once, each distinct signal's values once, and every cell shares
-    them."""
+    What refuses the whole grid is checked at the call: a repeated config_id
+    and, in replay mode, a repeated sample_id. In replay mode the query
+    groups, with their normalized references, are laid out once there, each
+    distinct signal's values on first use, and every cell shares them."""
     ids = [c.config_id for c in grid]
     if len(set(ids)) != len(ids):
         repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
         raise SimConfigError(f"grid has duplicate config_id {repeated!r}")
     replay = None if dataset is None else _Replay(dataset, base_weights)
-    results: list[SimOutcome | SimError] = []
-    for config in grid:
-        try:
-            results.append(_run_cell(config, replay))
-        except MdqsError as exc:
-            results.append(
-                SimError(
-                    config_id=config.config_id,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                )
-            )
-    return results
+    return map(_outcome, grid, itertools.repeat(replay))
+
+
+def _outcome(config: SimConfig, replay: _Replay | None) -> SimOutcome | SimError:
+    """One cell's outcome, or the SimError its MdqsError becomes."""
+    try:
+        return _run_cell(config, replay)
+    except MdqsError as exc:
+        return SimError(config_id=config.config_id, error_type=type(exc).__name__, message=str(exc))
+
+
+def run_experiment(
+    grid: Sequence[SimConfig],
+    dataset: Sequence[LoggedSample] | None = None,
+    base_weights: WeightConfig = DEFAULT_WEIGHTS,
+) -> list[SimOutcome | SimError]:
+    """Every outcome of iter_experiment, as one list in grid order."""
+    return list(iter_experiment(grid, dataset, base_weights))

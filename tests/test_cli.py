@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import gc
 import importlib
 import json
 import os
@@ -9,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,12 +18,14 @@ import yaml
 
 import mdqs
 import mdqs.cli
+import mdqs.poq
 import mdqs.scoring
 from conftest import FIXTURES, scored_sample
 from mdqs.cli import main
 from mdqs.errors import SchemaError
 from mdqs.io import ingest, load_config, to_record, write_jsonl
 from mdqs.model import CANONICAL_DIMENSIONS, DimensionId
+from mdqs.synth import SyntheticSpec, generate_synthetic
 
 
 @pytest.fixture(autouse=True)
@@ -823,6 +827,59 @@ def test_simulate_synthetic_grid(tmp_path):
     assert len(entry["trust_trajectory"]) == 5
 
 
+def everything_in(directory):
+    """{file name: bytes} of everything in `directory`, hidden files included;
+    None when it does not exist."""
+    if not directory.exists():
+        return None
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), RuntimeError("bug")])
+@pytest.mark.parametrize("earlier_run", [True, False])
+def test_a_cell_that_raises_reaches_main_as_itself(
+    tmp_path, monkeypatch, capsys, error, earlier_run
+):
+    config, out = f"{FIXTURES}/synthetic_grid.yaml", tmp_path / "reports"
+    if earlier_run:
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    before = everything_in(out)
+    run_cell, cells = mdqs.poq._run_cell, []
+
+    def fails_mid_grid(cell, replay):
+        cells.append(cell.config_id)
+        if len(cells) == 7:
+            raise error
+        return run_cell(cell, replay)
+
+    monkeypatch.setattr(mdqs.poq, "_run_cell", fails_mid_grid)
+    capsys.readouterr()
+    assert main(["simulate", "--config", config, "--out", str(out), "--seed", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" in err and f"{type(error).__name__}: " in err
+    assert "cannot write reports" not in err
+    assert len(cells) == 7  # the grid stopped at the failing cell
+    assert everything_in(out) == before  # no report replaced, no temporary file left
+
+
+def test_simulate_holds_one_cell_at_a_time(tmp_path, monkeypatch):
+    run_cell, refs, earlier_alive = mdqs.poq._run_cell, [], []
+
+    def watched(cell, replay):
+        gc.collect()
+        earlier_alive.append(any(ref() is not None for ref in refs))
+        outcome = run_cell(cell, replay)
+        refs.append(weakref.ref(outcome))
+        return outcome
+
+    monkeypatch.setattr(mdqs.poq, "_run_cell", watched)
+    out = tmp_path / "reports"
+    config, data = f"{FIXTURES}/replay_config.yaml", f"{FIXTURES}/replay_200.jsonl"
+    assert main(["simulate", "--config", config, "--input", data, "--out", str(out)]) == 0
+    assert len(earlier_alive) == len(list(out.glob("sim_*.json"))) > 1
+    assert not any(earlier_alive)
+
+
 def test_simulate_refuses_input_for_a_synthetic_grid(tmp_path, capsys):
     out = tmp_path / "r"
     config = f"{FIXTURES}/synthetic_grid.yaml"
@@ -1254,3 +1311,22 @@ def test_lazy_root_exports_the_same_objects():
     assert set(mdqs.__all__) <= set(dir(mdqs))
     with pytest.raises(AttributeError, match="'no_such_name'"):
         mdqs.no_such_name
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^```python\n(from mdqs import \(.*?)^```", readme, re.M | re.S).group(1)
+    spec = SyntheticSpec(n=60, producers=("model-a", "model-b"), rng_seed=11)
+    write_jsonl(tmp_path / "data.jsonl", generate_synthetic(spec))
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(compile(example, "README.md", "exec"), scope)
+    assert len(scope["scored"]) == 60
+    assert [type(o).__name__ for o in scope["outcomes"]] == ["SimOutcome", "SimOutcome"]
+    written = everything_in(tmp_path / "reports")
+    assert set(written) == {
+        "defense_comparison.csv", "manifest.json", "sim_honest.json", "sim_inflate.json"
+    }
+    # the streamed cells are the listed ones
+    entry = json.loads(written["sim_inflate.json"])
+    assert entry["consensus_error"] == scope["outcomes"][1].consensus_error

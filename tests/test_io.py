@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,7 @@ from mdqs.poq import (
     SingleEvaluator,
     TrimmedMean,
     attack_label,
+    run_experiment,
     run_single,
     signal_label,
 )
@@ -251,6 +253,42 @@ def test_ingest_checks_for_lone_surrogates_only_on_lines_with_an_escape(tmp_path
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert len(ingest(path).samples) == 2
     assert checked == [1]  # only the second line, written with \u escapes
+
+
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        ({"note": "x" + LONE}, "note: lone surrogate U+D800"),
+        ({"output": "ok " + LONE}, "output: lone surrogate U+D800"),
+        ({"sample_id": chr(0xDC00)}, "sample_id: lone surrogate U+DC00"),
+        ({"evaluator_scores": {"judge" + LONE: 0.5}}, "a key in evaluator_scores: lone"),
+        ({"meta": {"tags": ["fine", {"k": "x" + LONE}]}}, "meta.tags[1].k: lone surrogate"),
+    ],
+)
+def test_from_record_refuses_a_lone_surrogate_as_ingest_does(tmp_path, bad, where):
+    with pytest.raises(SchemaError) as refused:
+        from_record(full_record() | bad)
+    assert str(refused.value).startswith(where)
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(full_record() | bad) + "\n", encoding="utf-8")
+    assert [i.message for i in ingest(path).issues] == [str(refused.value)]
+    # a code point beyond the BMP, which JSON escapes as a pair, loads
+    smile = from_record(json.loads(json.dumps(full_record() | {"note": "smile \U0001F600"})))
+    assert smile.extra["note"] == "smile \U0001F600"
+
+
+def test_a_failed_write_jsonl_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [from_record(full_record())])
+    before = snapshot(tmp_path)
+    unwritable = dataclasses.replace(from_record(full_record()), output="x" + LONE)
+    for samples in ([unwritable], [from_record(full_record()), unwritable]):
+        with pytest.raises(UnicodeEncodeError):
+            write_jsonl(path, samples)
+        assert snapshot(tmp_path) == before  # the old bytes, and no temporary file
+    with pytest.raises(UnicodeEncodeError):
+        write_jsonl(tmp_path / "new.jsonl", [unwritable])
+    assert snapshot(tmp_path) == before
 
 
 def test_jsonl_file_round_trip(tmp_path):
@@ -900,6 +938,55 @@ def test_a_failed_emit_leaves_the_directory_as_it_was(tmp_path, monkeypatch, fai
     after = snapshot(tmp_path)
     assert set(after) == set(before) | {"sim_inflate-r0.5-median.json"}
     assert after["manifest.json"] != before["manifest.json"]
+
+
+def small_grid(n=4):
+    return [
+        sim_config(
+            config_id=f"cell{i}",
+            evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{j}") for j in range(3)),
+            defense=Median(),
+            rounds=40,
+            producers={"pa": 0.4, "pb": 0.6},
+            rng_seed=i,
+        )
+        for i in range(n)
+    ]
+
+
+def test_emit_reports_writes_a_stream_of_cells_as_it_writes_a_list(tmp_path):
+    grid = small_grid()
+    entries = emit_reports(tmp_path / "list", sim_results=list(zip(grid, run_experiment(grid))))
+    streamed = emit_reports(
+        tmp_path / "stream", sim_results=((config, run_single(config)) for config in grid)
+    )
+    assert streamed == entries
+    written = snapshot(tmp_path / "stream")
+    assert written == snapshot(tmp_path / "list")
+    assert set(written) == {
+        "defense_comparison.csv", "manifest.json", *(f"sim_cell{i}.json" for i in range(4))
+    }
+    rows = written["defense_comparison.csv"].decode().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["config_id", "cell0", "cell1", "cell2", "cell3"]
+
+
+def test_emit_reports_holds_one_cell_at_a_time(tmp_path):
+    grid = small_grid()
+    earlier_alive = []  # per pair drawn: whether an earlier outcome is still reachable
+
+    def pairs():
+        refs = []
+        for config in grid:
+            gc.collect()
+            earlier_alive.append(any(ref() is not None for ref in refs))
+            outcome = run_single(config)
+            refs.append(weakref.ref(outcome))
+            yield config, outcome
+            del outcome
+
+    emit_reports(tmp_path, sim_results=pairs())
+    assert earlier_alive == [False] * len(grid)
+    assert {p.name for p in tmp_path.iterdir()} >= {f"sim_cell{i}.json" for i in range(4)}
 
 
 # ------------------------------------------------------------ the indented JSON writer

@@ -47,6 +47,7 @@ from mdqs.poq import (
     _Replay,
     _run_cell,
     attack_label,
+    iter_experiment,
     run_experiment,
     run_single,
     sample_evaluators,
@@ -998,6 +999,28 @@ def test_run_experiment_computes_each_signal_once(monkeypatch):
 def test_run_experiment_rejects_duplicate_ids():
     with pytest.raises(SimConfigError):
         run_experiment([synth_config(), synth_config()])
+
+
+def test_iter_experiment_refuses_a_grid_at_the_call_and_runs_one_cell_per_step(monkeypatch):
+    import mdqs.poq
+
+    # no cell is asked for, yet the grid is refused
+    with pytest.raises(SimConfigError, match="duplicate config_id"):
+        iter_experiment([synth_config(), synth_config()])
+    repeated = replay_dataset() + replay_dataset()[:1]
+    with pytest.raises(SchemaError, match="duplicate sample_id"):
+        iter_experiment([replay_config()], dataset=repeated)
+    ran = []
+
+    def run_cell(config, replay):
+        ran.append(config.config_id)
+        return config.config_id
+
+    monkeypatch.setattr(mdqs.poq, "_run_cell", run_cell)
+    outcomes = iter_experiment([synth_config(config_id=i) for i in "abc"])
+    assert ran == []
+    assert next(outcomes) == "a" and ran == ["a"]
+    assert list(outcomes) == ["b", "c"] and ran == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("defense", [Median(), AdaptiveTrust()], ids=["median", "adaptive"])
