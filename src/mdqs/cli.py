@@ -13,6 +13,7 @@ random numbers and so the only ones with --seed, resolves in this order:
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -53,6 +54,10 @@ from mdqs.poq import SimConfig, iter_experiment
 from mdqs.rng import SEED_LIMIT
 from mdqs.scoring import ScoringConfig, check_config, score_all, validate_dataset
 from mdqs.synth import SyntheticSpec, generate_synthetic
+
+# Everything imported so far lives until the process exits, so no collection
+# needs to walk it again, the full ones that run at exit among them.
+gc.freeze()
 
 
 class _Parser(argparse.ArgumentParser):

@@ -320,6 +320,30 @@ def _refuse_unwritable(value, where: str, root: str = "record", seen: set | None
             _refuse_unwritable(item, f"{where}[{i}]", root, seen)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json's object_pairs_hook: a JSON object as a dict, refusing a key that
+    appears twice, which json would otherwise read as its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _loads(text: str):
+    """json.loads(text, object_pairs_hook=_unique_keys), without building a
+    decoder per line."""
+    if text.startswith("\ufeff"):  # json.loads' own refusal
+        raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
 @dataclass(frozen=True)
 class IngestIssue:
     line_no: int
@@ -349,7 +373,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line.decode("utf-8"))
+                    record = _loads(line.decode("utf-8"))
                     sample = _from_record(record, bool(_SURROGATE_ESCAPE.search(line)))
                     first = first_line.setdefault(sample.sample_id, line_no)
                     if first != line_no:
@@ -759,8 +783,8 @@ def _min_max(pair, where: str) -> tuple[float, float]:
 def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError, SchemaError) as exc:
         raise SchemaError(f"cannot load normalization stats {path}: {exc}") from None
     return _dimension_map(raw, "stats", _min_max)
 

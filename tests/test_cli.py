@@ -1243,25 +1243,44 @@ def _child(code, **env):
 
 
 def test_cli_import_runs_numpy_on_one_blas_thread():
+    """It also freezes the import-time heap, with the collector still on."""
     code = """
-import os, sys
+import gc, os, sys
 import mdqs.cli
 assert "numpy" in sys.modules
 threads = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else 1
 print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+print(gc.get_freeze_count() > 0, gc.isenabled())
 """
-    assert _child(code) == ["1", "1"]
+    assert _child(code) == ["1", "1", "True", "True"]
     assert _child(code, OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+
+def test_a_leak_after_the_cli_import_is_still_collected_and_reported():
+    """The freeze covers only what the import made: a file left open in a
+    later reference cycle is still finalized, with its ResourceWarning."""
+    code = """
+import gc, warnings
+import mdqs.cli
+cycle = [open(mdqs.cli.__file__, "rb")]
+cycle.append(cycle)
+del cycle
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    gc.collect()
+print(sum(issubclass(w.category, ResourceWarning) for w in caught))
+"""
+    assert _child(code) == ["1"]
 
 
 def test_bare_import_loads_no_numpy_and_leaves_the_environment():
     code = """
-import os, sys
+import gc, os, sys
 import mdqs
 print(mdqs.__version__, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"))
-print(mdqs.stats.pearson is mdqs.pearson)
+print(mdqs.stats.pearson is mdqs.pearson, gc.get_freeze_count())
 """
-    assert _child(code) == ["0.1.0", "False", "None", "True"]
+    assert _child(code) == ["0.1.0", "False", "None", "True", "0"]
 
 
 def test_cli_pearson_bits_do_not_follow_the_core_count():

@@ -216,6 +216,28 @@ def test_ingest_strict_raises_with_location(tmp_path):
     assert f"{path}:2:" in str(err.value)
 
 
+def test_a_repeated_key_is_refused_not_read_last_wins(tmp_path, capsys):
+    good = json.dumps(full_record())
+    first = good.replace('"sample_id": "s1"', '"sample_id": "first", "sample_id": "s2"')
+    judge = good.replace('"b_judge": 0.7', '"b_judge": 0.7, "b_judge": 0.1')
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join([good, first, judge]) + "\n", encoding="utf-8")
+    result = ingest(path)
+    assert [s.sample_id for s in result.samples] == ["s1"]
+    assert [(i.line_no, i.message) for i in result.issues] == [
+        (2, "repeated key 'sample_id'"),
+        (3, "repeated key 'b_judge'"),
+    ]
+    with pytest.raises(SchemaError, match=f"{path}:2: repeated key 'sample_id'"):
+        ingest(path, strict=True)
+    assert main(["validate", "--input", str(path), "--out", str(tmp_path / "r")]) == 1
+    assert "1 valid" in capsys.readouterr().out
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"semantic": [0.1, 0.9], "semantic": [0.0, 1.0]}', encoding="utf-8")
+    with pytest.raises(SchemaError, match="repeated key 'semantic'"):
+        load_frozen_stats(stats)
+
+
 LONE = chr(0xD800)
 
 
