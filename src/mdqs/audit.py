@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mdqs.composite import compose_rows, dimension_matrix, refuse_absent, variant
+from mdqs.composite import check_dims, compose_rows, refuse_absent, variant
 from mdqs.errors import AllDimensionsRemoved, TooFewReferencedSamples
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
@@ -74,23 +74,21 @@ def _correlation_row(kind: str, name: str, xs: np.ndarray, ys: np.ndarray) -> Co
     )
 
 
-def _referenced(samples: Sequence[LoggedSample], what: str) -> list[LoggedSample]:
-    """The samples carrying a reference score; at least two are needed."""
+def _referenced(
+    samples: Sequence[LoggedSample], dims: np.ndarray, what: str | None = None
+) -> tuple[list[LoggedSample], np.ndarray, np.ndarray, np.ndarray]:
+    """The samples carrying a reference score, and their rows of the checked
+    dims, reference scores and task labels. Given `what`, fewer than two such
+    samples is TooFewReferencedSamples naming it."""
+    dims = check_dims(samples, dims)
+    keep = np.array([s.reference_score is not None for s in samples], dtype=bool)
     referenced = [s for s in samples if s.reference_score is not None]
-    if len(referenced) < 2:
+    if what is not None and len(referenced) < 2:
         raise TooFewReferencedSamples(
             f"{what} needs >= 2 samples with a reference score, got {len(referenced)}"
         )
-    return referenced
-
-
-def _columns(referenced: Sequence[LoggedSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The referenced samples' dimension matrix, reference scores and task labels."""
-    return (
-        dimension_matrix(s.dimension_scores for s in referenced),
-        np.array([s.reference_score for s in referenced], dtype=np.float64),
-        np.array([s.task.label for s in referenced], dtype=object),
-    )
+    ys = np.array([s.reference_score for s in referenced], dtype=np.float64)
+    return referenced, dims[keep], ys, np.array([s.task.label for s in referenced], dtype=object)
 
 
 def _block_rows(
@@ -107,7 +105,7 @@ def _block_rows(
     return tuple(rows)
 
 
-def audit(samples: Sequence[LoggedSample]) -> AuditReport:
+def audit(samples: Sequence[LoggedSample], dims: np.ndarray) -> AuditReport:
     """Correlate every dimension, evaluator and baseline with the reference,
     overall and per task.
 
@@ -117,9 +115,8 @@ def audit(samples: Sequence[LoggedSample]) -> AuditReport:
     every sample carrying evaluator scores, normalized per evaluator.
     """
     all_samples = list(samples)
-    referenced = _referenced(all_samples, "audit")
+    referenced, matrix, ys, labels = _referenced(all_samples, dims, "audit")
     baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
-    matrix, ys, labels = _columns(referenced)
     signals = [("dimension", d.value, column) for d, column in zip(CANONICAL_DIMENSIONS, matrix.T)]
     ids, raw = evaluator_table(referenced)
     signals += [("evaluator", evaluator, column) for evaluator, column in zip(ids, raw.T)]
@@ -147,13 +144,14 @@ def audit(samples: Sequence[LoggedSample]) -> AuditReport:
 def with_composites(
     report: AuditReport,
     samples: Sequence[LoggedSample],
+    dims: np.ndarray,
     composites: Mapping[str, WeightConfig],
 ) -> AuditReport:
-    """`report`, audit(samples)'s result, with one composite row per weight
-    config appended to each of its blocks. A row covers the block's
+    """`report`, audit(samples, dims)'s result, with one composite row per
+    weight config appended to each of its blocks. A row covers the block's
     referenced samples whose dimension scores include every weighted
-    dimension; each config is composed once, over one dimension matrix."""
-    matrix, ys, labels = _columns([s for s in samples if s.reference_score is not None])
+    dimension; each config is composed once, over the referenced rows."""
+    _, matrix, ys, labels = _referenced(samples, dims)
     signals = [("composite", name, compose_rows(matrix, w)) for name, w in composites.items()]
 
     def extended(block: AuditBlock, mask: np.ndarray) -> AuditBlock:
@@ -167,32 +165,32 @@ def with_composites(
 
 
 def _composite_rows(
-    samples: Sequence[LoggedSample], configs: Iterable[WeightConfig], what: str
+    samples: Sequence[LoggedSample], dims: np.ndarray, configs: Iterable[WeightConfig], what: str
 ) -> list[CorrelationRow]:
     """One composite row per weight config over every referenced sample; a
     sample the config cannot compose raises as in compose_batch."""
-    referenced = _referenced(samples, what)
-    matrix, ys, _ = _columns(referenced)
+    referenced, matrix, ys, _ = _referenced(samples, dims, what)
     rows = []
     for weights in configs:
         column = compose_rows(matrix, weights)
-        refuse_absent(referenced, column, weights)
+        refuse_absent(referenced, matrix, column, weights)
         rows.append(_correlation_row("composite", weights.name, column, ys))
     return rows
 
 
 def ablation_grid(
     samples: Sequence[LoggedSample],
+    dims: np.ndarray,
     names: Iterable[str],
     base: WeightConfig = DEFAULT_WEIGHTS,
 ) -> list[CorrelationRow]:
     """Overall reference correlation for each named weight variant of
     `base`, one composite row each.
 
-    Variants reuse the dimension scores already on the samples; nothing is
-    re-scored, so the grid is cheap and rows are exactly comparable.
+    Variants reuse the samples' dims; nothing is re-scored, so the grid is
+    cheap and rows are exactly comparable.
     """
-    return _composite_rows(samples, (variant(base, name) for name in names), "ablation")
+    return _composite_rows(samples, dims, (variant(base, name) for name in names), "ablation")
 
 
 GATE_CHOICES = ("pearson", "spearman", "taskwise_min")
@@ -216,10 +214,10 @@ class CalibrationResult:
 
 
 def _gate_stats(
-    report: AuditReport, dims: Sequence[DimensionId], gate: str
+    report: AuditReport, weighted: Sequence[DimensionId], gate: str
 ) -> dict[DimensionId, float | None]:
     stats: dict[DimensionId, float | None] = {}
-    for dim in dims:
+    for dim in weighted:
         if gate == "taskwise_min":
             # the lowest per-task pearson over tasks with >= 2 scored samples;
             # undefined when any of those is undefined
@@ -238,30 +236,31 @@ def _gate_stats(
 def calibrate(
     report: AuditReport,
     samples: Sequence[LoggedSample],
+    dims: np.ndarray,
     base: WeightConfig = DEFAULT_WEIGHTS,
     threshold: float = 0.0,
     gate: str = "pearson",
 ) -> CalibrationResult:
     """Drop dimensions whose gate statistic misses the threshold, renormalize.
 
-    Gate statistics come from `report`, audit(samples)'s result. A
+    Gate statistics come from `report`, audit(samples, dims)'s result. A
     dimension with an undefined (zero variance) statistic is removed too:
     it carries no ranking signal, and scoring it as 0 would let it slip
     past a negative threshold unnoticed.
     """
     if gate not in GATE_CHOICES:
         raise ValueError(f"gate must be one of {GATE_CHOICES}, got {gate!r}")
-    dims = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
-    stats = _gate_stats(report, dims, gate)
+    weighted = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
+    stats = _gate_stats(report, weighted, gate)
     removed = frozenset(
-        d for d in dims if stats[d] is None or stats[d] < threshold
+        d for d in weighted if stats[d] is None or stats[d] < threshold
     )
-    if removed == frozenset(dims):
+    if removed == frozenset(weighted):
         raise AllDimensionsRemoved(
             f"threshold {threshold} removes every dimension under gate {gate!r}"
         )
-    calibrated = WeightConfig("calibrated", {d: base[d] for d in dims if d not in removed})
-    before, after = _composite_rows(samples, (base, calibrated), "calibration")
+    calibrated = WeightConfig("calibrated", {d: base[d] for d in weighted if d not in removed})
+    before, after = _composite_rows(samples, dims, (base, calibrated), "calibration")
     return CalibrationResult(
         removed=removed,
         threshold=threshold,
@@ -274,11 +273,11 @@ def calibrate(
 
 
 def dimension_means_by_producer(
-    samples: Sequence[LoggedSample],
+    samples: Sequence[LoggedSample], dims: np.ndarray
 ) -> list[tuple[str, str, float, int]]:
     """Mean normalized score per (producer, dimension); shows which models
     win on which dimension. Rows sorted by producer, then canonical order."""
-    matrix = dimension_matrix(s.dimension_scores for s in samples)
+    matrix = check_dims(samples, dims)
     producers = np.array([s.producer_id for s in samples], dtype=object)
     rows = []
     for producer in sorted(set(producers.tolist())):
@@ -292,21 +291,24 @@ def dimension_means_by_producer(
 def calibrate_per_task(
     report: AuditReport,
     samples: Sequence[LoggedSample],
+    dims: np.ndarray,
     base: WeightConfig = DEFAULT_WEIGHTS,
     threshold: float = 0.0,
     gate: str = "pearson",
 ) -> dict[str, CalibrationResult]:
     """Independent calibration within each task family, in order of first
     appearance; each task's gate statistics come from its block of `report`,
-    audit(samples)'s result, as if that task were the whole dataset."""
-    referenced = [s for s in samples if s.reference_score is not None]
-    labels = list(dict.fromkeys(s.task.label for s in referenced))
+    audit(samples, dims)'s result, as if that task were the whole dataset."""
+    referenced, matrix, _, labels = _referenced(samples, dims)
     out: dict[str, CalibrationResult] = {}
-    for label in labels:
-        subset = _referenced(
-            [s for s in referenced if s.task.label == label], f"task {label!r}: calibration"
+    for label in dict.fromkeys(labels.tolist()):
+        in_task = labels == label
+        subset, rows, _, _ = _referenced(
+            [s for s, kept in zip(referenced, in_task) if kept],
+            matrix[in_task],
+            f"task {label!r}: calibration",
         )
         block = report.by_task[label]
         task_report = AuditReport(block, {label: block}, len(subset))
-        out[label] = calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)
+        out[label] = calibrate(task_report, subset, rows, base=base, threshold=threshold, gate=gate)
     return out

@@ -225,15 +225,15 @@ def cmd_score(args) -> int:
     weights = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, weights)
     result = _ingest(args, config, scoring)
-    scored, stats = score_all(result.samples, scoring)
+    dims, stats = score_all(result.samples, scoring)
     emit_reports(
         out,
-        scored_samples=scored,
+        scored_samples=(result.samples, dims),
         normalization_stats=stats,
         ingest_issues=result.issues,
     )
     print(
-        f"score: {len(scored)} sample(s), {len(weights.dimensions())} dimension(s), "
+        f"score: {len(dims)} sample(s), {len(weights.dimensions())} dimension(s), "
         f"{len(result.issues)} malformed line(s) -> {out}"
     )
     return 0
@@ -243,9 +243,9 @@ def cmd_audit(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     weights = resolve_weights(config, args.weights)
-    result = _ingest(args, config)
-    report = with_composites(audit(result.samples), result.samples, {weights.name: weights})
-    emit_reports(out, audit_report=report, ingest_issues=result.issues)
+    samples, dims, issues = _ingest(args, config)
+    report = with_composites(audit(samples, dims), samples, dims, {weights.name: weights})
+    emit_reports(out, audit_report=report, ingest_issues=issues)
     print(
         f"audit: {report.n_referenced} referenced sample(s), "
         f"{len(report.overall.rows)} signal(s), {len(report.by_task)} task(s) -> {out}"
@@ -256,9 +256,9 @@ def cmd_audit(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
-    result = _ingest(args, config)
-    rows = ablation_grid(result.samples, config.variant_names, base=config.scoring.weights)
-    emit_reports(out, ablation=rows, ingest_issues=result.issues)
+    samples, dims, issues = _ingest(args, config)
+    rows = ablation_grid(samples, dims, config.variant_names, base=config.scoring.weights)
+    emit_reports(out, ablation=rows, ingest_issues=issues)
     print(f"ablate: {len(rows)} variant(s) over {rows[0].n if rows else 0} sample(s) -> {out}")
     return 0
 
@@ -270,15 +270,15 @@ def cmd_calibrate(args) -> int:
     threshold = args.threshold if args.threshold is not None else config.threshold
     gate = args.gate or config.gate
     per_task = args.per_task or config.per_task
-    result = _ingest(args, config)
-    report = audit(result.samples)
-    cal = calibrate(report, result.samples, base=base, threshold=threshold, gate=gate)
+    samples, dims, issues = _ingest(args, config)
+    report = audit(samples, dims)
+    cal = calibrate(report, samples, dims, base=base, threshold=threshold, gate=gate)
     by_task = (
-        calibrate_per_task(report, result.samples, base=base, threshold=threshold, gate=gate)
+        calibrate_per_task(report, samples, dims, base=base, threshold=threshold, gate=gate)
         if per_task
         else None
     )
-    emit_reports(out, calibration=cal, calibration_by_task=by_task, ingest_issues=result.issues)
+    emit_reports(out, calibration=cal, calibration_by_task=by_task, ingest_issues=issues)
     removed = ", ".join(cal.removed_names) or "nothing"
     print(f"calibrate: gate {gate} @ {threshold:g} removed {removed} -> {out}")
     return 0
@@ -295,11 +295,10 @@ def cmd_simulate(args) -> int:
                 raise UsageError(f"{flag} needs sim.mode 'replay', not {config.sim.mode!r}")
     seed = _resolve_seed(args, config)
     grid = build_grid(config.sim, seed)
-    dataset, issues = None, None
+    dataset, dims, issues = None, None, None
     if config.sim.mode == "replay":
-        result = _ingest(args, config)
-        dataset, issues = result.samples, result.issues
-    outcomes = iter_experiment(grid, dataset=dataset, base_weights=config.scoring.weights)
+        dataset, dims, issues = _ingest(args, config)
+    outcomes = iter_experiment(grid, dataset, dims, base_weights=config.scoring.weights)
     failed: list[str] = []
     emit_reports(out, sim_results=_cells(grid, outcomes, failed), ingest_issues=issues)
     print(f"simulate: {len(grid)} config(s), {len(failed)} failed, seed {seed} -> {out}")
@@ -320,8 +319,8 @@ def cmd_synth(args) -> int:
         # --n and a --seed or MDQS_SEED replace the section's own
         seeded = args.seed is not None or os.environ.get("MDQS_SEED")
         spec = config.synthetic.spec(n=args.n, rng_seed=seed if seeded else None)
-    samples = generate_synthetic(spec)
-    emit_reports(out, synthetic_samples=samples)
+    samples, dims = generate_synthetic(spec)
+    emit_reports(out, synthetic_samples=(samples, dims))
     print(f"synth: {len(samples)} sample(s), seed {spec.rng_seed} -> {out}")
     return 0
 
@@ -332,40 +331,41 @@ def cmd_report(args) -> int:
     seed = _resolve_seed(args, config)
     base = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, base)
-    result = _ingest(args, config, scoring)
-    scored, stats = score_all(result.samples, scoring)
+    samples, _, issues = _ingest(args, config, scoring)
+    dims, stats = score_all(samples, scoring)
 
-    report = audit(scored)
-    cal = calibrate(report, scored, base=base, threshold=config.threshold, gate=config.gate)
+    report = audit(samples, dims)
+    threshold, gate = config.threshold, config.gate
+    cal = calibrate(report, samples, dims, base=base, threshold=threshold, gate=gate)
     by_task = (
-        calibrate_per_task(report, scored, base=base, threshold=config.threshold, gate=config.gate)
+        calibrate_per_task(report, samples, dims, base=base, threshold=threshold, gate=gate)
         if config.per_task
         else None
     )
-    report = with_composites(report, scored, {base.name: base, "calibrated": cal.calibrated})
-    rows = ablation_grid(scored, config.variant_names, base=base)
+    report = with_composites(report, samples, dims, {base.name: base, "calibrated": cal.calibrated})
+    rows = ablation_grid(samples, dims, config.variant_names, base=base)
 
     grid, sim_results = [], None
     if config.sim is not None:
         grid = build_grid(config.sim, seed)
-        dataset = scored if config.sim.mode == "replay" else None
-        outcomes = iter_experiment(grid, dataset=dataset, base_weights=base)
+        dataset = (samples, dims) if config.sim.mode == "replay" else (None, None)
+        outcomes = iter_experiment(grid, *dataset, base_weights=base)
         sim_results = _cells(grid, outcomes, [])
 
     emit_reports(
         out,
-        scored_samples=scored,
+        scored_samples=(samples, dims),
         normalization_stats=stats,
         audit_report=report,
         ablation=rows,
         calibration=cal,
         calibration_by_task=by_task,
         sim_results=sim_results,
-        dimension_means=dimension_means_by_producer(scored),
-        ingest_issues=result.issues,
+        dimension_means=dimension_means_by_producer(samples, dims),
+        ingest_issues=issues,
     )
     print(
-        f"report: {len(scored)} sample(s), {len(rows)} variant(s), {len(grid)} sim config(s), "
+        f"report: {len(samples)} sample(s), {len(rows)} variant(s), {len(grid)} sim config(s), "
         f"seed {seed} -> {out}"
     )
     return 0

@@ -2,16 +2,16 @@
 
 The composite is a pure post-processing layer over dimension outputs, so
 re-weighting experiments (ablations, calibration) never re-run scorers.
-Scores are read as columns: dimension_matrix stacks a batch's canonical
-rows into one n x 6 array, and compose_rows is the one composite formula,
-applied to every row of it. VARIANTS is the one table of named
+A batch's scores are one (n x 6) dims array beside its samples, which every
+consumer passes through check_dims, and compose_rows is the one composite
+formula, applied to every row of it. VARIANTS is the one table of named
 weight variants; config keys, the --weights flag, the ablation grid and the
 composite quality signal all look names up in it through variant().
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,15 +26,27 @@ from mdqs.model import (
 )
 from mdqs.stats import fsum_rows
 
-_ABSENT = (None,) * len(CANONICAL_DIMENSIONS)
 
-
-def dimension_matrix(vectors: Iterable[DimensionVector | None]) -> np.ndarray:
-    """An n x 6 float64 array of the vectors' rows, NaN where a vector has no
-    score for a dimension (numpy reads None as NaN) or is None itself. A
-    vector never holds NaN, so NaN can only mean absent."""
-    rows = [_ABSENT if vector is None else vector.row for vector in vectors]
-    return np.array(rows, dtype=np.float64).reshape(-1, len(CANONICAL_DIMENSIONS))
+def check_dims(samples: Sequence[LoggedSample], dims) -> np.ndarray:
+    """dims as the samples' float64 matrix: row i is samples[i]'s scores in
+    DIMENSION_COLUMN order, NaN where absent. ValueError, naming the first
+    sample and dimension at fault, for a shape other than (len(samples), 6)
+    and for a value outside [0, 1] (infinities included) that is not NaN."""
+    dims = np.asarray(dims, dtype=np.float64)
+    n, width = len(samples), len(CANONICAL_DIMENSIONS)
+    if dims.shape != (n, width):
+        rows, cols = dims.shape if dims.ndim == 2 else (0, 0)
+        i = rows if cols >= width else 0  # the first sample without a full row
+        dim = CANONICAL_DIMENSIONS[0 if i >= rows else cols].value
+        cell = f": no cell for sample {samples[i].sample_id!r}, dimension {dim}" if i < n else ""
+        raise ValueError(f"dims has shape {dims.shape}, not ({n}, {width}){cell}")
+    for k in np.flatnonzero(~np.isnan(dims) & ~((dims >= 0.0) & (dims <= 1.0)))[:1]:
+        i, j = divmod(int(k), width)
+        raise ValueError(
+            f"sample {samples[i].sample_id!r}: dimension {CANONICAL_DIMENSIONS[j].value}"
+            f" has score {dims[i, j].item()!r} outside [0, 1]"
+        )
+    return dims
 
 
 def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
@@ -48,14 +60,17 @@ def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
     return np.clip(fsum_rows(terms), 0.0, 1.0)
 
 
-def refuse_absent(samples: Sequence[LoggedSample], column: np.ndarray, weights: WeightConfig):
-    """Raise for the first sample whose composite in `column` is NaN: it has
-    no dimension scores, or lacks a weighted dimension."""
+def refuse_absent(
+    samples: Sequence[LoggedSample], dims: np.ndarray, column: np.ndarray, weights: WeightConfig
+):
+    """Raise for the first sample whose composite in `column` is NaN: its
+    row of dims is all NaN (no dimension scores), or lacks a weighted one."""
     for i in np.flatnonzero(np.isnan(column))[:1]:
-        vector, sample_id = samples[i].dimension_scores, samples[i].sample_id
-        if vector is None:
+        present = [d for d, v in zip(CANONICAL_DIMENSIONS, dims[i].tolist()) if v == v]
+        if not present:
+            sample_id = samples[i].sample_id
             raise SchemaError(f"sample {sample_id!r} has no dimension scores; run score first")
-        raise DimensionMismatch(vector.keys(), weights.dimensions())
+        raise DimensionMismatch(present, weights.dimensions())
 
 
 def compose(scores: DimensionVector, weights: WeightConfig) -> float:
@@ -66,18 +81,21 @@ def compose(scores: DimensionVector, weights: WeightConfig) -> float:
     """
     if scores.keys() != weights.dimensions():
         raise DimensionMismatch(scores.keys(), weights.dimensions())
-    return float(compose_rows(dimension_matrix([scores]), weights)[0])
+    return float(compose_rows(np.array([scores.row], dtype=np.float64), weights)[0])
 
 
-def compose_batch(samples: Sequence[LoggedSample], weights: WeightConfig) -> list[float]:
+def compose_batch(
+    samples: Sequence[LoggedSample], dims: np.ndarray, weights: WeightConfig
+) -> list[float]:
     """Composite for every sample over the weighted dimensions.
 
-    Samples must already carry dimension scores covering every weighted
-    dimension; extra dimensions on the sample are ignored, which is what
-    lets ablation variants reuse one scoring pass.
+    Each sample's row of dims must cover every weighted dimension; extra
+    dimensions are ignored, which is what lets ablation variants reuse one
+    scoring pass.
     """
-    column = compose_rows(dimension_matrix(s.dimension_scores for s in samples), weights)
-    refuse_absent(samples, column, weights)
+    dims = check_dims(samples, dims)
+    column = compose_rows(dims, weights)
+    refuse_absent(samples, dims, column, weights)
     return column.tolist()
 
 

@@ -1,9 +1,11 @@
 """Dataset serialization, run configuration, and deterministic report files.
 
-Datasets are line-delimited JSON, one sample per line, schema version 1.
-Unknown record fields survive a read/write round trip untouched. Run
-configuration is one YAML file; every CLI flag that matters has a config
-counterpart so runs can be committed and replayed.
+Datasets are line-delimited JSON, one sample per line, schema version 1. A
+record's `dims` is its sample's row of the (n x 6) dims matrix that ingest
+returns, and the writers take, beside the samples. Unknown record fields
+survive a read/write round trip untouched. Run configuration is one YAML
+file; every CLI flag that matters has a config counterpart so runs can be
+committed and replayed.
 
 Report emission rules that keep reruns byte-identical: no timestamps, fixed
 key and column orders, floats written with their shortest round-trip repr,
@@ -27,18 +29,18 @@ from dataclasses import dataclass, field
 from json import JSONDecodeError
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
+import numpy as np
 import yaml
 
 from mdqs.audit import GATE_CHOICES, AuditBlock, AuditReport, CalibrationResult, CorrelationRow
-from mdqs.composite import VARIANTS, variant
+from mdqs.composite import VARIANTS, check_dims, variant
 from mdqs.errors import AllDimensionsRemoved, InvalidSpec, MdqsError, SchemaError, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
     DimensionId,
-    DimensionVector,
     EvaluatorProfile,
     LoggedSample,
     SimError,
@@ -193,34 +195,32 @@ def _dimension_map(raw, where: str, read=_number) -> dict:
     return out
 
 
-def _dims(raw) -> DimensionVector | None:
+def _dims(raw) -> list[float]:
     """A record's `dims` as one canonical row, filled by name so that no
-    DimensionId is hashed; None when absent or empty."""
-    dims = _section(raw, "dims")
-    if not dims:
-        return None
-    row = [None] * len(CANONICAL_DIMENSIONS)
-    for name, value in dims.items():
+    DimensionId is hashed; NaN for each dimension it does not name."""
+    row = [math.nan] * len(CANONICAL_DIMENSIONS)
+    for name, value in _section(raw, "dims").items():
         col = _COLUMN_BY_NAME.get(str(name))
         if col is None:  # parse_dimension's words
             known = ", ".join(_COLUMN_BY_NAME)
             raise SchemaError(f"unknown dimension {str(name)!r} (known: {known})")
         row[col] = _unit(value, f"dims.{name}")
-    return DimensionVector(tuple(row))
+    return row
 
 
 # ---------------------------------------------------------------------------
 # record <-> sample
 
 
-def from_record(obj: object) -> LoggedSample:
-    """Parse one JSONL record; SchemaError names the offending field. Like
-    ingest, it refuses a lone surrogate or a non-finite number anywhere in
-    the record, so every sample it returns can be written back."""
+def from_record(obj: object) -> tuple[LoggedSample, list[float]]:
+    """Parse one JSONL record into its sample and its row of dims, NaN where
+    absent; SchemaError names the offending field. Like ingest, it refuses a
+    lone surrogate or a non-finite number anywhere in the record, so every
+    sample it returns can be written back."""
     return _from_record(obj, any_string=True)
 
 
-def _from_record(obj: object, any_string: bool) -> LoggedSample:
+def _from_record(obj: object, any_string: bool) -> tuple[LoggedSample, list[float]]:
     """from_record. any_string=False, for a line read without a surrogate
     escape, walks only the unknown fields' containers and numbers."""
     if not isinstance(obj, dict):
@@ -245,7 +245,6 @@ def _from_record(obj: object, any_string: bool) -> LoggedSample:
         evaluator_scores={str(k): _number(v, f"evaluator_scores.{k}") for k, v in scores.items()},
         reference_score=_opt(obj, "gt", _number, ""),
         reference_text=_opt(obj, "reference_text", _text, ""),
-        dimension_scores=dims,
         extra={k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS},
     )
     if not any_string:  # then no string holds a surrogate, but a number may be NaN
@@ -253,13 +252,14 @@ def _from_record(obj: object, any_string: bool) -> LoggedSample:
             if isinstance(value, (float, dict, list)):
                 _refuse_unwritable(value, key)
     try:
-        return LoggedSample(**fields)
+        return LoggedSample(**fields), dims
     except ValueError as exc:  # a field LoggedSample refuses, such as a blank sample_id
         raise SchemaError(str(exc)) from None
 
 
-def to_record(sample: LoggedSample) -> dict:
-    """Inverse of from_record; key order is fixed, extras ride at the end."""
+def to_record(sample: LoggedSample, row: Sequence[float] | None = None) -> dict:
+    """Inverse of from_record, given the sample's row of dims (NaN, or no row:
+    absent); key order is fixed, extras ride at the end."""
     rec: dict = {
         "schema": RECORD_SCHEMA,
         "sample_id": sample.sample_id,
@@ -273,9 +273,9 @@ def to_record(sample: LoggedSample) -> dict:
         rec["gt"] = sample.reference_score
     if sample.reference_text is not None:
         rec["reference_text"] = sample.reference_text
-    if sample.dimension_scores is not None:
-        row = zip(CANONICAL_DIMENSIONS, sample.dimension_scores.row)
-        rec["dims"] = {d.value: v for d, v in row if v is not None}
+    dims = {} if row is None else {d: v for d, v in zip(_COLUMN_BY_NAME, row) if v == v}
+    if dims:
+        rec["dims"] = dims
     for key, value in sample.extra.items():
         if key not in _KNOWN_RECORD_FIELDS:
             rec[key] = value
@@ -350,9 +350,9 @@ class IngestIssue:
     message: str
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     samples: list[LoggedSample]
+    dims: np.ndarray  # (len(samples) x 6), row i the dims of samples[i]
     issues: list[IngestIssue]
 
 
@@ -365,6 +365,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     aborts the read instead.
     """
     samples: list[LoggedSample] = []
+    rows: list[list[float]] = []
     issues: list[IngestIssue] = []
     first_line: dict[str, int] = {}  # sample_id -> line it was first read on
     try:
@@ -374,31 +375,41 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
                     continue
                 try:
                     record = _loads(line.decode("utf-8"))
-                    sample = _from_record(record, bool(_SURROGATE_ESCAPE.search(line)))
+                    sample, row = _from_record(record, bool(_SURROGATE_ESCAPE.search(line)))
                     first = first_line.setdefault(sample.sample_id, line_no)
                     if first != line_no:
                         raise SchemaError(
                             f"duplicate sample_id {sample.sample_id!r} (first on line {first})"
                         )
                     samples.append(sample)
+                    rows.append(row)
                 except (UnicodeDecodeError, JSONDecodeError, RecursionError, SchemaError) as exc:
                     if strict:
                         raise SchemaError(f"{path}:{line_no}: {exc}") from None
                     issues.append(IngestIssue(line_no=line_no, message=str(exc)))
     except OSError as exc:
         raise SchemaError(f"cannot read dataset {path}: {exc}") from None
-    return IngestResult(samples=samples, issues=issues)
+    dims = np.array(rows, dtype=np.float64).reshape(len(rows), len(CANONICAL_DIMENSIONS))
+    return IngestResult(samples=samples, dims=dims, issues=issues)
 
 
-def write_jsonl(path: str | Path, samples: Iterable[LoggedSample]) -> None:
-    """Write samples one record per line. The lines go to a hidden temporary
-    file that replaces `path` once all are written, so a failed write leaves
-    the old file, or none, in place."""
+def _records(samples: Sequence[LoggedSample], dims: np.ndarray | None = None):
+    """Each sample's record with its row of dims, once check_dims passes them."""
+    rows = itertools.repeat(None) if dims is None else check_dims(samples, dims).tolist()
+    return map(to_record, samples, rows)
+
+
+def write_jsonl(
+    path: str | Path, samples: Sequence[LoggedSample], dims: np.ndarray | None = None
+) -> None:
+    """Write samples one record per line, each with its row of dims. The
+    lines go to a hidden temporary file that replaces `path` once all are
+    written, so a failed write leaves the old file, or none, in place."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            _jsonl(map(to_record, samples))(fh)
+            _jsonl(_records(samples, dims))(fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -1024,8 +1035,8 @@ def _reports(
     *,
     validation: ValidationReport | None = None,
     ingest_issues: Sequence[IngestIssue] | None = None,
-    scored_samples: Sequence[LoggedSample] | None = None,
-    synthetic_samples: Sequence[LoggedSample] | None = None,
+    scored_samples: tuple[Sequence[LoggedSample], np.ndarray] | None = None,
+    synthetic_samples: tuple[Sequence[LoggedSample], np.ndarray] | None = None,
     normalization_stats: Mapping[DimensionId, tuple[float, float]] | None = None,
     audit_report: AuditReport | None = None,
     ablation: Sequence[CorrelationRow] | None = None,
@@ -1056,9 +1067,9 @@ def _reports(
             {"line": issue.line_no, "error": issue.message} for issue in ingest_issues
         )
     if scored_samples is not None:
-        yield "scored.jsonl", "scored_dataset", _jsonl(map(to_record, scored_samples))
+        yield "scored.jsonl", "scored_dataset", _jsonl(_records(*scored_samples))
     if synthetic_samples is not None:
-        yield "synthetic.jsonl", "synthetic_dataset", _jsonl(map(to_record, synthetic_samples))
+        yield "synthetic.jsonl", "synthetic_dataset", _jsonl(_records(*synthetic_samples))
     if normalization_stats is not None:
         yield "normalization_stats.json", "normalization_stats", _json(
             {

@@ -1,16 +1,16 @@
 """Domain types shared by every layer: samples, dimensions, weights, outcomes.
 
 A LoggedSample is one producer output for one query, with whatever evaluator
-scores were logged alongside it. A DimensionVector keeps its scores as one
-row in DIMENSION_COLUMN order and rejects a value outside [0, 1], so
-downstream code never re-checks ranges. WeightConfig normalizes on
+scores were logged alongside it; a batch's dimension scores are a matrix
+beside its samples (see mdqs.composite.check_dims). A DimensionVector is one
+such row, for the single-sample compose. WeightConfig normalizes on
 construction and is the only way weights enter the composite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -159,7 +159,6 @@ class LoggedSample:
     evaluator_scores: Mapping[str, float] = field(default_factory=dict)
     reference_score: float | None = None
     reference_text: str | None = None
-    dimension_scores: DimensionVector | None = None
     extra: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -177,9 +176,6 @@ class LoggedSample:
             raise ValueError(f"reference_score must be finite, got {self.reference_score!r}")
         object.__setattr__(self, "evaluator_scores", scores)
         object.__setattr__(self, "extra", dict(self.extra))
-
-    def with_dimensions(self, dims: DimensionVector) -> "LoggedSample":
-        return replace(self, dimension_scores=dims)
 
 
 @dataclass(frozen=True)

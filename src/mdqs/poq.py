@@ -50,7 +50,7 @@ from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, 
 
 import numpy as np
 
-from mdqs.composite import VARIANTS, compose_batch, variant
+from mdqs.composite import VARIANTS, check_dims, compose_batch, variant
 from mdqs.errors import (
     EmptyAfterTrim,
     MdqsError,
@@ -469,7 +469,7 @@ def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np
 # ---------------------------------------------------------------------------
 # quality signals (replay mode)
 #
-# values(dataset, base_weights) gives one value per sample, in dataset order.
+# values(dataset, dims, base_weights) gives one value per sample, in dataset order.
 
 
 @dataclass(frozen=True)
@@ -482,7 +482,9 @@ class SingleEvaluator:
     def label(self) -> str:
         return f"evaluator:{self.evaluator_id}"
 
-    def values(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig) -> list[float]:
+    def values(
+        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
+    ) -> list[float]:
         for s in dataset:
             if self.evaluator_id not in s.evaluator_scores:
                 raise MissingColumn(self.evaluator_id, s.sample_id)
@@ -503,7 +505,9 @@ class ConsensusBaseline:
     def label(self) -> str:
         return f"baseline:{self.stat}"
 
-    def values(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig) -> list[float]:
+    def values(
+        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
+    ) -> list[float]:
         return consensus_baselines(dataset)[self.stat]
 
 
@@ -523,8 +527,10 @@ class CompositeSignal:
     def label(self) -> str:
         return f"composite:{self.variant}"
 
-    def values(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig) -> list[float]:
-        return compose_batch(dataset, variant(base_weights, self.variant))
+    def values(
+        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
+    ) -> list[float]:
+        return compose_batch(dataset, dims, variant(base_weights, self.variant))
 
 
 QualitySignal = Union[SingleEvaluator, ConsensusBaseline, CompositeSignal]
@@ -659,9 +665,12 @@ class _Replay:
     so every cell that asks for it raises the same error, as when run
     alone. A repeated sample_id is refused: consensus scores are keyed by it."""
 
-    def __init__(self, dataset: Sequence[LoggedSample], base_weights: WeightConfig):
+    def __init__(
+        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
+    ):
         self.samples = list(dataset)
         refuse_repeated_ids(self.samples)
+        self.dims = check_dims(self.samples, dims)
         self.base_weights = base_weights
         queries: dict[str, int] = {}  # query -> group, in order of first appearance
         group = np.array([queries.setdefault(s.query, len(queries)) for s in self.samples], int)
@@ -687,7 +696,7 @@ class _Replay:
     def columns(self, signal: QualitySignal) -> _Columns:
         """The query groups' outputs under the signal."""
         if signal not in self._columns:
-            quality = np.array(signal.values(self.samples, self.base_weights), dtype=float)
+            quality = np.array(signal.values(self.samples, self.dims, self.base_weights), float)
             n, label = len(self.samples), signal.label()
             if len(quality) != n:
                 raise ValueError(f"{label}: values gave {len(quality)} entries for {n} samples")
@@ -702,6 +711,7 @@ class _Replay:
 def run_single(
     config: SimConfig,
     dataset: Sequence[LoggedSample] | None = None,
+    dims: np.ndarray | None = None,
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> SimOutcome:
     """Run one config to completion. Deterministic in (config, seed).
@@ -709,7 +719,7 @@ def run_single(
     In replay mode this lays out the query groups and the signal's values
     for this one cell; iter_experiment lays them out once for its whole
     grid."""
-    replay = None if dataset is None else _Replay(dataset, base_weights)
+    replay = None if dataset is None else _Replay(dataset, dims, base_weights)
     return _run_cell(config, replay)
 
 
@@ -867,6 +877,7 @@ def _scorer(config: SimConfig) -> Callable[..., tuple[list[list[float]], np.ndar
 def iter_experiment(
     grid: Sequence[SimConfig],
     dataset: Sequence[LoggedSample] | None = None,
+    dims: np.ndarray | None = None,
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> Iterator[SimOutcome | SimError]:
     """Run the grid one config at a time, in grid order: each step runs one
@@ -875,14 +886,15 @@ def iter_experiment(
     instead of aborting the rest of the grid.
 
     What refuses the whole grid is checked at the call: a repeated config_id
-    and, in replay mode, a repeated sample_id. In replay mode the query
-    groups, with their normalized references, are laid out once there, each
-    distinct signal's values on first use, and every cell shares them."""
+    and, in replay mode, a repeated sample_id or dims that check_dims
+    refuses. In replay mode the query groups, with their normalized
+    references, are laid out once there, each distinct signal's values on
+    first use, and every cell shares them."""
     ids = [c.config_id for c in grid]
     if len(set(ids)) != len(ids):
         repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
         raise SimConfigError(f"grid has duplicate config_id {repeated!r}")
-    replay = None if dataset is None else _Replay(dataset, base_weights)
+    replay = None if dataset is None else _Replay(dataset, dims, base_weights)
     return map(_outcome, grid, itertools.repeat(replay))
 
 
@@ -897,7 +909,8 @@ def _outcome(config: SimConfig, replay: _Replay | None) -> SimOutcome | SimError
 def run_experiment(
     grid: Sequence[SimConfig],
     dataset: Sequence[LoggedSample] | None = None,
+    dims: np.ndarray | None = None,
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> list[SimOutcome | SimError]:
     """Every outcome of iter_experiment, as one list in grid order."""
-    return list(iter_experiment(grid, dataset, base_weights))
+    return list(iter_experiment(grid, dataset, dims, base_weights))

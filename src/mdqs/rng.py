@@ -11,7 +11,6 @@ same numbers for the same purpose.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
@@ -21,6 +20,8 @@ SEED_LIMIT = 1 << 64  # a master seed is an integer in [0, SEED_LIMIT)
 
 def stream_words(label: str) -> tuple[int, int, int, int]:
     """First four little-endian uint32 words of SHA-256(label)."""
+    import hashlib  # here, so the commands that draw nothing never load it
+
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     return struct.unpack("<4I", digest[:16])
 

@@ -2,8 +2,8 @@
 
 Each scorer returns a raw real number; score_all builds each active raw
 column once, normalizes it to [0, 1] with per-batch min-max (or frozen
-stats), zips the columns into each sample's DimensionVector row, and
-returns each raw column's (min, max) too. Normalization is one routine,
+stats) into its column of the batch's (n x 6) dims matrix, and returns each
+raw column's (min, max) too. Normalization is one routine,
 normalize_batch: score_all, the per-evaluator columns and PriorTable all
 go through it, and it is the only place that clips to frozen stats. The
 scorers stay usable on their own for debugging single samples.
@@ -47,8 +47,8 @@ from mdqs.errors import (
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
+    DIMENSION_COLUMN,
     DimensionId,
-    DimensionVector,
     LoggedSample,
     ValidationIssue,
     ValidationReport,
@@ -459,34 +459,32 @@ def _raw_column(
 
 def score_all(
     samples: Sequence[LoggedSample], config: ScoringConfig | None = None
-) -> tuple[list[LoggedSample], dict[DimensionId, tuple[float, float]]]:
-    """Score every active dimension over the batch and attach the vectors.
+) -> tuple[np.ndarray, dict[DimensionId, tuple[float, float]]]:
+    """Score every active dimension over the batch.
 
     Before any column is built, the config passes check_config and every
     sample passes missing_inputs; the first problem is raised. Raw columns
     are computed per dimension, then normalized per batch (or against
-    frozen stats when configured). Existing dimension scores are replaced,
-    so re-scoring is idempotent. Returns the scored samples and each active
-    dimension's raw (min, max), which can be fed back in as frozen_stats.
+    frozen stats when configured). Returns the samples' (n x 6) dims, NaN in
+    each unweighted column, and each active dimension's raw (min, max), which
+    can be fed back in as frozen_stats. The samples are left as they are.
     """
     config = config or ScoringConfig()
     samples = list(samples)
+    dims = np.full((len(samples), len(CANONICAL_DIMENSIONS)), math.nan)
     if not samples:
-        return [], {}
+        return dims, {}
     check_config(config)
     for sample in samples:
         for _, error in missing_inputs(sample, config):
             raise error
-    active = [d for d in CANONICAL_DIMENSIONS if d in config.weights.dimensions()]
-    columns: dict[DimensionId, list[float]] = {}
+    frozen = config.frozen_stats or {}
     raw_ranges: dict[DimensionId, tuple[float, float]] = {}
-    for dim in active:
+    for dim in config.weights.weights:  # in canonical order
         raw = _raw_column(dim, samples, config)
         raw_ranges[dim] = (min(raw), max(raw))
-        columns[dim] = normalize_batch(raw, (config.frozen_stats or {}).get(dim))
-    absent = [None] * len(samples)
-    rows = zip(*(columns.get(d, absent) for d in CANONICAL_DIMENSIONS))
-    return [s.with_dimensions(DimensionVector(row)) for s, row in zip(samples, rows)], raw_ranges
+        dims[:, DIMENSION_COLUMN[dim]] = normalize_batch(raw, frozen.get(dim))
+    return dims, raw_ranges
 
 
 def validate_dataset(

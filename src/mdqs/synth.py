@@ -2,7 +2,8 @@
 
 The generator plants a known Spearman structure: one latent quality factor
 per dataset, per-dimension columns built as rho * gt + sqrt(1 - rho^2) * eps
-with the rho chosen per task family, then rank-normalized onto [0, 1].
+with the rho chosen per task family, then rank-normalized onto [0, 1] into
+the columns of the dataset's dims matrix (NaN for a dimension not planted).
 Rank normalization is monotone, so the planted rank correlations survive it,
 within sampling noise. Evaluator columns are gt plus Gaussian noise, same
 treatment. The reference score is the rank-normalized latent itself.
@@ -24,8 +25,8 @@ import numpy as np
 from mdqs.errors import InvalidSpec
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
+    DIMENSION_COLUMN,
     DimensionId,
-    DimensionVector,
     LoggedSample,
     TaskFamily,
 )
@@ -154,8 +155,8 @@ def _mutate(words: list[str], quality: float, rng: np.random.Generator) -> list[
     return out
 
 
-def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
-    """Build the dataset; same spec, same bytes, every time."""
+def generate_synthetic(spec: SyntheticSpec) -> tuple[list[LoggedSample], np.ndarray]:
+    """The dataset's samples and dims; same spec, same bytes, every time."""
     rng = rng_for(spec.rng_seed, "synthetic")
     n = spec.n
     group_size = spec.producers_per_query
@@ -177,12 +178,11 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
 
     gt = rng.standard_normal(n)
 
-    dims = spec.dimensions()
-    dim_columns: dict[DimensionId, np.ndarray] = {}
-    for dim in dims:
+    dims = np.full((n, len(CANONICAL_DIMENSIONS)), math.nan)
+    for dim in spec.dimensions():
         eps = rng.standard_normal(n)
         rho = np.array([spec.correlations[t].get(dim, 0.0) for t in tasks])
-        dim_columns[dim] = rank_normalize(rho * gt + np.sqrt(1.0 - rho * rho) * eps)
+        dims[:, DIMENSION_COLUMN[dim]] = rank_normalize(rho * gt + np.sqrt(1.0 - rho * rho) * eps)
 
     evaluator_columns: dict[str, np.ndarray] = {}
     for evaluator in sorted(spec.evaluator_noise):
@@ -191,12 +191,9 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
         evaluator_columns[evaluator] = rank_normalize(gt + sd * eps)
 
     reference = rank_normalize(gt)
-    rows = zip(
-        *(dim_columns[d].tolist() if d in dim_columns else [None] * n for d in CANONICAL_DIMENSIONS)
-    )
 
     samples: list[LoggedSample] = []
-    for i, row in enumerate(rows):
+    for i in range(n):
         u = float(reference[i])
         length = 20 + int(u * 60)
         word_idx = rng.integers(0, len(_VOCAB), size=length)
@@ -213,7 +210,6 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LoggedSample]:
                 evaluator_scores={e: float(col[i]) for e, col in evaluator_columns.items()},
                 reference_score=float(reference[i]),
                 reference_text=" ".join(ref_words),
-                dimension_scores=DimensionVector(row) if dims else None,
             )
         )
-    return samples
+    return samples, dims

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from mdqs.model import (
+    CANONICAL_DIMENSIONS,
     DimensionId,
-    DimensionVector,
     LoggedSample,
     TaskFamily,
 )
@@ -27,12 +29,8 @@ def make_sample(
     evaluator_scores: dict | None = None,
     reference_score: float | None = None,
     reference_text: str | None = None,
-    dims: dict | None = None,
     extra: dict | None = None,
 ) -> LoggedSample:
-    vector = None
-    if dims is not None:
-        vector = DimensionVector({DimensionId(k): v for k, v in dims.items()})
     return LoggedSample(
         sample_id=sample_id,
         task=TaskFamily(task),
@@ -42,22 +40,35 @@ def make_sample(
         evaluator_scores=evaluator_scores or {},
         reference_score=reference_score,
         reference_text=reference_text,
-        dimension_scores=vector,
         extra=extra or {},
     )
 
 
+def dim_matrix(maps) -> np.ndarray:
+    """The (n x 6) dims of {dimension name: score} maps, one per sample, NaN
+    where a map (or None) has no score."""
+    rows = [[(m or {}).get(d.value, math.nan) for d in CANONICAL_DIMENSIONS] for m in maps]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(CANONICAL_DIMENSIONS))
+
+
+def batch(pairs) -> tuple[list[LoggedSample], np.ndarray]:
+    """(samples, dims) of (sample, dims map) pairs, such as scored_sample's."""
+    pairs = list(pairs)
+    return [s for s, _ in pairs], dim_matrix([m for _, m in pairs])
+
+
 def scored_sample(i: int, *, task: str = "qa", gt: float, dims: dict, producer: str = "model-a"):
-    """A pre-scored sample keyed by index, for audit and composite tests."""
-    return make_sample(
+    """A pre-scored sample keyed by index, for audit and composite tests, and
+    its dims map; batch() turns a list of them into (samples, dims)."""
+    sample = make_sample(
         sample_id=f"s{i:04d}",
         task=task,
         producer_id=producer,
         query=f"q{i:04d}",
         reference_score=gt,
         evaluator_scores={"judge": gt, "anti": 1.0 - gt},
-        dims=dims,
     )
+    return sample, dims
 
 
 def split_settings(fields: dict) -> tuple[SimSettings, dict]:

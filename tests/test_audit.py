@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, make_sample, scored_sample
+from conftest import FIXTURES, batch, dim_matrix, make_sample, scored_sample
 from mdqs.audit import (
     GATE_CHOICES,
     AuditBlock,
@@ -32,7 +32,14 @@ from mdqs.errors import (
     TooFewReferencedSamples,
 )
 from mdqs.io import build_scoring_config, ingest, load_config, resolve_weights
-from mdqs.model import CANONICAL_DIMENSIONS, DEFAULT_WEIGHTS, DimensionId, WeightConfig
+from mdqs.model import (
+    CANONICAL_DIMENSIONS,
+    DEFAULT_WEIGHTS,
+    DIMENSION_COLUMN,
+    DimensionId,
+    DimensionVector,
+    WeightConfig,
+)
 from mdqs.scoring import ScoringConfig, _raw_column, score_all
 from mdqs.stats import pearson, spearman
 
@@ -45,7 +52,7 @@ def planted_batch(n=40, seed=5):
     """
     rng = np.random.default_rng(seed)
     gt = rng.uniform(0.0, 1.0, size=n)
-    samples = []
+    pairs = []
     for i in range(n):
         g = float(gt[i])
         noise = float(rng.uniform(-0.05, 0.05))
@@ -57,10 +64,10 @@ def planted_batch(n=40, seed=5):
             "alignment": 1.0 - g,
             "agreement": min(1.0, max(0.0, 1.0 - g + noise)),
         }
-        samples.append(
+        pairs.append(
             scored_sample(i, task="qa" if i % 2 == 0 else "summarization", gt=g, dims=dims)
         )
-    return samples
+    return batch(pairs)
 
 
 # ----------------------------------------------------------- baselines
@@ -88,11 +95,11 @@ def test_consensus_baselines_need_evaluators():
 def test_audit_requires_two_referenced_samples():
     samples = [make_sample(sample_id="s0", reference_score=0.5)]
     with pytest.raises(TooFewReferencedSamples):
-        audit(samples)
+        audit(samples, dim_matrix([None]))
 
 
 def test_audit_recovers_planted_polarity():
-    report = audit(planted_batch())
+    report = audit(*planted_batch())
     block = report.overall
     assert block.row("dimension", "semantic").pearson == 1.0
     assert block.row("dimension", "alignment").pearson == -1.0
@@ -105,8 +112,7 @@ def test_audit_recovers_planted_polarity():
 
 
 def test_audit_row_counts_partition_by_task():
-    samples = planted_batch(n=30)
-    report = audit(samples)
+    report = audit(*planted_batch(n=30))
     assert report.n_referenced == 30
     assert set(report.by_task) == {"qa", "summarization"}
     overall_n = report.overall.row("dimension", "semantic").n
@@ -115,24 +121,24 @@ def test_audit_row_counts_partition_by_task():
 
 
 def test_audit_task_block_order():
-    samples = [
+    samples, dims = batch([
         scored_sample(0, task="translation", gt=0.1, dims={"semantic": 0.1}),
         scored_sample(1, task="summarization", gt=0.5, dims={"semantic": 0.5}),
         scored_sample(2, task="qa", gt=0.9, dims={"semantic": 0.9}),
         scored_sample(3, task="translation", gt=0.4, dims={"semantic": 0.4}),
         scored_sample(4, task="qa", gt=0.2, dims={"semantic": 0.2}),
-    ]
-    report = audit(samples)
+    ])
+    report = audit(samples, dims)
     assert list(report.by_task) == ["qa", "summarization", "translation"]
 
 
 def test_audit_single_sample_task_rows_undefined():
-    samples = [
+    samples, dims = batch([
         scored_sample(0, task="qa", gt=0.1, dims={"semantic": 0.2}),
         scored_sample(1, task="qa", gt=0.9, dims={"semantic": 0.8}),
         scored_sample(2, task="translation", gt=0.5, dims={"semantic": 0.5}),
-    ]
-    report = audit(samples)
+    ])
+    report = audit(samples, dims)
     lonely = report.by_task["translation"].row("dimension", "semantic")
     assert lonely.n == 1
     assert lonely.pearson is None
@@ -140,33 +146,33 @@ def test_audit_single_sample_task_rows_undefined():
 
 
 def test_audit_constant_column_undefined():
-    samples = [
+    samples, dims = batch(
         scored_sample(i, gt=i / 9.0, dims={"semantic": 0.5, "structure": i / 9.0})
         for i in range(10)
-    ]
-    report = audit(samples)
+    )
+    report = audit(samples, dims)
     row = report.overall.row("dimension", "semantic")
     assert row.pearson is None and row.spearman is None and row.n == 10
     assert report.overall.row("dimension", "structure").pearson == 1.0
 
 
 def test_audit_skips_unreferenced_samples():
-    samples = planted_batch(n=10)
+    samples, dims = planted_batch(n=10)
     samples.append(make_sample(sample_id="extra", evaluator_scores={"judge": 0.5, "anti": 0.5}))
-    report = audit(samples)
+    report = audit(samples, np.vstack([dims, dim_matrix([None])]))
     assert report.n_referenced == 10
     assert report.overall.row("dimension", "semantic").n == 10
 
 
 def test_audit_refuses_a_repeated_sample_id():
-    samples = planted_batch(n=6)
+    samples, dims = planted_batch(n=6)
     with pytest.raises(SchemaError, match="duplicate sample_id 's0000'"):
-        audit([*samples, samples[0]])
+        audit([*samples, samples[0]], np.vstack([dims, dims[:1]]))
 
 
 def test_audit_composite_rows():
-    samples = planted_batch()
-    report = with_composites(audit(samples), samples, {"default": DEFAULT_WEIGHTS})
+    samples, dims = planted_batch()
+    report = with_composites(audit(samples, dims), samples, dims, {"default": DEFAULT_WEIGHTS})
     row = report.overall.row("composite", "default")
     assert row is not None
     assert row.n == len(samples)
@@ -176,11 +182,10 @@ def test_audit_composite_rows():
 
 
 def test_audit_ignores_dimensions_nobody_scored():
-    samples = [
+    report = audit(*batch([
         scored_sample(0, gt=0.2, dims={"semantic": 0.1}),
         scored_sample(1, gt=0.8, dims={"semantic": 0.9}),
-    ]
-    report = audit(samples)
+    ]))
     assert report.overall.row("dimension", "structure") is None
     assert [r.name for r in report.overall.dimensions()] == ["semantic"]
 
@@ -188,17 +193,17 @@ def test_audit_ignores_dimensions_nobody_scored():
 # ------------------------------------------------------------- ablation
 
 def test_ablation_grid_covers_requested_variants():
-    samples = planted_batch()
-    rows = ablation_grid(samples, VARIANTS)
+    samples, dims = planted_batch()
+    rows = ablation_grid(samples, dims, VARIANTS)
     assert [r.name for r in rows] == list(VARIANTS)
     for r in rows:
         assert r.n == len(samples)
 
 
 def test_ablation_semantic_only_matches_dimension_row():
-    samples = planted_batch()
-    report = audit(samples)
-    rows = {r.name: r for r in ablation_grid(samples, VARIANTS)}
+    samples, dims = planted_batch()
+    report = audit(samples, dims)
+    rows = {r.name: r for r in ablation_grid(samples, dims, VARIANTS)}
     dim_row = report.overall.row("dimension", "semantic")
     # identical input columns, so identical statistics, bit for bit
     assert rows["semantic_only"].pearson == dim_row.pearson
@@ -206,32 +211,33 @@ def test_ablation_semantic_only_matches_dimension_row():
 
 
 def test_ablation_matches_direct_computation():
-    samples = planted_batch()
+    samples, dims = planted_batch()
     refs = [s.reference_score for s in samples]
     weights = variant(DEFAULT_WEIGHTS, "no_priors")
     scores = [
-        math.fsum(weights[d] * s.dimension_scores[d] for d in weights.dimensions())
-        for s in samples
+        math.fsum(weights[d] * row[DIMENSION_COLUMN[d]] for d in weights.dimensions())
+        for row in dims
     ]
-    rows = {r.name: r for r in ablation_grid(samples, ["no_priors"])}
+    rows = {r.name: r for r in ablation_grid(samples, dims, ["no_priors"])}
     assert rows["no_priors"].pearson == pytest.approx(pearson(scores, refs), abs=1e-12)
     assert rows["no_priors"].spearman == pytest.approx(spearman(scores, refs), abs=1e-12)
 
 
 def test_ablation_needs_references():
     with pytest.raises(TooFewReferencedSamples):
-        ablation_grid([make_sample(sample_id="s0")], VARIANTS)
+        ablation_grid([make_sample(sample_id="s0")], dim_matrix([None]), VARIANTS)
 
 
 def test_composite_row_is_the_same_from_ablation_calibrate_and_audit():
     config = load_config(f"{FIXTURES}/replay_config.yaml")
     base = resolve_weights(config)
-    raw = ingest(f"{FIXTURES}/replay_200.jsonl").samples
-    samples, _ = score_all(raw, build_scoring_config(config, base))
-    report = audit(samples)
-    (grid,) = ablation_grid(samples, ["default"], base=base)
-    before = calibrate(report, samples, base=base).before
-    overall = with_composites(report, samples, {base.name: base}).overall.row("composite", base.name)
+    samples = ingest(f"{FIXTURES}/replay_200.jsonl").samples
+    dims, _ = score_all(samples, build_scoring_config(config, base))
+    report = audit(samples, dims)
+    (grid,) = ablation_grid(samples, dims, ["default"], base=base)
+    before = calibrate(report, samples, dims, base=base).before
+    composites = with_composites(report, samples, dims, {base.name: base})
+    overall = composites.overall.row("composite", base.name)
     assert grid.pearson is not None and grid.spearman is not None
     assert (grid.pearson, grid.spearman, grid.n) == (*before, report.n_referenced)
     assert (grid.pearson, grid.spearman, grid.n) == (overall.pearson, overall.spearman, overall.n)
@@ -240,8 +246,8 @@ def test_composite_row_is_the_same_from_ablation_calibrate_and_audit():
 # ------------------------------------------------------------ calibrate
 
 def test_calibrate_removes_negative_dimensions():
-    samples = planted_batch()
-    result = calibrate(audit(samples), samples, threshold=0.0)
+    samples, dims = planted_batch()
+    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0)
     assert result.removed == frozenset({DimensionId.ALIGNMENT, DimensionId.AGREEMENT})
     assert result.removed_names == ("alignment", "agreement")
     assert result.calibrated.dimensions() == frozenset(
@@ -255,14 +261,14 @@ def test_calibrate_removes_negative_dimensions():
 
 
 def test_calibrate_improves_composite_on_planted_data():
-    samples = planted_batch()
-    result = calibrate(audit(samples), samples, threshold=0.0)
+    samples, dims = planted_batch()
+    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0)
     assert result.after[0] > result.before[0]
 
 
 def test_calibrate_gate_stats_recorded():
-    samples = planted_batch()
-    result = calibrate(audit(samples), samples, threshold=0.0, gate="pearson")
+    samples, dims = planted_batch()
+    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0, gate="pearson")
     assert result.gate == "pearson"
     assert result.threshold == 0.0
     assert result.gate_stats[DimensionId.SEMANTIC] == 1.0
@@ -271,43 +277,43 @@ def test_calibrate_gate_stats_recorded():
 
 def test_calibrate_threshold_is_strict_less_than():
     # semantic sits exactly at pearson 1.0; threshold 1.0 must keep it
-    samples = planted_batch()
-    result = calibrate(audit(samples), samples, threshold=1.0)
+    samples, dims = planted_batch()
+    result = calibrate(audit(samples, dims), samples, dims, threshold=1.0)
     assert DimensionId.SEMANTIC not in result.removed
     assert DimensionId.STRUCTURE in result.removed
 
 
 def test_calibrate_undefined_stat_removed():
-    samples = [
+    samples, dims = batch(
         scored_sample(
             i,
             gt=i / 9.0,
             dims={"semantic": i / 9.0, "structure": 0.5},
         )
         for i in range(10)
-    ]
+    )
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    result = calibrate(audit(samples), samples, base=base, threshold=-1.0)
+    result = calibrate(audit(samples, dims), samples, dims, base=base, threshold=-1.0)
     assert DimensionId.STRUCTURE in result.removed
     assert DimensionId.SEMANTIC not in result.removed
 
 
 def test_calibrate_all_removed_raises():
-    samples = planted_batch()
+    samples, dims = planted_batch()
     with pytest.raises(AllDimensionsRemoved):
-        calibrate(audit(samples), samples, threshold=2.0)
+        calibrate(audit(samples, dims), samples, dims, threshold=2.0)
 
 
 def test_calibrate_rejects_unknown_gate():
     assert GATE_CHOICES == ("pearson", "spearman", "taskwise_min")
-    samples = planted_batch()
+    samples, dims = planted_batch()
     with pytest.raises(ValueError):
-        calibrate(audit(samples), samples, gate="kendall")
+        calibrate(audit(samples, dims), samples, dims, gate="kendall")
 
 
 def test_calibrate_spearman_gate():
-    samples = planted_batch()
-    result = calibrate(audit(samples), samples, threshold=0.0, gate="spearman")
+    samples, dims = planted_batch()
+    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0, gate="spearman")
     assert result.removed == frozenset({DimensionId.ALIGNMENT, DimensionId.AGREEMENT})
 
 
@@ -315,40 +321,44 @@ def test_calibrate_taskwise_min_gate():
     # structure helps strongly on qa but tracks mildly negative on
     # summarization; taskwise_min removes it, the overall gate keeps it
     rng = np.random.default_rng(11)
-    samples = []
+    pairs = []
     for i in range(40):
         g = float(rng.uniform(0, 1))
         task = "qa" if i % 2 == 0 else "summarization"
         structure = g if task == "qa" else 0.5 - 0.1 * (g - 0.5)
         dims = {"semantic": g, "structure": structure}
-        samples.append(scored_sample(i, task=task, gt=g, dims=dims))
+        pairs.append(scored_sample(i, task=task, gt=g, dims=dims))
+    samples, dims = batch(pairs)
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    overall = calibrate(audit(samples), samples, base=base, threshold=0.0, gate="pearson")
+    report = audit(samples, dims)
+    overall = calibrate(report, samples, dims, base=base, threshold=0.0, gate="pearson")
     assert DimensionId.STRUCTURE not in overall.removed
-    taskwise = calibrate(audit(samples), samples, base=base, threshold=0.0, gate="taskwise_min")
+    taskwise = calibrate(report, samples, dims, base=base, threshold=0.0, gate="taskwise_min")
     assert DimensionId.STRUCTURE in taskwise.removed
     assert taskwise.gate_stats[DimensionId.STRUCTURE] == -1.0
 
 
 def test_calibrate_idempotent_on_calibrated_weights():
-    samples = planted_batch()
-    first = calibrate(audit(samples), samples, threshold=0.0)
-    second = calibrate(audit(samples), samples, base=first.calibrated, threshold=0.0)
+    samples, dims = planted_batch()
+    report = audit(samples, dims)
+    first = calibrate(report, samples, dims, threshold=0.0)
+    second = calibrate(report, samples, dims, base=first.calibrated, threshold=0.0)
     assert second.removed == frozenset()
     assert second.calibrated.weights == pytest.approx(first.calibrated.weights)
 
 
 def test_calibrate_per_task_splits_independently():
     rng = np.random.default_rng(12)
-    samples = []
+    pairs = []
     for i in range(40):
         g = float(rng.uniform(0, 1))
         task = "qa" if i % 2 == 0 else "summarization"
         structure = g if task == "qa" else 1.0 - g
         dims = {"semantic": g, "structure": structure}
-        samples.append(scored_sample(i, task=task, gt=g, dims=dims))
+        pairs.append(scored_sample(i, task=task, gt=g, dims=dims))
+    samples, dims = batch(pairs)
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    per_task = calibrate_per_task(audit(samples), samples, base=base, threshold=0.0)
+    per_task = calibrate_per_task(audit(samples, dims), samples, dims, base=base, threshold=0.0)
     assert set(per_task) == {"qa", "summarization"}
     assert DimensionId.STRUCTURE not in per_task["qa"].removed
     assert DimensionId.STRUCTURE in per_task["summarization"].removed
@@ -357,12 +367,11 @@ def test_calibrate_per_task_splits_independently():
 # ------------------------------------------------- producer breakdown
 
 def test_dimension_means_by_producer():
-    samples = [
+    rows = dimension_means_by_producer(*batch([
         scored_sample(0, gt=0.5, dims={"semantic": 0.2, "structure": 0.4}, producer="m-b"),
         scored_sample(1, gt=0.5, dims={"semantic": 0.4, "structure": 0.6}, producer="m-b"),
         scored_sample(2, gt=0.5, dims={"semantic": 0.9}, producer="m-a"),
-    ]
-    rows = dimension_means_by_producer(samples)
+    ]))
     # sorted by producer, dimensions in canonical order within producer
     assert rows[0] == ("m-a", "semantic", pytest.approx(0.9), 1)
     assert rows[1] == ("m-b", "structure", pytest.approx(0.5), 2)
@@ -370,30 +379,36 @@ def test_dimension_means_by_producer():
 
 
 def test_dimension_means_skips_unscored():
-    rows = dimension_means_by_producer([make_sample(sample_id="s0")])
+    rows = dimension_means_by_producer([make_sample(sample_id="s0")], dim_matrix([None]))
     assert rows == []
 
 
 # ------------------------------------------------ column-path oracle
 #
-# The audit layer's previous per-sample implementation, kept verbatim as the
-# reference: every row, float and error of the column path must match it.
+# The audit layer's previous per-sample implementation, kept as the reference:
+# every row, float and error of the column path must match it. It reads each
+# sample's scores as a {dimension: score} map made from its row of dims.
+
+
+def _ref_scores(dims):
+    """Each row of dims as a {dimension: score} map, None for an all-NaN row."""
+    rows = [{d: v for d, v in zip(CANONICAL_DIMENSIONS, row) if v == v} for row in dims.tolist()]
+    return [row or None for row in rows]
 
 
 def _ref_weighted_sum(scores, weights):
     return min(1.0, max(0.0, math.fsum(w * scores[d] for d, w in weights.weights.items())))
 
 
-def _ref_compose_batch(samples, weights):
+def _ref_compose_batch(samples, dims, weights):
     out = []
     wanted = weights.dimensions()
-    for sample in samples:
-        vec = sample.dimension_scores
-        if vec is None:
+    for sample, scores in zip(samples, _ref_scores(dims)):
+        if scores is None:
             raise SchemaError(f"sample {sample.sample_id!r} has no dimension scores; run score first")
-        if not vec.values.keys() >= wanted:
-            raise DimensionMismatch(vec.keys(), wanted)
-        out.append(_ref_weighted_sum(vec.values, weights))
+        if not scores.keys() >= wanted:
+            raise DimensionMismatch(scores.keys(), wanted)
+        out.append(_ref_weighted_sum(scores, weights))
     return out
 
 
@@ -406,13 +421,14 @@ def _ref_correlation_row(kind, name, xs, samples):
     )
 
 
-def _ref_referenced(samples, what):
-    referenced = [s for s in samples if s.reference_score is not None]
+def _ref_referenced(samples, dims, what):
+    keep = [s.reference_score is not None for s in samples]
+    referenced = [s for s, kept in zip(samples, keep) if kept]
     if len(referenced) < 2:
         raise TooFewReferencedSamples(
             f"{what} needs >= 2 samples with a reference score, got {len(referenced)}"
         )
-    return referenced
+    return referenced, dims[keep]
 
 
 def _ref_normalized_by_id(samples):
@@ -458,16 +474,16 @@ def _ref_agreement(samples):
     return out
 
 
-def _ref_block(label, samples, baselines):
+def _ref_block(label, samples, dims, baselines):
     rows = []
 
     for dim in CANONICAL_DIMENSIONS:
-        scored = [
-            s for s in samples if s.dimension_scores is not None and dim in s.dimension_scores
+        pairs = [
+            (s, v) for s, v in zip(samples, _ref_scores(dims)) if v is not None and dim in v
         ]
-        if scored:
-            xs = [s.dimension_scores[dim] for s in scored]
-            rows.append(_ref_correlation_row("dimension", dim.value, xs, scored))
+        if pairs:
+            xs = [v[dim] for _, v in pairs]
+            rows.append(_ref_correlation_row("dimension", dim.value, xs, [s for s, _ in pairs]))
 
     for evaluator in sorted({e for s in samples for e in s.evaluator_scores}):
         scored = [s for s in samples if evaluator in s.evaluator_scores]
@@ -482,34 +498,33 @@ def _ref_block(label, samples, baselines):
     return AuditBlock(label=label, rows=tuple(rows))
 
 
-def _ref_audit(samples):
+def _ref_audit(samples, dims):
     all_samples = list(samples)
-    referenced = _ref_referenced(all_samples, "audit")
+    referenced, rows = _ref_referenced(all_samples, dims, "audit")
     baselines = _ref_consensus_baselines([s for s in all_samples if s.evaluator_scores])
 
-    overall = _ref_block("overall", referenced, baselines)
+    overall = _ref_block("overall", referenced, rows, baselines)
 
     first_seen = dict.fromkeys(s.task.label for s in referenced)
     task_order = sorted(first_seen, key=lambda t: {"qa": 0, "summarization": 1}.get(t, 2))
-    by_task = {
-        label: _ref_block(label, [s for s in referenced if s.task.label == label], baselines)
-        for label in task_order
-    }
+    by_task = {}
+    for label in task_order:
+        in_task = [s.task.label == label for s in referenced]
+        subset = [s for s, kept in zip(referenced, in_task) if kept]
+        by_task[label] = _ref_block(label, subset, rows[in_task], baselines)
     return AuditReport(overall=overall, by_task=by_task, n_referenced=len(referenced))
 
 
-def _ref_with_composites(report, samples, composites):
-    referenced = [s for s in samples if s.reference_score is not None]
+def _ref_with_composites(report, samples, dims, composites):
+    scores = _ref_scores(dims)
+    referenced = [i for i, s in enumerate(samples) if s.reference_score is not None]
     overall = list(report.overall.rows)
     by_task = {label: list(block.rows) for label, block in report.by_task.items()}
     for name, weights in composites.items():
         wanted = weights.dimensions()
-        scorable = [
-            s
-            for s in referenced
-            if s.dimension_scores is not None and s.dimension_scores.values.keys() >= wanted
-        ]
-        column = _ref_compose_batch(scorable, weights)
+        kept = [i for i in referenced if scores[i] is not None and scores[i].keys() >= wanted]
+        scorable = [samples[i] for i in kept]
+        column = _ref_compose_batch(scorable, dims[kept], weights)
         overall.append(_ref_correlation_row("composite", name, column, scorable))
         for label, rows in by_task.items():
             in_task = [i for i, s in enumerate(scorable) if s.task.label == label]
@@ -525,11 +540,11 @@ def _ref_with_composites(report, samples, composites):
     )
 
 
-def _ref_ablation_grid(samples, names, base=DEFAULT_WEIGHTS):
-    referenced = _ref_referenced(samples, "ablation")
+def _ref_ablation_grid(samples, dims, names, base=DEFAULT_WEIGHTS):
+    referenced, rows = _ref_referenced(samples, dims, "ablation")
     return [
         _ref_correlation_row(
-            "composite", name, _ref_compose_batch(referenced, variant(base, name)), referenced
+            "composite", name, _ref_compose_batch(referenced, rows, variant(base, name)), referenced
         )
         for name in names
     ]
@@ -551,23 +566,25 @@ def _ref_gate_stats(report, dims, gate):
     return stats
 
 
-def _ref_calibrate(report, samples, base=DEFAULT_WEIGHTS, threshold=0.0, gate="pearson"):
+def _ref_calibrate(report, samples, dims, base=DEFAULT_WEIGHTS, threshold=0.0, gate="pearson"):
     if gate not in GATE_CHOICES:
         raise ValueError(f"gate must be one of {GATE_CHOICES}, got {gate!r}")
-    dims = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
-    stats = _ref_gate_stats(report, dims, gate)
+    weighted = [d for d in CANONICAL_DIMENSIONS if d in base.dimensions()]
+    stats = _ref_gate_stats(report, weighted, gate)
     removed = frozenset(
-        d for d in dims if stats[d] is None or stats[d] < threshold
+        d for d in weighted if stats[d] is None or stats[d] < threshold
     )
-    if removed == frozenset(dims):
+    if removed == frozenset(weighted):
         raise AllDimensionsRemoved(
             f"threshold {threshold} removes every dimension under gate {gate!r}"
         )
-    calibrated = WeightConfig("calibrated", {d: base[d] for d in dims if d not in removed})
+    calibrated = WeightConfig("calibrated", {d: base[d] for d in weighted if d not in removed})
 
-    referenced = _ref_referenced(samples, "calibration")
+    referenced, rows = _ref_referenced(samples, dims, "calibration")
     before, after = (
-        _ref_correlation_row("composite", w.name, _ref_compose_batch(referenced, w), referenced)
+        _ref_correlation_row(
+            "composite", w.name, _ref_compose_batch(referenced, rows, w), referenced
+        )
         for w in (base, calibrated)
     )
     return CalibrationResult(
@@ -581,26 +598,35 @@ def _ref_calibrate(report, samples, base=DEFAULT_WEIGHTS, threshold=0.0, gate="p
     )
 
 
-def _ref_calibrate_per_task(report, samples, base=DEFAULT_WEIGHTS, threshold=0.0, gate="pearson"):
-    referenced = [s for s in samples if s.reference_score is not None]
+def _ref_calibrate_per_task(
+    report, samples, dims, base=DEFAULT_WEIGHTS, threshold=0.0, gate="pearson"
+):
+    keep = [s.reference_score is not None for s in samples]
+    referenced = [s for s, kept in zip(samples, keep) if kept]
+    dims = dims[keep]
     labels = list(dict.fromkeys(s.task.label for s in referenced))
     out = {}
     for label in labels:
-        subset = _ref_referenced(
-            [s for s in referenced if s.task.label == label], f"task {label!r}: calibration"
+        in_task = [s.task.label == label for s in referenced]
+        subset, rows = _ref_referenced(
+            [s for s, kept in zip(referenced, in_task) if kept],
+            dims[in_task],
+            f"task {label!r}: calibration",
         )
         block = report.by_task[label]
         task_report = AuditReport(block, {label: block}, len(subset))
-        out[label] = _ref_calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)
+        out[label] = _ref_calibrate(
+            task_report, subset, rows, base=base, threshold=threshold, gate=gate
+        )
     return out
 
 
-def _ref_dimension_means_by_producer(samples):
+def _ref_dimension_means_by_producer(samples, dims):
     sums = {}
-    for s in samples:
-        if s.dimension_scores is None:
+    for s, scores in zip(samples, _ref_scores(dims)):
+        if scores is None:
             continue
-        for dim, value in s.dimension_scores.values.items():
+        for dim, value in scores.items():
             sums.setdefault((s.producer_id, dim), []).append(value)
     rows = []
     for producer in sorted({p for p, _ in sums}):
@@ -632,8 +658,8 @@ _ABOVE_ONE_WEIGHTS = (
 _ABOVE_ONE = WeightConfig("above_one", dict(zip(CANONICAL_DIMENSIONS, _ABOVE_ONE_WEIGHTS)))
 
 
-def _oracle_batch(rng) -> list:
-    """A seeded batch mixing what the audit layer has to handle: samples
+def _oracle_batch(rng) -> tuple[list, np.ndarray]:
+    """(samples, dims) of a seeded batch mixing what the audit layer has to handle: samples
     with every, some or no dimensions, with and without evaluator scores or
     a reference, three tasks plus an occasional one-sample task, and
     constant or signed-zero columns."""
@@ -645,7 +671,7 @@ def _oracle_batch(rng) -> list:
         constant = dict.fromkeys(CANONICAL_DIMENSIONS, 1.0)
     evaluators = [e for e in ("e1", "e2", "e3") if rng.random() < 0.7]
     tasks = ["qa", "summarization", "translation"][: int(rng.integers(1, 4))]
-    samples = []
+    pairs = []
     for i in range(n):
         dims = None
         if full or rng.random() < 0.85:
@@ -657,19 +683,17 @@ def _oracle_batch(rng) -> list:
                     dims[d.value] = constant.get(d, value)
             dims = dims or None
         task = "rare" if i == n - 1 and rng.random() < 0.3 else str(rng.choice(tasks))
-        samples.append(
-            make_sample(
-                sample_id=f"s{i:03d}",
-                task=task,
-                producer_id=f"m{int(rng.integers(0, 3))}",
-                evaluator_scores={
-                    e: float(rng.normal(0.0, 3.0)) for e in evaluators if rng.random() < 0.8
-                },
-                reference_score=float(rng.random()) if rng.random() < 0.8 else None,
-                dims=dims,
-            )
+        sample = make_sample(
+            sample_id=f"s{i:03d}",
+            task=task,
+            producer_id=f"m{int(rng.integers(0, 3))}",
+            evaluator_scores={
+                e: float(rng.normal(0.0, 3.0)) for e in evaluators if rng.random() < 0.8
+            },
+            reference_score=float(rng.random()) if rng.random() < 0.8 else None,
         )
-    return samples
+        pairs.append((sample, dims))
+    return batch(pairs)
 
 
 def _evaluator_batch(rng) -> list:
@@ -724,31 +748,31 @@ def test_column_path_matches_per_sample_reference(seed):
     evaluator_rng = np.random.default_rng([seed, 25])
     for _ in range(20):
         samples = _evaluator_batch(evaluator_rng)
+        dims = dim_matrix([None] * len(samples))
         _assert_evaluator_statistics_match(samples)
-        assert _outcome(audit, samples) == _outcome(_ref_audit, samples)
+        assert _outcome(audit, samples, dims) == _outcome(_ref_audit, samples, dims)
     for _ in range(40):
-        samples = _oracle_batch(rng)
+        samples, dims = _oracle_batch(rng)
         _assert_evaluator_statistics_match(samples)
         base = _oracle_weights(rng)
         for weights in (base, DEFAULT_WEIGHTS, variant(DEFAULT_WEIGHTS, "no_priors"), _ABOVE_ONE):
-            assert _outcome(compose_batch, samples, weights) == _outcome(
-                _ref_compose_batch, samples, weights
+            assert _outcome(compose_batch, samples, dims, weights) == _outcome(
+                _ref_compose_batch, samples, dims, weights
             )
-        for s in samples:
-            vec = s.dimension_scores
-            if vec is not None and vec.keys() == DEFAULT_WEIGHTS.dimensions():
+        for scores in _ref_scores(dims):
+            if scores is not None and scores.keys() == DEFAULT_WEIGHTS.dimensions():
                 for weights in (DEFAULT_WEIGHTS, _ABOVE_ONE):
-                    expected = _ref_weighted_sum(vec.values, weights)
-                    assert repr(compose(vec, weights)) == repr(expected)
-        assert _outcome(dimension_means_by_producer, samples) == _outcome(
-            _ref_dimension_means_by_producer, samples
+                    expected = _ref_weighted_sum(scores, weights)
+                    assert repr(compose(DimensionVector(scores), weights)) == repr(expected)
+        assert _outcome(dimension_means_by_producer, samples, dims) == _outcome(
+            _ref_dimension_means_by_producer, samples, dims
         )
-        assert _outcome(ablation_grid, samples, VARIANTS, base) == _outcome(
-            _ref_ablation_grid, samples, VARIANTS, base
+        assert _outcome(ablation_grid, samples, dims, VARIANTS, base) == _outcome(
+            _ref_ablation_grid, samples, dims, VARIANTS, base
         )
-        assert _outcome(audit, samples) == _outcome(_ref_audit, samples)
+        assert _outcome(audit, samples, dims) == _outcome(_ref_audit, samples, dims)
         try:
-            report = audit(samples)
+            report = audit(samples, dims)
         except MdqsError:
             continue
         composites = {
@@ -756,13 +780,13 @@ def test_column_path_matches_per_sample_reference(seed):
             "above_one": _ABOVE_ONE,
             "semantic": variant(DEFAULT_WEIGHTS, "semantic_only"),
         }
-        assert _outcome(with_composites, report, samples, composites) == _outcome(
-            _ref_with_composites, report, samples, composites
+        assert _outcome(with_composites, report, samples, dims, composites) == _outcome(
+            _ref_with_composites, report, samples, dims, composites
         )
         for gate in GATE_CHOICES:
             threshold = float(rng.choice([-1.0, 0.0, 0.3]))
             pairs = ((calibrate, _ref_calibrate), (calibrate_per_task, _ref_calibrate_per_task))
             for new, ref in pairs:
-                assert _outcome(new, report, samples, base, threshold, gate) == _outcome(
-                    ref, report, samples, base, threshold, gate
+                assert _outcome(new, report, samples, dims, base, threshold, gate) == _outcome(
+                    ref, report, samples, dims, base, threshold, gate
                 )

@@ -20,11 +20,11 @@ import mdqs
 import mdqs.cli
 import mdqs.poq
 import mdqs.scoring
-from conftest import FIXTURES, scored_sample
+from conftest import FIXTURES, batch, scored_sample
 from mdqs.cli import main
 from mdqs.errors import SchemaError
 from mdqs.io import ingest, load_config, to_record, write_jsonl
-from mdqs.model import CANONICAL_DIMENSIONS, DimensionId
+from mdqs.model import CANONICAL_DIMENSIONS, DIMENSION_COLUMN, DimensionId
 from mdqs.synth import SyntheticSpec, generate_synthetic
 
 
@@ -34,7 +34,7 @@ def _no_ambient_seed(monkeypatch):
 
 
 def planted_path(tmp_path, n=24):
-    samples = []
+    pairs = []
     for i in range(n):
         g = i / (n - 1)
         dims = {
@@ -45,11 +45,11 @@ def planted_path(tmp_path, n=24):
             "alignment": 1.0 - g,
             "agreement": 1.0 - g,
         }
-        samples.append(
+        pairs.append(
             scored_sample(i, task="qa" if i % 2 == 0 else "summarization", gt=g, dims=dims)
         )
     path = tmp_path / "planted.jsonl"
-    write_jsonl(path, samples)
+    write_jsonl(path, *batch(pairs))
     return path
 
 
@@ -133,9 +133,10 @@ def test_validate_clean_dataset(tmp_path, capsys):
 
 def test_validate_flags_duplicates(tmp_path):
     data = planted_path(tmp_path)
-    first = ingest(data).samples[0]
+    samples, dims, _ = ingest(data)
+    first = samples[0]
     data.write_text(
-        data.read_text(encoding="utf-8") + json.dumps(to_record(first)) + "\n",
+        data.read_text(encoding="utf-8") + json.dumps(to_record(first, dims[0])) + "\n",
         encoding="utf-8",
     )
     out = tmp_path / "r"
@@ -241,8 +242,8 @@ def test_prior_ratings_of_any_finite_size_score(tmp_path, ratings, expected):
     config = replay_config_edited(tmp_path, lambda raw: raw["priors"].update(model_rating=ratings))
     argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl"]
     assert main(["score", *argv, "--out", str(tmp_path / "s")]) == 0
-    scored = ingest(tmp_path / "s" / "scored.jsonl").samples
-    assert {s.dimension_scores[DimensionId.MODEL_PRIOR] for s in scored} == expected
+    dims = ingest(tmp_path / "s" / "scored.jsonl").dims
+    assert set(dims[:, DIMENSION_COLUMN[DimensionId.MODEL_PRIOR]].tolist()) == expected
 
 
 UNMET_NEEDS = [
@@ -664,11 +665,10 @@ def test_score_attaches_all_dimensions(tmp_path):
         ["score", "--config", str(scoring_config(tmp_path)), "--input", str(data), "--out", str(out)]
     )
     assert code == 0
-    scored = ingest(out / "scored.jsonl").samples
+    scored, dims, _ = ingest(out / "scored.jsonl")
     assert len(scored) == 24
-    for s in scored:
-        assert len(s.dimension_scores.keys()) == 6
-        assert all(0.0 <= v <= 1.0 for v in s.dimension_scores.values.values())
+    for row in dims.tolist():
+        assert all(0.0 <= v <= 1.0 for v in row)  # six scores, none NaN
     stats = json.loads((out / "normalization_stats.json").read_text(encoding="utf-8"))
     assert set(stats) == {d for d in stats}  # parsed fine
     assert len(stats) == 6
@@ -687,8 +687,10 @@ def test_score_weights_override_limits_dimensions(tmp_path):
         ]
     )
     assert code == 0
-    scored = ingest(out / "scored.jsonl").samples
-    assert all({d.value for d in s.dimension_scores.keys()} == {"semantic"} for s in scored)
+    dims = ingest(out / "scored.jsonl").dims
+    names = [d.value for d in CANONICAL_DIMENSIONS]
+    present = [{d for d, v in zip(names, row) if v == v} for row in dims.tolist()]
+    assert present == [{"semantic"}] * 24
 
 
 def test_unknown_weights_variant_exits_one(tmp_path, capsys):
@@ -738,6 +740,15 @@ def test_ablate_rejects_unknown_preset(tmp_path):
         ["ablate", "--input", str(data), "--out", str(tmp_path / "r"), "--preset", "giant"]
     )
     assert code == 64
+
+
+def test_ablate_on_an_unscored_raw_log_asks_for_score(tmp_path, capsys):
+    data = tmp_path / "raw.jsonl"
+    samples, _ = generate_synthetic(SyntheticSpec(n=8, rng_seed=3))
+    write_jsonl(data, samples)  # no dims on any line
+    assert main(["ablate", "--input", str(data), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sample 's00000' has no dimension scores; run score first\n"
 
 
 def test_calibrate_cli_removes_planted_negatives(tmp_path, capsys):
@@ -1256,6 +1267,19 @@ print(gc.get_freeze_count() > 0, gc.isenabled())
     assert _child(code, OPENBLAS_NUM_THREADS="3")[0] == "3"
 
 
+def test_cli_import_loads_no_hashlib():
+    """SHA-256 only derives random streams, so only a command that draws
+    random numbers loads hashlib, on its first stream."""
+    code = """
+import sys
+import mdqs.cli
+print("hashlib" in sys.modules, "_hashlib" in sys.modules)
+mdqs.cli.generate_synthetic(mdqs.cli.SyntheticSpec(n=1))
+print("hashlib" in sys.modules)
+"""
+    assert _child(code) == ["False", "False", "True"]
+
+
 def test_a_leak_after_the_cli_import_is_still_collected_and_reported():
     """The freeze covers only what the import made: a file left open in a
     later reference cycle is still finalized, with its ResourceWarning."""
@@ -1336,11 +1360,11 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     example = re.search(r"^```python\n(from mdqs import \(.*?)^```", readme, re.M | re.S).group(1)
     spec = SyntheticSpec(n=60, producers=("model-a", "model-b"), rng_seed=11)
-    write_jsonl(tmp_path / "data.jsonl", generate_synthetic(spec))
+    write_jsonl(tmp_path / "data.jsonl", *generate_synthetic(spec))
     monkeypatch.chdir(tmp_path)
     scope: dict = {}
     exec(compile(example, "README.md", "exec"), scope)
-    assert len(scope["scored"]) == 60
+    assert scope["dims"].shape == (60, 6)
     assert [type(o).__name__ for o in scope["outcomes"]] == ["SimOutcome", "SimOutcome"]
     written = everything_in(tmp_path / "reports")
     assert set(written) == {

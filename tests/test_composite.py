@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_sample
+from conftest import dim_matrix, make_sample, sim_config
+from mdqs.audit import ablation_grid, audit
 from mdqs.composite import VARIANTS, compose, compose_batch, variant
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
@@ -13,8 +14,10 @@ from mdqs.model import (
     DEFAULT_WEIGHTS,
     DimensionId,
     DimensionVector,
+    EvaluatorProfile,
     WeightConfig,
 )
+from mdqs.poq import CompositeSignal, Mean, iter_experiment
 
 
 def unit_vector(dim):
@@ -75,28 +78,92 @@ def test_compose_requires_exact_key_match():
 
 
 def test_compose_batch_restricts_to_active_weights():
-    samples = [
-        make_sample(sample_id="s0").with_dimensions(
-            DimensionVector({d: 0.5 for d in CANONICAL_DIMENSIONS})
-        )
-    ]
+    samples = [make_sample(sample_id="s0")]
+    dims = dim_matrix([{d.value: 0.5 for d in CANONICAL_DIMENSIONS}])
     weights = variant(DEFAULT_WEIGHTS, "no_agreement")
-    assert compose_batch(samples, weights) == [pytest.approx(0.5)]
+    assert compose_batch(samples, dims, weights) == [pytest.approx(0.5)]
 
 
 def test_compose_batch_unscored_sample_raises():
-    with pytest.raises(SchemaError):
-        compose_batch([make_sample(sample_id="s0")], DEFAULT_WEIGHTS)
+    with pytest.raises(SchemaError, match="has no dimension scores; run score first"):
+        compose_batch([make_sample(sample_id="s0")], dim_matrix([None]), DEFAULT_WEIGHTS)
 
 
 def test_compose_batch_missing_dimension_raises():
-    samples = [
-        make_sample(sample_id="s0").with_dimensions(
-            DimensionVector({DimensionId.SEMANTIC: 0.5})
-        )
-    ]
+    samples = [make_sample(sample_id="s0")]
     with pytest.raises(DimensionMismatch):
-        compose_batch(samples, DEFAULT_WEIGHTS)
+        compose_batch(samples, dim_matrix([{"semantic": 0.5}]), DEFAULT_WEIGHTS)
+
+
+# ------------------------------------------------------- the dims check
+
+
+def _boundary_batch():
+    """Four referenced samples with one evaluator, one query each, and
+    their dims: every dimension 0.25 * i."""
+    samples = [
+        make_sample(
+            sample_id=f"s{i}", query=f"q{i}", reference_score=i / 3, evaluator_scores={"j": i / 3}
+        )
+        for i in range(4)
+    ]
+    return samples, dim_matrix([{d.value: i / 4 for d in CANONICAL_DIMENSIONS} for i in range(4)])
+
+
+def _replay(samples, dims):
+    config = sim_config(
+        config_id="c",
+        evaluators=(EvaluatorProfile("e0"), EvaluatorProfile("e1")),
+        defense=Mean(),
+        rounds=2,
+        quality_signal=CompositeSignal("default"),
+    )
+    return list(iter_experiment([config], samples, dims))
+
+
+CONSUMERS = {
+    "audit": audit,
+    "ablation_grid": lambda samples, dims: ablation_grid(samples, dims, ["default"]),
+    "compose_batch": lambda samples, dims: compose_batch(samples, dims, DEFAULT_WEIGHTS),
+    "iter_experiment": _replay,
+}
+
+
+def _bad_dims(dims):
+    """(bad dims, what the ValueError must say) for each way dims can be wrong."""
+    high, low = dims.copy(), dims.copy()
+    high[2, 3], low[1, 4] = 1.5, -math.inf
+    return [
+        (dims[:3], r"\(3, 6\), not \(4, 6\): no cell for sample 's3', dimension model_prior"),
+        (dims[:, :5], r"\(4, 5\), not \(4, 6\): no cell for sample 's0', dimension agreement"),
+        (high, r"^sample 's2': dimension semantic has score 1.5 outside \[0, 1\]$"),
+        (low, r"^sample 's1': dimension alignment has score -inf outside \[0, 1\]$"),
+    ]
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_every_consumer_refuses_bad_dims_naming_the_sample_and_dimension(consumer):
+    samples, dims = _boundary_batch()
+    run = CONSUMERS[consumer]
+    assert run(samples, dims)  # the good matrix passes
+    for bad, message in _bad_dims(dims):
+        with pytest.raises(ValueError, match=message):
+            run(samples, bad)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_a_nan_cell_is_absent_not_an_error(consumer):
+    # model_prior is weighted by default, so only s1's composite lacks it
+    samples, dims = _boundary_batch()
+    dims[1, 0] = math.nan
+    if consumer == "audit":
+        assert audit(samples, dims).overall.row("dimension", "model_prior").n == 3
+    elif consumer == "iter_experiment":
+        [outcome] = _replay(samples, dims)
+        assert outcome.error_type == "DimensionMismatch"
+    else:
+        with pytest.raises(DimensionMismatch, match=r"missing=\['model_prior'\]"):
+            CONSUMERS[consumer](samples, dims)
 
 
 def test_remove_variant_renormalizes():

@@ -4,14 +4,16 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import random
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mdqs.io
-from conftest import make_sample, scored_sample, sim_config, split_settings
+from conftest import batch, make_sample, scored_sample, sim_config, split_settings
 from mdqs.audit import (
     ablation_grid,
     audit,
@@ -49,6 +51,7 @@ from mdqs.io import (
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
+    DIMENSION_COLUMN,
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
@@ -72,7 +75,7 @@ from mdqs.poq import (
     run_single,
     signal_label,
 )
-from mdqs.scoring import ScoringConfig, StructurePolicy, validate_dataset
+from mdqs.scoring import ScoringConfig, StructurePolicy, score_all, validate_dataset
 
 
 # ------------------------------------------------------------ records
@@ -95,13 +98,13 @@ def full_record():
 
 
 def test_record_round_trip_preserves_everything():
-    sample = from_record(full_record())
+    sample, row = from_record(full_record())
     assert sample.sample_id == "s1"
     assert sample.task.label == "qa"
     assert sample.reference_score == 0.8
-    assert sample.dimension_scores[DimensionId.SEMANTIC] == 0.9
+    assert row[DIMENSION_COLUMN[DimensionId.SEMANTIC]] == 0.9
     assert sample.extra == {"run_tag": "batch-7", "latency_ms": 412}
-    rec = to_record(sample)
+    rec = to_record(sample, row)
     assert rec == full_record() | {
         "evaluator_scores": {"a_judge": 0.4, "b_judge": 0.7}
     }
@@ -111,10 +114,10 @@ def test_record_round_trip_preserves_everything():
     assert keys[-2:] == ["run_tag", "latency_ms"]
     assert list(rec["evaluator_scores"]) == ["a_judge", "b_judge"]
     # partial dims given out of order come back in canonical order, absent ones omitted
-    assert sample.dimension_scores.row == (None, None, 0.6, 0.9, None, None)
+    assert [repr(v) for v in row] == ["nan", "nan", "0.6", "0.9", "nan", "nan"]
     assert list(rec["dims"]) == ["structure", "semantic"]
     scrambled = full_record() | {"dims": {"agreement": 0.25, "model_prior": 1, "semantic": 0.0}}
-    dims = to_record(from_record(scrambled))["dims"]
+    dims = to_record(*from_record(scrambled))["dims"]
     assert list(dims.items()) == [("model_prior", 1.0), ("semantic", 0.0), ("agreement", 0.25)]
 
 
@@ -126,13 +129,14 @@ def test_record_minimal():
         "query": "q",
         "output": "o",
     }
-    sample = from_record(rec)
+    sample, row = from_record(rec)
     assert sample.evaluator_scores == {}
     assert sample.reference_score is None
-    assert sample.dimension_scores is None
-    out = to_record(sample)
-    assert "gt" not in out
-    assert "dims" not in out
+    assert all(v != v for v in row)  # every dimension absent
+    for dims in (row, None):
+        out = to_record(sample, dims)
+        assert "gt" not in out
+        assert "dims" not in out
     assert out["schema"] == 1
 
 
@@ -172,7 +176,7 @@ def test_from_record_schema_errors():
 
 
 def test_dims_fill_the_canonical_row_by_name():
-    # the row filled through the name table is the vector a {DimensionId:
+    # the row filled through the name table is the row a {DimensionId:
     # score} mapping builds, for any subset of names in any order
     rng = random.Random(18)
     names = [d.value for d in CANONICAL_DIMENSIONS]
@@ -180,11 +184,11 @@ def test_dims_fill_the_canonical_row_by_name():
         chosen = rng.sample(names, rng.randint(1, len(names)))
         dims = {name: rng.choice([0.0, -0.0, 1, 1.0, rng.random()]) for name in chosen}
         expected = DimensionVector({DimensionId(name): v for name, v in dims.items()})
-        got = from_record(full_record() | {"dims": dims}).dimension_scores
-        assert [repr(v) for v in got.row] == [repr(v) for v in expected.row]
-        assert got == expected
+        _, got = from_record(full_record() | {"dims": dims})
+        assert [repr(v) for v in got] == [repr(math.nan if v is None else v) for v in expected.row]
     for empty in ({}, None):
-        assert from_record(full_record() | {"dims": empty}).dimension_scores is None
+        _, row = from_record(full_record() | {"dims": empty})
+        assert all(v != v for v in row)
     known = ", ".join(names)
     with pytest.raises(SchemaError, match=rf"^unknown dimension 'vibes' \(known: {known}\)$"):
         from_record(full_record() | {"dims": {"semantic": 0.5, "vibes": 0.5}})
@@ -295,16 +299,17 @@ def test_from_record_refuses_a_lone_surrogate_as_ingest_does(tmp_path, bad, wher
     path.write_text(json.dumps(full_record() | bad) + "\n", encoding="utf-8")
     assert [i.message for i in ingest(path).issues] == [str(refused.value)]
     # a code point beyond the BMP, which JSON escapes as a pair, loads
-    smile = from_record(json.loads(json.dumps(full_record() | {"note": "smile \U0001F600"})))
+    smile, _ = from_record(json.loads(json.dumps(full_record() | {"note": "smile \U0001F600"})))
     assert smile.extra["note"] == "smile \U0001F600"
 
 
 def test_a_failed_write_jsonl_leaves_the_old_file(tmp_path):
     path = tmp_path / "out.jsonl"
-    write_jsonl(path, [from_record(full_record())])
+    sample, _ = from_record(full_record())
+    write_jsonl(path, [sample])
     before = snapshot(tmp_path)
-    unwritable = dataclasses.replace(from_record(full_record()), output="x" + LONE)
-    for samples in ([unwritable], [from_record(full_record()), unwritable]):
+    unwritable = dataclasses.replace(sample, output="x" + LONE)
+    for samples in ([unwritable], [sample, unwritable]):
         with pytest.raises(UnicodeEncodeError):
             write_jsonl(path, samples)
         assert snapshot(tmp_path) == before  # the old bytes, and no temporary file
@@ -314,15 +319,48 @@ def test_a_failed_write_jsonl_leaves_the_old_file(tmp_path):
 
 
 def test_jsonl_file_round_trip(tmp_path):
-    samples = [from_record(full_record()), from_record(full_record() | {"sample_id": "s2"})]
+    (a, a_row), (b, b_row) = (
+        from_record(full_record()), from_record(full_record() | {"sample_id": "s2"})
+    )
     path = tmp_path / "out.jsonl"
-    write_jsonl(path, samples)
+    write_jsonl(path, [a, b], np.array([a_row, b_row]))
     again = ingest(path)
     assert again.issues == []
-    assert again.samples == samples
+    assert again.samples == [a, b]
+    assert again.dims.tobytes() == np.array([a_row, b_row]).tobytes()
     first = path.read_bytes()
-    write_jsonl(path, again.samples)
+    write_jsonl(path, again.samples, again.dims)
     assert path.read_bytes() == first
+
+
+
+def test_score_all_dims_survive_scored_jsonl_bit_for_bit(tmp_path):
+    # the alignment column holds 0.0 before -0.0, so its min is 0.0 and the
+    # third sample normalizes to -0.0, a sign the trip must keep
+    align = [0.5, 0.0, -0.0, 1.0, 0.25]
+    samples = [
+        make_sample(
+            sample_id=f"s{i}",
+            output=" ".join(f"w{j}" for j in range(i, i + 12)),
+            reference_text=" ".join(f"w{j}" for j in range(12)),
+            extra={"align": a},
+        )
+        for i, a in enumerate(align)
+    ]
+    weights = WeightConfig(
+        "three", {DimensionId.STRUCTURE: 1, DimensionId.SEMANTIC: 1, DimensionId.ALIGNMENT: 1}
+    )
+    dims, _ = score_all(samples, ScoringConfig(weights=weights, alignment_column="align"))
+    assert dims[2, DIMENSION_COLUMN[DimensionId.ALIGNMENT]].hex() == "-0x0.0p+0"
+    emit_reports(tmp_path, scored_samples=(samples, dims))
+    again = ingest(tmp_path / "scored.jsonl")
+    assert again.issues == [] and again.samples == samples
+
+    def cells(matrix):
+        return [["nan" if v != v else float.hex(v) for v in row] for row in matrix.tolist()]
+
+    assert cells(again.dims) == cells(dims)
+    assert {v for row in cells(dims) for v in row} >= {"nan", "-0x0.0p+0"}
 
 
 # ---------------------------------------------------------------- grid
@@ -798,7 +836,7 @@ def test_emit_reports_merges_and_sorts_the_manifest(tmp_path):
 
 
 def report_inputs():
-    samples = []
+    pairs = []
     for i in range(12):
         g = i / 11.0
         dims = {
@@ -809,13 +847,14 @@ def report_inputs():
             "alignment": 1.0 - g,
             "agreement": 1.0 - g,
         }
-        samples.append(
+        pairs.append(
             scored_sample(i, task="qa" if i % 2 == 0 else "summarization", gt=g, dims=dims)
         )
-    report = audit(samples)
-    calibration = calibrate(report, samples, threshold=0.0)
-    report = with_composites(report, samples, {"default": DEFAULT_WEIGHTS})
-    grid_rows = ablation_grid(samples, VARIANTS)
+    samples, dims = batch(pairs)
+    report = audit(samples, dims)
+    calibration = calibrate(report, samples, dims, threshold=0.0)
+    report = with_composites(report, samples, dims, {"default": DEFAULT_WEIGHTS})
+    grid_rows = ablation_grid(samples, dims, VARIANTS)
     cell = sim_config(
         config_id="none-r0-median",
         evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(3)),
@@ -828,13 +867,13 @@ def report_inputs():
     return {
         "validation": validate_dataset(samples),
         "ingest_issues": [IngestIssue(line_no=4, message="bad json")],
-        "scored_samples": samples,
+        "scored_samples": (samples, dims),
         "normalization_stats": {DimensionId.SEMANTIC: (0.0, 1.0)},
         "audit_report": report,
         "ablation": grid_rows,
         "calibration": calibration,
         "sim_results": [(cell, sim_result)],
-        "dimension_means": dimension_means_by_producer(samples),
+        "dimension_means": dimension_means_by_producer(samples, dims),
     }
 
 

@@ -3,11 +3,9 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from conftest import make_sample
-from mdqs.composite import dimension_matrix
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
@@ -99,37 +97,6 @@ def test_dimension_vector_rejects_bad_input():
         DimensionVector({DimensionId.SEMANTIC: 0.5, 3: 0.5})
 
 
-def _ref_dimension_matrix(vectors) -> np.ndarray:
-    """The dict.get loop dimension_matrix replaced."""
-    flat = []
-    for vector in vectors:
-        values = {} if vector is None else vector.values
-        flat.extend([values.get(d, math.nan) for d in CANONICAL_DIMENSIONS])
-    return np.array(flat, dtype=np.float64).reshape(-1, len(CANONICAL_DIMENSIONS))
-
-
-def _cells(matrix: np.ndarray) -> list[list[str]]:
-    return [["nan" if math.isnan(x) else float.hex(x) for x in row] for row in matrix.tolist()]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_dimension_matrix_matches_the_dict_lookup_reference(seed):
-    rng = random.Random(seed)
-    vectors = []
-    for _ in range(300):
-        if rng.random() < 0.1:
-            vectors.append(None)
-            continue
-        present = [d for d in CANONICAL_DIMENSIONS if rng.random() < 0.7] or [DimensionId.AGREEMENT]
-        vectors.append(
-            DimensionVector({d: rng.choice([0.0, 1.0, 5e-324, rng.random()]) for d in present})
-        )
-    matrix = dimension_matrix(vectors)
-    assert matrix.shape == (300, 6) and matrix.dtype == np.float64
-    assert _cells(matrix) == _cells(_ref_dimension_matrix(vectors))
-    assert dimension_matrix([]).shape == (0, 6)
-
-
 def test_default_weights_values():
     w = DEFAULT_WEIGHTS.weights
     assert w[DimensionId.MODEL_PRIOR] == pytest.approx(0.15)
@@ -219,12 +186,3 @@ def test_validate_dataset_reports_every_issue():
     assert [i.fieldname for i in report.issues] == [
         "evaluator_scores", "sample_id", "reference_text"
     ]
-
-
-def test_sample_with_dimensions():
-    s = make_sample(sample_id="s0")
-    v = DimensionVector({DimensionId.SEMANTIC: 0.4})
-    s2 = s.with_dimensions(v)
-    assert s.dimension_scores is None
-    assert s2.dimension_scores is v
-    assert s2.sample_id == s.sample_id

@@ -8,13 +8,11 @@ from typing import get_args
 import numpy as np
 import pytest
 
-from conftest import sim_config
+from conftest import dim_matrix, sim_config
 from mdqs.errors import MissingColumn, SchemaError, SimConfigError
 from mdqs.io import ingest
 from mdqs.model import (
-    CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
-    DimensionVector,
     EvaluatorProfile,
     LoggedSample,
     SimError,
@@ -728,8 +726,9 @@ def test_synthetic_mode_needs_producers():
 # ---------------------------------------------------------------- replay
 
 def replay_dataset():
+    """(samples, dims) of four samples whose every dimension equals j."""
+
     def sample(sid, query, producer, j, ref):
-        dims = DimensionVector({d: j for d in CANONICAL_DIMENSIONS})
         return LoggedSample(
             sample_id=sid,
             task=TaskFamily("qa"),
@@ -738,15 +737,15 @@ def replay_dataset():
             output=f"answer from {producer}",
             evaluator_scores={"j": j},
             reference_score=ref,
-            dimension_scores=dims,
         )
 
-    return [
+    samples = [
         sample("s0", "q1", "pa", 0.0, 0.1),
         sample("s1", "q1", "pb", 1.0, 0.9),
         sample("s2", "q2", "pa", 0.4, 0.2),
         sample("s3", "q2", "pb", 0.6, 0.8),
     ]
+    return samples, np.repeat([[s.evaluator_scores["j"]] for s in samples], 6, axis=1)
 
 
 def replay_config(**overrides):
@@ -764,7 +763,7 @@ def replay_config(**overrides):
 
 
 def test_replay_consensus_tracks_signal():
-    out = run_single(replay_config(), dataset=replay_dataset())
+    out = run_single(replay_config(), *replay_dataset())
     assert set(out.consensus_scores) == {"s0", "s1", "s2", "s3"}
     assert out.consensus_scores["s0"] == pytest.approx(0.0)
     assert out.consensus_scores["s1"] == pytest.approx(1.0)
@@ -773,14 +772,14 @@ def test_replay_consensus_tracks_signal():
 
 
 def test_replay_consensus_error_vs_normalized_reference():
-    out = run_single(replay_config(), dataset=replay_dataset())
+    out = run_single(replay_config(), *replay_dataset())
     # refs [.1, .9, .2, .8] normalize to [0, 1, .125, .875]; consensus hits
     # s0 and s1 exactly and misses s2/s3 by .275 on each of two visits
     assert out.consensus_error == pytest.approx((0.275 * 4) / 8, abs=1e-12)
 
 
 def test_replay_rounds_cycle_query_groups():
-    out = run_single(replay_config(rounds=3), dataset=replay_dataset())
+    out = run_single(replay_config(rounds=3), *replay_dataset())
     # q1, q2, then q1 again: 2 contests of q1 + 1 of q2
     assert math.fsum(out.rewards.values()) == pytest.approx(3.0, abs=1e-9)
     assert out.rewards["pb"] > out.rewards["pa"]
@@ -799,7 +798,9 @@ def test_replay_contest_pays_each_output_of_a_producer():
         )
         for sid, producer, j in (("a", "m1", 0.9), ("b", "m1", 0.1), ("c", "m2", 0.5))
     ]
-    out = run_single(replay_config(evaluators=profiles(1), rounds=1), dataset=dataset)
+    out = run_single(
+        replay_config(evaluators=profiles(1), rounds=1), dataset, dim_matrix([None] * 3)
+    )
     assert out.consensus_scores == {"a": 1.0, "b": 0.0, "c": 0.5}
     # spreads over the minimum 0.0 are a 1.0, b 0.0, c 0.5 of a total 1.5
     assert out.rewards == {"m1": pytest.approx(2 / 3), "m2": pytest.approx(1 / 3)}
@@ -819,9 +820,9 @@ def test_replay_refuses_a_repeated_sample_id():
         for sid, producer, j in (("s1", "p1", 0.9), ("s1", "p2", 0.1), ("s2", "p3", 0.5))
     ]
     config = replay_config(evaluators=profiles(1), rounds=1)
-    for run in (run_single, lambda c, dataset: run_experiment([c], dataset=dataset)):
+    for run in (run_single, lambda c, *data: run_experiment([c], *data)):
         with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
-            run(config, dataset=dataset)
+            run(config, dataset, dim_matrix([None] * 3))
 
 
 def test_seed_outside_64_bits_is_rejected():
@@ -834,7 +835,7 @@ def test_seed_outside_64_bits_is_rejected():
 
 def test_replay_composite_signal():
     out = run_single(
-        replay_config(quality_signal=CompositeSignal("default")), dataset=replay_dataset()
+        replay_config(quality_signal=CompositeSignal("default")), *replay_dataset()
     )
     # every dimension equals the j column, so the composite equals it too
     assert out.consensus_scores["s2"] == pytest.approx(0.4)
@@ -842,7 +843,7 @@ def test_replay_composite_signal():
 
 def test_replay_baseline_signal():
     out = run_single(
-        replay_config(quality_signal=ConsensusBaseline("mean")), dataset=replay_dataset()
+        replay_config(quality_signal=ConsensusBaseline("mean")), *replay_dataset()
     )
     # single evaluator column: its normalized value is the mean
     assert out.consensus_scores["s0"] == pytest.approx(0.0)
@@ -851,9 +852,9 @@ def test_replay_baseline_signal():
 
 def test_replay_missing_signal_rejected():
     with pytest.raises(SimConfigError):
-        run_single(replay_config(quality_signal=None), dataset=replay_dataset())
+        run_single(replay_config(quality_signal=None), *replay_dataset())
     with pytest.raises(SimConfigError):
-        run_single(replay_config(), dataset=[])
+        run_single(replay_config(), [], dim_matrix([]))
 
 
 @dataclass(frozen=True)
@@ -867,7 +868,7 @@ class FixedSignal:
     def label(self) -> str:
         return f"fixed:{self.value}"
 
-    def values(self, dataset, base_weights):
+    def values(self, dataset, dims, base_weights):
         return [self.value] * (len(dataset) + self.extra)
 
 
@@ -876,30 +877,30 @@ def test_emit_rejects_out_of_range_quality():
     for value in (1.2, -0.1, float("nan"), np.float64(1.2)):
         config = replay_config(quality_signal=FixedSignal(value))
         with pytest.raises(ValueError, match=r"quality of 's0' must be in \[0, 1\]") as error:
-            run_single(config, dataset=replay_dataset())
+            run_single(config, *replay_dataset())
         # named as a Python float, not as np.float64(1.2)
         assert str(error.value).endswith(f"got {float(value)!r}")
         # not a per-cell failure: the error leaves the whole grid
         with pytest.raises(ValueError, match="must be in"):
-            run_experiment([config], dataset=replay_dataset())
+            run_experiment([config], *replay_dataset())
 
 
 def test_replay_rejects_a_signal_with_one_value_too_few_or_too_many():
-    n = len(replay_dataset())
+    n = len(replay_dataset()[0])
     for extra in (-1, 1):
         config = replay_config(quality_signal=FixedSignal(0.5, extra))
         message = rf"^fixed:0.5: values gave {n + extra} entries for {n} samples$"
         with pytest.raises(ValueError, match=message):
-            run_single(config, dataset=replay_dataset())
+            run_single(config, *replay_dataset())
         with pytest.raises(ValueError, match=message):
-            run_experiment([config], dataset=replay_dataset())
+            run_experiment([config], *replay_dataset())
 
 
 def test_replay_unknown_variant_rejected():
     with pytest.raises(SimConfigError):
         run_single(
             replay_config(quality_signal=CompositeSignal("mystery")),
-            dataset=replay_dataset(),
+            *replay_dataset(),
         )
 
 
@@ -938,30 +939,30 @@ def test_run_experiment_records_failures_and_continues():
             config_id="judge-adaptive", defense=AdaptiveTrust(), honest_noise_sd=0.05
         ),
     ]
-    results = run_experiment(grid, dataset=replay_dataset())
+    results = run_experiment(grid, *replay_dataset())
     assert [r.config_id for r in results] == [c.config_id for c in grid]
     for config, result in zip(grid, results):
         if config.quality_signal == missing:
             with pytest.raises(MissingColumn) as alone:
-                run_single(config, dataset=replay_dataset())
+                run_single(config, *replay_dataset())
             assert isinstance(result, SimError)
             assert result.error_type == "MissingColumn"
             assert result.message == str(alone.value)
             assert "missing" in result.message
         else:
             assert isinstance(result, SimOutcome)
-            assert result == run_single(config, dataset=replay_dataset())
+            assert result == run_single(config, *replay_dataset())
 
 
 def test_trust_floor_error_wins_over_a_signal_or_producer_error():
     # the floor is checked before the mode's own checks and before the
     # replay signal's values are read
     floor = dict(config_id="c", evaluators=profiles(4), defense=AdaptiveTrust(floor=0.5))
-    for grid, dataset in (
+    for grid, data in (
         ([replay_config(quality_signal=SingleEvaluator("missing"), **floor)], replay_dataset()),
-        ([synth_config(producers=None, **floor)], None),
+        ([synth_config(producers=None, **floor)], (None, None)),
     ):
-        [result] = run_experiment(grid, dataset=dataset)
+        [result] = run_experiment(grid, *data)
         assert isinstance(result, SimError)
         assert result.error_type == "SimConfigError"
         assert result.message == "c: trust floor 0.5 exceeds 1/4"
@@ -991,7 +992,7 @@ def test_run_experiment_computes_each_signal_once(monkeypatch):
         replay_config(config_id=f"b{i}", quality_signal=ConsensusBaseline("median"))
         for i in range(2)
     ]
-    results = run_experiment(composite + baseline, dataset=replay_dataset())
+    results = run_experiment(composite + baseline, *replay_dataset())
     assert all(isinstance(r, SimOutcome) for r in results)
     assert calls == {"compose_batch": 1, "consensus_baselines": 1}
 
@@ -1007,9 +1008,9 @@ def test_iter_experiment_refuses_a_grid_at_the_call_and_runs_one_cell_per_step(m
     # no cell is asked for, yet the grid is refused
     with pytest.raises(SimConfigError, match="duplicate config_id"):
         iter_experiment([synth_config(), synth_config()])
-    repeated = replay_dataset() + replay_dataset()[:1]
+    samples, dims = replay_dataset()
     with pytest.raises(SchemaError, match="duplicate sample_id"):
-        iter_experiment([replay_config()], dataset=repeated)
+        iter_experiment([replay_config()], samples + samples[:1], np.vstack([dims, dims[:1]]))
     ran = []
 
     def run_cell(config, replay):
@@ -1030,12 +1031,12 @@ def test_cells_that_differ_only_in_config_id_report_the_same(defense):
     fields = dict(
         defense=defense, attack=RandomNoise(), attack_ratio=0.4, honest_noise_sd=0.05, rounds=30
     )
-    for config, dataset in (
-        (synth_config(config_id="a", **fields), None),
+    for config, data in (
+        (synth_config(config_id="a", **fields), (None, None)),
         (replay_config(config_id="a", evaluators=profiles(5), **fields), replay_dataset()),
     ):
-        a = run_single(config, dataset=dataset)
-        b = run_single(replace(config, config_id="b"), dataset=dataset)
+        a = run_single(config, *data)
+        b = run_single(replace(config, config_id="b"), *data)
         assert b.config_id == "b"
         assert replace(b, config_id="a") == a
         assert a.attacker_ids and a.consensus_scores  # random_noise drew, and rounds scored
@@ -1161,7 +1162,7 @@ def _ref_run_cell(config, replay):
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
         samples = replay.samples
-        values = config.quality_signal.values(samples, replay.base_weights)
+        values = config.quality_signal.values(samples, replay.dims, replay.base_weights)
         signal_values = {s.sample_id: q for s, q in zip(samples, values)}
         referenced = [s for s in samples if s.reference_score is not None]
         normalized_refs = normalize_batch([s.reference_score for s in referenced])
@@ -1293,22 +1294,23 @@ def _oracle_cell(rng, index):
     )
 
 
-def _interleaved(samples):
-    """The first 30 samples, whose queries come in pairs, reordered so the
-    queries interleave (q0, q1, q0, q2, q1, q2, ...): the groups' order is
-    not the dataset's. Two samples in three carry a reference score."""
+def _interleaved(samples, dims):
+    """The first 30 samples, whose queries come in pairs, and their dims,
+    reordered so the queries interleave (q0, q1, q0, q2, q1, q2, ...): the
+    groups' order is not the dataset's. Two samples in three carry a
+    reference score."""
     order = [i + k for i in range(0, 30, 6) for k in (0, 2, 1, 4, 3, 5)]
     return [
         replace(samples[i], reference_score=None if n % 3 == 0 else float(n % 7))
         for n, i in enumerate(order)
-    ]
+    ], dims[order]
 
 
 def test_run_cell_matches_the_one_by_one_reference():
-    samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples
+    samples, dims, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
     # 3, 10 and 100 query groups of two, so most round counts cycle past them
-    replays = [_Replay(samples[:size], DEFAULT_WEIGHTS) for size in (6, 20, 200)]
-    interleaved = _Replay(_interleaved(samples), DEFAULT_WEIGHTS)
+    replays = [_Replay(samples[:size], dims[:size], DEFAULT_WEIGHTS) for size in (6, 20, 200)]
+    interleaved = _Replay(*_interleaved(samples, dims), DEFAULT_WEIGHTS)
     assert [s.query for s in interleaved.samples[:6]] == [
         samples[i].query for i in (0, 2, 0, 4, 2, 4)
     ]
@@ -1338,10 +1340,10 @@ def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
     # query groups of 4 and 5 samples, so most contests have three or more
     # nonzero spreads (the fsum path), over 1,025-1,100 rounds: past the
     # first block of rounds, and cycling through the 40 groups many times
-    samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples[:180]
+    samples, dims, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
     queries = [f"wide-{g}" for g, size in enumerate([4, 5] * 20) for _ in range(size)]
     replay = _Replay(
-        [replace(s, query=q) for s, q in zip(samples, queries)], DEFAULT_WEIGHTS
+        [replace(s, query=q) for s, q in zip(samples, queries)], dims[:180], DEFAULT_WEIGHTS
     )
     assert sorted(set(replay.columns(ORACLE_SIGNALS[0]).sizes.tolist())) == [4, 5]
     rng = np.random.default_rng(5)
@@ -1385,9 +1387,11 @@ def test_collude_does_not_match_a_producer_id_with_a_trailing_nul():
     config = replay_config(
         evaluators=profiles(2), attack=Collude("m", 0.2), attack_ratio=1.0, rounds=2
     )
-    expected = _fingerprint(lambda: _ref_run_cell(config, _Replay(dataset, DEFAULT_WEIGHTS)))
-    assert _fingerprint(lambda: _run_cell(config, _Replay(dataset, DEFAULT_WEIGHTS))) == expected
-    assert run_single(config, dataset=dataset).consensus_scores["s1"] == 0.8
+    dims = dim_matrix([None] * 2)
+    replay = _Replay(dataset, dims, DEFAULT_WEIGHTS)
+    expected = _fingerprint(lambda: _ref_run_cell(config, replay))
+    assert _fingerprint(lambda: _run_cell(config, replay)) == expected
+    assert run_single(config, dataset, dims).consensus_scores["s1"] == 0.8
 
 
 def test_adaptive_replay_on_block_columns_matches_the_reference():
@@ -1395,8 +1399,8 @@ def test_adaptive_replay_on_block_columns_matches_the_reference():
     # cost 1 and three at cost 2, under a budget of 6, so the emitters
     # change from round to round as trust moves; every attack, with and
     # without honest noise
-    samples = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl").samples
-    replay = _Replay(samples, DEFAULT_WEIGHTS)
+    samples, dims, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
+    replay = _Replay(samples, dims, DEFAULT_WEIGHTS)
     evaluators = tuple(
         EvaluatorProfile(evaluator_id=f"e{i}", cost=1.0 if i < 5 else 2.0)
         for i in (3, 7, 0, 5, 1, 6, 4, 2)

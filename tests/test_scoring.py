@@ -19,7 +19,7 @@ from mdqs.errors import (
     SchemaError,
     TooFewEvaluators,
 )
-from mdqs.model import CANONICAL_DIMENSIONS, DimensionId, WeightConfig
+from mdqs.model import CANONICAL_DIMENSIONS, DIMENSION_COLUMN, DimensionId, WeightConfig
 from mdqs.scoring import (
     PriorTable,
     ScoringConfig,
@@ -277,8 +277,8 @@ def test_reversed_frozen_stats_are_refused():
             score_all(_batch(), config)
     # an equal pair is a zero-width window, not a reversed one
     config = ScoringConfig(weights=semantic, frozen_stats={DimensionId.SEMANTIC: (0.4, 0.4)})
-    scored, _ = score_all(_batch(), config)
-    assert {s.dimension_scores[DimensionId.SEMANTIC] for s in scored} == {0.5}
+    dims, _ = score_all(_batch(), config)
+    assert set(dims[:, DIMENSION_COLUMN[DimensionId.SEMANTIC]].tolist()) == {0.5}
 
 
 # normalize_batch, normalize_with_stats and PriorTable.normalized as they were
@@ -438,41 +438,40 @@ def _batch(n=6):
 
 
 def test_score_all_full_pipeline():
-    scored, _ = score_all(_batch(), _full_config())
-    for s in scored:
-        vec = s.dimension_scores
-        assert vec.keys() == frozenset(CANONICAL_DIMENSIONS)
-        for d in CANONICAL_DIMENSIONS:
-            assert 0.0 <= vec[d] <= 1.0
+    dims, _ = score_all(_batch(), _full_config())
+    assert dims.shape == (6, len(CANONICAL_DIMENSIONS)) and dims.dtype == np.float64
+    for row in dims.tolist():
+        for v in row:  # a NaN, an absent score, fails too
+            assert 0.0 <= v <= 1.0
 
 
 def test_score_all_normalizes_each_dimension_over_batch():
-    scored, _ = score_all(_batch(), _full_config())
+    dims, _ = score_all(_batch(), _full_config())
     for d in CANONICAL_DIMENSIONS:
-        col = [s.dimension_scores[d] for s in scored]
+        col = dims[:, DIMENSION_COLUMN[d]].tolist()
         if max(col) != min(col):
             assert min(col) == 0.0
             assert max(col) == 1.0
 
 
 def test_score_all_idempotent():
-    once, _ = score_all(_batch(), _full_config())
-    twice, _ = score_all(once, _full_config())
-    for a, b in zip(once, twice):
-        for d in CANONICAL_DIMENSIONS:
-            assert a.dimension_scores[d] == b.dimension_scores[d]
+    samples = _batch()
+    once, _ = score_all(samples, _full_config())
+    twice, _ = score_all(samples, _full_config())
+    assert samples == _batch()  # the samples are left as they were
+    assert once.tolist() == twice.tolist()
 
 
 def test_score_all_empty_batch():
-    assert score_all([], _full_config()) == ([], {})
+    dims, raw_ranges = score_all([], _full_config())
+    assert dims.shape == (0, len(CANONICAL_DIMENSIONS)) and raw_ranges == {}
 
 
 def test_score_all_frozen_stats_round_trip():
     scored, stats = score_all(_batch(), _full_config())
     frozen, _ = score_all(_batch(), _full_config(frozen_stats=stats))
-    for a, b in zip(scored, frozen):
-        for d in CANONICAL_DIMENSIONS:
-            assert a.dimension_scores[d] == pytest.approx(b.dimension_scores[d], abs=1e-12)
+    for a, b in zip(scored.tolist(), frozen.tolist()):
+        assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_score_all_frozen_stats_clip_new_data():
@@ -485,17 +484,16 @@ def test_score_all_frozen_stats_clip_new_data():
         reference_text="word0 word1",
         evaluator_scores={"judge": 50.0, "peer": -10.0},
     )
-    scored, _ = score_all(_batch() + [outlier], _full_config(frozen_stats=stats))
-    vec = scored[-1].dimension_scores
-    for d in CANONICAL_DIMENSIONS:
-        assert 0.0 <= vec[d] <= 1.0
+    dims, _ = score_all(_batch() + [outlier], _full_config(frozen_stats=stats))
+    for v in dims[-1].tolist():
+        assert 0.0 <= v <= 1.0
 
 
 def test_score_all_inactive_dimensions_skipped():
     cfg = ScoringConfig(weights=WeightConfig("structure_only", {DimensionId.STRUCTURE: 1.0}))
-    scored, raw_ranges = score_all(_batch(), cfg)
-    for s in scored:
-        assert s.dimension_scores.keys() == frozenset({DimensionId.STRUCTURE})
+    dims, raw_ranges = score_all(_batch(), cfg)
+    for row in dims.tolist():
+        assert {d for d, v in zip(CANONICAL_DIMENSIONS, row) if v == v} == {DimensionId.STRUCTURE}
     assert raw_ranges.keys() == {DimensionId.STRUCTURE}
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdqs.errors import InvalidSpec
-from mdqs.model import DimensionId
+from mdqs.model import CANONICAL_DIMENSIONS, DIMENSION_COLUMN, DimensionId
 from mdqs.scoring import validate_dataset
 from mdqs.stats import spearman
 from mdqs.synth import (
@@ -30,8 +30,8 @@ def spec(**overrides):
     return SyntheticSpec(**base)
 
 
-def column(samples, dim):
-    return [s.dimension_scores[dim] for s in samples]
+def column(dims, dim):
+    return dims[:, DIMENSION_COLUMN[dim]].tolist()
 
 
 def refs(samples):
@@ -39,33 +39,34 @@ def refs(samples):
 
 
 def test_generation_is_deterministic():
-    a = generate_synthetic(spec())
-    b = generate_synthetic(spec())
+    (a, a_dims), (b, b_dims) = generate_synthetic(spec()), generate_synthetic(spec())
     assert a == b
+    assert a_dims.tobytes() == b_dims.tobytes()
 
 
 def test_seed_changes_data():
-    a = generate_synthetic(spec())
-    b = generate_synthetic(spec(rng_seed=8))
+    a, _ = generate_synthetic(spec())
+    b, _ = generate_synthetic(spec(rng_seed=8))
     assert refs(a) != refs(b)
 
 
 def test_sample_shape():
-    samples = generate_synthetic(spec(n=50))
-    assert len(samples) == 50
+    samples, dims = generate_synthetic(spec(n=50))
+    assert len(samples) == 50 and dims.shape == (50, len(CANONICAL_DIMENSIONS))
     assert [s.sample_id for s in samples] == [f"s{i:05d}" for i in range(50)]
     for s in samples:
         assert 0.0 <= s.reference_score <= 1.0
         assert set(s.evaluator_scores) == {"judge"}
         assert s.reference_text
         assert s.output
-        assert s.dimension_scores.keys() == frozenset(
-            {DimensionId.SEMANTIC, DimensionId.ALIGNMENT}
-        )
+    for row in dims.tolist():
+        assert {d for d, v in zip(CANONICAL_DIMENSIONS, row) if v == v} == {
+            DimensionId.SEMANTIC, DimensionId.ALIGNMENT
+        }
 
 
 def test_validates_clean():
-    report = validate_dataset(generate_synthetic(spec(n=100)))
+    report = validate_dataset(generate_synthetic(spec(n=100))[0])
     assert report.ok
 
 
@@ -77,29 +78,30 @@ def test_perfect_correlation_is_exact():
         qa_fraction=1.0,
         n=200,
     )
-    samples = generate_synthetic(s)
+    samples, dims = generate_synthetic(s)
     # rho 1 makes the column an affine copy of the latent; ranks coincide
-    assert spearman(column(samples, DimensionId.SEMANTIC), refs(samples)) == 1.0
-    assert spearman(column(samples, DimensionId.STRUCTURE), refs(samples)) == -1.0
+    assert spearman(column(dims, DimensionId.SEMANTIC), refs(samples)) == 1.0
+    assert spearman(column(dims, DimensionId.STRUCTURE), refs(samples)) == -1.0
 
 
 def test_planted_correlations_recovered_loosely():
-    samples = generate_synthetic(spec(n=2000))
+    samples, dims = generate_synthetic(spec(n=2000))
+    is_qa = np.array([s.task.label == "qa" for s in samples])
     qa = [s for s in samples if s.task.label == "qa"]
     summ = [s for s in samples if s.task.label == "summarization"]
-    got_qa = spearman(column(qa, DimensionId.SEMANTIC), refs(qa))
-    got_summ = spearman(column(summ, DimensionId.SEMANTIC), refs(summ))
+    got_qa = spearman(column(dims[is_qa], DimensionId.SEMANTIC), refs(qa))
+    got_summ = spearman(column(dims[~is_qa], DimensionId.SEMANTIC), refs(summ))
     assert got_qa == pytest.approx(0.8, abs=0.08)
     assert got_summ == pytest.approx(0.4, abs=0.08)
-    got_align = spearman(column(qa, DimensionId.ALIGNMENT), refs(qa))
+    got_align = spearman(column(dims[is_qa], DimensionId.ALIGNMENT), refs(qa))
     assert got_align == pytest.approx(-0.5, abs=0.08)
 
 
 def test_task_split_follows_fraction():
-    samples = generate_synthetic(spec(n=1000, qa_fraction=0.6))
+    samples, _ = generate_synthetic(spec(n=1000, qa_fraction=0.6))
     n_qa = sum(1 for s in samples if s.task.label == "qa")
     assert n_qa == 600
-    samples = generate_synthetic(spec(n=100, qa_fraction=1.0))
+    samples, _ = generate_synthetic(spec(n=100, qa_fraction=1.0))
     assert all(s.task.label == "qa" for s in samples)
 
 
@@ -109,7 +111,7 @@ def test_groups_share_query_and_cycle_producers():
         producers=("m1", "m2", "m3"),
         producers_per_query=3,
     )
-    samples = generate_synthetic(s)
+    samples, _ = generate_synthetic(s)
     for i in range(0, 12, 3):
         group = samples[i : i + 3]
         assert len({g.query for g in group}) == 1
@@ -118,7 +120,7 @@ def test_groups_share_query_and_cycle_producers():
 
 
 def test_reference_score_is_rank_uniform():
-    samples = generate_synthetic(spec(n=101))
+    samples, _ = generate_synthetic(spec(n=101))
     values = sorted(refs(samples))
     assert values[0] == 0.0
     assert values[-1] == 1.0
@@ -127,7 +129,7 @@ def test_reference_score_is_rank_uniform():
 
 
 def test_low_quality_outputs_degrade():
-    samples = generate_synthetic(spec(n=300))
+    samples, _ = generate_synthetic(spec(n=300))
     low = [s for s in samples if s.reference_score < 0.1]
     high = [s for s in samples if s.reference_score > 0.9]
     assert low and high
@@ -138,7 +140,7 @@ def test_low_quality_outputs_degrade():
 
 
 def test_reference_text_drifts_with_quality():
-    samples = generate_synthetic(spec(n=300))
+    samples, _ = generate_synthetic(spec(n=300))
 
     def overlap(s):
         a = set(s.output.split())
@@ -155,7 +157,7 @@ def test_evaluator_noise_orders_reliability():
         n=1500,
         evaluator_noise={"sharp": 0.1, "fuzzy": 2.0},
     )
-    samples = generate_synthetic(s)
+    samples, _ = generate_synthetic(s)
     sharp = spearman([x.evaluator_scores["sharp"] for x in samples], refs(samples))
     fuzzy = spearman([x.evaluator_scores["fuzzy"] for x in samples], refs(samples))
     assert sharp > 0.9
@@ -194,7 +196,7 @@ def test_default_tables_cover_both_tasks():
         "lexical_overlap",
         "judge_heldout",
     }
-    samples = generate_synthetic(
+    samples, _ = generate_synthetic(
         SyntheticSpec(
             n=60,
             correlations=DEFAULT_CORRELATIONS,
