@@ -23,7 +23,7 @@ _EXPORTS = {
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
         "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
-        "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome", "TaskFamily",
+        "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome",
         "ValidationReport", "WeightConfig",
     ),
     "mdqs.poq": (

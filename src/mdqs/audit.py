@@ -88,7 +88,7 @@ def _referenced(
             f"{what} needs >= 2 samples with a reference score, got {len(referenced)}"
         )
     ys = np.array([s.reference_score for s in referenced], dtype=np.float64)
-    return referenced, dims[keep], ys, np.array([s.task.label for s in referenced], dtype=object)
+    return referenced, dims[keep], ys, np.array([s.task for s in referenced], dtype=object)
 
 
 def _block_rows(

@@ -3,8 +3,9 @@
 The composite is a pure post-processing layer over dimension outputs, so
 re-weighting experiments (ablations, calibration) never re-run scorers.
 A batch's scores are one (n x 6) dims array beside its samples, which every
-consumer passes through check_dims, and compose_rows is the one composite
-formula, applied to every row of it. VARIANTS is the one table of named
+consumer passes through check_dims (which also refuses a repeated
+sample_id), and compose_rows is the one composite formula, applied to
+every row of it. VARIANTS is the one table of named
 weight variants; config keys, the --weights flag, the ablation grid and the
 composite quality signal all look names up in it through variant().
 """
@@ -27,11 +28,23 @@ from mdqs.model import (
 from mdqs.stats import fsum_rows
 
 
+def refuse_repeated_ids(samples: Sequence[LoggedSample]) -> None:
+    """Raise SchemaError naming the first sample_id that repeats: a map keyed
+    by sample_id would silently merge those samples."""
+    seen: set[str] = set()
+    for sample in samples:
+        if sample.sample_id in seen:
+            raise SchemaError(f"duplicate sample_id {sample.sample_id!r}")
+        seen.add(sample.sample_id)
+
+
 def check_dims(samples: Sequence[LoggedSample], dims) -> np.ndarray:
     """dims as the samples' float64 matrix: row i is samples[i]'s scores in
-    DIMENSION_COLUMN order, NaN where absent. ValueError, naming the first
-    sample and dimension at fault, for a shape other than (len(samples), 6)
-    and for a value outside [0, 1] (infinities included) that is not NaN."""
+    DIMENSION_COLUMN order, NaN where absent. SchemaError for a repeated
+    sample_id (refuse_repeated_ids); ValueError, naming the first sample and
+    dimension at fault, for a shape other than (len(samples), 6) and for a
+    value outside [0, 1] (infinities included) that is not NaN."""
+    refuse_repeated_ids(samples)
     dims = np.asarray(dims, dtype=np.float64)
     n, width = len(samples), len(CANONICAL_DIMENSIONS)
     if dims.shape != (n, width):

@@ -45,7 +45,6 @@ from mdqs.model import (
     LoggedSample,
     SimError,
     SimOutcome,
-    TaskFamily,
     ValidationReport,
     WeightConfig,
     _COLUMN_BY_NAME,
@@ -230,15 +229,11 @@ def _from_record(obj: object, any_string: bool) -> tuple[LoggedSample, list[floa
     schema = obj.get("schema", RECORD_SCHEMA)
     if schema != RECORD_SCHEMA:
         raise SchemaError(f"unsupported record schema {schema!r}")
-    try:
-        task = TaskFamily(_text(obj.get("task"), "task"))
-    except ValueError as exc:
-        raise SchemaError(f"task: {exc}") from None
     scores = _section(obj.get("evaluator_scores"), "evaluator_scores")
     dims = _dims(obj.get("dims"))
     fields = dict(
         sample_id=_text(obj.get("sample_id"), "sample_id"),
-        task=task,
+        task=_text(obj.get("task"), "task"),
         producer_id=_text(obj.get("producer_id"), "producer_id"),
         query=_text(obj.get("query"), "query"),
         output=_text(obj.get("output"), "output"),
@@ -263,7 +258,7 @@ def to_record(sample: LoggedSample, row: Sequence[float] | None = None) -> dict:
     rec: dict = {
         "schema": RECORD_SCHEMA,
         "sample_id": sample.sample_id,
-        "task": sample.task.label,
+        "task": sample.task,
         "producer_id": sample.producer_id,
         "query": sample.query,
         "output": sample.output,
@@ -334,6 +329,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":")),
+# without building an encoder per record
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
 
 def _loads(text: str):
@@ -365,7 +363,7 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     aborts the read instead.
     """
     samples: list[LoggedSample] = []
-    rows: list[list[float]] = []
+    cells: list[float] = []  # the rows of dims, end to end
     issues: list[IngestIssue] = []
     first_line: dict[str, int] = {}  # sample_id -> line it was first read on
     try:
@@ -382,21 +380,23 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
                             f"duplicate sample_id {sample.sample_id!r} (first on line {first})"
                         )
                     samples.append(sample)
-                    rows.append(row)
+                    cells.extend(row)
                 except (UnicodeDecodeError, JSONDecodeError, RecursionError, SchemaError) as exc:
                     if strict:
                         raise SchemaError(f"{path}:{line_no}: {exc}") from None
                     issues.append(IngestIssue(line_no=line_no, message=str(exc)))
     except OSError as exc:
         raise SchemaError(f"cannot read dataset {path}: {exc}") from None
-    dims = np.array(rows, dtype=np.float64).reshape(len(rows), len(CANONICAL_DIMENSIONS))
+    dims = np.array(cells, dtype=np.float64).reshape(len(samples), len(CANONICAL_DIMENSIONS))
     return IngestResult(samples=samples, dims=dims, issues=issues)
 
 
 def _records(samples: Sequence[LoggedSample], dims: np.ndarray | None = None):
-    """Each sample's record with its row of dims, once check_dims passes them."""
-    rows = itertools.repeat(None) if dims is None else check_dims(samples, dims).tolist()
-    return map(to_record, samples, rows)
+    """Each sample's record with its row of dims (None: no dims), once
+    check_dims passes them."""
+    if dims is None:
+        dims = np.full((len(samples), len(CANONICAL_DIMENSIONS)), math.nan)
+    return map(to_record, samples, check_dims(samples, dims).tolist())
 
 
 def write_jsonl(
@@ -916,10 +916,7 @@ def _jsonl(records: Iterable[dict]):
 
     def write(fh: TextIO) -> None:
         for record in records:
-            fh.write(
-                json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
-                + "\n"
-            )
+            fh.write(_ENCODER.encode(record) + "\n")
 
     return write
 

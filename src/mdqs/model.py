@@ -1,9 +1,9 @@
 """Domain types shared by every layer: samples, dimensions, weights, outcomes.
 
-A LoggedSample is one producer output for one query, with whatever evaluator
-scores were logged alongside it; a batch's dimension scores are a matrix
-beside its samples (see mdqs.composite.check_dims). A DimensionVector is one
-such row, for the single-sample compose. WeightConfig normalizes on
+A LoggedSample is one producer output for one query, with its task label
+and whatever evaluator scores were logged alongside it; a batch's dimension
+scores are a matrix beside its samples (see mdqs.composite.check_dims). A
+DimensionVector is one such row, for the single-sample compose. WeightConfig normalizes on
 construction and is the only way weights enter the composite.
 """
 
@@ -42,19 +42,13 @@ def parse_dimension(name: str) -> DimensionId:
     return CANONICAL_DIMENSIONS[_COLUMN_BY_NAME[name]]
 
 
-@dataclass(frozen=True)
-class TaskFamily:
-    """Task grouping used for per-family reporting, keyed by its trimmed
-    lowercase label. Reports list "qa" and "summarization" first, then any
-    other family in order of first appearance.
-    """
-
-    label: str
-
-    def __post_init__(self):
-        if not self.label or not self.label.strip():
-            raise ValueError("task label must be non-empty")
-        object.__setattr__(self, "label", self.label.strip().lower())
+def task_label(task: str) -> str:
+    """A task family's label: the text trimmed and lowercased. Reports list
+    "qa" and "summarization" first, then any other family in order of first
+    appearance."""
+    if not isinstance(task, str) or not task.strip():
+        raise ValueError(f"task must be a non-blank string, got {task!r}")
+    return task.strip().lower()
 
 
 @dataclass(frozen=True)
@@ -146,13 +140,13 @@ class LoggedSample:
     reference_score is the trusted quality signal used for audits; it is
     optional because production logs rarely have one. reference_text feeds
     the builtin semantic baseline. Unknown fields from ingestion ride along
-    in `extra` and are written back out unchanged. Construction refuses a
-    blank sample_id or producer_id, a non-string output and a non-finite
-    score, so no later stage re-checks them.
+    in `extra` and are written back out unchanged. task is kept as its
+    task_label. Construction refuses a blank sample_id, task or producer_id,
+    a non-string output and a non-finite score, so no stage re-checks them.
     """
 
     sample_id: str
-    task: TaskFamily
+    task: str
     producer_id: str
     query: str
     output: str
@@ -166,6 +160,7 @@ class LoggedSample:
             value = getattr(self, name)
             if not isinstance(value, str) or not value.strip():
                 raise ValueError(f"{name} must be a non-blank string, got {value!r}")
+        object.__setattr__(self, "task", task_label(self.task))
         if not isinstance(self.output, str):
             raise ValueError(f"output must be a string, got {type(self.output).__name__}")
         scores = {str(k): float(v) for k, v in self.evaluator_scores.items()}

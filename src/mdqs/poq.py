@@ -66,7 +66,7 @@ from mdqs.model import (
     WeightConfig,
 )
 from mdqs.rng import rng_for
-from mdqs.scoring import consensus_baselines, normalize_batch, refuse_repeated_ids
+from mdqs.scoring import consensus_baselines, normalize_batch
 from mdqs.stats import fsum_rows
 
 
@@ -669,7 +669,6 @@ class _Replay:
         self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
     ):
         self.samples = list(dataset)
-        refuse_repeated_ids(self.samples)
         self.dims = check_dims(self.samples, dims)
         self.base_weights = base_weights
         queries: dict[str, int] = {}  # query -> group, in order of first appearance

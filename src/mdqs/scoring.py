@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from mdqs.composite import refuse_repeated_ids
 from mdqs.errors import (
     EmptyPriorTable,
     MdqsError,
@@ -319,15 +320,6 @@ def normalize_batch(
     return scores if stats is None else [min(1.0, max(0.0, z)) for z in scores]
 
 
-def refuse_repeated_ids(samples: Iterable[LoggedSample]) -> None:
-    """Raise SchemaError naming the first sample_id that repeats: a map keyed
-    by sample_id would silently merge those samples. Without a config,
-    validate_dataset reports exactly the repeated ids."""
-    issues = validate_dataset(samples).issues
-    if issues:
-        raise SchemaError(issues[0].message)
-
-
 def evaluator_table(samples: Sequence[LoggedSample]) -> tuple[list[str], np.ndarray]:
     """Sorted evaluator ids and the raw scores as an (n x evaluators) float64
     array in sample order, NaN where a sample has no score."""
@@ -462,15 +454,17 @@ def score_all(
 ) -> tuple[np.ndarray, dict[DimensionId, tuple[float, float]]]:
     """Score every active dimension over the batch.
 
-    Before any column is built, the config passes check_config and every
-    sample passes missing_inputs; the first problem is raised. Raw columns
-    are computed per dimension, then normalized per batch (or against
-    frozen stats when configured). Returns the samples' (n x 6) dims, NaN in
-    each unweighted column, and each active dimension's raw (min, max), which
-    can be fed back in as frozen_stats. The samples are left as they are.
+    Before any column is built, a repeated sample_id is refused, the config
+    passes check_config and every sample passes missing_inputs; the first
+    problem is raised. Raw columns are computed per dimension, then
+    normalized per batch (or against frozen stats when configured). Returns
+    the samples' (n x 6) dims, NaN in each unweighted column, and each
+    active dimension's raw (min, max), which can be fed back in as
+    frozen_stats. The samples are left as they are.
     """
     config = config or ScoringConfig()
     samples = list(samples)
+    refuse_repeated_ids(samples)
     dims = np.full((len(samples), len(CANONICAL_DIMENSIONS)), math.nan)
     if not samples:
         return dims, {}

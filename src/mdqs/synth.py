@@ -28,7 +28,7 @@ from mdqs.model import (
     DIMENSION_COLUMN,
     DimensionId,
     LoggedSample,
-    TaskFamily,
+    task_label,
 )
 from mdqs.rng import rng_for
 from mdqs.stats import rank_normalize
@@ -104,7 +104,7 @@ class SyntheticSpec:
             raise InvalidSpec("correlations must cover at least one task")
         frozen: dict[str, dict[DimensionId, float]] = {}
         for task, dims in self.correlations.items():
-            label = TaskFamily(task).label
+            label = task_label(task)
             frozen[label] = {}
             for dim, rho in dims.items():
                 r = float(rho)
@@ -203,7 +203,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[LoggedSample], np.ndar
         samples.append(
             LoggedSample(
                 sample_id=f"s{i:05d}",
-                task=TaskFamily(tasks[i]),
+                task=tasks[i],
                 producer_id=producers[i],
                 query=queries[i],
                 output=" ".join(out_words),

@@ -12,7 +12,6 @@ from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DimensionId,
     LoggedSample,
-    TaskFamily,
 )
 from mdqs.poq import SimConfig, SimSettings
 
@@ -33,7 +32,7 @@ def make_sample(
 ) -> LoggedSample:
     return LoggedSample(
         sample_id=sample_id,
-        task=TaskFamily(task),
+        task=task,
         producer_id=producer_id,
         query=query,
         output=output,

@@ -505,11 +505,11 @@ def _ref_audit(samples, dims):
 
     overall = _ref_block("overall", referenced, rows, baselines)
 
-    first_seen = dict.fromkeys(s.task.label for s in referenced)
+    first_seen = dict.fromkeys(s.task for s in referenced)
     task_order = sorted(first_seen, key=lambda t: {"qa": 0, "summarization": 1}.get(t, 2))
     by_task = {}
     for label in task_order:
-        in_task = [s.task.label == label for s in referenced]
+        in_task = [s.task == label for s in referenced]
         subset = [s for s, kept in zip(referenced, in_task) if kept]
         by_task[label] = _ref_block(label, subset, rows[in_task], baselines)
     return AuditReport(overall=overall, by_task=by_task, n_referenced=len(referenced))
@@ -527,7 +527,7 @@ def _ref_with_composites(report, samples, dims, composites):
         column = _ref_compose_batch(scorable, dims[kept], weights)
         overall.append(_ref_correlation_row("composite", name, column, scorable))
         for label, rows in by_task.items():
-            in_task = [i for i, s in enumerate(scorable) if s.task.label == label]
+            in_task = [i for i, s in enumerate(scorable) if s.task == label]
             rows.append(
                 _ref_correlation_row(
                     "composite", name, [column[i] for i in in_task], [scorable[i] for i in in_task]
@@ -604,10 +604,10 @@ def _ref_calibrate_per_task(
     keep = [s.reference_score is not None for s in samples]
     referenced = [s for s, kept in zip(samples, keep) if kept]
     dims = dims[keep]
-    labels = list(dict.fromkeys(s.task.label for s in referenced))
+    labels = list(dict.fromkeys(s.task for s in referenced))
     out = {}
     for label in labels:
-        in_task = [s.task.label == label for s in referenced]
+        in_task = [s.task == label for s in referenced]
         subset, rows = _ref_referenced(
             [s for s, kept in zip(referenced, in_task) if kept],
             dims[in_task],

@@ -1297,6 +1297,30 @@ print(sum(issubclass(w.category, ResourceWarning) for w in caught))
     assert _child(code) == ["1"]
 
 
+def test_a_batch_holds_one_gc_tracked_object_per_sample(tmp_path):
+    """A full collection walks every tracked object, so a sample that holds
+    a second one (such as a task object beside its label) doubles the walk
+    over a loaded batch. Ingest and the generator each keep N samples for
+    at most N tracked objects and a few containers."""
+    code = f"""
+import gc
+from mdqs.io import ingest, write_jsonl
+from mdqs.synth import SyntheticSpec, generate_synthetic
+n, path = 2000, {str(tmp_path / "data.jsonl")!r}
+write_jsonl(path, *generate_synthetic(SyntheticSpec(n=n, rng_seed=3)))
+for make in (lambda: ingest(path), lambda: generate_synthetic(SyntheticSpec(n=n))):
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = make()
+    gc.collect()
+    print(len(kept[0]), len(gc.get_objects()) - before)
+    del kept
+"""
+    words = [int(w) for w in _child(code)]
+    assert words[0::2] == [2000, 2000]
+    assert all(added <= 2000 + 16 for added in words[1::2]), words
+
+
 def test_bare_import_loads_no_numpy_and_leaves_the_environment():
     code = """
 import gc, os, sys
@@ -1321,7 +1345,7 @@ ROOT_EXPORTS = {
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
         "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
-        "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome", "TaskFamily",
+        "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome",
         "ValidationReport", "WeightConfig",
     ),
     "mdqs.poq": (
@@ -1342,7 +1366,7 @@ ROOT_EXPORTS = {
 
 def test_lazy_root_exports_the_same_objects():
     names = sorted(name for group in ROOT_EXPORTS.values() for name in group)
-    assert len(names) == 64
+    assert len(names) == 63
     assert sorted(mdqs.__all__) == names
     for module, group in ROOT_EXPORTS.items():
         for name in group:

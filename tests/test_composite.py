@@ -1,14 +1,16 @@
 """Weighted composite and the ablation variant catalog."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import dim_matrix, make_sample, sim_config
-from mdqs.audit import ablation_grid, audit
+from mdqs.audit import ablation_grid, audit, dimension_means_by_producer
 from mdqs.composite import VARIANTS, compose, compose_batch, variant
 from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
+from mdqs.io import emit_reports, write_jsonl
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
@@ -18,6 +20,7 @@ from mdqs.model import (
     WeightConfig,
 )
 from mdqs.poq import CompositeSignal, Mean, iter_experiment
+from mdqs.scoring import ScoringConfig, score_all
 
 
 def unit_vector(dim):
@@ -164,6 +167,39 @@ def test_a_nan_cell_is_absent_not_an_error(consumer):
     else:
         with pytest.raises(DimensionMismatch, match=r"missing=\['model_prior'\]"):
             CONSUMERS[consumer](samples, dims)
+
+
+# Each takes (samples, dims, an output directory); a writer writes into it.
+BATCH_CONSUMERS = {
+    **{
+        name: lambda samples, dims, _, run=run: run(samples, dims)
+        for name, run in CONSUMERS.items()
+    },
+    "dimension_means_by_producer": lambda samples, dims, _: dimension_means_by_producer(
+        samples, dims
+    ),
+    "score_all": lambda samples, dims, _: score_all(
+        samples, ScoringConfig(weights=WeightConfig("s", {DimensionId.STRUCTURE: 1.0}))
+    ),
+    "write_jsonl": lambda samples, dims, out: write_jsonl(out / "data.jsonl", samples, dims),
+    "write_jsonl_without_dims": lambda samples, _, out: write_jsonl(out / "data.jsonl", samples),
+    "emit_reports": lambda samples, dims, out: emit_reports(out, scored_samples=(samples, dims)),
+}
+
+
+@pytest.mark.parametrize("consumer", BATCH_CONSUMERS)
+def test_every_batch_consumer_refuses_a_repeated_sample_id(consumer, tmp_path):
+    # without evaluator scores, so no evaluator table is built on the way
+    samples, dims = _boundary_batch()
+    samples = [dataclasses.replace(s, evaluator_scores={}) for s in samples]
+    repeated = samples[:3] + [dataclasses.replace(samples[3], sample_id="s0")]
+    run = BATCH_CONSUMERS[consumer]
+    run(samples, dims, tmp_path)  # distinct ids pass, and a writer writes its files
+    before = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    with pytest.raises(SchemaError, match=r"^duplicate sample_id 's0'$"):
+        run(repeated, dims, tmp_path)
+    # the old files, and no temporary one
+    assert {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())} == before
 
 
 def test_remove_variant_renormalizes():

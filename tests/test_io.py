@@ -100,7 +100,7 @@ def full_record():
 def test_record_round_trip_preserves_everything():
     sample, row = from_record(full_record())
     assert sample.sample_id == "s1"
-    assert sample.task.label == "qa"
+    assert sample.task == "qa"
     assert sample.reference_score == 0.8
     assert row[DIMENSION_COLUMN[DimensionId.SEMANTIC]] == 0.9
     assert sample.extra == {"run_tag": "batch-7", "latency_ms": 412}
@@ -308,7 +308,7 @@ def test_a_failed_write_jsonl_leaves_the_old_file(tmp_path):
     sample, _ = from_record(full_record())
     write_jsonl(path, [sample])
     before = snapshot(tmp_path)
-    unwritable = dataclasses.replace(sample, output="x" + LONE)
+    unwritable = dataclasses.replace(sample, sample_id="s2", output="x" + LONE)
     for samples in ([unwritable], [sample, unwritable]):
         with pytest.raises(UnicodeEncodeError):
             write_jsonl(path, samples)
@@ -1119,6 +1119,31 @@ def test_json_writer_refuses_a_non_json_value_like_json():
             json.dumps(doc, indent=2, allow_nan=False)
         with pytest.raises(TypeError):
             written(doc)
+
+
+def test_jsonl_writer_matches_compact_json_dumps(tmp_path):
+    """One shared encoder writes every record as json.dumps would."""
+    def dumps(record):
+        return json.dumps(record, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+
+    rng = random.Random(20261020)
+    records = [_random_document(rng) if i % 2 else _random_json(rng, 0) for i in range(1000)]
+    out = io.StringIO()
+    mdqs.io._jsonl(records)(out)
+    assert out.getvalue() == "".join(dumps(r) + "\n" for r in records)
+    # a sample's record: non-ASCII text, escapes, -0.0, a huge integer, nested extras
+    sample, row = from_record(
+        full_record()
+        | {"output": 'naïve 日本語 😀 q"\\/\n\t\x00\x1f\x7f', "gt": -0.0, "big": 2**70}
+        | {"nested": {"ключ": [None, True, -(10**40), {"e": 5e-324}]}}
+    )
+    write_jsonl(tmp_path / "data.jsonl", [sample], np.array([row]))
+    written_line = (tmp_path / "data.jsonl").read_text(encoding="utf-8")
+    assert written_line == dumps(to_record(sample, row)) + "\n"
+    assert '"gt":-0.0' in written_line and "😀" in written_line
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mdqs.io._jsonl([{"a": [1, {"b": bad}]}])(io.StringIO())
 
 
 def test_writing_a_sim_report_leaves_no_reference_cycle(tmp_path):

@@ -12,9 +12,9 @@ from mdqs.model import (
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
-    TaskFamily,
     WeightConfig,
     parse_dimension,
+    task_label,
 )
 from mdqs.scoring import ScoringConfig, validate_dataset
 
@@ -37,13 +37,13 @@ def test_parse_dimension():
 
 
 def test_task_family_normalizes_label():
-    assert TaskFamily(" QA ") == TaskFamily("qa")
-    assert TaskFamily(" QA ").label == "qa"
-    assert TaskFamily("Summarization").label == "summarization"
-    other = TaskFamily("translation")
-    assert other.label == "translation" and other != TaskFamily("qa")
-    with pytest.raises(ValueError):
-        TaskFamily("  ")
+    assert task_label(" QA ") == "qa"
+    assert task_label("Summarization") == "summarization"
+    assert make_sample(task=" QA ").task == "qa"
+    assert make_sample(task="Translation").task == "translation"
+    for bad in ("  ", "", None, 3):
+        with pytest.raises(ValueError, match=f"^task must be a non-blank string, got {bad!r}$"):
+            make_sample(task=bad)
 
 
 def test_dimension_vector_rejects_out_of_range_and_orders():

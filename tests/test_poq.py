@@ -17,7 +17,6 @@ from mdqs.model import (
     LoggedSample,
     SimError,
     SimOutcome,
-    TaskFamily,
 )
 from mdqs.poq import (
     ATTACKS,
@@ -731,7 +730,7 @@ def replay_dataset():
     def sample(sid, query, producer, j, ref):
         return LoggedSample(
             sample_id=sid,
-            task=TaskFamily("qa"),
+            task="qa",
             producer_id=producer,
             query=query,
             output=f"answer from {producer}",
@@ -790,7 +789,7 @@ def test_replay_contest_pays_each_output_of_a_producer():
     dataset = [
         LoggedSample(
             sample_id=sid,
-            task=TaskFamily("qa"),
+            task="qa",
             producer_id=producer,
             query="q",
             output=f"answer {sid}",
@@ -811,7 +810,7 @@ def test_replay_refuses_a_repeated_sample_id():
     dataset = [
         LoggedSample(
             sample_id=sid,
-            task=TaskFamily("qa"),
+            task="qa",
             producer_id=producer,
             query="q",
             output=f"answer {producer}",
@@ -1376,7 +1375,7 @@ def test_collude_does_not_match_a_producer_id_with_a_trailing_nul():
     dataset = [
         LoggedSample(
             sample_id=sid,
-            task=TaskFamily("qa"),
+            task="qa",
             producer_id=producer,
             query="q",
             output=f"answer {sid}",

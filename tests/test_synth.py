@@ -86,9 +86,9 @@ def test_perfect_correlation_is_exact():
 
 def test_planted_correlations_recovered_loosely():
     samples, dims = generate_synthetic(spec(n=2000))
-    is_qa = np.array([s.task.label == "qa" for s in samples])
-    qa = [s for s in samples if s.task.label == "qa"]
-    summ = [s for s in samples if s.task.label == "summarization"]
+    is_qa = np.array([s.task == "qa" for s in samples])
+    qa = [s for s in samples if s.task == "qa"]
+    summ = [s for s in samples if s.task == "summarization"]
     got_qa = spearman(column(dims[is_qa], DimensionId.SEMANTIC), refs(qa))
     got_summ = spearman(column(dims[~is_qa], DimensionId.SEMANTIC), refs(summ))
     assert got_qa == pytest.approx(0.8, abs=0.08)
@@ -99,10 +99,10 @@ def test_planted_correlations_recovered_loosely():
 
 def test_task_split_follows_fraction():
     samples, _ = generate_synthetic(spec(n=1000, qa_fraction=0.6))
-    n_qa = sum(1 for s in samples if s.task.label == "qa")
+    n_qa = sum(1 for s in samples if s.task == "qa")
     assert n_qa == 600
     samples, _ = generate_synthetic(spec(n=100, qa_fraction=1.0))
-    assert all(s.task.label == "qa" for s in samples)
+    assert all(s.task == "qa" for s in samples)
 
 
 def test_groups_share_query_and_cycle_producers():
