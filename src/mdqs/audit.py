@@ -14,7 +14,6 @@ report, and with_composites then appends the composite rows to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,14 +25,14 @@ from mdqs.model import (
     DEFAULT_WEIGHTS,
     DimensionId,
     LoggedSample,
+    Record,
     WeightConfig,
 )
 from mdqs.scoring import consensus_baselines, evaluator_table
 from mdqs.stats import pearson, spearman
 
 
-@dataclass(frozen=True)
-class CorrelationRow:
+class CorrelationRow(Record):
     """One signal's agreement with the reference on one sample subset."""
 
     kind: str  # dimension | evaluator | baseline | composite
@@ -43,8 +42,7 @@ class CorrelationRow:
     n: int
 
 
-@dataclass(frozen=True)
-class AuditBlock:
+class AuditBlock(Record):
     label: str
     rows: tuple[CorrelationRow, ...]
 
@@ -58,8 +56,7 @@ class AuditBlock:
         return tuple(r for r in self.rows if r.kind == "dimension")
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     overall: AuditBlock
     by_task: Mapping[str, AuditBlock]
     n_referenced: int
@@ -196,8 +193,7 @@ def ablation_grid(
 GATE_CHOICES = ("pearson", "spearman", "taskwise_min")
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(Record):
     """What calibration removed and what it did to the composite."""
 
     removed: frozenset[DimensionId]

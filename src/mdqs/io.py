@@ -18,14 +18,12 @@ ones only once all are written: a failed run leaves the directory as it was.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import itertools
 import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from json import JSONDecodeError
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -43,6 +41,7 @@ from mdqs.model import (
     DimensionId,
     EvaluatorProfile,
     LoggedSample,
+    Record,
     SimError,
     SimOutcome,
     ValidationReport,
@@ -342,8 +341,7 @@ def _loads(text: str):
     return _DECODER.decode(text)
 
 
-@dataclass(frozen=True)
-class IngestIssue:
+class IngestIssue(Record):
     line_no: int
     message: str
 
@@ -419,8 +417,7 @@ def write_jsonl(
 # run configuration
 
 
-@dataclass(frozen=True)
-class SimGridSpec:
+class SimGridSpec(Record):
     """Cartesian sweep: attacks x ratios x defenses x signals, every cell
     sharing one SimSettings."""
 
@@ -479,8 +476,7 @@ def build_grid(spec: SimGridSpec, master_seed: int) -> list[SimConfig]:
     return grid
 
 
-@dataclass(frozen=True)
-class SyntheticSection:
+class SyntheticSection(Record):
     """The config's synthetic section, checked at load. Its fields are the
     SyntheticSpec keyword arguments it gives; n may instead come from
     `synth --n`, so the spec is built only once the command line is read."""
@@ -502,14 +498,13 @@ class SyntheticSection:
             raise SchemaError(f"synthetic: {exc}") from None
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Parsed YAML run configuration with defaults filled in."""
 
     input_path: str | None = None
     out_dir: str | None = None
     seed: int | None = None
-    scoring: ScoringConfig = field(default_factory=ScoringConfig)
+    scoring: ScoringConfig = ScoringConfig()
     gate: str = "pearson"
     threshold: float = 0.0
     per_task: bool = False
@@ -519,7 +514,7 @@ class RunConfig:
 
 
 # In a config section, a key set to null means its default. In an entry built
-# from a dataclass (structure, evaluators, attacks, defenses, signals) null is
+# from a record's fields (structure, evaluators, attacks, defenses, signals) null is
 # accepted only by a field that takes None.
 
 _TOP_KEYS = (
@@ -573,7 +568,7 @@ def _number_map(raw, where: str) -> dict[str, float]:
     return {str(k): _number(v, f"{where}.{k}") for k, v in _section(raw, where).items()}
 
 
-# field annotation -> reader, for entries built from a dataclass's fields
+# field annotation -> reader, for entries built from a record's fields
 _FIELD_READERS = {
     "int": _integer,
     "float": _number,
@@ -587,14 +582,14 @@ _FIELD_KEYS = {"target_producer": "target", "evaluator_id": "id"}
 
 
 def _from_fields(cls, raw, where: str, extra_keys: Sequence[str] = ()):
-    """Build dataclass `cls` from a config map keyed by its field names."""
-    fields = {_FIELD_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    """Build record `cls` from a config map keyed by its field names."""
+    fields = {_FIELD_KEYS.get(name, name): name for name in cls._fields}
     entry = _section(raw, where, (*fields, *extra_keys))
     kwargs = {}
-    for key, f in fields.items():
+    for key, name in fields.items():
         if key in entry:
-            kwargs[f.name] = _FIELD_READERS[f.type](entry[key], f"{where}.{key}")
-        elif f.default is dataclasses.MISSING:
+            kwargs[name] = _FIELD_READERS[cls._fields[name]](entry[key], f"{where}.{key}")
+        elif name in cls._required:
             raise SchemaError(f"{where} needs '{key}'")
     try:
         return cls(**kwargs)
@@ -802,15 +797,14 @@ def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]
 
 def build_scoring_config(config: RunConfig, weights: WeightConfig) -> ScoringConfig:
     """The config's scoring settings under `weights`."""
-    return dataclasses.replace(config.scoring, weights=weights)
+    return config.scoring._replace(weights=weights)
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
 
-@dataclass(frozen=True)
-class EmittedFile:
+class EmittedFile(Record):
     path: str  # relative to the output directory
     series: str
 
@@ -939,19 +933,8 @@ def _read_manifest(path: Path) -> dict[str, str]:
 
 
 def _audit_block_json(block: AuditBlock) -> dict:
-    return {
-        "label": block.label,
-        "rows": [
-            {
-                "kind": r.kind,
-                "name": r.name,
-                "pearson": r.pearson,
-                "spearman": r.spearman,
-                "n": r.n,
-            }
-            for r in block.rows
-        ],
-    }
+    # a row's keys are CorrelationRow's fields: kind, name, pearson, spearman, n
+    return {"label": block.label, "rows": [dict(zip(r._fields, r._values())) for r in block.rows]}
 
 
 def _calibration_json(result: CalibrationResult) -> dict:

@@ -10,9 +10,70 @@ construction and is the only way weights enter the composite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Mapping
+
+
+_REQUIRED = object()  # the default of a field that has none
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable records: what a frozen dataclass gives, read from
+    per-class tables instead of generated source. A field is a class-body annotation other
+    than a ClassVar; its class attribute, if any, is its default, shared by every instance
+    (so __post_init__ copies a mutable one). A subclass's fields follow its base's."""
+
+    _fields: dict[str, str] = {}  # field name -> annotation text, in field order
+    _defaults: dict[str, object] = {}  # field name -> default, or _REQUIRED
+    _required: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", {}).items()
+        own = {name: text for name, text in own if not text.startswith("ClassVar")}
+        cls._fields = cls._fields | own
+        cls._defaults = cls._defaults | {name: cls.__dict__.get(name, _REQUIRED) for name in own}
+        cls._required = frozenset(n for n, d in cls._defaults.items() if d is _REQUIRED)
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._fields, args)) | kwargs if args else kwargs
+        values = self._defaults | given  # every field, in field order
+        # too many or repeated arguments shorten given, an unknown one lengthens
+        # values, and with every field given none can be missing
+        missing = len(given) < len(values) and not given.keys() >= self._required
+        if missing or len(given) < len(args) + len(kwargs) or len(values) > len(self._defaults):
+            raise TypeError(f"{type(self).__name__} takes {list(self._fields)}")
+        for name, value in values.items():  # not through __dict__, which would build one
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or convert the fields, through object.__setattr__."""
+
+    def _replace(self, **changes):
+        """A new record with `changes`, built and checked like any other."""
+        return type(self)(**{name: getattr(self, name) for name in self._fields} | changes)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class DimensionId(Enum):
@@ -51,8 +112,7 @@ def task_label(task: str) -> str:
     return task.strip().lower()
 
 
-@dataclass(frozen=True)
-class DimensionVector:
+class DimensionVector(Record):
     """Per-dimension scores as one row in canonical order, None where a
     dimension is absent (None, not NaN, so equal vectors compare and hash
     equal). Built from a {DimensionId: score} mapping in any order or from a
@@ -89,8 +149,7 @@ class DimensionVector:
         return frozenset(self.values)
 
 
-@dataclass(frozen=True)
-class WeightConfig:
+class WeightConfig(Record):
     """Named non-negative dimension weights, normalized to sum to 1."""
 
     name: str
@@ -133,8 +192,7 @@ DEFAULT_WEIGHTS = WeightConfig(
 )
 
 
-@dataclass(frozen=True)
-class LoggedSample:
+class LoggedSample(Record):
     """One logged producer output with its evaluator scores.
 
     reference_score is the trusted quality signal used for audits; it is
@@ -150,10 +208,10 @@ class LoggedSample:
     producer_id: str
     query: str
     output: str
-    evaluator_scores: Mapping[str, float] = field(default_factory=dict)
+    evaluator_scores: Mapping[str, float] = {}
     reference_score: float | None = None
     reference_text: str | None = None
-    extra: Mapping[str, object] = field(default_factory=dict)
+    extra: Mapping[str, object] = {}
 
     def __post_init__(self):
         for name in ("sample_id", "producer_id"):
@@ -173,8 +231,7 @@ class LoggedSample:
         object.__setattr__(self, "extra", dict(self.extra))
 
 
-@dataclass(frozen=True)
-class EvaluatorProfile:
+class EvaluatorProfile(Record):
     """A consensus participant: identity and query cost. Its behavior in a
     simulation comes from the cell's attack (mdqs.poq.SimConfig)."""
 
@@ -182,21 +239,19 @@ class EvaluatorProfile:
     cost: float = 1.0
 
     def __post_init__(self):
-        if not self.evaluator_id:
-            raise ValueError("evaluator_id must be non-empty")
+        if not isinstance(self.evaluator_id, str) or not self.evaluator_id.strip():
+            raise ValueError(f"evaluator_id must be a non-blank string, got {self.evaluator_id!r}")
         if not math.isfinite(self.cost) or self.cost < 0.0:
             raise ValueError(f"cost must be finite and >= 0, got {self.cost!r}")
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(Record):
     sample_id: str
     fieldname: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     valid_count: int
     invalid_count: int
     issues: tuple[ValidationIssue, ...]
@@ -210,7 +265,7 @@ class ValidationReport:
         return self.invalid_count == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # the one dataclass left: callers may use dataclasses APIs on it
 class SimOutcome:
     """Result of one simulated consensus run.
 
@@ -236,8 +291,7 @@ class SimOutcome:
         return self.trust_trajectory[-1]
 
 
-@dataclass(frozen=True)
-class SimError:
+class SimError(Record):
     """A grid entry that failed; iter_experiment yields it and moves on."""
 
     config_id: str

@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -61,6 +60,7 @@ from mdqs.model import (
     DEFAULT_WEIGHTS,
     EvaluatorProfile,
     LoggedSample,
+    Record,
     SimError,
     SimOutcome,
     WeightConfig,
@@ -81,8 +81,8 @@ def _clip01(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # behaviors
 #
-# Each strategy family (attacks, defenses, quality signals) is a set of
-# frozen dataclasses. A class carries its config `type` name, its label for
+# Each strategy family (attacks, defenses, quality signals) is a set of records
+# (mdqs.model.Record). A class carries its config `type` name, its label for
 # config ids and reports, and its behavior; the family's registry maps the
 # `type` name to the class. mdqs.io builds an entry from the class's fields.
 #
@@ -92,8 +92,7 @@ def _clip01(x: np.ndarray) -> np.ndarray:
 # draws takes one value per output from it, in output order.
 
 
-@dataclass(frozen=True)
-class Inflate:
+class Inflate(Record):
     """Always report delta above the observed quality."""
 
     type: ClassVar[str] = "inflate"
@@ -110,8 +109,7 @@ class Inflate:
         return _clip01(quality + self.delta)
 
 
-@dataclass(frozen=True)
-class Deflate:
+class Deflate(Record):
     """Always report delta below the observed quality."""
 
     type: ClassVar[str] = "deflate"
@@ -128,8 +126,7 @@ class Deflate:
         return _clip01(quality - self.delta)
 
 
-@dataclass(frozen=True)
-class RandomNoise:
+class RandomNoise(Record):
     """Ignore quality entirely; emit uniform noise on [0, 1]."""
 
     type: ClassVar[str] = "random_noise"
@@ -143,8 +140,7 @@ class RandomNoise:
         return rng.random(size=quality.shape)
 
 
-@dataclass(frozen=True)
-class Collude:
+class Collude(Record):
     """Boost one producer, depress everyone else."""
 
     type: ClassVar[str] = "collude"
@@ -168,8 +164,7 @@ class Collude:
         )
 
 
-@dataclass(frozen=True)
-class Camouflage:
+class Camouflage(Record):
     """Behave honestly for a while, then inflate."""
 
     type: ClassVar[str] = "camouflage"
@@ -197,8 +192,7 @@ ATTACKS: dict[str, type] = {
 }
 
 
-@dataclass(frozen=True)
-class Honest:
+class Honest(Record):
     noise_sd: float = 0.0
 
     def __post_init__(self):
@@ -232,14 +226,13 @@ def attack_label(attack: AttackStrategy | None) -> str:
 ConsensusStep = Callable[[list[float], Sequence[int], Sequence[float]], tuple[float, list[float]]]
 
 
-class _FixedTrust:
+class _FixedTrust(Record):
     """Defenses under which trust never moves."""
 
     def consensus_step(self, n_evaluators: int, config_id: str) -> ConsensusStep | None:
         return None
 
 
-@dataclass(frozen=True)
 class Mean(_FixedTrust):
     """Trust-weighted mean; no robustness, the baseline to beat."""
 
@@ -255,7 +248,6 @@ class Mean(_FixedTrust):
         return fsum_rows(values * np.array(_renormalized(trust)))
 
 
-@dataclass(frozen=True)
 class Median(_FixedTrust):
     """Trust-weighted median: smallest value whose cumulative trust
     reaches half. Immune while attackers hold under half the trust."""
@@ -279,7 +271,6 @@ class Median(_FixedTrust):
         return np.take_along_axis(values, picked, axis=1)[:, 0].tolist()
 
 
-@dataclass(frozen=True)
 class TrimmedMean(_FixedTrust):
     """Drop the floor(f*n) lowest and highest emissions, then average."""
 
@@ -317,8 +308,7 @@ class TrimmedMean(_FixedTrust):
         return fsum_rows(weights * np.take_along_axis(values, kept, axis=1))
 
 
-@dataclass(frozen=True)
-class AdaptiveTrust:
+class AdaptiveTrust(Record):
     """Trust-weighted mean plus multiplicative trust downdates.
 
     floor defaults to 0.01 / n_evaluators at run time; it keeps written-off
@@ -472,8 +462,7 @@ def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np
 # values(dataset, dims, base_weights) gives one value per sample, in dataset order.
 
 
-@dataclass(frozen=True)
-class SingleEvaluator:
+class SingleEvaluator(Record):
     """One logged evaluator column, min-max normalized over the dataset."""
 
     type: ClassVar[str] = "evaluator"
@@ -491,8 +480,7 @@ class SingleEvaluator:
         return normalize_batch([s.evaluator_scores[self.evaluator_id] for s in dataset])
 
 
-@dataclass(frozen=True)
-class ConsensusBaseline:
+class ConsensusBaseline(Record):
     """Mean or median of the normalized evaluator columns."""
 
     type: ClassVar[str] = "baseline"
@@ -511,8 +499,7 @@ class ConsensusBaseline:
         return consensus_baselines(dataset)[self.stat]
 
 
-@dataclass(frozen=True)
-class CompositeSignal:
+class CompositeSignal(Record):
     """The composite under one of the weight variants in VARIANTS."""
 
     type: ClassVar[str] = "composite"
@@ -552,8 +539,7 @@ def signal_label(signal: QualitySignal | None) -> str:
 MAX_ROUNDS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SimSettings:
+class SimSettings(Record):
     """What every cell of a simulation grid shares: the evaluators, rounds
     and budgets; producers and beta_concentration drive synthetic mode."""
 
@@ -596,8 +582,7 @@ class SimSettings:
         object.__setattr__(self, "evaluators", tuple(self.evaluators))
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """One cell of a simulation grid.
 
     With attack set, the first floor(attack_ratio * n) evaluators in listed

@@ -27,9 +27,7 @@ Conventions that matter:
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -51,6 +49,7 @@ from mdqs.model import (
     DIMENSION_COLUMN,
     DimensionId,
     LoggedSample,
+    Record,
     ValidationIssue,
     ValidationReport,
     WeightConfig,
@@ -60,8 +59,7 @@ from mdqs.model import (
 # priors
 
 
-@dataclass(frozen=True)
-class PriorTable:
+class PriorTable(Record):
     """Raw per-producer ratings (model strength, cost efficiency, ...).
 
     Lookups return the rating min-max normalized over the table. A single
@@ -103,8 +101,7 @@ class PriorTable:
 # structure
 
 
-@dataclass(frozen=True)
-class StructurePolicy:
+class StructurePolicy(Record):
     """Penalty weights and bands for the structure heuristics."""
 
     min_tokens: int = 10
@@ -133,8 +130,7 @@ class StructurePolicy:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class StructureFeatures:
+class StructureFeatures(Record):
     length_tokens: int
     repetition_ratio: float
     format_violations: int
@@ -354,7 +350,8 @@ def consensus_baselines(samples: Sequence[LoggedSample]) -> dict[str, list[float
         if not values:
             raise NoEvaluators(sample.sample_id)
         out["mean"].append(math.fsum(values) / len(values))
-        out["median"].append(float(statistics.median(values)))
+        ordered, m = sorted(values), len(values) // 2  # statistics.median's rule
+        out["median"].append(ordered[m] if len(values) % 2 else (ordered[m - 1] + ordered[m]) / 2)
     return out
 
 
@@ -362,12 +359,11 @@ def consensus_baselines(samples: Sequence[LoggedSample]) -> dict[str, list[float
 # the full scoring pass
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
+class ScoringConfig(Record):
     """Everything score_all needs besides the samples themselves."""
 
     weights: WeightConfig = DEFAULT_WEIGHTS
-    structure: StructurePolicy = field(default_factory=StructurePolicy)
+    structure: StructurePolicy = StructurePolicy()
     model_priors: PriorTable | None = None
     cost_priors: PriorTable | None = None
     semantic_column: str | None = None  # None: the built-in score_semantic

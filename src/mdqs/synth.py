@@ -17,7 +17,6 @@ with the reference when the dataset is re-scored from scratch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -28,6 +27,7 @@ from mdqs.model import (
     DIMENSION_COLUMN,
     DimensionId,
     LoggedSample,
+    Record,
     task_label,
 )
 from mdqs.rng import rng_for
@@ -69,8 +69,7 @@ DEFAULT_EVALUATOR_NOISE: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(Record):
     """Recipe for one synthetic dataset.
 
     correlations maps task label -> {dimension -> rho}; every task produced
@@ -80,10 +79,8 @@ class SyntheticSpec:
     """
 
     n: int
-    correlations: Mapping[str, Mapping[DimensionId, float]] = field(
-        default_factory=DEFAULT_CORRELATIONS.copy
-    )
-    evaluator_noise: Mapping[str, float] = field(default_factory=DEFAULT_EVALUATOR_NOISE.copy)
+    correlations: Mapping[str, Mapping[DimensionId, float]] = DEFAULT_CORRELATIONS
+    evaluator_noise: Mapping[str, float] = DEFAULT_EVALUATOR_NOISE
     qa_fraction: float = 0.5
     producers: tuple[str, ...] = ("model-a", "model-b", "model-c")
     producers_per_query: int = 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -72,7 +71,7 @@ def scored_sample(i: int, *, task: str = "qa", gt: float, dims: dict, producer: 
 
 def split_settings(fields: dict) -> tuple[SimSettings, dict]:
     """SimSettings from the keys of `fields` that it has, and the other keys."""
-    shared = {f.name for f in dataclasses.fields(SimSettings)}
+    shared = SimSettings._fields.keys()
     settings = SimSettings(**{k: v for k, v in fields.items() if k in shared})
     return settings, {k: v for k, v in fields.items() if k not in shared}
 

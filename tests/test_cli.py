@@ -1015,6 +1015,16 @@ def test_simulate_refuses_a_lone_surrogate_in_an_evaluator_id(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_blank_evaluator_id(tmp_path, capsys):
+    config = replay_config_edited(tmp_path, lambda raw: raw["sim"]["evaluators"][0].update(id="  "))
+    out = tmp_path / "r"
+    argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl", "--out", str(out)]
+    assert main(["simulate", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "sim.evaluators[0]: evaluator_id must be a non-blank string, got '  '" in err
+    assert not out.exists()
+
+
 def test_simulate_replay_reports_malformed_lines(tmp_path):
     data = planted_path(tmp_path)
     data.write_text(data.read_text(encoding="utf-8") + "not json\n", encoding="utf-8")

@@ -1,6 +1,5 @@
 """Weighted composite and the ablation variant catalog."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -191,8 +190,8 @@ BATCH_CONSUMERS = {
 def test_every_batch_consumer_refuses_a_repeated_sample_id(consumer, tmp_path):
     # without evaluator scores, so no evaluator table is built on the way
     samples, dims = _boundary_batch()
-    samples = [dataclasses.replace(s, evaluator_scores={}) for s in samples]
-    repeated = samples[:3] + [dataclasses.replace(samples[3], sample_id="s0")]
+    samples = [s._replace(evaluator_scores={}) for s in samples]
+    repeated = samples[:3] + [samples[3]._replace(sample_id="s0")]
     run = BATCH_CONSUMERS[consumer]
     run(samples, dims, tmp_path)  # distinct ids pass, and a writer writes its files
     before = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}

@@ -1,6 +1,5 @@
 """Serialization, config parsing, grid expansion, and report emission."""
 
-import dataclasses
 import gc
 import io
 import json
@@ -308,7 +307,7 @@ def test_a_failed_write_jsonl_leaves_the_old_file(tmp_path):
     sample, _ = from_record(full_record())
     write_jsonl(path, [sample])
     before = snapshot(tmp_path)
-    unwritable = dataclasses.replace(sample, sample_id="s2", output="x" + LONE)
+    unwritable = sample._replace(sample_id="s2", output="x" + LONE)
     for samples in ([unwritable], [sample, unwritable]):
         with pytest.raises(UnicodeEncodeError):
             write_jsonl(path, samples)
@@ -703,8 +702,8 @@ def test_every_field_read_from_a_config_entry_has_a_reader():
     # reader would be a KeyError (exit 2) on the first config that sets the key
     built = [StructurePolicy, EvaluatorProfile, SimSettings]
     for cls in (*built, *ATTACKS.values(), *DEFENSES.values(), *SIGNALS.values()):
-        for f in dataclasses.fields(cls):
-            assert f.type in _FIELD_READERS, f"{cls.__name__}.{f.name}: {f.type}"
+        for name, annotation in cls._fields.items():
+            assert annotation in _FIELD_READERS, f"{cls.__name__}.{name}: {annotation}"
 
 
 def test_resolve_weights_precedence(tmp_path):

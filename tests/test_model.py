@@ -1,9 +1,16 @@
-"""Core value objects: dimensions, weights, samples, dataset validation."""
+"""Core value objects: dimensions, weights, samples, dataset validation,
+and the Record base they are built on."""
 
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 
 import pytest
+
+import mdqs
 
 from conftest import make_sample
 from mdqs.model import (
@@ -12,10 +19,12 @@ from mdqs.model import (
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
+    LoggedSample,
     WeightConfig,
     parse_dimension,
     task_label,
 )
+from mdqs.poq import Collude, Deflate, Inflate, Mean, Median
 from mdqs.scoring import ScoringConfig, validate_dataset
 
 
@@ -131,8 +140,9 @@ def test_weight_config_rejects_bad_inputs():
 def test_evaluator_profile_defaults_and_validation():
     p = EvaluatorProfile(evaluator_id="e1")
     assert p.cost == 1.0
-    with pytest.raises(ValueError):
-        EvaluatorProfile(evaluator_id="")
+    for blank in ("", "  ", None, 7):
+        with pytest.raises(ValueError, match=f"must be a non-blank string, got {blank!r}"):
+            EvaluatorProfile(evaluator_id=blank)
     with pytest.raises(ValueError):
         EvaluatorProfile(evaluator_id="e1", cost=-2.0)
 
@@ -186,3 +196,74 @@ def test_validate_dataset_reports_every_issue():
     assert [i.fieldname for i in report.issues] == [
         "evaluator_scores", "sample_id", "reference_text"
     ]
+
+
+# ---------------------------------------------------------------- records
+
+
+def test_no_class_in_the_package_but_sim_outcome_is_a_dataclass():
+    # a dataclass writes its methods as source and execs them at import;
+    # SimOutcome stays one because callers may rely on dataclasses APIs
+    found = []
+    for info in pkgutil.iter_modules(mdqs.__path__, "mdqs."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == info.name:
+                if dataclasses.is_dataclass(obj):
+                    found.append(f"{info.name}.{name}")
+    assert found == ["mdqs.model.SimOutcome"], f"dataclasses besides SimOutcome: {found}"
+
+
+def test_record_construction_matches_a_frozen_dataclass():
+    mirror = dataclasses.make_dataclass(
+        "Collude", [("target_producer", str), ("delta", float, 0.2)], frozen=True
+    )
+    calls = (
+        (("a",), {}), (("a", 0.3), {}), (("a",), {"delta": 0.3}), ((), {"target_producer": "b"})
+    )
+    for args, kwargs in calls:
+        record, reference = Collude(*args, **kwargs), mirror(*args, **kwargs)
+        assert repr(record) == repr(reference)
+        assert hash(record) == hash(reference) == hash((record.target_producer, record.delta))
+    assert Collude._fields == {"target_producer": "str", "delta": "float"}  # type is a ClassVar
+    assert Collude._required == {"target_producer"} and Collude.type == "collude"
+    # missing, too many, repeated and unknown arguments
+    bad = (((), {}), (("a", 0.3, 1), {}), (("a",), {"target_producer": "b"}), (("a",), {"x": 1}))
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            Collude(*args, **kwargs)
+        with pytest.raises(TypeError):
+            mirror(*args, **kwargs)
+
+
+def test_record_defaults_equality_and_repr():
+    sample = LoggedSample("s1", " QA ", "m", "q", "o")
+    assert sample == LoggedSample(sample_id="s1", task="qa", producer_id="m", query="q", output="o")
+    assert sample.evaluator_scores == {} and sample.extra == {} and sample.reference_score is None
+    assert sample.extra is not LoggedSample("s2", "qa", "m", "q", "o").extra  # copied, not shared
+    assert repr(sample) == (
+        "LoggedSample(sample_id='s1', task='qa', producer_id='m', query='q', output='o', "
+        "evaluator_scores={}, reference_score=None, reference_text=None, extra={})"
+    )
+    assert Mean() == Mean() and hash(Mean()) == hash(()) and repr(Mean()) == "Mean()"
+    assert Mean() != Median() and Inflate(0.2) != Deflate(0.2)  # equal fields, other class
+    assert Collude("a") != ("a", 0.2)
+    weights = WeightConfig("w", {DimensionId.SEMANTIC: 2.0})
+    assert repr(weights) == "WeightConfig(name='w', weights={DimensionId.SEMANTIC: 1.0})"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(weights)  # a dict field, as in a frozen dataclass
+
+
+def test_record_refuses_assignment_and_replace_checks_again():
+    attack = Collude("a", 0.3)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'delta'"):
+        attack.delta = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'delta'"):
+        del attack.delta
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'other'"):
+        attack.other = 1
+    assert attack._replace(delta=0.5) == Collude("a", 0.5) and attack.delta == 0.3
+    with pytest.raises(ValueError, match="delta must be finite"):
+        attack._replace(delta=-1.0)
+    with pytest.raises(TypeError):
+        attack._replace(x=1)

@@ -1035,7 +1035,7 @@ def test_cells_that_differ_only_in_config_id_report_the_same(defense):
         (replay_config(config_id="a", evaluators=profiles(5), **fields), replay_dataset()),
     ):
         a = run_single(config, *data)
-        b = run_single(replace(config, config_id="b"), *data)
+        b = run_single(config._replace(config_id="b"), *data)
         assert b.config_id == "b"
         assert replace(b, config_id="a") == a
         assert a.attacker_ids and a.consensus_scores  # random_noise drew, and rounds scored
@@ -1300,7 +1300,7 @@ def _interleaved(samples, dims):
     reference score."""
     order = [i + k for i in range(0, 30, 6) for k in (0, 2, 1, 4, 3, 5)]
     return [
-        replace(samples[i], reference_score=None if n % 3 == 0 else float(n % 7))
+        samples[i]._replace(reference_score=None if n % 3 == 0 else float(n % 7))
         for n, i in enumerate(order)
     ], dims[order]
 
@@ -1342,14 +1342,14 @@ def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
     samples, dims, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
     queries = [f"wide-{g}" for g, size in enumerate([4, 5] * 20) for _ in range(size)]
     replay = _Replay(
-        [replace(s, query=q) for s, q in zip(samples, queries)], dims[:180], DEFAULT_WEIGHTS
+        [s._replace(query=q) for s, q in zip(samples, queries)], dims[:180], DEFAULT_WEIGHTS
     )
     assert sorted(set(replay.columns(ORACLE_SIGNALS[0]).sizes.tolist())) == [4, 5]
     rng = np.random.default_rng(5)
     for index, defense in enumerate([*ORACLE_DEFENSES, Mean(), Median()]):
         cell = _oracle_cell(rng, index)
-        settings = replace(cell.settings, rounds=int(rng.choice([1025, 1030, 1100])), budget=None)
-        config = replace(cell, settings=settings, defense=defense, quality_signal=ORACLE_SIGNALS[0])
+        settings = cell.settings._replace(rounds=int(rng.choice([1025, 1030, 1100])), budget=None)
+        config = cell._replace(settings=settings, defense=defense, quality_signal=ORACLE_SIGNALS[0])
         expected = _fingerprint(lambda: _ref_run_cell(config, replay))
         assert expected[0] == "outcome"
         assert _fingerprint(lambda: _run_cell(config, replay)) == expected, config
@@ -1361,9 +1361,9 @@ def test_synthetic_cells_past_one_block_match_the_reference():
     rng = np.random.default_rng(8)
     for index, defense in enumerate([Mean(), AdaptiveTrust()]):
         cell = _oracle_cell(rng, index)
-        settings = replace(cell.settings, rounds=1030, budget=None, honest_noise_sd=0.05)
-        config = replace(
-            cell, settings=settings, defense=defense, attack=RandomNoise(), attack_ratio=0.5
+        settings = cell.settings._replace(rounds=1030, budget=None, honest_noise_sd=0.05)
+        config = cell._replace(
+            settings=settings, defense=defense, attack=RandomNoise(), attack_ratio=0.5
         )
         expected = _fingerprint(lambda: _ref_run_cell(config, None))
         assert expected[0] == "outcome"
@@ -1422,7 +1422,7 @@ def test_adaptive_replay_on_block_columns_matches_the_reference():
         for j, attack in enumerate(attacks)
     ]
     long = cells[-1]
-    cells.append(replace(long, config_id="long", settings=replace(long.settings, rounds=1030)))
+    cells.append(long._replace(config_id="long", settings=long.settings._replace(rounds=1030)))
     # the cost-3 evaluator comes to rank first by trust per cost and cannot
     # afford to emit, so no round after the first is scored (seed 18's first
     # round of noise brings this about)

@@ -1,7 +1,6 @@
 """Dimension scorers: priors, structure heuristics, semantic similarity,
 alignment columns, agreement, and batch normalization."""
 
-import dataclasses
 import math
 import random
 import statistics
@@ -25,6 +24,7 @@ from mdqs.scoring import (
     ScoringConfig,
     StructurePolicy,
     column_value,
+    consensus_baselines,
     normalize_batch,
     normalize_evaluator_scores,
     score_agreement,
@@ -419,7 +419,7 @@ def _full_config(**overrides):
         cost_priors=PriorTable("cost_efficiency", {"m1": 1.0, "m2": 0.5}),
         alignment_column="judge",
     )
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    return cfg._replace(**overrides) if overrides else cfg
 
 
 def _batch(n=6):
@@ -680,3 +680,27 @@ def test_structure_features_match_the_reference():
     assert {c for c, _, _ in seen} == set(range(9))
     assert {n for _, n, _ in seen} == set(range(1, 7))
     assert {d for _, _, d in seen} == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_consensus_median_matches_statistics_median(seed):
+    # the inline median against statistics.median, bit for bit, on rows of
+    # odd and even length with tied values
+    rng = random.Random(seed)
+    evaluators = [f"e{k}" for k in range(6)]
+    samples = [
+        make_sample(
+            sample_id=f"s{i}",
+            evaluator_scores={
+                e: rng.choice([0.0, 0.25, 0.5, 1.0, rng.random()])
+                for e in rng.sample(evaluators, rng.randint(1, 6))
+            },
+        )
+        for i in range(60)
+    ]
+    _, table = normalize_evaluator_scores(samples)
+    rows = [[v for v in row if v == v] for row in table.tolist()]
+    assert {len(row) % 2 for row in rows} == {0, 1}
+    assert any(len(set(row)) < len(row) for row in rows if len(row) % 2 == 0)
+    want = [statistics.median(row).hex() for row in rows]
+    assert [v.hex() for v in consensus_baselines(samples)["median"]] == want
