@@ -22,7 +22,7 @@ _EXPORTS = {
     ),
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
-        "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
+        "Batch", "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
         "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome",
         "ValidationReport", "WeightConfig",
     ),

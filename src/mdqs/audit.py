@@ -18,17 +18,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mdqs.composite import check_dims, compose_rows, refuse_absent, variant
+from mdqs.composite import compose_rows, refuse_absent, variant
 from mdqs.errors import AllDimensionsRemoved, TooFewReferencedSamples
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
+    Batch,
     DimensionId,
-    LoggedSample,
     Record,
     WeightConfig,
 )
-from mdqs.scoring import consensus_baselines, evaluator_table
+from mdqs.scoring import consensus_baselines
 from mdqs.stats import pearson, spearman
 
 
@@ -72,20 +72,19 @@ def _correlation_row(kind: str, name: str, xs: np.ndarray, ys: np.ndarray) -> Co
 
 
 def _referenced(
-    samples: Sequence[LoggedSample], dims: np.ndarray, what: str | None = None
-) -> tuple[list[LoggedSample], np.ndarray, np.ndarray, np.ndarray]:
-    """The samples carrying a reference score, and their rows of the checked
-    dims, reference scores and task labels. Given `what`, fewer than two such
-    samples is TooFewReferencedSamples naming it."""
-    dims = check_dims(samples, dims)
-    keep = np.array([s.reference_score is not None for s in samples], dtype=bool)
-    referenced = [s for s in samples if s.reference_score is not None]
+    batch: Batch, what: str | None = None
+) -> tuple[np.ndarray, Batch, np.ndarray, np.ndarray]:
+    """Which samples carry a reference score, their rows of the batch, and
+    their reference scores and task labels. Given `what`, fewer than two
+    such samples is TooFewReferencedSamples naming it."""
+    keep = np.array([s.reference_score is not None for s in batch.samples], dtype=bool)
+    referenced = batch.rows(keep)
     if what is not None and len(referenced) < 2:
         raise TooFewReferencedSamples(
             f"{what} needs >= 2 samples with a reference score, got {len(referenced)}"
         )
-    ys = np.array([s.reference_score for s in referenced], dtype=np.float64)
-    return referenced, dims[keep], ys, np.array([s.task for s in referenced], dtype=object)
+    ys = np.array([s.reference_score for s in referenced.samples], dtype=np.float64)
+    return keep, referenced, ys, np.array([s.task for s in referenced.samples], dtype=object)
 
 
 def _block_rows(
@@ -102,7 +101,7 @@ def _block_rows(
     return tuple(rows)
 
 
-def audit(samples: Sequence[LoggedSample], dims: np.ndarray) -> AuditReport:
+def audit(batch: Batch) -> AuditReport:
     """Correlate every dimension, evaluator and baseline with the reference,
     overall and per task.
 
@@ -111,19 +110,13 @@ def audit(samples: Sequence[LoggedSample], dims: np.ndarray) -> AuditReport:
     correlation but its last bits. The consensus baselines are taken over
     every sample carrying evaluator scores, normalized per evaluator.
     """
-    all_samples = list(samples)
-    referenced, matrix, ys, labels = _referenced(all_samples, dims, "audit")
-    baselines = consensus_baselines([s for s in all_samples if s.evaluator_scores])
-    signals = [("dimension", d.value, column) for d, column in zip(CANONICAL_DIMENSIONS, matrix.T)]
-    ids, raw = evaluator_table(referenced)
-    signals += [("evaluator", evaluator, column) for evaluator, column in zip(ids, raw.T)]
-    # each baseline onto the samples carrying scores, NaN elsewhere; then the referenced rows
-    has_scores = np.array([bool(s.evaluator_scores) for s in all_samples], dtype=bool)
-    is_referenced = np.array([s.reference_score is not None for s in all_samples], dtype=bool)
-    for stat, values in baselines.items():
-        column = np.full(len(all_samples), math.nan)
-        column[has_scores] = values
-        signals.append(("baseline", stat, column[is_referenced]))
+    keep, referenced, ys, labels = _referenced(batch, "audit")
+    dims, raw = referenced.dims.T, referenced.evaluator_scores.T
+    signals = [("dimension", d.value, column) for d, column in zip(CANONICAL_DIMENSIONS, dims)]
+    # all NaN for an evaluator that scores no referenced sample, which gets no row
+    signals += [("evaluator", e, column) for e, column in zip(batch.evaluator_ids, raw)]
+    for stat, values in consensus_baselines(batch).items():
+        signals.append(("baseline", stat, np.array(values)[keep]))
 
     # qa, then summarization, then other tasks in order of first appearance
     first_seen = dict.fromkeys(labels.tolist())
@@ -139,16 +132,14 @@ def audit(samples: Sequence[LoggedSample], dims: np.ndarray) -> AuditReport:
 
 
 def with_composites(
-    report: AuditReport,
-    samples: Sequence[LoggedSample],
-    dims: np.ndarray,
-    composites: Mapping[str, WeightConfig],
+    report: AuditReport, batch: Batch, composites: Mapping[str, WeightConfig]
 ) -> AuditReport:
-    """`report`, audit(samples, dims)'s result, with one composite row per
-    weight config appended to each of its blocks. A row covers the block's
+    """`report`, audit(batch)'s result, with one composite row per weight
+    config appended to each of its blocks. A row covers the block's
     referenced samples whose dimension scores include every weighted
     dimension; each config is composed once, over the referenced rows."""
-    _, matrix, ys, labels = _referenced(samples, dims)
+    _, referenced, ys, labels = _referenced(batch)
+    matrix = referenced.dims
     signals = [("composite", name, compose_rows(matrix, w)) for name, w in composites.items()]
 
     def extended(block: AuditBlock, mask: np.ndarray) -> AuditBlock:
@@ -162,32 +153,29 @@ def with_composites(
 
 
 def _composite_rows(
-    samples: Sequence[LoggedSample], dims: np.ndarray, configs: Iterable[WeightConfig], what: str
+    batch: Batch, configs: Iterable[WeightConfig], what: str
 ) -> list[CorrelationRow]:
     """One composite row per weight config over every referenced sample; a
     sample the config cannot compose raises as in compose_batch."""
-    referenced, matrix, ys, _ = _referenced(samples, dims, what)
+    _, referenced, ys, _ = _referenced(batch, what)
     rows = []
     for weights in configs:
-        column = compose_rows(matrix, weights)
-        refuse_absent(referenced, matrix, column, weights)
+        column = compose_rows(referenced.dims, weights)
+        refuse_absent(referenced, column, weights)
         rows.append(_correlation_row("composite", weights.name, column, ys))
     return rows
 
 
 def ablation_grid(
-    samples: Sequence[LoggedSample],
-    dims: np.ndarray,
-    names: Iterable[str],
-    base: WeightConfig = DEFAULT_WEIGHTS,
+    batch: Batch, names: Iterable[str], base: WeightConfig = DEFAULT_WEIGHTS
 ) -> list[CorrelationRow]:
     """Overall reference correlation for each named weight variant of
     `base`, one composite row each.
 
-    Variants reuse the samples' dims; nothing is re-scored, so the grid is
+    Variants reuse the batch's dims; nothing is re-scored, so the grid is
     cheap and rows are exactly comparable.
     """
-    return _composite_rows(samples, dims, (variant(base, name) for name in names), "ablation")
+    return _composite_rows(batch, (variant(base, name) for name in names), "ablation")
 
 
 GATE_CHOICES = ("pearson", "spearman", "taskwise_min")
@@ -231,15 +219,14 @@ def _gate_stats(
 
 def calibrate(
     report: AuditReport,
-    samples: Sequence[LoggedSample],
-    dims: np.ndarray,
+    batch: Batch,
     base: WeightConfig = DEFAULT_WEIGHTS,
     threshold: float = 0.0,
     gate: str = "pearson",
 ) -> CalibrationResult:
     """Drop dimensions whose gate statistic misses the threshold, renormalize.
 
-    Gate statistics come from `report`, audit(samples, dims)'s result. A
+    Gate statistics come from `report`, audit(batch)'s result. A
     dimension with an undefined (zero variance) statistic is removed too:
     it carries no ranking signal, and scoring it as 0 would let it slip
     past a negative threshold unnoticed.
@@ -256,7 +243,7 @@ def calibrate(
             f"threshold {threshold} removes every dimension under gate {gate!r}"
         )
     calibrated = WeightConfig("calibrated", {d: base[d] for d in weighted if d not in removed})
-    before, after = _composite_rows(samples, dims, (base, calibrated), "calibration")
+    before, after = _composite_rows(batch, (base, calibrated), "calibration")
     return CalibrationResult(
         removed=removed,
         threshold=threshold,
@@ -268,16 +255,13 @@ def calibrate(
     )
 
 
-def dimension_means_by_producer(
-    samples: Sequence[LoggedSample], dims: np.ndarray
-) -> list[tuple[str, str, float, int]]:
+def dimension_means_by_producer(batch: Batch) -> list[tuple[str, str, float, int]]:
     """Mean normalized score per (producer, dimension); shows which models
     win on which dimension. Rows sorted by producer, then canonical order."""
-    matrix = check_dims(samples, dims)
-    producers = np.array([s.producer_id for s in samples], dtype=object)
+    producers = np.array([s.producer_id for s in batch.samples], dtype=object)
     rows = []
     for producer in sorted(set(producers.tolist())):
-        for dim, column in zip(CANONICAL_DIMENSIONS, matrix[producers == producer].T):
+        for dim, column in zip(CANONICAL_DIMENSIONS, batch.dims[producers == producer].T):
             values = column[~np.isnan(column)]
             if values.size:
                 rows.append((producer, dim.value, math.fsum(values) / values.size, values.size))
@@ -286,25 +270,20 @@ def dimension_means_by_producer(
 
 def calibrate_per_task(
     report: AuditReport,
-    samples: Sequence[LoggedSample],
-    dims: np.ndarray,
+    batch: Batch,
     base: WeightConfig = DEFAULT_WEIGHTS,
     threshold: float = 0.0,
     gate: str = "pearson",
 ) -> dict[str, CalibrationResult]:
     """Independent calibration within each task family, in order of first
     appearance; each task's gate statistics come from its block of `report`,
-    audit(samples, dims)'s result, as if that task were the whole dataset."""
-    referenced, matrix, _, labels = _referenced(samples, dims)
+    audit(batch)'s result, as if that task were the whole dataset."""
+    _, referenced, _, labels = _referenced(batch)
     out: dict[str, CalibrationResult] = {}
     for label in dict.fromkeys(labels.tolist()):
-        in_task = labels == label
-        subset, rows, _, _ = _referenced(
-            [s for s, kept in zip(referenced, in_task) if kept],
-            matrix[in_task],
-            f"task {label!r}: calibration",
-        )
+        what = f"task {label!r}: calibration"
+        _, subset, _, _ = _referenced(referenced.rows(labels == label), what)
         block = report.by_task[label]
         task_report = AuditReport(block, {label: block}, len(subset))
-        out[label] = calibrate(task_report, subset, rows, base=base, threshold=threshold, gate=gate)
+        out[label] = calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)
     return out

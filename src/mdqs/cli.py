@@ -17,7 +17,6 @@ import gc
 import math
 import os
 import sys
-import traceback
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -209,14 +208,14 @@ def cmd_validate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     scoring = config.scoring if args.config else None  # with a config, also list what scoring needs
-    result = _ingest(args, config, scoring)
-    report = validate_dataset(result.samples, scoring)
-    emit_reports(out, validation=report, ingest_issues=result.issues)
+    batch, issues = _ingest(args, config, scoring)
+    report = validate_dataset(batch.samples, scoring)
+    emit_reports(out, validation=report, ingest_issues=issues)
     print(
         f"validate: {report.valid_count} valid, {report.invalid_count} invalid, "
-        f"{len(result.issues)} malformed line(s) -> {out}"
+        f"{len(issues)} malformed line(s) -> {out}"
     )
-    return 0 if report.ok and not result.issues else 1
+    return 0 if report.ok and not issues else 1
 
 
 def cmd_score(args) -> int:
@@ -224,17 +223,12 @@ def cmd_score(args) -> int:
     out = _out_dir(args, config)
     weights = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, weights)
-    result = _ingest(args, config, scoring)
-    dims, stats = score_all(result.samples, scoring)
-    emit_reports(
-        out,
-        scored_samples=(result.samples, dims),
-        normalization_stats=stats,
-        ingest_issues=result.issues,
-    )
+    batch, issues = _ingest(args, config, scoring)
+    batch, stats = score_all(batch, scoring)
+    emit_reports(out, scored_samples=batch, normalization_stats=stats, ingest_issues=issues)
     print(
-        f"score: {len(dims)} sample(s), {len(weights.dimensions())} dimension(s), "
-        f"{len(result.issues)} malformed line(s) -> {out}"
+        f"score: {len(batch)} sample(s), {len(weights.dimensions())} dimension(s), "
+        f"{len(issues)} malformed line(s) -> {out}"
     )
     return 0
 
@@ -243,8 +237,8 @@ def cmd_audit(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
     weights = resolve_weights(config, args.weights)
-    samples, dims, issues = _ingest(args, config)
-    report = with_composites(audit(samples, dims), samples, dims, {weights.name: weights})
+    batch, issues = _ingest(args, config)
+    report = with_composites(audit(batch), batch, {weights.name: weights})
     emit_reports(out, audit_report=report, ingest_issues=issues)
     print(
         f"audit: {report.n_referenced} referenced sample(s), "
@@ -256,8 +250,8 @@ def cmd_audit(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config)
-    samples, dims, issues = _ingest(args, config)
-    rows = ablation_grid(samples, dims, config.variant_names, base=config.scoring.weights)
+    batch, issues = _ingest(args, config)
+    rows = ablation_grid(batch, config.variant_names, base=config.scoring.weights)
     emit_reports(out, ablation=rows, ingest_issues=issues)
     print(f"ablate: {len(rows)} variant(s) over {rows[0].n if rows else 0} sample(s) -> {out}")
     return 0
@@ -270,11 +264,11 @@ def cmd_calibrate(args) -> int:
     threshold = args.threshold if args.threshold is not None else config.threshold
     gate = args.gate or config.gate
     per_task = args.per_task or config.per_task
-    samples, dims, issues = _ingest(args, config)
-    report = audit(samples, dims)
-    cal = calibrate(report, samples, dims, base=base, threshold=threshold, gate=gate)
+    batch, issues = _ingest(args, config)
+    report = audit(batch)
+    cal = calibrate(report, batch, base=base, threshold=threshold, gate=gate)
     by_task = (
-        calibrate_per_task(report, samples, dims, base=base, threshold=threshold, gate=gate)
+        calibrate_per_task(report, batch, base=base, threshold=threshold, gate=gate)
         if per_task
         else None
     )
@@ -295,10 +289,8 @@ def cmd_simulate(args) -> int:
                 raise UsageError(f"{flag} needs sim.mode 'replay', not {config.sim.mode!r}")
     seed = _resolve_seed(args, config)
     grid = build_grid(config.sim, seed)
-    dataset, dims, issues = None, None, None
-    if config.sim.mode == "replay":
-        dataset, dims, issues = _ingest(args, config)
-    outcomes = iter_experiment(grid, dataset, dims, base_weights=config.scoring.weights)
+    batch, issues = _ingest(args, config) if config.sim.mode == "replay" else (None, None)
+    outcomes = iter_experiment(grid, batch, base_weights=config.scoring.weights)
     failed: list[str] = []
     emit_reports(out, sim_results=_cells(grid, outcomes, failed), ingest_issues=issues)
     print(f"simulate: {len(grid)} config(s), {len(failed)} failed, seed {seed} -> {out}")
@@ -319,9 +311,9 @@ def cmd_synth(args) -> int:
         # --n and a --seed or MDQS_SEED replace the section's own
         seeded = args.seed is not None or os.environ.get("MDQS_SEED")
         spec = config.synthetic.spec(n=args.n, rng_seed=seed if seeded else None)
-    samples, dims = generate_synthetic(spec)
-    emit_reports(out, synthetic_samples=(samples, dims))
-    print(f"synth: {len(samples)} sample(s), seed {spec.rng_seed} -> {out}")
+    batch = generate_synthetic(spec)
+    emit_reports(out, synthetic_samples=batch)
+    print(f"synth: {len(batch)} sample(s), seed {spec.rng_seed} -> {out}")
     return 0
 
 
@@ -331,41 +323,40 @@ def cmd_report(args) -> int:
     seed = _resolve_seed(args, config)
     base = resolve_weights(config, args.weights)
     scoring = build_scoring_config(config, base)
-    samples, _, issues = _ingest(args, config, scoring)
-    dims, stats = score_all(samples, scoring)
+    batch, issues = _ingest(args, config, scoring)
+    batch, stats = score_all(batch, scoring)
 
-    report = audit(samples, dims)
+    report = audit(batch)
     threshold, gate = config.threshold, config.gate
-    cal = calibrate(report, samples, dims, base=base, threshold=threshold, gate=gate)
+    cal = calibrate(report, batch, base=base, threshold=threshold, gate=gate)
     by_task = (
-        calibrate_per_task(report, samples, dims, base=base, threshold=threshold, gate=gate)
+        calibrate_per_task(report, batch, base=base, threshold=threshold, gate=gate)
         if config.per_task
         else None
     )
-    report = with_composites(report, samples, dims, {base.name: base, "calibrated": cal.calibrated})
-    rows = ablation_grid(samples, dims, config.variant_names, base=base)
+    report = with_composites(report, batch, {base.name: base, "calibrated": cal.calibrated})
+    rows = ablation_grid(batch, config.variant_names, base=base)
 
     grid, sim_results = [], None
     if config.sim is not None:
         grid = build_grid(config.sim, seed)
-        dataset = (samples, dims) if config.sim.mode == "replay" else (None, None)
-        outcomes = iter_experiment(grid, *dataset, base_weights=base)
-        sim_results = _cells(grid, outcomes, [])
+        replay = batch if config.sim.mode == "replay" else None
+        sim_results = _cells(grid, iter_experiment(grid, replay, base_weights=base), [])
 
     emit_reports(
         out,
-        scored_samples=(samples, dims),
+        scored_samples=batch,
         normalization_stats=stats,
         audit_report=report,
         ablation=rows,
         calibration=cal,
         calibration_by_task=by_task,
         sim_results=sim_results,
-        dimension_means=dimension_means_by_producer(samples, dims),
+        dimension_means=dimension_means_by_producer(batch),
         ingest_issues=issues,
     )
     print(
-        f"report: {len(samples)} sample(s), {len(rows)} variant(s), {len(grid)} sim config(s), "
+        f"report: {len(batch)} sample(s), {len(rows)} variant(s), {len(grid)} sim config(s), "
         f"seed {seed} -> {out}"
     )
     return 0
@@ -386,6 +377,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # here, so that a run that ends well never loads it
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 2

@@ -2,17 +2,16 @@
 
 The composite is a pure post-processing layer over dimension outputs, so
 re-weighting experiments (ablations, calibration) never re-run scorers.
-A batch's scores are one (n x 6) dims array beside its samples, which every
-consumer passes through check_dims (which also refuses a repeated
-sample_id), and compose_rows is the one composite formula, applied to
-every row of it. VARIANTS is the one table of named
-weight variants; config keys, the --weights flag, the ablation grid and the
-composite quality signal all look names up in it through variant().
+A batch's scores are one (n x 6) matrix, Batch.dims, and compose_rows is
+the one composite formula, applied to every row of it. VARIANTS is the one
+table of named weight variants; config keys, the --weights flag, the
+ablation grid and the composite quality signal all look names up in it
+through variant().
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -20,46 +19,12 @@ from mdqs.errors import AllDimensionsRemoved, DimensionMismatch, SchemaError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DIMENSION_COLUMN,
+    Batch,
     DimensionId,
     DimensionVector,
-    LoggedSample,
     WeightConfig,
 )
 from mdqs.stats import fsum_rows
-
-
-def refuse_repeated_ids(samples: Sequence[LoggedSample]) -> None:
-    """Raise SchemaError naming the first sample_id that repeats: a map keyed
-    by sample_id would silently merge those samples."""
-    seen: set[str] = set()
-    for sample in samples:
-        if sample.sample_id in seen:
-            raise SchemaError(f"duplicate sample_id {sample.sample_id!r}")
-        seen.add(sample.sample_id)
-
-
-def check_dims(samples: Sequence[LoggedSample], dims) -> np.ndarray:
-    """dims as the samples' float64 matrix: row i is samples[i]'s scores in
-    DIMENSION_COLUMN order, NaN where absent. SchemaError for a repeated
-    sample_id (refuse_repeated_ids); ValueError, naming the first sample and
-    dimension at fault, for a shape other than (len(samples), 6) and for a
-    value outside [0, 1] (infinities included) that is not NaN."""
-    refuse_repeated_ids(samples)
-    dims = np.asarray(dims, dtype=np.float64)
-    n, width = len(samples), len(CANONICAL_DIMENSIONS)
-    if dims.shape != (n, width):
-        rows, cols = dims.shape if dims.ndim == 2 else (0, 0)
-        i = rows if cols >= width else 0  # the first sample without a full row
-        dim = CANONICAL_DIMENSIONS[0 if i >= rows else cols].value
-        cell = f": no cell for sample {samples[i].sample_id!r}, dimension {dim}" if i < n else ""
-        raise ValueError(f"dims has shape {dims.shape}, not ({n}, {width}){cell}")
-    for k in np.flatnonzero(~np.isnan(dims) & ~((dims >= 0.0) & (dims <= 1.0)))[:1]:
-        i, j = divmod(int(k), width)
-        raise ValueError(
-            f"sample {samples[i].sample_id!r}: dimension {CANONICAL_DIMENSIONS[j].value}"
-            f" has score {dims[i, j].item()!r} outside [0, 1]"
-        )
-    return dims
 
 
 def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
@@ -73,15 +38,13 @@ def compose_rows(matrix: np.ndarray, weights: WeightConfig) -> np.ndarray:
     return np.clip(fsum_rows(terms), 0.0, 1.0)
 
 
-def refuse_absent(
-    samples: Sequence[LoggedSample], dims: np.ndarray, column: np.ndarray, weights: WeightConfig
-):
+def refuse_absent(batch: Batch, column: np.ndarray, weights: WeightConfig):
     """Raise for the first sample whose composite in `column` is NaN: its
     row of dims is all NaN (no dimension scores), or lacks a weighted one."""
     for i in np.flatnonzero(np.isnan(column))[:1]:
-        present = [d for d, v in zip(CANONICAL_DIMENSIONS, dims[i].tolist()) if v == v]
+        present = [d for d, v in zip(CANONICAL_DIMENSIONS, batch.dims[i].tolist()) if v == v]
         if not present:
-            sample_id = samples[i].sample_id
+            sample_id = batch.samples[i].sample_id
             raise SchemaError(f"sample {sample_id!r} has no dimension scores; run score first")
         raise DimensionMismatch(present, weights.dimensions())
 
@@ -97,18 +60,15 @@ def compose(scores: DimensionVector, weights: WeightConfig) -> float:
     return float(compose_rows(np.array([scores.row], dtype=np.float64), weights)[0])
 
 
-def compose_batch(
-    samples: Sequence[LoggedSample], dims: np.ndarray, weights: WeightConfig
-) -> list[float]:
+def compose_batch(batch: Batch, weights: WeightConfig) -> list[float]:
     """Composite for every sample over the weighted dimensions.
 
     Each sample's row of dims must cover every weighted dimension; extra
     dimensions are ignored, which is what lets ablation variants reuse one
     scoring pass.
     """
-    dims = check_dims(samples, dims)
-    column = compose_rows(dims, weights)
-    refuse_absent(samples, dims, column, weights)
+    column = compose_rows(batch.dims, weights)
+    refuse_absent(batch, column, weights)
     return column.tolist()
 
 

@@ -1,8 +1,8 @@
 """Dataset serialization, run configuration, and deterministic report files.
 
 Datasets are line-delimited JSON, one sample per line, schema version 1. A
-record's `dims` is its sample's row of the (n x 6) dims matrix that ingest
-returns, and the writers take, beside the samples. Unknown record fields
+record's `dims` is its sample's row of the (n x 6) dims matrix of the Batch
+that ingest returns and the writers take. Unknown record fields
 survive a read/write round trip untouched. Run configuration is one YAML
 file; every CLI flag that matters has a config counterpart so runs can be
 committed and replayed.
@@ -33,11 +33,12 @@ import numpy as np
 import yaml
 
 from mdqs.audit import GATE_CHOICES, AuditBlock, AuditReport, CalibrationResult, CorrelationRow
-from mdqs.composite import VARIANTS, check_dims, variant
+from mdqs.composite import VARIANTS, variant
 from mdqs.errors import AllDimensionsRemoved, InvalidSpec, MdqsError, SchemaError, SimConfigError
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
+    Batch,
     DimensionId,
     EvaluatorProfile,
     LoggedSample,
@@ -347,8 +348,7 @@ class IngestIssue(Record):
 
 
 class IngestResult(NamedTuple):
-    samples: list[LoggedSample]
-    dims: np.ndarray  # (len(samples) x 6), row i the dims of samples[i]
+    samples: Batch  # the samples read, with the dims their records carry
     issues: list[IngestIssue]
 
 
@@ -386,28 +386,23 @@ def ingest(path: str | Path, strict: bool = False) -> IngestResult:
     except OSError as exc:
         raise SchemaError(f"cannot read dataset {path}: {exc}") from None
     dims = np.array(cells, dtype=np.float64).reshape(len(samples), len(CANONICAL_DIMENSIONS))
-    return IngestResult(samples=samples, dims=dims, issues=issues)
+    return IngestResult(samples=Batch(samples, dims), issues=issues)
 
 
-def _records(samples: Sequence[LoggedSample], dims: np.ndarray | None = None):
-    """Each sample's record with its row of dims (None: no dims), once
-    check_dims passes them."""
-    if dims is None:
-        dims = np.full((len(samples), len(CANONICAL_DIMENSIONS)), math.nan)
-    return map(to_record, samples, check_dims(samples, dims).tolist())
+def _records(batch: Batch):
+    """Each sample's record with its row of dims."""
+    return map(to_record, batch.samples, batch.dims.tolist())
 
 
-def write_jsonl(
-    path: str | Path, samples: Sequence[LoggedSample], dims: np.ndarray | None = None
-) -> None:
-    """Write samples one record per line, each with its row of dims. The
+def write_jsonl(path: str | Path, batch: Batch) -> None:
+    """Write the batch one record per line, each with its row of dims. The
     lines go to a hidden temporary file that replaces `path` once all are
     written, so a failed write leaves the old file, or none, in place."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            _jsonl(_records(samples, dims))(fh)
+            _jsonl(_records(batch))(fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -1015,8 +1010,8 @@ def _reports(
     *,
     validation: ValidationReport | None = None,
     ingest_issues: Sequence[IngestIssue] | None = None,
-    scored_samples: tuple[Sequence[LoggedSample], np.ndarray] | None = None,
-    synthetic_samples: tuple[Sequence[LoggedSample], np.ndarray] | None = None,
+    scored_samples: Batch | None = None,
+    synthetic_samples: Batch | None = None,
     normalization_stats: Mapping[DimensionId, tuple[float, float]] | None = None,
     audit_report: AuditReport | None = None,
     ablation: Sequence[CorrelationRow] | None = None,
@@ -1047,9 +1042,9 @@ def _reports(
             {"line": issue.line_no, "error": issue.message} for issue in ingest_issues
         )
     if scored_samples is not None:
-        yield "scored.jsonl", "scored_dataset", _jsonl(_records(*scored_samples))
+        yield "scored.jsonl", "scored_dataset", _jsonl(_records(scored_samples))
     if synthetic_samples is not None:
-        yield "synthetic.jsonl", "synthetic_dataset", _jsonl(_records(*synthetic_samples))
+        yield "synthetic.jsonl", "synthetic_dataset", _jsonl(_records(synthetic_samples))
     if normalization_stats is not None:
         yield "normalization_stats.json", "normalization_stats", _json(
             {

@@ -1,10 +1,11 @@
 """Domain types shared by every layer: samples, dimensions, weights, outcomes.
 
 A LoggedSample is one producer output for one query, with its task label
-and whatever evaluator scores were logged alongside it; a batch's dimension
-scores are a matrix beside its samples (see mdqs.composite.check_dims). A
-DimensionVector is one such row, for the single-sample compose. WeightConfig normalizes on
-construction and is the only way weights enter the composite.
+and whatever evaluator scores were logged alongside it. A Batch is the
+checked unit every batch stage takes: its samples, their dimension scores
+as one matrix and their evaluator scores as one table. A DimensionVector is
+one row of such a matrix, for the single-sample compose. WeightConfig
+normalizes on construction and is the only way weights enter the composite.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
+import numpy as np
+
+from mdqs.errors import SchemaError
+from mdqs.stats import normalize_batch
 
 _REQUIRED = object()  # the default of a field that has none
 _setattr = object.__setattr__
@@ -229,6 +234,100 @@ class LoggedSample(Record):
             raise ValueError(f"reference_score must be finite, got {self.reference_score!r}")
         object.__setattr__(self, "evaluator_scores", scores)
         object.__setattr__(self, "extra", dict(self.extra))
+
+
+def _checked_dims(samples: list[LoggedSample], dims) -> np.ndarray:
+    """dims as the samples' float64 matrix, all NaN for None. ValueError,
+    naming the first sample and dimension at fault, for a shape other than
+    (len(samples), 6) and for a value outside [0, 1] (infinities included)
+    that is not NaN."""
+    n, width = len(samples), len(CANONICAL_DIMENSIONS)
+    dims = np.full((n, width), math.nan) if dims is None else np.asarray(dims, dtype=np.float64)
+    if dims.shape != (n, width):
+        rows, cols = dims.shape if dims.ndim == 2 else (0, 0)
+        i = rows if cols >= width else 0  # the first sample without a full row
+        dim = CANONICAL_DIMENSIONS[0 if i >= rows else cols].value
+        cell = f": no cell for sample {samples[i].sample_id!r}, dimension {dim}" if i < n else ""
+        raise ValueError(f"dims has shape {dims.shape}, not ({n}, {width}){cell}")
+    for k in np.flatnonzero(~np.isnan(dims) & ~((dims >= 0.0) & (dims <= 1.0)))[:1]:
+        i, j = divmod(int(k), width)
+        raise ValueError(
+            f"sample {samples[i].sample_id!r}: dimension {CANONICAL_DIMENSIONS[j].value}"
+            f" has score {dims[i, j].item()!r} outside [0, 1]"
+        )
+    return dims
+
+
+class Batch:
+    """Samples checked once for every stage that reads them together.
+
+    samples: the samples, in order. dims: their (n x 6) float64 dimension
+    scores, row i samples[i]'s in DIMENSION_COLUMN order, NaN where absent.
+    evaluator_ids: every evaluator that scores a sample, sorted.
+    evaluator_scores: the raw (n x evaluators) table, NaN where a sample
+    has no score.
+
+    The constructor refuses a repeated sample_id with a SchemaError naming
+    it (a map keyed by sample_id would merge those samples) and dims that
+    _checked_dims refuses. rows() and with_dims() derive batches from a
+    checked one, so neither checks what it did not change.
+    """
+
+    __slots__ = ("samples", "dims", "evaluator_ids", "evaluator_scores", "_normalized")
+
+    def __init__(self, samples: Iterable[LoggedSample], dims=None):
+        samples = list(samples)
+        seen: set[str] = set()
+        for sample in samples:
+            if sample.sample_id in seen:
+                raise SchemaError(f"duplicate sample_id {sample.sample_id!r}")
+            seen.add(sample.sample_id)
+        ids = sorted({e for s in samples for e in s.evaluator_scores})
+        rows = [[s.evaluator_scores.get(e, math.nan) for e in ids] for s in samples]
+        table = np.array(rows, dtype=np.float64).reshape(len(samples), len(ids))
+        self._fill(samples, _checked_dims(samples, dims), ids, table, [])
+
+    def _fill(self, *values) -> Batch:
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+        return self
+
+    def rows(self, keep: np.ndarray) -> Batch:
+        """The samples where the boolean mask `keep` holds, in order, with
+        their rows of dims and of the evaluator table."""
+        samples = [s for s, kept in zip(self.samples, keep.tolist()) if kept]
+        ids, table = self.evaluator_ids, self.evaluator_scores[keep]
+        return Batch.__new__(Batch)._fill(samples, self.dims[keep], ids, table, [])
+
+    def with_dims(self, dims) -> Batch:
+        """These samples with new dims, checked as the constructor checks
+        them; the evaluator table and its normalized form are shared."""
+        dims = _checked_dims(self.samples, dims)
+        ids, table = self.evaluator_ids, self.evaluator_scores
+        return Batch.__new__(Batch)._fill(self.samples, dims, ids, table, self._normalized)
+
+    def normalized_scores(self) -> np.ndarray:
+        """The evaluator table with each column min-max normalized over the
+        samples it scores, NaN elsewhere: raw evaluator scales are arbitrary
+        (logprobs, Likert, percentages), so each is mapped onto [0, 1] on its
+        own before any cross-evaluator arithmetic. Built on first use."""
+        if not self._normalized:  # a list shared with every with_dims batch
+            table = self.evaluator_scores.copy()
+            for column in table.T:
+                present = ~np.isnan(column)
+                column[present] = normalize_batch(column[present].tolist())
+            table.flags.writeable = False  # every reader gets this one array
+            self._normalized.append(table)
+        return self._normalized[0]
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class EvaluatorProfile(Record):

@@ -44,30 +44,30 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from mdqs.composite import VARIANTS, check_dims, compose_batch, variant
+from mdqs.composite import VARIANTS, compose_batch, variant
 from mdqs.errors import (
     EmptyAfterTrim,
     MdqsError,
     MissingColumn,
+    NoEvaluators,
     SimConfigError,
 )
 from mdqs.model import (
     DEFAULT_WEIGHTS,
+    Batch,
     EvaluatorProfile,
-    LoggedSample,
     Record,
     SimError,
     SimOutcome,
     WeightConfig,
 )
 from mdqs.rng import rng_for
-from mdqs.scoring import consensus_baselines, normalize_batch
-from mdqs.stats import fsum_rows
+from mdqs.scoring import consensus_baselines
+from mdqs.stats import fsum_rows, normalize_batch
 
 
 def _clip01(x: np.ndarray) -> np.ndarray:
@@ -459,11 +459,11 @@ def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np
 # ---------------------------------------------------------------------------
 # quality signals (replay mode)
 #
-# values(dataset, dims, base_weights) gives one value per sample, in dataset order.
+# values(batch, base_weights) gives one value per sample, in batch order.
 
 
 class SingleEvaluator(Record):
-    """One logged evaluator column, min-max normalized over the dataset."""
+    """One logged evaluator column, min-max normalized over the batch."""
 
     type: ClassVar[str] = "evaluator"
     evaluator_id: str
@@ -471,13 +471,13 @@ class SingleEvaluator(Record):
     def label(self) -> str:
         return f"evaluator:{self.evaluator_id}"
 
-    def values(
-        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
-    ) -> list[float]:
-        for s in dataset:
+    def values(self, batch: Batch, base_weights: WeightConfig) -> list[float]:
+        for s in batch.samples:
             if self.evaluator_id not in s.evaluator_scores:
                 raise MissingColumn(self.evaluator_id, s.sample_id)
-        return normalize_batch([s.evaluator_scores[self.evaluator_id] for s in dataset])
+        if not batch.samples:
+            return []
+        return batch.normalized_scores()[:, batch.evaluator_ids.index(self.evaluator_id)].tolist()
 
 
 class ConsensusBaseline(Record):
@@ -493,10 +493,11 @@ class ConsensusBaseline(Record):
     def label(self) -> str:
         return f"baseline:{self.stat}"
 
-    def values(
-        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
-    ) -> list[float]:
-        return consensus_baselines(dataset)[self.stat]
+    def values(self, batch: Batch, base_weights: WeightConfig) -> list[float]:
+        values = consensus_baselines(batch)[self.stat]
+        for i in np.flatnonzero(np.isnan(values))[:1]:  # a consensus of nothing is no zero
+            raise NoEvaluators(batch.samples[i].sample_id)
+        return values
 
 
 class CompositeSignal(Record):
@@ -514,10 +515,8 @@ class CompositeSignal(Record):
     def label(self) -> str:
         return f"composite:{self.variant}"
 
-    def values(
-        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
-    ) -> list[float]:
-        return compose_batch(dataset, dims, variant(base_weights, self.variant))
+    def values(self, batch: Batch, base_weights: WeightConfig) -> list[float]:
+        return compose_batch(batch, variant(base_weights, self.variant))
 
 
 QualitySignal = Union[SingleEvaluator, ConsensusBaseline, CompositeSignal]
@@ -608,8 +607,12 @@ class SimConfig(Record):
         """How many evaluators run the attack; 0 without one."""
         if self.attack is None:
             return 0
-        # floor of the decimal ratio times n: int(0.58 * 50) would give 28
-        return int(Fraction(repr(float(self.attack_ratio))) * len(self.settings.evaluators))
+        # floor of the decimal ratio times n: int(0.58 * 50) would give 28. The
+        # ratio's shortest repr, such as 0.58 or 1e-05, is digits * 10**-places
+        mantissa, _, exponent = repr(float(self.attack_ratio)).partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        places = len(fraction) - int(exponent or 0)  # > 0, as the ratio is at most 1.0
+        return int(whole + fraction) * len(self.settings.evaluators) // 10**places
 
     def resolve_behaviors(self) -> dict[str, EvaluatorBehavior]:
         """Evaluator id -> behavior: the attack itself for the first
@@ -644,22 +647,19 @@ class _Columns(NamedTuple):
 
 
 class _Replay:
-    """A replay dataset's inputs to the round loop, shared by every cell of
+    """A replay batch's inputs to the round loop, shared by every cell of
     one run: the query groups, laid out once, and each signal's values in
     that layout, checked on first use. A signal that fails is not stored,
     so every cell that asks for it raises the same error, as when run
-    alone. A repeated sample_id is refused: consensus scores are keyed by it."""
+    alone. Consensus scores are keyed by sample_id, which a Batch holds once."""
 
-    def __init__(
-        self, dataset: Sequence[LoggedSample], dims: np.ndarray, base_weights: WeightConfig
-    ):
-        self.samples = list(dataset)
-        self.dims = check_dims(self.samples, dims)
-        self.base_weights = base_weights
+    def __init__(self, batch: Batch, base_weights: WeightConfig):
+        self.batch, self.base_weights = batch, base_weights
+        samples = batch.samples
         queries: dict[str, int] = {}  # query -> group, in order of first appearance
-        group = np.array([queries.setdefault(s.query, len(queries)) for s in self.samples], int)
-        self._order = np.argsort(group, kind="stable")  # group by group, in dataset order
-        rows = [self.samples[i] for i in self._order.tolist()]
+        group = np.array([queries.setdefault(s.query, len(queries)) for s in samples], int)
+        self._order = np.argsort(group, kind="stable")  # group by group, in batch order
+        rows = [samples[i] for i in self._order.tolist()]
         names: dict[str, int] = {}  # producer -> code
         codes = [names.setdefault(s.producer_id, len(names)) for s in rows]
         refs = [s.reference_score for s in rows]
@@ -680,30 +680,27 @@ class _Replay:
     def columns(self, signal: QualitySignal) -> _Columns:
         """The query groups' outputs under the signal."""
         if signal not in self._columns:
-            quality = np.array(signal.values(self.samples, self.dims, self.base_weights), float)
-            n, label = len(self.samples), signal.label()
+            quality = np.array(signal.values(self.batch, self.base_weights), float)
+            n, label = len(self.batch), signal.label()
             if len(quality) != n:
                 raise ValueError(f"{label}: values gave {len(quality)} entries for {n} samples")
             outside = np.flatnonzero(~((quality >= 0.0) & (quality <= 1.0)))
             if len(outside):
-                sid, q = self.samples[outside[0]].sample_id, quality[outside[0]].item()
+                sid, q = self.batch.samples[outside[0]].sample_id, quality[outside[0]].item()
                 raise ValueError(f"{label}: quality of {sid!r} must be in [0, 1], got {q!r}")
             self._columns[signal] = self._layout._replace(quality=quality[self._order])
         return self._columns[signal]
 
 
 def run_single(
-    config: SimConfig,
-    dataset: Sequence[LoggedSample] | None = None,
-    dims: np.ndarray | None = None,
-    base_weights: WeightConfig = DEFAULT_WEIGHTS,
+    config: SimConfig, batch: Batch | None = None, base_weights: WeightConfig = DEFAULT_WEIGHTS
 ) -> SimOutcome:
     """Run one config to completion. Deterministic in (config, seed).
 
-    In replay mode this lays out the query groups and the signal's values
-    for this one cell; iter_experiment lays them out once for its whole
-    grid."""
-    replay = None if dataset is None else _Replay(dataset, dims, base_weights)
+    In replay mode (given a batch) this lays out the query groups and the
+    signal's values for this one cell; iter_experiment lays them out once
+    for its whole grid."""
+    replay = None if batch is None else _Replay(batch, base_weights)
     return _run_cell(config, replay)
 
 
@@ -741,7 +738,7 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             return sizes, codes, quality, np.array(keys, dtype=object), quality
 
     else:
-        if not replay.samples:
+        if not replay.batch.samples:
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
@@ -860,8 +857,7 @@ def _scorer(config: SimConfig) -> Callable[..., tuple[list[list[float]], np.ndar
 
 def iter_experiment(
     grid: Sequence[SimConfig],
-    dataset: Sequence[LoggedSample] | None = None,
-    dims: np.ndarray | None = None,
+    batch: Batch | None = None,
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> Iterator[SimOutcome | SimError]:
     """Run the grid one config at a time, in grid order: each step runs one
@@ -869,16 +865,15 @@ def iter_experiment(
     comes holds one cell at a time. A failing config yields a SimError
     instead of aborting the rest of the grid.
 
-    What refuses the whole grid is checked at the call: a repeated config_id
-    and, in replay mode, a repeated sample_id or dims that check_dims
-    refuses. In replay mode the query groups, with their normalized
-    references, are laid out once there, each distinct signal's values on
-    first use, and every cell shares them."""
+    A repeated config_id refuses the whole grid at the call. In replay mode
+    (given a batch) the query groups, with their normalized references, are
+    laid out once there, each distinct signal's values on first use, and
+    every cell shares them."""
     ids = [c.config_id for c in grid]
     if len(set(ids)) != len(ids):
         repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
         raise SimConfigError(f"grid has duplicate config_id {repeated!r}")
-    replay = None if dataset is None else _Replay(dataset, dims, base_weights)
+    replay = None if batch is None else _Replay(batch, base_weights)
     return map(_outcome, grid, itertools.repeat(replay))
 
 
@@ -892,9 +887,8 @@ def _outcome(config: SimConfig, replay: _Replay | None) -> SimOutcome | SimError
 
 def run_experiment(
     grid: Sequence[SimConfig],
-    dataset: Sequence[LoggedSample] | None = None,
-    dims: np.ndarray | None = None,
+    batch: Batch | None = None,
     base_weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> list[SimOutcome | SimError]:
     """Every outcome of iter_experiment, as one list in grid order."""
-    return list(iter_experiment(grid, dataset, dims, base_weights))
+    return list(iter_experiment(grid, batch, base_weights))

@@ -4,8 +4,8 @@ Each scorer returns a raw real number; score_all builds each active raw
 column once, normalizes it to [0, 1] with per-batch min-max (or frozen
 stats) into its column of the batch's (n x 6) dims matrix, and returns each
 raw column's (min, max) too. Normalization is one routine,
-normalize_batch: score_all, the per-evaluator columns and PriorTable all
-go through it, and it is the only place that clips to frozen stats. The
+mdqs.stats.normalize_batch: score_all, the evaluator table and PriorTable
+all go through it, and it is the only place that clips to frozen stats. The
 scorers stay usable on their own for debugging single samples.
 check_config and missing_inputs decide what scoring needs; score_all and
 validate_dataset both ask them.
@@ -20,8 +20,8 @@ Conventions that matter:
     matches only an equal text;
   - a zero-range column normalizes to 0.5 everywhere (no information);
   - evaluator scores form one (n x evaluators) table, normalized per
-    column over the samples each evaluator scores; agreement and the
-    mean/median consensus baselines are statistics of its rows.
+    column over the samples each evaluator scores (Batch.normalized_scores);
+    agreement and the mean/median consensus baselines are statistics of its rows.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mdqs.composite import refuse_repeated_ids
 from mdqs.errors import (
     EmptyPriorTable,
     MdqsError,
     MissingColumn,
     MissingReferenceText,
-    NoEvaluators,
     SchemaError,
     TooFewEvaluators,
 )
@@ -47,6 +45,7 @@ from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
     DIMENSION_COLUMN,
+    Batch,
     DimensionId,
     LoggedSample,
     Record,
@@ -54,6 +53,7 @@ from mdqs.model import (
     ValidationReport,
     WeightConfig,
 )
+from mdqs.stats import normalize_batch
 
 # ---------------------------------------------------------------------------
 # priors
@@ -266,7 +266,7 @@ def column_value(sample: LoggedSample, column: str) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# agreement
+# agreement and the consensus baselines
 
 
 def _agreement_from_values(values: Sequence[float], sample_id: str) -> float:
@@ -288,70 +288,16 @@ def score_agreement(sample: LoggedSample) -> float:
     return _agreement_from_values(list(sample.evaluator_scores.values()), sample.sample_id)
 
 
-# ---------------------------------------------------------------------------
-# normalization
-
-
-def normalize_batch(
-    values: Sequence[float], stats: tuple[float, float] | None = None
-) -> list[float]:
-    """Min-max normalize one column over its own range, or over frozen
-    stats=(min, max) with anything outside clipped to [0, 1]. A zero range
-    maps everything to 0.5; a frozen min above its max is a ValueError."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return []
-    if any(not math.isfinite(v) for v in vals):
-        raise ValueError("cannot normalize non-finite values")
-    lo, hi = (min(vals), max(vals)) if stats is None else stats
-    if lo > hi:
-        raise ValueError(f"frozen stats need min <= max, got {stats!r}")
-    if hi == lo:
-        return [0.5] * len(vals)
-    # on halves, so a range wider than the largest float cannot overflow;
-    # halving is exact short of underflow, so the results keep their bits
-    lo, span = lo / 2, hi / 2 - lo / 2
-    scores = [(v / 2 - lo) / span for v in vals]
-    # only frozen stats clip, so a batch column keeps its exact bits, -0.0 too
-    return scores if stats is None else [min(1.0, max(0.0, z)) for z in scores]
-
-
-def evaluator_table(samples: Sequence[LoggedSample]) -> tuple[list[str], np.ndarray]:
-    """Sorted evaluator ids and the raw scores as an (n x evaluators) float64
-    array in sample order, NaN where a sample has no score."""
-    ids = sorted({e for s in samples for e in s.evaluator_scores})
-    rows = [[s.evaluator_scores.get(e, math.nan) for e in ids] for s in samples]
-    return ids, np.array(rows, dtype=np.float64).reshape(len(samples), len(ids))
-
-
-def normalize_evaluator_scores(samples: Sequence[LoggedSample]) -> tuple[list[str], np.ndarray]:
-    """evaluator_table, each column min-max normalized over the samples it
-    scores: raw evaluator scales are arbitrary (logprobs, Likert,
-    percentages), so each is mapped onto [0, 1] on its own before any
-    cross-evaluator arithmetic. A repeated sample_id is refused."""
-    refuse_repeated_ids(samples)
-    ids, table = evaluator_table(samples)
-    for column in table.T:
-        present = ~np.isnan(column)
-        column[present] = normalize_batch(column[present].tolist())
-    return ids, table
-
-
-def consensus_baselines(samples: Sequence[LoggedSample]) -> dict[str, list[float]]:
+def consensus_baselines(batch: Batch) -> dict[str, list[float]]:
     """Mean and median of each sample's normalized evaluator scores, as
-    {"mean": [...], "median": [...]} in sample order. A sample without
-    scores raises NoEvaluators: a consensus of nothing is a config error,
-    not a zero. A repeated sample_id is refused."""
-    samples = list(samples)
-    _, table = normalize_evaluator_scores(samples)
+    {"mean": [...], "median": [...]} in sample order; NaN for a sample
+    without scores, which a consumer that needs a value refuses."""
     out: dict[str, list[float]] = {"mean": [], "median": []}
-    for sample, row in zip(samples, table.tolist()):
-        values = [v for v in row if v == v]
-        if not values:
-            raise NoEvaluators(sample.sample_id)
-        out["mean"].append(math.fsum(values) / len(values))
-        ordered, m = sorted(values), len(values) // 2  # statistics.median's rule
-        out["median"].append(ordered[m] if len(values) % 2 else (ordered[m - 1] + ordered[m]) / 2)
+    for row in batch.normalized_scores().tolist():
+        ordered = sorted(v for v in row if v == v) or [math.nan]  # no scores: NaN
+        m = len(ordered) // 2  # statistics.median's rule
+        out["mean"].append(math.fsum(ordered) / len(ordered))
+        out["median"].append(ordered[m] if len(ordered) % 2 else (ordered[m - 1] + ordered[m]) / 2)
     return out
 
 
@@ -421,9 +367,8 @@ def missing_inputs(
     return missing
 
 
-def _raw_column(
-    dim: DimensionId, samples: Sequence[LoggedSample], config: ScoringConfig
-) -> list[float]:
+def _raw_column(dim: DimensionId, batch: Batch, config: ScoringConfig) -> list[float]:
+    samples = batch.samples
     if dim is DimensionId.MODEL_PRIOR:
         return [config.model_priors.normalized(s.producer_id) for s in samples]
     if dim is DimensionId.COST_PRIOR:
@@ -437,44 +382,40 @@ def _raw_column(
     if dim is DimensionId.ALIGNMENT:
         return [column_value(s, config.alignment_column) for s in samples]
     if dim is DimensionId.AGREEMENT:
-        _, table = normalize_evaluator_scores(samples)
         return [
             _agreement_from_values([v for v in row if v == v], s.sample_id)
-            for s, row in zip(samples, table.tolist())
+            for s, row in zip(samples, batch.normalized_scores().tolist())
         ]
     raise ValueError(f"no scorer for dimension {dim!r}")
 
 
 def score_all(
-    samples: Sequence[LoggedSample], config: ScoringConfig | None = None
-) -> tuple[np.ndarray, dict[DimensionId, tuple[float, float]]]:
+    batch: Batch, config: ScoringConfig | None = None
+) -> tuple[Batch, dict[DimensionId, tuple[float, float]]]:
     """Score every active dimension over the batch.
 
-    Before any column is built, a repeated sample_id is refused, the config
-    passes check_config and every sample passes missing_inputs; the first
-    problem is raised. Raw columns are computed per dimension, then
-    normalized per batch (or against frozen stats when configured). Returns
-    the samples' (n x 6) dims, NaN in each unweighted column, and each
-    active dimension's raw (min, max), which can be fed back in as
-    frozen_stats. The samples are left as they are.
+    Before any column is built, the config passes check_config and every
+    sample passes missing_inputs; the first problem is raised. Raw columns
+    are computed per dimension, then normalized per batch (or against
+    frozen stats when configured). Returns the batch with its new dims, NaN
+    in each unweighted column, and each active dimension's raw (min, max),
+    which can be fed back in as frozen_stats. `batch` is left as it is.
     """
     config = config or ScoringConfig()
-    samples = list(samples)
-    refuse_repeated_ids(samples)
-    dims = np.full((len(samples), len(CANONICAL_DIMENSIONS)), math.nan)
-    if not samples:
-        return dims, {}
+    dims = np.full((len(batch), len(CANONICAL_DIMENSIONS)), math.nan)
+    if not batch.samples:
+        return batch.with_dims(dims), {}
     check_config(config)
-    for sample in samples:
+    for sample in batch.samples:
         for _, error in missing_inputs(sample, config):
             raise error
     frozen = config.frozen_stats or {}
     raw_ranges: dict[DimensionId, tuple[float, float]] = {}
     for dim in config.weights.weights:  # in canonical order
-        raw = _raw_column(dim, samples, config)
+        raw = _raw_column(dim, batch, config)
         raw_ranges[dim] = (min(raw), max(raw))
         dims[:, DIMENSION_COLUMN[dim]] = normalize_batch(raw, frozen.get(dim))
-    return dims, raw_ranges
+    return batch.with_dims(dims), raw_ranges
 
 
 def validate_dataset(

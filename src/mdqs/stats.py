@@ -1,5 +1,6 @@
-"""Correlation statistics used by the reliability audit, and fsum_rows,
-the one exact row sum that the composite and the simulation's defenses use.
+"""Correlation statistics used by the reliability audit; fsum_rows, the
+one exact row sum that the composite and the simulation's defenses use;
+and normalize_batch, the one min-max routine.
 
 pearson and spearman return None (undefined) when either input has zero
 variance; callers decide how to report that. Results snap to exactly +/-1.0
@@ -103,3 +104,27 @@ def rank_normalize(x: Sequence[float]) -> np.ndarray:
     if n == 1:
         return np.array([0.5])
     return (average_ranks(ax) - 1.0) / (n - 1.0)
+
+
+def normalize_batch(
+    values: Sequence[float], stats: tuple[float, float] | None = None
+) -> list[float]:
+    """Min-max normalize one column over its own range, or over frozen
+    stats=(min, max) with anything outside clipped to [0, 1]. A zero range
+    maps everything to 0.5; a frozen min above its max is a ValueError."""
+    vals = [float(v) for v in values]
+    if not vals:
+        return []
+    if any(not math.isfinite(v) for v in vals):
+        raise ValueError("cannot normalize non-finite values")
+    lo, hi = (min(vals), max(vals)) if stats is None else stats
+    if lo > hi:
+        raise ValueError(f"frozen stats need min <= max, got {stats!r}")
+    if hi == lo:
+        return [0.5] * len(vals)
+    # on halves, so a range wider than the largest float cannot overflow;
+    # halving is exact short of underflow, so the results keep their bits
+    lo, span = lo / 2, hi / 2 - lo / 2
+    scores = [(v / 2 - lo) / span for v in vals]
+    # only frozen stats clip, so a batch column keeps its exact bits, -0.0 too
+    return scores if stats is None else [min(1.0, max(0.0, z)) for z in scores]

@@ -25,6 +25,7 @@ from mdqs.errors import InvalidSpec
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DIMENSION_COLUMN,
+    Batch,
     DimensionId,
     LoggedSample,
     Record,
@@ -152,7 +153,7 @@ def _mutate(words: list[str], quality: float, rng: np.random.Generator) -> list[
     return out
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[list[LoggedSample], np.ndarray]:
+def generate_synthetic(spec: SyntheticSpec) -> Batch:
     """The dataset's samples and dims; same spec, same bytes, every time."""
     rng = rng_for(spec.rng_seed, "synthetic")
     n = spec.n
@@ -209,4 +210,4 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[list[LoggedSample], np.ndar
                 reference_text=" ".join(ref_words),
             )
         )
-    return samples, dims
+    return Batch(samples, dims)

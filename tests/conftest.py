@@ -9,6 +9,7 @@ import pytest
 
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
+    Batch,
     DimensionId,
     LoggedSample,
 )
@@ -49,15 +50,15 @@ def dim_matrix(maps) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), len(CANONICAL_DIMENSIONS))
 
 
-def batch(pairs) -> tuple[list[LoggedSample], np.ndarray]:
-    """(samples, dims) of (sample, dims map) pairs, such as scored_sample's."""
+def batch(pairs) -> Batch:
+    """The Batch of (sample, dims map) pairs, such as scored_sample's."""
     pairs = list(pairs)
-    return [s for s, _ in pairs], dim_matrix([m for _, m in pairs])
+    return Batch([s for s, _ in pairs], dim_matrix([m for _, m in pairs]))
 
 
 def scored_sample(i: int, *, task: str = "qa", gt: float, dims: dict, producer: str = "model-a"):
     """A pre-scored sample keyed by index, for audit and composite tests, and
-    its dims map; batch() turns a list of them into (samples, dims)."""
+    its dims map; batch() turns a list of them into a Batch."""
     sample = make_sample(
         sample_id=f"s{i:04d}",
         task=task,

@@ -180,14 +180,14 @@ def _frozen_dataset():
 
 def test_criterion_3_planted_sign_structure_recovered():
     def body():
-        samples, dims = _frozen_dataset()
-        report = audit(samples, dims)
+        batch = _frozen_dataset()
+        report = audit(batch)
         for task, planted in DEFAULT_CORRELATIONS.items():
             block = report.by_task[task]
             for dim, rho in planted.items():
                 row = block.row("dimension", dim.value)
                 assert row.spearman == pytest.approx(rho, abs=0.05), (task, dim)
-        result = calibrate(report, samples, dims, threshold=0.0)
+        result = calibrate(report, batch, threshold=0.0)
         assert result.removed == frozenset(
             {DimensionId.ALIGNMENT, DimensionId.AGREEMENT}
         )
@@ -202,18 +202,18 @@ def test_criterion_3_planted_sign_structure_recovered():
 
 def test_criterion_4_ablation_grid_consistency(tmp_path):
     def body():
-        samples, dims = _frozen_dataset()
-        rows = ablation_grid(samples, dims, VARIANTS)
+        batch = _frozen_dataset()
+        rows = ablation_grid(batch, VARIANTS)
         assert [r.name for r in rows] == list(VARIANTS)
         assert len(rows) == 9
         semantic_only = next(r for r in rows if r.name == "semantic_only")
-        dim_row = audit(samples, dims).overall.row("dimension", "semantic")
+        dim_row = audit(batch).overall.row("dimension", "semantic")
         assert _bits(semantic_only.pearson) == _bits(dim_row.pearson)
         assert _bits(semantic_only.spearman) == _bits(dim_row.spearman)
         assert semantic_only.n == dim_row.n
 
         data = tmp_path / "frozen.jsonl"
-        write_jsonl(data, samples, dims)
+        write_jsonl(data, batch)
         out = tmp_path / "reports"
         args = ["--input", str(data), "--out", str(out)]
         assert main(["ablate", *args, "--preset", "paper"]) == 0

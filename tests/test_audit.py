@@ -36,10 +36,12 @@ from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
     DIMENSION_COLUMN,
+    Batch,
     DimensionId,
     DimensionVector,
     WeightConfig,
 )
+from mdqs.poq import ConsensusBaseline
 from mdqs.scoring import ScoringConfig, _raw_column, score_all
 from mdqs.stats import pearson, spearman
 
@@ -78,7 +80,7 @@ def test_consensus_baselines_mean_median():
         make_sample(sample_id="s1", evaluator_scores={"a": 1.0, "b": 20.0, "c": 4.0}),
         make_sample(sample_id="s2", evaluator_scores={"a": 2.0, "b": 30.0, "c": 6.0}),
     ]
-    out = consensus_baselines(samples)
+    out = consensus_baselines(Batch(samples))
     # each column min-max normalizes to [0, .5, 1], so mean == median == position
     assert out["mean"][0] == pytest.approx(0.0)
     assert out["mean"][1] == pytest.approx(0.5)
@@ -86,8 +88,11 @@ def test_consensus_baselines_mean_median():
 
 
 def test_consensus_baselines_need_evaluators():
+    # a sample without scores has no baseline; the replay signal refuses it
+    lone = Batch([make_sample(sample_id="s0", evaluator_scores={})])
+    assert math.isnan(consensus_baselines(lone)["mean"][0])
     with pytest.raises(NoEvaluators):
-        consensus_baselines([make_sample(sample_id="s0", evaluator_scores={})])
+        ConsensusBaseline("mean").values(lone, DEFAULT_WEIGHTS)
 
 
 # --------------------------------------------------------------- audit
@@ -95,11 +100,11 @@ def test_consensus_baselines_need_evaluators():
 def test_audit_requires_two_referenced_samples():
     samples = [make_sample(sample_id="s0", reference_score=0.5)]
     with pytest.raises(TooFewReferencedSamples):
-        audit(samples, dim_matrix([None]))
+        audit(Batch(samples, dim_matrix([None])))
 
 
 def test_audit_recovers_planted_polarity():
-    report = audit(*planted_batch())
+    report = audit(planted_batch())
     block = report.overall
     assert block.row("dimension", "semantic").pearson == 1.0
     assert block.row("dimension", "alignment").pearson == -1.0
@@ -112,7 +117,7 @@ def test_audit_recovers_planted_polarity():
 
 
 def test_audit_row_counts_partition_by_task():
-    report = audit(*planted_batch(n=30))
+    report = audit(planted_batch(n=30))
     assert report.n_referenced == 30
     assert set(report.by_task) == {"qa", "summarization"}
     overall_n = report.overall.row("dimension", "semantic").n
@@ -121,24 +126,24 @@ def test_audit_row_counts_partition_by_task():
 
 
 def test_audit_task_block_order():
-    samples, dims = batch([
+    scored = batch([
         scored_sample(0, task="translation", gt=0.1, dims={"semantic": 0.1}),
         scored_sample(1, task="summarization", gt=0.5, dims={"semantic": 0.5}),
         scored_sample(2, task="qa", gt=0.9, dims={"semantic": 0.9}),
         scored_sample(3, task="translation", gt=0.4, dims={"semantic": 0.4}),
         scored_sample(4, task="qa", gt=0.2, dims={"semantic": 0.2}),
     ])
-    report = audit(samples, dims)
+    report = audit(scored)
     assert list(report.by_task) == ["qa", "summarization", "translation"]
 
 
 def test_audit_single_sample_task_rows_undefined():
-    samples, dims = batch([
+    scored = batch([
         scored_sample(0, task="qa", gt=0.1, dims={"semantic": 0.2}),
         scored_sample(1, task="qa", gt=0.9, dims={"semantic": 0.8}),
         scored_sample(2, task="translation", gt=0.5, dims={"semantic": 0.5}),
     ])
-    report = audit(samples, dims)
+    report = audit(scored)
     lonely = report.by_task["translation"].row("dimension", "semantic")
     assert lonely.n == 1
     assert lonely.pearson is None
@@ -146,43 +151,44 @@ def test_audit_single_sample_task_rows_undefined():
 
 
 def test_audit_constant_column_undefined():
-    samples, dims = batch(
+    scored = batch(
         scored_sample(i, gt=i / 9.0, dims={"semantic": 0.5, "structure": i / 9.0})
         for i in range(10)
     )
-    report = audit(samples, dims)
+    report = audit(scored)
     row = report.overall.row("dimension", "semantic")
     assert row.pearson is None and row.spearman is None and row.n == 10
     assert report.overall.row("dimension", "structure").pearson == 1.0
 
 
 def test_audit_skips_unreferenced_samples():
-    samples, dims = planted_batch(n=10)
-    samples.append(make_sample(sample_id="extra", evaluator_scores={"judge": 0.5, "anti": 0.5}))
-    report = audit(samples, np.vstack([dims, dim_matrix([None])]))
+    scored = planted_batch(n=10)
+    extra = make_sample(sample_id="extra", evaluator_scores={"judge": 0.5, "anti": 0.5})
+    report = audit(Batch([*scored.samples, extra], np.vstack([scored.dims, dim_matrix([None])])))
     assert report.n_referenced == 10
     assert report.overall.row("dimension", "semantic").n == 10
 
 
 def test_audit_refuses_a_repeated_sample_id():
-    samples, dims = planted_batch(n=6)
+    scored = planted_batch(n=6)
     with pytest.raises(SchemaError, match="duplicate sample_id 's0000'"):
-        audit([*samples, samples[0]], np.vstack([dims, dims[:1]]))
+        repeated = [*scored.samples, scored.samples[0]]
+        audit(Batch(repeated, np.vstack([scored.dims, scored.dims[:1]])))
 
 
 def test_audit_composite_rows():
-    samples, dims = planted_batch()
-    report = with_composites(audit(samples, dims), samples, dims, {"default": DEFAULT_WEIGHTS})
+    scored = planted_batch()
+    report = with_composites(audit(scored), scored, {"default": DEFAULT_WEIGHTS})
     row = report.overall.row("composite", "default")
     assert row is not None
-    assert row.n == len(samples)
+    assert row.n == len(scored)
     assert row.pearson is not None
     for block in (report.overall, *report.by_task.values()):
         assert block.rows[-1] == block.row("composite", "default")
 
 
 def test_audit_ignores_dimensions_nobody_scored():
-    report = audit(*batch([
+    report = audit(batch([
         scored_sample(0, gt=0.2, dims={"semantic": 0.1}),
         scored_sample(1, gt=0.8, dims={"semantic": 0.9}),
     ]))
@@ -193,17 +199,17 @@ def test_audit_ignores_dimensions_nobody_scored():
 # ------------------------------------------------------------- ablation
 
 def test_ablation_grid_covers_requested_variants():
-    samples, dims = planted_batch()
-    rows = ablation_grid(samples, dims, VARIANTS)
+    scored = planted_batch()
+    rows = ablation_grid(scored, VARIANTS)
     assert [r.name for r in rows] == list(VARIANTS)
     for r in rows:
-        assert r.n == len(samples)
+        assert r.n == len(scored)
 
 
 def test_ablation_semantic_only_matches_dimension_row():
-    samples, dims = planted_batch()
-    report = audit(samples, dims)
-    rows = {r.name: r for r in ablation_grid(samples, dims, VARIANTS)}
+    scored = planted_batch()
+    report = audit(scored)
+    rows = {r.name: r for r in ablation_grid(scored, VARIANTS)}
     dim_row = report.overall.row("dimension", "semantic")
     # identical input columns, so identical statistics, bit for bit
     assert rows["semantic_only"].pearson == dim_row.pearson
@@ -211,32 +217,32 @@ def test_ablation_semantic_only_matches_dimension_row():
 
 
 def test_ablation_matches_direct_computation():
-    samples, dims = planted_batch()
-    refs = [s.reference_score for s in samples]
+    scored = planted_batch()
+    refs = [s.reference_score for s in scored.samples]
     weights = variant(DEFAULT_WEIGHTS, "no_priors")
     scores = [
         math.fsum(weights[d] * row[DIMENSION_COLUMN[d]] for d in weights.dimensions())
-        for row in dims
+        for row in scored.dims
     ]
-    rows = {r.name: r for r in ablation_grid(samples, dims, ["no_priors"])}
+    rows = {r.name: r for r in ablation_grid(scored, ["no_priors"])}
     assert rows["no_priors"].pearson == pytest.approx(pearson(scores, refs), abs=1e-12)
     assert rows["no_priors"].spearman == pytest.approx(spearman(scores, refs), abs=1e-12)
 
 
 def test_ablation_needs_references():
     with pytest.raises(TooFewReferencedSamples):
-        ablation_grid([make_sample(sample_id="s0")], dim_matrix([None]), VARIANTS)
+        ablation_grid(Batch([make_sample(sample_id="s0")]), VARIANTS)
 
 
 def test_composite_row_is_the_same_from_ablation_calibrate_and_audit():
     config = load_config(f"{FIXTURES}/replay_config.yaml")
     base = resolve_weights(config)
-    samples = ingest(f"{FIXTURES}/replay_200.jsonl").samples
-    dims, _ = score_all(samples, build_scoring_config(config, base))
-    report = audit(samples, dims)
-    (grid,) = ablation_grid(samples, dims, ["default"], base=base)
-    before = calibrate(report, samples, dims, base=base).before
-    composites = with_composites(report, samples, dims, {base.name: base})
+    logged = ingest(f"{FIXTURES}/replay_200.jsonl").samples
+    scored, _ = score_all(logged, build_scoring_config(config, base))
+    report = audit(scored)
+    (grid,) = ablation_grid(scored, ["default"], base=base)
+    before = calibrate(report, scored, base=base).before
+    composites = with_composites(report, scored, {base.name: base})
     overall = composites.overall.row("composite", base.name)
     assert grid.pearson is not None and grid.spearman is not None
     assert (grid.pearson, grid.spearman, grid.n) == (*before, report.n_referenced)
@@ -246,8 +252,8 @@ def test_composite_row_is_the_same_from_ablation_calibrate_and_audit():
 # ------------------------------------------------------------ calibrate
 
 def test_calibrate_removes_negative_dimensions():
-    samples, dims = planted_batch()
-    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0)
+    scored = planted_batch()
+    result = calibrate(audit(scored), scored, threshold=0.0)
     assert result.removed == frozenset({DimensionId.ALIGNMENT, DimensionId.AGREEMENT})
     assert result.removed_names == ("alignment", "agreement")
     assert result.calibrated.dimensions() == frozenset(
@@ -261,14 +267,14 @@ def test_calibrate_removes_negative_dimensions():
 
 
 def test_calibrate_improves_composite_on_planted_data():
-    samples, dims = planted_batch()
-    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0)
+    scored = planted_batch()
+    result = calibrate(audit(scored), scored, threshold=0.0)
     assert result.after[0] > result.before[0]
 
 
 def test_calibrate_gate_stats_recorded():
-    samples, dims = planted_batch()
-    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0, gate="pearson")
+    scored = planted_batch()
+    result = calibrate(audit(scored), scored, threshold=0.0, gate="pearson")
     assert result.gate == "pearson"
     assert result.threshold == 0.0
     assert result.gate_stats[DimensionId.SEMANTIC] == 1.0
@@ -277,14 +283,14 @@ def test_calibrate_gate_stats_recorded():
 
 def test_calibrate_threshold_is_strict_less_than():
     # semantic sits exactly at pearson 1.0; threshold 1.0 must keep it
-    samples, dims = planted_batch()
-    result = calibrate(audit(samples, dims), samples, dims, threshold=1.0)
+    scored = planted_batch()
+    result = calibrate(audit(scored), scored, threshold=1.0)
     assert DimensionId.SEMANTIC not in result.removed
     assert DimensionId.STRUCTURE in result.removed
 
 
 def test_calibrate_undefined_stat_removed():
-    samples, dims = batch(
+    scored = batch(
         scored_sample(
             i,
             gt=i / 9.0,
@@ -293,27 +299,27 @@ def test_calibrate_undefined_stat_removed():
         for i in range(10)
     )
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    result = calibrate(audit(samples, dims), samples, dims, base=base, threshold=-1.0)
+    result = calibrate(audit(scored), scored, base=base, threshold=-1.0)
     assert DimensionId.STRUCTURE in result.removed
     assert DimensionId.SEMANTIC not in result.removed
 
 
 def test_calibrate_all_removed_raises():
-    samples, dims = planted_batch()
+    scored = planted_batch()
     with pytest.raises(AllDimensionsRemoved):
-        calibrate(audit(samples, dims), samples, dims, threshold=2.0)
+        calibrate(audit(scored), scored, threshold=2.0)
 
 
 def test_calibrate_rejects_unknown_gate():
     assert GATE_CHOICES == ("pearson", "spearman", "taskwise_min")
-    samples, dims = planted_batch()
+    scored = planted_batch()
     with pytest.raises(ValueError):
-        calibrate(audit(samples, dims), samples, dims, gate="kendall")
+        calibrate(audit(scored), scored, gate="kendall")
 
 
 def test_calibrate_spearman_gate():
-    samples, dims = planted_batch()
-    result = calibrate(audit(samples, dims), samples, dims, threshold=0.0, gate="spearman")
+    scored = planted_batch()
+    result = calibrate(audit(scored), scored, threshold=0.0, gate="spearman")
     assert result.removed == frozenset({DimensionId.ALIGNMENT, DimensionId.AGREEMENT})
 
 
@@ -328,21 +334,21 @@ def test_calibrate_taskwise_min_gate():
         structure = g if task == "qa" else 0.5 - 0.1 * (g - 0.5)
         dims = {"semantic": g, "structure": structure}
         pairs.append(scored_sample(i, task=task, gt=g, dims=dims))
-    samples, dims = batch(pairs)
+    scored = batch(pairs)
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    report = audit(samples, dims)
-    overall = calibrate(report, samples, dims, base=base, threshold=0.0, gate="pearson")
+    report = audit(scored)
+    overall = calibrate(report, scored, base=base, threshold=0.0, gate="pearson")
     assert DimensionId.STRUCTURE not in overall.removed
-    taskwise = calibrate(report, samples, dims, base=base, threshold=0.0, gate="taskwise_min")
+    taskwise = calibrate(report, scored, base=base, threshold=0.0, gate="taskwise_min")
     assert DimensionId.STRUCTURE in taskwise.removed
     assert taskwise.gate_stats[DimensionId.STRUCTURE] == -1.0
 
 
 def test_calibrate_idempotent_on_calibrated_weights():
-    samples, dims = planted_batch()
-    report = audit(samples, dims)
-    first = calibrate(report, samples, dims, threshold=0.0)
-    second = calibrate(report, samples, dims, base=first.calibrated, threshold=0.0)
+    scored = planted_batch()
+    report = audit(scored)
+    first = calibrate(report, scored, threshold=0.0)
+    second = calibrate(report, scored, base=first.calibrated, threshold=0.0)
     assert second.removed == frozenset()
     assert second.calibrated.weights == pytest.approx(first.calibrated.weights)
 
@@ -356,9 +362,9 @@ def test_calibrate_per_task_splits_independently():
         structure = g if task == "qa" else 1.0 - g
         dims = {"semantic": g, "structure": structure}
         pairs.append(scored_sample(i, task=task, gt=g, dims=dims))
-    samples, dims = batch(pairs)
+    scored = batch(pairs)
     base = WeightConfig("pair", {DimensionId.SEMANTIC: 0.6, DimensionId.STRUCTURE: 0.4})
-    per_task = calibrate_per_task(audit(samples, dims), samples, dims, base=base, threshold=0.0)
+    per_task = calibrate_per_task(audit(scored), scored, base=base, threshold=0.0)
     assert set(per_task) == {"qa", "summarization"}
     assert DimensionId.STRUCTURE not in per_task["qa"].removed
     assert DimensionId.STRUCTURE in per_task["summarization"].removed
@@ -367,7 +373,7 @@ def test_calibrate_per_task_splits_independently():
 # ------------------------------------------------- producer breakdown
 
 def test_dimension_means_by_producer():
-    rows = dimension_means_by_producer(*batch([
+    rows = dimension_means_by_producer(batch([
         scored_sample(0, gt=0.5, dims={"semantic": 0.2, "structure": 0.4}, producer="m-b"),
         scored_sample(1, gt=0.5, dims={"semantic": 0.4, "structure": 0.6}, producer="m-b"),
         scored_sample(2, gt=0.5, dims={"semantic": 0.9}, producer="m-a"),
@@ -379,7 +385,7 @@ def test_dimension_means_by_producer():
 
 
 def test_dimension_means_skips_unscored():
-    rows = dimension_means_by_producer([make_sample(sample_id="s0")], dim_matrix([None]))
+    rows = dimension_means_by_producer(Batch([make_sample(sample_id="s0")]))
     assert rows == []
 
 
@@ -658,8 +664,8 @@ _ABOVE_ONE_WEIGHTS = (
 _ABOVE_ONE = WeightConfig("above_one", dict(zip(CANONICAL_DIMENSIONS, _ABOVE_ONE_WEIGHTS)))
 
 
-def _oracle_batch(rng) -> tuple[list, np.ndarray]:
-    """(samples, dims) of a seeded batch mixing what the audit layer has to handle: samples
+def _oracle_batch(rng) -> Batch:
+    """A seeded batch mixing what the audit layer has to handle: samples
     with every, some or no dimensions, with and without evaluator scores or
     a reference, three tasks plus an occasional one-sample task, and
     constant or signed-zero columns."""
@@ -726,11 +732,11 @@ def _assert_evaluator_statistics_match(samples):
     """Agreement and both consensus baselines, bit for bit, against the
     dict-keyed reference."""
     scored = [s for s in samples if s.evaluator_scores]
-    got, want = consensus_baselines(scored), _ref_consensus_baselines(scored)
+    got, want = consensus_baselines(Batch(scored)), _ref_consensus_baselines(scored)
     for stat in ("mean", "median"):
         assert [v.hex() for v in got[stat]] == [want[s.sample_id][stat].hex() for s in scored]
     pairs = [s for s in samples if len(s.evaluator_scores) >= 2]
-    got = _raw_column(DimensionId.AGREEMENT, pairs, ScoringConfig())
+    got = _raw_column(DimensionId.AGREEMENT, Batch(pairs), ScoringConfig())
     assert [v.hex() for v in got] == [v.hex() for v in _ref_agreement(pairs)]
 
 
@@ -750,13 +756,14 @@ def test_column_path_matches_per_sample_reference(seed):
         samples = _evaluator_batch(evaluator_rng)
         dims = dim_matrix([None] * len(samples))
         _assert_evaluator_statistics_match(samples)
-        assert _outcome(audit, samples, dims) == _outcome(_ref_audit, samples, dims)
+        assert _outcome(audit, Batch(samples, dims)) == _outcome(_ref_audit, samples, dims)
     for _ in range(40):
-        samples, dims = _oracle_batch(rng)
+        scored = _oracle_batch(rng)
+        samples, dims = scored.samples, scored.dims
         _assert_evaluator_statistics_match(samples)
         base = _oracle_weights(rng)
         for weights in (base, DEFAULT_WEIGHTS, variant(DEFAULT_WEIGHTS, "no_priors"), _ABOVE_ONE):
-            assert _outcome(compose_batch, samples, dims, weights) == _outcome(
+            assert _outcome(compose_batch, scored, weights) == _outcome(
                 _ref_compose_batch, samples, dims, weights
             )
         for scores in _ref_scores(dims):
@@ -764,15 +771,15 @@ def test_column_path_matches_per_sample_reference(seed):
                 for weights in (DEFAULT_WEIGHTS, _ABOVE_ONE):
                     expected = _ref_weighted_sum(scores, weights)
                     assert repr(compose(DimensionVector(scores), weights)) == repr(expected)
-        assert _outcome(dimension_means_by_producer, samples, dims) == _outcome(
+        assert _outcome(dimension_means_by_producer, scored) == _outcome(
             _ref_dimension_means_by_producer, samples, dims
         )
-        assert _outcome(ablation_grid, samples, dims, VARIANTS, base) == _outcome(
+        assert _outcome(ablation_grid, scored, VARIANTS, base) == _outcome(
             _ref_ablation_grid, samples, dims, VARIANTS, base
         )
-        assert _outcome(audit, samples, dims) == _outcome(_ref_audit, samples, dims)
+        assert _outcome(audit, scored) == _outcome(_ref_audit, samples, dims)
         try:
-            report = audit(samples, dims)
+            report = audit(scored)
         except MdqsError:
             continue
         composites = {
@@ -780,13 +787,13 @@ def test_column_path_matches_per_sample_reference(seed):
             "above_one": _ABOVE_ONE,
             "semantic": variant(DEFAULT_WEIGHTS, "semantic_only"),
         }
-        assert _outcome(with_composites, report, samples, dims, composites) == _outcome(
+        assert _outcome(with_composites, report, scored, composites) == _outcome(
             _ref_with_composites, report, samples, dims, composites
         )
         for gate in GATE_CHOICES:
             threshold = float(rng.choice([-1.0, 0.0, 0.3]))
             pairs = ((calibrate, _ref_calibrate), (calibrate_per_task, _ref_calibrate_per_task))
             for new, ref in pairs:
-                assert _outcome(new, report, samples, dims, base, threshold, gate) == _outcome(
+                assert _outcome(new, report, scored, base, threshold, gate) == _outcome(
                     ref, report, samples, dims, base, threshold, gate
                 )

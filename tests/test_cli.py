@@ -18,13 +18,14 @@ import yaml
 
 import mdqs
 import mdqs.cli
+import mdqs.model
 import mdqs.poq
 import mdqs.scoring
 from conftest import FIXTURES, batch, scored_sample
 from mdqs.cli import main
 from mdqs.errors import SchemaError
 from mdqs.io import ingest, load_config, to_record, write_jsonl
-from mdqs.model import CANONICAL_DIMENSIONS, DIMENSION_COLUMN, DimensionId
+from mdqs.model import CANONICAL_DIMENSIONS, DIMENSION_COLUMN, Batch, DimensionId
 from mdqs.synth import SyntheticSpec, generate_synthetic
 
 
@@ -49,7 +50,7 @@ def planted_path(tmp_path, n=24):
             scored_sample(i, task="qa" if i % 2 == 0 else "summarization", gt=g, dims=dims)
         )
     path = tmp_path / "planted.jsonl"
-    write_jsonl(path, *batch(pairs))
+    write_jsonl(path, batch(pairs))
     return path
 
 
@@ -133,10 +134,10 @@ def test_validate_clean_dataset(tmp_path, capsys):
 
 def test_validate_flags_duplicates(tmp_path):
     data = planted_path(tmp_path)
-    samples, dims, _ = ingest(data)
-    first = samples[0]
+    ingested, _ = ingest(data)
+    first = ingested.samples[0]
     data.write_text(
-        data.read_text(encoding="utf-8") + json.dumps(to_record(first, dims[0])) + "\n",
+        data.read_text(encoding="utf-8") + json.dumps(to_record(first, ingested.dims[0])) + "\n",
         encoding="utf-8",
     )
     out = tmp_path / "r"
@@ -242,7 +243,7 @@ def test_prior_ratings_of_any_finite_size_score(tmp_path, ratings, expected):
     config = replay_config_edited(tmp_path, lambda raw: raw["priors"].update(model_rating=ratings))
     argv = ["--config", config, "--input", f"{FIXTURES}/replay_200.jsonl"]
     assert main(["score", *argv, "--out", str(tmp_path / "s")]) == 0
-    dims = ingest(tmp_path / "s" / "scored.jsonl").dims
+    dims = ingest(tmp_path / "s" / "scored.jsonl").samples.dims
     assert set(dims[:, DIMENSION_COLUMN[DimensionId.MODEL_PRIOR]].tolist()) == expected
 
 
@@ -424,7 +425,7 @@ def test_blank_identity_is_a_malformed_line_for_every_command(tmp_path):
         if command == "validate":
             assert json.loads((out / "validation.json").read_text())["total"] == 198
             continue
-        scored = ingest(out / "scored.jsonl").samples
+        scored = ingest(out / "scored.jsonl").samples.samples
         assert len(scored) == 198
         assert all(s.producer_id.strip() and s.sample_id.strip() for s in scored)
     means = (tmp_path / "report" / "dimension_means_by_producer.csv").read_text(encoding="utf-8")
@@ -459,7 +460,7 @@ def test_lone_surrogate_is_a_malformed_line_for_every_command(tmp_path):
             (12, "note[1]: lone surrogate U+DFFF"),
         ]
     assert json.loads((tmp_path / "validate" / "validation.json").read_text())["total"] == 37
-    scored = {s.sample_id: s for s in ingest(tmp_path / "report" / "scored.jsonl").samples}
+    scored = {s.sample_id: s for s in ingest(tmp_path / "report" / "scored.jsonl").samples.samples}
     assert len(scored) == 37
     assert scored["s00014"].output.startswith("a smile \U0001F600")
 
@@ -522,7 +523,7 @@ def test_non_finite_unknown_field_is_a_malformed_line(tmp_path):
 def test_synth_writes_dataset(tmp_path):
     out = tmp_path / "r"
     assert main(["synth", "--out", str(out), "--n", "30", "--seed", "9"]) == 0
-    samples = ingest(out / "synthetic.jsonl").samples
+    samples = ingest(out / "synthetic.jsonl").samples.samples
     assert len(samples) == 30
     assert all(s.reference_score is not None for s in samples)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -597,11 +598,13 @@ def test_synth_section_defaults_match_a_bare_count(tmp_path):
     bare = synth("bare", "--n", "12", "--seed", "9")
     assert synth("section", "--config", config("section", "synthetic: {n: 12, seed: 9}\n")) == bare
     columns = {"sts_paraphrase", "lexical_overlap", "judge_heldout"}
-    assert set(ingest(tmp_path / "section" / "synthetic.jsonl").samples[0].evaluator_scores) == columns
+    [first, *_] = ingest(tmp_path / "section" / "synthetic.jsonl").samples.samples
+    assert set(first.evaluator_scores) == columns
     # an evaluators map, even an empty one, replaces the default columns
     text = "synthetic: {n: 12, seed: 9, evaluators: {}}\n"
     synth("none", "--config", config("none", text))
-    assert all(not s.evaluator_scores for s in ingest(tmp_path / "none" / "synthetic.jsonl").samples)
+    none = ingest(tmp_path / "none" / "synthetic.jsonl").samples
+    assert not none.evaluator_ids and all(not s.evaluator_scores for s in none.samples)
 
 
 def test_seed_precedence(tmp_path, monkeypatch):
@@ -665,9 +668,9 @@ def test_score_attaches_all_dimensions(tmp_path):
         ["score", "--config", str(scoring_config(tmp_path)), "--input", str(data), "--out", str(out)]
     )
     assert code == 0
-    scored, dims, _ = ingest(out / "scored.jsonl")
+    scored, _ = ingest(out / "scored.jsonl")
     assert len(scored) == 24
-    for row in dims.tolist():
+    for row in scored.dims.tolist():
         assert all(0.0 <= v <= 1.0 for v in row)  # six scores, none NaN
     stats = json.loads((out / "normalization_stats.json").read_text(encoding="utf-8"))
     assert set(stats) == {d for d in stats}  # parsed fine
@@ -687,7 +690,7 @@ def test_score_weights_override_limits_dimensions(tmp_path):
         ]
     )
     assert code == 0
-    dims = ingest(out / "scored.jsonl").dims
+    dims = ingest(out / "scored.jsonl").samples.dims
     names = [d.value for d in CANONICAL_DIMENSIONS]
     present = [{d for d, v in zip(names, row) if v == v} for row in dims.tolist()]
     assert present == [{"semantic"}] * 24
@@ -744,8 +747,8 @@ def test_ablate_rejects_unknown_preset(tmp_path):
 
 def test_ablate_on_an_unscored_raw_log_asks_for_score(tmp_path, capsys):
     data = tmp_path / "raw.jsonl"
-    samples, _ = generate_synthetic(SyntheticSpec(n=8, rng_seed=3))
-    write_jsonl(data, samples)  # no dims on any line
+    samples = generate_synthetic(SyntheticSpec(n=8, rng_seed=3)).samples
+    write_jsonl(data, Batch(samples))  # no dims on any line
     assert main(["ablate", "--input", str(data), "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert err == "error: sample 's00000' has no dimension scores; run score first\n"
@@ -1116,6 +1119,42 @@ def test_report_audits_once_and_builds_each_raw_column_once(tmp_path, monkeypatc
     assert columns == list(CANONICAL_DIMENSIONS)
 
 
+def test_report_checks_its_batch_once(tmp_path, monkeypatch):
+    """One report builds one Batch, at ingest: the repeated-id refusal and the
+    raw evaluator table belong to its constructor, so each runs once. The
+    dims check runs once per matrix, ingest's and the scored one, and every
+    reader of the normalized evaluator table gets the one table built."""
+    calls, tables = {"constructor": 0, "dims check": 0}, []
+    constructor, normalized = Batch.__init__, Batch.normalized_scores
+    check = mdqs.model._checked_dims
+
+    def counted_constructor(self, *args, **kwargs):
+        calls["constructor"] += 1
+        constructor(self, *args, **kwargs)
+
+    def counted_check(*args):
+        calls["dims check"] += 1
+        return check(*args)
+
+    def kept_table(self):
+        tables.append(normalized(self))
+        return tables[-1]
+
+    monkeypatch.setattr(Batch, "__init__", counted_constructor)
+    monkeypatch.setattr(mdqs.model, "_checked_dims", counted_check)
+    monkeypatch.setattr(Batch, "normalized_scores", kept_table)
+    argv = [
+        "report",
+        "--config", _per_task_replay_config(tmp_path),
+        "--input", f"{FIXTURES}/replay_200.jsonl",
+        "--out", str(tmp_path / "r"),
+    ]
+    assert main(argv) == 0
+    assert calls == {"constructor": 1, "dims check": 2}
+    # read by the agreement column and by the audit's baselines, built once
+    assert len(tables) == 2 and tables[1] is tables[0]
+
+
 def test_report_flattens_a_comma_in_a_label(tmp_path):
     raw = Path(FIXTURES, "replay_200.jsonl").read_text(encoding="utf-8")
     data = tmp_path / "data.jsonl"
@@ -1127,7 +1166,7 @@ def test_report_flattens_a_comma_in_a_label(tmp_path):
     means = (out / "dimension_means_by_producer.csv").read_text(encoding="utf-8")
     assert "\nmodel;a,semantic," in means
     assert all(line.count(",") == 3 for line in means.splitlines())
-    assert {s.producer_id for s in ingest(out / "scored.jsonl").samples} >= {"model,a"}
+    assert {s.producer_id for s in ingest(out / "scored.jsonl").samples.samples} >= {"model,a"}
     sim = json.loads((out / "sim_none-r0.25-median-composite_default.json").read_text())
     assert "model,a" in sim["rewards"]
 
@@ -1279,15 +1318,18 @@ print(gc.get_freeze_count() > 0, gc.isenabled())
 
 def test_cli_import_loads_no_hashlib():
     """SHA-256 only derives random streams, so only a command that draws
-    random numbers loads hashlib, on its first stream."""
+    random numbers loads hashlib, on its first stream. Nor does the import
+    load fractions (with decimal) or traceback, which no run that ends well
+    needs."""
     code = """
 import sys
 import mdqs.cli
 print("hashlib" in sys.modules, "_hashlib" in sys.modules)
+print(*(name in sys.modules for name in ("fractions", "decimal", "traceback")))
 mdqs.cli.generate_synthetic(mdqs.cli.SyntheticSpec(n=1))
 print("hashlib" in sys.modules)
 """
-    assert _child(code) == ["False", "False", "True"]
+    assert _child(code) == ["False", "False", "False", "False", "False", "True"]
 
 
 def test_a_leak_after_the_cli_import_is_still_collected_and_reported():
@@ -1317,13 +1359,13 @@ import gc
 from mdqs.io import ingest, write_jsonl
 from mdqs.synth import SyntheticSpec, generate_synthetic
 n, path = 2000, {str(tmp_path / "data.jsonl")!r}
-write_jsonl(path, *generate_synthetic(SyntheticSpec(n=n, rng_seed=3)))
+write_jsonl(path, generate_synthetic(SyntheticSpec(n=n, rng_seed=3)))
 for make in (lambda: ingest(path), lambda: generate_synthetic(SyntheticSpec(n=n))):
     gc.collect()
     before = len(gc.get_objects())
     kept = make()
     gc.collect()
-    print(len(kept[0]), len(gc.get_objects()) - before)
+    print(len(kept.samples), len(gc.get_objects()) - before)
     del kept
 """
     words = [int(w) for w in _child(code)]
@@ -1354,7 +1396,7 @@ ROOT_EXPORTS = {
     ),
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
-        "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
+        "Batch", "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
         "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome",
         "ValidationReport", "WeightConfig",
     ),
@@ -1376,7 +1418,7 @@ ROOT_EXPORTS = {
 
 def test_lazy_root_exports_the_same_objects():
     names = sorted(name for group in ROOT_EXPORTS.values() for name in group)
-    assert len(names) == 63
+    assert len(names) == 64
     assert sorted(mdqs.__all__) == names
     for module, group in ROOT_EXPORTS.items():
         for name in group:
@@ -1394,11 +1436,11 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     example = re.search(r"^```python\n(from mdqs import \(.*?)^```", readme, re.M | re.S).group(1)
     spec = SyntheticSpec(n=60, producers=("model-a", "model-b"), rng_seed=11)
-    write_jsonl(tmp_path / "data.jsonl", *generate_synthetic(spec))
+    write_jsonl(tmp_path / "data.jsonl", generate_synthetic(spec))
     monkeypatch.chdir(tmp_path)
     scope: dict = {}
     exec(compile(example, "README.md", "exec"), scope)
-    assert scope["dims"].shape == (60, 6)
+    assert scope["batch"].dims.shape == (60, 6) and len(scope["first_ten"]) == 10
     assert [type(o).__name__ for o in scope["outcomes"]] == ["SimOutcome", "SimOutcome"]
     written = everything_in(tmp_path / "reports")
     assert set(written) == {

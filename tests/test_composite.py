@@ -13,6 +13,7 @@ from mdqs.io import emit_reports, write_jsonl
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
+    Batch,
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
@@ -83,21 +84,26 @@ def test_compose_batch_restricts_to_active_weights():
     samples = [make_sample(sample_id="s0")]
     dims = dim_matrix([{d.value: 0.5 for d in CANONICAL_DIMENSIONS}])
     weights = variant(DEFAULT_WEIGHTS, "no_agreement")
-    assert compose_batch(samples, dims, weights) == [pytest.approx(0.5)]
+    assert compose_batch(Batch(samples, dims), weights) == [pytest.approx(0.5)]
 
 
 def test_compose_batch_unscored_sample_raises():
     with pytest.raises(SchemaError, match="has no dimension scores; run score first"):
-        compose_batch([make_sample(sample_id="s0")], dim_matrix([None]), DEFAULT_WEIGHTS)
+        compose_batch(Batch([make_sample(sample_id="s0")]), DEFAULT_WEIGHTS)
 
 
 def test_compose_batch_missing_dimension_raises():
     samples = [make_sample(sample_id="s0")]
     with pytest.raises(DimensionMismatch):
-        compose_batch(samples, dim_matrix([{"semantic": 0.5}]), DEFAULT_WEIGHTS)
+        compose_batch(Batch(samples, dim_matrix([{"semantic": 0.5}])), DEFAULT_WEIGHTS)
 
 
-# ------------------------------------------------------- the dims check
+# ------------------------------------------------------- the batch's checks
+#
+# Every stage that reads samples together takes a Batch, and the Batch
+# constructor refuses bad dims and a repeated sample_id. So each consumer
+# below is run on a Batch built from its samples and dims, and the refusal
+# comes from building it, before the consumer can read or write anything.
 
 
 def _boundary_batch():
@@ -112,7 +118,7 @@ def _boundary_batch():
     return samples, dim_matrix([{d.value: i / 4 for d in CANONICAL_DIMENSIONS} for i in range(4)])
 
 
-def _replay(samples, dims):
+def _replay(batch):
     config = sim_config(
         config_id="c",
         evaluators=(EvaluatorProfile("e0"), EvaluatorProfile("e1")),
@@ -120,13 +126,13 @@ def _replay(samples, dims):
         rounds=2,
         quality_signal=CompositeSignal("default"),
     )
-    return list(iter_experiment([config], samples, dims))
+    return list(iter_experiment([config], batch))
 
 
 CONSUMERS = {
     "audit": audit,
-    "ablation_grid": lambda samples, dims: ablation_grid(samples, dims, ["default"]),
-    "compose_batch": lambda samples, dims: compose_batch(samples, dims, DEFAULT_WEIGHTS),
+    "ablation_grid": lambda batch: ablation_grid(batch, ["default"]),
+    "compose_batch": lambda batch: compose_batch(batch, DEFAULT_WEIGHTS),
     "iter_experiment": _replay,
 }
 
@@ -147,10 +153,10 @@ def _bad_dims(dims):
 def test_every_consumer_refuses_bad_dims_naming_the_sample_and_dimension(consumer):
     samples, dims = _boundary_batch()
     run = CONSUMERS[consumer]
-    assert run(samples, dims)  # the good matrix passes
+    assert run(Batch(samples, dims))  # the good matrix passes
     for bad, message in _bad_dims(dims):
         with pytest.raises(ValueError, match=message):
-            run(samples, bad)
+            run(Batch(samples, bad))
 
 
 @pytest.mark.parametrize("consumer", CONSUMERS)
@@ -158,45 +164,43 @@ def test_a_nan_cell_is_absent_not_an_error(consumer):
     # model_prior is weighted by default, so only s1's composite lacks it
     samples, dims = _boundary_batch()
     dims[1, 0] = math.nan
+    batch = Batch(samples, dims)
     if consumer == "audit":
-        assert audit(samples, dims).overall.row("dimension", "model_prior").n == 3
+        assert audit(batch).overall.row("dimension", "model_prior").n == 3
     elif consumer == "iter_experiment":
-        [outcome] = _replay(samples, dims)
+        [outcome] = _replay(batch)
         assert outcome.error_type == "DimensionMismatch"
     else:
         with pytest.raises(DimensionMismatch, match=r"missing=\['model_prior'\]"):
-            CONSUMERS[consumer](samples, dims)
+            CONSUMERS[consumer](batch)
 
 
-# Each takes (samples, dims, an output directory); a writer writes into it.
+# Each takes (a batch, an output directory); a writer writes into it.
 BATCH_CONSUMERS = {
-    **{
-        name: lambda samples, dims, _, run=run: run(samples, dims)
-        for name, run in CONSUMERS.items()
-    },
-    "dimension_means_by_producer": lambda samples, dims, _: dimension_means_by_producer(
-        samples, dims
+    **{name: lambda batch, _, run=run: run(batch) for name, run in CONSUMERS.items()},
+    "dimension_means_by_producer": lambda batch, _: dimension_means_by_producer(batch),
+    "score_all": lambda batch, _: score_all(
+        batch, ScoringConfig(weights=WeightConfig("s", {DimensionId.STRUCTURE: 1.0}))
     ),
-    "score_all": lambda samples, dims, _: score_all(
-        samples, ScoringConfig(weights=WeightConfig("s", {DimensionId.STRUCTURE: 1.0}))
+    "write_jsonl": lambda batch, out: write_jsonl(out / "data.jsonl", batch),
+    "write_jsonl_without_dims": lambda batch, out: write_jsonl(
+        out / "data.jsonl", Batch(batch.samples)
     ),
-    "write_jsonl": lambda samples, dims, out: write_jsonl(out / "data.jsonl", samples, dims),
-    "write_jsonl_without_dims": lambda samples, _, out: write_jsonl(out / "data.jsonl", samples),
-    "emit_reports": lambda samples, dims, out: emit_reports(out, scored_samples=(samples, dims)),
+    "emit_reports": lambda batch, out: emit_reports(out, scored_samples=batch),
 }
 
 
 @pytest.mark.parametrize("consumer", BATCH_CONSUMERS)
 def test_every_batch_consumer_refuses_a_repeated_sample_id(consumer, tmp_path):
-    # without evaluator scores, so no evaluator table is built on the way
+    # without evaluator scores, which the refusal does not need
     samples, dims = _boundary_batch()
     samples = [s._replace(evaluator_scores={}) for s in samples]
     repeated = samples[:3] + [samples[3]._replace(sample_id="s0")]
     run = BATCH_CONSUMERS[consumer]
-    run(samples, dims, tmp_path)  # distinct ids pass, and a writer writes its files
+    run(Batch(samples, dims), tmp_path)  # distinct ids pass, and a writer writes its files
     before = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
     with pytest.raises(SchemaError, match=r"^duplicate sample_id 's0'$"):
-        run(repeated, dims, tmp_path)
+        run(Batch(repeated, dims), tmp_path)
     # the old files, and no temporary one
     assert {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())} == before
 

@@ -51,6 +51,7 @@ from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
     DIMENSION_COLUMN,
+    Batch,
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
@@ -207,7 +208,7 @@ def test_ingest_collects_issues(tmp_path):
     ]
     path.write_bytes(b"\n".join(lines) + b"\n")
     result = ingest(path)
-    assert [s.sample_id for s in result.samples] == ["s1", "s9"]
+    assert [s.sample_id for s in result.samples.samples] == ["s1", "s9"]
     assert [i.line_no for i in result.issues] == [3, 4, 5]
 
 
@@ -226,7 +227,7 @@ def test_a_repeated_key_is_refused_not_read_last_wins(tmp_path, capsys):
     path = tmp_path / "data.jsonl"
     path.write_text("\n".join([good, first, judge]) + "\n", encoding="utf-8")
     result = ingest(path)
-    assert [s.sample_id for s in result.samples] == ["s1"]
+    assert [s.sample_id for s in result.samples.samples] == ["s1"]
     assert [(i.line_no, i.message) for i in result.issues] == [
         (2, "repeated key 'sample_id'"),
         (3, "repeated key 'b_judge'"),
@@ -260,8 +261,8 @@ def test_ingest_refuses_a_lone_surrogate_anywhere_in_a_record(tmp_path, bad, whe
     lines = [json.dumps(full_record() | bad), json.dumps(good)]  # ASCII, so \u escapes
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = ingest(path)
-    assert [s.sample_id for s in result.samples] == ["s2"]
-    assert result.samples[0].output == "smile \U0001F600"  # an escaped pair still loads
+    assert [s.sample_id for s in result.samples.samples] == ["s2"]
+    assert result.samples.samples[0].output == "smile \U0001F600"  # an escaped pair still loads
     assert [(i.line_no, i.message) for i in result.issues] == [(1, result.issues[0].message)]
     assert where in result.issues[0].message
     result.issues[0].message.encode("utf-8")  # the message itself is writable
@@ -305,15 +306,15 @@ def test_from_record_refuses_a_lone_surrogate_as_ingest_does(tmp_path, bad, wher
 def test_a_failed_write_jsonl_leaves_the_old_file(tmp_path):
     path = tmp_path / "out.jsonl"
     sample, _ = from_record(full_record())
-    write_jsonl(path, [sample])
+    write_jsonl(path, Batch([sample]))
     before = snapshot(tmp_path)
     unwritable = sample._replace(sample_id="s2", output="x" + LONE)
     for samples in ([unwritable], [sample, unwritable]):
         with pytest.raises(UnicodeEncodeError):
-            write_jsonl(path, samples)
+            write_jsonl(path, Batch(samples))
         assert snapshot(tmp_path) == before  # the old bytes, and no temporary file
     with pytest.raises(UnicodeEncodeError):
-        write_jsonl(tmp_path / "new.jsonl", [unwritable])
+        write_jsonl(tmp_path / "new.jsonl", Batch([unwritable]))
     assert snapshot(tmp_path) == before
 
 
@@ -322,13 +323,13 @@ def test_jsonl_file_round_trip(tmp_path):
         from_record(full_record()), from_record(full_record() | {"sample_id": "s2"})
     )
     path = tmp_path / "out.jsonl"
-    write_jsonl(path, [a, b], np.array([a_row, b_row]))
+    write_jsonl(path, Batch([a, b], np.array([a_row, b_row])))
     again = ingest(path)
     assert again.issues == []
-    assert again.samples == [a, b]
-    assert again.dims.tobytes() == np.array([a_row, b_row]).tobytes()
+    assert again.samples.samples == [a, b]
+    assert again.samples.dims.tobytes() == np.array([a_row, b_row]).tobytes()
     first = path.read_bytes()
-    write_jsonl(path, again.samples, again.dims)
+    write_jsonl(path, again.samples)
     assert path.read_bytes() == first
 
 
@@ -349,16 +350,17 @@ def test_score_all_dims_survive_scored_jsonl_bit_for_bit(tmp_path):
     weights = WeightConfig(
         "three", {DimensionId.STRUCTURE: 1, DimensionId.SEMANTIC: 1, DimensionId.ALIGNMENT: 1}
     )
-    dims, _ = score_all(samples, ScoringConfig(weights=weights, alignment_column="align"))
+    scored, _ = score_all(Batch(samples), ScoringConfig(weights=weights, alignment_column="align"))
+    dims = scored.dims
     assert dims[2, DIMENSION_COLUMN[DimensionId.ALIGNMENT]].hex() == "-0x0.0p+0"
-    emit_reports(tmp_path, scored_samples=(samples, dims))
+    emit_reports(tmp_path, scored_samples=scored)
     again = ingest(tmp_path / "scored.jsonl")
-    assert again.issues == [] and again.samples == samples
+    assert again.issues == [] and again.samples.samples == samples
 
     def cells(matrix):
         return [["nan" if v != v else float.hex(v) for v in row] for row in matrix.tolist()]
 
-    assert cells(again.dims) == cells(dims)
+    assert cells(again.samples.dims) == cells(dims)
     assert {v for row in cells(dims) for v in row} >= {"nan", "-0x0.0p+0"}
 
 
@@ -849,11 +851,11 @@ def report_inputs():
         pairs.append(
             scored_sample(i, task="qa" if i % 2 == 0 else "summarization", gt=g, dims=dims)
         )
-    samples, dims = batch(pairs)
-    report = audit(samples, dims)
-    calibration = calibrate(report, samples, dims, threshold=0.0)
-    report = with_composites(report, samples, dims, {"default": DEFAULT_WEIGHTS})
-    grid_rows = ablation_grid(samples, dims, VARIANTS)
+    scored = batch(pairs)
+    report = audit(scored)
+    calibration = calibrate(report, scored, threshold=0.0)
+    report = with_composites(report, scored, {"default": DEFAULT_WEIGHTS})
+    grid_rows = ablation_grid(scored, VARIANTS)
     cell = sim_config(
         config_id="none-r0-median",
         evaluators=tuple(EvaluatorProfile(evaluator_id=f"e{i}") for i in range(3)),
@@ -864,15 +866,15 @@ def report_inputs():
     )
     sim_result = run_single(cell)
     return {
-        "validation": validate_dataset(samples),
+        "validation": validate_dataset(scored.samples),
         "ingest_issues": [IngestIssue(line_no=4, message="bad json")],
-        "scored_samples": (samples, dims),
+        "scored_samples": scored,
         "normalization_stats": {DimensionId.SEMANTIC: (0.0, 1.0)},
         "audit_report": report,
         "ablation": grid_rows,
         "calibration": calibration,
         "sim_results": [(cell, sim_result)],
-        "dimension_means": dimension_means_by_producer(samples, dims),
+        "dimension_means": dimension_means_by_producer(scored),
     }
 
 
@@ -1136,7 +1138,7 @@ def test_jsonl_writer_matches_compact_json_dumps(tmp_path):
         | {"output": 'naïve 日本語 😀 q"\\/\n\t\x00\x1f\x7f', "gt": -0.0, "big": 2**70}
         | {"nested": {"ключ": [None, True, -(10**40), {"e": 5e-324}]}}
     )
-    write_jsonl(tmp_path / "data.jsonl", [sample], np.array([row]))
+    write_jsonl(tmp_path / "data.jsonl", Batch([sample], np.array([row])))
     written_line = (tmp_path / "data.jsonl").read_text(encoding="utf-8")
     assert written_line == dumps(to_record(sample, row)) + "\n"
     assert '"gt":-0.0' in written_line and "😀" in written_line

@@ -8,14 +8,16 @@ import math
 import pkgutil
 import random
 
+import numpy as np
 import pytest
 
 import mdqs
 
-from conftest import make_sample
+from conftest import dim_matrix, make_sample
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
+    Batch,
     DimensionId,
     DimensionVector,
     EvaluatorProfile,
@@ -267,3 +269,31 @@ def test_record_refuses_assignment_and_replace_checks_again():
         attack._replace(delta=-1.0)
     with pytest.raises(TypeError):
         attack._replace(x=1)
+
+
+# ---------------------------------------------------------------- batches
+
+
+def test_a_batch_derives_subsets_and_new_dims_from_its_checked_parts():
+    samples = [make_sample(sample_id=f"s{i}", evaluator_scores={"j": float(i)}) for i in range(3)]
+    batch = Batch(samples, dim_matrix([{"semantic": 0.5}] * 3))
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'dims'"):
+        batch.dims = None
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'dims'"):
+        del batch.dims
+    # a row subset keeps the evaluator ids and normalizes over its own rows
+    subset = batch.rows(np.array([True, False, True]))
+    assert [s.sample_id for s in subset.samples] == ["s0", "s2"] and subset.evaluator_ids == ["j"]
+    assert subset.dims[:, 3].tolist() == [0.5, 0.5]
+    assert subset.evaluator_scores[:, 0].tolist() == [0.0, 2.0]
+    assert subset.normalized_scores()[:, 0].tolist() == [0.0, 1.0]
+    # new dims are checked; the samples and the one normalized table are shared
+    table = batch.normalized_scores()
+    assert table[:, 0].tolist() == [0.0, 0.5, 1.0] and batch.normalized_scores() is table
+    scored = batch.with_dims(dim_matrix([{"structure": 1.0}] * 3))
+    assert scored.samples is batch.samples and scored.normalized_scores() is table
+    assert np.isnan(scored.dims[:, 3]).all() and batch.dims[:, 3].tolist() == [0.5] * 3
+    with pytest.raises(ValueError, match=r"^sample 's0': dimension model_prior has score 2\.0"):
+        batch.with_dims(np.full((3, 6), 2.0))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0

@@ -2,17 +2,19 @@
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 from typing import get_args
 
 import numpy as np
 import pytest
 
-from conftest import dim_matrix, sim_config
+from conftest import sim_config
 from mdqs.errors import MissingColumn, SchemaError, SimConfigError
 from mdqs.io import ingest
 from mdqs.model import (
     DEFAULT_WEIGHTS,
+    Batch,
     EvaluatorProfile,
     LoggedSample,
     SimError,
@@ -593,6 +595,15 @@ def test_attacker_count_truncates(n, ratio, expected):
         producers={"p": 0.5},
     )
     assert cfg.attacker_count() == expected
+    # floor of the ratio's decimal value times n, as Fraction gives it
+    rng = np.random.default_rng(n)
+    ratios = [1e-05, 1.5e-05, 0.0, -0.0, 1.0, 5e-324, 2.5e-300, 0.1, 0.3, ratio]
+    ratios += rng.random(100).tolist() + [round(r, 2) for r in rng.random(100).tolist()]
+    for size in (1, 3, n, 7919):
+        sized = cfg._replace(settings=cfg.settings._replace(evaluators=profiles(size)))
+        for r in ratios:
+            want = int(Fraction(repr(r)) * size)
+            assert sized._replace(attack_ratio=r).attacker_count() == want, (size, r)
 
 
 def test_resolve_behaviors_attack_takes_listed_order():
@@ -725,7 +736,7 @@ def test_synthetic_mode_needs_producers():
 # ---------------------------------------------------------------- replay
 
 def replay_dataset():
-    """(samples, dims) of four samples whose every dimension equals j."""
+    """A batch of four samples whose every dimension equals j."""
 
     def sample(sid, query, producer, j, ref):
         return LoggedSample(
@@ -744,7 +755,7 @@ def replay_dataset():
         sample("s2", "q2", "pa", 0.4, 0.2),
         sample("s3", "q2", "pb", 0.6, 0.8),
     ]
-    return samples, np.repeat([[s.evaluator_scores["j"]] for s in samples], 6, axis=1)
+    return Batch(samples, np.repeat([[s.evaluator_scores["j"]] for s in samples], 6, axis=1))
 
 
 def replay_config(**overrides):
@@ -762,7 +773,7 @@ def replay_config(**overrides):
 
 
 def test_replay_consensus_tracks_signal():
-    out = run_single(replay_config(), *replay_dataset())
+    out = run_single(replay_config(), replay_dataset())
     assert set(out.consensus_scores) == {"s0", "s1", "s2", "s3"}
     assert out.consensus_scores["s0"] == pytest.approx(0.0)
     assert out.consensus_scores["s1"] == pytest.approx(1.0)
@@ -771,14 +782,14 @@ def test_replay_consensus_tracks_signal():
 
 
 def test_replay_consensus_error_vs_normalized_reference():
-    out = run_single(replay_config(), *replay_dataset())
+    out = run_single(replay_config(), replay_dataset())
     # refs [.1, .9, .2, .8] normalize to [0, 1, .125, .875]; consensus hits
     # s0 and s1 exactly and misses s2/s3 by .275 on each of two visits
     assert out.consensus_error == pytest.approx((0.275 * 4) / 8, abs=1e-12)
 
 
 def test_replay_rounds_cycle_query_groups():
-    out = run_single(replay_config(rounds=3), *replay_dataset())
+    out = run_single(replay_config(rounds=3), replay_dataset())
     # q1, q2, then q1 again: 2 contests of q1 + 1 of q2
     assert math.fsum(out.rewards.values()) == pytest.approx(3.0, abs=1e-9)
     assert out.rewards["pb"] > out.rewards["pa"]
@@ -798,7 +809,7 @@ def test_replay_contest_pays_each_output_of_a_producer():
         for sid, producer, j in (("a", "m1", 0.9), ("b", "m1", 0.1), ("c", "m2", 0.5))
     ]
     out = run_single(
-        replay_config(evaluators=profiles(1), rounds=1), dataset, dim_matrix([None] * 3)
+        replay_config(evaluators=profiles(1), rounds=1), Batch(dataset)
     )
     assert out.consensus_scores == {"a": 1.0, "b": 0.0, "c": 0.5}
     # spreads over the minimum 0.0 are a 1.0, b 0.0, c 0.5 of a total 1.5
@@ -819,9 +830,9 @@ def test_replay_refuses_a_repeated_sample_id():
         for sid, producer, j in (("s1", "p1", 0.9), ("s1", "p2", 0.1), ("s2", "p3", 0.5))
     ]
     config = replay_config(evaluators=profiles(1), rounds=1)
-    for run in (run_single, lambda c, *data: run_experiment([c], *data)):
+    for run in (run_single, lambda c, batch: run_experiment([c], batch)):
         with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
-            run(config, dataset, dim_matrix([None] * 3))
+            run(config, Batch(dataset))
 
 
 def test_seed_outside_64_bits_is_rejected():
@@ -834,7 +845,7 @@ def test_seed_outside_64_bits_is_rejected():
 
 def test_replay_composite_signal():
     out = run_single(
-        replay_config(quality_signal=CompositeSignal("default")), *replay_dataset()
+        replay_config(quality_signal=CompositeSignal("default")), replay_dataset()
     )
     # every dimension equals the j column, so the composite equals it too
     assert out.consensus_scores["s2"] == pytest.approx(0.4)
@@ -842,7 +853,7 @@ def test_replay_composite_signal():
 
 def test_replay_baseline_signal():
     out = run_single(
-        replay_config(quality_signal=ConsensusBaseline("mean")), *replay_dataset()
+        replay_config(quality_signal=ConsensusBaseline("mean")), replay_dataset()
     )
     # single evaluator column: its normalized value is the mean
     assert out.consensus_scores["s0"] == pytest.approx(0.0)
@@ -851,9 +862,9 @@ def test_replay_baseline_signal():
 
 def test_replay_missing_signal_rejected():
     with pytest.raises(SimConfigError):
-        run_single(replay_config(quality_signal=None), *replay_dataset())
+        run_single(replay_config(quality_signal=None), replay_dataset())
     with pytest.raises(SimConfigError):
-        run_single(replay_config(), [], dim_matrix([]))
+        run_single(replay_config(), Batch([]))
 
 
 @dataclass(frozen=True)
@@ -867,8 +878,8 @@ class FixedSignal:
     def label(self) -> str:
         return f"fixed:{self.value}"
 
-    def values(self, dataset, dims, base_weights):
-        return [self.value] * (len(dataset) + self.extra)
+    def values(self, batch, base_weights):
+        return [self.value] * (len(batch) + self.extra)
 
 
 def test_emit_rejects_out_of_range_quality():
@@ -876,30 +887,30 @@ def test_emit_rejects_out_of_range_quality():
     for value in (1.2, -0.1, float("nan"), np.float64(1.2)):
         config = replay_config(quality_signal=FixedSignal(value))
         with pytest.raises(ValueError, match=r"quality of 's0' must be in \[0, 1\]") as error:
-            run_single(config, *replay_dataset())
+            run_single(config, replay_dataset())
         # named as a Python float, not as np.float64(1.2)
         assert str(error.value).endswith(f"got {float(value)!r}")
         # not a per-cell failure: the error leaves the whole grid
         with pytest.raises(ValueError, match="must be in"):
-            run_experiment([config], *replay_dataset())
+            run_experiment([config], replay_dataset())
 
 
 def test_replay_rejects_a_signal_with_one_value_too_few_or_too_many():
-    n = len(replay_dataset()[0])
+    n = len(replay_dataset())
     for extra in (-1, 1):
         config = replay_config(quality_signal=FixedSignal(0.5, extra))
         message = rf"^fixed:0.5: values gave {n + extra} entries for {n} samples$"
         with pytest.raises(ValueError, match=message):
-            run_single(config, *replay_dataset())
+            run_single(config, replay_dataset())
         with pytest.raises(ValueError, match=message):
-            run_experiment([config], *replay_dataset())
+            run_experiment([config], replay_dataset())
 
 
 def test_replay_unknown_variant_rejected():
     with pytest.raises(SimConfigError):
         run_single(
             replay_config(quality_signal=CompositeSignal("mystery")),
-            *replay_dataset(),
+            replay_dataset(),
         )
 
 
@@ -938,19 +949,19 @@ def test_run_experiment_records_failures_and_continues():
             config_id="judge-adaptive", defense=AdaptiveTrust(), honest_noise_sd=0.05
         ),
     ]
-    results = run_experiment(grid, *replay_dataset())
+    results = run_experiment(grid, replay_dataset())
     assert [r.config_id for r in results] == [c.config_id for c in grid]
     for config, result in zip(grid, results):
         if config.quality_signal == missing:
             with pytest.raises(MissingColumn) as alone:
-                run_single(config, *replay_dataset())
+                run_single(config, replay_dataset())
             assert isinstance(result, SimError)
             assert result.error_type == "MissingColumn"
             assert result.message == str(alone.value)
             assert "missing" in result.message
         else:
             assert isinstance(result, SimOutcome)
-            assert result == run_single(config, *replay_dataset())
+            assert result == run_single(config, replay_dataset())
 
 
 def test_trust_floor_error_wins_over_a_signal_or_producer_error():
@@ -959,9 +970,9 @@ def test_trust_floor_error_wins_over_a_signal_or_producer_error():
     floor = dict(config_id="c", evaluators=profiles(4), defense=AdaptiveTrust(floor=0.5))
     for grid, data in (
         ([replay_config(quality_signal=SingleEvaluator("missing"), **floor)], replay_dataset()),
-        ([synth_config(producers=None, **floor)], (None, None)),
+        ([synth_config(producers=None, **floor)], None),
     ):
-        [result] = run_experiment(grid, *data)
+        [result] = run_experiment(grid, data)
         assert isinstance(result, SimError)
         assert result.error_type == "SimConfigError"
         assert result.message == "c: trust floor 0.5 exceeds 1/4"
@@ -991,7 +1002,7 @@ def test_run_experiment_computes_each_signal_once(monkeypatch):
         replay_config(config_id=f"b{i}", quality_signal=ConsensusBaseline("median"))
         for i in range(2)
     ]
-    results = run_experiment(composite + baseline, *replay_dataset())
+    results = run_experiment(composite + baseline, replay_dataset())
     assert all(isinstance(r, SimOutcome) for r in results)
     assert calls == {"compose_batch": 1, "consensus_baselines": 1}
 
@@ -1007,9 +1018,10 @@ def test_iter_experiment_refuses_a_grid_at_the_call_and_runs_one_cell_per_step(m
     # no cell is asked for, yet the grid is refused
     with pytest.raises(SimConfigError, match="duplicate config_id"):
         iter_experiment([synth_config(), synth_config()])
-    samples, dims = replay_dataset()
+    samples, dims = replay_dataset().samples, replay_dataset().dims
     with pytest.raises(SchemaError, match="duplicate sample_id"):
-        iter_experiment([replay_config()], samples + samples[:1], np.vstack([dims, dims[:1]]))
+        repeated = Batch(samples + samples[:1], np.vstack([dims, dims[:1]]))
+        iter_experiment([replay_config()], repeated)
     ran = []
 
     def run_cell(config, replay):
@@ -1031,11 +1043,11 @@ def test_cells_that_differ_only_in_config_id_report_the_same(defense):
         defense=defense, attack=RandomNoise(), attack_ratio=0.4, honest_noise_sd=0.05, rounds=30
     )
     for config, data in (
-        (synth_config(config_id="a", **fields), (None, None)),
+        (synth_config(config_id="a", **fields), None),
         (replay_config(config_id="a", evaluators=profiles(5), **fields), replay_dataset()),
     ):
-        a = run_single(config, *data)
-        b = run_single(config._replace(config_id="b"), *data)
+        a = run_single(config, data)
+        b = run_single(config._replace(config_id="b"), data)
         assert b.config_id == "b"
         assert replace(b, config_id="a") == a
         assert a.attacker_ids and a.consensus_scores  # random_noise drew, and rounds scored
@@ -1156,12 +1168,12 @@ def _ref_run_cell(config, replay):
                 yield f"r{round_index:04d}:{producer}", producer, quality, quality
 
     else:
-        if not replay.samples:
+        if not replay.batch.samples:
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
-        samples = replay.samples
-        values = config.quality_signal.values(samples, replay.dims, replay.base_weights)
+        samples = replay.batch.samples
+        values = config.quality_signal.values(replay.batch, replay.base_weights)
         signal_values = {s.sample_id: q for s, q in zip(samples, values)}
         referenced = [s for s in samples if s.reference_score is not None]
         normalized_refs = normalize_batch([s.reference_score for s in referenced])
@@ -1294,23 +1306,26 @@ def _oracle_cell(rng, index):
 
 
 def _interleaved(samples, dims):
-    """The first 30 samples, whose queries come in pairs, and their dims,
+    """The first 30 samples, whose queries come in pairs, with their dims,
     reordered so the queries interleave (q0, q1, q0, q2, q1, q2, ...): the
     groups' order is not the dataset's. Two samples in three carry a
     reference score."""
     order = [i + k for i in range(0, 30, 6) for k in (0, 2, 1, 4, 3, 5)]
-    return [
+    return Batch([
         samples[i]._replace(reference_score=None if n % 3 == 0 else float(n % 7))
         for n, i in enumerate(order)
-    ], dims[order]
+    ], dims[order])
 
 
 def test_run_cell_matches_the_one_by_one_reference():
-    samples, dims, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
+    batch, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
+    samples, dims = batch.samples, batch.dims
     # 3, 10 and 100 query groups of two, so most round counts cycle past them
-    replays = [_Replay(samples[:size], dims[:size], DEFAULT_WEIGHTS) for size in (6, 20, 200)]
-    interleaved = _Replay(*_interleaved(samples, dims), DEFAULT_WEIGHTS)
-    assert [s.query for s in interleaved.samples[:6]] == [
+    replays = [
+        _Replay(Batch(samples[:size], dims[:size]), DEFAULT_WEIGHTS) for size in (6, 20, 200)
+    ]
+    interleaved = _Replay(_interleaved(samples, dims), DEFAULT_WEIGHTS)
+    assert [s.query for s in interleaved.batch.samples[:6]] == [
         samples[i].query for i in (0, 2, 0, 4, 2, 4)
     ]
     rng = np.random.default_rng(12)
@@ -1339,10 +1354,11 @@ def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
     # query groups of 4 and 5 samples, so most contests have three or more
     # nonzero spreads (the fsum path), over 1,025-1,100 rounds: past the
     # first block of rounds, and cycling through the 40 groups many times
-    samples, dims, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
+    batch, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
     queries = [f"wide-{g}" for g, size in enumerate([4, 5] * 20) for _ in range(size)]
     replay = _Replay(
-        [s._replace(query=q) for s, q in zip(samples, queries)], dims[:180], DEFAULT_WEIGHTS
+        Batch([s._replace(query=q) for s, q in zip(batch.samples, queries)], batch.dims[:180]),
+        DEFAULT_WEIGHTS,
     )
     assert sorted(set(replay.columns(ORACLE_SIGNALS[0]).sizes.tolist())) == [4, 5]
     rng = np.random.default_rng(5)
@@ -1386,11 +1402,10 @@ def test_collude_does_not_match_a_producer_id_with_a_trailing_nul():
     config = replay_config(
         evaluators=profiles(2), attack=Collude("m", 0.2), attack_ratio=1.0, rounds=2
     )
-    dims = dim_matrix([None] * 2)
-    replay = _Replay(dataset, dims, DEFAULT_WEIGHTS)
+    replay = _Replay(Batch(dataset), DEFAULT_WEIGHTS)
     expected = _fingerprint(lambda: _ref_run_cell(config, replay))
     assert _fingerprint(lambda: _run_cell(config, replay)) == expected
-    assert run_single(config, dataset, dims).consensus_scores["s1"] == 0.8
+    assert run_single(config, Batch(dataset)).consensus_scores["s1"] == 0.8
 
 
 def test_adaptive_replay_on_block_columns_matches_the_reference():
@@ -1398,8 +1413,8 @@ def test_adaptive_replay_on_block_columns_matches_the_reference():
     # cost 1 and three at cost 2, under a budget of 6, so the emitters
     # change from round to round as trust moves; every attack, with and
     # without honest noise
-    samples, dims, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
-    replay = _Replay(samples, dims, DEFAULT_WEIGHTS)
+    batch, _ = ingest(Path(__file__).parent / "fixtures" / "replay_200.jsonl")
+    replay = _Replay(batch, DEFAULT_WEIGHTS)
     evaluators = tuple(
         EvaluatorProfile(evaluator_id=f"e{i}", cost=1.0 if i < 5 else 2.0)
         for i in (3, 7, 0, 5, 1, 6, 4, 2)

@@ -18,7 +18,7 @@ from mdqs.errors import (
     SchemaError,
     TooFewEvaluators,
 )
-from mdqs.model import CANONICAL_DIMENSIONS, DIMENSION_COLUMN, DimensionId, WeightConfig
+from mdqs.model import CANONICAL_DIMENSIONS, DIMENSION_COLUMN, Batch, DimensionId, WeightConfig
 from mdqs.scoring import (
     PriorTable,
     ScoringConfig,
@@ -26,7 +26,6 @@ from mdqs.scoring import (
     column_value,
     consensus_baselines,
     normalize_batch,
-    normalize_evaluator_scores,
     score_agreement,
     score_all,
     score_semantic,
@@ -200,7 +199,7 @@ def test_column_provider_falls_back_to_extra():
 def _semantic_from_column(column, sample):
     """score_all over one sample, with semantic read from `column`."""
     weights = WeightConfig("semantic", {DimensionId.SEMANTIC: 1.0})
-    return score_all([sample], ScoringConfig(weights=weights, semantic_column=column))
+    return score_all(Batch([sample]), ScoringConfig(weights=weights, semantic_column=column))
 
 
 def test_column_provider_missing_or_non_numeric():
@@ -277,8 +276,8 @@ def test_reversed_frozen_stats_are_refused():
             score_all(_batch(), config)
     # an equal pair is a zero-width window, not a reversed one
     config = ScoringConfig(weights=semantic, frozen_stats={DimensionId.SEMANTIC: (0.4, 0.4)})
-    dims, _ = score_all(_batch(), config)
-    assert set(dims[:, DIMENSION_COLUMN[DimensionId.SEMANTIC]].tolist()) == {0.5}
+    scored, _ = score_all(_batch(), config)
+    assert set(scored.dims[:, DIMENSION_COLUMN[DimensionId.SEMANTIC]].tolist()) == {0.5}
 
 
 # normalize_batch, normalize_with_stats and PriorTable.normalized as they were
@@ -376,7 +375,8 @@ def test_normalize_evaluator_scores_per_column():
         make_sample(sample_id="s1", evaluator_scores={"j": 30.0, "k": 0.4}),
         make_sample(sample_id="s2", evaluator_scores={"j": 20.0, "k": 0.3}),
     ]
-    ids, table = normalize_evaluator_scores(samples)
+    batch = Batch(samples)
+    ids, table = batch.evaluator_ids, batch.normalized_scores()
     assert ids == ["j", "k"]
     assert table[:, 0].tolist() == [0.0, 1.0, 0.5]
     assert table[:, 1].tolist() == pytest.approx([0.0, 1.0, 0.5])
@@ -388,8 +388,11 @@ def test_normalize_evaluator_scores_partial_coverage():
         make_sample(sample_id="s1", evaluator_scores={"j": 3.0, "k": 5.0}),
         make_sample(sample_id="s2", evaluator_scores={"k": 9.0}),
     ]
-    ids, table = normalize_evaluator_scores(samples)
+    batch = Batch(samples)
+    ids, table = batch.evaluator_ids, batch.normalized_scores()
     assert ids == ["j", "k"]
+    raw = [[1.0, math.nan], [3.0, 5.0], [math.nan, 9.0]]
+    np.testing.assert_array_equal(batch.evaluator_scores, raw)
     # NaN where a sample has no score from that evaluator
     np.testing.assert_array_equal(table, [[0.0, math.nan], [1.0, 0.0], [math.nan, 1.0]])
 
@@ -403,11 +406,9 @@ def test_repeated_sample_id_is_refused():
         make_sample(sample_id="s1", evaluator_scores={"j": 1.0, "k": 0.0}),
     ]
     with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
-        normalize_evaluator_scores(samples)
-    agreement = ScoringConfig(weights=WeightConfig("a", {DimensionId.AGREEMENT: 1.0}))
-    with pytest.raises(SchemaError, match="duplicate sample_id 's1'"):
-        score_all(samples, agreement)
-    ids, table = normalize_evaluator_scores(samples[:2])
+        Batch(samples)  # so neither the normalized table nor score_all can see it
+    batch = Batch(samples[:2])
+    ids, table = batch.evaluator_ids, batch.normalized_scores()
     assert ids == ["j", "k"] and table[0].tolist() == [0.0, 0.0]  # s1's row
 
 
@@ -434,11 +435,11 @@ def _batch(n=6):
                 evaluator_scores={"judge": 0.1 * i + 0.2, "peer": 0.9 - 0.1 * i},
             )
         )
-    return samples
+    return Batch(samples)
 
 
 def test_score_all_full_pipeline():
-    dims, _ = score_all(_batch(), _full_config())
+    dims = score_all(_batch(), _full_config())[0].dims
     assert dims.shape == (6, len(CANONICAL_DIMENSIONS)) and dims.dtype == np.float64
     for row in dims.tolist():
         for v in row:  # a NaN, an absent score, fails too
@@ -446,7 +447,7 @@ def test_score_all_full_pipeline():
 
 
 def test_score_all_normalizes_each_dimension_over_batch():
-    dims, _ = score_all(_batch(), _full_config())
+    dims = score_all(_batch(), _full_config())[0].dims
     for d in CANONICAL_DIMENSIONS:
         col = dims[:, DIMENSION_COLUMN[d]].tolist()
         if max(col) != min(col):
@@ -455,22 +456,23 @@ def test_score_all_normalizes_each_dimension_over_batch():
 
 
 def test_score_all_idempotent():
-    samples = _batch()
-    once, _ = score_all(samples, _full_config())
-    twice, _ = score_all(samples, _full_config())
-    assert samples == _batch()  # the samples are left as they were
-    assert once.tolist() == twice.tolist()
+    batch = _batch()
+    once, _ = score_all(batch, _full_config())
+    twice, _ = score_all(batch, _full_config())
+    assert batch.samples == _batch().samples  # the samples are left as they were
+    assert np.isnan(batch.dims).all() and once.samples is batch.samples
+    assert once.dims.tolist() == twice.dims.tolist()
 
 
 def test_score_all_empty_batch():
-    dims, raw_ranges = score_all([], _full_config())
-    assert dims.shape == (0, len(CANONICAL_DIMENSIONS)) and raw_ranges == {}
+    scored, raw_ranges = score_all(Batch([]), _full_config())
+    assert scored.dims.shape == (0, len(CANONICAL_DIMENSIONS)) and raw_ranges == {}
 
 
 def test_score_all_frozen_stats_round_trip():
     scored, stats = score_all(_batch(), _full_config())
     frozen, _ = score_all(_batch(), _full_config(frozen_stats=stats))
-    for a, b in zip(scored.tolist(), frozen.tolist()):
+    for a, b in zip(scored.dims.tolist(), frozen.dims.tolist()):
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -484,15 +486,15 @@ def test_score_all_frozen_stats_clip_new_data():
         reference_text="word0 word1",
         evaluator_scores={"judge": 50.0, "peer": -10.0},
     )
-    dims, _ = score_all(_batch() + [outlier], _full_config(frozen_stats=stats))
-    for v in dims[-1].tolist():
+    scored, _ = score_all(Batch([*_batch().samples, outlier]), _full_config(frozen_stats=stats))
+    for v in scored.dims[-1].tolist():
         assert 0.0 <= v <= 1.0
 
 
 def test_score_all_inactive_dimensions_skipped():
     cfg = ScoringConfig(weights=WeightConfig("structure_only", {DimensionId.STRUCTURE: 1.0}))
-    dims, raw_ranges = score_all(_batch(), cfg)
-    for row in dims.tolist():
+    scored, raw_ranges = score_all(_batch(), cfg)
+    for row in scored.dims.tolist():
         assert {d for d, v in zip(CANONICAL_DIMENSIONS, row) if v == v} == {DimensionId.STRUCTURE}
     assert raw_ranges.keys() == {DimensionId.STRUCTURE}
 
@@ -511,7 +513,7 @@ def test_score_all_refuses_missing_inputs_before_any_column(monkeypatch):
     good = make_sample(
         sample_id="ok", reference_text="ref", evaluator_scores={"judge": 0.5, "other": 0.1}
     )
-    assert len(score_all([good], _full_config())[0]) == 1
+    assert len(score_all(Batch([good]), _full_config())[0]) == 1
 
     def unreached(sample):
         raise AssertionError("a column was built before every sample was checked")
@@ -519,13 +521,13 @@ def test_score_all_refuses_missing_inputs_before_any_column(monkeypatch):
     monkeypatch.setattr(mdqs.scoring, "score_semantic", unreached)
     one_score = make_sample(sample_id="bad3", reference_text="ref", evaluator_scores={"judge": 0.5})
     with pytest.raises(TooFewEvaluators):
-        score_all([good, one_score], _full_config())
+        score_all(Batch([good, one_score]), _full_config())
     no_ref = make_sample(sample_id="bad", evaluator_scores={"judge": 0.5})
     with pytest.raises(MissingReferenceText):
-        score_all([good, no_ref], _full_config())
+        score_all(Batch([good, no_ref]), _full_config())
     no_col = make_sample(sample_id="bad2", reference_text="ref")
     with pytest.raises(MissingColumn):
-        score_all([good, no_col], _full_config())
+        score_all(Batch([good, no_col]), _full_config())
 
 
 def test_score_all_reports_raw_extremes():
@@ -698,9 +700,9 @@ def test_consensus_median_matches_statistics_median(seed):
         )
         for i in range(60)
     ]
-    _, table = normalize_evaluator_scores(samples)
-    rows = [[v for v in row if v == v] for row in table.tolist()]
+    batch = Batch(samples)
+    rows = [[v for v in row if v == v] for row in batch.normalized_scores().tolist()]
     assert {len(row) % 2 for row in rows} == {0, 1}
     assert any(len(set(row)) < len(row) for row in rows if len(row) % 2 == 0)
     want = [statistics.median(row).hex() for row in rows]
-    assert [v.hex() for v in consensus_baselines(samples)["median"]] == want
+    assert [v.hex() for v in consensus_baselines(batch)["median"]] == want

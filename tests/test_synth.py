@@ -39,19 +39,20 @@ def refs(samples):
 
 
 def test_generation_is_deterministic():
-    (a, a_dims), (b, b_dims) = generate_synthetic(spec()), generate_synthetic(spec())
-    assert a == b
-    assert a_dims.tobytes() == b_dims.tobytes()
+    a, b = generate_synthetic(spec()), generate_synthetic(spec())
+    assert a.samples == b.samples
+    assert a.dims.tobytes() == b.dims.tobytes()
 
 
 def test_seed_changes_data():
-    a, _ = generate_synthetic(spec())
-    b, _ = generate_synthetic(spec(rng_seed=8))
+    a = generate_synthetic(spec()).samples
+    b = generate_synthetic(spec(rng_seed=8)).samples
     assert refs(a) != refs(b)
 
 
 def test_sample_shape():
-    samples, dims = generate_synthetic(spec(n=50))
+    batch = generate_synthetic(spec(n=50))
+    samples, dims = batch.samples, batch.dims
     assert len(samples) == 50 and dims.shape == (50, len(CANONICAL_DIMENSIONS))
     assert [s.sample_id for s in samples] == [f"s{i:05d}" for i in range(50)]
     for s in samples:
@@ -66,7 +67,7 @@ def test_sample_shape():
 
 
 def test_validates_clean():
-    report = validate_dataset(generate_synthetic(spec(n=100))[0])
+    report = validate_dataset(generate_synthetic(spec(n=100)).samples)
     assert report.ok
 
 
@@ -78,14 +79,16 @@ def test_perfect_correlation_is_exact():
         qa_fraction=1.0,
         n=200,
     )
-    samples, dims = generate_synthetic(s)
+    batch = generate_synthetic(s)
+    samples, dims = batch.samples, batch.dims
     # rho 1 makes the column an affine copy of the latent; ranks coincide
     assert spearman(column(dims, DimensionId.SEMANTIC), refs(samples)) == 1.0
     assert spearman(column(dims, DimensionId.STRUCTURE), refs(samples)) == -1.0
 
 
 def test_planted_correlations_recovered_loosely():
-    samples, dims = generate_synthetic(spec(n=2000))
+    batch = generate_synthetic(spec(n=2000))
+    samples, dims = batch.samples, batch.dims
     is_qa = np.array([s.task == "qa" for s in samples])
     qa = [s for s in samples if s.task == "qa"]
     summ = [s for s in samples if s.task == "summarization"]
@@ -98,10 +101,10 @@ def test_planted_correlations_recovered_loosely():
 
 
 def test_task_split_follows_fraction():
-    samples, _ = generate_synthetic(spec(n=1000, qa_fraction=0.6))
+    samples = generate_synthetic(spec(n=1000, qa_fraction=0.6)).samples
     n_qa = sum(1 for s in samples if s.task == "qa")
     assert n_qa == 600
-    samples, _ = generate_synthetic(spec(n=100, qa_fraction=1.0))
+    samples = generate_synthetic(spec(n=100, qa_fraction=1.0)).samples
     assert all(s.task == "qa" for s in samples)
 
 
@@ -111,7 +114,7 @@ def test_groups_share_query_and_cycle_producers():
         producers=("m1", "m2", "m3"),
         producers_per_query=3,
     )
-    samples, _ = generate_synthetic(s)
+    samples = generate_synthetic(s).samples
     for i in range(0, 12, 3):
         group = samples[i : i + 3]
         assert len({g.query for g in group}) == 1
@@ -120,7 +123,7 @@ def test_groups_share_query_and_cycle_producers():
 
 
 def test_reference_score_is_rank_uniform():
-    samples, _ = generate_synthetic(spec(n=101))
+    samples = generate_synthetic(spec(n=101)).samples
     values = sorted(refs(samples))
     assert values[0] == 0.0
     assert values[-1] == 1.0
@@ -129,7 +132,7 @@ def test_reference_score_is_rank_uniform():
 
 
 def test_low_quality_outputs_degrade():
-    samples, _ = generate_synthetic(spec(n=300))
+    samples = generate_synthetic(spec(n=300)).samples
     low = [s for s in samples if s.reference_score < 0.1]
     high = [s for s in samples if s.reference_score > 0.9]
     assert low and high
@@ -140,7 +143,7 @@ def test_low_quality_outputs_degrade():
 
 
 def test_reference_text_drifts_with_quality():
-    samples, _ = generate_synthetic(spec(n=300))
+    samples = generate_synthetic(spec(n=300)).samples
 
     def overlap(s):
         a = set(s.output.split())
@@ -157,7 +160,7 @@ def test_evaluator_noise_orders_reliability():
         n=1500,
         evaluator_noise={"sharp": 0.1, "fuzzy": 2.0},
     )
-    samples, _ = generate_synthetic(s)
+    samples = generate_synthetic(s).samples
     sharp = spearman([x.evaluator_scores["sharp"] for x in samples], refs(samples))
     fuzzy = spearman([x.evaluator_scores["fuzzy"] for x in samples], refs(samples))
     assert sharp > 0.9
@@ -196,13 +199,13 @@ def test_default_tables_cover_both_tasks():
         "lexical_overlap",
         "judge_heldout",
     }
-    samples, _ = generate_synthetic(
+    samples = generate_synthetic(
         SyntheticSpec(
             n=60,
             correlations=DEFAULT_CORRELATIONS,
             evaluator_noise=DEFAULT_EVALUATOR_NOISE,
         )
-    )
+    ).samples
     assert validate_dataset(samples).ok
 
 
