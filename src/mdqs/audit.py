@@ -74,17 +74,15 @@ def _correlation_row(kind: str, name: str, xs: np.ndarray, ys: np.ndarray) -> Co
 def _referenced(
     batch: Batch, what: str | None = None
 ) -> tuple[np.ndarray, Batch, np.ndarray, np.ndarray]:
-    """Which samples carry a reference score, their rows of the batch, and
-    their reference scores and task labels. Given `what`, fewer than two
-    such samples is TooFewReferencedSamples naming it."""
-    keep = np.array([s.reference_score is not None for s in batch.samples], dtype=bool)
-    referenced = batch.rows(keep)
+    """batch.referenced(): which samples carry a reference score, their rows
+    of the batch, and their reference scores and task labels. Given `what`,
+    fewer than two such samples is TooFewReferencedSamples naming it."""
+    keep, referenced, ys, labels = batch.referenced()
     if what is not None and len(referenced) < 2:
         raise TooFewReferencedSamples(
             f"{what} needs >= 2 samples with a reference score, got {len(referenced)}"
         )
-    ys = np.array([s.reference_score for s in referenced.samples], dtype=np.float64)
-    return keep, referenced, ys, np.array([s.task for s in referenced.samples], dtype=object)
+    return keep, referenced, ys, labels
 
 
 def _block_rows(
@@ -281,8 +279,8 @@ def calibrate_per_task(
     _, referenced, _, labels = _referenced(batch)
     out: dict[str, CalibrationResult] = {}
     for label in dict.fromkeys(labels.tolist()):
-        what = f"task {label!r}: calibration"
-        _, subset, _, _ = _referenced(referenced.rows(labels == label), what)
+        subset = referenced.rows(labels == label)  # every row referenced
+        _referenced(subset, f"task {label!r}: calibration")  # refuses fewer than two
         block = report.by_task[label]
         task_report = AuditReport(block, {label: block}, len(subset))
         out[label] = calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)

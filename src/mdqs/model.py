@@ -270,10 +270,14 @@ class Batch:
     The constructor refuses a repeated sample_id with a SchemaError naming
     it (a map keyed by sample_id would merge those samples) and dims that
     _checked_dims refuses. rows() and with_dims() derive batches from a
-    checked one, so neither checks what it did not change.
+    checked one, so neither checks what it did not change. What every stage
+    reads of a batch, normalized_scores() and referenced(), is built once,
+    on first use.
     """
 
-    __slots__ = ("samples", "dims", "evaluator_ids", "evaluator_scores", "_normalized")
+    __slots__ = (
+        "samples", "dims", "evaluator_ids", "evaluator_scores", "_normalized", "_referenced"
+    )
 
     def __init__(self, samples: Iterable[LoggedSample], dims=None):
         samples = list(samples)
@@ -285,7 +289,7 @@ class Batch:
         ids = sorted({e for s in samples for e in s.evaluator_scores})
         rows = [[s.evaluator_scores.get(e, math.nan) for e in ids] for s in samples]
         table = np.array(rows, dtype=np.float64).reshape(len(samples), len(ids))
-        self._fill(samples, _checked_dims(samples, dims), ids, table, [])
+        self._fill(samples, _checked_dims(samples, dims), ids, table, [], [])
 
     def _fill(self, *values) -> Batch:
         for name, value in zip(self.__slots__, values):
@@ -297,14 +301,14 @@ class Batch:
         their rows of dims and of the evaluator table."""
         samples = [s for s, kept in zip(self.samples, keep.tolist()) if kept]
         ids, table = self.evaluator_ids, self.evaluator_scores[keep]
-        return Batch.__new__(Batch)._fill(samples, self.dims[keep], ids, table, [])
+        return Batch.__new__(Batch)._fill(samples, self.dims[keep], ids, table, [], [])
 
     def with_dims(self, dims) -> Batch:
         """These samples with new dims, checked as the constructor checks
         them; the evaluator table and its normalized form are shared."""
         dims = _checked_dims(self.samples, dims)
         ids, table = self.evaluator_ids, self.evaluator_scores
-        return Batch.__new__(Batch)._fill(self.samples, dims, ids, table, self._normalized)
+        return Batch.__new__(Batch)._fill(self.samples, dims, ids, table, self._normalized, [])
 
     def normalized_scores(self) -> np.ndarray:
         """The evaluator table with each column min-max normalized over the
@@ -320,6 +324,15 @@ class Batch:
             self._normalized.append(table)
         return self._normalized[0]
 
+    def referenced(self) -> tuple[np.ndarray, Batch, np.ndarray, np.ndarray]:
+        """Which samples carry a reference score, as a boolean mask, their
+        rows of this batch, and their reference scores (float64) and task
+        labels (object). Built on first use, read-only, for every audit
+        stage that reads this batch."""
+        if not self._referenced:  # not shared: with_dims batches have other rows
+            self._referenced.append(_referenced_rows(self))
+        return self._referenced[0]
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -328,6 +341,17 @@ class Batch:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _referenced_rows(batch: Batch) -> tuple[np.ndarray, Batch, np.ndarray, np.ndarray]:
+    """Batch.referenced's answer, from one pass over the samples."""
+    keep = np.array([s.reference_score is not None for s in batch.samples], dtype=bool)
+    rows = batch.rows(keep)
+    ys = np.array([s.reference_score for s in rows.samples], dtype=np.float64)
+    labels = np.array([s.task for s in rows.samples], dtype=object)
+    for array in (keep, ys, labels):
+        array.flags.writeable = False
+    return keep, rows, ys, labels
 
 
 class EvaluatorProfile(Record):

@@ -1155,6 +1155,28 @@ def test_report_checks_its_batch_once(tmp_path, monkeypatch):
     assert len(tables) == 2 and tables[1] is tables[0]
 
 
+def test_report_derives_the_referenced_rows_once_per_batch(tmp_path, monkeypatch):
+    """The audit, calibrate, per-task calibrate, composite and ablation stages
+    all read the referenced rows of one batch; they are derived once for it,
+    and once for each task's subset that calibrate_per_task makes."""
+    walked = []
+    derive = mdqs.model._referenced_rows
+
+    def counted(batch):
+        walked.append(len(batch))
+        return derive(batch)
+
+    monkeypatch.setattr(mdqs.model, "_referenced_rows", counted)
+    argv = [
+        "report",
+        "--config", _per_task_replay_config(tmp_path),
+        "--input", f"{FIXTURES}/replay_200.jsonl",
+        "--out", str(tmp_path / "r"),
+    ]
+    assert main(argv) == 0
+    assert walked == [200, 100, 100]  # the batch, then the qa and summarization subsets
+
+
 def test_report_flattens_a_comma_in_a_label(tmp_path):
     raw = Path(FIXTURES, "replay_200.jsonl").read_text(encoding="utf-8")
     data = tmp_path / "data.jsonl"

@@ -515,10 +515,10 @@ def test_score_all_refuses_missing_inputs_before_any_column(monkeypatch):
     )
     assert len(score_all(Batch([good]), _full_config())[0]) == 1
 
-    def unreached(sample):
+    def unreached(samples):
         raise AssertionError("a column was built before every sample was checked")
 
-    monkeypatch.setattr(mdqs.scoring, "score_semantic", unreached)
+    monkeypatch.setattr(mdqs.scoring, "_semantic_block", unreached)
     one_score = make_sample(sample_id="bad3", reference_text="ref", evaluator_scores={"judge": 0.5})
     with pytest.raises(TooFewEvaluators):
         score_all(Batch([good, one_score]), _full_config())
@@ -543,7 +543,8 @@ def test_score_all_reports_raw_extremes():
 
 # ------------------------------------------- reference text scorers
 # _trigram_counts, score_semantic, _ngrams and structure_features as they
-# were before the code-point arrays, kept verbatim as the oracle the array
+# were before the code-point arrays, and score_structure as it was before
+# the shared n-gram count, kept verbatim as the oracle the array and block
 # forms must match.
 
 
@@ -592,6 +593,21 @@ def _ref_structure_features(text: str, policy: StructurePolicy | None = None):
         format_violations=mdqs.scoring._format_violations(text),
         degeneration=degeneration,
     )
+
+
+def _ref_score_structure(text: str, policy: StructurePolicy | None = None) -> float:
+    policy = policy or StructurePolicy()
+    feats = _ref_structure_features(text, policy)
+    if feats.length_tokens == 0:
+        return 0.0
+    out_of_band = not (policy.min_tokens <= feats.length_tokens <= policy.max_tokens)
+    penalty = (
+        policy.length_weight * (1.0 if out_of_band else 0.0)
+        + policy.repetition_weight * feats.repetition_ratio
+        + policy.format_weight * min(feats.format_violations, 3) / 3.0
+        + policy.degeneration_weight * (1.0 if feats.degeneration else 0.0)
+    )
+    return max(0.0, 1.0 - penalty)
 
 
 # 'İ' lowers to two code points, 'ß' stays one; U+0301 is a combining mark,
@@ -646,18 +662,104 @@ def test_semantic_matches_the_counter_reference():
     assert min(scores[0.0], scores[1.0], scores["between"]) >= 100, scores
 
 
+def _expected_semantic(output: str, reference: str) -> float:
+    """The Counter reference under the short-text rule: two texts without a
+    trigram score 1.0 only when their normalized forms are equal."""
+    a, b = _normalized(output), _normalized(reference)
+    if max(len(a), len(b)) < 3 and a != b:
+        return 0.0
+    return _ref_score_semantic(make_sample(sample_id="s0", output=output, reference_text=reference))
+
+
+def _decoded_keys(texts: list[str]) -> list[Counter]:
+    """The trigram Counter of each text, decoded from the block's keys: a
+    rank is the position of its code point among the block's distinct ones."""
+    keys, a = mdqs.scoring._trigram_keys(texts)
+    assert keys.tolist() == sorted(keys.tolist())
+    points = sorted(set("".join(texts)))
+    assert a == len(points)
+    counts = [Counter() for _ in texts]
+    for key in keys.tolist():
+        sample, gram = divmod(key >> 1, a**3)
+        trigram = "".join(points[gram // a**k % a] for k in (2, 1, 0))
+        counts[2 * sample + (key & 1)][trigram] += 1
+    return counts
+
+
 def test_trigram_codes_count_the_counter_trigrams():
     rng = random.Random(14)
-    K = mdqs.scoring._CODE_POINTS
     texts = [text for pair in EDGE_PAIRS for text in pair]
-    for text in texts + [_random_text(rng) for _ in range(500)]:
-        grams, counts = mdqs.scoring._trigram_counts(text)
-        decoded = {
-            chr(g // (K * K)) + chr(g // K % K) + chr(g % K): int(c)
-            for g, c in zip(grams.tolist(), counts)
-        }
-        assert decoded == _ref_trigram_counts(text)
-        assert list(grams) == sorted(set(grams.tolist()))
+    texts += [_random_text(rng) for _ in range(500)]
+    # a block of few distinct code points, and the same block with U+10FFFF
+    words = ["".join(rng.choice("abcdefgh ") for _ in range(rng.randrange(40))) for _ in range(32)]
+    blocks = [texts[i : i + 32] for i in range(0, len(texts), 32)]
+    blocks += [words, words + ["\U0010FFFF"] * 2]
+    for block in blocks:
+        block = [_normalized(text) for text in block[: len(block) // 2 * 2]]
+        assert _decoded_keys(block) == [_ref_trigram_counts(text) for text in block]
+
+
+def _column_pairs() -> list[tuple[str, str]]:
+    """The counter-reference pairs, with a short or empty pair at each end
+    of every block."""
+    rng = random.Random(13)
+    pairs = [*EDGE_PAIRS, *SHORT_TEXT_CHANGES]
+    pairs += [(_random_text(rng), _random_text(rng)) for _ in range(3200)]
+    pairs += [(text, text[::-1]) for text, _ in pairs[-200:]]
+    short = [*SHORT_TEXT_CHANGES, ("", ""), ("a", "a"), ("", " ")]
+    block, out = mdqs.scoring._BLOCK, []
+    for i in range(0, len(pairs), block - 2):
+        out += [short[i % len(short)], *pairs[i : i + block - 2], short[(i + 1) % len(short)]]
+    return out
+
+
+def test_semantic_column_matches_the_counter_reference():
+    pairs = _column_pairs()
+    block = mdqs.scoring._BLOCK
+    short = [max(len(_normalized(text)) for text in pair) < 3 for pair in pairs]
+    assert all(short[::block]) and all(short[block - 1 :: block]) and short[-1]
+    batch = Batch(
+        make_sample(sample_id=f"s{i}", output=output, reference_text=reference)
+        for i, (output, reference) in enumerate(pairs)
+    )
+    config = ScoringConfig(weights=WeightConfig("semantic", {DimensionId.SEMANTIC: 1.0}))
+    column = mdqs.scoring._raw_column(DimensionId.SEMANTIC, batch, config)
+    want = [_expected_semantic(output, reference) for output, reference in pairs]
+    assert [v.hex() for v in column] == [v.hex() for v in want]
+    # one sample at a time is the same block pass
+    assert [score_semantic(s).hex() for s in batch.samples[:300]] == [v.hex() for v in want[:300]]
+    _, raw_ranges = score_all(batch, config)
+    assert raw_ranges == {DimensionId.SEMANTIC: (min(want), max(want))}
+
+
+def test_semantic_block_past_int64_keys_is_split(monkeypatch):
+    # 16 samples over 720,000 distinct astral code points: 2 * 16 * A**3
+    # passes 2**63, 2 * 8 * A**3 does not
+    rng = random.Random(16)
+    block = mdqs.scoring._BLOCK
+    size = 720_000 // block
+    samples = []
+    for i in range(block):
+        chars = [chr(0x20000 + i * size + k) for k in range(size)]
+        rng.shuffle(chars)
+        output = "".join(chars)
+        reference = output[: size // 2] + output[size // 3 :: 7] + "".join(rng.sample(chars, 50))
+        samples.append(make_sample(sample_id=f"s{i}", output=output, reference_text=reference))
+    texts = [_normalized(t) for s in samples for t in (s.output, s.reference_text)]
+    assert mdqs.scoring._trigram_keys(texts) is None
+    sizes = []
+    whole = mdqs.scoring._semantic_block
+
+    def counted(part):
+        sizes.append(len(part))
+        return whole(part)
+
+    monkeypatch.setattr(mdqs.scoring, "_semantic_block", counted)
+    column = mdqs.scoring._raw_column(DimensionId.SEMANTIC, Batch(samples), ScoringConfig())
+    assert sizes == [block, block // 2, block // 2]
+    want = [_ref_score_semantic(s) for s in samples]
+    assert [v.hex() for v in column] == [v.hex() for v in want]
+    assert 0.0 < min(want) and max(want) < 1.0
 
 
 def test_structure_features_match_the_reference():
@@ -676,12 +778,46 @@ def test_structure_features_match_the_reference():
         new, old = structure_features(text, policy), _ref_structure_features(text, policy)
         assert new == old
         assert new.repetition_ratio.hex() == old.repetition_ratio.hex()
-        for n in range(1, 7):
-            assert mdqs.scoring._ngrams(tokens, n) == _ref_ngrams(tokens, n)
         seen.add((count, policy.repetition_ngram, new.degeneration))
     assert {c for c, _, _ in seen} == set(range(9))
     assert {n for _, n, _ in seen} == set(range(1, 7))
     assert {d for _, _, d in seen} == {True, False}
+
+
+def test_structure_score_matches_the_reference():
+    """score_structure against the record-building oracle, by float.hex, on
+    policies where the repetition count bounds degeneration
+    (degeneration_ngram >= repetition_ngram) and where it cannot."""
+    rng = random.Random(17)
+    words = ("a", "b", "c", "(", ")", '"', "```", "ß", "\U0001F642")
+    seen = Counter()
+    for _ in range(4000):
+        tokens = [rng.choice(words[: rng.randrange(1, 5)]) for _ in range(rng.randrange(30))]
+        text = "".join(rng.choice((" ", "\t", "\n ")) + token for token in tokens)
+        policy = StructurePolicy(
+            min_tokens=rng.randrange(12),
+            max_tokens=rng.randrange(12, 30),
+            length_weight=rng.choice((0.0, 0.3, 1.0)),
+            repetition_weight=rng.choice((0.3, 0.7)),
+            format_weight=rng.choice((0.2, 0.45)),
+            degeneration_weight=rng.choice((0.2, 0.9)),
+            repetition_ngram=rng.randrange(1, 6),
+            degeneration_ngram=rng.randrange(1, 6),
+            degeneration_min_count=rng.randrange(1, 6),
+        )
+        assert score_structure(text, policy).hex() == _ref_score_structure(text, policy).hex()
+        n, d = policy.repetition_ngram, policy.degeneration_ngram
+        grams = Counter(zip(*(tokens[i:] for i in range(n))))
+        bounded = d >= n and max(grams.values(), default=0) < policy.degeneration_min_count
+        seen[d >= n, bounded, _ref_structure_features(text, policy).degeneration] += 1
+        seen["min count 1"] += policy.degeneration_min_count == 1 and len(tokens) >= d
+    # the bound decides some results; where it does not apply or does not
+    # fire, degeneration is counted and both outcomes occur
+    assert seen[True, True, False] >= 100
+    assert min(seen[False, False, flag] for flag in (True, False)) >= 100, seen
+    assert min(seen[True, False, flag] for flag in (True, False)) >= 100, seen
+    assert seen["min count 1"] >= 100  # any n-gram degenerates; the bound never fires
+    assert score_structure("a b c d e f g h i j k") == _ref_score_structure("a b c d e f g h i j k")
 
 
 @pytest.mark.parametrize("seed", range(4))
