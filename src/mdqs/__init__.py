@@ -22,9 +22,8 @@ _EXPORTS = {
     ),
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
-        "Batch", "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
-        "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome",
-        "ValidationReport", "WeightConfig",
+        "Batch", "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "EvaluatorProfile",
+        "LoggedSample", "SimError", "SimOutcome", "ValidationReport", "WeightConfig",
     ),
     "mdqs.poq": (
         "AdaptiveTrust", "AttackStrategy", "Camouflage", "Collude", "CompositeSignal",

@@ -3,14 +3,16 @@
 The composite is a pure post-processing layer over dimension outputs, so
 re-weighting experiments (ablations, calibration) never re-run scorers.
 A batch's scores are one (n x 6) matrix, Batch.dims, and compose_rows is
-the one composite formula, applied to every row of it. VARIANTS is the one
-table of named weight variants; config keys, the --weights flag, the
-ablation grid and the composite quality signal all look names up in it
+the one composite formula, applied to every row of it; the single-sample
+compose builds that row from a {DimensionId: score} mapping. VARIANTS is
+the one table of named weight variants; config keys, the --weights flag,
+the ablation grid and the composite quality signal all look names up in it
 through variant().
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping
 
 import numpy as np
@@ -21,7 +23,6 @@ from mdqs.model import (
     DIMENSION_COLUMN,
     Batch,
     DimensionId,
-    DimensionVector,
     WeightConfig,
 )
 from mdqs.stats import fsum_rows
@@ -49,15 +50,24 @@ def refuse_absent(batch: Batch, column: np.ndarray, weights: WeightConfig):
         raise DimensionMismatch(present, weights.dimensions())
 
 
-def compose(scores: DimensionVector, weights: WeightConfig) -> float:
-    """Weighted sum clipped to [0, 1].
+def compose(scores: Mapping[DimensionId, float], weights: WeightConfig) -> float:
+    """Weighted sum of a {DimensionId: score} mapping, clipped to [0, 1].
 
-    The score and weight key sets must match exactly; a silent partial sum
-    would hide configuration drift.
+    ValueError for a key that is not a DimensionId or a score outside
+    [0, 1] (NaN and infinities included). The score and weight key sets
+    must match exactly; a silent partial sum would hide configuration
+    drift. The scores form one canonical row, NaN where absent, so the
+    result is compose_rows' to the bit.
     """
+    if not scores.keys() <= DIMENSION_COLUMN.keys():
+        raise ValueError(f"dimension keys must be DimensionIds, got {list(scores)!r}")
+    row = [float(scores.get(dim, math.nan)) for dim in CANONICAL_DIMENSIONS]
+    for dim, score in zip(CANONICAL_DIMENSIONS, row):
+        if dim in scores and not 0.0 <= score <= 1.0:
+            raise ValueError(f"dimension {dim.value} has score {score!r} outside [0, 1]")
     if scores.keys() != weights.dimensions():
         raise DimensionMismatch(scores.keys(), weights.dimensions())
-    return float(compose_rows(np.array([scores.row], dtype=np.float64), weights)[0])
+    return float(compose_rows(np.array([row]), weights)[0])
 
 
 def compose_batch(batch: Batch, weights: WeightConfig) -> list[float]:

@@ -3,8 +3,7 @@
 A LoggedSample is one producer output for one query, with its task label
 and whatever evaluator scores were logged alongside it. A Batch is the
 checked unit every batch stage takes: its samples, their dimension scores
-as one matrix and their evaluator scores as one table. A DimensionVector is
-one row of such a matrix, for the single-sample compose. WeightConfig
+as one matrix and their evaluator scores as one table. WeightConfig
 normalizes on construction and is the only way weights enter the composite.
 """
 
@@ -115,43 +114,6 @@ def task_label(task: str) -> str:
     if not isinstance(task, str) or not task.strip():
         raise ValueError(f"task must be a non-blank string, got {task!r}")
     return task.strip().lower()
-
-
-class DimensionVector(Record):
-    """Per-dimension scores as one row in canonical order, None where a
-    dimension is absent (None, not NaN, so equal vectors compare and hash
-    equal). Built from a {DimensionId: score} mapping in any order or from a
-    canonical row; either way each score is checked to lie in [0, 1].
-    """
-
-    row: tuple[float | None, ...]
-
-    def __post_init__(self):
-        row = self.row
-        if isinstance(row, Mapping):
-            if not row.keys() <= DIMENSION_COLUMN.keys():
-                raise ValueError(f"dimension keys must be DimensionIds, got {list(row)!r}")
-            row = [row.get(d) for d in CANONICAL_DIMENSIONS]
-        row = tuple([None if v is None else float(v) for v in row])
-        if len(row) != len(CANONICAL_DIMENSIONS) or row.count(None) == len(row):
-            raise ValueError(f"dimension row needs 6 entries, not all None; got {row!r}")
-        for dim, v in zip(CANONICAL_DIMENSIONS, row):
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"dimension {dim.value} has score {v!r} outside [0, 1]")
-        object.__setattr__(self, "row", row)
-
-    @property
-    def values(self) -> dict[DimensionId, float]:
-        return {d: v for d, v in zip(CANONICAL_DIMENSIONS, self.row) if v is not None}
-
-    def __getitem__(self, dim: DimensionId) -> float:
-        return self.values[dim]
-
-    def __contains__(self, dim: DimensionId) -> bool:
-        return dim in self.values
-
-    def keys(self) -> frozenset[DimensionId]:
-        return frozenset(self.values)
 
 
 class WeightConfig(Record):

@@ -15,11 +15,12 @@ Conventions that matter:
     are runs of n >= 1 tokens, and StructurePolicy refuses a size or a
     degeneration count below 1;
   - the semantic proxy counts character trigrams in one pass per block of
-    _BLOCK samples: the block's code points are ranked densely (A ranks),
+    samples holding at most _BLOCK_CODE_POINTS code points, or of one
+    longer sample: the block's code points are ranked densely (A ranks),
     each trigram becomes one int64 key with its sample and side, and one
     sort gives every count, so the cosine is taken on exact integer sums
     with no per-trigram string. Keys stay below 2 * m * A**3 for a block
-    of m samples; a block past 2**63 is halved, and 3 samples always fit.
+    of m samples, which the budget keeps below 2**63 by construction.
     score_semantic is the same pass over one sample. A text under three
     characters has no trigram and matches only an equal text;
   - structure counts each n-gram size once per text, and skips the
@@ -213,21 +214,32 @@ def score_structure(text: str, policy: StructurePolicy | None = None) -> float:
 # semantic and alignment
 
 
-# Samples per block of the semantic pass. A block's code points, keys and
-# sort stay in cache; one sort over the whole batch does not, and is slower
-# than scoring each sample on its own. On 1k synthetic samples 16 was the
-# fastest of 8 to 64.
-_BLOCK = 16
+# The code-point budget B of a block of the semantic pass. A sample costs
+# len(output) + len(reference_text) + 1; a block takes samples in order while
+# their costs fit, and a sample over the budget is a block of its own. So a
+# block of several samples keeps its code points, keys and sort in cache, and
+# an int64 array of one entry per code point at most about 64 KiB, below
+# glibc's 128 KiB mmap threshold, whatever the text lengths. One sort over the whole
+# batch is slower than scoring each sample on its own. On 1k synthetic
+# samples 8,192 was faster than 4,096 and 16,384.
+#
+# The budget also bounds the keys, which stay below 2 * m * A**3 for m
+# samples and A ranks (_trigram_keys). Lowercasing at most doubles a text
+# (only U+0130 lowercases to two code points, and none to more, as a test
+# over every code point pins) and collapsing whitespace never lengthens it,
+# so a block of m >= 2 samples has m <= B and A <= 2 * B, and its keys are
+# below 16 * B**4 = 2**56. A block of one sample has A <= 0x110000, so its
+# keys are below 2**62.
+_BLOCK_CODE_POINTS = 8192
 
 
 def _normalized(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _trigram_keys(texts: list[str]) -> tuple[np.ndarray, int] | None:
+def _trigram_keys(texts: list[str]) -> tuple[np.ndarray, int]:
     """The sorted trigram keys of a block's texts, output then reference per
-    sample, and the number A of distinct code points they rank; None when a
-    key could pass 2**63.
+    sample, and the number A of distinct code points they rank.
 
     The texts are encoded as one array of code points, ranked densely in
     code point order. Trigram (r0, r1, r2) of side s (0 output, 1 reference)
@@ -235,7 +247,7 @@ def _trigram_keys(texts: list[str]) -> tuple[np.ndarray, int] | None:
     * 2 + s, so after the sort a run of equal keys is one trigram count, a
     sample's runs lie together and an output run is followed by the
     reference run of the same trigram. Keys stay below 2 * m * A**3 for m
-    samples, which fits int64 for any m <= 3 (A <= 0x110000). Lone
+    samples, which fits int64 for a block cut at _BLOCK_CODE_POINTS. Lone
     surrogates pass through as their own code points.
     """
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32)
@@ -245,8 +257,6 @@ def _trigram_keys(texts: list[str]) -> tuple[np.ndarray, int] | None:
     ranks = np.empty(codes.size, dtype=np.int64)
     ranks[pairs & 0xFFFFFFFF] = np.cumsum(np.diff(pairs >> 32, prepend=pairs[:1] >> 32) != 0)
     a = int(ranks.max(initial=-1)) + 1
-    if len(texts) * a**3 >= 1 << 63:
-        return None
     lengths = [len(text) for text in texts]
     text = np.arange(len(texts), dtype=np.int64)
     keys = ((ranks[:-2] * a + ranks[1:-1]) * a + ranks[2:]) * 2
@@ -259,9 +269,22 @@ def _trigram_keys(texts: list[str]) -> tuple[np.ndarray, int] | None:
     return np.sort(keys[start]), a
 
 
+def _semantic_blocks(samples: list[LoggedSample]) -> Iterable[list[LoggedSample]]:
+    """The samples in order, cut into blocks at _BLOCK_CODE_POINTS."""
+    start, budget = 0, _BLOCK_CODE_POINTS
+    for i, sample in enumerate(samples):
+        cost = len(sample.output) + len(sample.reference_text) + 1
+        if cost > budget and i > start:
+            yield samples[start:i]
+            start, budget = i, _BLOCK_CODE_POINTS
+        budget -= cost
+    if start < len(samples):
+        yield samples[start:]
+
+
 def _semantic_block(samples: Sequence[LoggedSample]) -> list[float]:
     """score_semantic of each sample, from one sort of the block's trigram
-    keys (_trigram_keys); a block whose keys would overflow is halved.
+    keys (_trigram_keys).
 
     Runs of equal keys give the trigram counts. Each sample's exact integer
     |a|^2, |b|^2 and dot are int64 sums over its runs: a run's square goes to
@@ -270,10 +293,7 @@ def _semantic_block(samples: Sequence[LoggedSample]) -> list[float]:
     """
     m = len(samples)
     texts = [_normalized(t) for s in samples for t in (s.output, s.reference_text)]
-    found = _trigram_keys(texts)
-    if found is None:
-        return _semantic_block(samples[: m // 2]) + _semantic_block(samples[m // 2 :])
-    keys, a = found
+    keys, a = _trigram_keys(texts)
     first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run of equal keys starts
     counts = np.diff(first, append=keys.size)
     keys = keys[first]
@@ -313,8 +333,9 @@ def score_semantic(sample: LoggedSample) -> float:
 
     It is the semantic column's block pass over a block of one sample, so
     a call pays a whole block's fixed cost: about 0.12 ms on 300-code-point
-    texts, against about 0.04 ms a sample in score_all's blocks of _BLOCK
-    (2-vCPU x86 VM, numpy 2.4). Score a batch through score_all.
+    texts, against about 0.04 ms a sample in score_all's blocks of up to
+    _BLOCK_CODE_POINTS code points (2-vCPU x86 VM, numpy 2.4). Score a batch
+    through score_all.
     """
     if sample.reference_text is None:
         raise MissingReferenceText(sample.sample_id)
@@ -451,8 +472,7 @@ def _raw_column(dim: DimensionId, batch: Batch, config: ScoringConfig) -> list[f
     if dim is DimensionId.STRUCTURE:
         return [score_structure(s.output, config.structure) for s in samples]
     if dim is DimensionId.SEMANTIC and config.semantic_column is None:
-        blocks = (_semantic_block(samples[i : i + _BLOCK]) for i in range(0, len(samples), _BLOCK))
-        return [score for block in blocks for score in block]
+        return [score for block in _semantic_blocks(samples) for score in _semantic_block(block)]
     if dim is DimensionId.SEMANTIC:
         return [column_value(s, config.semantic_column) for s in samples]
     if dim is DimensionId.ALIGNMENT:

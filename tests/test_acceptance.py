@@ -19,7 +19,7 @@ from mdqs.audit import ablation_grid, audit, calibrate
 from mdqs.cli import main
 from mdqs.composite import VARIANTS, compose, variant
 from mdqs.io import emit_reports, write_jsonl
-from mdqs.model import DEFAULT_WEIGHTS, DimensionId, DimensionVector, EvaluatorProfile
+from mdqs.model import DEFAULT_WEIGHTS, DimensionId, EvaluatorProfile
 from mdqs.poq import (
     AdaptiveTrust,
     Collude,
@@ -136,7 +136,7 @@ def test_criterion_2_composite_algebra():
             DimensionId.AGREEMENT: 0.15,
         }
         for target, expected in unit_expectations.items():
-            vec = DimensionVector({d: 1.0 if d is target else 0.0 for d in DimensionId})
+            vec = {d: 1.0 if d is target else 0.0 for d in DimensionId}
             assert compose(vec, DEFAULT_WEIGHTS) == pytest.approx(expected, abs=1e-12)
 
         trimmed = variant(DEFAULT_WEIGHTS, "calibrated")
@@ -153,13 +153,13 @@ def test_criterion_2_composite_algebra():
         rng = np.random.default_rng(2)
         for _ in range(200):
             values = {d: float(v) for d, v in zip(DimensionId, rng.random(6))}
-            base = compose(DimensionVector(values), DEFAULT_WEIGHTS)
+            base = compose(values, DEFAULT_WEIGHTS)
             assert min(values.values()) - 1e-12 <= base <= max(values.values()) + 1e-12
             assert 0.0 <= base <= 1.0
             bumped = dict(values)
             dim = list(DimensionId)[int(rng.integers(0, 6))]
             bumped[dim] = min(1.0, bumped[dim] + float(rng.random()))
-            assert compose(DimensionVector(bumped), DEFAULT_WEIGHTS) >= base - 1e-12
+            assert compose(bumped, DEFAULT_WEIGHTS) >= base - 1e-12
 
     _run(2, "composite obeys unit-vector, renormalization, and order bounds", 1.0, body)
 

@@ -38,7 +38,6 @@ from mdqs.model import (
     DIMENSION_COLUMN,
     Batch,
     DimensionId,
-    DimensionVector,
     WeightConfig,
 )
 from mdqs.poq import ConsensusBaseline
@@ -770,7 +769,7 @@ def test_column_path_matches_per_sample_reference(seed):
             if scores is not None and scores.keys() == DEFAULT_WEIGHTS.dimensions():
                 for weights in (DEFAULT_WEIGHTS, _ABOVE_ONE):
                     expected = _ref_weighted_sum(scores, weights)
-                    assert repr(compose(DimensionVector(scores), weights)) == repr(expected)
+                    assert repr(compose(scores, weights)) == repr(expected)
         assert _outcome(dimension_means_by_producer, scored) == _outcome(
             _ref_dimension_means_by_producer, samples, dims
         )

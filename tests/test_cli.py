@@ -199,6 +199,25 @@ def replay_config_edited(tmp_path, edit) -> str:
     return str(path)
 
 
+def test_report_reads_semantic_from_a_logged_column(tmp_path, capsys):
+    # a logged evaluator score becomes the semantic dimension, normalized
+    # over the batch in place of the built-in trigram scorer
+    config = replay_config_edited(
+        tmp_path, lambda raw: raw["providers"].update(semantic="column:sts_paraphrase")
+    )
+    data = Path(FIXTURES) / "replay_200.jsonl"
+    out = tmp_path / "r"
+    assert main(["report", "--config", config, "--input", str(data), "--out", str(out)]) == 0
+    assert "report: 200 sample(s)" in capsys.readouterr().out
+    records = [json.loads(line) for line in data.read_text(encoding="utf-8").splitlines()]
+    raw = [r["evaluator_scores"]["sts_paraphrase"] for r in records]
+    scored = (out / "scored.jsonl").read_text(encoding="utf-8").splitlines()
+    semantic = [json.loads(line)["dims"]["semantic"] for line in scored]
+    assert semantic == mdqs.scoring.normalize_batch(raw)
+    stats = json.loads((out / "normalization_stats.json").read_text(encoding="utf-8"))
+    assert stats["semantic"] == [min(raw), max(raw)]
+
+
 @pytest.mark.parametrize(
     "judge", ["1e400", "NaN", "1" + "0" * 400], ids=["inf", "nan", "int-past-float-range"]
 )
@@ -332,6 +351,12 @@ BAD_CONFIGS = [
     ('"se\\udfffed": 1\n', "a key in the run config: lone"),
     (ALIAS_BOMB, "unknown run config key"),
     ("sim: &s\n  evaluators: [*s]\n", ": evaluators"),  # refers to itself
+    ("weights: [1]\n", "weights must be a variant name"),
+    ("audit: {variants: semantic_only}\n", "audit.variants must be a list"),
+    (SIM + "  budget: -1\n", "sim: budget must be finite"),
+    (SIM + "  honest_noise_sd: -1\n", "sim: honest_noise_sd must be finite"),
+    (SIM + "  attacks: [{type: camouflage, then_delta: -1}]\n", "then_delta must be finite"),
+    ("synthetic: {n: 10, producers_per_query: 0}\n", "synthetic: producers_per_query must be >= 1"),
 ]
 
 
@@ -1418,9 +1443,8 @@ ROOT_EXPORTS = {
     ),
     "mdqs.composite": ("VARIANTS", "compose", "compose_batch", "variant"),
     "mdqs.model": (
-        "Batch", "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "DimensionVector",
-        "EvaluatorProfile", "LoggedSample", "SimError", "SimOutcome",
-        "ValidationReport", "WeightConfig",
+        "Batch", "CANONICAL_DIMENSIONS", "DEFAULT_WEIGHTS", "DimensionId", "EvaluatorProfile",
+        "LoggedSample", "SimError", "SimOutcome", "ValidationReport", "WeightConfig",
     ),
     "mdqs.poq": (
         "AdaptiveTrust", "AttackStrategy", "Camouflage", "Collude", "CompositeSignal",
@@ -1440,7 +1464,7 @@ ROOT_EXPORTS = {
 
 def test_lazy_root_exports_the_same_objects():
     names = sorted(name for group in ROOT_EXPORTS.values() for name in group)
-    assert len(names) == 64
+    assert len(names) == 63
     assert sorted(mdqs.__all__) == names
     for module, group in ROOT_EXPORTS.items():
         for name in group:

@@ -1,6 +1,7 @@
 """Weighted composite and the ablation variant catalog."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from mdqs.model import (
     DEFAULT_WEIGHTS,
     Batch,
     DimensionId,
-    DimensionVector,
     EvaluatorProfile,
     WeightConfig,
 )
@@ -24,7 +24,7 @@ from mdqs.scoring import ScoringConfig, score_all
 
 
 def unit_vector(dim):
-    return DimensionVector({d: (1.0 if d is dim else 0.0) for d in CANONICAL_DIMENSIONS})
+    return {d: (1.0 if d is dim else 0.0) for d in CANONICAL_DIMENSIONS}
 
 
 def test_unit_vectors_recover_default_weights():
@@ -48,36 +48,60 @@ def test_compose_matches_fsum_oracle():
             DEFAULT_WEIGHTS.weights[d] * vals[d] for d in CANONICAL_DIMENSIONS
         )
         expected = min(1.0, max(0.0, expected))
-        assert compose(DimensionVector(vals), DEFAULT_WEIGHTS) == expected
+        assert compose(vals, DEFAULT_WEIGHTS) == expected
+        # the mapping's order does not matter: compose reads the canonical row
+        assert compose(dict(reversed(vals.items())), DEFAULT_WEIGHTS) == expected
 
 
 def test_compose_is_monotone_in_each_dimension():
     rng = np.random.default_rng(18)
     for _ in range(100):
         vals = {d: float(rng.uniform(0.1, 0.8)) for d in CANONICAL_DIMENSIONS}
-        base = compose(DimensionVector(vals), DEFAULT_WEIGHTS)
+        base = compose(vals, DEFAULT_WEIGHTS)
         for d in CANONICAL_DIMENSIONS:
             bumped = dict(vals)
             bumped[d] = vals[d] + 0.1
-            assert compose(DimensionVector(bumped), DEFAULT_WEIGHTS) >= base
+            assert compose(bumped, DEFAULT_WEIGHTS) >= base
 
 
 def test_compose_stays_between_min_and_max_score():
     rng = np.random.default_rng(19)
     for _ in range(100):
         vals = {d: float(rng.uniform(0, 1)) for d in CANONICAL_DIMENSIONS}
-        s = compose(DimensionVector(vals), DEFAULT_WEIGHTS)
+        s = compose(vals, DEFAULT_WEIGHTS)
         assert min(vals.values()) - 1e-12 <= s <= max(vals.values()) + 1e-12
 
 
 def test_compose_requires_exact_key_match():
-    partial = DimensionVector({DimensionId.SEMANTIC: 0.5})
-    with pytest.raises(DimensionMismatch):
-        compose(partial, DEFAULT_WEIGHTS)
+    for partial in ({DimensionId.SEMANTIC: 0.5}, {}):
+        with pytest.raises(DimensionMismatch):
+            compose(partial, DEFAULT_WEIGHTS)
     smaller = variant(DEFAULT_WEIGHTS, "no_agreement")
-    full = DimensionVector({d: 0.5 for d in CANONICAL_DIMENSIONS})
+    full = {d: 0.5 for d in CANONICAL_DIMENSIONS}
     with pytest.raises(DimensionMismatch):
         compose(full, smaller)
+
+
+def test_compose_rejects_out_of_range_scores():
+    full = {d: 0.5 for d in CANONICAL_DIMENSIONS}
+    for bad in (1.7, -0.2, 1.5, -0.1, float("nan"), float("inf"), float("-inf")):
+        message = rf"^dimension semantic has score {re.escape(repr(bad))} outside \[0, 1\]$"
+        # refused before the key sets are compared, so a partial mapping
+        # gets the same message as a full one
+        for scores in (full, {DimensionId.STRUCTURE: 0.5}):
+            with pytest.raises(ValueError, match=message):
+                compose(scores | {DimensionId.SEMANTIC: bad}, DEFAULT_WEIGHTS)
+    # the first bad score in canonical order is named, whatever the mapping's order
+    scores = {DimensionId.AGREEMENT: 2.0, DimensionId.SEMANTIC: -1.0, DimensionId.STRUCTURE: 0.0}
+    with pytest.raises(ValueError, match=r"^dimension semantic has score -1\.0 outside"):
+        compose(scores, DEFAULT_WEIGHTS)
+
+
+def test_compose_rejects_keys_that_are_not_dimension_ids():
+    for scores in ({"semantic": 0.5}, {DimensionId.SEMANTIC: 0.5, 3: 0.5}):
+        message = rf"^dimension keys must be DimensionIds, got {re.escape(repr(list(scores)))}$"
+        with pytest.raises(ValueError, match=message):
+            compose(scores, DEFAULT_WEIGHTS)
 
 
 def test_compose_batch_restricts_to_active_weights():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 import weakref
 from pathlib import Path
 
@@ -53,7 +54,6 @@ from mdqs.model import (
     DIMENSION_COLUMN,
     Batch,
     DimensionId,
-    DimensionVector,
     EvaluatorProfile,
     WeightConfig,
 )
@@ -176,16 +176,16 @@ def test_from_record_schema_errors():
 
 
 def test_dims_fill_the_canonical_row_by_name():
-    # the row filled through the name table is the row a {DimensionId:
-    # score} mapping builds, for any subset of names in any order
+    # the row filled through the name table is the canonical row of the
+    # named scores, NaN where absent, for any subset of names in any order
     rng = random.Random(18)
     names = [d.value for d in CANONICAL_DIMENSIONS]
     for _ in range(300):
         chosen = rng.sample(names, rng.randint(1, len(names)))
         dims = {name: rng.choice([0.0, -0.0, 1, 1.0, rng.random()]) for name in chosen}
-        expected = DimensionVector({DimensionId(name): v for name, v in dims.items()})
+        expected = [float(dims.get(name, math.nan)) for name in names]
         _, got = from_record(full_record() | {"dims": dims})
-        assert [repr(v) for v in got] == [repr(math.nan if v is None else v) for v in expected.row]
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
     for empty in ({}, None):
         _, row = from_record(full_record() | {"dims": empty})
         assert all(v != v for v in row)
@@ -205,11 +205,16 @@ def test_ingest_collects_issues(tmp_path):
         json.dumps({"sample_id": "x"}).encode(),  # missing required fields
         b'{"sample_id": "\xff"}',  # not UTF-8
         json.dumps(full_record() | {"sample_id": "s9"}).encode(),
+        "\ufeff".encode() + json.dumps(full_record() | {"sample_id": "s10"}).encode(),  # a BOM
     ]
     path.write_bytes(b"\n".join(lines) + b"\n")
     result = ingest(path)
     assert [s.sample_id for s in result.samples.samples] == ["s1", "s9"]
-    assert [i.line_no for i in result.issues] == [3, 4, 5]
+    assert [i.line_no for i in result.issues] == [3, 4, 5, 7]
+    assert "BOM" in result.issues[-1].message
+    path.write_bytes(b"\n".join([lines[0], lines[-1]]) + b"\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:2: .*BOM"):
+        ingest(path, strict=True)
 
 
 def test_ingest_strict_raises_with_location(tmp_path):

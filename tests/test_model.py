@@ -6,7 +6,6 @@ import importlib
 import inspect
 import math
 import pkgutil
-import random
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from mdqs.model import (
     DEFAULT_WEIGHTS,
     Batch,
     DimensionId,
-    DimensionVector,
     EvaluatorProfile,
     LoggedSample,
     WeightConfig,
@@ -55,57 +53,6 @@ def test_task_family_normalizes_label():
     for bad in ("  ", "", None, 3):
         with pytest.raises(ValueError, match=f"^task must be a non-blank string, got {bad!r}$"):
             make_sample(task=bad)
-
-
-def test_dimension_vector_rejects_out_of_range_and_orders():
-    for value in (1.7, -0.2):
-        with pytest.raises(ValueError, match="semantic"):
-            DimensionVector({DimensionId.STRUCTURE: 0.5, DimensionId.SEMANTIC: value})
-    v = DimensionVector({DimensionId.SEMANTIC: 1.0, DimensionId.STRUCTURE: 0.0})
-    assert v[DimensionId.SEMANTIC] == 1.0
-    assert v[DimensionId.STRUCTURE] == 0.0
-    # storage order is canonical regardless of construction order
-    assert list(v.values) == [DimensionId.STRUCTURE, DimensionId.SEMANTIC]
-    assert v.row == (None, None, 0.0, 1.0, None, None)
-    assert DimensionId.SEMANTIC in v
-    assert DimensionId.ALIGNMENT not in v
-    assert "semantic" not in v
-    with pytest.raises(KeyError):
-        v[DimensionId.ALIGNMENT]
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_dimension_vector_from_a_mapping_equals_its_canonical_row(seed):
-    rng = random.Random(seed)
-    for _ in range(200):
-        present = [d for d in CANONICAL_DIMENSIONS if rng.random() < 0.6] or [DimensionId.SEMANTIC]
-        scores = {d: rng.choice([0.0, 1.0, 5e-324, rng.random()]) for d in present}
-        row = tuple(scores.get(d) for d in CANONICAL_DIMENSIONS)
-        shuffled = list(scores.items())
-        rng.shuffle(shuffled)
-        from_mapping = DimensionVector(dict(shuffled))
-        from_row = DimensionVector(row)
-        assert from_mapping == from_row
-        assert hash(from_mapping) == hash(from_row)
-        assert from_mapping.row == row
-        assert list(from_mapping.values) == present
-        assert list(from_mapping.values.values()) == [scores[d] for d in present]
-        assert from_mapping.keys() == frozenset(present)
-
-
-def test_dimension_vector_rejects_bad_input():
-    for bad in (float("nan"), float("inf"), float("-inf"), 1.5, -0.1):
-        with pytest.raises(ValueError, match="semantic"):
-            DimensionVector({DimensionId.SEMANTIC: bad})
-        with pytest.raises(ValueError, match="semantic"):
-            DimensionVector((None, None, None, bad, None, None))
-    for empty in ({}, (None,) * 6, (), (0.5,) * 5, (0.5,) * 7):
-        with pytest.raises(ValueError, match="6 entries, not all None"):
-            DimensionVector(empty)
-    with pytest.raises(ValueError, match="DimensionId"):
-        DimensionVector({"semantic": 0.5})
-    with pytest.raises(ValueError, match="DimensionId"):
-        DimensionVector({DimensionId.SEMANTIC: 0.5, 3: 0.5})
 
 
 def test_default_weights_values():

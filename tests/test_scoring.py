@@ -3,6 +3,7 @@ alignment columns, agreement, and batch normalization."""
 
 import math
 import random
+import re
 import statistics
 from collections import Counter
 
@@ -31,6 +32,7 @@ from mdqs.scoring import (
     score_semantic,
     score_structure,
     structure_features,
+    validate_dataset,
 )
 
 
@@ -214,6 +216,51 @@ def test_column_provider_missing_or_non_numeric():
         assert column_value(sample, column) is None
         with pytest.raises(MissingColumn):
             _semantic_from_column(column, sample)
+
+
+def _no_column(*args):
+    raise AssertionError("a column was built before every sample was checked")
+
+
+def test_semantic_column_provider_normalizes_the_column(monkeypatch):
+    # an evaluator score is read first, then an extra field of that name
+    samples = [
+        make_sample(sample_id="s0", evaluator_scores={"sts": 0.2}, extra={"sts": 0.9}),
+        make_sample(sample_id="s1", extra={"sts": 0.6}),
+        make_sample(sample_id="s2", evaluator_scores={"sts": 1.0, "other": 0.0}),
+        make_sample(sample_id="s3", extra={"sts": 1}),
+    ]
+    monkeypatch.setattr(mdqs.scoring, "_semantic_block", _no_column)  # not the built-in scorer
+    weights = WeightConfig("semantic", {DimensionId.SEMANTIC: 1.0})
+    config = ScoringConfig(weights=weights, semantic_column="sts")
+    scored, raw_ranges = score_all(Batch(samples), config)
+    assert raw_ranges == {DimensionId.SEMANTIC: (0.2, 1.0)}
+    column = scored.dims[:, DIMENSION_COLUMN[DimensionId.SEMANTIC]].tolist()
+    assert column == normalize_batch([0.2, 0.6, 1.0, 1.0])
+    assert column == pytest.approx([0.0, 0.5, 1.0, 1.0])
+    assert np.isnan(np.delete(scored.dims, DIMENSION_COLUMN[DimensionId.SEMANTIC], axis=1)).all()
+    # frozen stats normalize the same column against them instead
+    frozen = ScoringConfig(
+        weights=weights, semantic_column="sts", frozen_stats={DimensionId.SEMANTIC: (0.0, 2.0)}
+    )
+    scored, _ = score_all(Batch(samples), frozen)
+    assert scored.dims[:, DIMENSION_COLUMN[DimensionId.SEMANTIC]].tolist() == [0.1, 0.3, 0.5, 0.5]
+
+
+def test_semantic_column_provider_refuses_a_missing_column_first(monkeypatch):
+    good = make_sample(sample_id="ok", evaluator_scores={"sts": 0.5})
+    bad = make_sample(sample_id="bad", reference_text="ref", extra={"other": 0.5})
+    weights = WeightConfig("semantic", {DimensionId.SEMANTIC: 1.0})
+    config = ScoringConfig(weights=weights, semantic_column="sts")
+    monkeypatch.setattr(mdqs.scoring, "_raw_column", _no_column)
+    message = "column 'sts' not found or not a finite number (sample bad)"
+    with pytest.raises(MissingColumn, match=rf"^{re.escape(message)}$"):
+        score_all(Batch([good, bad]), config)
+    report = validate_dataset([good, bad], config)
+    assert (report.valid_count, report.invalid_count) == (1, 1)
+    assert [(i.sample_id, i.fieldname, i.message) for i in report.issues] == [
+        ("bad", "sts", message)
+    ]
 
 
 # ------------------------------------------------------------- agreement
@@ -699,29 +746,48 @@ def test_trigram_codes_count_the_counter_trigrams():
         assert _decoded_keys(block) == [_ref_trigram_counts(text) for text in block]
 
 
+def _cost(pair: tuple[str, str]) -> int:
+    return len(pair[0]) + len(pair[1]) + 1
+
+
 def _column_pairs() -> list[tuple[str, str]]:
-    """The counter-reference pairs, with a short or empty pair at each end
-    of every block."""
+    """The counter-reference pairs in groups that fill the semantic block
+    budget exactly, each starting and ending on a short or empty pair; a
+    filler pair before the last one takes up what the group leaves."""
     rng = random.Random(13)
     pairs = [*EDGE_PAIRS, *SHORT_TEXT_CHANGES]
     pairs += [(_random_text(rng), _random_text(rng)) for _ in range(3200)]
     pairs += [(text, text[::-1]) for text, _ in pairs[-200:]]
     short = [*SHORT_TEXT_CHANGES, ("", ""), ("a", "a"), ("", " ")]
-    block, out = mdqs.scoring._BLOCK, []
-    for i in range(0, len(pairs), block - 2):
-        out += [short[i % len(short)], *pairs[i : i + block - 2], short[(i + 1) % len(short)]]
+    out, i = [], 0
+    while i < len(pairs):
+        first, last = short[len(out) % len(short)], short[(len(out) + 1) % len(short)]
+        left = mdqs.scoring._BLOCK_CODE_POINTS - _cost(first) - _cost(last) - 200
+        group = []
+        while i < len(pairs) and _cost(pairs[i]) <= left:
+            left -= _cost(pairs[i])
+            group.append(pairs[i])
+            i += 1
+        filler = "ab" * (left + 200)
+        half = (left + 199) // 2
+        out += [first, *group, (filler[:half], filler[: left + 199 - half]), last]
     return out
 
 
 def test_semantic_column_matches_the_counter_reference():
     pairs = _column_pairs()
-    block = mdqs.scoring._BLOCK
-    short = [max(len(_normalized(text)) for text in pair) < 3 for pair in pairs]
-    assert all(short[::block]) and all(short[block - 1 :: block]) and short[-1]
     batch = Batch(
         make_sample(sample_id=f"s{i}", output=output, reference_text=reference)
         for i, (output, reference) in enumerate(pairs)
     )
+    blocks = list(mdqs.scoring._semantic_blocks(batch.samples))
+    budget = mdqs.scoring._BLOCK_CODE_POINTS
+    assert len(blocks) >= 10
+    for block in blocks:
+        # each block fills the budget exactly, and starts and ends on a short pair
+        assert sum(_cost((s.output, s.reference_text)) for s in block) == budget
+        for s in (block[0], block[-1]):
+            assert max(len(_normalized(s.output)), len(_normalized(s.reference_text))) < 3
     config = ScoringConfig(weights=WeightConfig("semantic", {DimensionId.SEMANTIC: 1.0}))
     column = mdqs.scoring._raw_column(DimensionId.SEMANTIC, batch, config)
     want = [_expected_semantic(output, reference) for output, reference in pairs]
@@ -732,21 +798,39 @@ def test_semantic_column_matches_the_counter_reference():
     assert raw_ranges == {DimensionId.SEMANTIC: (min(want), max(want))}
 
 
+def test_semantic_blocks_cut_at_the_code_point_budget():
+    budget = mdqs.scoring._BLOCK_CODE_POINTS
+    # a sample costs its output and reference code points plus one
+    costs = [budget, 1, budget - 1, 1, budget + 1, 1, 1, budget]
+    samples = [
+        make_sample(sample_id=f"s{i}", output="x" * (c // 2), reference_text="y" * ((c - 1) // 2))
+        for i, c in enumerate(costs)
+    ]
+    blocks = mdqs.scoring._semantic_blocks(samples)
+    assert [len(block) for block in blocks] == [1, 2, 1, 1, 2, 1]
+    assert list(mdqs.scoring._semantic_blocks([])) == []
+
+
+def test_lowercasing_at_most_doubles_a_text():
+    # the semantic block budget's bound on the trigram keys rests on this
+    longer = {c: len(chr(c).lower()) for c in range(0x110000) if len(chr(c).lower()) > 1}
+    assert longer == {0x130: 2}
+
+
 def test_semantic_block_past_int64_keys_is_split(monkeypatch):
-    # 16 samples over 720,000 distinct astral code points: 2 * 16 * A**3
-    # passes 2**63, 2 * 8 * A**3 does not
+    # 16 samples over 720,000 distinct astral code points: keys for all 16
+    # in one block could pass 2**63 (2 * 16 * A**3), but each sample is over
+    # the code-point budget, so each is a block of its own
     rng = random.Random(16)
-    block = mdqs.scoring._BLOCK
-    size = 720_000 // block
+    size = 720_000 // 16
+    assert 2 * 16 * 720_000**3 >= 2**63
     samples = []
-    for i in range(block):
+    for i in range(16):
         chars = [chr(0x20000 + i * size + k) for k in range(size)]
         rng.shuffle(chars)
         output = "".join(chars)
         reference = output[: size // 2] + output[size // 3 :: 7] + "".join(rng.sample(chars, 50))
         samples.append(make_sample(sample_id=f"s{i}", output=output, reference_text=reference))
-    texts = [_normalized(t) for s in samples for t in (s.output, s.reference_text)]
-    assert mdqs.scoring._trigram_keys(texts) is None
     sizes = []
     whole = mdqs.scoring._semantic_block
 
@@ -756,7 +840,7 @@ def test_semantic_block_past_int64_keys_is_split(monkeypatch):
 
     monkeypatch.setattr(mdqs.scoring, "_semantic_block", counted)
     column = mdqs.scoring._raw_column(DimensionId.SEMANTIC, Batch(samples), ScoringConfig())
-    assert sizes == [block, block // 2, block // 2]
+    assert sizes == [1] * 16
     want = [_ref_score_semantic(s) for s in samples]
     assert [v.hex() for v in column] == [v.hex() for v in want]
     assert 0.0 < min(want) and max(want) < 1.0
