@@ -7,7 +7,8 @@ the output directory. Exit codes: 0 success, 1 validation or data errors,
 
 The master seed of simulate, synth and report, the commands that draw
 random numbers and so the only ones with --seed, resolves in this order:
---seed flag, MDQS_SEED environment variable, the config file's seed, then 0.
+--seed flag, MDQS_SEED environment variable, the config's synthetic.seed
+(synth only), the config's seed, then 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterator, Sequence
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from mdqs.audit import (
+    GATE_CHOICES,
     ablation_grid,
     audit,
     calibrate,
@@ -47,12 +49,13 @@ from mdqs.io import (
     ingest,
     load_config,
     resolve_weights,
+    synthetic_spec,
 )
 from mdqs.model import SimError
 from mdqs.poq import SimConfig, iter_experiment
 from mdqs.rng import SEED_LIMIT
 from mdqs.scoring import ScoringConfig, check_config, score_all, validate_dataset
-from mdqs.synth import SyntheticSpec, generate_synthetic
+from mdqs.synth import generate_synthetic
 
 # Everything imported so far lives until the process exits, so no collection
 # needs to walk it again, the full ones that run at exit among them.
@@ -110,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--weights", help="weight variant name")
     p.add_argument("--threshold", type=_threshold, help="gate threshold (default 0.0)")
-    p.add_argument("--gate", choices=["pearson", "spearman", "taskwise_min"])
+    p.add_argument("--gate", choices=GATE_CHOICES)
     p.add_argument("--per-task", action="store_true", dest="per_task")
     p.set_defaults(func=cmd_calibrate)
 
@@ -155,14 +158,16 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _resolve_seed(args, config: RunConfig) -> int:
+def _resolve_seed(args, config: RunConfig, section_seed: int | None = None) -> int:
+    """The master seed, in the module docstring's order; synth passes synthetic.seed."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("MDQS_SEED")
     if env:
         return _seed(env, "MDQS_SEED")
-    if config.seed is not None:
-        return config.seed
+    for seed in (section_seed, config.seed):
+        if seed is not None:
+            return seed
     return 0
 
 
@@ -209,7 +214,7 @@ def cmd_validate(args) -> int:
     out = _out_dir(args, config)
     scoring = config.scoring if args.config else None  # with a config, also list what scoring needs
     batch, issues = _ingest(args, config, scoring)
-    report = validate_dataset(batch.samples, scoring)
+    report = validate_dataset(batch, scoring)
     emit_reports(out, validation=report, ingest_issues=issues)
     print(
         f"validate: {report.valid_count} valid, {report.invalid_count} invalid, "
@@ -302,15 +307,13 @@ def cmd_synth(args) -> int:
         raise InvalidSpec(f"--n must be >= 1, got {args.n}")
     config = load_config(args.config)
     out = _out_dir(args, config)
-    seed = _resolve_seed(args, config)
-    if config.synthetic is None:
-        if args.n is None:
-            raise UsageError("synth needs --n or a 'synthetic' section in the config")
-        spec = SyntheticSpec(n=args.n, rng_seed=seed)
-    else:
-        # --n and a --seed or MDQS_SEED replace the section's own
-        seeded = args.seed is not None or os.environ.get("MDQS_SEED")
-        spec = config.synthetic.spec(n=args.n, rng_seed=seed if seeded else None)
+    if config.synthetic is None and args.n is None:
+        raise UsageError("synth needs --n or a 'synthetic' section in the config")
+    fields = dict(config.synthetic or {})
+    if args.n is not None:
+        fields["n"] = args.n
+    fields["rng_seed"] = _resolve_seed(args, config, fields.get("rng_seed"))
+    spec = synthetic_spec(fields)
     batch = generate_synthetic(spec)
     emit_reports(out, synthetic_samples=batch)
     print(f"synth: {len(batch)} sample(s), seed {spec.rng_seed} -> {out}")

@@ -471,26 +471,16 @@ def build_grid(spec: SimGridSpec, master_seed: int) -> list[SimConfig]:
     return grid
 
 
-class SyntheticSection(Record):
-    """The config's synthetic section, checked at load. Its fields are the
-    SyntheticSpec keyword arguments it gives; n may instead come from
-    `synth --n`, so the spec is built only once the command line is read."""
-
-    fields: Mapping[str, object]
-
-    def spec(self, n: int | None = None, rng_seed: int | None = None) -> SyntheticSpec:
-        """The SyntheticSpec, with n and rng_seed replaced where given."""
-        fields = dict(self.fields)
-        if n is not None:
-            fields["n"] = n
-        if rng_seed is not None:
-            fields["rng_seed"] = rng_seed
-        if "n" not in fields:
-            raise SchemaError("synthetic needs 'n' in the config or synth --n")
-        try:
-            return SyntheticSpec(**fields)
-        except InvalidSpec as exc:
-            raise SchemaError(f"synthetic: {exc}") from None
+def synthetic_spec(fields: Mapping[str, object]) -> SyntheticSpec:
+    """The SyntheticSpec of the synthetic section's fields: RunConfig.synthetic,
+    which holds rng_seed only when the section sets seed, with synth's --n and
+    seed laid over them, or at load with n = 1 to check the other fields."""
+    if "n" not in fields:
+        raise SchemaError("synthetic needs 'n' in the config or synth --n")
+    try:
+        return SyntheticSpec(**fields)
+    except InvalidSpec as exc:
+        raise SchemaError(f"synthetic: {exc}") from None
 
 
 class RunConfig(Record):
@@ -504,7 +494,7 @@ class RunConfig(Record):
     threshold: float = 0.0
     per_task: bool = False
     variant_names: tuple[str, ...] = tuple(VARIANTS)
-    synthetic: SyntheticSection | None = None
+    synthetic: Mapping[str, object] | None = None  # checked SyntheticSpec kwargs
     sim: SimGridSpec | None = None
 
 
@@ -657,7 +647,7 @@ def _correlations(raw, where: str) -> dict[str, dict[DimensionId, float]]:
     return by_task
 
 
-def _synthetic(raw, default_seed: int | None) -> SyntheticSection | None:
+def _synthetic(raw) -> dict[str, object] | None:
     if raw is None:
         return None
     readers = {
@@ -673,10 +663,10 @@ def _synthetic(raw, default_seed: int | None) -> SyntheticSection | None:
     given = {k: read(section[k], f"synthetic.{k}") for k, read in readers.items() if k in section}
     if "evaluators" in section:
         given["evaluator_noise"] = _number_map(section["evaluators"], "synthetic.evaluators")
-    given["rng_seed"] = _opt(section, "seed", _seed, "synthetic", default_seed or 0)
-    synthetic = SyntheticSection(given)
-    synthetic.spec(n=given.get("n", 1))  # checks the other fields now, whether or not n is set
-    return synthetic
+    if "seed" in section:
+        given["rng_seed"] = _seed(section["seed"], "synthetic.seed")
+    synthetic_spec({"n": 1, **given})  # checks the other fields now, whether or not n is set
+    return given
 
 
 def _sim(raw) -> SimGridSpec | None:
@@ -762,7 +752,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         threshold=_opt(audit_section, "threshold", _number, "audit", 0.0),
         per_task=_opt(audit_section, "per_task", _flag, "audit", False),
         variant_names=variants,
-        synthetic=_synthetic(raw.get("synthetic"), seed),
+        synthetic=_synthetic(raw.get("synthetic")),
         sim=sim,
     )
 

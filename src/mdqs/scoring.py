@@ -161,9 +161,10 @@ def _ngram_features(tokens: list[str], policy: StructurePolicy) -> tuple[float, 
     """The repetition ratio and the degeneration flag of the tokens, each
     n-gram size counted once. A d-gram occurs at most as often as its
     leading n-gram for d >= n, so when no repetition n-gram reaches
-    degeneration_min_count, no degeneration d-gram can and it is not counted."""
+    degeneration_min_count, no degeneration d-gram can and it is not counted.
+    No n-gram is longer than the tokens, so at most len(tokens) + 1 slices are built."""
     n, d, least = policy.repetition_ngram, policy.degeneration_ngram, policy.degeneration_min_count
-    counts = Counter(zip(*(tokens[i:] for i in range(n))))
+    counts = Counter(zip(*(tokens[i:] for i in range(min(n, len(tokens) + 1)))))
     if counts:
         repetition_ratio = sum(c for c in counts.values() if c >= 2) / (len(tokens) - n + 1)
         most = max(counts.values())
@@ -172,7 +173,7 @@ def _ngram_features(tokens: list[str], policy: StructurePolicy) -> tuple[float, 
     if d >= n and most < least:
         return repetition_ratio, False
     if d != n:
-        counts = Counter(zip(*(tokens[i:] for i in range(d))))
+        counts = Counter(zip(*(tokens[i:] for i in range(min(d, len(tokens) + 1)))))
         most = max(counts.values(), default=0)
     return repetition_ratio, most >= least
 
@@ -514,26 +515,14 @@ def score_all(
     return batch.with_dims(dims), raw_ranges
 
 
-def validate_dataset(
-    samples: Iterable[LoggedSample], config: ScoringConfig | None = None
-) -> ValidationReport:
-    """List every repeated sample id and, given `config`, every input that
-    scoring under it would reject, not just the first."""
+def validate_dataset(batch: Batch, config: ScoringConfig | None = None) -> ValidationReport:
+    """List, given `config`, every input that scoring under it would reject,
+    not just the first. A repeated sample_id never gets this far: the Batch
+    constructor refuses it, and ingest lists each repeated line."""
     issues: list[ValidationIssue] = []
-    seen: set[str] = set()
-    valid = invalid = 0
-    for sample in samples:
-        sid = sample.sample_id
-        found = [
-            ValidationIssue(sid, fieldname, str(error))
-            for fieldname, error in (missing_inputs(sample, config) if config is not None else ())
-        ]
-        if sid in seen:
-            found.append(ValidationIssue(sid, "sample_id", f"duplicate sample_id {sid!r}"))
-        seen.add(sid)
-        if found:
-            invalid += 1
-            issues.extend(found)
-        else:
-            valid += 1
-    return ValidationReport(valid_count=valid, invalid_count=invalid, issues=tuple(issues))
+    invalid = 0
+    for sample in batch.samples if config is not None else ():
+        found = missing_inputs(sample, config)
+        invalid += bool(found)
+        issues.extend(ValidationIssue(sample.sample_id, name, str(error)) for name, error in found)
+    return ValidationReport(len(batch) - invalid, invalid, tuple(issues))

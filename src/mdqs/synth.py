@@ -94,6 +94,9 @@ class SyntheticSpec(Record):
             raise InvalidSpec(f"qa_fraction must be in [0, 1], got {self.qa_fraction}")
         if not self.producers:
             raise InvalidSpec("producers must be non-empty")
+        for producer in self.producers:
+            if not isinstance(producer, str) or not producer.strip():
+                raise InvalidSpec(f"producers must be non-blank strings, got {producer!r}")
         if self.producers_per_query < 1:
             raise InvalidSpec("producers_per_query must be >= 1")
         if self.producers_per_query > len(self.producers):

@@ -218,6 +218,24 @@ def test_report_reads_semantic_from_a_logged_column(tmp_path, capsys):
     assert stats["semantic"] == [min(raw), max(raw)]
 
 
+def test_score_with_a_structure_ngram_past_every_text(tmp_path):
+    # an n-gram longer than a text has no occurrence, so a size of 10**12
+    # scores as the longest output's token count plus one, and as quickly
+    data = Path(FIXTURES) / "replay_200.jsonl"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    longest = max(len(json.loads(line)["output"].split()) for line in lines)
+
+    def scored(size):
+        config = replay_config_edited(
+            tmp_path, lambda raw: raw.update(structure={"repetition_ngram": size})
+        )
+        out = tmp_path / str(size)
+        assert main(["score", "--config", config, "--input", str(data), "--out", str(out)]) == 0
+        return (out / "scored.jsonl").read_bytes()
+
+    assert scored(1_000_000_000_000) == scored(longest + 1)
+
+
 @pytest.mark.parametrize(
     "judge", ["1e400", "NaN", "1" + "0" * 400], ids=["inf", "nan", "int-past-float-range"]
 )
@@ -357,6 +375,7 @@ BAD_CONFIGS = [
     (SIM + "  honest_noise_sd: -1\n", "sim: honest_noise_sd must be finite"),
     (SIM + "  attacks: [{type: camouflage, then_delta: -1}]\n", "then_delta must be finite"),
     ("synthetic: {n: 10, producers_per_query: 0}\n", "synthetic: producers_per_query must be >= 1"),
+    ('synthetic: {n: 5, producers: [" "]}\n', "synthetic: producers must be non-blank strings"),
 ]
 
 
@@ -608,6 +627,14 @@ def test_synth_count_from_the_flag_when_the_section_has_none(tmp_path, capsys):
     assert not (tmp_path / "none").exists()
 
 
+def test_synth_blank_producer_exits_one_naming_the_key(tmp_path, capsys):
+    config = tmp_path / "blank.yaml"
+    config.write_text('synthetic: {n: 5, producers: [" "]}\n', encoding="utf-8")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+    assert "synthetic: producers must be non-blank strings, got ' '" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_synth_section_defaults_match_a_bare_count(tmp_path):
     def synth(name, *argv):
         out = tmp_path / name
@@ -650,6 +677,26 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert synth_bytes("e", "--seed", "9") == flag
     monkeypatch.setenv("MDQS_SEED", "not-a-number")
     assert main(["synth", "--out", str(tmp_path / "f"), "--n", "12"]) == 64
+
+
+def test_synth_seed_precedence_over_both_config_seeds(tmp_path, monkeypatch):
+    # --seed, then MDQS_SEED, then synthetic.seed, then the config's seed
+    def synth(name, *argv):
+        out = tmp_path / name
+        assert main(["synth", "--out", str(out), *argv]) == 0
+        return (out / "synthetic.jsonl").read_bytes()
+
+    both, top = tmp_path / "both.yaml", tmp_path / "top.yaml"
+    both.write_text("seed: 5\nsynthetic: {n: 12, seed: 9}\n", encoding="utf-8")
+    top.write_text("seed: 5\nsynthetic: {n: 12}\n", encoding="utf-8")
+    bare = {seed: synth(f"bare{seed}", "--n", "12", "--seed", str(seed)) for seed in (3, 4, 5, 9)}
+    assert len(set(bare.values())) == 4
+    assert synth("section", "--config", str(both)) == bare[9]
+    assert synth("flag", "--config", str(both), "--seed", "3") == bare[3]
+    assert synth("top", "--config", str(top)) == bare[5]
+    monkeypatch.setenv("MDQS_SEED", "4")
+    assert synth("env", "--config", str(both)) == bare[4]
+    assert synth("flag-over-env", "--config", str(both), "--seed", "3") == bare[3]
 
 
 def test_seed_outside_64_bits_is_usage_error(tmp_path, monkeypatch, capsys):
@@ -1373,7 +1420,7 @@ import sys
 import mdqs.cli
 print("hashlib" in sys.modules, "_hashlib" in sys.modules)
 print(*(name in sys.modules for name in ("fractions", "decimal", "traceback")))
-mdqs.cli.generate_synthetic(mdqs.cli.SyntheticSpec(n=1))
+mdqs.cli.generate_synthetic(mdqs.cli.synthetic_spec({"n": 1}))
 print("hashlib" in sys.modules)
 """
     assert _child(code) == ["False", "False", "False", "False", "False", "True"]

@@ -45,6 +45,7 @@ from mdqs.io import (
     parse_signal,
     resolve_weights,
     sanitize_label,
+    synthetic_spec,
     to_record,
     write_jsonl,
 )
@@ -524,7 +525,7 @@ def test_load_config_full(tmp_path):
     assert cfg.per_task is True
     assert cfg.variant_names == ("default", "calibrated")
     # flat correlation map expands to both standard tasks
-    synthetic = cfg.synthetic.spec()
+    synthetic = synthetic_spec(cfg.synthetic)
     assert synthetic.n == 50
     assert synthetic.correlations["qa"][DimensionId.SEMANTIC] == 0.8
     assert synthetic.correlations["summarization"][DimensionId.STRUCTURE] == 0.5
@@ -604,7 +605,7 @@ def test_load_config_per_task_synthetic(tmp_path):
         "    summarization: {semantic: 0.3}\n",
         encoding="utf-8",
     )
-    correlations = load_config(path).synthetic.spec().correlations
+    correlations = synthetic_spec(load_config(path).synthetic).correlations
     assert correlations["qa"][DimensionId.SEMANTIC] == 0.9
     assert correlations["summarization"][DimensionId.SEMANTIC] == 0.3
 
@@ -871,7 +872,7 @@ def report_inputs():
     )
     sim_result = run_single(cell)
     return {
-        "validation": validate_dataset(scored.samples),
+        "validation": validate_dataset(scored),
         "ingest_issues": [IngestIssue(line_no=4, message="bad json")],
         "scored_samples": scored,
         "normalization_stats": {DimensionId.SEMANTIC: (0.0, 1.0)},

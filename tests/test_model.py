@@ -98,19 +98,12 @@ def test_evaluator_profile_defaults_and_validation():
 
 def test_validate_dataset_clean():
     samples = [make_sample(sample_id=f"s{i}") for i in range(3)]
-    report = validate_dataset(samples)
+    report = validate_dataset(Batch(samples))
     assert report.ok
     assert report.valid_count == 3
     assert report.invalid_count == 0
     assert report.total == 3
     assert report.issues == ()
-
-
-def test_validate_dataset_duplicate_ids():
-    samples = [make_sample(sample_id="dup"), make_sample(sample_id="dup")]
-    report = validate_dataset(samples)
-    assert not report.ok
-    assert any("duplicate" in issue.message.lower() for issue in report.issues)
 
 
 def test_sample_rejects_non_finite_scores():
@@ -134,16 +127,15 @@ def test_sample_rejects_blank_identity_fields():
 def test_validate_dataset_reports_every_issue():
     samples = [
         make_sample(sample_id="a", reference_text="r", evaluator_scores={"j": 0.5}),
-        make_sample(sample_id="a", reference_text="r", evaluator_scores={"j": 0.5, "k": 0.1}),
+        make_sample(sample_id="b", reference_text="r", evaluator_scores={"j": 0.5, "k": 0.1}),
         make_sample(sample_id="c", evaluator_scores={"j": 0.5, "k": 0.1}),
     ]
     weights = WeightConfig("w", {DimensionId.SEMANTIC: 1.0, DimensionId.AGREEMENT: 1.0})
-    report = validate_dataset(samples, ScoringConfig(weights=weights))
-    assert report.invalid_count == 3
-    assert report.valid_count == 0
-    assert len(report.issues) == 3
-    assert [i.fieldname for i in report.issues] == [
-        "evaluator_scores", "sample_id", "reference_text"
+    report = validate_dataset(Batch(samples), ScoringConfig(weights=weights))
+    assert report.invalid_count == 2
+    assert report.valid_count == 1
+    assert [(i.sample_id, i.fieldname) for i in report.issues] == [
+        ("a", "evaluator_scores"), ("c", "reference_text")
     ]
 
 

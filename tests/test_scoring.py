@@ -256,7 +256,7 @@ def test_semantic_column_provider_refuses_a_missing_column_first(monkeypatch):
     message = "column 'sts' not found or not a finite number (sample bad)"
     with pytest.raises(MissingColumn, match=rf"^{re.escape(message)}$"):
         score_all(Batch([good, bad]), config)
-    report = validate_dataset([good, bad], config)
+    report = validate_dataset(Batch([good, bad]), config)
     assert (report.valid_count, report.invalid_count) == (1, 1)
     assert [(i.sample_id, i.fieldname, i.message) for i in report.issues] == [
         ("bad", "sts", message)
@@ -866,6 +866,26 @@ def test_structure_features_match_the_reference():
     assert {c for c, _, _ in seen} == set(range(9))
     assert {n for _, n, _ in seen} == set(range(1, 7))
     assert {d for _, _, d in seen} == {True, False}
+
+
+def test_structure_ngram_sizes_past_the_tokens_match_the_reference():
+    """A size past the token count has no n-gram, however large: each text
+    keeps the bits of a size of len(tokens) + 1 (10**12 would build 10**12
+    slices if the count were not bounded by the tokens)."""
+    texts = ("", "a", "a a a a", "a b a b ( ```", " ".join("xy" * 30))
+    for text in texts:
+        for size in (len(text.split()) + 1, 10**6, 10**12):
+            for sizes in ({"repetition_ngram": size}, {"degeneration_ngram": size}):
+                for least in (1, 3):
+                    policy = StructurePolicy(degeneration_min_count=least, **sizes)
+                    new = structure_features(text, policy)
+                    old = _ref_structure_features(text, policy)
+                    assert new == old
+                    assert new.repetition_ratio.hex() == old.repetition_ratio.hex()
+                    got, want = score_structure(text, policy), _ref_score_structure(text, policy)
+                    assert got.hex() == want.hex()
+            both = StructurePolicy(repetition_ngram=size, degeneration_ngram=size)
+            assert score_structure(text, both).hex() == _ref_score_structure(text, both).hex()
 
 
 def test_structure_score_matches_the_reference():

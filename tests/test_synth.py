@@ -67,7 +67,7 @@ def test_sample_shape():
 
 
 def test_validates_clean():
-    report = validate_dataset(generate_synthetic(spec(n=100)).samples)
+    report = validate_dataset(generate_synthetic(spec(n=100)))
     assert report.ok
 
 
@@ -182,6 +182,11 @@ def test_spec_validation():
         spec(correlations={"qa": {DimensionId.SEMANTIC: 1.5}})
     with pytest.raises(InvalidSpec):
         spec(evaluator_noise={"judge": -0.1})
+    # a producer id becomes each sample's producer_id, which must be non-blank
+    for blank in ("", " ", None, 7):
+        message = f"^producers must be non-blank strings, got {blank!r}$"
+        with pytest.raises(InvalidSpec, match=message):
+            spec(producers=("model-a", blank))
 
 
 def test_missing_task_correlations_rejected():
@@ -199,14 +204,14 @@ def test_default_tables_cover_both_tasks():
         "lexical_overlap",
         "judge_heldout",
     }
-    samples = generate_synthetic(
+    batch = generate_synthetic(
         SyntheticSpec(
             n=60,
             correlations=DEFAULT_CORRELATIONS,
             evaluator_noise=DEFAULT_EVALUATOR_NOISE,
         )
-    ).samples
-    assert validate_dataset(samples).ok
+    )
+    assert validate_dataset(batch).ok
 
 
 def test_spec_dimensions_canonical_order():
