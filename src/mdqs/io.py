@@ -1134,11 +1134,10 @@ def emit_reports(out_dir: str | Path, **results) -> list[EmittedFile]:
             for name, tmp in staged.items():
                 os.replace(tmp, out / name)
     except BaseException:
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
-        for directory in made:
+        # an OSError here, such as a name too long to unlink, would hide the failure
+        for remove in [tmp.unlink for tmp in staged.values()] + [d.rmdir for d in made]:
             with contextlib.suppress(OSError):
-                directory.rmdir()
+                remove()
         raise
     return emitted
 

@@ -167,7 +167,9 @@ class LoggedSample(Record):
     the builtin semantic baseline. Unknown fields from ingestion ride along
     in `extra` and are written back out unchanged. task is kept as its
     task_label. Construction refuses a blank sample_id, task or producer_id,
-    a non-string output and a non-finite score, so no stage re-checks them.
+    a query or output that is not a string, a reference_text that is neither
+    None nor a string, and a score that is not a finite int or float (a bool
+    included); it keeps scores as floats, so no stage re-checks them.
     """
 
     sample_id: str
@@ -186,16 +188,26 @@ class LoggedSample(Record):
             if not isinstance(value, str) or not value.strip():
                 raise ValueError(f"{name} must be a non-blank string, got {value!r}")
         object.__setattr__(self, "task", task_label(self.task))
-        if not isinstance(self.output, str):
-            raise ValueError(f"output must be a string, got {type(self.output).__name__}")
-        scores = {str(k): float(v) for k, v in self.evaluator_scores.items()}
-        for name, score in scores.items():
-            if not math.isfinite(score):
-                raise ValueError(f"evaluator_scores.{name} must be finite, got {score!r}")
-        if self.reference_score is not None and not math.isfinite(self.reference_score):
-            raise ValueError(f"reference_score must be finite, got {self.reference_score!r}")
+        for name in ("query", "output", "reference_text"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (name == "reference_text" and value is None):
+                raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+        raw = self.evaluator_scores
+        scores = {str(k): _score(v, f"evaluator_scores.{k}") for k, v in raw.items()}
+        if self.reference_score is not None:
+            reference = _score(self.reference_score, "reference_score")
+            object.__setattr__(self, "reference_score", reference)
         object.__setattr__(self, "evaluator_scores", scores)
         object.__setattr__(self, "extra", dict(self.extra))
+
+
+def _score(value, name: str) -> float:
+    """A score as a float; ValueError naming it unless it is a finite int or float (no bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 def _checked_dims(samples: list[LoggedSample], dims) -> np.ndarray:

@@ -82,9 +82,9 @@ def _clip01(x: np.ndarray) -> np.ndarray:
 # behaviors
 #
 # Each strategy family (attacks, defenses, quality signals) is a set of records
-# (mdqs.model.Record). A class carries its config `type` name, its label for
-# config ids and reports, and its behavior; the family's registry maps the
-# `type` name to the class. mdqs.io builds an entry from the class's fields.
+# (_Strategy). A class carries its config `type` name and its behavior; the
+# family's registry maps the `type` name to the class. mdqs.io builds an entry
+# from the class's fields, which also make its label for config ids and reports.
 #
 # An evaluator behavior is emit_column(quality, round_index, rng,
 # producer_id): one evaluator's scores for a block of outputs, given as
@@ -92,47 +92,61 @@ def _clip01(x: np.ndarray) -> np.ndarray:
 # draws takes one value per output from it, in output order.
 
 
-class Inflate(Record):
+class _Strategy(Record):
+    """A strategy record. Construction refuses a float field that is not
+    finite and >= 0 (a `float | None` field may be None) and an int field
+    below 0, compared as an int, so no int is too large to check."""
+
+    def __post_init__(self):
+        for name, kind in self._fields.items():
+            value = getattr(self, name)
+            if kind == "int" and value < 0:
+                raise ValueError(f"{name} must be >= 0")
+            if kind == "float" or (kind == "float | None" and value is not None):
+                if not math.isfinite(value) or value < 0:
+                    raise ValueError(f"{name} must be finite and >= 0")
+
+    def label(self) -> str:
+        """The type, then the field values in field order, a float field's
+        as :g: inflate(0.3), collude(model-a,0.3), mean."""
+        shown = [
+            format(getattr(self, name), "g" if kind == "float" else "")
+            for name, kind in self._fields.items()
+        ]
+        return f"{self.type}({','.join(shown)})" if shown else self.type
+
+
+class _Shift(_Strategy):
+    """Attacks that report the observed quality plus a shift, clipped to [0, 1]."""
+
+    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
+        return _clip01(quality + self.shift(producer_id))
+
+
+class Inflate(_Shift):
     """Always report delta above the observed quality."""
 
     type: ClassVar[str] = "inflate"
     delta: float = 0.2
 
-    def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta < 0:
-            raise ValueError("delta must be finite and >= 0")
-
-    def label(self) -> str:
-        return f"inflate({self.delta:g})"
-
-    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
-        return _clip01(quality + self.delta)
+    def shift(self, producer_id):
+        return self.delta
 
 
-class Deflate(Record):
+class Deflate(_Shift):
     """Always report delta below the observed quality."""
 
     type: ClassVar[str] = "deflate"
     delta: float = 0.2
 
-    def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta < 0:
-            raise ValueError("delta must be finite and >= 0")
-
-    def label(self) -> str:
-        return f"deflate({self.delta:g})"
-
-    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
-        return _clip01(quality - self.delta)
+    def shift(self, producer_id):
+        return -self.delta
 
 
-class RandomNoise(Record):
+class RandomNoise(_Strategy):
     """Ignore quality entirely; emit uniform noise on [0, 1]."""
 
     type: ClassVar[str] = "random_noise"
-
-    def label(self) -> str:
-        return "random_noise"
 
     # rng.random() is rng.uniform(0.0, 1.0) to the bit (0.0 + 1.0 * d is d)
     # and draws the same one word per value, at a third of the call's cost
@@ -140,7 +154,7 @@ class RandomNoise(Record):
         return rng.random(size=quality.shape)
 
 
-class Collude(Record):
+class Collude(_Shift):
     """Boost one producer, depress everyone else."""
 
     type: ClassVar[str] = "collude"
@@ -150,35 +164,18 @@ class Collude(Record):
     def __post_init__(self):
         if not self.target_producer:
             raise ValueError("target_producer must be non-empty")
-        if not math.isfinite(self.delta) or self.delta < 0:
-            raise ValueError("delta must be finite and >= 0")
+        super().__post_init__()
 
-    def label(self) -> str:
-        return f"collude({self.target_producer},{self.delta:g})"
-
-    def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
-        return np.where(
-            producer_id == self.target_producer,
-            _clip01(quality + self.delta),
-            _clip01(quality - self.delta),
-        )
+    def shift(self, producer_id):
+        return np.where(producer_id == self.target_producer, self.delta, -self.delta)
 
 
-class Camouflage(Record):
+class Camouflage(_Strategy):
     """Behave honestly for a while, then inflate."""
 
     type: ClassVar[str] = "camouflage"
     honest_rounds: int = 0
     then_delta: float = 0.2
-
-    def __post_init__(self):
-        if self.honest_rounds < 0:
-            raise ValueError("honest_rounds must be >= 0")
-        if not math.isfinite(self.then_delta) or self.then_delta < 0:
-            raise ValueError("then_delta must be finite and >= 0")
-
-    def label(self) -> str:
-        return f"camouflage({self.honest_rounds},{self.then_delta:g})"
 
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
         return np.where(
@@ -192,12 +189,8 @@ ATTACKS: dict[str, type] = {
 }
 
 
-class Honest(Record):
+class Honest(_Strategy):
     noise_sd: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.noise_sd) or self.noise_sd < 0:
-            raise ValueError("noise_sd must be finite and >= 0")
 
     def emit_column(self, quality, round_index, rng, producer_id) -> np.ndarray:
         if self.noise_sd == 0.0:  # draws nothing
@@ -226,7 +219,7 @@ def attack_label(attack: AttackStrategy | None) -> str:
 ConsensusStep = Callable[[list[float], Sequence[int], Sequence[float]], tuple[float, list[float]]]
 
 
-class _FixedTrust(Record):
+class _FixedTrust(_Strategy):
     """Defenses under which trust never moves."""
 
     def consensus_step(self, n_evaluators: int, config_id: str) -> ConsensusStep | None:
@@ -237,9 +230,6 @@ class Mean(_FixedTrust):
     """Trust-weighted mean; no robustness, the baseline to beat."""
 
     type: ClassVar[str] = "mean"
-
-    def label(self) -> str:
-        return "mean"
 
     def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
         return _weighted_mean(values, trust)
@@ -253,9 +243,6 @@ class Median(_FixedTrust):
     reaches half. Immune while attackers hold under half the trust."""
 
     type: ClassVar[str] = "median"
-
-    def label(self) -> str:
-        return "median"
 
     def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
         return weighted_median(values, trust)
@@ -277,12 +264,9 @@ class TrimmedMean(_FixedTrust):
     type: ClassVar[str] = "trimmed_mean"
     trim_fraction: float = 0.2
 
-    def __post_init__(self):
+    def __post_init__(self):  # in [0, 0.5) is finite and >= 0
         if not (0.0 <= self.trim_fraction < 0.5):
             raise ValueError("trim_fraction must be in [0, 0.5)")
-
-    def label(self) -> str:
-        return f"trimmed_mean({self.trim_fraction:g})"
 
     def aggregate(self, values: Sequence[float], trust: Sequence[float]) -> float:
         k = int(self.trim_fraction * len(values))
@@ -308,7 +292,7 @@ class TrimmedMean(_FixedTrust):
         return fsum_rows(weights * np.take_along_axis(values, kept, axis=1))
 
 
-class AdaptiveTrust(Record):
+class AdaptiveTrust(_Strategy):
     """Trust-weighted mean plus multiplicative trust downdates.
 
     floor defaults to 0.01 / n_evaluators at run time; it keeps written-off
@@ -318,12 +302,6 @@ class AdaptiveTrust(Record):
     type: ClassVar[str] = "adaptive_trust"
     learning_rate: float = 1.0
     floor: float | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError("learning_rate must be finite and >= 0")
-        if self.floor is not None and (not math.isfinite(self.floor) or self.floor < 0):
-            raise ValueError("floor must be finite and >= 0")
 
     def label(self) -> str:
         return f"adaptive_trust(lr={self.learning_rate:g})"
@@ -462,14 +440,19 @@ def _block_shares(consensus: np.ndarray, sizes: np.ndarray, budget: float) -> np
 # values(batch, base_weights) gives one value per sample, in batch order.
 
 
-class SingleEvaluator(Record):
+class _Signal(_Strategy):
+    """A signal of one field, labelled type:value."""
+
+    def label(self) -> str:
+        (name,) = self._fields
+        return f"{self.type}:{getattr(self, name)}"
+
+
+class SingleEvaluator(_Signal):
     """One logged evaluator column, min-max normalized over the batch."""
 
     type: ClassVar[str] = "evaluator"
     evaluator_id: str
-
-    def label(self) -> str:
-        return f"evaluator:{self.evaluator_id}"
 
     def values(self, batch: Batch, base_weights: WeightConfig) -> list[float]:
         for s in batch.samples:
@@ -480,7 +463,7 @@ class SingleEvaluator(Record):
         return batch.normalized_scores()[:, batch.evaluator_ids.index(self.evaluator_id)].tolist()
 
 
-class ConsensusBaseline(Record):
+class ConsensusBaseline(_Signal):
     """Mean or median of the normalized evaluator columns."""
 
     type: ClassVar[str] = "baseline"
@@ -490,9 +473,6 @@ class ConsensusBaseline(Record):
         if self.stat not in ("mean", "median"):
             raise ValueError("stat must be 'mean' or 'median'")
 
-    def label(self) -> str:
-        return f"baseline:{self.stat}"
-
     def values(self, batch: Batch, base_weights: WeightConfig) -> list[float]:
         values = consensus_baselines(batch)[self.stat]
         for i in np.flatnonzero(np.isnan(values))[:1]:  # a consensus of nothing is no zero
@@ -500,7 +480,7 @@ class ConsensusBaseline(Record):
         return values
 
 
-class CompositeSignal(Record):
+class CompositeSignal(_Signal):
     """The composite under one of the weight variants in VARIANTS."""
 
     type: ClassVar[str] = "composite"
@@ -511,9 +491,6 @@ class CompositeSignal(Record):
             raise SimConfigError(
                 f"unknown composite variant {self.variant!r} (known: {', '.join(VARIANTS)})"
             )
-
-    def label(self) -> str:
-        return f"composite:{self.variant}"
 
     def values(self, batch: Batch, base_weights: WeightConfig) -> list[float]:
         return compose_batch(batch, variant(base_weights, self.variant))

@@ -97,6 +97,9 @@ class SyntheticSpec(Record):
         for producer in self.producers:
             if not isinstance(producer, str) or not producer.strip():
                 raise InvalidSpec(f"producers must be non-blank strings, got {producer!r}")
+        if len(set(self.producers)) != len(self.producers):
+            repeated = next(p for i, p in enumerate(self.producers) if p in self.producers[:i])
+            raise InvalidSpec(f"producers must be distinct, got {repeated!r} twice")
         if self.producers_per_query < 1:
             raise InvalidSpec("producers_per_query must be >= 1")
         if self.producers_per_query > len(self.producers):

@@ -376,6 +376,10 @@ BAD_CONFIGS = [
     (SIM + "  attacks: [{type: camouflage, then_delta: -1}]\n", "then_delta must be finite"),
     ("synthetic: {n: 10, producers_per_query: 0}\n", "synthetic: producers_per_query must be >= 1"),
     ('synthetic: {n: 5, producers: [" "]}\n', "synthetic: producers must be non-blank strings"),
+    (
+        "synthetic: {n: 6, producers: [a, a], producers_per_query: 2}\n",
+        "synthetic: producers must be distinct",
+    ),
 ]
 
 
@@ -946,6 +950,27 @@ def test_a_cell_that_raises_reaches_main_as_itself(
     assert "cannot write reports" not in err
     assert len(cells) == 7  # the grid stopped at the failing cell
     assert everything_in(out) == before  # no report replaced, no temporary file left
+
+
+def test_a_report_name_too_long_exits_one_and_leaves_no_out_directory(tmp_path, capsys):
+    # the cell's config id names its report; the staged file's name is then
+    # too long to write and to unlink, and the unlink must not hide the error
+    target = "p" * 240
+    config = tmp_path / "sim.yaml"
+    config.write_text(
+        "sim:\n"
+        "  rounds: 2\n"
+        "  evaluators: [{id: e1}, {id: e2}]\n"
+        f"  producers: {{a: 0.4, {target}: 0.6}}\n"
+        f"  attacks: [{{type: collude, target: {target}}}]\n"
+        "  ratios: [0.5]\n"
+        "  defenses: [mean]\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "new" / "reports"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert f"cannot write reports to {out}: " in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_simulate_holds_one_cell_at_a_time(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 import mdqs
 
 from conftest import dim_matrix, make_sample
+from mdqs.io import ingest, write_jsonl
 from mdqs.model import (
     CANONICAL_DIMENSIONS,
     DEFAULT_WEIGHTS,
@@ -113,6 +114,23 @@ def test_sample_rejects_non_finite_scores():
         make_sample(sample_id="a", evaluator_scores={"j": float("inf")})
     with pytest.raises(ValueError, match="reference_score"):
         make_sample(sample_id="c", reference_score=float("nan"))
+    # what ingest would refuse in a written line: a bool or a string score, a non-string text
+    for bad in (True, "0.5", None):
+        with pytest.raises(ValueError, match="^evaluator_scores.j must be a number, got "):
+            make_sample(sample_id="d", evaluator_scores={"j": bad})
+    with pytest.raises(ValueError, match="^reference_score must be a number, got bool$"):
+        make_sample(sample_id="e", reference_score=True)
+    with pytest.raises(ValueError, match="^query must be a string, got int$"):
+        make_sample(sample_id="f", query=3)
+    with pytest.raises(ValueError, match="^reference_text must be a string, got list$"):
+        make_sample(sample_id="g", reference_text=["r"])
+
+
+def test_sample_scores_are_floats_and_survive_a_round_trip(tmp_path):
+    sample = make_sample(sample_id="s", evaluator_scores={"j": 1}, reference_score=0)
+    assert type(sample.evaluator_scores["j"]) is type(sample.reference_score) is float
+    write_jsonl(tmp_path / "s.jsonl", Batch([sample]))
+    assert list(ingest(tmp_path / "s.jsonl").samples.samples) == [sample]
 
 
 def test_sample_rejects_blank_identity_fields():

@@ -140,6 +140,12 @@ def test_attack_labels():
     assert attack_label(RandomNoise()) == "random_noise"
     assert attack_label(Collude("p-b", 0.3)) == "collude(p-b,0.3)"
     assert attack_label(Camouflage(50, 0.4)) == "camouflage(50,0.4)"
+    # a float field shows as :g, whether given a float or an int; other fields as str
+    assert attack_label(Inflate(1e20)) == attack_label(Inflate(10**20)) == "inflate(1e+20)"
+    assert attack_label(Camouflage(1000000, 0.3)) == "camouflage(1000000,0.3)"
+    assert attack_label(Collude("a,b", 1)) == "collude(a,b,1)"
+    # an int field is range-checked as an int: no float() of a 400-digit one
+    assert Camouflage(honest_rounds=10**400).honest_rounds == 10**400
     assert set(ATTACKS.values()) == set(get_args(AttackStrategy))
     assert all(ATTACKS[c.type] is c for c in get_args(AttackStrategy))
 
@@ -159,6 +165,7 @@ def test_defense_validation_and_labels():
     assert Median().label() == "median"
     assert TrimmedMean(0.2).label() == "trimmed_mean(0.2)"
     assert AdaptiveTrust().label() == "adaptive_trust(lr=1)"
+    assert AdaptiveTrust(2.0, 0.01).label() == "adaptive_trust(lr=2)"
     assert set(DEFENSES.values()) == set(get_args(DefenseConfig))
     assert all(DEFENSES[c.type] is c for c in get_args(DefenseConfig))
 
@@ -919,6 +926,7 @@ def test_signal_labels():
     assert signal_label(SingleEvaluator("e7")) == "evaluator:e7"
     assert signal_label(ConsensusBaseline("mean")) == "baseline:mean"
     assert signal_label(CompositeSignal("calibrated")) == "composite:calibrated"
+    assert signal_label(SingleEvaluator("a,b")) == "evaluator:a,b"
     assert set(SIGNALS.values()) == set(get_args(QualitySignal))
     assert all(SIGNALS[c.type] is c for c in get_args(QualitySignal))
     with pytest.raises(ValueError):

@@ -187,6 +187,9 @@ def test_spec_validation():
         message = f"^producers must be non-blank strings, got {blank!r}$"
         with pytest.raises(InvalidSpec, match=message):
             spec(producers=("model-a", blank))
+    # each of a query's producers is a different one
+    with pytest.raises(InvalidSpec, match="^producers must be distinct, got 'a' twice$"):
+        spec(producers=("a", "b", "a"))
 
 
 def test_missing_task_correlations_rejected():
