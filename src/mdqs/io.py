@@ -48,6 +48,8 @@ from mdqs.model import (
     ValidationReport,
     WeightConfig,
     _COLUMN_BY_NAME,
+    _number,
+    _text,
     parse_dimension,
 )
 from mdqs.poq import (
@@ -70,56 +72,19 @@ from mdqs.synth import SyntheticSpec
 
 RECORD_SCHEMA = 1
 
-_KNOWN_RECORD_FIELDS = frozenset(
-    {
-        "schema",
-        "sample_id",
-        "task",
-        "producer_id",
-        "query",
-        "output",
-        "evaluator_scores",
-        "gt",
-        "reference_text",
-        "dims",
-    }
-)
+# a record's keys, in the order to_record writes them, each with the
+# LoggedSample field it holds (None: the record's own); any other key rides
+# along in the sample's extra
+_RECORD_KEYS = {
+    "schema": None, "sample_id": "sample_id", "task": "task", "producer_id": "producer_id",
+    "query": "query", "output": "output", "evaluator_scores": "evaluator_scores",
+    "gt": "reference_score", "reference_text": "reference_text", "dims": None,
+}
 
 
 # ---------------------------------------------------------------------------
-# value readers
-#
-# Every untrusted value, in a record or in the run config, passes through one
-# of these. Each raises SchemaError naming where the value sits, such as
-# "evaluator_scores.judge" or "sim.attacks[1].delta".
-
-
-def _number(value, where: str) -> float:
-    """A finite number from a record or a config; bools are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        got = type(value).__name__
-        if isinstance(value, str):
-            got += f" {value[:40]!r}{'...' if len(value) > 40 else ''}"
-            if _finite_text(value):
-                got += "; write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
-        raise SchemaError(f"{where} must be a number, got {got}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise SchemaError(f"{where} must be finite, got {number!r}")
-    return number
-
-
-def _finite_text(text: str) -> bool:
-    """Whether float() reads the text as a finite number. PyYAML follows
-    YAML 1.1, which loads 1e-3, 1.0e3 and 1E+3 as strings: only a dot and a
-    signed exponent (1.0e-3) load as a float."""
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
+# value readers, with mdqs.model's _number and _text: each raises SchemaError
+# naming where the value sits, such as "sim.attacks[1].delta"
 
 
 def _section(raw, where: str, keys: Sequence[str] | None = None) -> dict:
@@ -145,12 +110,6 @@ def _seed(value, where: str) -> int:
     if not 0 <= seed < SEED_LIMIT:
         raise SchemaError(f"{where} must be in [0, 2**64), got {seed}")
     return seed
-
-
-def _text(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{where} must be a string, got {type(value).__name__}")
-    return value
 
 
 def _flag(value, where: str) -> bool:
@@ -229,19 +188,12 @@ def _from_record(obj: object, any_string: bool) -> tuple[LoggedSample, list[floa
     schema = obj.get("schema", RECORD_SCHEMA)
     if schema != RECORD_SCHEMA:
         raise SchemaError(f"unsupported record schema {schema!r}")
-    scores = _section(obj.get("evaluator_scores"), "evaluator_scores")
+    # LoggedSample reads the other fields; gt is read here so that its messages say gt
+    fields = {name: obj.get(key) for key, name in _RECORD_KEYS.items() if name}
+    fields["evaluator_scores"] = _section(fields["evaluator_scores"], "evaluator_scores")
+    fields["reference_score"] = _opt(obj, "gt", _number, "")
+    fields["extra"] = {k: v for k, v in obj.items() if k not in _RECORD_KEYS}
     dims = _dims(obj.get("dims"))
-    fields = dict(
-        sample_id=_text(obj.get("sample_id"), "sample_id"),
-        task=_text(obj.get("task"), "task"),
-        producer_id=_text(obj.get("producer_id"), "producer_id"),
-        query=_text(obj.get("query"), "query"),
-        output=_text(obj.get("output"), "output"),
-        evaluator_scores={str(k): _number(v, f"evaluator_scores.{k}") for k, v in scores.items()},
-        reference_score=_opt(obj, "gt", _number, ""),
-        reference_text=_opt(obj, "reference_text", _text, ""),
-        extra={k: v for k, v in obj.items() if k not in _KNOWN_RECORD_FIELDS},
-    )
     if not any_string:  # then no string holds a surrogate, but a number may be NaN
         for key, value in fields["extra"].items():
             if isinstance(value, (float, dict, list)):
@@ -254,25 +206,18 @@ def _from_record(obj: object, any_string: bool) -> tuple[LoggedSample, list[floa
 
 def to_record(sample: LoggedSample, row: Sequence[float] | None = None) -> dict:
     """Inverse of from_record, given the sample's row of dims (NaN, or no row:
-    absent); key order is fixed, extras ride at the end."""
-    rec: dict = {
-        "schema": RECORD_SCHEMA,
-        "sample_id": sample.sample_id,
-        "task": sample.task,
-        "producer_id": sample.producer_id,
-        "query": sample.query,
-        "output": sample.output,
-        "evaluator_scores": {k: sample.evaluator_scores[k] for k in sorted(sample.evaluator_scores)},
-    }
-    if sample.reference_score is not None:
-        rec["gt"] = sample.reference_score
-    if sample.reference_text is not None:
-        rec["reference_text"] = sample.reference_text
+    absent): the keys in _RECORD_KEYS order, each left out when it holds
+    None, then the extras."""
+    scores = {k: sample.evaluator_scores[k] for k in sorted(sample.evaluator_scores)}
     dims = {} if row is None else {d: v for d, v in zip(_COLUMN_BY_NAME, row) if v == v}
-    if dims:
-        rec["dims"] = dims
+    own = {"schema": RECORD_SCHEMA, "evaluator_scores": scores, "dims": dims or None}
+    rec: dict = {}
+    for key, name in _RECORD_KEYS.items():
+        value = own[key] if key in own else getattr(sample, name)
+        if value is not None:
+            rec[key] = value
     for key, value in sample.extra.items():
-        if key not in _KNOWN_RECORD_FIELDS:
+        if key not in _RECORD_KEYS:
             rec[key] = value
     return rec
 
@@ -616,7 +561,7 @@ def _weights(value) -> WeightConfig:
         raise SchemaError("weights must be a variant name or a {dimension: weight} map")
     try:
         return WeightConfig("custom", _dimension_map(value, "weights", _weight))
-    except (ValueError, OverflowError) as exc:  # an empty map, a zero or huge sum
+    except ValueError as exc:  # an empty map, a zero or huge sum
         raise SchemaError(f"weights: {exc}") from None
 
 

@@ -80,6 +80,54 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+# ---------------------------------------------------------------------------
+# value readers, for a record, the run config and the record types here: each
+# raises SchemaError naming where the value sits ("evaluator_scores.judge",
+# "sim.attacks[1].delta"), which _read gives a library caller as a ValueError
+
+
+def _number(value, where: str) -> float:
+    """A finite number from a record or a config; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        got = type(value).__name__
+        if isinstance(value, str):
+            got += f" {value[:40]!r}{'...' if len(value) > 40 else ''}"
+            if _finite_text(value):
+                got += "; write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
+        raise SchemaError(f"{where} must be a number, got {got}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{where} must be finite, got {number!r}")
+    return number
+
+
+def _finite_text(text: str) -> bool:
+    """Whether float() reads the text as a finite number. PyYAML follows
+    YAML 1.1, which loads 1e-3, 1.0e3 and 1E+3 as strings: only a dot and a
+    signed exponent (1.0e-3) load as a float."""
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _read(reader, value, where: str):
+    """reader(value, where), with its SchemaError as a ValueError in the same words."""
+    try:
+        return reader(value, where)
+    except SchemaError as exc:
+        raise ValueError(str(exc)) from None
+
+
 class DimensionId(Enum):
     """The six quality dimensions, in canonical report order."""
 
@@ -125,17 +173,18 @@ class WeightConfig(Record):
     def __post_init__(self):
         if not self.weights:
             raise ValueError("weight config must have at least one dimension")
-        total = math.fsum(float(w) for w in self.weights.values())
-        if not math.isfinite(total):
-            raise ValueError("weights must be finite")
+        weights: dict[DimensionId, float] = {}
+        for dim in sorted(self.weights, key=DIMENSION_COLUMN.__getitem__):
+            w = weights[dim] = _read(_number, self.weights[dim], f"weights.{dim.value}")
+            if w < 0.0:
+                raise ValueError(f"weights.{dim.value} must be >= 0, got {w!r}")
+        try:
+            total = math.fsum(weights.values())
+        except OverflowError:  # finite weights whose sum is past float range
+            raise ValueError("weights must have a finite sum") from None
         if total <= 0.0:
             raise ValueError("weights must have a positive sum")
-        normalized: dict[DimensionId, float] = {}
-        for dim in sorted(self.weights, key=DIMENSION_COLUMN.__getitem__):
-            w = float(self.weights[dim])
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError(f"weight for {dim.value} must be finite and >= 0, got {w!r}")
-            normalized[dim] = w / total
+        normalized = {dim: w / total for dim, w in weights.items()}
         object.__setattr__(self, "weights", normalized)
         assert abs(math.fsum(normalized.values()) - 1.0) <= 1e-9
 
@@ -167,9 +216,8 @@ class LoggedSample(Record):
     the builtin semantic baseline. Unknown fields from ingestion ride along
     in `extra` and are written back out unchanged. task is kept as its
     task_label. Construction refuses a blank sample_id, task or producer_id,
-    a query or output that is not a string, a reference_text that is neither
-    None nor a string, and a score that is not a finite int or float (a bool
-    included); it keeps scores as floats, so no stage re-checks them.
+    and reads the texts and scores with ingest's readers: a ValueError in
+    ingest's words for what ingest would refuse, and every score a float.
     """
 
     sample_id: str
@@ -187,27 +235,17 @@ class LoggedSample(Record):
             value = getattr(self, name)
             if not isinstance(value, str) or not value.strip():
                 raise ValueError(f"{name} must be a non-blank string, got {value!r}")
-        object.__setattr__(self, "task", task_label(self.task))
+        _setattr(self, "task", task_label(self.task))
         for name in ("query", "output", "reference_text"):
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (name == "reference_text" and value is None):
-                raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+            if name != "reference_text" or self.reference_text is not None:
+                _read(_text, getattr(self, name), name)
         raw = self.evaluator_scores
-        scores = {str(k): _score(v, f"evaluator_scores.{k}") for k, v in raw.items()}
+        scores = {str(k): _read(_number, v, f"evaluator_scores.{k}") for k, v in raw.items()}
         if self.reference_score is not None:
-            reference = _score(self.reference_score, "reference_score")
-            object.__setattr__(self, "reference_score", reference)
-        object.__setattr__(self, "evaluator_scores", scores)
-        object.__setattr__(self, "extra", dict(self.extra))
-
-
-def _score(value, name: str) -> float:
-    """A score as a float; ValueError naming it unless it is a finite int or float (no bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
+            reference = _read(_number, self.reference_score, "reference_score")
+            _setattr(self, "reference_score", reference)
+        _setattr(self, "evaluator_scores", scores)
+        _setattr(self, "extra", dict(self.extra))
 
 
 def _checked_dims(samples: list[LoggedSample], dims) -> np.ndarray:
@@ -338,8 +376,10 @@ class EvaluatorProfile(Record):
     def __post_init__(self):
         if not isinstance(self.evaluator_id, str) or not self.evaluator_id.strip():
             raise ValueError(f"evaluator_id must be a non-blank string, got {self.evaluator_id!r}")
-        if not math.isfinite(self.cost) or self.cost < 0.0:
+        cost = _read(_number, self.cost, "cost")
+        if cost < 0.0:
             raise ValueError(f"cost must be finite and >= 0, got {self.cost!r}")
+        _setattr(self, "cost", cost)
 
 
 class ValidationIssue(Record):

@@ -59,6 +59,8 @@ from mdqs.model import (
     ValidationIssue,
     ValidationReport,
     WeightConfig,
+    _number,
+    _read,
 )
 from mdqs.stats import normalize_batch
 
@@ -81,10 +83,8 @@ class PriorTable(Record):
     def __post_init__(self):
         clean: dict[str, float] = {}
         for producer, rating in self.ratings.items():
-            r = float(rating)
-            if not math.isfinite(r):
-                raise ValueError(f"prior table {self.name!r}: non-finite rating for {producer!r}")
-            clean[str(producer)] = r
+            where = f"prior table {self.name!r}: rating for {producer!r}"
+            clean[str(producer)] = _read(_number, rating, where)
         # read-only, since lookups come from the table normalized here
         object.__setattr__(self, "ratings", MappingProxyType(clean))
         if not clean:

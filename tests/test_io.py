@@ -56,6 +56,7 @@ from mdqs.model import (
     Batch,
     DimensionId,
     EvaluatorProfile,
+    LoggedSample,
     WeightConfig,
 )
 from mdqs.poq import (
@@ -109,10 +110,11 @@ def test_record_round_trip_preserves_everything():
     assert rec == full_record() | {
         "evaluator_scores": {"a_judge": 0.4, "b_judge": 0.7}
     }
-    # key order is fixed: schema first, extras last
-    keys = list(rec)
-    assert keys[0] == "schema"
-    assert keys[-2:] == ["run_tag", "latency_ms"]
+    # key order is fixed: the record's keys in one order, extras last
+    assert list(rec) == [
+        "schema", "sample_id", "task", "producer_id", "query", "output", "evaluator_scores",
+        "gt", "reference_text", "dims", "run_tag", "latency_ms",
+    ]
     assert list(rec["evaluator_scores"]) == ["a_judge", "b_judge"]
     # partial dims given out of order come back in canonical order, absent ones omitted
     assert [repr(v) for v in row] == ["nan", "nan", "0.6", "0.9", "nan", "nan"]
@@ -136,9 +138,37 @@ def test_record_minimal():
     assert all(v != v for v in row)  # every dimension absent
     for dims in (row, None):
         out = to_record(sample, dims)
-        assert "gt" not in out
-        assert "dims" not in out
+        assert list(out) == [
+            "schema", "sample_id", "task", "producer_id", "query", "output", "evaluator_scores",
+        ]
     assert out["schema"] == 1
+
+
+def test_a_record_and_a_sample_refuse_a_value_in_the_same_words():
+    # one rule per value: ingest and the constructor read it with the same
+    # reader, so only the name of gt (reference_score) differs
+    record = full_record()
+    fields = dict(
+        sample_id="s1", task="qa", producer_id="m1", query=record["query"],
+        output=record["output"], evaluator_scores=record["evaluator_scores"],
+        reference_score=record["gt"], reference_text=record["reference_text"],
+    )
+    ids = ("sample_id", "task", "producer_id")
+    cases = [(key, key, bad) for key in ids for bad in (None, 7, "  ")]
+    cases += [("query", "query", 3), ("reference_text", "reference_text", 4)]
+    for bad in (True, "0.5", 10**400, math.nan):
+        cases += [("evaluator_scores", "evaluator_scores", {"j": bad})]
+        cases += [("gt", "reference_score", bad)]
+    for key, name, bad in cases:
+        with pytest.raises(ValueError) as library:
+            LoggedSample(**fields | {name: bad})
+        assert type(library.value) is ValueError
+        with pytest.raises(SchemaError) as ingested:
+            from_record(record | {key: bad})
+        assert str(ingested.value) == str(library.value).replace("reference_score", "gt")
+    for key in ids:  # a missing id or task reads as null
+        with pytest.raises(SchemaError, match=f"^{key} must be a non-blank string, got None$"):
+            from_record({k: v for k, v in record.items() if k != key})
 
 
 def test_from_record_schema_errors():
@@ -573,10 +603,17 @@ def test_a_number_that_yaml_reads_as_text_is_refused_with_its_text(tmp_path, cap
     config = tmp_path / "run.yaml"
     sim = "sim:\n  evaluators: [{id: e1}]\n  producers: {a: 0.5}\n  defenses:\n"
     hint = "write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
-    for text in ("1e-3", "1.0e3", "1E+3", "' 2.5 '", '"0.5"'):
-        config.write_text(sim + f"    - {{type: adaptive_trust, learning_rate: {text}}}\n")
-        read = text.strip("'\"")
-        expected = f"sim.defenses[0].learning_rate must be a number, got str {read!r}; {hint}"
+    rate = "sim.defenses[0].learning_rate"
+    cases = [
+        (sim + f"    - {{type: adaptive_trust, learning_rate: {text}}}\n", rate, text.strip("'\""))
+        for text in ("1e-3", "1.0e3", "1E+3", "' 2.5 '", '"0.5"')
+    ]
+    # a weight or a cost keeps the reader's words, with no "weights: " prefix
+    cases += [('weights: {semantic: "0.5"}\n', "weights.semantic", "0.5")]
+    cases += [(sim.replace("{id: e1}", '{id: e1, cost: "1"}'), "sim.evaluators[0].cost", "1")]
+    for text, where, read in cases:
+        config.write_text(text)
+        expected = f"{where} must be a number, got str {read!r}; {hint}"
         with pytest.raises(SchemaError) as caught:
             load_config(config)
         assert str(caught.value) == expected
