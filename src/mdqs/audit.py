@@ -273,15 +273,14 @@ def calibrate_per_task(
     threshold: float = 0.0,
     gate: str = "pearson",
 ) -> dict[str, CalibrationResult]:
-    """Independent calibration within each task family, in order of first
-    appearance; each task's gate statistics come from its block of `report`,
-    audit(batch)'s result, as if that task were the whole dataset."""
+    """Independent calibration within each task family, in the order of
+    `report.by_task`; each task's gate statistics come from its block of
+    `report`, audit(batch)'s result, as if that task were the whole dataset."""
     _, referenced, _, labels = _referenced(batch)
     out: dict[str, CalibrationResult] = {}
-    for label in dict.fromkeys(labels.tolist()):
+    for label, block in report.by_task.items():
         subset = referenced.rows(labels == label)  # every row referenced
         _referenced(subset, f"task {label!r}: calibration")  # refuses fewer than two
-        block = report.by_task[label]
         task_report = AuditReport(block, {label: block}, len(subset))
         out[label] = calibrate(task_report, subset, base=base, threshold=threshold, gate=gate)
     return out

@@ -48,6 +48,7 @@ from mdqs.model import (
     ValidationReport,
     WeightConfig,
     _COLUMN_BY_NAME,
+    _QuotedNumber,
     _number,
     _text,
     parse_dimension,
@@ -640,6 +641,15 @@ def load_config(path: str | Path | None) -> RunConfig:
         _refuse_unwritable(raw, "", "run config")  # an id or label may reach a report
     except (OSError, yaml.YAMLError, RecursionError) as exc:
         raise SchemaError(f"cannot load config {path}: {exc}") from None
+    try:
+        return _run_config(raw)
+    except _QuotedNumber as exc:  # YAML 1.1 loads 1e-3, like "0.5", as a string
+        advice = "write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
+        raise SchemaError(f"{exc}; {advice}") from None
+
+
+def _run_config(raw) -> RunConfig:
+    """The RunConfig of a loaded YAML document."""
     raw = _section(raw, "run config", _TOP_KEYS)
     schema = raw.get("schema", 1)
     if schema != 1:
@@ -722,7 +732,10 @@ def load_frozen_stats(path: str | Path) -> dict[DimensionId, tuple[float, float]
             raw = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError, RecursionError, SchemaError) as exc:
         raise SchemaError(f"cannot load normalization stats {path}: {exc}") from None
-    return _dimension_map(raw, "stats", _min_max)
+    try:
+        return _dimension_map(raw, "stats", _min_max)
+    except _QuotedNumber as exc:  # JSON, so no YAML advice
+        raise SchemaError(str(exc)) from None
 
 
 def build_scoring_config(config: RunConfig, weights: WeightConfig) -> ScoringConfig:

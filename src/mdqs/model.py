@@ -86,15 +86,19 @@ class Record:
 # "sim.attacks[1].delta"), which _read gives a library caller as a ValueError
 
 
+class _QuotedNumber(SchemaError):
+    """_number's error for a number written as a string: a config gets advice."""
+
+
 def _number(value, where: str) -> float:
     """A finite number from a record or a config; bools are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        got = type(value).__name__
+        got, error = type(value).__name__, SchemaError
         if isinstance(value, str):
             got += f" {value[:40]!r}{'...' if len(value) > 40 else ''}"
             if _finite_text(value):
-                got += "; write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
-        raise SchemaError(f"{where} must be a number, got {got}")
+                error = _QuotedNumber
+        raise error(f"{where} must be a number, got {got}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond float range
@@ -120,12 +124,12 @@ def _text(value, where: str) -> str:
     return value
 
 
-def _read(reader, value, where: str):
-    """reader(value, where), with its SchemaError as a ValueError in the same words."""
+def _read(reader, value, where: str, error: type[Exception] = ValueError):
+    """reader(value, where), with its SchemaError as `error` in the same words."""
     try:
         return reader(value, where)
     except SchemaError as exc:
-        raise ValueError(str(exc)) from None
+        raise error(str(exc)) from None
 
 
 class DimensionId(Enum):

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, ClassVar, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +64,8 @@ from mdqs.model import (
     SimError,
     SimOutcome,
     WeightConfig,
+    _number,
+    _read,
 )
 from mdqs.rng import rng_for
 from mdqs.scoring import consensus_baselines
@@ -550,7 +552,7 @@ class SimSettings(Record):
         if self.producers is not None:
             clean = {}
             for producer, mean in self.producers.items():
-                m = float(mean)
+                m = _read(_number, mean, f"producer {producer!r} mean quality", SimConfigError)
                 if not (0.0 < m < 1.0):
                     raise SimConfigError(f"producer {producer!r} mean quality must be in (0, 1)")
                 clean[str(producer)] = m
@@ -602,33 +604,14 @@ class SimConfig(Record):
         }
 
 
-class _Columns(NamedTuple):
-    """A signal's outputs over every query group, in group order. Ids are
-    object arrays, which compare as the exact strings; a fixed-width numpy
-    string drops a trailing NUL."""
-
-    keys: np.ndarray  # sample ids
-    codes: np.ndarray  # each producer's place in names
-    names: np.ndarray  # producer ids, in order of first appearance
-    quality: np.ndarray
-    target: np.ndarray  # the normalized reference; NaN where a sample has none
-    starts: np.ndarray  # each group's first row
-    sizes: np.ndarray
-
-    def rows(self, first: int, sizes: np.ndarray) -> np.ndarray:
-        """The rows that the rounds from `first` on score, cycling through the
-        groups: sizes[i] is round first + i's group size, or 0 if skipped."""
-        groups = (first + np.arange(len(sizes))) % len(self.starts)
-        ends = np.cumsum(sizes)
-        return np.repeat(self.starts[groups] - (ends - sizes), sizes) + np.arange(ends[-1])
-
-
 class _Replay:
     """A replay batch's inputs to the round loop, shared by every cell of
-    one run: the query groups, laid out once, and each signal's values in
-    that layout, checked on first use. A signal that fails is not stored,
-    so every cell that asks for it raises the same error, as when run
-    alone. Consensus scores are keyed by sample_id, which a Batch holds once."""
+    one run: the query groups, laid out once as flat columns in group order
+    (ids in object arrays, as a fixed-width numpy string drops a trailing
+    NUL), and each signal's quality column in that order, checked on first
+    use. A signal that fails is not stored, so every cell that asks for it
+    raises the same error, as when run alone. Consensus scores are keyed by
+    sample_id, which a Batch holds once."""
 
     def __init__(self, batch: Batch, base_weights: WeightConfig):
         self.batch, self.base_weights = batch, base_weights
@@ -637,26 +620,27 @@ class _Replay:
         group = np.array([queries.setdefault(s.query, len(queries)) for s in samples], int)
         self._order = np.argsort(group, kind="stable")  # group by group, in batch order
         rows = [samples[i] for i in self._order.tolist()]
-        names: dict[str, int] = {}  # producer -> code
+        names: dict[str, int] = {}  # producer -> code, in order of first appearance
         codes = [names.setdefault(s.producer_id, len(names)) for s in rows]
         refs = [s.reference_score for s in rows]
-        target = np.full(len(rows), math.nan)
+        target = np.full(len(rows), math.nan)  # the normalized reference; NaN: none
         target[[r is not None for r in refs]] = normalize_batch([r for r in refs if r is not None])
-        sizes = np.bincount(group)
-        self._layout = _Columns(
-            keys=np.array([s.sample_id for s in rows], dtype=object),
-            codes=np.array(codes, int),
-            names=np.array(list(names), dtype=object),
-            quality=np.empty(0),  # each signal's own
-            target=target,
-            starts=np.cumsum(sizes) - sizes,
-            sizes=sizes,
-        )
-        self._columns: dict[QualitySignal, _Columns] = {}
+        self.keys = np.array([s.sample_id for s in rows], dtype=object)
+        self.codes, self.names = np.array(codes, int), np.array(list(names), dtype=object)
+        self.target, self.sizes = target, np.bincount(group)
+        self.starts = np.cumsum(self.sizes) - self.sizes  # each group's first row
+        self._quality: dict[QualitySignal, np.ndarray] = {}
 
-    def columns(self, signal: QualitySignal) -> _Columns:
-        """The query groups' outputs under the signal."""
-        if signal not in self._columns:
+    def rows(self, first: int, sizes: np.ndarray) -> np.ndarray:
+        """The rows that the rounds from `first` on score, cycling through the
+        groups: sizes[i] is round first + i's group size, or 0 if skipped."""
+        groups = (first + np.arange(len(sizes))) % len(self.starts)
+        ends = np.cumsum(sizes)
+        return np.repeat(self.starts[groups] - (ends - sizes), sizes) + np.arange(ends[-1])
+
+    def quality(self, signal: QualitySignal) -> np.ndarray:
+        """The signal's values, in group order."""
+        if signal not in self._quality:
             quality = np.array(signal.values(self.batch, self.base_weights), float)
             n, label = len(self.batch), signal.label()
             if len(quality) != n:
@@ -665,8 +649,8 @@ class _Replay:
             if len(outside):
                 sid, q = self.batch.samples[outside[0]].sample_id, quality[outside[0]].item()
                 raise ValueError(f"{label}: quality of {sid!r} must be in [0, 1], got {q!r}")
-            self._columns[signal] = self._layout._replace(quality=quality[self._order])
-        return self._columns[signal]
+            self._quality[signal] = quality[self._order]
+        return self._quality[signal]
 
 
 def run_single(
@@ -719,14 +703,12 @@ def _run_cell(config: SimConfig, replay: _Replay | None) -> SimOutcome:
             raise SimConfigError(f"{config.config_id}: replay dataset is empty")
         if config.quality_signal is None:
             raise SimConfigError(f"{config.config_id}: replay mode needs a quality signal")
-        columns = replay.columns(config.quality_signal)
-        names = columns.names
+        column, names = replay.quality(config.quality_signal), replay.names
 
         def gather(first: int, stop: int):
-            sizes = columns.sizes[np.arange(first, stop) % len(columns.sizes)]
-            rows = columns.rows(first, sizes)
-            quality, target = columns.quality[rows], columns.target[rows]
-            return sizes, columns.codes[rows], quality, columns.keys[rows], target
+            sizes = replay.sizes[np.arange(first, stop) % len(replay.sizes)]
+            rows = replay.rows(first, sizes)
+            return sizes, replay.codes[rows], column[rows], replay.keys[rows], replay.target[rows]
 
     consensus_scores: dict[str, float] = {}
     paid = np.zeros(len(names))  # rewards by producer code

@@ -29,6 +29,8 @@ from mdqs.model import (
     DimensionId,
     LoggedSample,
     Record,
+    _number,
+    _read,
     task_label,
 )
 from mdqs.rng import rng_for
@@ -111,17 +113,16 @@ class SyntheticSpec(Record):
             label = task_label(task)
             frozen[label] = {}
             for dim, rho in dims.items():
-                r = float(rho)
-                if not math.isfinite(r) or abs(r) > 1.0:
-                    raise InvalidSpec(
-                        f"correlation for {label}/{dim.value} must be in [-1, 1], got {rho!r}"
-                    )
+                where = f"correlation for {label}/{dim.value}"
+                r = _read(_number, rho, where, InvalidSpec)
+                if abs(r) > 1.0:
+                    raise InvalidSpec(f"{where} must be in [-1, 1], got {rho!r}")
                 frozen[label][dim] = r
         object.__setattr__(self, "correlations", frozen)
         noise: dict[str, float] = {}
         for evaluator, sd in self.evaluator_noise.items():
-            s = float(sd)
-            if not math.isfinite(s) or s < 0:
+            s = _read(_number, sd, f"noise sd for {evaluator!r}", InvalidSpec)
+            if s < 0:
                 raise InvalidSpec(f"noise sd for {evaluator!r} must be finite and >= 0")
             noise[str(evaluator)] = s
         object.__setattr__(self, "evaluator_noise", noise)

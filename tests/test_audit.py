@@ -609,7 +609,7 @@ def _ref_calibrate_per_task(
     keep = [s.reference_score is not None for s in samples]
     referenced = [s for s, kept in zip(samples, keep) if kept]
     dims = dims[keep]
-    labels = list(dict.fromkeys(s.task for s in referenced))
+    labels = list(report.by_task)
     out = {}
     for label in labels:
         in_task = [s.task == label for s in referenced]

@@ -869,7 +869,26 @@ def test_calibrate_cli_flags(tmp_path):
     assert set(cal["by_task"]) == {"qa", "summarization"}
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1e400", "abc"])
+@pytest.mark.parametrize("gate", ["pearson", "spearman", "taskwise_min"])
+def test_calibration_lists_tasks_in_the_audit_order(tmp_path, gate):
+    # the fixture reversed, so summarization is met first
+    lines = (Path(FIXTURES) / "replay_200.jsonl").read_text(encoding="utf-8").splitlines(True)
+    data = tmp_path / "reversed.jsonl"
+    data.write_text("".join(reversed(lines)), encoding="utf-8")
+    config = replay_config_edited(
+        tmp_path, lambda raw: raw.update(audit={"gate": gate, "per_task": True})
+    )
+    out = tmp_path / "r"
+    assert main(["report", "--config", config, "--input", str(data), "--out", str(out)]) == 0
+    audit, cal = (
+        json.loads((out / name).read_text(encoding="utf-8"))
+        for name in ("audit.json", "calibration.json")
+    )
+    assert list(audit["by_task"]) == ["qa", "summarization"]
+    assert list(cal["by_task"]) == list(audit["by_task"])
+
+
+@pytest.mark.parametrize("threshold",["nan", "inf", "-inf", "-1e400", "abc"])
 def test_calibrate_threshold_must_be_finite(tmp_path, capsys, threshold):
     data = planted_path(tmp_path)
     out = tmp_path / "r"

@@ -632,6 +632,24 @@ def test_a_number_that_yaml_reads_as_text_is_refused_with_its_text(tmp_path, cap
     assert defense.learning_rate == 0.001
 
 
+def test_a_quoted_number_outside_a_config_gets_no_yaml_advice(tmp_path):
+    # a JSONL record and a JSON stats file are not YAML
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(full_record() | {"gt": "0.5"}) + "\n", encoding="utf-8")
+    assert [i.message for i in ingest(path).issues] == ["gt must be a number, got str '0.5'"]
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({"semantic": ["0.1", 0.9]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_frozen_stats(stats)
+    assert str(caught.value) == "stats.semantic[0] must be a number, got str '0.1'"
+    # nor does a config that names that stats file
+    config = tmp_path / "run.yaml"
+    config.write_text(f"normalization: {{mode: frozen, stats: {json.dumps(str(stats))}}}\n")
+    with pytest.raises(SchemaError) as caught:
+        load_config(config)
+    assert str(caught.value) == "stats.semantic[0] must be a number, got str '0.1'"
+
+
 def test_load_config_per_task_synthetic(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(

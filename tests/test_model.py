@@ -89,7 +89,6 @@ def test_weight_config_rejects_bad_inputs():
 
 def test_library_records_refuse_what_the_config_refuses():
     # the config's readers, as a ValueError naming the field
-    hint = "; write it unquoted, and in YAML give an exponent a dot and a sign (1.0e-3)"
     sem, structure, rating = DimensionId.SEMANTIC, DimensionId.STRUCTURE, "prior table 't': rating"
 
     def refused(message, make, *args, **kwargs):
@@ -99,13 +98,15 @@ def test_library_records_refuse_what_the_config_refuses():
         assert str(caught.value) == message
 
     number, huge = "must be a number, got", 10**400
-    refused(f"weights.semantic {number} str '0.5'{hint}", WeightConfig, "w", {sem: "0.5"})
+    refused(f"weights.semantic {number} str '0.5'", WeightConfig, "w", {sem: "0.5"})
     refused(f"weights.semantic {number} bool", WeightConfig, "w", {sem: True})
     refused("weights.semantic must be finite, got inf", WeightConfig, "w", {sem: huge})
     refused("weights must have a finite sum", WeightConfig, "w", {sem: 1e308, structure: 1e308})
-    refused(f"{rating} for 'a' {number} str '1200'{hint}", PriorTable, "t", {"a": "1200"})
+    refused(f"{rating} for 'a' {number} str '1200'", PriorTable, "t", {"a": "1200"})
     refused(f"{rating} for 'b' {number} bool", PriorTable, "t", {"a": 1, "b": True})
-    refused(f"cost {number} str '1'{hint}", EvaluatorProfile, "e", cost="1")
+    refused(f"cost {number} str '1'", EvaluatorProfile, "e", cost="1")
+    # the YAML advice is for a config only
+    refused(f"reference_score {number} str '0.5'", make_sample, reference_score="0.5")
     refused("evaluator_scores.j must be finite, got inf", make_sample, evaluator_scores={"j": huge})
     refused("reference_score must be finite, got inf", make_sample, reference_score=huge)
     assert WeightConfig("w", {sem: 10**300}).weights == {sem: 1.0}

@@ -582,6 +582,18 @@ def test_sim_config_validation():
             SimSettings(evaluators=profiles(2), rounds=5, beta_concentration=beta)
 
 
+def test_producer_means_are_read_as_numbers():
+    # the config's reader, so a quoted number or a bool is refused, naming the producer
+    for mean, got in (("0.5", "str '0.5'"), (True, "bool"), (None, "NoneType")):
+        message = f"producer 'a' mean quality must be a number, got {got}"
+        with pytest.raises(SimConfigError) as caught:
+            SimSettings(evaluators=profiles(1), producers={"a": mean})
+        assert str(caught.value) == message
+    with pytest.raises(SimConfigError, match="^producer 'a' mean quality must be finite, got inf$"):
+        SimSettings(evaluators=profiles(1), producers={"a": 10**400})
+    assert SimSettings(evaluators=profiles(1), producers={"a": 0.5}).producers == {"a": 0.5}
+
+
 @pytest.mark.parametrize(
     "n, ratio, expected",
     [
@@ -1368,7 +1380,7 @@ def test_run_cell_matches_the_reference_on_wide_groups_past_one_block():
         Batch([s._replace(query=q) for s, q in zip(batch.samples, queries)], batch.dims[:180]),
         DEFAULT_WEIGHTS,
     )
-    assert sorted(set(replay.columns(ORACLE_SIGNALS[0]).sizes.tolist())) == [4, 5]
+    assert sorted(set(replay.sizes.tolist())) == [4, 5]
     rng = np.random.default_rng(5)
     for index, defense in enumerate([*ORACLE_DEFENSES, Mean(), Median()]):
         cell = _oracle_cell(rng, index)

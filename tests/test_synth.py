@@ -192,6 +192,23 @@ def test_spec_validation():
         spec(producers=("a", "b", "a"))
 
 
+def test_spec_numbers_are_read_as_numbers():
+    # the config's reader, so a quoted number or a bool is refused, naming the entry
+    sem = DimensionId.SEMANTIC
+    cases = [
+        ({"correlations": {"qa": {sem: "0.5"}}}, "correlation for qa/semantic", "str '0.5'"),
+        ({"correlations": {"QA ": {sem: True}}}, "correlation for qa/semantic", "bool"),
+        ({"evaluator_noise": {"j": "0.5"}}, "noise sd for 'j'", "str '0.5'"),
+        ({"evaluator_noise": {"j": False}}, "noise sd for 'j'", "bool"),
+    ]
+    for fields, where, got in cases:
+        with pytest.raises(InvalidSpec) as caught:
+            spec(**fields)
+        assert str(caught.value) == f"{where} must be a number, got {got}"
+    with pytest.raises(InvalidSpec, match="^noise sd for 'j' must be finite, got nan$"):
+        spec(evaluator_noise={"j": float("nan")})
+
+
 def test_missing_task_correlations_rejected():
     s = spec(correlations={"qa": {DimensionId.SEMANTIC: 0.8}}, qa_fraction=0.5)
     with pytest.raises(InvalidSpec):
